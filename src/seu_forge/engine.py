@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelGraph
-from .tensor import (BnParams, ShapeError, Tensor, argmax_channels,
+from .tensor import (BnParams, ShapeError, Tensor, _pad_same, argmax_channels,
                      batchnorm_forward, concat_channels, conv2d_forward,
                      conv2d_transpose_forward, maxpool2d, relu)
 
@@ -85,12 +85,33 @@ def _bn_params(graph: ModelGraph, name: str) -> BnParams:
                     graph.bn_epsilon)
 
 
+def _drop_schedule(graph: ModelGraph, keep=()) -> list:
+    """For each layer index, the activations to free once that layer has run.
+
+    An activation is freed right after its last consumer, or right after it
+    is made if nothing consumes it, unless it is the output layer's or named
+    in ``keep``.
+    """
+    last = {"input": 0}
+    for idx, layer in enumerate(graph.layers):
+        last[layer.name] = idx
+        for ref in layer.inputs:
+            last[ref] = idx
+    keep = set(keep) | {graph.output_layer.name}
+    drops = [[] for _ in graph.layers]
+    for name, idx in last.items():
+        if name not in keep:
+            drops[idx].append(name)
+    return drops
+
+
 def run_float(graph: ModelGraph, inp: Tensor, capture: bool = False,
               collect=()) -> InferenceResult:
     """Deterministic float32 forward pass; class map via argmax_channels.
 
     ``collect`` names intermediate layers whose output tensors should be
-    retained on the result (everything else is dropped as usual).
+    retained on the result. Every other activation is freed after its last
+    consumer has run (``capture`` statistics are recorded before that).
     """
     if graph.flags.get("quantized"):
         raise ValueError("graph is quantized; use run_quantized")
@@ -106,7 +127,8 @@ def run_float(graph: ModelGraph, inp: Tensor, capture: bool = False,
 
     outputs = {"input": inp}
     record("input", inp)
-    for layer in graph.layers:
+    drops = _drop_schedule(graph, collect)
+    for layer, dead in zip(graph.layers, drops):
         ins = [outputs[r] for r in layer.inputs]
         ps = graph.layer_params(layer.name)
         if layer.kind in ("conv2d", "output_conv"):
@@ -130,6 +152,8 @@ def run_float(graph: ModelGraph, inp: Tensor, capture: bool = False,
             raise ValueError(f"unknown layer kind {layer.kind!r}")
         outputs[layer.name] = out
         record(layer.name, out)
+        for name in dead:
+            del outputs[name]
 
     logits = outputs[graph.output_layer.name]
     collected = {name: outputs[name] for name in collect} if collect else None
@@ -174,25 +198,53 @@ def quantized_mac(q_w, q_x, q_b, z_x: int) -> int:
     return int(acc)
 
 
+# Integers up to 2**24 in magnitude are exact in float32.
+_F32_EXACT = 2 ** 24
+
+
+def _absmax(a: np.ndarray) -> float:
+    return max(float(a.max(initial=0)), -float(a.min(initial=0)))
+
+
+def _gemm_int(cols: np.ndarray, kmat: np.ndarray, cols_absmax: float) -> np.ndarray:
+    """Exact int32 ``cols @ kmat`` for float32 operands that hold integers.
+
+    The K axis is cut into chunks of at most ``2**24 // (max|cols| *
+    max|kmat|)`` rows, read from the actual operands (``cols_absmax`` is
+    max|cols|, taken by the caller from the smaller tensor cols was copied
+    from). Every partial sum of a chunk is then an integer of magnitude at
+    most 2**24, so float32 BLAS computes it exactly in any summation order.
+    Chunk results are cast to int32 and added in int32 with two's-complement
+    wraparound, which equals the wrapped int32 sum of all K products.
+    """
+    k = kmat.shape[0]
+    bound = cols_absmax * _absmax(kmat)
+    step = k if bound == 0 else min(k, int(_F32_EXACT // bound))
+    acc = (cols[..., :step] @ kmat[:step]).astype(np.int32)
+    for r in range(step, k, step):
+        acc += (cols[..., r:r + step] @ kmat[r:r + step]).astype(np.int32)
+    return acc
+
+
 def _conv_int(x_shifted: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
               stride: int, padding: str) -> np.ndarray:
-    """int32 conv over zero-point-shifted activations (im2col + matmul).
+    """int32 conv over zero-point-shifted integer activations (im2col + GEMM).
 
     Integer addition is associative mod 2^32, so unlike the float path the
-    summation order is free.
+    summation order is free. The im2col matrix is built directly in float32
+    and multiplied through float32 BLAS by :func:`_gemm_int`, which splits
+    K = Kh*Kw*Cin into chunks small enough that every partial sum stays an
+    integer below 2^24 (at |q_w| = 128 and |x - Z| = 255 that is 514 rows,
+    so a 3x3x64 layer runs in two chunks). The chunks and the bias are then
+    added in int32 with wraparound, giving the same bits as an int32 matmul.
     """
     kh, kw, cin, cout = kernel.shape
-    n, h, w, _ = x_shifted.shape
     if padding == "same":
-        oh, ow = -(-h // stride), -(-w // stride)
-        ph = max((oh - 1) * stride + kh - h, 0)
-        pw = max((ow - 1) * stride + kw - w, 0)
-        x_shifted = np.pad(x_shifted, ((0, 0), (ph // 2, ph - ph // 2),
-                                       (pw // 2, pw - pw // 2), (0, 0)))
-        n, h, w, _ = x_shifted.shape
+        x_shifted = _pad_same(x_shifted, kh, kw, stride)
+    n, h, w, _ = x_shifted.shape
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
-    cols = np.empty((n, oh, ow, kh * kw * cin), dtype=np.int32)
+    cols = np.empty((n, oh, ow, kh * kw * cin), dtype=np.float32)
     pos = 0
     for i in range(kh):
         for j in range(kw):
@@ -200,15 +252,17 @@ def _conv_int(x_shifted: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
                 :, i:i + (oh - 1) * stride + 1:stride,
                 j:j + (ow - 1) * stride + 1:stride, :]
             pos += cin
-    kmat = kernel.reshape(kh * kw * cin, cout).astype(np.int32)
-    with np.errstate(over="ignore"):
-        acc = cols @ kmat
-        acc += bias.astype(np.int32)
+    acc = _gemm_int(cols, kernel.reshape(kh * kw * cin, cout).astype(np.float32),
+                    _absmax(x_shifted))
+    acc += bias.astype(np.int32)
     return acc
 
 
 def run_quantized(graph: ModelGraph, inp: Tensor) -> InferenceResult:
-    """Integer forward pass per the affine MAC; logits are dequantized f32."""
+    """Integer forward pass per the affine MAC; logits are dequantized f32.
+
+    Each activation is freed after its last consumer has run.
+    """
     if not graph.flags.get("quantized"):
         raise ValueError("graph is not quantized; use run_float")
     if any(l.kind == "batchnorm" for l in graph.layers):
@@ -221,8 +275,8 @@ def run_quantized(graph: ModelGraph, inp: Tensor) -> InferenceResult:
     q = _round_half_even_clip_i8(inp.data.astype(np.float64) / ent["scale"]
                                  + ent["zero_point"])
     outputs = {"input": q}
-
-    for layer in graph.layers:
+    drops = _drop_schedule(graph)
+    for layer, dead in zip(graph.layers, drops):
         ins = [outputs[r] for r in layer.inputs]
         ps = graph.layer_params(layer.name)
         if layer.kind in ("conv2d", "output_conv", "conv2d_transpose"):
@@ -231,7 +285,7 @@ def run_quantized(graph: ModelGraph, inp: Tensor) -> InferenceResult:
             in_ent = _act_entry(graph, layer.inputs[0])
             out_ent = _act_entry(graph, layer.name)
             w_ent = _param_entry(graph, ps[krole].index)
-            x_shift = ins[0].astype(np.int32) - np.int32(in_ent["zero_point"])
+            x_shift = ins[0].astype(np.float32) - np.float32(in_ent["zero_point"])
             kernel = ps[krole].tensor.data
             bias = ps[brole].tensor.data
             if layer.kind == "conv2d_transpose":
@@ -239,12 +293,12 @@ def run_quantized(graph: ModelGraph, inp: Tensor) -> InferenceResult:
                 n, h, w, _ = x_shift.shape
                 cout = kernel.shape[3]
                 acc = np.empty((n, h * stride, w * stride, cout), dtype=np.int32)
-                kmat = kernel.astype(np.int32)
-                with np.errstate(over="ignore"):
-                    for i in range(stride):
-                        for j in range(stride):
-                            acc[:, i::stride, j::stride, :] = (
-                                x_shift @ kmat[i, j] + bias.astype(np.int32))
+                kmat = kernel.astype(np.float32)
+                x_absmax = _absmax(x_shift)
+                for i in range(stride):
+                    for j in range(stride):
+                        acc[:, i::stride, j::stride, :] = (
+                            _gemm_int(x_shift, kmat[i, j], x_absmax) + bias.astype(np.int32))
             else:
                 acc = _conv_int(x_shift, kernel, bias,
                                 layer.hyperparams.get("stride", 1),
@@ -272,6 +326,8 @@ def run_quantized(graph: ModelGraph, inp: Tensor) -> InferenceResult:
         else:
             raise ValueError(f"layer kind {layer.kind!r} not supported in quantized mode")
         outputs[layer.name] = out
+        for name in dead:
+            del outputs[name]
 
     oname = graph.output_layer.name
     ent = _act_entry(graph, oname)

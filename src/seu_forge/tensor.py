@@ -6,6 +6,13 @@ oracle — produce identical bit patterns. This is what makes fault-injection
 error rates exactly reproducible.
 
 Activation tensors are laid out N,H,W,C; convolution kernels Kh,Kw,Cin,Cout.
+Inside the convolutions the working layout is channel-major instead: the
+accumulator is (Cout, N*OH*OW) and each kernel tap's input window is copied
+once into a (Cin, N*OH*OW) buffer, so every multiply and add runs over long
+contiguous rows. Only the memory layout differs from the naive loop. Each
+output cell still sees the same float32 operations in the same order
+(product rounded to float32, added to a float32 accumulator that starts at
++0.0, in (kh, kw, cin) order, bias last), so the bits are unchanged.
 """
 
 from __future__ import annotations
@@ -103,12 +110,28 @@ def _pad_same(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (top, ph - top), (left, pw - left), (0, 0)))
 
 
+def _accumulate_taps(rows: np.ndarray, k_tap: np.ndarray, acc: np.ndarray,
+                     tmp: np.ndarray) -> None:
+    """acc += rows[ci] * k_tap[ci][:, None] for ci in order, rounding each product.
+
+    ``rows`` is (Cin, M), ``k_tap`` (Cin, Cout), ``acc`` and ``tmp`` (Cout, M).
+    """
+    for ci in range(rows.shape[0]):
+        np.multiply(rows[ci], k_tap[ci][:, None], out=tmp)
+        acc += tmp
+
+
 def conv2d_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
                    stride: int = 1, padding: str = "same") -> Tensor:
     """2D cross-correlation plus bias with fixed (kh, kw, cin) accumulation.
 
     Bit-reproducible: per output cell the float32 operation sequence is
-    identical to the naive quadruple loop, bias added last.
+    identical to the naive quadruple loop, bias added last. The loop runs
+    channel-major: for each tap (i, j) the strided input window is copied
+    once into a reused (Cin, N*OH*OW) buffer, and each Cin step multiplies
+    one contiguous row by the tap's Cout weights and adds the result to a
+    (Cout, N*OH*OW) accumulator. That changes where the operands sit in
+    memory, not which float32 operations each cell sees or their order.
     """
     _check_f32(inp, "input")
     _check_f32(kernel, "kernel")
@@ -133,16 +156,19 @@ def conv2d_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
     if oh <= 0 or ow <= 0:
         raise ShapeError(f"kernel {k.shape} larger than padded input {x.shape}")
 
-    acc = np.zeros((n, oh, ow, cout), dtype=np.float32)
+    m = n * oh * ow
+    xc = np.ascontiguousarray(x.transpose(3, 0, 1, 2))  # (Cin, N, H, W)
+    acc = np.zeros((cout, m), dtype=np.float32)
+    tmp = np.empty((cout, m), dtype=np.float32)
+    rows = np.empty((cin, n, oh, ow), dtype=np.float32)
     with np.errstate(over="ignore", invalid="ignore"):  # faulted params legally overflow
         for i in range(kh):
             for j in range(kw):
-                patch = x[:, i:i + (oh - 1) * stride + 1:stride,
-                          j:j + (ow - 1) * stride + 1:stride, :]
-                for ci in range(cin):
-                    acc += patch[:, :, :, ci, None] * k[i, j, ci, :]
-        acc += bias
-    return Tensor.from_array(acc)
+                rows[...] = xc[:, :, i:i + (oh - 1) * stride + 1:stride,
+                               j:j + (ow - 1) * stride + 1:stride]
+                _accumulate_taps(rows.reshape(cin, m), k[i, j], acc, tmp)
+        acc += bias[:, None]
+    return Tensor.from_array(acc.reshape(cout, n, oh, ow).transpose(1, 2, 3, 0))
 
 
 def conv2d_transpose_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
@@ -151,6 +177,7 @@ def conv2d_transpose_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
 
     With that restriction every output pixel receives exactly one kernel tap,
     so the scatter is disjoint and only the Cin sum order (row-major) matters.
+    The Cin sum runs channel-major, as in :func:`conv2d_forward`.
     """
     _check_f32(inp, "input")
     _check_f32(kernel, "kernel")
@@ -167,14 +194,17 @@ def conv2d_transpose_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
         raise ShapeError(f"bias shape {bias.shape} does not match Cout of kernel {k.shape}")
 
     n, h, w, _ = x.shape
-    out = np.zeros((n, h * stride, w * stride, cout), dtype=np.float32)
+    m = n * h * w
+    rows = np.ascontiguousarray(x.transpose(3, 0, 1, 2)).reshape(cin, m)
+    out = np.empty((n, h * stride, w * stride, cout), dtype=np.float32)
+    acc = np.empty((cout, m), dtype=np.float32)
+    tmp = np.empty((cout, m), dtype=np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(kh):
             for j in range(kw):
-                acc = np.zeros((n, h, w, cout), dtype=np.float32)
-                for ci in range(cin):
-                    acc += x[:, :, :, ci, None] * k[i, j, ci, :]
-                out[:, i::stride, j::stride, :] = acc
+                acc.fill(0.0)
+                _accumulate_taps(rows, k[i, j], acc, tmp)
+                out[:, i::stride, j::stride, :] = acc.reshape(cout, n, h, w).transpose(1, 2, 3, 0)
         out += bias
     return Tensor.from_array(out)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import seu_forge as sf
-from seu_forge.engine import quantized_mac, run_float, run_quantized
+from seu_forge.engine import _conv_int, quantized_mac, run_float, run_quantized
 from seu_forge.tensor import BnParams, Tensor
 
 from conftest import single_conv_graph
@@ -84,6 +84,28 @@ def test_trace_counts_nan_inf(tiny_graph, tiny_batch):
     assert (res.class_map == sf.INVALID_CLASS).any()
 
 
+def test_collect_and_capture_survive_freed_activations(tiny_graph, tiny_batch):
+    names = ["input"] + [layer.name for layer in tiny_graph.layers]
+    full = run_float(tiny_graph, tiny_batch, capture=True, collect=names)
+    assert sorted(full.collected) == sorted(names)
+    assert sorted(full.trace) == sorted(names)
+    assert full.collected["input"] is tiny_batch
+    first = tiny_graph.layers[0]
+    ps = tiny_graph.layer_params(first.name)
+    direct = sf.conv2d_forward(tiny_batch, ps["conv_kernel"].tensor,
+                               ps["conv_bias"].tensor.data)
+    # each layer requested on its own, the rest freed along the way
+    for name in (first.name, names[len(names) // 2], names[-2]):
+        res = run_float(tiny_graph, tiny_batch, capture=True, collect=(name,))
+        assert list(res.collected) == [name]
+        got = res.collected[name].data
+        assert np.array_equal(got.view(np.uint32), full.collected[name].data.view(np.uint32))
+        assert sorted(res.trace) == sorted(names)
+        assert all(res.trace[n].to_dict() == full.trace[n].to_dict() for n in names)
+    got = run_float(tiny_graph, tiny_batch, collect=(first.name,)).collected[first.name].data
+    assert np.array_equal(got.view(np.uint32), direct.data.view(np.uint32))
+
+
 def test_rejects_wrong_input_channels(tiny_graph):
     bad = Tensor.from_array(np.zeros((1, 16, 16, 5), np.float32))
     with pytest.raises(sf.ShapeError):
@@ -117,6 +139,67 @@ class TestQuantizedMac:
             qb = int(rng.integers(-1000, 1000))
             zx = int(rng.integers(-128, 128))
             assert quantized_mac(qw, qx, qb, zx) == eq5_scalar(qw, qx, qb, zx)
+
+
+def conv_int_mac_loop(q_x, z_x, q_w, q_b, stride, padding):
+    """Scalar int32 conv: one quantized_mac per output cell, padding with Z_x."""
+    kh, kw, cin, cout = q_w.shape
+    n, h, w, _ = q_x.shape
+    if padding == "same":
+        oh, ow = -(-h // stride), -(-w // stride)
+        ph = max((oh - 1) * stride + kh - h, 0)
+        pw = max((ow - 1) * stride + kw - w, 0)
+        padded = np.full((n, h + ph, w + pw, cin), z_x, np.int32)
+        padded[:, ph // 2:ph // 2 + h, pw // 2:pw // 2 + w, :] = q_x
+        q_x, h, w = padded, h + ph, w + pw
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    out = np.zeros((n, oh, ow, cout), np.int32)
+    for b in range(n):
+        for i in range(oh):
+            for j in range(ow):
+                patch = q_x[b, i * stride:i * stride + kh, j * stride:j * stride + kw, :]
+                for co in range(cout):
+                    out[b, i, j, co] = quantized_mac(q_w[..., co].ravel(), patch.ravel(),
+                                                     q_b[co], z_x)
+    return out
+
+
+class TestConvInt:
+    """The integer conv agrees with a scalar quantized_mac loop at the extremes."""
+
+    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "valid"), (2, "same")])
+    def test_extreme_operands(self, stride, padding):
+        rng = np.random.Generator(np.random.PCG64(41))
+        z_x = -128
+        q_x = rng.integers(-128, 128, size=(2, 6, 5, 3)).astype(np.int8)
+        q_x[0, 0, 0, :] = 127                                   # |x - Z| = 255
+        q_w = rng.integers(-128, 128, size=(3, 3, 3, 4)).astype(np.int8)
+        q_w[1, 1, :, 0] = -128
+        q_b = rng.integers(-2**20, 2**20, size=4).astype(np.int32)
+        x_shift = q_x.astype(np.int32) - np.int32(z_x)
+        ours = _conv_int(x_shift, q_w, q_b, stride, padding)
+        assert ours.dtype == np.int32
+        assert np.array_equal(ours, conv_int_mac_loop(q_x, z_x, q_w, q_b, stride, padding))
+
+    def test_wide_layer_runs_in_chunks_and_bias_wraps(self):
+        # K = 3*3*64 = 576 > 2**24 // (128*255) = 514, so the GEMM needs two
+        # chunks. With |x - Z| = 255 and one odd weight among -128s, a full
+        # patch sums to an odd integer beyond 2**24 in magnitude, which no
+        # float32 holds: one float32 GEMM over all of K would round it.
+        z_x = -128
+        q_x = np.full((1, 4, 4, 64), 127, np.int8)
+        q_w = np.full((3, 3, 64, 2), -128, np.int8)
+        q_w[0, 2, 17, 0] = q_w[2, 1, 40, 1] = -127
+        q_b = np.array([-2**31 + 5, 0], np.int32)
+        x_shift = q_x.astype(np.int32) - np.int32(z_x)
+        ours = _conv_int(x_shift, q_w, q_b, 1, "same")
+        ref = conv_int_mac_loop(q_x, z_x, q_w, q_b, 1, "same")
+        assert np.array_equal(ours, ref)
+        sums = np.array([eq5_scalar(q_w[..., co].ravel(), q_x[0, :3, :3].ravel(), 0, z_x)
+                         for co in range(2)])
+        assert (np.abs(sums) > 2**24).all() and (sums % 2 == 1).all()
+        # -2**31 + 5 plus a negative sum wraps round to a positive int32
+        assert (ours[..., 0] > 0).all() and (ours[..., 1] < 0).all()
 
 
 class TestQuantizedEngine:

@@ -64,6 +64,69 @@ class TestConv2d:
         assert np.array_equal(a.view(np.uint32), c.view(np.uint32))
 
 
+# Values a single bit flip can leave in a float32 weight. A NaN carries a
+# payload so that a lost or replaced payload shows. Each set is placed on its
+# own, so at most one NaN payload reaches any output cell: where two
+# different NaNs meet, which one survives depends on numpy's inner loop (the
+# SIMD body or the scalar tail), not on the accumulation order.
+FAULT_VALUES = {
+    "nan": [np.uint32(0x7FC01234).view(np.float32), np.float32(np.nan)],
+    "inf": [np.inf, -np.inf, np.inf],
+    "overflow": [3e38, -3e38, 3e38],
+    "subnormal": [1e-45, -1e-40, 1e-39],
+    "negative_zero": [-0.0, -0.0, -0.0],
+}
+
+
+def with_faulted_weights(k, values, seed):
+    k = k.copy()
+    rng = np.random.Generator(np.random.PCG64(seed))
+    flat = k.reshape(-1)
+    for pos, v in zip(rng.choice(flat.size, size=len(values), replace=False), values):
+        flat[pos] = v
+    return k
+
+
+def assert_same_bits(ours, ref):
+    assert ours.shape == ref.shape
+    assert np.array_equal(ours.view(np.uint32), ref.view(np.uint32))
+
+
+class TestConv2dOracleShapes:
+    """Bit-for-bit agreement with the quadruple loop on faulted weights and
+    on shapes the basic oracle test does not reach."""
+
+    @pytest.mark.parametrize("kind", sorted(FAULT_VALUES))
+    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "valid")])
+    def test_faulted_weights(self, kind, stride, padding):
+        rng = np.random.Generator(np.random.PCG64(31))
+        x = rng.normal(size=(2, 7, 6, 3)).astype(np.float32)
+        k = with_faulted_weights(rng.normal(size=(3, 3, 3, 4)).astype(np.float32),
+                                 FAULT_VALUES[kind], 5)
+        b = rng.normal(size=4).astype(np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = conv2d_quadruple_loop(x, k, b, stride=stride, padding=padding)
+        ours = conv2d_forward(t(x), t(k), b, stride=stride, padding=padding).data
+        assert_same_bits(ours, ref)
+        if kind in ("nan", "inf", "overflow"):
+            assert not np.isfinite(ours).all()
+
+    @pytest.mark.parametrize("shape_x,shape_k,stride,padding", [
+        ((2, 5, 5, 3), (1, 1, 3, 4), 1, "same"),     # 1x1 kernel
+        ((1, 9, 7, 2), (3, 3, 2, 3), 2, "valid"),    # stride 2, no padding, odd sizes
+        ((3, 6, 4, 5), (3, 3, 5, 2), 1, "same"),     # N > 1, Cin != Cout
+        ((2, 6, 6, 3), (2, 2, 3, 6), 2, "same"),     # even kernel, stride 2
+    ])
+    def test_shapes(self, shape_x, shape_k, stride, padding):
+        rng = np.random.Generator(np.random.PCG64(32))
+        x = rng.normal(size=shape_x).astype(np.float32)
+        k = rng.normal(size=shape_k).astype(np.float32)
+        b = rng.normal(size=shape_k[3]).astype(np.float32)
+        ours = conv2d_forward(t(x), t(k), b, stride=stride, padding=padding).data
+        assert_same_bits(ours, conv2d_quadruple_loop(x, k, b, stride=stride,
+                                                     padding=padding))
+
+
 class TestConvTranspose:
     def test_single_pixel_broadcast(self):
         out = conv2d_transpose_forward(t(np.ones((1, 1, 1, 1))),
@@ -84,6 +147,19 @@ class TestConvTranspose:
         ref = convtr_scatter_add(x, k, b, stride=2)
         assert ours.shape == (1, 4, 4, 2)
         assert np.array_equal(ours.view(np.uint32), ref.view(np.uint32))
+
+    @pytest.mark.parametrize("kind", [None] + sorted(FAULT_VALUES))
+    def test_multi_pixel_vs_scatter_add_oracle(self, kind):
+        rng = np.random.Generator(np.random.PCG64(22))
+        x = rng.normal(size=(2, 3, 4, 5)).astype(np.float32)
+        k = rng.normal(size=(2, 2, 5, 3)).astype(np.float32)
+        if kind is not None:
+            k = with_faulted_weights(k, FAULT_VALUES[kind], 6)
+        b = rng.normal(size=3).astype(np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = convtr_scatter_add(x, k, b, stride=2)
+        ours = conv2d_transpose_forward(t(x), t(k), b, stride=2).data
+        assert_same_bits(ours, ref)
 
     def test_rejects_stride_kernel_mismatch(self):
         with pytest.raises(ValueError, match="unsupported"):
