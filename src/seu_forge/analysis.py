@@ -48,8 +48,7 @@ def risky_exponent_scan(graph: ModelGraph) -> list:
             continue
         exp = bits.exponent_fields(p.tensor.flat)
         full = exp == 0x7F
-        low_ones = bits.popcount_u32(exp & np.uint32(0x7F))
-        partial = (exp < 0x80) & (low_ones == 6)
+        partial = bits.risky_mask(bits.u32_view(p.tensor.flat)) & ~full
         nonprot = exp == 0x7E
         exp80 = exp == 0x80
         rows.append({

@@ -126,3 +126,15 @@ def popcount_u32(arr: np.ndarray) -> np.ndarray:
     x = (x & np.uint32(0x33333333)) + ((x >> np.uint32(2)) & np.uint32(0x33333333))
     x = (x + (x >> np.uint32(4))) & np.uint32(0x0F0F0F0F)
     return (x * np.uint32(0x01010101)) >> np.uint32(24)
+
+
+def risky_mask(words: np.ndarray) -> np.ndarray:
+    """Which uint32 f32 words are one exponent flip from a filled exponent.
+
+    Risky: the exponent 01111111 (a bit-30 flip gives NaN/Inf), or a clear
+    exponent MSB with six of the low seven exponent bits set (one flip
+    pushes the value above 1). Subnormals and zeros are never risky.
+    """
+    exp = (words >> np.uint32(F32_EXP_LO)) & np.uint32(F32_EXP_MASK)
+    low_ones = popcount_u32(exp & np.uint32(0x7F))
+    return (exp == 0x7F) | ((exp < 0x80) & (low_ones == 6))

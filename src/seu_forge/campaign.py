@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import run_float, run_quantized
+from .engine import golden_frontiers, run_float, run_quantized
 from .faults import (FaultOutcome, FaultSpec, apply_fault, inject_and_measure,
                      revert, target_psets)
 from .model import ModelGraph, batch_inputs, model_hash
@@ -282,46 +282,93 @@ def generate_sweep_faults(graph: ModelGraph, plan: CampaignPlan):
 # execution
 
 
-def _forward_maps(graph: ModelGraph, batch: Tensor) -> np.ndarray:
+def _forward_maps(graph: ModelGraph, inp) -> np.ndarray:
+    """Class maps of a forward pass from an input batch or a golden :class:`Frontier`."""
     if graph.flags.get("quantized"):
-        return run_quantized(graph, batch).class_map
-    return run_float(graph, batch).class_map
+        return run_quantized(graph, inp).class_map
+    return run_float(graph, inp).class_map
 
 
-def _errors_vs_golden(graph: ModelGraph, batch: Tensor, golden: np.ndarray):
-    maps = _forward_maps(graph, batch)
+def _errors_vs_golden(graph: ModelGraph, inp, golden: np.ndarray):
+    maps = _forward_maps(graph, inp)
     return [error_rate(golden[i], maps[i]) for i in range(maps.shape[0])]
+
+
+def _first_faulted_layer(graph: ModelGraph, specs, layer_index: dict) -> int:
+    """Index of the first layer that reads a parameter ``specs`` flips.
+
+    Every layer op reads only its own layer's parameters, so no activation
+    before that layer can change. A set naming an unknown parameter set
+    starts at the input, where applying it fails as it would anyway.
+    """
+    try:
+        return min((layer_index[graph.param(s.pset).layer] for s in specs), default=0)
+    except KeyError:
+        return 0
+
+
+def _fault_loop(work: ModelGraph, batch: Tensor, fault_sets, measure) -> list:
+    """``measure(specs, frontier)`` for every fault set, resumed at its first faulted layer.
+
+    The faultless pass of ``work`` is walked once, up to the last start
+    layer; each set is measured at its start layer's frontier, where
+    ``measure`` applies the set, runs the faulted forward from the frontier
+    and reverts before the walk goes on. A fault in layer L cannot change an
+    activation computed before L, so the result is bit-identical to a
+    forward from the input. Results come back in the order of
+    ``fault_sets``.
+    """
+    index = {layer.name: i for i, layer in enumerate(work.layers)}
+    by_start = {}
+    for i, specs in enumerate(fault_sets):
+        by_start.setdefault(_first_faulted_layer(work, specs, index), []).append(i)
+    results = [None] * len(fault_sets)
+    if by_start:
+        for frontier in golden_frontiers(work, batch, stop=max(by_start)):
+            for i in by_start.get(frontier.start, ()):
+                results[i] = measure(fault_sets[i], frontier)
+    return results
+
+
+def _with_faults(work: ModelGraph, specs, evaluate):
+    """apply every spec -> ``evaluate(work)`` -> revert them LIFO, also on failure."""
+    tokens = []
+    try:
+        for spec in specs:
+            tokens.append(apply_fault(work, spec))
+        return evaluate(work)
+    finally:
+        for tok in reversed(tokens):
+            revert(work, tok)
 
 
 def _sweep_chunk(args):
     graph, specs, batch, golden = args
     work = graph.copy()
-    out = []
-    for spec in specs:
+
+    def measure(fault_set, frontier):
+        spec, = fault_set
         try:
-            out.append(inject_and_measure(
-                work, spec, lambda g: _errors_vs_golden(g, batch, golden)))
+            return inject_and_measure(
+                work, spec, lambda g: _errors_vs_golden(g, frontier, golden))
         except Exception as exc:  # per-fault failures are recorded, not fatal
-            out.append(FaultOutcome(
+            return FaultOutcome(
                 spec=spec, original_bits=0, faulty_bits=0,
                 original_value=float("nan"), faulty_value=float("nan"),
-                evaluation_error=f"{type(exc).__name__}: {exc}"))
-    return out
+                evaluation_error=f"{type(exc).__name__}: {exc}")
+
+    return _fault_loop(work, batch, [[s] for s in specs], measure)
 
 
 def _multibit_chunk(args):
     graph, rep_specs, batch, golden = args
     work = graph.copy()
-    out = []
-    for specs in rep_specs:
-        tokens = [apply_fault(work, s) for s in specs]
-        try:
-            errs = _errors_vs_golden(work, batch, golden)
-        finally:
-            for tok in reversed(tokens):
-                revert(work, tok)
-        out.append(float(np.mean(errs)) if errs else 0.0)
-    return out
+
+    def measure(specs, frontier):
+        errs = _with_faults(work, specs, lambda g: _errors_vs_golden(g, frontier, golden))
+        return float(np.mean(errs)) if errs else 0.0
+
+    return _fault_loop(work, batch, rep_specs, measure)
 
 
 def _run_chunks(worker, jobs, workers: int):
@@ -482,12 +529,14 @@ def run_multi_bit_campaign(graph: ModelGraph, counts, repetitions: int, seed: in
     batch = batch_inputs(images)
     golden = _forward_maps(graph, batch)
 
+    # One pool for the whole campaign: every repetition of every count is
+    # split across the workers at once, then regrouped by count in plan order.
+    reps = [r for c in reps_by_count for r in reps_by_count[c]]
+    jobs = [(graph, chunk, batch, golden) for chunk in _split(reps, workers)]
+    errs = [e for part in _run_chunks(_multibit_chunk, jobs, workers) for e in part]
     per_rep = {}
-    for c in counts:
-        jobs = [(graph, chunk, batch, golden)
-                for chunk in _split(reps_by_count[c], workers)]
-        errs = [e for part in _run_chunks(_multibit_chunk, jobs, workers) for e in part]
-        per_rep[c] = errs
+    for c in reps_by_count:
+        per_rep[c], errs = errs[:repetitions], errs[repetitions:]
     means = [float(np.mean(per_rep[c])) for c in counts]
     stds = [float(np.std(per_rep[c])) for c in counts]
     plan = plan_multi_bit_campaign(graph, counts, repetitions, seed)

@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from . import __version__, analysis, campaign, compress, protect
-from .engine import run_float, run_quantized
 from .faults import FaultSpec, fault_space_size, inject_and_measure
 from .model import (DEFAULT_TARGET_ROLES, ModelGraph, batch_inputs, build_unet,
                     generate_calibration_set, generate_toy_weights, load_model,
@@ -65,13 +64,6 @@ def _images_for(graph: ModelGraph, args):
         (side, side, channels), count=args.images, seed=args.images_seed,
         class_count=graph.class_count)
     return inputs, labels
-
-
-def _golden_maps(graph: ModelGraph, inputs):
-    batch = batch_inputs(inputs)
-    if graph.flags.get("quantized"):
-        return run_quantized(graph, batch).class_map
-    return run_float(graph, batch).class_map
 
 
 def _add_image_opts(p):
@@ -217,14 +209,9 @@ def cmd_inject_one(args):
                      encoding=p.tensor.encoding)
     inputs, _ = _images_for(graph, args)
     batch = batch_inputs(inputs)
-    golden = _golden_maps(graph, inputs)
-
-    def evaluate(g):
-        maps = (run_quantized(g, batch).class_map if g.flags.get("quantized")
-                else run_float(g, batch).class_map)
-        return [campaign.error_rate(golden[i], maps[i]) for i in range(len(inputs))]
-
-    outcome = inject_and_measure(work, spec, evaluate)
+    golden = campaign._forward_maps(graph, batch)
+    outcome = inject_and_measure(
+        work, spec, lambda g: campaign._errors_vs_golden(g, batch, golden))
     print(outcome.to_json())
     if model_hash(work) != model_hash(graph):
         raise RuntimeError("revert failed: working copy diverged from golden model")
@@ -283,7 +270,7 @@ def _shares_and_signs(args):
     if args.model:
         graph = _load(args.model)
         inputs, _ = _images_for(graph, args)
-        maps = _golden_maps(graph, inputs)
+        maps = campaign._forward_maps(graph, batch_inputs(inputs))
         shares = campaign.golden_class_shares(maps, graph.class_count)
         out = graph.output_layer.name
         signs = np.sign(graph.layer_params(out)["conv_bias"].tensor.data.astype(np.float64))

@@ -9,6 +9,7 @@ multiply followed by round-half-even, saturating to [-128, 127].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -105,56 +106,151 @@ def _drop_schedule(graph: ModelGraph, keep=()) -> list:
     return drops
 
 
-def run_float(graph: ModelGraph, inp: Tensor, capture: bool = False,
-              collect=()) -> InferenceResult:
-    """Deterministic float32 forward pass; class map via argmax_channels.
+# ---------------------------------------------------------------------------
+# one executor for both numeric modes
 
-    ``collect`` names intermediate layers whose output tensors should be
-    retained on the result. Every other activation is freed after its last
-    consumer has run (``capture`` statistics are recorded before that).
+
+@dataclass(frozen=True)
+class Frontier:
+    """A forward pass paused just before layer ``start`` runs.
+
+    ``live`` maps every activation still needed from ``start`` on to its
+    value: :class:`Tensor` objects in float mode, int8 arrays in quantized
+    mode (the input already quantized). A faulted forward resumed from a
+    frontier of the faultless pass shares those values by reference, so no
+    layer op may write its inputs in place.
     """
-    if graph.flags.get("quantized"):
-        raise ValueError("graph is quantized; use run_quantized")
+
+    start: int
+    live: dict
+
+
+@dataclass(frozen=True)
+class _Mode:
+    ops: dict                                   # layer kind -> op(graph, layer, inputs)
+    enter: Callable[[ModelGraph, Tensor], dict]  # input -> layer 0's live activations
+    unsupported: str                            # error for a kind with no op
+
+
+def _steps(graph: ModelGraph, mode: _Mode, live: dict, start: int, drops: list,
+           record=None):
+    """Run layers ``start`` onward on ``live`` in place, yielding each index first.
+
+    After a layer runs, its output joins ``live`` (and goes to ``record``)
+    and the activations ``drops`` names for it leave.
+    """
+    for idx in range(start, len(graph.layers)):
+        yield idx
+        layer = graph.layers[idx]
+        op = mode.ops.get(layer.kind)
+        if op is None:
+            raise ValueError(mode.unsupported.format(kind=layer.kind))
+        out = op(graph, layer, [live[r] for r in layer.inputs])
+        live[layer.name] = out
+        if record is not None:
+            record(layer.name, out)
+        for name in drops[idx]:
+            del live[name]
+
+
+def _execute(graph: ModelGraph, mode: _Mode, inp, keep=(), record=None) -> dict:
+    """Run ``inp`` (an input tensor, or a :class:`Frontier`) to the output layer.
+
+    Returns the activations still alive at the end: the output layer's and
+    those named in ``keep``.
+    """
+    if not isinstance(inp, Frontier):
+        inp = Frontier(0, mode.enter(graph, inp))
+    live = dict(inp.live)
+    if record is not None:
+        for name, value in live.items():
+            record(name, value)
+    for _ in _steps(graph, mode, live, inp.start, _drop_schedule(graph, keep), record):
+        pass
+    return live
+
+
+def golden_frontiers(graph: ModelGraph, inp: Tensor, stop: int = None):
+    """Walk the faultless forward pass, yielding the :class:`Frontier` before each layer.
+
+    Works in either numeric mode (chosen by the graph's ``quantized`` flag)
+    and ends after yielding the frontier of layer ``stop`` (default: the
+    output layer), without running that layer. Only the live set is held;
+    each activation is freed after its last consumer, as in a full forward.
+    Each frontier owns its dict; the walk reads the graph's parameters as it
+    resumes, so faults applied while a frontier is in use must be reverted
+    before the next one is requested.
+    """
+    mode = _QUANTIZED if graph.flags.get("quantized") else _FLOAT
+    stop = len(graph.layers) - 1 if stop is None else stop
+    live = mode.enter(graph, inp)
+    for idx in _steps(graph, mode, live, 0, _drop_schedule(graph)):
+        yield Frontier(idx, dict(live))
+        if idx >= stop:
+            return
+
+
+# ---------------------------------------------------------------------------
+# float execution
+
+
+def _float_enter(graph: ModelGraph, inp: Tensor) -> dict:
     want_c = graph.metadata.get("input_channels")
     if want_c is not None and inp.data.shape[3] != want_c:
         raise ShapeError(f"input shape {inp.data.shape} does not match model "
                          f"input channels {want_c}")
+    return {"input": inp}
+
+
+def _float_conv(graph, layer, ins):
+    ps = graph.layer_params(layer.name)
+    return conv2d_forward(ins[0], ps["conv_kernel"].tensor, ps["conv_bias"].tensor.data,
+                          stride=layer.hyperparams.get("stride", 1),
+                          padding=layer.hyperparams.get("padding", "same"))
+
+
+def _float_conv_transpose(graph, layer, ins):
+    ps = graph.layer_params(layer.name)
+    return conv2d_transpose_forward(ins[0], ps["convtr_kernel"].tensor,
+                                    ps["convtr_bias"].tensor.data,
+                                    stride=layer.hyperparams.get("stride", 2))
+
+
+# The ops look the tensor kernels up by this module's names when they run,
+# not when the table is built, so a kernel rebound here (as perfbench's
+# tracer does) reaches every forward pass.
+_FLOAT = _Mode(
+    ops={"conv2d": _float_conv,
+         "output_conv": _float_conv,
+         "conv2d_transpose": _float_conv_transpose,
+         "batchnorm": lambda graph, layer, ins: batchnorm_forward(
+             ins[0], _bn_params(graph, layer.name)),
+         "relu": lambda graph, layer, ins: relu(ins[0]),
+         "maxpool": lambda graph, layer, ins: maxpool2d(ins[0]),
+         "concat": lambda graph, layer, ins: concat_channels(ins[0], ins[1])},
+    enter=_float_enter,
+    unsupported="unknown layer kind {kind!r}")
+
+
+def run_float(graph: ModelGraph, inp, capture: bool = False,
+              collect=()) -> InferenceResult:
+    """Deterministic float32 forward pass; class map via argmax_channels.
+
+    ``inp`` is the input batch, or a :class:`Frontier` of this graph's
+    faultless pass to resume from; the result is bit-identical either way.
+    ``collect`` names layers, run at or after the start, whose output
+    tensors should be retained on the result. Every other activation is
+    freed after its last consumer has run (``capture`` statistics, of the
+    start's live activations and of every layer run, are recorded first).
+    """
+    if graph.flags.get("quantized"):
+        raise ValueError("graph is quantized; use run_quantized")
     trace = {} if capture else None
 
     def record(name, tensor):
-        if trace is not None:
-            trace.setdefault(name, LayerStats()).update(tensor.data)
+        trace.setdefault(name, LayerStats()).update(tensor.data)
 
-    outputs = {"input": inp}
-    record("input", inp)
-    drops = _drop_schedule(graph, collect)
-    for layer, dead in zip(graph.layers, drops):
-        ins = [outputs[r] for r in layer.inputs]
-        ps = graph.layer_params(layer.name)
-        if layer.kind in ("conv2d", "output_conv"):
-            out = conv2d_forward(ins[0], ps["conv_kernel"].tensor,
-                                 ps["conv_bias"].tensor.data,
-                                 stride=layer.hyperparams.get("stride", 1),
-                                 padding=layer.hyperparams.get("padding", "same"))
-        elif layer.kind == "conv2d_transpose":
-            out = conv2d_transpose_forward(ins[0], ps["convtr_kernel"].tensor,
-                                           ps["convtr_bias"].tensor.data,
-                                           stride=layer.hyperparams.get("stride", 2))
-        elif layer.kind == "batchnorm":
-            out = batchnorm_forward(ins[0], _bn_params(graph, layer.name))
-        elif layer.kind == "relu":
-            out = relu(ins[0])
-        elif layer.kind == "maxpool":
-            out = maxpool2d(ins[0])
-        elif layer.kind == "concat":
-            out = concat_channels(ins[0], ins[1])
-        else:
-            raise ValueError(f"unknown layer kind {layer.kind!r}")
-        outputs[layer.name] = out
-        record(layer.name, out)
-        for name in dead:
-            del outputs[name]
-
+    outputs = _execute(graph, _FLOAT, inp, collect, record if capture else None)
     logits = outputs[graph.output_layer.name]
     collected = {name: outputs[name] for name in collect} if collect else None
     return InferenceResult(logits, argmax_channels(logits), trace, collected)
@@ -258,81 +354,89 @@ def _conv_int(x_shifted: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     return acc
 
 
-def run_quantized(graph: ModelGraph, inp: Tensor) -> InferenceResult:
-    """Integer forward pass per the affine MAC; logits are dequantized f32.
-
-    Each activation is freed after its last consumer has run.
-    """
-    if not graph.flags.get("quantized"):
-        raise ValueError("graph is not quantized; use run_float")
+def _quantized_enter(graph: ModelGraph, inp: Tensor) -> dict:
     if any(l.kind == "batchnorm" for l in graph.layers):
         raise ValueError("quantized graph still contains batch-norm layers; fold first")
     if inp.encoding != "f32":
         raise TypeError("quantized inference takes a float input and quantizes it "
                         "at the input edge")
-
     ent = _act_entry(graph, "input")
-    q = _round_half_even_clip_i8(inp.data.astype(np.float64) / ent["scale"]
-                                 + ent["zero_point"])
-    outputs = {"input": q}
-    drops = _drop_schedule(graph)
-    for layer, dead in zip(graph.layers, drops):
-        ins = [outputs[r] for r in layer.inputs]
-        ps = graph.layer_params(layer.name)
-        if layer.kind in ("conv2d", "output_conv", "conv2d_transpose"):
-            krole = "convtr_kernel" if layer.kind == "conv2d_transpose" else "conv_kernel"
-            brole = "convtr_bias" if layer.kind == "conv2d_transpose" else "conv_bias"
-            in_ent = _act_entry(graph, layer.inputs[0])
-            out_ent = _act_entry(graph, layer.name)
-            w_ent = _param_entry(graph, ps[krole].index)
-            x_shift = ins[0].astype(np.float32) - np.float32(in_ent["zero_point"])
-            kernel = ps[krole].tensor.data
-            bias = ps[brole].tensor.data
-            if layer.kind == "conv2d_transpose":
-                stride = layer.hyperparams.get("stride", 2)
-                n, h, w, _ = x_shift.shape
-                cout = kernel.shape[3]
-                acc = np.empty((n, h * stride, w * stride, cout), dtype=np.int32)
-                kmat = kernel.astype(np.float32)
-                x_absmax = _absmax(x_shift)
-                for i in range(stride):
-                    for j in range(stride):
-                        acc[:, i::stride, j::stride, :] = (
-                            _gemm_int(x_shift, kmat[i, j], x_absmax) + bias.astype(np.int32))
-            else:
-                acc = _conv_int(x_shift, kernel, bias,
-                                layer.hyperparams.get("stride", 1),
-                                layer.hyperparams.get("padding", "same"))
-            m = (w_ent["scale"] * in_ent["scale"]) / out_ent["scale"]
-            out = _round_half_even_clip_i8(acc.astype(np.float64) * m
-                                           + out_ent["zero_point"])
-        elif layer.kind == "relu":
-            z = np.int8(_act_entry(graph, layer.inputs[0])["zero_point"])
-            out = np.maximum(ins[0], z)
-        elif layer.kind == "maxpool":
-            n, h, w, c = ins[0].shape
-            if h % 2 or w % 2:
-                raise ShapeError(f"maxpool requires even H,W, got {(h, w)}")
-            out = ins[0].reshape(n, h // 2, 2, w // 2, 2, c).max(axis=(2, 4))
-        elif layer.kind == "concat":
-            out_ent = _act_entry(graph, layer.name)
-            parts = []
-            for ref, part in zip(layer.inputs, ins):
-                e = _act_entry(graph, ref)
-                rescaled = ((part.astype(np.float64) - e["zero_point"])
-                            * (e["scale"] / out_ent["scale"]))
-                parts.append(_round_half_even_clip_i8(rescaled + out_ent["zero_point"]))
-            out = np.concatenate(parts, axis=3)
-        else:
-            raise ValueError(f"layer kind {layer.kind!r} not supported in quantized mode")
-        outputs[layer.name] = out
-        for name in dead:
-            del outputs[name]
+    return {"input": _round_half_even_clip_i8(inp.data.astype(np.float64) / ent["scale"]
+                                              + ent["zero_point"])}
 
+
+def _quantized_conv(graph, layer, ins):
+    transposed = layer.kind == "conv2d_transpose"
+    krole, brole = ("convtr_kernel", "convtr_bias") if transposed else ("conv_kernel", "conv_bias")
+    ps = graph.layer_params(layer.name)
+    in_ent = _act_entry(graph, layer.inputs[0])
+    out_ent = _act_entry(graph, layer.name)
+    w_ent = _param_entry(graph, ps[krole].index)
+    x_shift = ins[0].astype(np.float32) - np.float32(in_ent["zero_point"])
+    kernel = ps[krole].tensor.data
+    bias = ps[brole].tensor.data
+    if transposed:
+        stride = layer.hyperparams.get("stride", 2)
+        n, h, w, _ = x_shift.shape
+        cout = kernel.shape[3]
+        acc = np.empty((n, h * stride, w * stride, cout), dtype=np.int32)
+        kmat = kernel.astype(np.float32)
+        x_absmax = _absmax(x_shift)
+        for i in range(stride):
+            for j in range(stride):
+                acc[:, i::stride, j::stride, :] = (
+                    _gemm_int(x_shift, kmat[i, j], x_absmax) + bias.astype(np.int32))
+    else:
+        acc = _conv_int(x_shift, kernel, bias,
+                        layer.hyperparams.get("stride", 1),
+                        layer.hyperparams.get("padding", "same"))
+    m = (w_ent["scale"] * in_ent["scale"]) / out_ent["scale"]
+    return _round_half_even_clip_i8(acc.astype(np.float64) * m + out_ent["zero_point"])
+
+
+def _quantized_maxpool(graph, layer, ins):
+    n, h, w, c = ins[0].shape
+    if h % 2 or w % 2:
+        raise ShapeError(f"maxpool requires even H,W, got {(h, w)}")
+    return ins[0].reshape(n, h // 2, 2, w // 2, 2, c).max(axis=(2, 4))
+
+
+def _quantized_concat(graph, layer, ins):
+    out_ent = _act_entry(graph, layer.name)
+    parts = []
+    for ref, part in zip(layer.inputs, ins):
+        e = _act_entry(graph, ref)
+        rescaled = ((part.astype(np.float64) - e["zero_point"])
+                    * (e["scale"] / out_ent["scale"]))
+        parts.append(_round_half_even_clip_i8(rescaled + out_ent["zero_point"]))
+    return np.concatenate(parts, axis=3)
+
+
+_QUANTIZED = _Mode(
+    ops={"conv2d": _quantized_conv,
+         "output_conv": _quantized_conv,
+         "conv2d_transpose": _quantized_conv,
+         "relu": lambda graph, layer, ins: np.maximum(
+             ins[0], np.int8(_act_entry(graph, layer.inputs[0])["zero_point"])),
+         "maxpool": _quantized_maxpool,
+         "concat": _quantized_concat},
+    enter=_quantized_enter,
+    unsupported="layer kind {kind!r} not supported in quantized mode")
+
+
+def run_quantized(graph: ModelGraph, inp) -> InferenceResult:
+    """Integer forward pass per the affine MAC; logits are dequantized f32.
+
+    ``inp`` is the float input batch, quantized at the input edge, or a
+    :class:`Frontier` of this graph's faultless pass to resume from. Each
+    activation is freed after its last consumer has run.
+    """
+    if not graph.flags.get("quantized"):
+        raise ValueError("graph is not quantized; use run_float")
     oname = graph.output_layer.name
+    out = _execute(graph, _QUANTIZED, inp)[oname]
     ent = _act_entry(graph, oname)
-    logits = ((outputs[oname].astype(np.float64) - ent["zero_point"])
-              * ent["scale"]).astype(np.float32)
+    logits = ((out.astype(np.float64) - ent["zero_point"]) * ent["scale"]).astype(np.float32)
     logits_t = Tensor.from_array(logits)
     return InferenceResult(logits_t, argmax_channels(logits_t))
 

@@ -19,9 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bits
-from .campaign import MetricBundle, error_rate, segmentation_metrics
+from .campaign import (MetricBundle, _fault_loop, _with_faults, error_rate,
+                       segmentation_metrics)
 from .engine import run_float
-from .faults import FaultSpec, apply_fault, revert
+# apply_fault and revert are not called here; they stay importable from this
+# module, whose names perfbench's tracer rebinds.
+from .faults import FaultSpec, apply_fault, revert  # noqa: F401
 from .model import ModelGraph, batch_inputs
 
 
@@ -45,10 +48,6 @@ class CandidateClass:
     label: str
 
 
-def _zeros7(exponent: int) -> int:
-    return 7 - bits.popcount(exponent & 0x7F)
-
-
 def classify_candidate(word: int) -> CandidateClass:
     """Risk/protectability of one f32 bit pattern.
 
@@ -67,8 +66,9 @@ def classify_candidate(word: int) -> CandidateClass:
         return CandidateClass(False, False, False, "not-a-candidate")
     if not (exp == 0x7F or bits.popcount(exp & 0x7F) == 6):
         return CandidateClass(False, False, False, "not-a-candidate")
-    inc = _zeros7(exp + 1) > _zeros7(exp)
-    dec = exp > 0 and _zeros7(exp - 1) > _zeros7(exp)
+    zeros = bits.partial_exponent_zeros
+    inc = zeros(exp + 1) > zeros(exp)
+    dec = exp > 0 and zeros(exp - 1) > zeros(exp)
     if inc and dec:
         label = "protect-either"
     elif inc:
@@ -195,12 +195,8 @@ def protect_parameters(graph: ModelGraph, pt: ProtectionTarget, roles=None):
             continue
         if roleset is not None and p.role not in roleset:
             continue
-        flat = p.tensor.flat
-        words = flat.view(np.uint32)
-        exp = (words >> np.uint32(23)) & np.uint32(0xFF)
-        low_ones = bits.popcount_u32(exp & np.uint32(0x7F))
-        cand = (exp == 0x7F) | ((exp < 0x80) & (low_ones == 6))
-        for idx in np.flatnonzero(cand):
+        words = p.tensor.flat.view(np.uint32)
+        for idx in np.flatnonzero(bits.risky_mask(words)):
             word = int(words[idx])
             cls = classify_candidate(word)
             sig = bits.significand_value(word)
@@ -274,42 +270,37 @@ def evaluate_protection(original: ModelGraph, protected: ModelGraph, images,
         labels = golden
     cc = original.class_count
 
-    def metrics_of(graph):
-        maps = run_float(graph, batch).class_map
-        return segmentation_metrics(maps, labels, cc), error_rate(golden, maps)
+    def score(maps):
+        return _bundle_dict(segmentation_metrics(maps, labels, cc), error_rate(golden, maps))
 
-    m_orig, e_orig = metrics_of(original)
-    m_prot, e_prot = metrics_of(protected)
-    faultless = {"original": _bundle_dict(m_orig, e_orig),
-                 "protected": _bundle_dict(m_prot, e_prot)}
+    faultless = {"original": score(golden),
+                 "protected": score(run_float(protected, batch).class_map)}
 
     targets = []
     for p in original.params:
         if p.tensor.encoding != "f32":
             continue
         words = p.tensor.flat.view(np.uint32)
-        exp = (words >> np.uint32(23)) & np.uint32(0xFF)
-        low_ones = bits.popcount_u32(exp & np.uint32(0x7F))
-        cand = (exp == 0x7F) | ((exp < 0x80) & (low_ones == 6))
-        for idx in np.flatnonzero(cand):
+        for idx in np.flatnonzero(bits.risky_mask(words)):
             bitpos = danger_bit(int(words[idx]))
             if bit_filter is None or bitpos in bit_filter:
-                targets.append((p.index, int(idx), bitpos))
+                targets.append([FaultSpec(pset=p.index, element=int(idx), bit=bitpos,
+                                          encoding="f32")])
 
-    work_o, work_p = original.copy(), protected.copy()
+    def faulted_scores(graph):
+        work = graph.copy()
+        return _fault_loop(work, batch, targets, lambda specs, frontier: _with_faults(
+            work, specs, lambda g: score(run_float(g, frontier).class_map)))
+
+    measured = {"original": faulted_scores(original),
+                "protected": faulted_scores(protected)}
+
     rows = {}
-    for pset, element, bitpos in targets:
-        entry = rows.setdefault(bitpos, {"bit": bitpos, "n": 0,
-                                         "original": [], "protected": []})
+    for i, (spec,) in enumerate(targets):
+        entry = rows.setdefault(spec.bit, {"n": 0, "original": [], "protected": []})
         entry["n"] += 1
-        for tag, work in (("original", work_o), ("protected", work_p)):
-            spec = FaultSpec(pset=pset, element=element, bit=bitpos, encoding="f32")
-            token = apply_fault(work, spec)
-            try:
-                m, e = metrics_of(work)
-            finally:
-                revert(work, token)
-            entry[tag].append(_bundle_dict(m, e))
+        for tag in ("original", "protected"):
+            entry[tag].append(measured[tag][i])
 
     per_bit = []
     for bitpos in sorted(rows, reverse=True):
@@ -394,10 +385,7 @@ def recondition_bn(graph: ModelGraph, strategy: str = "pow2"):
 def _risky_bn_count(graph: ModelGraph) -> int:
     count = 0
     for p in graph.params_of(roles=("bn_gamma", "bn_beta", "bn_mu", "bn_sigma")):
-        words = p.tensor.flat.view(np.uint32)
-        exp = (words >> np.uint32(23)) & np.uint32(0xFF)
-        low_ones = bits.popcount_u32(exp & np.uint32(0x7F))
-        count += int(((exp == 0x7F) | ((exp < 0x80) & (low_ones == 6))).sum())
+        count += int(bits.risky_mask(p.tensor.flat.view(np.uint32)).sum())
     return count
 
 

@@ -13,6 +13,12 @@ contiguous rows. Only the memory layout differs from the naive loop. Each
 output cell still sees the same float32 operations in the same order
 (product rounded to float32, added to a float32 accumulator that starts at
 +0.0, in (kh, kw, cin) order, bias last), so the bits are unchanged.
+
+"Bit for bit" holds up to NaN payloads. Where two different NaNs meet in
+one output cell (say a NaN weight and an Inf - Inf cancellation), numpy's
+vector add keeps the first operand's payload and its scalar code, which the
+oracles in tests/oracles.py use, the second's. No report reads a payload:
+a NaN logit makes its pixel INVALID_CLASS whatever the payload.
 """
 
 from __future__ import annotations
@@ -100,13 +106,17 @@ def _check_f32(t: Tensor, name: str):
         raise TypeError(f"{name} must be f32, got {t.encoding}")
 
 
-def _pad_same(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    n, h, w, c = x.shape
+def _same_padding(h: int, w: int, kh: int, kw: int, stride: int) -> tuple:
+    """(ph, pw, top, left): total and leading zero rows/columns of 'same' padding."""
     oh = -(-h // stride)
     ow = -(-w // stride)
     ph = max((oh - 1) * stride + kh - h, 0)
     pw = max((ow - 1) * stride + kw - w, 0)
-    top, left = ph // 2, pw // 2
+    return ph, pw, ph // 2, pw // 2
+
+
+def _pad_same(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    ph, pw, top, left = _same_padding(x.shape[1], x.shape[2], kh, kw, stride)
     return np.pad(x, ((0, 0), (top, ph - top), (left, pw - left), (0, 0)))
 
 
@@ -148,16 +158,19 @@ def conv2d_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
     if bias.shape != (cout,):
         raise ShapeError(f"bias shape {bias.shape} does not match Cout of kernel {k.shape}")
 
-    if padding == "same":
-        x = _pad_same(x, kh, kw, stride)
     n, h, w, _ = x.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
+    ph, pw, top, left = (_same_padding(h, w, kh, kw, stride) if padding == "same"
+                         else (0, 0, 0, 0))
+    oh = (h + ph - kh) // stride + 1
+    ow = (w + pw - kw) // stride + 1
     if oh <= 0 or ow <= 0:
-        raise ShapeError(f"kernel {k.shape} larger than padded input {x.shape}")
+        raise ShapeError(f"kernel {k.shape} larger than padded input "
+                         f"{(n, h + ph, w + pw, cin)}")
 
     m = n * oh * ow
-    xc = np.ascontiguousarray(x.transpose(3, 0, 1, 2))  # (Cin, N, H, W)
+    # The input is padded straight into its channel-major copy (Cin, N, H, W).
+    xc = np.zeros((cin, n, h + ph, w + pw), dtype=np.float32)
+    xc[:, :, top:top + h, left:left + w] = x.transpose(3, 0, 1, 2)
     acc = np.zeros((cout, m), dtype=np.float32)
     tmp = np.empty((cout, m), dtype=np.float32)
     rows = np.empty((cin, n, oh, ow), dtype=np.float32)

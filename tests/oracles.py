@@ -121,3 +121,53 @@ def eq5_scalar(q_w, q_x, q_b, z_x):
     """Literal affine-MAC sum with Python ints."""
     return sum(int(w) * int(x) for w, x in zip(q_w, q_x)) \
         - int(z_x) * sum(int(w) for w in q_w) + int(q_b)
+
+
+def evaluate_protection_full_forward(original, protected, images, labels=None,
+                                     bit_filter=None):
+    """Paired protection evaluation with one full forward from the input per fault.
+
+    Risky positions are found element by element with ``risky_class_struct``;
+    the danger bit is 30 for a full exponent and the clear bit among the low
+    seven exponent bits otherwise. Returns (faultless, per_bit) as
+    ``evaluate_protection`` reports them.
+    """
+    import seu_forge as sf
+
+    batch = sf.batch_inputs(images)
+    golden = sf.run_float(original, batch).class_map
+    labels = golden if labels is None else labels
+
+    def score(graph):
+        maps = sf.run_float(graph, batch).class_map
+        m = sf.segmentation_metrics(maps, labels, original.class_count)
+        return {"giou": m.global_iou, "wiou": m.weighted_iou,
+                "error_rate": sf.error_rate(golden, maps)}
+
+    faultless = {"original": score(original), "protected": score(protected)}
+    rows = {}
+    for p in original.params:
+        if p.tensor.encoding != "f32":
+            continue
+        for element, value in enumerate(p.tensor.data.ravel()):
+            kind = risky_class_struct(float(value))
+            if kind == "none":
+                continue
+            exp = exponent_bits_string(value)
+            bit = 30 if kind == "full" else 30 - exp.index("0", 1)
+            if bit_filter is not None and bit not in bit_filter:
+                continue
+            row = rows.setdefault(bit, {"n": 0, "original": [], "protected": []})
+            row["n"] += 1
+            for tag, graph in (("original", original), ("protected", protected)):
+                work = graph.copy()
+                sf.apply_fault(work, sf.FaultSpec(p.index, element, bit, "f32"))
+                row[tag].append(score(work))
+    per_bit = []
+    for bit in sorted(rows, reverse=True):
+        row = {"bit": bit, "n": rows[bit]["n"]}
+        for tag in ("original", "protected"):
+            row[tag] = {k: float(np.mean([v[k] for v in rows[bit][tag]]))
+                        for k in ("giou", "wiou", "error_rate")}
+        per_bit.append(row)
+    return faultless, per_bit

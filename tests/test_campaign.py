@@ -310,3 +310,47 @@ class TestMultiBit:
         assert plan.counts == [1, 3] and plan.repetitions == 2 and plan.seed == 9
         header = (tmp_path / "multibit_aggregate.csv").read_text().splitlines()[0]
         assert header == "flip_count,repetitions,mean_error,std_error"
+
+
+class TestResumedFaultLoop:
+    """Campaigns resume each fault set at its first faulted layer."""
+
+    @pytest.fixture(scope="class")
+    def quantized(self, tiny_graph, tiny_inputs):
+        return sf.quantize_ptq(tiny_graph, tiny_inputs[0])
+
+    def test_multibit_workers_agree_with_counts_spanning_layers(self, quantized,
+                                                                tiny_inputs):
+        r1 = run_multi_bit_campaign(quantized, [0, 1, 8], 4, 5, tiny_inputs[0], workers=1)
+        r2 = run_multi_bit_campaign(quantized, [0, 1, 8], 4, 5, tiny_inputs[0], workers=2)
+        assert r1.per_rep_errors == r2.per_rep_errors
+        assert r1.means == r2.means and r1.stds == r2.stds
+        assert r1.per_rep_errors[0] == [0.0] * 4
+
+    @pytest.mark.parametrize("graph_kind", ["float", "quantized"])
+    def test_fault_sets_over_several_layers_match_full_forwards(self, tiny_graph,
+                                                                quantized, tiny_batch,
+                                                                graph_kind):
+        from seu_forge.campaign import _errors_vs_golden, _multibit_chunk
+        graph = quantized if graph_kind == "quantized" else tiny_graph
+        run = sf.run_quantized if graph_kind == "quantized" else sf.run_float
+        golden = run(graph, tiny_batch).class_map
+
+        def spec(p, bit_from_top):
+            return sf.FaultSpec(pset=p.index, element=p.tensor.size // 3,
+                                bit=p.width - bit_from_top, encoding=p.tensor.encoding)
+
+        biases = [p for p in graph.params if p.role in ("conv_bias", "convtr_bias")]
+        first, middle, last = biases[0], biases[len(biases) // 2], biases[-1]
+        reps = [[spec(last, 1)], [], [spec(middle, 2), spec(last, 1)],
+                [spec(biases[-2], 1), spec(first, 2)], [spec(middle, 2)],
+                [spec(first, 1), spec(middle, 1), spec(biases[-3], 1)]]
+        expected = []
+        for specs in reps:
+            tokens = [sf.apply_fault(graph, s) for s in specs]
+            errs = _errors_vs_golden(graph, tiny_batch, golden)
+            for tok in reversed(tokens):
+                sf.revert(graph, tok)
+            expected.append(float(np.mean(errs)))
+        assert len(set(expected)) > 2  # the faults do change the class maps
+        assert _multibit_chunk((graph, reps, tiny_batch, golden)) == expected

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import seu_forge as sf
-from seu_forge.engine import _conv_int, quantized_mac, run_float, run_quantized
+from seu_forge.engine import (_conv_int, golden_frontiers, quantized_mac, run_float,
+                             run_quantized)
 from seu_forge.tensor import BnParams, Tensor
 
 from conftest import single_conv_graph
@@ -279,3 +280,91 @@ class TestParameterStats:
         stats = sf.capture_parameter_stats(g)
         assert stats[2]["positive"] == 4
         assert stats[2]["min"] == 1.0 and stats[2]["max"] == 4.0
+
+
+class TestFrontierResume:
+    """A forward resumed at a golden frontier equals a forward from the input."""
+
+    @pytest.fixture(scope="class")
+    def model_b(self):
+        graph = sf.generate_toy_weights(sf.build_unet(2, 8, 4, 4), 42)
+        inputs, _ = sf.generate_calibration_set((16, 16, 4), count=2, seed=7,
+                                                class_count=4)
+        return {False: graph, True: sf.quantize_ptq(graph, inputs)}, sf.batch_inputs(inputs)
+
+    @staticmethod
+    def layer_fault(graph, layer):
+        """A fault in the first parameter set of ``layer``; None if it has none."""
+        params = sorted(graph.layer_params(layer.name).values(), key=lambda p: p.index)
+        if not params:
+            return None
+        p = params[0]
+        # f32: scale by 2**+-16, large but finite; ints: a high magnitude bit
+        bit = 27 if p.tensor.encoding == "f32" else p.width - 2
+        return sf.FaultSpec(pset=p.index, element=p.tensor.size // 2, bit=bit,
+                            encoding=p.tensor.encoding)
+
+    @staticmethod
+    def values(frontier):
+        return {name: np.array(v.data if isinstance(v, Tensor) else v, copy=True)
+                for name, v in frontier.live.items()}
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_fault_in_every_layer_matches_full_forward(self, model_b, quantized):
+        graphs, batch = model_b
+        graph = graphs[quantized].copy()
+        run = run_quantized if quantized else run_float
+        golden = run(graph, batch).logits.data
+        frontiers = list(golden_frontiers(graph, batch))
+        assert [f.start for f in frontiers] == list(range(len(graph.layers)))
+        faulted = changed = 0
+        for frontier, layer in zip(frontiers, graph.layers):
+            spec = self.layer_fault(graph, layer)
+            faulted += spec is not None
+            token = sf.apply_fault(graph, spec) if spec is not None else None
+            try:
+                resumed = run(graph, frontier)
+                full = run(graph, batch)
+            finally:
+                if token is not None:
+                    sf.revert(graph, token)
+            assert np.array_equal(resumed.logits.data.view(np.uint32),
+                                  full.logits.data.view(np.uint32)), layer.name
+            assert np.array_equal(resumed.class_map, full.class_map), layer.name
+            changed += not np.array_equal(full.logits.data, golden)
+        assert changed >= faulted // 2  # the faults reach the logits
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_golden_frontiers_unchanged_by_faulted_forwards(self, model_b, quantized):
+        graphs, batch = model_b
+        graph = graphs[quantized].copy()
+        run = run_quantized if quantized else run_float
+        frontiers = list(golden_frontiers(graph, batch))
+        before = [self.values(f) for f in frontiers]
+        for frontier, layer in zip(frontiers, graph.layers):
+            spec = self.layer_fault(graph, layer)
+            token = sf.apply_fault(graph, spec) if spec is not None else None
+            run(graph, frontier)
+            if token is not None:
+                sf.revert(graph, token)
+        for frontier, snapshot in zip(frontiers, before):
+            after = self.values(frontier)
+            assert after.keys() == snapshot.keys()
+            for name in snapshot:
+                assert after[name].tobytes() == snapshot[name].tobytes(), name
+
+    def test_walk_stops_at_requested_layer(self, model_b):
+        graphs, batch = model_b
+        starts = [f.start for f in golden_frontiers(graphs[False], batch, stop=3)]
+        assert starts == [0, 1, 2, 3]
+        first = next(golden_frontiers(graphs[True], batch))
+        assert list(first.live) == ["input"] and first.live["input"].dtype == np.int8
+
+    def test_collect_from_a_frontier(self, model_b):
+        graphs, batch = model_b
+        graph = graphs[False]
+        *_, frontier = golden_frontiers(graph, batch, stop=5)
+        late = graph.layers[5].name
+        resumed = run_float(graph, frontier, collect=(late,)).collected[late].data
+        full = run_float(graph, batch, collect=(late,)).collected[late].data
+        assert np.array_equal(resumed.view(np.uint32), full.view(np.uint32))

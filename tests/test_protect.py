@@ -372,3 +372,21 @@ class TestAbsorbBias:
         a = sf.run_float(g, batch)
         b = sf.run_float(out, batch)
         assert np.array_equal(a.class_map, b.class_map)
+
+
+def test_evaluation_matches_full_forward_oracle(tiny_graph, tiny_inputs):
+    from oracles import evaluate_protection_full_forward
+    graph = tiny_graph.copy()
+    graph.layer_params("bn_1")["bn_gamma"].tensor.data[::2] = np.float32(1.9995)
+    # partial-risky biases: danger bit 29 (exponent 0x3F) and 28 (exponent 0x5F)
+    for layer in ("conv2D_3", graph.output_layer.name):
+        bias = graph.layer_params(layer)["conv_bias"].tensor.data
+        bias[::2] = np.float32(1.5 * 2.0 ** -64)
+        bias[1::2] = np.float32(-1.9995 * 2.0 ** -32)
+    prot, _ = protect_parameters(graph, PT_LEVELS[2])
+    ev = evaluate_protection(graph, prot, tiny_inputs[0], bit_filter={30, 29, 28})
+    faultless, per_bit = evaluate_protection_full_forward(
+        graph, prot, tiny_inputs[0], bit_filter={30, 29, 28})
+    assert [row["bit"] for row in per_bit] == [30, 29, 28]
+    assert ev.faultless == faultless
+    assert ev.per_bit == per_bit
