@@ -13,11 +13,12 @@ import json
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import golden_frontiers, run_float, run_quantized
+from .engine import (Frontier, channel_chain, golden_frontiers, poisoned,
+                     reaching_output, run_channels, run_float, run_quantized)
 from .faults import (FaultOutcome, FaultSpec, apply_fault, inject_and_measure,
                      revert, target_psets)
 from .model import ModelGraph, batch_inputs, model_hash
@@ -244,10 +245,23 @@ def plan_single_bit_sweep(graph: ModelGraph, *, roles=None, psets=None,
                         image_set_id=image_set_id)
 
 
+def _flip_counts(counts) -> list:
+    """``counts`` as ints; refuses a negative or repeated count, which would
+    silently replace the earlier count's repetitions."""
+    counts = [int(c) for c in counts]
+    if any(c < 0 for c in counts):
+        raise ValueError("flip counts must be non-negative")
+    repeated = sorted({c for c in counts if counts.count(c) > 1})
+    if repeated:
+        raise ValueError(f"flip count {repeated[0]} is repeated in {counts}; "
+                         "give each count once")
+    return counts
+
+
 def plan_multi_bit_campaign(graph: ModelGraph, counts, repetitions: int,
                             seed: int = 0, image_set_id: str = "") -> CampaignPlan:
-    counts = [int(c) for c in counts]
-    if not counts or any(c < 0 for c in counts):
+    counts = _flip_counts(counts)
+    if not counts:
         raise ValueError("flip counts must be a non-empty list of non-negative ints")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
@@ -282,8 +296,59 @@ def generate_sweep_faults(graph: ModelGraph, plan: CampaignPlan):
 # execution
 
 
+@dataclass(frozen=True)
+class _ChainStart:
+    """A fault set confined to the output channels ``channels`` of a chain L..E.
+
+    See ``engine.channel_chain``. ``source`` is L's input in the faultless
+    pass, ``after`` that pass's frontier just after E, ``own_maps`` the
+    graph's faultless class maps and ``reaches_output`` whether E's output
+    has a path to the output layer.
+    """
+
+    chain: list
+    channels: np.ndarray
+    source: object
+    after: Frontier
+    own_maps: np.ndarray
+    reaches_output: bool
+
+
+def _values(activation) -> np.ndarray:
+    return activation.data if isinstance(activation, Tensor) else activation
+
+
+def _chain_maps(graph: ModelGraph, start: _ChainStart) -> np.ndarray:
+    """Class maps of the faulted ``graph``, from the faulted channels of its chain.
+
+    Channels D of E are recomputed from L's input (``engine.run_channels``),
+    then:
+
+    - masked: if their bytes equal D of the faultless E, E's whole output is
+      faultless; every layer after E reads only faultless activations and
+      parameters, so the maps are the graph's own faultless maps;
+    - poisoned (float): if E reaches the output and one of them is NaN at
+      every position, every pixel is INVALID_CLASS (``engine.poisoned``);
+    - otherwise they are spliced into a copy of the faultless E and the
+      forward resumes just after E.
+
+    Each exit gives the class maps a full forward gives, bit for bit.
+    """
+    end = start.chain[-1].name
+    faulty = run_channels(graph, start.chain, start.source, start.channels)
+    if (_values(start.after.live[end])[..., start.channels].tobytes()
+            == _values(faulty).tobytes()):
+        return start.own_maps
+    if start.reaches_output and poisoned(_values(faulty)):
+        return np.full_like(start.own_maps, INVALID_CLASS)
+    return _forward_maps(graph, replace(start.after, splice=(end, start.channels, faulty)))
+
+
 def _forward_maps(graph: ModelGraph, inp) -> np.ndarray:
-    """Class maps of a forward pass from an input batch or a golden :class:`Frontier`."""
+    """Class maps of a forward pass from an input batch, a golden :class:`Frontier`
+    or a :class:`_ChainStart`."""
+    if isinstance(inp, _ChainStart):
+        return _chain_maps(graph, inp)
     if graph.flags.get("quantized"):
         return run_quantized(graph, inp).class_map
     return run_float(graph, inp).class_map
@@ -307,26 +372,79 @@ def _first_faulted_layer(graph: ModelGraph, specs, layer_index: dict) -> int:
         return 0
 
 
-def _fault_loop(work: ModelGraph, batch: Tensor, fault_sets, measure) -> list:
-    """``measure(specs, frontier)`` for every fault set, resumed at its first faulted layer.
+def _faulted_channels(graph: ModelGraph, specs, layer):
+    """Sorted output channels of ``layer`` that ``specs`` flip parameters of.
 
-    The faultless pass of ``work`` is walked once, up to the last start
-    layer; each set is measured at its start layer's frontier, where
-    ``measure`` applies the set, runs the faulted forward from the frontier
-    and reverts before the walk goes on. A fault in layer L cannot change an
-    activation computed before L, so the result is bit-identical to a
-    forward from the input. Results come back in the order of
-    ``fault_sets``.
+    None unless ``specs`` is non-empty and every spec lies in ``layer``.
+    Channel c owns kernel[..., c] (element % Cout) and bias[c] or a
+    batch-norm vector's entry c (element % C), the last axis in both cases.
+    """
+    try:
+        params = [graph.param(s.pset) for s in specs]
+    except KeyError:
+        return None
+    if not specs or any(p.layer != layer.name for p in params):
+        return None
+    return np.array(sorted({s.element % p.tensor.shape[-1] for s, p in zip(specs, params)}))
+
+
+def _fault_loop(work: ModelGraph, batch: Tensor, fault_sets, measure, own_maps) -> list:
+    """``measure(specs, start)`` for every fault set, resumed at its first faulted layer.
+
+    The faultless pass of ``work`` is walked once, up to the last layer a
+    set is measured at. ``measure`` applies the set, gets the faulted class
+    maps with ``_forward_maps(graph, start)`` and reverts before the walk
+    goes on. A fault in layer L cannot change an activation computed before
+    L, so a forward resumed from L's frontier is bit-identical to one from
+    the input; ``start`` is that frontier for most sets.
+
+    A set whose specs all lie in L, where L's channel chain L..E (see
+    ``engine.channel_chain``) ends before the output layer in an activation
+    something reads, is measured at the frontier just after E instead, as a
+    :class:`_ChainStart`: only its faulted channels are recomputed, and
+    ``_chain_maps`` exits masked (``own_maps``, the graph's faultless maps)
+    or poisoned, or resumes from the spliced frontier. L's input is held
+    from L's frontier until then and released as soon as the sets starting
+    at L are measured. Results come back in the order of ``fault_sets``.
     """
     index = {layer.name: i for i, layer in enumerate(work.layers)}
-    by_start = {}
+    reach = reaching_output(work)
+    chains = {}     # L -> its chain, or None where the sets starting at L resume from L
+    chained = {}    # set -> (L, its faulted channels), for sets measured after L's chain
+    at = {}         # frontier index -> sets measured there
     for i, specs in enumerate(fault_sets):
-        by_start.setdefault(_first_faulted_layer(work, specs, index), []).append(i)
+        start = _first_faulted_layer(work, specs, index)
+        if start not in chains:
+            chain = channel_chain(work, start)
+            end = start + len(chain) - 1
+            usable = end + 1 < len(work.layers) and work.consumers(chain[-1].name)
+            chains[start] = chain if usable else None
+        channels = _faulted_channels(work, specs, work.layers[start]) if chains[start] else None
+        if channels is None:
+            at.setdefault(start, []).append(i)
+        else:
+            chained[i] = (start, channels)
+            at.setdefault(start + len(chains[start]), []).append(i)
     results = [None] * len(fault_sets)
-    if by_start:
-        for frontier in golden_frontiers(work, batch, stop=max(by_start)):
-            for i in by_start.get(frontier.start, ()):
-                results[i] = measure(fault_sets[i], frontier)
+    if not at:
+        return results
+    sources = {start for start, _ in chained.values()}
+    held = {}       # L -> L's faultless input, while sets starting at L wait
+    for frontier in golden_frontiers(work, batch, stop=max(at)):
+        idx = frontier.start
+        if idx in sources:
+            held[idx] = frontier.live[work.layers[idx].inputs[0]]
+        for i in at.get(idx, ()):
+            if i in chained:
+                start, channels = chained[i]
+                chain = chains[start]
+                inp = _ChainStart(chain, channels, held[start], frontier, own_maps,
+                                  chain[-1].name in reach)
+            else:
+                inp = frontier
+            results[i] = measure(fault_sets[i], inp)
+        for start in [s for s in held if s + len(chains[s]) == idx]:
+            del held[start]
     return results
 
 
@@ -346,29 +464,29 @@ def _sweep_chunk(args):
     graph, specs, batch, golden = args
     work = graph.copy()
 
-    def measure(fault_set, frontier):
+    def measure(fault_set, start):
         spec, = fault_set
         try:
             return inject_and_measure(
-                work, spec, lambda g: _errors_vs_golden(g, frontier, golden))
+                work, spec, lambda g: _errors_vs_golden(g, start, golden))
         except Exception as exc:  # per-fault failures are recorded, not fatal
             return FaultOutcome(
                 spec=spec, original_bits=0, faulty_bits=0,
                 original_value=float("nan"), faulty_value=float("nan"),
                 evaluation_error=f"{type(exc).__name__}: {exc}")
 
-    return _fault_loop(work, batch, [[s] for s in specs], measure)
+    return _fault_loop(work, batch, [[s] for s in specs], measure, golden)
 
 
 def _multibit_chunk(args):
     graph, rep_specs, batch, golden = args
     work = graph.copy()
 
-    def measure(specs, frontier):
-        errs = _with_faults(work, specs, lambda g: _errors_vs_golden(g, frontier, golden))
+    def measure(specs, start):
+        errs = _with_faults(work, specs, lambda g: _errors_vs_golden(g, start, golden))
         return float(np.mean(errs)) if errs else 0.0
 
-    return _fault_loop(work, batch, rep_specs, measure)
+    return _fault_loop(work, batch, rep_specs, measure, golden)
 
 
 def _run_chunks(worker, jobs, workers: int):
@@ -509,9 +627,7 @@ def _decode_global(spans, flat: int) -> FaultSpec:
 def run_multi_bit_campaign(graph: ModelGraph, counts, repetitions: int, seed: int,
                            images, workers: int = 1) -> MultiBitResult:
     """Random MBU campaign over the whole parameter fault space."""
-    counts = [int(c) for c in counts]
-    if any(c < 0 for c in counts):
-        raise ValueError("flip counts must be non-negative")
+    counts = _flip_counts(counts)
     spans, space = _global_fault_space(graph)
     too_big = [c for c in counts if c > space]
     if too_big:

@@ -79,10 +79,15 @@ class InferenceResult:
     collected: dict = None  # requested intermediate layer outputs
 
 
-def _bn_params(graph: ModelGraph, name: str) -> BnParams:
+def _take(values: np.ndarray, channels) -> np.ndarray:
+    """``values`` restricted to the given indices of its last (channel) axis; all for None."""
+    return values if channels is None else values[..., channels]
+
+
+def _bn_params(graph: ModelGraph, name: str, channels=None) -> BnParams:
     ps = graph.layer_params(name)
-    return BnParams(ps["bn_gamma"].tensor.data, ps["bn_beta"].tensor.data,
-                    ps["bn_mu"].tensor.data, ps["bn_sigma"].tensor.data,
+    return BnParams(*(_take(ps[role].tensor.data, channels)
+                      for role in ("bn_gamma", "bn_beta", "bn_mu", "bn_sigma")),
                     graph.bn_epsilon)
 
 
@@ -119,17 +124,28 @@ class Frontier:
     mode (the input already quantized). A faulted forward resumed from a
     frontier of the faultless pass shares those values by reference, so no
     layer op may write its inputs in place.
+
+    ``splice``, if given, is ``(name, channels, values)``: a pass from this
+    frontier reads ``live[name]`` with those channels (last axis) replaced
+    by ``values``. The patched copy is made when the pass starts and is
+    freed with the pass's other activations, not held by the frontier.
     """
 
     start: int
     live: dict
+    splice: tuple = None
 
 
 @dataclass(frozen=True)
 class _Mode:
-    ops: dict                                   # layer kind -> op(graph, layer, inputs)
+    # layer kind -> op(graph, layer, inputs[, channels]); see run_channels
+    ops: dict
     enter: Callable[[ModelGraph, Tensor], dict]  # input -> layer 0's live activations
     unsupported: str                            # error for a kind with no op
+
+
+def _mode(graph: ModelGraph) -> _Mode:
+    return _QUANTIZED if graph.flags.get("quantized") else _FLOAT
 
 
 def _steps(graph: ModelGraph, mode: _Mode, live: dict, start: int, drops: list,
@@ -162,12 +178,24 @@ def _execute(graph: ModelGraph, mode: _Mode, inp, keep=(), record=None) -> dict:
     if not isinstance(inp, Frontier):
         inp = Frontier(0, mode.enter(graph, inp))
     live = dict(inp.live)
+    if inp.splice is not None:
+        name, channels, values = inp.splice
+        live[name] = _with_channels(live[name], channels, values)
     if record is not None:
         for name, value in live.items():
             record(name, value)
     for _ in _steps(graph, mode, live, inp.start, _drop_schedule(graph, keep), record):
         pass
     return live
+
+
+def _with_channels(activation, channels, values):
+    """A copy of ``activation`` with its channels ``channels`` set to ``values``."""
+    if isinstance(activation, Tensor):
+        return Tensor.from_array(_with_channels(activation.data, channels, values.data))
+    out = activation.copy()
+    out[..., channels] = values
+    return out
 
 
 def golden_frontiers(graph: ModelGraph, inp: Tensor, stop: int = None):
@@ -181,13 +209,87 @@ def golden_frontiers(graph: ModelGraph, inp: Tensor, stop: int = None):
     resumes, so faults applied while a frontier is in use must be reverted
     before the next one is requested.
     """
-    mode = _QUANTIZED if graph.flags.get("quantized") else _FLOAT
+    mode = _mode(graph)
     stop = len(graph.layers) - 1 if stop is None else stop
     live = mode.enter(graph, inp)
     for idx in _steps(graph, mode, live, 0, _drop_schedule(graph)):
         yield Frontier(idx, dict(live))
         if idx >= stop:
             return
+
+
+# ---------------------------------------------------------------------------
+# channel-restricted recompute and the poison rule
+#
+# A fault in a parameter of layer L changes only the output channels of L
+# that read it: channel c of a convolution (plain or transposed) reads
+# kernel[..., c] and bias[c], channel c of a batch-norm its own four
+# entries. Batch-norm, ReLU and maxpool are channelwise, so along a chain of
+# them the faulted channels stay the only ones that differ. Computing just
+# those channels slices the parameters (and, for a channelwise op, the
+# input) by channel; each remaining cell sees the same operations in the
+# same order as in the full op, so its bits are the same.
+
+CHANNELWISE = ("batchnorm", "relu", "maxpool")
+
+
+def channel_chain(graph: ModelGraph, start: int) -> list:
+    """Layer ``start`` (L) and the channelwise layers it alone feeds: L..E.
+
+    Each layer after L is a batch-norm, ReLU or maxpool that directly
+    follows the one before it in layer order and is its only consumer, so
+    channel c of E depends on channel c of L and on nothing else L makes.
+    """
+    chain = [graph.layers[start]]
+    for layer in graph.layers[start + 1:]:
+        if (layer.kind not in CHANNELWISE
+                or [c.name for c in graph.consumers(chain[-1].name)] != [layer.name]):
+            break
+        chain.append(layer)
+    return chain
+
+
+def run_channels(graph: ModelGraph, chain: list, source, channels: np.ndarray):
+    """Output channels ``channels`` of the last layer of ``chain`` (L..E, see channel_chain).
+
+    ``source`` is L's input activation. The ops are the full ones, run with
+    their parameters sliced to ``channels``; a convolution reads its whole
+    input, a channelwise op only those channels. The result is byte for byte
+    those channels of the full chain's output.
+    """
+    mode = _mode(graph)
+    x = source
+    if chain[0].kind in CHANNELWISE:
+        x = Tensor.from_array(x.data[..., channels]) if isinstance(x, Tensor) else x[..., channels]
+    for layer in chain:
+        x = mode.ops[layer.kind](graph, layer, [x], channels)
+    return x
+
+
+def poisoned(values: np.ndarray) -> bool:
+    """True if some channel (last axis) of ``values`` is NaN at every position.
+
+    Every float op carries such a channel to the output: a convolution
+    (plain, transposed or output) reads it in every output cell, and
+    NaN times any weight is NaN, so every output value is NaN; batch-norm,
+    ReLU and maxpool keep the channel NaN and concat keeps the channel. So
+    if a poisoned activation reaches the output layer (see reaching_output),
+    every pixel's logits hold a NaN and its class is INVALID_CLASS.
+    """
+    if values.dtype.kind != "f":
+        return False
+    rows = values.reshape(-1, values.shape[-1])
+    candidates = np.flatnonzero(np.isnan(rows[0]))
+    return candidates.size > 0 and bool(np.isnan(rows[:, candidates]).all(axis=0).any())
+
+
+def reaching_output(graph: ModelGraph) -> set:
+    """Names of the activations with a path to the output layer, the output's own included."""
+    reach = {graph.output_layer.name}
+    for layer in reversed(graph.layers):
+        if layer.name in reach:
+            reach.update(layer.inputs)
+    return reach
 
 
 # ---------------------------------------------------------------------------
@@ -202,31 +304,38 @@ def _float_enter(graph: ModelGraph, inp: Tensor) -> dict:
     return {"input": inp}
 
 
-def _float_conv(graph, layer, ins):
+def _kernel_bias(graph, layer, kernel_role, bias_role, channels):
     ps = graph.layer_params(layer.name)
-    return conv2d_forward(ins[0], ps["conv_kernel"].tensor, ps["conv_bias"].tensor.data,
+    kernel = ps[kernel_role].tensor
+    if channels is not None:
+        kernel = Tensor.from_array(kernel.data[..., channels])
+    return kernel, _take(ps[bias_role].tensor.data, channels)
+
+
+def _float_conv(graph, layer, ins, channels=None):
+    kernel, bias = _kernel_bias(graph, layer, "conv_kernel", "conv_bias", channels)
+    return conv2d_forward(ins[0], kernel, bias,
                           stride=layer.hyperparams.get("stride", 1),
                           padding=layer.hyperparams.get("padding", "same"))
 
 
-def _float_conv_transpose(graph, layer, ins):
-    ps = graph.layer_params(layer.name)
-    return conv2d_transpose_forward(ins[0], ps["convtr_kernel"].tensor,
-                                    ps["convtr_bias"].tensor.data,
+def _float_conv_transpose(graph, layer, ins, channels=None):
+    kernel, bias = _kernel_bias(graph, layer, "convtr_kernel", "convtr_bias", channels)
+    return conv2d_transpose_forward(ins[0], kernel, bias,
                                     stride=layer.hyperparams.get("stride", 2))
 
 
 # The ops look the tensor kernels up by this module's names when they run,
 # not when the table is built, so a kernel rebound here (as perfbench's
-# tracer does) reaches every forward pass.
+# tracer does) reaches every forward pass, channel-restricted ones included.
 _FLOAT = _Mode(
     ops={"conv2d": _float_conv,
          "output_conv": _float_conv,
          "conv2d_transpose": _float_conv_transpose,
-         "batchnorm": lambda graph, layer, ins: batchnorm_forward(
-             ins[0], _bn_params(graph, layer.name)),
-         "relu": lambda graph, layer, ins: relu(ins[0]),
-         "maxpool": lambda graph, layer, ins: maxpool2d(ins[0]),
+         "batchnorm": lambda graph, layer, ins, channels=None: batchnorm_forward(
+             ins[0], _bn_params(graph, layer.name, channels)),
+         "relu": lambda graph, layer, ins, channels=None: relu(ins[0]),
+         "maxpool": lambda graph, layer, ins, channels=None: maxpool2d(ins[0]),
          "concat": lambda graph, layer, ins: concat_channels(ins[0], ins[1])},
     enter=_float_enter,
     unsupported="unknown layer kind {kind!r}")
@@ -365,7 +474,7 @@ def _quantized_enter(graph: ModelGraph, inp: Tensor) -> dict:
                                               + ent["zero_point"])}
 
 
-def _quantized_conv(graph, layer, ins):
+def _quantized_conv(graph, layer, ins, channels=None):
     transposed = layer.kind == "conv2d_transpose"
     krole, brole = ("convtr_kernel", "convtr_bias") if transposed else ("conv_kernel", "conv_bias")
     ps = graph.layer_params(layer.name)
@@ -373,8 +482,10 @@ def _quantized_conv(graph, layer, ins):
     out_ent = _act_entry(graph, layer.name)
     w_ent = _param_entry(graph, ps[krole].index)
     x_shift = ins[0].astype(np.float32) - np.float32(in_ent["zero_point"])
-    kernel = ps[krole].tensor.data
-    bias = ps[brole].tensor.data
+    # Sliced to ``channels``, the GEMM may cut K into other chunks, but
+    # integer sums are exact in any grouping, so each channel's bits stay.
+    kernel = _take(ps[krole].tensor.data, channels)
+    bias = _take(ps[brole].tensor.data, channels)
     if transposed:
         stride = layer.hyperparams.get("stride", 2)
         n, h, w, _ = x_shift.shape
@@ -394,7 +505,7 @@ def _quantized_conv(graph, layer, ins):
     return _round_half_even_clip_i8(acc.astype(np.float64) * m + out_ent["zero_point"])
 
 
-def _quantized_maxpool(graph, layer, ins):
+def _quantized_maxpool(graph, layer, ins, channels=None):
     n, h, w, c = ins[0].shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool requires even H,W, got {(h, w)}")
@@ -416,7 +527,7 @@ _QUANTIZED = _Mode(
     ops={"conv2d": _quantized_conv,
          "output_conv": _quantized_conv,
          "conv2d_transpose": _quantized_conv,
-         "relu": lambda graph, layer, ins: np.maximum(
+         "relu": lambda graph, layer, ins, channels=None: np.maximum(
              ins[0], np.int8(_act_entry(graph, layer.inputs[0])["zero_point"])),
          "maxpool": _quantized_maxpool,
          "concat": _quantized_concat},

@@ -501,11 +501,14 @@ def batch_inputs(inputs) -> Tensor:
 # container I/O
 
 
+_BLOB_DTYPES = {"f32": "<f4", "i8": "<i1", "i32": "<i4"}
+
+
 def save_model(graph: ModelGraph, path) -> None:
     blobs, table, offset = [], [], 0
     for p in graph.params:
         raw = np.ascontiguousarray(p.tensor.data).astype(
-            {"f32": "<f4", "i8": "<i1", "i32": "<i4"}[p.tensor.encoding]).tobytes()
+            _BLOB_DTYPES[p.tensor.encoding]).tobytes()
         table.append({"index": p.index, "layer": p.layer, "role": p.role,
                       "encoding": p.tensor.encoding, "shape": list(p.tensor.shape),
                       "offset": offset, "nbytes": len(raw)})
@@ -544,25 +547,64 @@ def load_model(path) -> ModelGraph:
     pos += 8
     if pos + mlen > len(raw):
         raise FormatError(f"{path}: truncated manifest")
-    manifest = json.loads(raw[pos:pos + mlen].decode())
+    try:
+        manifest = json.loads(raw[pos:pos + mlen].decode())
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise FormatError(f"{path}: manifest is not UTF-8 JSON ({exc})") from None
     pos += mlen
+    blob_size, blob_crc32, layer_entries, param_entries, class_count, metadata = _fields(
+        manifest, ("blob_size", "blob_crc32", "layers", "params", "class_count", "metadata"),
+        path, "manifest")
+    if not (_is_int(blob_size) and _is_int(blob_crc32)
+            and isinstance(layer_entries, list) and isinstance(param_entries, list)):
+        raise FormatError(f"{path}: manifest blob_size, blob_crc32, layers or params "
+                          "has the wrong type")
     blob = raw[pos:]
-    if len(blob) < manifest["blob_size"]:
-        raise FormatError(f"{path}: truncated blob "
-                          f"({len(blob)} of {manifest['blob_size']} bytes)")
-    blob = blob[:manifest["blob_size"]]
-    if zlib.crc32(blob) != manifest["blob_crc32"]:
+    if len(blob) < blob_size:
+        raise FormatError(f"{path}: truncated blob ({len(blob)} of {blob_size} bytes)")
+    blob = blob[:blob_size]
+    if zlib.crc32(blob) != blob_crc32:
         raise FormatError(f"{path}: blob checksum failure")
 
-    layers = [LayerSpec(l["kind"], l["name"], l["hyperparams"], l["inputs"])
-              for l in manifest["layers"]]
+    layers = [LayerSpec(*_fields(l, ("kind", "name", "hyperparams", "inputs"), path, "layer"))
+              for l in layer_entries]
     params = []
-    for e in manifest["params"]:
-        dt = {"f32": "<f4", "i8": "<i1", "i32": "<i4"}[e["encoding"]]
-        arr = np.frombuffer(blob, dtype=dt, count=int(np.prod(e["shape"])),
-                            offset=e["offset"]).copy()
-        arr = arr.astype(ENCODINGS[e["encoding"]]).reshape(e["shape"])
-        params.append(ParamSet(e["index"], e["layer"], e["role"],
-                               Tensor(tuple(e["shape"]), e["encoding"], arr)))
+    for e in param_entries:
+        index, layer, role, encoding, shape, offset, nbytes = _fields(
+            e, ("index", "layer", "role", "encoding", "shape", "offset", "nbytes"), path, "param")
+        if not isinstance(encoding, str) or encoding not in _BLOB_DTYPES:
+            raise FormatError(f"{path}: p{index} has unknown encoding {encoding!r}")
+        if not (_is_int(offset) and _is_int(nbytes) and isinstance(shape, list)
+                and all(_is_int(d) and d >= 0 for d in shape)):
+            raise FormatError(f"{path}: p{index} offset, nbytes or shape is not "
+                              "a non-negative int (list)")
+        dt = np.dtype(_BLOB_DTYPES[encoding])
+        count = int(np.prod(shape))
+        if nbytes != count * dt.itemsize:
+            raise FormatError(f"{path}: p{index} holds {nbytes} bytes, not "
+                              f"{count} {encoding} values")
+        if offset < 0 or offset + nbytes > len(blob):
+            raise FormatError(f"{path}: p{index} bytes [{offset}, {offset + nbytes}) "
+                              f"lie outside the {len(blob)}-byte blob")
+        arr = np.frombuffer(blob, dtype=dt, count=count, offset=offset).copy()
+        arr = arr.astype(ENCODINGS[encoding]).reshape(shape)
+        params.append(ParamSet(index, layer, role, Tensor(tuple(shape), encoding, arr)))
     params.sort(key=lambda p: p.index)
-    return ModelGraph(layers, params, manifest["class_count"], manifest["metadata"])
+    return ModelGraph(layers, params, class_count, metadata)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _fields(entry, keys, path, what) -> list:
+    """The values of ``keys`` in the manifest object ``entry``, in order.
+
+    Raises FormatError if ``entry`` is not a JSON object or lacks one of them.
+    """
+    if not isinstance(entry, dict):
+        raise FormatError(f"{path}: {what} is not a JSON object")
+    missing = [k for k in keys if k not in entry]
+    if missing:
+        raise FormatError(f"{path}: {what} is missing key {missing[0]!r}")
+    return [entry[k] for k in keys]

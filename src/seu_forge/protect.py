@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bits
-from .campaign import (MetricBundle, _fault_loop, _with_faults, error_rate,
-                       segmentation_metrics)
+from .campaign import (MetricBundle, _fault_loop, _forward_maps, _with_faults,
+                       error_rate, segmentation_metrics)
 from .engine import run_float
 # apply_fault and revert are not called here; they stay importable from this
 # module, whose names perfbench's tracer rebinds.
@@ -263,6 +263,8 @@ def evaluate_protection(original: ModelGraph, protected: ModelGraph, images,
     exponents, the missing partial bit otherwise). Error rates for both
     models are measured against the original model's faultless class maps;
     IoU metrics against ``labels`` (default: self-labels from those maps).
+    A fault that leaves a model's output unchanged scores that model's own
+    faultless maps.
     """
     batch = batch_inputs(images)
     golden = run_float(original, batch).class_map
@@ -273,8 +275,8 @@ def evaluate_protection(original: ModelGraph, protected: ModelGraph, images,
     def score(maps):
         return _bundle_dict(segmentation_metrics(maps, labels, cc), error_rate(golden, maps))
 
-    faultless = {"original": score(golden),
-                 "protected": score(run_float(protected, batch).class_map)}
+    own_maps = {"original": golden, "protected": run_float(protected, batch).class_map}
+    faultless = {tag: score(maps) for tag, maps in own_maps.items()}
 
     targets = []
     for p in original.params:
@@ -287,13 +289,13 @@ def evaluate_protection(original: ModelGraph, protected: ModelGraph, images,
                 targets.append([FaultSpec(pset=p.index, element=int(idx), bit=bitpos,
                                           encoding="f32")])
 
-    def faulted_scores(graph):
+    def faulted_scores(graph, maps):
         work = graph.copy()
-        return _fault_loop(work, batch, targets, lambda specs, frontier: _with_faults(
-            work, specs, lambda g: score(run_float(g, frontier).class_map)))
+        return _fault_loop(work, batch, targets, lambda specs, start: _with_faults(
+            work, specs, lambda g: score(_forward_maps(g, start))), maps)
 
-    measured = {"original": faulted_scores(original),
-                "protected": faulted_scores(protected)}
+    measured = {tag: faulted_scores(graph, own_maps[tag])
+                for tag, graph in (("original", original), ("protected", protected))}
 
     rows = {}
     for i, (spec,) in enumerate(targets):

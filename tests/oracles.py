@@ -171,3 +171,24 @@ def evaluate_protection_full_forward(original, protected, images, labels=None,
                         for k in ("giou", "wiou", "error_rate")}
         per_bit.append(row)
     return faultless, per_bit
+
+
+def sweep_full_forward(graph, specs, images):
+    """Per-image error rates of each single fault in ``specs``, one full forward
+    from the input per fault, on a fresh copy of ``graph``.
+
+    Works in either numeric mode; error rates are against the graph's own
+    faultless class maps, as ``run_single_bit_sweep`` reports them.
+    """
+    import seu_forge as sf
+
+    batch = sf.batch_inputs(images)
+    run = sf.run_quantized if graph.flags.get("quantized") else sf.run_float
+    golden = run(graph, batch).class_map
+    errors = []
+    for spec in specs:
+        work = graph.copy()
+        sf.apply_fault(work, spec)
+        maps = run(work, batch).class_map
+        errors.append([sf.error_rate(golden[i], maps[i]) for i in range(maps.shape[0])])
+    return errors

@@ -354,3 +354,205 @@ class TestResumedFaultLoop:
             expected.append(float(np.mean(errs)))
         assert len(set(expected)) > 2  # the faults do change the class maps
         assert _multibit_chunk((graph, reps, tiny_batch, golden)) == expected
+
+
+class TestRepeatedFlipCounts:
+    """A repeated flip count would silently replace the earlier count's repetitions."""
+
+    def test_plan_refuses_repeated_count(self, tiny_graph):
+        from seu_forge.campaign import plan_multi_bit_campaign
+        with pytest.raises(ValueError, match="flip count 3 is repeated"):
+            plan_multi_bit_campaign(tiny_graph, [3, 1, 3], 2)
+
+    def test_campaign_refuses_repeated_count(self, tiny_graph, tiny_inputs):
+        q = sf.quantize_ptq(tiny_graph, tiny_inputs[0])
+        with pytest.raises(ValueError, match="flip count 3 is repeated"):
+            run_multi_bit_campaign(q, [3, 1, 3], 2, 0, tiny_inputs[0])
+
+
+class TestMultiBitOnVaryingMaps:
+    """A quantized model whose class maps vary, so a wrong repetition error shows."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        graph = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5, kernel_scale=2.0)
+        images = sf.generate_calibration_set((16, 16, 3), count=3, seed=11,
+                                             class_count=3)[0]
+        return sf.quantize_ptq(graph, images), images
+
+    def test_repetitions_match_full_forwards_at_any_worker_count(self, model, monkeypatch):
+        import seu_forge.campaign as campaign
+        q, images = model
+        batch = sf.batch_inputs(images)
+        golden = sf.run_quantized(q, batch).class_map
+        assert all(np.unique(m).size == 3 for m in golden)  # every map shows every class
+
+        counts = [1, 3, 12]
+        jobs = []
+        real = campaign._run_chunks
+
+        def spy(worker, js, workers):
+            jobs.extend(js)
+            return real(worker, js, workers)
+
+        monkeypatch.setattr(campaign, "_run_chunks", spy)
+        r1 = run_multi_bit_campaign(q, counts, 5, 8, images, workers=1)
+        monkeypatch.undo()
+        r2 = run_multi_bit_campaign(q, counts, 5, 8, images, workers=2)
+        assert r1.per_rep_errors == r2.per_rep_errors
+
+        expected = []
+        for specs in (r for _, chunk, _, _ in jobs for r in chunk):
+            work = q.copy()
+            for spec in specs:
+                sf.apply_fault(work, spec)
+            maps = sf.run_quantized(work, batch).class_map
+            expected.append(float(np.mean([error_rate(golden[i], maps[i])
+                                           for i in range(maps.shape[0])])))
+        assert [e for c in counts for e in r1.per_rep_errors[c]] == expected
+        assert sum(e > 0.0 for e in expected) >= 3
+
+
+class TestEarlyExits:
+    """Fault sets measured after their channel chain agree with full forwards.
+
+    The float graph has planted faults for each exit: a bit-30 flip of a
+    batch-norm gamma of 1.5 gives NaN (poisoned, at a chain ending in a
+    maxpool and at one ending in a layer with two consumers); a bias of
+    -0.75 on a channel with zero kernel stays negative when doubled, so its
+    ReLU output stays 0 (masked); a NaN bias in the dead branch never
+    reaches the output (resumed, error 0, not poisoned).
+    """
+
+    @pytest.fixture(scope="class")
+    def images(self):
+        return sf.generate_calibration_set((16, 16, 4), count=3, seed=11, class_count=4)[0]
+
+    @pytest.fixture(scope="class")
+    def graphs(self, images):
+        from conftest import chain_graph
+        g = chain_graph(dead_branch=True)
+        g.layer_params("bn_a")["bn_gamma"].tensor.data[1] = 1.5
+        g.layer_params("bn_b")["bn_gamma"].tensor.data[2] = 1.5
+        g.layer_params("conv_d")["conv_bias"].tensor.data[0] = 1.5
+        g.layer_params("conv_b")["conv_kernel"].tensor.data[..., 3] = 0.0
+        g.layer_params("conv_b")["conv_bias"].tensor.data[3] = -0.75
+        for role, value in (("bn_gamma", 0.5), ("bn_beta", 0.0), ("bn_mu", 0.0)):
+            g.layer_params("bn_b")[role].tensor.data[3] = value
+        return {"float": g, "quantized": sf.quantize_ptq(g, images)}
+
+    @staticmethod
+    def planted(graph):
+        def spec(layer, role, element, bit):
+            p = graph.layer_params(layer)[role]
+            return sf.FaultSpec(p.index, element, bit, p.tensor.encoding)
+        return [spec("bn_a", "bn_gamma", 1, 30), spec("bn_b", "bn_gamma", 2, 30),
+                spec("conv_b", "conv_bias", 3, 23), spec("conv_d", "conv_bias", 0, 30)]
+
+    @staticmethod
+    def spread(graph):
+        """Faults at five bits of two elements of every default-role parameter set."""
+        specs = []
+        for p in graph.params_of(roles=sf.DEFAULT_TARGET_ROLES):
+            top = p.width - 1
+            for element in (p.tensor.size // 3, 2 * p.tensor.size // 3):
+                for bit in (top, top - 1, top - 4, 1, 0):
+                    specs.append(sf.FaultSpec(p.index, element, bit, p.tensor.encoding))
+        return specs
+
+    @pytest.fixture
+    def exits(self, monkeypatch):
+        """(chain end, exit, own maps) of every fault set measured after its chain."""
+        import seu_forge.campaign as campaign
+        import seu_forge.protect as protect
+        from seu_forge.engine import Frontier
+        seen, resumed = [], []
+        real = campaign._forward_maps
+
+        def spy(graph, inp):
+            if isinstance(inp, Frontier) and inp.splice is not None:
+                resumed.append(inp)
+            if not isinstance(inp, campaign._ChainStart):
+                return real(graph, inp)
+            n = len(resumed)
+            maps = real(graph, inp)
+            if len(resumed) > n:
+                kind = "resumed"
+            elif maps is inp.own_maps:
+                kind = "masked"
+            else:
+                assert (maps == INVALID_CLASS).all()
+                kind = "poisoned"
+            seen.append((inp.chain[-1].name, kind, inp.own_maps))
+            return maps
+
+        monkeypatch.setattr(campaign, "_forward_maps", spy)
+        monkeypatch.setattr(protect, "_forward_maps", spy)
+        return seen
+
+    @pytest.mark.parametrize("mode", ["float", "quantized"])
+    def test_sweep_matches_full_forward_oracle(self, graphs, images, exits, mode):
+        from oracles import sweep_full_forward
+        from seu_forge.campaign import _forward_maps, _sweep_chunk
+        graph = graphs[mode]
+        specs = self.spread(graph) + (self.planted(graph) if mode == "float" else [])
+        batch = sf.batch_inputs(images)
+        outcomes = _sweep_chunk((graph, specs, batch, _forward_maps(graph, batch)))
+        assert all(o.evaluation_error is None for o in outcomes)
+        assert [o.per_image_error for o in outcomes] == sweep_full_forward(graph, specs, images)
+
+        kinds = {(end, kind) for end, kind, _ in exits}
+        assert {"pool_a", "relu_b"} <= {end for end, _ in kinds}
+        if mode == "float":
+            assert {("pool_a", "poisoned"), ("relu_b", "poisoned"), ("relu_b", "masked"),
+                    ("relu_d", "resumed")} <= kinds
+            assert ("relu_d", "poisoned") not in kinds  # the dead-branch NaN
+            assert outcomes[-1].per_image_error == [0.0] * len(images)
+        else:
+            assert {kind for _, kind in kinds} == {"masked", "resumed"}
+
+    @pytest.mark.parametrize("mode", ["float", "quantized"])
+    def test_multibit_sets_within_one_layer_match_full_forwards(self, graphs, images,
+                                                                exits, mode):
+        from seu_forge.campaign import _errors_vs_golden, _multibit_chunk
+        graph = graphs[mode]
+        spread = self.spread(graph)
+        by_layer = {}
+        for spec in spread:
+            by_layer.setdefault(graph.param(spec.pset).layer, []).append(spec)
+        reps = [specs[::7] for specs in by_layer.values()]       # several channels, one layer
+        reps += [specs[3::5] for specs in by_layer.values()]
+        reps += [spread[::37], spread[5::41]]                     # several layers
+        if mode == "float":
+            reps += [self.planted(graph)[:1] + by_layer["bn_a"][:3]]
+        batch = sf.batch_inputs(images)
+        golden = sf.run_quantized(graph, batch).class_map if mode == "quantized" else \
+            sf.run_float(graph, batch).class_map
+        expected = []
+        for specs in reps:
+            work = graph.copy()
+            for spec in specs:
+                sf.apply_fault(work, spec)
+            expected.append(float(np.mean(_errors_vs_golden(work, batch, golden))))
+        assert _multibit_chunk((graph, reps, batch, golden)) == expected
+        assert len({kind for _, kind, _ in exits}) >= 2
+        assert len(set(expected)) > 3
+
+    def test_protection_scores_masked_faults_with_each_models_own_maps(self, graphs, images,
+                                                                      exits):
+        from oracles import evaluate_protection_full_forward
+        from seu_forge.protect import PT_LEVELS, evaluate_protection, protect_parameters
+        original = graphs["float"]
+        protected, _ = protect_parameters(original, PT_LEVELS[2])
+        # shift one logit, so the protected model's faultless maps differ from the original's
+        protected.layer_params("out")["conv_bias"].tensor.data[0] += np.float32(1.0)
+        protected_maps = sf.run_float(protected, sf.batch_inputs(images)).class_map
+
+        ev = evaluate_protection(original, protected, images, bit_filter={30, 23})
+        faultless, per_bit = evaluate_protection_full_forward(original, protected, images,
+                                                              bit_filter={30, 23})
+        assert ev.faultless == faultless and ev.per_bit == per_bit
+        assert faultless["protected"]["error_rate"] > 0.0
+        assert any(kind == "masked" and np.array_equal(own, protected_maps)
+                   for _, kind, own in exits)
+        assert {kind for _, kind, _ in exits} == {"masked", "poisoned", "resumed"}

@@ -164,6 +164,18 @@ def test_multibit_requires_quantized(model_path, tmp_path, capsys):
     assert "quantized" in capsys.readouterr().err
 
 
+def test_multibit_refuses_repeated_counts(model_path, tmp_path, capsys):
+    quant = tmp_path / "quant.sfm"
+    images = sf.generate_calibration_set((8, 8, 3), count=2, seed=1, class_count=3)[0]
+    sf.save_model(sf.quantize_ptq(sf.load_model(model_path), images), quant)
+    rc = run_cli("campaign", "multibit", "--model", str(quant),
+                 "--out-dir", str(tmp_path / "mb"), "--counts", "3,1,3",
+                 "--repetitions", "2", "--images", "2", "--image-size", "8")
+    assert rc == 1
+    assert "flip count 3 is repeated" in capsys.readouterr().err
+    assert not (tmp_path / "mb").exists()
+
+
 def test_predict_commands(model_path, capsys):
     assert run_cli("predict", "bit30",
                    "--shares", "0,44.91,4.41,26.95,7.47,16.27",

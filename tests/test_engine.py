@@ -368,3 +368,99 @@ class TestFrontierResume:
         resumed = run_float(graph, frontier, collect=(late,)).collected[late].data
         full = run_float(graph, batch, collect=(late,)).collected[late].data
         assert np.array_equal(resumed.view(np.uint32), full.view(np.uint32))
+
+
+class TestChannelRestriction:
+    """Ops on a subset of output channels, the chain they run along, and the poison rule."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        from conftest import chain_graph
+        graph = chain_graph(dead_branch=True)
+        # a faulted copy: a huge kernel weight and a NaN gamma in channel 2
+        faulted = graph.copy()
+        faulted.layer_params("conv_b")["conv_kernel"].tensor.data[1, 1, 0, 2] = 3.0e38
+        faulted.layer_params("bn_a")["bn_gamma"].tensor.data[2] = np.nan
+        inputs, _ = sf.generate_calibration_set((16, 16, 4), count=2, seed=7, class_count=4)
+        quantized = sf.quantize_ptq(graph, inputs)
+        return {"float": graph, "faulted": faulted, "quantized": quantized}, \
+            sf.batch_inputs(inputs)
+
+    def test_chains(self, graphs):
+        from seu_forge.engine import channel_chain
+        graph = graphs[0]["float"]
+        index = {layer.name: i for i, layer in enumerate(graph.layers)}
+
+        def chain(name):
+            return [layer.name for layer in channel_chain(graph, index[name])]
+
+        assert chain("conv_a") == ["conv_a", "bn_a", "relu_a", "pool_a"]
+        assert chain("bn_b") == ["bn_b", "relu_b"]   # relu_b also feeds the concat
+        assert chain("conv_d") == ["conv_d", "relu_d"]
+        assert chain("up") == ["up"] and chain("out") == ["out"]
+
+    @pytest.mark.parametrize("kind", ["float", "faulted", "quantized"])
+    def test_each_op_on_a_channel_subset_equals_those_channels_of_the_full_op(self, graphs,
+                                                                            kind):
+        from seu_forge.engine import _FLOAT, _QUANTIZED, CHANNELWISE
+        graphs, batch = graphs
+        graph = graphs[kind]
+        mode = _QUANTIZED if kind == "quantized" else _FLOAT
+        frontiers = list(golden_frontiers(graph, batch))
+        checked = set()
+        for frontier, layer in zip(frontiers, graph.layers):
+            if layer.kind == "concat":
+                continue
+            ins = [frontier.live[r] for r in layer.inputs]
+            full = mode.ops[layer.kind](graph, layer, ins)
+            full = full.data if isinstance(full, Tensor) else full
+            for channels in (np.array([2]), np.array([0, 2, 3]), np.arange(full.shape[-1])):
+                x = ins[0]
+                if layer.kind in CHANNELWISE:
+                    x = Tensor.from_array(x.data[..., channels]) if isinstance(x, Tensor) \
+                        else x[..., channels]
+                part = mode.ops[layer.kind](graph, layer, [x], channels)
+                part = part.data if isinstance(part, Tensor) else part
+                assert part.tobytes() == full[..., channels].tobytes(), (layer.name, channels)
+            checked.add(layer.kind)
+        assert checked >= ({"conv2d", "conv2d_transpose", "output_conv", "relu", "maxpool"}
+                           | ({"batchnorm"} if kind != "quantized" else set()))
+
+    @pytest.mark.parametrize("kind", ["float", "faulted", "quantized"])
+    def test_run_channels_equals_those_channels_of_the_chain_end(self, graphs, kind):
+        from seu_forge.engine import channel_chain, run_channels
+        graphs, batch = graphs
+        graph = graphs[kind]
+        frontiers = list(golden_frontiers(graph, batch))
+        for idx, layer in enumerate(graph.layers):
+            if not graph.layer_params(layer.name):
+                continue
+            chain = channel_chain(graph, idx)
+            after = frontiers[idx + len(chain)] if idx + len(chain) < len(frontiers) else None
+            if after is None or chain[-1].name not in after.live:
+                continue
+            end = after.live[chain[-1].name]
+            end = end.data if isinstance(end, Tensor) else end
+            channels = np.array([0, 2])
+            part = run_channels(graph, chain, frontiers[idx].live[layer.inputs[0]], channels)
+            part = part.data if isinstance(part, Tensor) else part
+            assert part.tobytes() == end[..., channels].tobytes(), layer.name
+
+    def test_poisoned(self):
+        from seu_forge.engine import poisoned
+        x = np.ones((2, 3, 3, 4), dtype=np.float32)
+        assert not poisoned(x)
+        x[..., 1] = np.nan
+        assert poisoned(x)
+        x[1, 2, 0, 1] = 0.0   # NaN almost everywhere is not enough
+        assert not poisoned(x)
+        x[..., 3] = np.nan
+        assert poisoned(x)
+        assert not poisoned(np.zeros((1, 2, 2, 3), dtype=np.int8))
+
+    def test_reaching_output_leaves_out_the_dead_branch(self, graphs):
+        from seu_forge.engine import reaching_output
+        graph = graphs[0]["float"]
+        reach = reaching_output(graph)
+        assert reach == {"input"} | {l.name for l in graph.layers} - {"conv_d", "relu_d",
+                                                                          "conv_e"}

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -222,3 +224,98 @@ def test_pindex_stable_across_save_load(tiny_graph, tmp_path):
         assert (p.index, p.layer, p.role, p.tensor.shape) == \
                (q.index, q.layer, q.role, q.tensor.shape)
         assert np.array_equal(p.tensor.data, q.tensor.data)
+
+
+class TestContainerRefusals:
+    """Corrupt manifests are refused with FormatError, not a raw exception."""
+
+    @staticmethod
+    def rewrite(path, edit):
+        """Pass the container's manifest through ``edit``, which changes it in place
+        or returns a replacement; the blob is kept as it was."""
+        import struct
+        raw = path.read_bytes()
+        (mlen,) = struct.unpack_from("<Q", raw, 12)
+        manifest = json.loads(raw[20:20 + mlen])
+        replacement = edit(manifest)
+        mbytes = json.dumps(manifest if replacement is None else replacement).encode()
+        path.write_bytes(raw[:12] + struct.pack("<Q", len(mbytes)) + mbytes
+                         + raw[20 + mlen:])
+
+    @pytest.mark.parametrize("byte", [0xFF, ord("#")])  # not UTF-8; not JSON
+    def test_undecodable_manifest(self, tiny_graph, tmp_path, byte):
+        path = tmp_path / "model.sfm"
+        sf.save_model(tiny_graph, path)
+        raw = bytearray(path.read_bytes())
+        raw[21] = byte   # the first key's opening quote
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="manifest is not UTF-8 JSON"):
+            sf.load_model(path)
+
+    @pytest.mark.parametrize("drop", ["blob_crc32", "layers", "param offset"])
+    def test_missing_key(self, tiny_graph, tmp_path, drop):
+        path = tmp_path / "model.sfm"
+        sf.save_model(tiny_graph, path)
+        if drop == "param offset":
+            self.rewrite(path, lambda m: m["params"][3].__delitem__("offset"))
+        else:
+            self.rewrite(path, lambda m: m.__delitem__(drop))
+        with pytest.raises(FormatError, match="missing key"):
+            sf.load_model(path)
+
+    @pytest.mark.parametrize("offset", [-4, "end - 2", "end + 40"])
+    def test_param_outside_blob(self, tiny_graph, tmp_path, offset):
+        path = tmp_path / "model.sfm"
+        sf.save_model(tiny_graph, path)
+
+        def edit(m):
+            p = m["params"][-1]
+            end = m["blob_size"]
+            p["offset"] = {"end - 2": end - 2, "end + 40": end + 40}.get(offset, offset)
+
+        self.rewrite(path, edit)
+        with pytest.raises(FormatError, match="outside the"):
+            sf.load_model(path)
+
+    @pytest.mark.parametrize("manifest", [[1, 2], 7, "model"])
+    def test_manifest_not_an_object(self, tiny_graph, tmp_path, manifest):
+        path = tmp_path / "model.sfm"
+        sf.save_model(tiny_graph, path)
+        self.rewrite(path, lambda m: manifest)
+        with pytest.raises(FormatError, match="manifest is not a JSON object"):
+            sf.load_model(path)
+
+    @pytest.mark.parametrize("key,value", [("offset", "0"), ("offset", 4.0),
+                                           ("nbytes", None), ("nbytes", True),
+                                           ("shape", 3), ("shape", [2, "2"]),
+                                           ("shape", [2, -2])])
+    def test_param_field_of_wrong_type(self, tiny_graph, tmp_path, key, value):
+        path = tmp_path / "model.sfm"
+        sf.save_model(tiny_graph, path)
+        self.rewrite(path, lambda m: m["params"][2].__setitem__(key, value))
+        with pytest.raises(FormatError, match="offset, nbytes or shape"):
+            sf.load_model(path)
+
+    @pytest.mark.parametrize("key,value", [("blob_size", "big"), ("params", {"p1": 1}),
+                                           ("layers", 3)])
+    def test_manifest_field_of_wrong_type(self, tiny_graph, tmp_path, key, value):
+        path = tmp_path / "model.sfm"
+        sf.save_model(tiny_graph, path)
+        self.rewrite(path, lambda m: m.__setitem__(key, value))
+        with pytest.raises(FormatError, match="has the wrong type"):
+            sf.load_model(path)
+
+    @pytest.mark.parametrize("target", ["layer", "param"])
+    def test_entry_not_an_object(self, tiny_graph, tmp_path, target):
+        path = tmp_path / "model.sfm"
+        sf.save_model(tiny_graph, path)
+        self.rewrite(path, lambda m: m[target + "s"].__setitem__(0, [target]))
+        with pytest.raises(FormatError, match=f"{target} is not a JSON object"):
+            sf.load_model(path)
+
+    def test_unhashable_encoding(self, tiny_graph, tmp_path):
+        path = tmp_path / "model.sfm"
+        sf.save_model(tiny_graph, path)
+        self.rewrite(path, lambda m: m["params"][0].__setitem__("encoding", ["f32"]))
+        with pytest.raises(FormatError, match="unknown encoding"):
+            sf.load_model(path)
