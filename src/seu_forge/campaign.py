@@ -497,12 +497,20 @@ def _run_chunks(worker, jobs, workers: int):
         return list(ex.map(worker, jobs))
 
 
-def _split(items, workers: int):
-    if not items:
-        return []
+def _deal(items, workers: int) -> list:
+    """``items`` dealt in turn to at most ``workers`` chunks, so every chunk
+    holds a share of each stretch of the plan (at a multi-bit campaign,
+    repetitions of every flip count, whose costs differ widely)."""
     k = max(1, min(workers, len(items)))
-    bounds = np.linspace(0, len(items), k + 1).astype(int)
-    return [items[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+    return [items[w::k] for w in range(k)] if items else []
+
+
+def _in_plan_order(parts) -> list:
+    """The per-chunk results of ``_deal``'s chunks, back in the order of its items."""
+    out = [None] * sum(len(part) for part in parts)
+    for w, part in enumerate(parts):
+        out[w::len(parts)] = part
+    return out
 
 
 @dataclass
@@ -544,9 +552,8 @@ def run_single_bit_sweep(graph: ModelGraph, plan: CampaignPlan, images,
     golden = _forward_maps(graph, batch)
     specs = generate_sweep_faults(graph, plan)
 
-    jobs = [(graph, chunk, batch, golden) for chunk in _split(specs, workers)]
-    outcomes = [o for part in _run_chunks(_sweep_chunk, jobs, workers) for o in part]
-    outcomes.sort(key=lambda o: o.spec.seed_ordinal)
+    jobs = [(graph, chunk, batch, golden) for chunk in _deal(specs, workers)]
+    outcomes = _in_plan_order(_run_chunks(_sweep_chunk, jobs, workers))
 
     grouped = {}
     for o in outcomes:
@@ -646,10 +653,10 @@ def run_multi_bit_campaign(graph: ModelGraph, counts, repetitions: int, seed: in
     golden = _forward_maps(graph, batch)
 
     # One pool for the whole campaign: every repetition of every count is
-    # split across the workers at once, then regrouped by count in plan order.
+    # dealt to the workers at once, then regrouped by count in plan order.
     reps = [r for c in reps_by_count for r in reps_by_count[c]]
-    jobs = [(graph, chunk, batch, golden) for chunk in _split(reps, workers)]
-    errs = [e for part in _run_chunks(_multibit_chunk, jobs, workers) for e in part]
+    jobs = [(graph, chunk, batch, golden) for chunk in _deal(reps, workers)]
+    errs = _in_plan_order(_run_chunks(_multibit_chunk, jobs, workers))
     per_rep = {}
     for c in reps_by_count:
         per_rep[c], errs = errs[:repetitions], errs[repetitions:]

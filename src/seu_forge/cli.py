@@ -49,13 +49,12 @@ def _load(path) -> ModelGraph:
 
 
 def _default_side(graph: ModelGraph) -> int:
-    pools = sum(1 for l in graph.layers if l.kind == "maxpool")
-    return max(16, (1 << pools) * 4)
+    return max(16, (1 << graph.pool_stages) * 4)
 
 
 def _images_for(graph: ModelGraph, args):
     side = args.image_size or _default_side(graph)
-    pools = sum(1 for l in graph.layers if l.kind == "maxpool")
+    pools = graph.pool_stages
     if side % (1 << pools):
         raise UsageError(f"--image-size {side} must be divisible by {1 << pools} "
                          f"(the model has {pools} pooling stages)")
@@ -272,8 +271,8 @@ def _shares_and_signs(args):
         inputs, _ = _images_for(graph, args)
         maps = campaign._forward_maps(graph, batch_inputs(inputs))
         shares = campaign.golden_class_shares(maps, graph.class_count)
-        out = graph.output_layer.name
-        signs = np.sign(graph.layer_params(out)["conv_bias"].tensor.data.astype(np.float64))
+        bias = graph.kernel_bias(graph.output_layer.name)[1].tensor.data
+        signs = np.sign(bias.astype(np.float64))
         return signs, shares
     if args.shares is None or args.signs is None:
         raise UsageError("give either --model or both --shares and --signs")

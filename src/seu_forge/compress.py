@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import run_float
-from .model import (ModelGraph, ParamSet, _LAYER_ROLES, assign_param_indices,
+from .model import (CONV_KINDS, ModelGraph, ParamSet, _LAYER_ROLES, assign_param_indices,
                     batch_inputs, infer_shapes, LayerSpec)
 from .tensor import Tensor
 
@@ -47,23 +47,21 @@ def fold_bn(graph: ModelGraph) -> ModelGraph:
         if layer.kind != "batchnorm":
             continue
         producer = src.layer(layer.inputs[0])
-        if producer.kind not in ("conv2d", "conv2d_transpose", "output_conv"):
+        if producer.kind not in CONV_KINDS:
             raise ValueError(f"batch-norm {layer.name} does not follow a convolution "
                              f"(producer {producer.name} is {producer.kind})")
         fold_into[layer.name] = producer.name
 
         ps = src.layer_params(layer.name)
-        cps = src.layer_params(producer.name)
-        krole = "convtr_kernel" if producer.kind == "conv2d_transpose" else "conv_kernel"
-        brole = "convtr_bias" if producer.kind == "conv2d_transpose" else "conv_bias"
+        kernel, bias = (p.tensor.data for p in src.kernel_bias(producer.name))
         gamma = ps["bn_gamma"].tensor.data
         beta = ps["bn_beta"].tensor.data
         mu = ps["bn_mu"].tensor.data
         sigma = ps["bn_sigma"].tensor.data
         denom = np.sqrt(sigma + eps)
         scale = gamma / denom
-        cps[krole].tensor.data[...] = cps[krole].tensor.data * scale
-        cps[brole].tensor.data[...] = gamma * (cps[brole].tensor.data - mu) / denom + beta
+        kernel[...] = kernel * scale
+        bias[...] = gamma * (bias - mu) / denom + beta
 
     layers, pby = [], {}
     for layer in src.layers:
@@ -120,24 +118,22 @@ def quantize_ptq(graph: ModelGraph, calibration_inputs) -> ModelGraph:
     param_table = {}
     new_params = {}
     for layer in src.layers:
-        roles = _LAYER_ROLES.get(layer.kind, ())
-        if not roles:
+        if layer.kind not in CONV_KINDS:
             continue
-        ps = src.layer_params(layer.name)
-        krole, brole = roles
-        kernel = ps[krole].tensor.data
-        bias = ps[brole].tensor.data
+        kernel_p, bias_p = src.kernel_bias(layer.name)
+        kernel = kernel_p.tensor.data
+        bias = bias_p.tensor.data
         max_abs = float(np.abs(kernel).max())
         s_w = max_abs / 127.0 if max_abs > 0 else 1.0  # all-zero tensor convention
         q_w = np.clip(np.rint(kernel / s_w), -127, 127).astype(np.int8)
         s_x = activations[layer.inputs[0]]["scale"]
         s_b = s_w * s_x
         q_b = np.clip(np.rint(bias.astype(np.float64) / s_b), I32_MIN, I32_MAX).astype(np.int32)
-        param_table[str(ps[krole].index)] = {"scale": s_w, "zero_point": 0, "bits": 8,
-                                             "degenerate": max_abs == 0.0}
-        param_table[str(ps[brole].index)] = {"scale": s_b, "zero_point": 0, "bits": 32}
-        new_params[(layer.name, krole)] = Tensor.from_array(q_w, "i8")
-        new_params[(layer.name, brole)] = Tensor.from_array(q_b, "i32")
+        param_table[str(kernel_p.index)] = {"scale": s_w, "zero_point": 0, "bits": 8,
+                                            "degenerate": max_abs == 0.0}
+        param_table[str(bias_p.index)] = {"scale": s_b, "zero_point": 0, "bits": 32}
+        new_params[(layer.name, kernel_p.role)] = Tensor.from_array(q_w, "i8")
+        new_params[(layer.name, bias_p.role)] = Tensor.from_array(q_b, "i32")
 
     pby = {}
     for layer in src.layers:
@@ -170,12 +166,13 @@ def prune_structured(graph: ModelGraph, keep_fraction: float = None,
         raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
 
     src = graph.copy()
+    side = 1 << src.pool_stages
+    original = infer_shapes(src, side, side)
     kept_out = {}      # layer name -> kept original output-channel indices
     for layer in src.layers:
-        if layer.kind not in ("conv2d", "conv2d_transpose"):
+        if layer.kind not in CONV_KINDS or layer.kind == "output_conv":
             continue
-        krole = "convtr_kernel" if layer.kind == "conv2d_transpose" else "conv_kernel"
-        w = src.layer_params(layer.name)[krole].tensor.data
+        w = src.kernel_bias(layer.name)[0].tensor.data
         norms = np.abs(w).sum(axis=(0, 1, 2))
         cout = norms.size
         if keep_fraction is not None:
@@ -189,37 +186,35 @@ def prune_structured(graph: ModelGraph, keep_fraction: float = None,
     # propagate kept-channel index lists through the graph
     channels = {"input": np.arange(src.metadata.get("input_channels", 1))}
     for layer in src.layers:
-        if layer.kind in ("conv2d", "conv2d_transpose"):
+        if layer.name in kept_out:
             channels[layer.name] = kept_out[layer.name]
         elif layer.kind == "output_conv":
             channels[layer.name] = np.arange(src.class_count)
         elif layer.kind == "concat":
             a, b = layer.inputs
-            ca = _original_channels(src, a)
-            channels[layer.name] = np.concatenate([channels[a], ca + channels[b]])
+            channels[layer.name] = np.concatenate([channels[a], original[a][3] + channels[b]])
         else:
             channels[layer.name] = channels[layer.inputs[0]]
 
     pby = {}
     for layer in src.layers:
         pby[layer.name] = {}
-        ps = src.layer_params(layer.name)
-        if layer.kind in ("conv2d", "conv2d_transpose", "output_conv"):
-            krole, brole = _LAYER_ROLES[layer.kind]
+        if layer.kind in CONV_KINDS:
+            kernel_p, bias_p = src.kernel_bias(layer.name)
             # kept lists carry original channel indices, so they select
             # directly into the original Cin axis (concat offsets included)
             cin_pos = np.asarray(channels[layer.inputs[0]], dtype=int)
-            own = (kept_out.get(layer.name) if layer.kind != "output_conv"
-                   else np.arange(src.class_count))
-            w = ps[krole].tensor.data[:, :, cin_pos, :][:, :, :, own]
-            b = ps[brole].tensor.data[own]
-            pby[layer.name][krole] = ParamSet(0, layer.name, krole, Tensor.from_array(w))
-            pby[layer.name][brole] = ParamSet(0, layer.name, brole, Tensor.from_array(b))
+            own = channels[layer.name]
+            w = kernel_p.tensor.data[:, :, cin_pos, :][:, :, :, own]
+            b = bias_p.tensor.data[own]
+            for p, values in ((kernel_p, w), (bias_p, b)):
+                pby[layer.name][p.role] = ParamSet(0, layer.name, p.role,
+                                                   Tensor.from_array(values))
             if layer.kind != "output_conv":
                 layer.hyperparams["filters"] = int(own.size)
         elif layer.kind == "batchnorm":
             own = np.asarray(channels[layer.inputs[0]], dtype=int)
-            for role, p in ps.items():
+            for role, p in src.layer_params(layer.name).items():
                 pby[layer.name][role] = ParamSet(0, layer.name, role,
                                                  Tensor.from_array(p.tensor.data[own]))
 
@@ -230,24 +225,8 @@ def prune_structured(graph: ModelGraph, keep_fraction: float = None,
         "transform": "prune_structured", "criterion": "l1-single-pass",
         "keep_fraction": keep_fraction, "threshold": threshold,
         "filters": {n: int(v.size) for n, v in kept_out.items()}})
-    pools = sum(1 for l in out.layers if l.kind == "maxpool")
-    side = 1 << pools
     infer_shapes(out, side, side)  # post-prune validity gate
     return out
-
-
-def _original_channels(graph: ModelGraph, name: str) -> int:
-    """Channel count of a layer's output in the unpruned graph."""
-    if name == "input":
-        return graph.metadata.get("input_channels", 1)
-    layer = graph.layer(name)
-    if layer.kind in ("conv2d", "output_conv"):
-        return graph.layer_params(name)["conv_kernel"].tensor.shape[3]
-    if layer.kind == "conv2d_transpose":
-        return graph.layer_params(name)["convtr_kernel"].tensor.shape[3]
-    if layer.kind == "concat":
-        return sum(_original_channels(graph, r) for r in layer.inputs)
-    return _original_channels(graph, layer.inputs[0])
 
 
 # ---------------------------------------------------------------------------

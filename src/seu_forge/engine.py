@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import ModelGraph
+from .model import CONV_KINDS, ModelGraph
 from .tensor import (BnParams, ShapeError, Tensor, _pad_same, argmax_channels,
                      batchnorm_forward, concat_channels, conv2d_forward,
                      conv2d_transpose_forward, maxpool2d, relu)
@@ -304,23 +304,22 @@ def _float_enter(graph: ModelGraph, inp: Tensor) -> dict:
     return {"input": inp}
 
 
-def _kernel_bias(graph, layer, kernel_role, bias_role, channels):
-    ps = graph.layer_params(layer.name)
-    kernel = ps[kernel_role].tensor
+def _kernel_bias(graph, layer, channels):
+    kernel, bias = (p.tensor for p in graph.kernel_bias(layer.name))
     if channels is not None:
         kernel = Tensor.from_array(kernel.data[..., channels])
-    return kernel, _take(ps[bias_role].tensor.data, channels)
+    return kernel, _take(bias.data, channels)
 
 
 def _float_conv(graph, layer, ins, channels=None):
-    kernel, bias = _kernel_bias(graph, layer, "conv_kernel", "conv_bias", channels)
+    kernel, bias = _kernel_bias(graph, layer, channels)
     return conv2d_forward(ins[0], kernel, bias,
                           stride=layer.hyperparams.get("stride", 1),
                           padding=layer.hyperparams.get("padding", "same"))
 
 
 def _float_conv_transpose(graph, layer, ins, channels=None):
-    kernel, bias = _kernel_bias(graph, layer, "convtr_kernel", "convtr_bias", channels)
+    kernel, bias = _kernel_bias(graph, layer, channels)
     return conv2d_transpose_forward(ins[0], kernel, bias,
                                     stride=layer.hyperparams.get("stride", 2))
 
@@ -475,18 +474,16 @@ def _quantized_enter(graph: ModelGraph, inp: Tensor) -> dict:
 
 
 def _quantized_conv(graph, layer, ins, channels=None):
-    transposed = layer.kind == "conv2d_transpose"
-    krole, brole = ("convtr_kernel", "convtr_bias") if transposed else ("conv_kernel", "conv_bias")
-    ps = graph.layer_params(layer.name)
+    kernel_p, bias_p = graph.kernel_bias(layer.name)
     in_ent = _act_entry(graph, layer.inputs[0])
     out_ent = _act_entry(graph, layer.name)
-    w_ent = _param_entry(graph, ps[krole].index)
+    w_ent = _param_entry(graph, kernel_p.index)
     x_shift = ins[0].astype(np.float32) - np.float32(in_ent["zero_point"])
     # Sliced to ``channels``, the GEMM may cut K into other chunks, but
     # integer sums are exact in any grouping, so each channel's bits stay.
-    kernel = _take(ps[krole].tensor.data, channels)
-    bias = _take(ps[brole].tensor.data, channels)
-    if transposed:
+    kernel = _take(kernel_p.tensor.data, channels)
+    bias = _take(bias_p.tensor.data, channels)
+    if layer.kind == "conv2d_transpose":
         stride = layer.hyperparams.get("stride", 2)
         n, h, w, _ = x_shift.shape
         cout = kernel.shape[3]
@@ -524,9 +521,7 @@ def _quantized_concat(graph, layer, ins):
 
 
 _QUANTIZED = _Mode(
-    ops={"conv2d": _quantized_conv,
-         "output_conv": _quantized_conv,
-         "conv2d_transpose": _quantized_conv,
+    ops={**dict.fromkeys(CONV_KINDS, _quantized_conv),
          "relu": lambda graph, layer, ins, channels=None: np.maximum(
              ins[0], np.int8(_act_entry(graph, layer.inputs[0])["zero_point"])),
          "maxpool": _quantized_maxpool,

@@ -42,6 +42,8 @@ _LAYER_ROLES = {
     "conv2d_transpose": ("convtr_kernel", "convtr_bias"),
     "batchnorm": ("bn_gamma", "bn_beta", "bn_mu", "bn_sigma"),
 }
+# The layer kinds that convolve their input with a (kernel, bias) pair.
+CONV_KINDS = ("conv2d", "conv2d_transpose", "output_conv")
 
 DEFAULT_BN_EPSILON = 1e-3
 
@@ -107,7 +109,7 @@ class ModelGraph:
                                  f"parameter sets {missing}")
         out = self.layers[-1] if self.layers else None
         if out is not None and out.kind == "output_conv":
-            filters = self._by_layer[out.name]["conv_kernel"].tensor.shape[3]
+            filters = self.kernel_bias(out.name)[0].tensor.shape[3]
             if filters != self.class_count:
                 raise ValueError(f"output conv has {filters} filters but "
                                  f"class_count is {self.class_count}")
@@ -137,6 +139,15 @@ class ModelGraph:
     def layer_params(self, name: str) -> dict:
         return self._by_layer.get(name, {})
 
+    def kernel_bias(self, name: str):
+        """The (kernel, bias) parameter sets of a layer whose kind is in CONV_KINDS."""
+        kind = self.layer(name).kind
+        if kind not in CONV_KINDS:
+            raise ValueError(f"layer {name} ({kind}) has no kernel and bias")
+        kernel_role, bias_role = _LAYER_ROLES[kind]
+        ps = self._by_layer[name]
+        return ps[kernel_role], ps[bias_role]
+
     def params_of(self, roles=None, layers=None):
         roles = set(roles) if roles is not None else None
         layers = set(layers) if layers is not None else None
@@ -155,6 +166,11 @@ class ModelGraph:
     @property
     def output_layer(self) -> LayerSpec:
         return self.layers[-1]
+
+    @property
+    def pool_stages(self) -> int:
+        """Number of 2x2 maxpool layers; image sides must be multiples of 2**pool_stages."""
+        return sum(1 for l in self.layers if l.kind == "maxpool")
 
     def consumers(self, name: str):
         return [l for l in self.layers if name in l.inputs]
@@ -320,24 +336,19 @@ def infer_shapes(graph: ModelGraph, height: int, width: int, batch: int = 1) -> 
     shapes = {"input": (batch, height, width, graph.metadata.get("input_channels", 1))}
     for layer in graph.layers:
         ins = [shapes[r] for r in layer.inputs]
-        if layer.kind in ("conv2d", "output_conv"):
+        if layer.kind in CONV_KINDS:
             n, h, w, c = ins[0]
-            k = graph.layer_params(layer.name)["conv_kernel"].tensor.shape
+            k = graph.kernel_bias(layer.name)[0].tensor.shape
             if k[2] != c:
                 raise ShapeError(f"{layer.name}: input channels {c} != kernel Cin {k[2]}")
-            s = layer.hyperparams.get("stride", 1)
-            if layer.hyperparams.get("padding", "same") == "same":
+            s = layer.hyperparams.get("stride", 2 if layer.kind == "conv2d_transpose" else 1)
+            if layer.kind == "conv2d_transpose":
+                oh, ow = h * s, w * s
+            elif layer.hyperparams.get("padding", "same") == "same":
                 oh, ow = -(-h // s), -(-w // s)
             else:
                 oh, ow = (h - k[0]) // s + 1, (w - k[1]) // s + 1
             shapes[layer.name] = (n, oh, ow, k[3])
-        elif layer.kind == "conv2d_transpose":
-            n, h, w, c = ins[0]
-            k = graph.layer_params(layer.name)["convtr_kernel"].tensor.shape
-            if k[2] != c:
-                raise ShapeError(f"{layer.name}: input channels {c} != kernel Cin {k[2]}")
-            s = layer.hyperparams.get("stride", 2)
-            shapes[layer.name] = (n, h * s, w * s, k[3])
         elif layer.kind == "batchnorm":
             n, h, w, c = ins[0]
             g = graph.layer_params(layer.name)["bn_gamma"].tensor.shape[0]
@@ -562,7 +573,9 @@ def load_model(path) -> ModelGraph:
     blob = raw[pos:]
     if len(blob) < blob_size:
         raise FormatError(f"{path}: truncated blob ({len(blob)} of {blob_size} bytes)")
-    blob = blob[:blob_size]
+    if len(blob) > blob_size:
+        raise FormatError(f"{path}: {len(blob) - blob_size} trailing bytes after the "
+                          f"{blob_size}-byte blob")
     if zlib.crc32(blob) != blob_crc32:
         raise FormatError(f"{path}: blob checksum failure")
 
@@ -590,7 +603,13 @@ def load_model(path) -> ModelGraph:
         arr = arr.astype(ENCODINGS[encoding]).reshape(shape)
         params.append(ParamSet(index, layer, role, Tensor(tuple(shape), encoding, arr)))
     params.sort(key=lambda p: p.index)
-    return ModelGraph(layers, params, class_count, metadata)
+    graph = ModelGraph(layers, params, class_count, metadata)
+    side = 1 << graph.pool_stages
+    try:
+        infer_shapes(graph, side, side)
+    except ShapeError as exc:
+        raise FormatError(f"{path}: parameter shapes disagree with the graph ({exc})") from None
+    return graph
 
 
 def _is_int(value) -> bool:

@@ -25,7 +25,7 @@ from .engine import run_float
 # apply_fault and revert are not called here; they stay importable from this
 # module, whose names perfbench's tracer rebinds.
 from .faults import FaultSpec, apply_fault, revert  # noqa: F401
-from .model import ModelGraph, batch_inputs
+from .model import CONV_KINDS, ModelGraph, batch_inputs
 
 
 class EqualizationError(ValueError):
@@ -48,23 +48,27 @@ class CandidateClass:
     label: str
 
 
+# The exponent fields of the patterns bits.risky_mask calls risky.
+_RISKY_EXPONENTS = frozenset(np.flatnonzero(bits.risky_mask(
+    np.arange(256, dtype=np.uint32) << np.uint32(bits.F32_EXP_LO))).tolist())
+
+
 def classify_candidate(word: int) -> CandidateClass:
     """Risk/protectability of one f32 bit pattern.
 
-    Candidates: exponent 01111111, or exactly six '1's among the low seven
-    exponent bits (MSB clear). A direction is allowed iff it strictly
-    increases the number of '0's in the partial exponent, which blocks
-    01111110 entirely and the increment of 01111101; 10000000 is excluded
-    outright (any partial-exponent flip would push the value above 2).
+    Candidates are the risky patterns of ``bits.risky_mask``: exponent
+    01111111, or exactly six '1's among the low seven exponent bits (MSB
+    clear). A direction is allowed iff it strictly increases the number of
+    '0's in the partial exponent, which blocks 01111110 entirely and the
+    increment of 01111101; 10000000 is excluded outright (any
+    partial-exponent flip would push the value above 2).
     """
     exp = bits.exponent_field(word)
     if exp == 0xFF:
         raise ValueError("NaN/Inf patterns have no protection classification")
     if exp == 0x80:
         return CandidateClass(False, False, False, "non-protectable")
-    if exp > 0x80:
-        return CandidateClass(False, False, False, "not-a-candidate")
-    if not (exp == 0x7F or bits.popcount(exp & 0x7F) == 6):
+    if exp not in _RISKY_EXPONENTS:
         return CandidateClass(False, False, False, "not-a-candidate")
     zeros = bits.partial_exponent_zeros
     inc = zeros(exp + 1) > zeros(exp)
@@ -395,19 +399,10 @@ def _risky_bn_count(graph: ModelGraph) -> int:
 # cross-layer equalization and bias absorption
 
 
-_CONV_KINDS = ("conv2d", "conv2d_transpose", "output_conv")
-
-
-def _kernel_roles(kind: str):
-    if kind == "conv2d_transpose":
-        return "convtr_kernel", "convtr_bias"
-    return "conv_kernel", "conv_bias"
-
-
 def _linear_path(graph: ModelGraph, name_n: str, name_np1: str, error_cls):
     """Verify n feeds n+1 through relu/maxpool only; returns the path kinds."""
     ln, lnp1 = graph.layer(name_n), graph.layer(name_np1)
-    if ln.kind not in _CONV_KINDS or lnp1.kind not in _CONV_KINDS:
+    if ln.kind not in CONV_KINDS or lnp1.kind not in CONV_KINDS:
         raise error_cls(f"{name_n} and {name_np1} must both be convolution-like layers")
     path = []
     cur = ln
@@ -441,11 +436,8 @@ def cross_layer_equalize(graph: ModelGraph, scales, layer_n: str,
         raise EqualizationError(f"scales must be strictly positive; offending channels {bad}")
 
     out = graph.copy()
-    kr_n, br_n = _kernel_roles(out.layer(layer_n).kind)
-    kr_1, _ = _kernel_roles(out.layer(layer_np1).kind)
-    wn = out.layer_params(layer_n)[kr_n].tensor.data
-    bn = out.layer_params(layer_n)[br_n].tensor.data
-    wn1 = out.layer_params(layer_np1)[kr_1].tensor.data
+    wn, bn = (p.tensor.data for p in out.kernel_bias(layer_n))
+    wn1 = out.kernel_bias(layer_np1)[0].tensor.data
     if s.shape != (wn.shape[3],):
         raise EqualizationError(f"need one scale per output channel of {layer_n} "
                                 f"({wn.shape[3]}), got {s.shape}")
@@ -463,10 +455,8 @@ def suggest_cle_scales(graph: ModelGraph, layer_n: str, layer_np1: str,
                        pow2: bool = True) -> np.ndarray:
     """Range-balancing scales s_c = sqrt(r1_c / r2_c), optionally snapped to
     powers of two (exactly representable: zero drift in W, b)."""
-    kr_n, _ = _kernel_roles(graph.layer(layer_n).kind)
-    kr_1, _ = _kernel_roles(graph.layer(layer_np1).kind)
-    wn = graph.layer_params(layer_n)[kr_n].tensor.data
-    wn1 = graph.layer_params(layer_np1)[kr_1].tensor.data
+    wn = graph.kernel_bias(layer_n)[0].tensor.data
+    wn1 = graph.kernel_bias(layer_np1)[0].tensor.data
     r1 = np.abs(wn).max(axis=(0, 1, 2))
     r2 = np.abs(wn1).max(axis=(0, 1, 3))
     s = np.sqrt(np.where(r2 > 0, r1 / np.maximum(r2, 1e-30), 1.0))
@@ -492,7 +482,7 @@ def absorb_bias(graph: ModelGraph, amounts, layer_n: str, layer_np1: str,
         raise AbsorptionError("absorption applies to float graphs")
     path = _linear_path(graph, layer_n, layer_np1, AbsorptionError)
     lnp1 = graph.layer(layer_np1)
-    k = graph.layer_params(layer_np1)[_kernel_roles(lnp1.kind)[0]].tensor.shape
+    k = graph.kernel_bias(layer_np1)[0].tensor.shape
     if lnp1.kind == "conv2d_transpose":
         raise AbsorptionError("absorbing into a transposed convolution is not supported")
     if (k[0] > 1 or k[1] > 1) and lnp1.hyperparams.get("padding", "same") == "same":
@@ -500,9 +490,8 @@ def absorb_bias(graph: ModelGraph, amounts, layer_n: str, layer_np1: str,
             f"{layer_np1} is a zero-padded {k[0]}x{k[1]} convolution: the absorbed "
             "shift W*c is wrong at borders; use a 1x1 or valid-padding consumer")
 
-    kr_n, br_n = _kernel_roles(graph.layer(layer_n).kind)
     c = np.asarray(amounts, dtype=np.float32)
-    bn_ = graph.layer_params(layer_n)[br_n].tensor.data
+    bn_ = graph.kernel_bias(layer_n)[1].tensor.data
     if c.shape != bn_.shape:
         raise AbsorptionError(f"need one amount per channel of {layer_n} "
                               f"({bn_.shape}), got {c.shape}")
@@ -526,10 +515,8 @@ def absorb_bias(graph: ModelGraph, amounts, layer_n: str, layer_np1: str,
                 f"below the requested amounts {c[viol].tolist()}")
 
     out = graph.copy()
-    out.layer_params(layer_n)[br_n].tensor.data[...] = bn_ - c
-    kr_1, br_1 = _kernel_roles(lnp1.kind)
-    w1 = out.layer_params(layer_np1)[kr_1].tensor.data
-    b1 = out.layer_params(layer_np1)[br_1].tensor.data
+    out.kernel_bias(layer_n)[1].tensor.data[...] = bn_ - c
+    w1, b1 = (p.tensor.data for p in out.kernel_bias(layer_np1))
     delta = np.einsum("hwio,i->o", w1.astype(np.float64), c.astype(np.float64))
     b1[...] = (b1.astype(np.float64) + delta).astype(np.float32)
     out.with_provenance({"transform": "absorb_bias", "pair": [layer_n, layer_np1]})

@@ -311,6 +311,26 @@ class TestMultiBit:
         header = (tmp_path / "multibit_aggregate.csv").read_text().splitlines()[0]
         assert header == "flip_count,repetitions,mean_error,std_error"
 
+    def test_every_worker_gets_repetitions_of_every_count(self, tiny_graph, tiny_inputs,
+                                                          monkeypatch):
+        import seu_forge.campaign as campaign
+        q = sf.quantize_ptq(tiny_graph, tiny_inputs[0])
+        counts = [1, 10, 50]
+        serial = run_multi_bit_campaign(q, counts, 4, 12, tiny_inputs[0], workers=1)
+        chunks = []
+
+        def spy(worker, jobs, workers):
+            chunks.extend(chunk for _, chunk, _, _ in jobs)
+            return [worker(j) for j in jobs]
+
+        monkeypatch.setattr(campaign, "_run_chunks", spy)
+        dealt = run_multi_bit_campaign(q, counts, 4, 12, tiny_inputs[0], workers=2)
+        assert len(chunks) == 2
+        for chunk in chunks:
+            assert sorted({len(specs) for specs in chunk}) == counts
+        assert dealt.per_rep_errors == serial.per_rep_errors
+        assert (dealt.means, dealt.stds) == (serial.means, serial.stds)
+
 
 class TestResumedFaultLoop:
     """Campaigns resume each fault set at its first faulted layer."""

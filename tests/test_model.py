@@ -319,3 +319,24 @@ class TestContainerRefusals:
         self.rewrite(path, lambda m: m["params"][0].__setitem__("encoding", ["f32"]))
         with pytest.raises(FormatError, match="unknown encoding"):
             sf.load_model(path)
+
+    def test_trailing_bytes(self, tiny_graph, tmp_path):
+        path = tmp_path / "model.sfm"
+        sf.save_model(tiny_graph, path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FormatError, match="1 trailing bytes"):
+            sf.load_model(path)
+
+    def test_kernel_shape_disagreeing_with_graph(self, tiny_graph, tmp_path):
+        # conv2D_1 reads conv2D's 4 channels; a 5-channel kernel used to load
+        # and fail only in inference
+        wide = sf.Tensor.from_array(np.zeros((3, 3, 5, 4), dtype=np.float32))
+        params = [sf.ParamSet(p.index, p.layer, p.role,
+                              wide if (p.layer, p.role) == ("conv2D_1", "conv_kernel")
+                              else p.tensor)
+                  for p in tiny_graph.params]
+        path = tmp_path / "model.sfm"
+        sf.save_model(sf.ModelGraph(tiny_graph.layers, params, tiny_graph.class_count,
+                                    dict(tiny_graph.metadata)), path)
+        with pytest.raises(FormatError, match="input channels 4 != kernel Cin 5"):
+            sf.load_model(path)
