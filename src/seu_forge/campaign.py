@@ -8,19 +8,23 @@ byte-identical for any worker count.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import math
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import (Frontier, channel_chain, golden_frontiers, poisoned,
+from .engine import (Frontier, channel_chain, finish, golden_frontiers, poisoned,
                      reaching_output, run_channels, run_float, run_quantized)
-from .faults import (FaultOutcome, FaultSpec, apply_fault, inject_and_measure,
-                     revert, target_psets)
+# inject_and_measure is not called here; it stays importable from this
+# module, whose names perfbench's tracer rebinds.
+from .faults import (FaultOutcome, FaultSpec, apply_fault, decode_fault,  # noqa: F401
+                     inject_and_measure, revert, target_psets)
 from .model import ModelGraph, batch_inputs, model_hash
 from .tensor import INVALID_CLASS, ShapeError, Tensor
 
@@ -80,10 +84,6 @@ class MetricBundle:
     weighted_recall: float
     weighted_precision: float
     weighted_iou: float
-    error_rate: float = None
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def segmentation_metrics(prediction: np.ndarray, labels: np.ndarray,
@@ -158,12 +158,16 @@ def predict_bit30_error(output_bias_signs, class_shares) -> float:
     change: share_j); in a positive bias the class floods the map (everything
     else changes: 100 - share_j). The estimate is the mean per-class addend.
     """
+    return float(_addends(output_bias_signs, class_shares, flood_if_positive=True).mean())
+
+
+def _addends(output_bias_signs, class_shares, flood_if_positive: bool) -> np.ndarray:
+    """Per-class addends: 100 - share where the class floods the map, else share."""
     signs = np.asarray(output_bias_signs, dtype=np.float64)
     shares = np.asarray(class_shares, dtype=np.float64)
     if signs.shape != shares.shape:
         raise ValueError(f"got {signs.size} signs but {shares.size} class shares")
-    addends = np.where(signs > 0, 100.0 - shares, shares)
-    return float(addends.mean())
+    return np.where((signs > 0) == flood_if_positive, 100.0 - shares, shares)
 
 
 @dataclass
@@ -176,11 +180,7 @@ class SignBitPrediction:
 def predict_sign_bit_error_quantized(output_bias_signs, class_shares) -> SignBitPrediction:
     """Sign-bit analogue: mechanisms invert, so addends are the complements
     of the bit-30 case (negative bias -> class floods -> 100 - share)."""
-    signs = np.asarray(output_bias_signs, dtype=np.float64)
-    shares = np.asarray(class_shares, dtype=np.float64)
-    if signs.shape != shares.shape:
-        raise ValueError(f"got {signs.size} signs but {shares.size} class shares")
-    addends = np.where(signs > 0, shares, 100.0 - shares)
+    addends = _addends(output_bias_signs, class_shares, flood_if_positive=False)
     return SignBitPrediction(float(addends.mean()), [float(a) for a in addends])
 
 
@@ -296,21 +296,44 @@ def generate_sweep_faults(graph: ModelGraph, plan: CampaignPlan):
 # execution
 
 
+MASKED, POISONED, RESUMED, FAILED = "masked", "poisoned", "resumed", "failed"
+
+
+@dataclass(frozen=True)
+class Exit:
+    """How one fault set's faulted forward ended, and at which layer: masked
+    or poisoned at the end E of its first faulted layer's channel chain (see
+    ``_chain_exit``), resumed at the first layer it reran, with its class
+    ``maps``, or failed at its first faulted layer, with ``error``
+    "{type}: {message}"."""
+
+    kind: str
+    layer: str
+    maps: np.ndarray = None
+    error: str = None
+
+    def class_maps(self, golden: np.ndarray) -> np.ndarray:
+        """The faulted class maps of an exit that did not fail, from the faultless ones."""
+        if self.kind == MASKED:
+            return golden
+        if self.kind == POISONED:
+            return np.full_like(golden, INVALID_CLASS)
+        return self.maps
+
+
 @dataclass(frozen=True)
 class _ChainStart:
     """A fault set confined to the output channels ``channels`` of a chain L..E.
 
     See ``engine.channel_chain``. ``source`` is L's input in the faultless
-    pass, ``after`` that pass's frontier just after E, ``own_maps`` the
-    graph's faultless class maps and ``reaches_output`` whether E's output
-    has a path to the output layer.
+    pass, ``after`` that pass's frontier just after E and ``reaches_output``
+    whether E's output has a path to the output layer.
     """
 
     chain: list
     channels: np.ndarray
     source: object
     after: Frontier
-    own_maps: np.ndarray
     reaches_output: bool
 
 
@@ -318,15 +341,15 @@ def _values(activation) -> np.ndarray:
     return activation.data if isinstance(activation, Tensor) else activation
 
 
-def _chain_maps(graph: ModelGraph, start: _ChainStart) -> np.ndarray:
-    """Class maps of the faulted ``graph``, from the faulted channels of its chain.
+def _chain_exit(graph: ModelGraph, start: _ChainStart) -> Exit:
+    """The exit of the faulted ``graph``, from the faulted channels of its chain.
 
     Channels D of E are recomputed from L's input (``engine.run_channels``),
     then:
 
     - masked: if their bytes equal D of the faultless E, E's whole output is
       faultless; every layer after E reads only faultless activations and
-      parameters, so the maps are the graph's own faultless maps;
+      parameters, so the maps are the graph's faultless maps;
     - poisoned (float): if E reaches the output and one of them is NaN at
       every position, every pixel is INVALID_CLASS (``engine.poisoned``);
     - otherwise they are spliced into a copy of the faultless E and the
@@ -338,24 +361,28 @@ def _chain_maps(graph: ModelGraph, start: _ChainStart) -> np.ndarray:
     faulty = run_channels(graph, start.chain, start.source, start.channels)
     if (_values(start.after.live[end])[..., start.channels].tobytes()
             == _values(faulty).tobytes()):
-        return start.own_maps
+        return Exit(MASKED, end)
     if start.reaches_output and poisoned(_values(faulty)):
-        return np.full_like(start.own_maps, INVALID_CLASS)
-    return _forward_maps(graph, replace(start.after, splice=(end, start.channels, faulty)))
+        return Exit(POISONED, end)
+    return _faulted_exit(graph, replace(start.after, splice=(end, start.channels, faulty)))
+
+
+def _faulted_exit(graph: ModelGraph, start) -> Exit:
+    """The exit of the faulted ``graph`` from a golden Frontier or a _ChainStart."""
+    if isinstance(start, _ChainStart):
+        return _chain_exit(graph, start)
+    return Exit(RESUMED, graph.layers[start.start].name, _forward_maps(graph, start))
 
 
 def _forward_maps(graph: ModelGraph, inp) -> np.ndarray:
-    """Class maps of a forward pass from an input batch, a golden :class:`Frontier`
-    or a :class:`_ChainStart`."""
-    if isinstance(inp, _ChainStart):
-        return _chain_maps(graph, inp)
+    """Class maps of a forward pass from an input batch or a golden :class:`Frontier`."""
     if graph.flags.get("quantized"):
         return run_quantized(graph, inp).class_map
     return run_float(graph, inp).class_map
 
 
-def _errors_vs_golden(graph: ModelGraph, inp, golden: np.ndarray):
-    maps = _forward_maps(graph, inp)
+def _errors(golden: np.ndarray, maps: np.ndarray) -> list:
+    """Per-image error rates of ``maps`` against the faultless ``golden`` maps."""
     return [error_rate(golden[i], maps[i]) for i in range(maps.shape[0])]
 
 
@@ -388,64 +415,54 @@ def _faulted_channels(graph: ModelGraph, specs, layer):
     return np.array(sorted({s.element % p.tensor.shape[-1] for s, p in zip(specs, params)}))
 
 
-def _fault_loop(work: ModelGraph, batch: Tensor, fault_sets, measure, own_maps) -> list:
-    """``measure(specs, start)`` for every fault set, resumed at its first faulted layer.
+def _fault_loop(graph: ModelGraph, batch: Tensor, fault_sets):
+    """Each fault set's :class:`Exit` on a copy of ``graph``, in the order of
+    ``fault_sets``, and the graph's faultless class maps.
 
-    The faultless pass of ``work`` is walked once, up to the last layer a
-    set is measured at. ``measure`` applies the set, gets the faulted class
-    maps with ``_forward_maps(graph, start)`` and reverts before the walk
-    goes on. A fault in layer L cannot change an activation computed before
-    L, so a forward resumed from L's frontier is bit-identical to one from
-    the input; ``start`` is that frontier for most sets.
-
-    A set whose specs all lie in L, where L's channel chain L..E (see
-    ``engine.channel_chain``) ends before the output layer in an activation
-    something reads, is measured at the frontier just after E instead, as a
-    :class:`_ChainStart`: only its faulted channels are recomputed, and
-    ``_chain_maps`` exits masked (``own_maps``, the graph's faultless maps)
-    or poisoned, or resumes from the spliced frontier. L's input is held
-    from L's frontier until then and released as soon as the sets starting
-    at L are measured. Results come back in the order of ``fault_sets``.
+    The copy's faultless pass is walked once, through the output layer,
+    whose class maps are the faultless ones. A fault in layer L cannot
+    change an activation computed before L, so each set is applied, its
+    exit taken and the set reverted at L's frontier before the walk goes on;
+    a set that raises is reverted and recorded as failed. A set confined to
+    L, where L's channel chain L..E (``engine.channel_chain``) ends before
+    the output layer in an activation something reads, waits for the
+    frontier just after E instead (a :class:`_ChainStart`, see
+    ``_chain_exit``), and L's faultless input is held until then.
     """
+    work = graph.copy()
     index = {layer.name: i for i, layer in enumerate(work.layers)}
     reach = reaching_output(work)
     chains = {}     # L -> its chain, or None where the sets starting at L resume from L
-    chained = {}    # set -> (L, its faulted channels), for sets measured after L's chain
+    plans = []      # set -> (L, its faulted channels if it is measured after L's chain)
     at = {}         # frontier index -> sets measured there
     for i, specs in enumerate(fault_sets):
         start = _first_faulted_layer(work, specs, index)
         if start not in chains:
             chain = channel_chain(work, start)
-            end = start + len(chain) - 1
-            usable = end + 1 < len(work.layers) and work.consumers(chain[-1].name)
+            usable = start + len(chain) < len(work.layers) and work.consumers(chain[-1].name)
             chains[start] = chain if usable else None
         channels = _faulted_channels(work, specs, work.layers[start]) if chains[start] else None
-        if channels is None:
-            at.setdefault(start, []).append(i)
-        else:
-            chained[i] = (start, channels)
-            at.setdefault(start + len(chains[start]), []).append(i)
-    results = [None] * len(fault_sets)
-    if not at:
-        return results
-    sources = {start for start, _ in chained.values()}
+        plans.append((start, channels))
+        at.setdefault(start if channels is None else start + len(chains[start]), []).append(i)
+    exits = [None] * len(fault_sets)
+    sources = {start for start, channels in plans if channels is not None}
     held = {}       # L -> L's faultless input, while sets starting at L wait
-    for frontier in golden_frontiers(work, batch, stop=max(at)):
+    for frontier in golden_frontiers(work, batch, stop=len(work.layers)):
         idx = frontier.start
         if idx in sources:
             held[idx] = frontier.live[work.layers[idx].inputs[0]]
         for i in at.get(idx, ()):
-            if i in chained:
-                start, channels = chained[i]
-                chain = chains[start]
-                inp = _ChainStart(chain, channels, held[start], frontier, own_maps,
-                                  chain[-1].name in reach)
-            else:
-                inp = frontier
-            results[i] = measure(fault_sets[i], inp)
-        for start in [s for s in held if s + len(chains[s]) == idx]:
-            del held[start]
-    return results
+            start, channels = plans[i]
+            inp = frontier if channels is None else _ChainStart(
+                chains[start], channels, held[start], frontier, chains[start][-1].name in reach)
+            try:
+                exits[i] = _with_faults(work, fault_sets[i], lambda g: _faulted_exit(g, inp))
+            except Exception as exc:  # recorded, not fatal
+                exits[i] = Exit(FAILED, work.layers[start].name,
+                                error=f"{type(exc).__name__}: {exc}")
+        for s in [s for s in held if s + len(chains[s]) == idx]:
+            del held[s]
+    return exits, finish(work, frontier.live).class_map
 
 
 def _with_faults(work: ModelGraph, specs, evaluate):
@@ -461,32 +478,27 @@ def _with_faults(work: ModelGraph, specs, evaluate):
 
 
 def _sweep_chunk(args):
-    graph, specs, batch, golden = args
-    work = graph.copy()
-
-    def measure(fault_set, start):
-        spec, = fault_set
-        try:
-            return inject_and_measure(
-                work, spec, lambda g: _errors_vs_golden(g, start, golden))
-        except Exception as exc:  # per-fault failures are recorded, not fatal
-            return FaultOutcome(
-                spec=spec, original_bits=0, faulty_bits=0,
-                original_value=float("nan"), faulty_value=float("nan"),
-                evaluation_error=f"{type(exc).__name__}: {exc}")
-
-    return _fault_loop(work, batch, [[s] for s in specs], measure, golden)
+    """The :class:`FaultOutcome` of every single fault ``specs`` names."""
+    graph, specs, batch = args
+    exits, golden = _fault_loop(graph, batch, [[s] for s in specs])
+    outcomes = []
+    for spec, ex in zip(specs, exits):
+        if ex.kind == FAILED:
+            outcomes.append(FaultOutcome(spec, 0, 0, math.nan, math.nan, evaluation_error=ex.error))
+            continue
+        outcome = decode_fault(graph, spec)
+        outcome.per_image_error = _errors(golden, ex.class_maps(golden))
+        outcome.mean_error = float(np.mean(outcome.per_image_error))
+        outcomes.append(outcome)
+    return outcomes
 
 
 def _multibit_chunk(args):
-    graph, rep_specs, batch, golden = args
-    work = graph.copy()
-
-    def measure(specs, start):
-        errs = _with_faults(work, specs, lambda g: _errors_vs_golden(g, start, golden))
-        return float(np.mean(errs)) if errs else 0.0
-
-    return _fault_loop(work, batch, rep_specs, measure, golden)
+    """Each repetition's mean error over the images, or its failure message."""
+    graph, rep_specs, batch = args
+    exits, golden = _fault_loop(graph, batch, rep_specs)
+    return [ex.error if ex.kind == FAILED else
+            float(np.mean(_errors(golden, ex.class_maps(golden)))) for ex in exits]
 
 
 def _run_chunks(worker, jobs, workers: int):
@@ -520,27 +532,19 @@ class SweepResult:
     outcomes: list
     golden_hash: str
 
-    def table(self) -> dict:
-        return {(r["pset"], r["bit"]): r["mean_error"] for r in self.rows}
-
     def write(self, directory, stem="sweep"):
-        import os
         os.makedirs(directory, exist_ok=True)
         with open(os.path.join(directory, f"{stem}_plan.json"), "w") as f:
             f.write(self.plan.to_json() + "\n")
         with open(os.path.join(directory, f"{stem}_outcomes.jsonl"), "w") as f:
             for o in self.outcomes:
                 f.write(o.to_json() + "\n")
-        write_sweep_csv(self.rows, os.path.join(directory, f"{stem}_aggregate.csv"))
-
-
-def write_sweep_csv(rows, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["pset", "bit", "n", "mean_error", "nan_count", "inf_count"])
-        for r in rows:
-            w.writerow([r["pset"], r["bit"], r["n"], repr(r["mean_error"]),
-                        r["nan_count"], r["inf_count"]])
+        with open(os.path.join(directory, f"{stem}_aggregate.csv"), "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["pset", "bit", "n", "mean_error", "nan_count", "inf_count"])
+            for r in self.rows:
+                w.writerow([r["pset"], r["bit"], r["n"], repr(r["mean_error"]),
+                            r["nan_count"], r["inf_count"]])
 
 
 def run_single_bit_sweep(graph: ModelGraph, plan: CampaignPlan, images,
@@ -549,10 +553,9 @@ def run_single_bit_sweep(graph: ModelGraph, plan: CampaignPlan, images,
     if plan.mode != "single_bit_sweep":
         raise ValueError(f"plan mode {plan.mode!r} is not a single-bit sweep")
     batch = batch_inputs(images)
-    golden = _forward_maps(graph, batch)
     specs = generate_sweep_faults(graph, plan)
 
-    jobs = [(graph, chunk, batch, golden) for chunk in _deal(specs, workers)]
+    jobs = [(graph, chunk, batch) for chunk in _deal(specs, workers)]
     outcomes = _in_plan_order(_run_chunks(_sweep_chunk, jobs, workers))
 
     grouped = {}
@@ -570,10 +573,10 @@ def run_single_bit_sweep(graph: ModelGraph, plan: CampaignPlan, images,
 
 
 def role_bit_means(graph: ModelGraph, result: SweepResult, bit: int) -> dict:
-    """Mean error per role at one bit position (over that role's outcomes)."""
+    """Mean error per role at one bit position (over that role's evaluated outcomes)."""
     by_role = {}
     for o in result.outcomes:
-        if o.spec.bit != bit:
+        if o.spec.bit != bit or o.evaluation_error is not None:
             continue
         role = graph.param(o.spec.pset).role
         by_role.setdefault(role, []).append(o.mean_error)
@@ -587,11 +590,11 @@ class MultiBitResult:
     means: list
     stds: list
     repetitions: int
-    per_rep_errors: dict    # count -> list of per-repetition mean errors
+    per_rep_errors: dict    # count -> mean errors of the repetitions evaluated
     plan: CampaignPlan = None
+    failed: list = field(default_factory=list)  # {flip_count, repetition, error}
 
     def write(self, directory, stem="multibit"):
-        import os
         os.makedirs(directory, exist_ok=True)
         if self.plan is not None:
             with open(os.path.join(directory, f"{stem}_plan.json"), "w") as f:
@@ -600,32 +603,24 @@ class MultiBitResult:
             w = csv.writer(f)
             w.writerow(["flip_count", "repetitions", "mean_error", "std_error"])
             for c, m, s in zip(self.counts, self.means, self.stds):
-                w.writerow([c, self.repetitions, repr(m), repr(s)])
+                w.writerow([c, len(self.per_rep_errors[c]), repr(m), repr(s)])
+        reps = {str(k): v for k, v in self.per_rep_errors.items()}
+        if self.failed:
+            reps["failed"] = self.failed
         with open(os.path.join(directory, f"{stem}_reps.json"), "w") as f:
-            json.dump({str(k): v for k, v in self.per_rep_errors.items()},
-                      f, sort_keys=True)
+            json.dump(reps, f, sort_keys=True)
 
 
-def _global_fault_space(graph: ModelGraph, roles=None):
-    psets = target_psets(graph, roles=roles) if roles is not None else list(graph.params)
-    spans = []
-    offset = 0
-    for p in psets:
-        nbits = p.tensor.size * p.width
+def _global_fault_space(graph: ModelGraph):
+    spans, offset = [], 0
+    for p in graph.params:
         spans.append((offset, p))
-        offset += nbits
+        offset += p.tensor.size * p.width
     return spans, offset
 
 
 def _decode_global(spans, flat: int) -> FaultSpec:
-    lo, hi = 0, len(spans) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if spans[mid][0] <= flat:
-            lo = mid
-        else:
-            hi = mid - 1
-    offset, p = spans[lo]
+    offset, p = spans[bisect.bisect_right(spans, flat, key=lambda span: span[0]) - 1]
     within = flat - offset
     return FaultSpec(pset=p.index, element=within // p.width,
                      bit=within % p.width, encoding=p.tensor.encoding)
@@ -641,26 +636,22 @@ def run_multi_bit_campaign(graph: ModelGraph, counts, repetitions: int, seed: in
         raise ValueError(f"flip count {max(too_big)} exceeds fault space of {space} bits")
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    reps_by_count = {}
-    for c in counts:
-        reps = []
-        for _ in range(repetitions):
-            chosen = rng.choice(space, size=c, replace=False) if c else np.array([], dtype=int)
-            reps.append([_decode_global(spans, int(i)) for i in chosen])
-        reps_by_count[c] = reps
-
-    batch = batch_inputs(images)
-    golden = _forward_maps(graph, batch)
+    reps = [[_decode_global(spans, int(i)) for i in rng.choice(space, size=c, replace=False)]
+            if c else [] for c in counts for _ in range(repetitions)]
 
     # One pool for the whole campaign: every repetition of every count is
     # dealt to the workers at once, then regrouped by count in plan order.
-    reps = [r for c in reps_by_count for r in reps_by_count[c]]
-    jobs = [(graph, chunk, batch, golden) for chunk in _deal(reps, workers)]
+    # A failed repetition is left out of its count's errors and recorded.
+    batch = batch_inputs(images)
+    jobs = [(graph, chunk, batch) for chunk in _deal(reps, workers)]
     errs = _in_plan_order(_run_chunks(_multibit_chunk, jobs, workers))
-    per_rep = {}
-    for c in reps_by_count:
-        per_rep[c], errs = errs[:repetitions], errs[repetitions:]
-    means = [float(np.mean(per_rep[c])) for c in counts]
-    stds = [float(np.std(per_rep[c])) for c in counts]
+    per_rep, failed = {}, []
+    for k, c in enumerate(counts):
+        mine = errs[k * repetitions:(k + 1) * repetitions]
+        per_rep[c] = [e for e in mine if not isinstance(e, str)]
+        failed += [{"flip_count": c, "repetition": r, "error": e}
+                     for r, e in enumerate(mine) if isinstance(e, str)]
+    means = [float(np.mean(per_rep[c])) if per_rep[c] else None for c in counts]
+    stds = [float(np.std(per_rep[c])) if per_rep[c] else None for c in counts]
     plan = plan_multi_bit_campaign(graph, counts, repetitions, seed)
-    return MultiBitResult(counts, means, stds, repetitions, per_rep, plan)
+    return MultiBitResult(counts, means, stds, repetitions, per_rep, plan, failed)

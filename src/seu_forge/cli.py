@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__, analysis, campaign, compress, protect
-from .faults import FaultSpec, fault_space_size, inject_and_measure
+from .faults import FaultSpec, fault_space_size
 from .model import (DEFAULT_TARGET_ROLES, ModelGraph, batch_inputs, build_unet,
                     generate_calibration_set, generate_toy_weights, load_model,
                     model_hash, save_model)
@@ -202,18 +202,13 @@ def cmd_calibrate(args):
 
 def cmd_inject_one(args):
     graph = _load(args.model)
-    work = graph.copy()
-    p = work.param(args.pset)
     spec = FaultSpec(pset=args.pset, element=args.element, bit=args.bit,
-                     encoding=p.tensor.encoding)
+                     encoding=graph.param(args.pset).tensor.encoding)
     inputs, _ = _images_for(graph, args)
-    batch = batch_inputs(inputs)
-    golden = campaign._forward_maps(graph, batch)
-    outcome = inject_and_measure(
-        work, spec, lambda g: campaign._errors_vs_golden(g, batch, golden))
+    outcome, = campaign._sweep_chunk((graph, [spec], batch_inputs(inputs)))
+    if outcome.evaluation_error is not None:
+        raise ValueError(outcome.evaluation_error)
     print(outcome.to_json())
-    if model_hash(work) != model_hash(graph):
-        raise RuntimeError("revert failed: working copy diverged from golden model")
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +232,8 @@ def cmd_campaign_sweep(args):
     result = campaign.run_single_bit_sweep(graph, plan, inputs, workers=_workers(args))
     result.write(args.out_dir, stem="sweep")
     meta = {"command": "campaign sweep", "args": _manifest_args(args),
-            "model_hash": model_hash(graph), "faults_evaluated": len(result.outcomes),
+            "model_hash": model_hash(graph), "faults_evaluated": sum(
+                o.evaluation_error is None for o in result.outcomes),
             "weighting_note": "weighted_bit_error uses w_b ~ (b - lo + 1), normalized"}
     _write_manifest(args.out_dir, meta)
     print(f"swept {len(result.outcomes)} faults over {len(plan.targets)} parameter sets "
@@ -258,7 +254,8 @@ def cmd_campaign_multibit(args):
                                    "args": _manifest_args(args),
                                    "model_hash": model_hash(graph)})
     for c, m, s in zip(result.counts, result.means, result.stds):
-        print(f"flips={c:5d}  mean={m:7.3f}%  std={s:6.3f}")
+        print(f"flips={c:5d}  mean={m:7.3f}%  std={s:6.3f}" if m is not None
+              else f"flips={c:5d}  no repetition evaluated")
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +316,7 @@ def cmd_protect_evaluate(args):
     original = _load(args.original)
     protected = _load(args.protected)
     inputs, _ = _images_for(original, args)
-    ev = protect.evaluate_protection(original, protected, inputs)
+    ev = protect.evaluate_protection(original, protected, inputs, workers=_workers(args))
     os.makedirs(args.out_dir, exist_ok=True)
     ev.write_json(os.path.join(args.out_dir, "protection_eval.json"))
     _write_manifest(args.out_dir, {"command": "protect evaluate",
@@ -354,6 +351,7 @@ def cmd_report(args):
         key = (variant, o["spec"]["pset"], o["spec"]["bit"])
         grouped.setdefault(key, []).append(o)
 
+    means = {k: float(np.mean([o["mean_error"] for o in os_])) for k, os_ in grouped.items()}
     os.makedirs(args.out_dir, exist_ok=True)
     agg_path = os.path.join(args.out_dir, "report_aggregate.csv")
     with open(agg_path, "w", newline="") as f:
@@ -361,14 +359,11 @@ def cmd_report(args):
         w.writerow(["variant", "pset", "bit", "n", "mean_error", "nan_count", "inf_count"])
         for key in sorted(grouped):
             os_ = grouped[key]
-            mean = float(np.mean([o["mean_error"] for o in os_]))
-            w.writerow([key[0], key[1], key[2], len(os_), repr(mean),
-                        sum(o["produced_nan"] for o in os_),
+            w.writerow([*key, len(os_), repr(means[key]), sum(o["produced_nan"] for o in os_),
                         sum(o["produced_inf"] for o in os_)])
 
     tidy = [{"variant": k[0], "pset": k[1], "bit": k[2], "metric": "mean_error",
-             "value": float(np.mean([o["mean_error"] for o in grouped[k]]))}
-            for k in sorted(grouped)]
+             "value": means[k]} for k in sorted(grouped)]
     with open(os.path.join(args.out_dir, "report_long.json"), "w") as f:
         json.dump(tidy, f, sort_keys=True, indent=1)
         f.write("\n")
@@ -499,6 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--original", required=True)
     pe.add_argument("--protected", required=True)
     pe.add_argument("--out-dir", required=True)
+    pe.add_argument("--workers", type=int, default=None)
     _add_image_opts(pe)
     pe.set_defaults(func=cmd_protect_evaluate)
 

@@ -8,7 +8,7 @@ multiply followed by round-half-even, saturating to [-128, 127].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -203,11 +203,12 @@ def golden_frontiers(graph: ModelGraph, inp: Tensor, stop: int = None):
 
     Works in either numeric mode (chosen by the graph's ``quantized`` flag)
     and ends after yielding the frontier of layer ``stop`` (default: the
-    output layer), without running that layer. Only the live set is held;
-    each activation is freed after its last consumer, as in a full forward.
-    Each frontier owns its dict; the walk reads the graph's parameters as it
-    resumes, so faults applied while a frontier is in use must be reverted
-    before the next one is requested.
+    output layer), without running that layer; at ``len(graph.layers)`` it
+    ends with the finished pass (see :func:`finish`). Only the live set is
+    held; each activation is freed after its last consumer, as in a full
+    forward. Each frontier owns its dict; the walk reads the graph's
+    parameters as it resumes, so faults applied while a frontier is in use
+    must be reverted before the next one is requested.
     """
     mode = _mode(graph)
     stop = len(graph.layers) - 1 if stop is None else stop
@@ -216,6 +217,18 @@ def golden_frontiers(graph: ModelGraph, inp: Tensor, stop: int = None):
         yield Frontier(idx, dict(live))
         if idx >= stop:
             return
+    yield Frontier(len(graph.layers), dict(live))
+
+
+def finish(graph: ModelGraph, live: dict) -> InferenceResult:
+    """Logits (dequantized in quantized mode) and class maps from the live set
+    of a pass that has run its output layer; run_float and run_quantized end here."""
+    logits = live[graph.output_layer.name]
+    if graph.flags.get("quantized"):
+        ent = _act_entry(graph, graph.output_layer.name)
+        logits = Tensor.from_array(((logits.astype(np.float64) - ent["zero_point"])
+                                    * ent["scale"]).astype(np.float32))
+    return InferenceResult(logits, argmax_channels(logits))
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +372,8 @@ def run_float(graph: ModelGraph, inp, capture: bool = False,
         trace.setdefault(name, LayerStats()).update(tensor.data)
 
     outputs = _execute(graph, _FLOAT, inp, collect, record if capture else None)
-    logits = outputs[graph.output_layer.name]
     collected = {name: outputs[name] for name in collect} if collect else None
-    return InferenceResult(logits, argmax_channels(logits), trace, collected)
+    return replace(finish(graph, outputs), trace=trace, collected=collected)
 
 
 # ---------------------------------------------------------------------------
@@ -539,12 +551,7 @@ def run_quantized(graph: ModelGraph, inp) -> InferenceResult:
     """
     if not graph.flags.get("quantized"):
         raise ValueError("graph is not quantized; use run_float")
-    oname = graph.output_layer.name
-    out = _execute(graph, _QUANTIZED, inp)[oname]
-    ent = _act_entry(graph, oname)
-    logits = ((out.astype(np.float64) - ent["zero_point"]) * ent["scale"]).astype(np.float32)
-    logits_t = Tensor.from_array(logits)
-    return InferenceResult(logits_t, argmax_channels(logits_t))
+    return finish(graph, _execute(graph, _QUANTIZED, inp))
 
 
 def capture_parameter_stats(graph: ModelGraph) -> dict:

@@ -106,19 +106,20 @@ def _read_word(p, element: int) -> int:
     return int(flat[element])
 
 
+def _flipped(p, word: int, bit: int) -> int:
+    if p.tensor.encoding == "f32":
+        return bits.flip_bit_f32(word, bit)
+    return bits.flip_bit_int(word, bit, bits.ENCODING_WIDTH[p.tensor.encoding])
+
+
 def _write_flipped(p, element: int, bit: int) -> tuple:
     """Flip in place; returns (old_word, new_word) in pattern space."""
-    flat = p.tensor.flat
+    old = _read_word(p, element)
+    new = _flipped(p, old, bit)
     if p.tensor.encoding == "f32":
-        view = flat.view(np.uint32)
-        old = int(view[element])
-        new = bits.flip_bit_f32(old, bit)
-        view[element] = np.uint32(new)
-        return old, new
-    width = bits.ENCODING_WIDTH[p.tensor.encoding]
-    old = int(flat[element])
-    new = bits.flip_bit_int(old, bit, width)
-    flat[element] = new
+        p.tensor.flat.view(np.uint32)[element] = np.uint32(new)
+    else:
+        p.tensor.flat[element] = new
     return old, new
 
 
@@ -170,17 +171,22 @@ def decode_outcome(graph: ModelGraph, spec: FaultSpec,
     )
 
 
+def decode_fault(graph: ModelGraph, spec: FaultSpec) -> FaultOutcome:
+    """The value transition ``spec`` makes, decoded without applying it."""
+    p = _validate(graph, spec)
+    old = _read_word(p, spec.element)
+    return decode_outcome(graph, spec, old, _flipped(p, old, spec.bit))
+
+
 def inject_and_measure(graph: ModelGraph, spec: FaultSpec, evaluate) -> FaultOutcome:
     """apply -> evaluate(graph) -> revert; returns the decoded outcome.
 
     ``evaluate`` receives the faulted graph and returns a list of per-image
     error rates (percent).
     """
+    outcome = decode_fault(graph, spec)
     token = apply_fault(graph, spec)
     try:
-        p = graph.param(spec.pset)
-        outcome = decode_outcome(graph, spec, token.original_word,
-                                 _read_word(p, spec.element))
         outcome.per_image_error = [float(e) for e in evaluate(graph)]
         if outcome.per_image_error:
             outcome.mean_error = float(np.mean(outcome.per_image_error))

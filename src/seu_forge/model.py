@@ -566,10 +566,11 @@ def load_model(path) -> ModelGraph:
     blob_size, blob_crc32, layer_entries, param_entries, class_count, metadata = _fields(
         manifest, ("blob_size", "blob_crc32", "layers", "params", "class_count", "metadata"),
         path, "manifest")
-    if not (_is_int(blob_size) and _is_int(blob_crc32)
-            and isinstance(layer_entries, list) and isinstance(param_entries, list)):
-        raise FormatError(f"{path}: manifest blob_size, blob_crc32, layers or params "
-                          "has the wrong type")
+    if not (_is_int(blob_size) and _is_int(blob_crc32) and _is_int(class_count)
+            and isinstance(layer_entries, list) and isinstance(param_entries, list)
+            and isinstance(metadata, dict)):
+        raise FormatError(f"{path}: manifest blob_size, blob_crc32, layers, params, "
+                          "class_count or metadata has the wrong type")
     blob = raw[pos:]
     if len(blob) < blob_size:
         raise FormatError(f"{path}: truncated blob ({len(blob)} of {blob_size} bytes)")
@@ -579,12 +580,13 @@ def load_model(path) -> ModelGraph:
     if zlib.crc32(blob) != blob_crc32:
         raise FormatError(f"{path}: blob checksum failure")
 
-    layers = [LayerSpec(*_fields(l, ("kind", "name", "hyperparams", "inputs"), path, "layer"))
-              for l in layer_entries]
+    layers = [_layer(entry, path) for entry in layer_entries]
     params = []
     for e in param_entries:
         index, layer, role, encoding, shape, offset, nbytes = _fields(
             e, ("index", "layer", "role", "encoding", "shape", "offset", "nbytes"), path, "param")
+        if not (_is_int(index) and isinstance(layer, str) and isinstance(role, str)):
+            raise FormatError(f"{path}: param {index!r} index, layer or role has the wrong type")
         if not isinstance(encoding, str) or encoding not in _BLOB_DTYPES:
             raise FormatError(f"{path}: p{index} has unknown encoding {encoding!r}")
         if not (_is_int(offset) and _is_int(nbytes) and isinstance(shape, list)
@@ -603,13 +605,28 @@ def load_model(path) -> ModelGraph:
         arr = arr.astype(ENCODINGS[encoding]).reshape(shape)
         params.append(ParamSet(index, layer, role, Tensor(tuple(shape), encoding, arr)))
     params.sort(key=lambda p: p.index)
-    graph = ModelGraph(layers, params, class_count, metadata)
-    side = 1 << graph.pool_stages
     try:
+        graph = ModelGraph(layers, params, class_count, metadata)
+        side = 1 << graph.pool_stages
         infer_shapes(graph, side, side)
-    except ShapeError as exc:
-        raise FormatError(f"{path}: parameter shapes disagree with the graph ({exc})") from None
+    except ValueError as exc:  # ShapeError included
+        raise FormatError(f"{path}: inconsistent graph ({exc})") from None
     return graph
+
+
+def _layer(entry, path) -> LayerSpec:
+    """A manifest layer entry as a LayerSpec; FormatError for a field of the wrong type."""
+    kind, name, hyperparams, inputs = _fields(
+        entry, ("kind", "name", "hyperparams", "inputs"), path, "layer")
+    if not (isinstance(kind, str) and isinstance(name, str) and isinstance(hyperparams, dict)
+            and isinstance(inputs, list) and all(isinstance(r, str) for r in inputs)):
+        raise FormatError(f"{path}: layer {name!r} kind, name, hyperparams or inputs "
+                          "has the wrong type")
+    stride, padding = hyperparams.get("stride", 1), hyperparams.get("padding", "same")
+    if not (_is_int(stride) and stride >= 1 and padding in ("same", "valid")):
+        raise FormatError(f"{path}: layer {name!r} has stride {stride!r} and padding "
+                          f"{padding!r}; want an int >= 1 and 'same' or 'valid'")
+    return LayerSpec(kind, name, hyperparams, inputs)
 
 
 def _is_int(value) -> bool:

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bits
-from .campaign import (MetricBundle, _fault_loop, _forward_maps, _with_faults,
-                       error_rate, segmentation_metrics)
+from .campaign import (FAILED, _deal, _fault_loop, _in_plan_order,
+                       _run_chunks, error_rate, segmentation_metrics)
 from .engine import run_float
 # apply_fault and revert are not called here; they stay importable from this
 # module, whose names perfbench's tracer rebinds.
@@ -247,20 +247,41 @@ def protect_parameters(graph: ModelGraph, pt: ProtectionTarget, roles=None):
 class ProtectionEvaluation:
     faultless: dict       # {"original": metrics dict, "protected": metrics dict}
     per_bit: list         # rows {bit, n, original: {...}, protected: {...}}
+    failed: list = field(default_factory=list)  # {pset, element, bit, model, error}
 
     def write_json(self, path):
+        report = {"faultless": self.faultless, "per_bit": self.per_bit}
+        if self.failed:
+            report["failed"] = self.failed
         with open(path, "w") as f:
-            json.dump({"faultless": self.faultless, "per_bit": self.per_bit},
-                      f, sort_keys=True, indent=1)
+            json.dump(report, f, sort_keys=True, indent=1)
             f.write("\n")
 
 
-def _bundle_dict(m: MetricBundle, err: float) -> dict:
-    return {"giou": m.global_iou, "wiou": m.weighted_iou, "error_rate": err}
+_MODELS = ("original", "protected")
+_SCORES = ("giou", "wiou", "error_rate")
+
+
+def _evaluation_chunk(args):
+    """Both models' faultless scores, and each target's pair of scores, with a
+    failed fault's message in place of its score."""
+    original, protected, targets, batch, labels = args
+    walks = [_fault_loop(graph, batch, targets) for graph in (original, protected)]
+    golden = walks[0][1]
+    labels = golden if labels is None else labels
+
+    def score(maps):
+        m = segmentation_metrics(maps, labels, original.class_count)
+        return dict(zip(_SCORES, (m.global_iou, m.weighted_iou, error_rate(golden, maps))))
+
+    faultless = {tag: score(own) for tag, (_, own) in zip(_MODELS, walks)}
+    scored = ([ex.error if ex.kind == FAILED else score(ex.class_maps(own)) for ex in exits]
+              for exits, own in walks)
+    return faultless, list(zip(*scored))
 
 
 def evaluate_protection(original: ModelGraph, protected: ModelGraph, images,
-                        labels=None, bit_filter=None) -> ProtectionEvaluation:
+                        labels=None, bit_filter=None, workers: int = 1) -> ProtectionEvaluation:
     """Exhaustive single-flip comparison on every originally-risky position.
 
     For each risky parameter the flip lands on its danger bit (30 for full
@@ -268,20 +289,11 @@ def evaluate_protection(original: ModelGraph, protected: ModelGraph, images,
     models are measured against the original model's faultless class maps;
     IoU metrics against ``labels`` (default: self-labels from those maps).
     A fault that leaves a model's output unchanged scores that model's own
-    faultless maps.
+    faultless maps, which come from its golden walk. A position whose fault
+    fails in either model is left out of both models' means and ``n`` and
+    recorded in ``failed``. The result is the same for any ``workers``.
     """
     batch = batch_inputs(images)
-    golden = run_float(original, batch).class_map
-    if labels is None:
-        labels = golden
-    cc = original.class_count
-
-    def score(maps):
-        return _bundle_dict(segmentation_metrics(maps, labels, cc), error_rate(golden, maps))
-
-    own_maps = {"original": golden, "protected": run_float(protected, batch).class_map}
-    faultless = {tag: score(maps) for tag, maps in own_maps.items()}
-
     targets = []
     for p in original.params:
         if p.tensor.encoding != "f32":
@@ -293,31 +305,22 @@ def evaluate_protection(original: ModelGraph, protected: ModelGraph, images,
                 targets.append([FaultSpec(pset=p.index, element=int(idx), bit=bitpos,
                                           encoding="f32")])
 
-    def faulted_scores(graph, maps):
-        work = graph.copy()
-        return _fault_loop(work, batch, targets, lambda specs, start: _with_faults(
-            work, specs, lambda g: score(_forward_maps(g, start))), maps)
-
-    measured = {tag: faulted_scores(graph, own_maps[tag])
-                for tag, graph in (("original", original), ("protected", protected))}
-
-    rows = {}
-    for i, (spec,) in enumerate(targets):
-        entry = rows.setdefault(spec.bit, {"n": 0, "original": [], "protected": []})
-        entry["n"] += 1
-        for tag in ("original", "protected"):
-            entry[tag].append(measured[tag][i])
-
-    per_bit = []
-    for bitpos in sorted(rows, reverse=True):
-        entry = rows[bitpos]
-        row = {"bit": bitpos, "n": entry["n"]}
-        for tag in ("original", "protected"):
-            vals = entry[tag]
-            row[tag] = {k: float(np.mean([v[k] for v in vals]))
-                        for k in ("giou", "wiou", "error_rate")}
-        per_bit.append(row)
-    return ProtectionEvaluation(faultless, per_bit)
+    # One job even without targets: its walks give the faultless scores.
+    jobs = [(original, protected, chunk, batch, labels)
+            for chunk in _deal(targets, workers) or [[]]]
+    parts = _run_chunks(_evaluation_chunk, jobs, workers)
+    rows, failed = {}, []
+    for (spec,), pair in zip(targets, _in_plan_order([pairs for _, pairs in parts])):
+        errors = [(tag, v) for tag, v in zip(_MODELS, pair) if isinstance(v, str)]
+        failed += [{"pset": spec.pset, "element": spec.element, "bit": spec.bit,
+                    "model": tag, "error": e} for tag, e in errors]
+        if not errors:
+            rows.setdefault(spec.bit, []).append(pair)
+    per_bit = [{"bit": bitpos, "n": len(rows[bitpos]),
+                **{tag: {k: float(np.mean([pair[t][k] for pair in rows[bitpos]]))
+                         for k in _SCORES} for t, tag in enumerate(_MODELS)}}
+               for bitpos in sorted(rows, reverse=True)]
+    return ProtectionEvaluation(parts[0][0], per_bit, failed)
 
 
 # ---------------------------------------------------------------------------

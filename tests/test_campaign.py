@@ -5,6 +5,7 @@ import seu_forge as sf
 from seu_forge.campaign import (CampaignPlan, error_rate,
                                 generate_sweep_faults, golden_class_shares,
                                 plan_single_bit_sweep, predict_bit30_error,
+                                role_bit_means,
                                 predict_sign_bit_error_quantized,
                                 run_multi_bit_campaign, run_single_bit_sweep,
                                 sample_size, segmentation_metrics,
@@ -225,15 +226,16 @@ class TestSweep:
         plan = plan_single_bit_sweep(tiny_graph, psets=[1], bits=(30, 30),
                                      injections_per_target=3, seed=4)
         calls = {"n": 0}
-        real = campaign_mod._errors_vs_golden
+        real = campaign_mod._with_faults
 
-        def flaky(graph, batch, golden):
+        def flaky(work, specs, evaluate):
             calls["n"] += 1
             if calls["n"] == 2:
-                raise RuntimeError("synthetic evaluation failure")
-            return real(graph, batch, golden)
+                def evaluate(graph):
+                    raise RuntimeError("synthetic evaluation failure")
+            return real(work, specs, evaluate)
 
-        monkeypatch.setattr(campaign_mod, "_errors_vs_golden", flaky)
+        monkeypatch.setattr(campaign_mod, "_with_faults", flaky)
         res = run_single_bit_sweep(tiny_graph, plan, tiny_inputs[0])
         failed = [o for o in res.outcomes if o.evaluation_error]
         assert len(failed) == 1
@@ -320,7 +322,7 @@ class TestMultiBit:
         chunks = []
 
         def spy(worker, jobs, workers):
-            chunks.extend(chunk for _, chunk, _, _ in jobs)
+            chunks.extend(chunk for _, chunk, _ in jobs)
             return [worker(j) for j in jobs]
 
         monkeypatch.setattr(campaign, "_run_chunks", spy)
@@ -351,7 +353,7 @@ class TestResumedFaultLoop:
     def test_fault_sets_over_several_layers_match_full_forwards(self, tiny_graph,
                                                                 quantized, tiny_batch,
                                                                 graph_kind):
-        from seu_forge.campaign import _errors_vs_golden, _multibit_chunk
+        from seu_forge.campaign import _errors, _forward_maps, _multibit_chunk
         graph = quantized if graph_kind == "quantized" else tiny_graph
         run = sf.run_quantized if graph_kind == "quantized" else sf.run_float
         golden = run(graph, tiny_batch).class_map
@@ -368,12 +370,12 @@ class TestResumedFaultLoop:
         expected = []
         for specs in reps:
             tokens = [sf.apply_fault(graph, s) for s in specs]
-            errs = _errors_vs_golden(graph, tiny_batch, golden)
+            errs = _errors(golden, _forward_maps(graph, tiny_batch))
             for tok in reversed(tokens):
                 sf.revert(graph, tok)
             expected.append(float(np.mean(errs)))
         assert len(set(expected)) > 2  # the faults do change the class maps
-        assert _multibit_chunk((graph, reps, tiny_batch, golden)) == expected
+        assert _multibit_chunk((graph, reps, tiny_batch)) == expected
 
 
 class TestRepeatedFlipCounts:
@@ -422,7 +424,7 @@ class TestMultiBitOnVaryingMaps:
         assert r1.per_rep_errors == r2.per_rep_errors
 
         expected = []
-        for specs in (r for _, chunk, _, _ in jobs for r in chunk):
+        for specs in (r for _, chunk, _ in jobs for r in chunk):
             work = q.copy()
             for spec in specs:
                 sf.apply_fault(work, spec)
@@ -484,40 +486,30 @@ class TestEarlyExits:
     def exits(self, monkeypatch):
         """(chain end, exit, own maps) of every fault set measured after its chain."""
         import seu_forge.campaign as campaign
-        import seu_forge.protect as protect
-        from seu_forge.engine import Frontier
-        seen, resumed = [], []
-        real = campaign._forward_maps
+        seen = []
+        real = campaign._chain_exit
 
-        def spy(graph, inp):
-            if isinstance(inp, Frontier) and inp.splice is not None:
-                resumed.append(inp)
-            if not isinstance(inp, campaign._ChainStart):
-                return real(graph, inp)
-            n = len(resumed)
-            maps = real(graph, inp)
-            if len(resumed) > n:
-                kind = "resumed"
-            elif maps is inp.own_maps:
-                kind = "masked"
-            else:
-                assert (maps == INVALID_CLASS).all()
-                kind = "poisoned"
-            seen.append((inp.chain[-1].name, kind, inp.own_maps))
-            return maps
+        def spy(graph, start):
+            ex = real(graph, start)
+            # the faults lie before start.after, so a pass from it gives the
+            # graph's own faultless maps
+            own = campaign._forward_maps(graph, start.after)
+            if ex.kind == "poisoned":
+                assert (ex.class_maps(own) == INVALID_CLASS).all()
+            seen.append((start.chain[-1].name, ex.kind, own))
+            return ex
 
-        monkeypatch.setattr(campaign, "_forward_maps", spy)
-        monkeypatch.setattr(protect, "_forward_maps", spy)
+        monkeypatch.setattr(campaign, "_chain_exit", spy)
         return seen
 
     @pytest.mark.parametrize("mode", ["float", "quantized"])
     def test_sweep_matches_full_forward_oracle(self, graphs, images, exits, mode):
         from oracles import sweep_full_forward
-        from seu_forge.campaign import _forward_maps, _sweep_chunk
+        from seu_forge.campaign import _sweep_chunk
         graph = graphs[mode]
         specs = self.spread(graph) + (self.planted(graph) if mode == "float" else [])
         batch = sf.batch_inputs(images)
-        outcomes = _sweep_chunk((graph, specs, batch, _forward_maps(graph, batch)))
+        outcomes = _sweep_chunk((graph, specs, batch))
         assert all(o.evaluation_error is None for o in outcomes)
         assert [o.per_image_error for o in outcomes] == sweep_full_forward(graph, specs, images)
 
@@ -534,7 +526,7 @@ class TestEarlyExits:
     @pytest.mark.parametrize("mode", ["float", "quantized"])
     def test_multibit_sets_within_one_layer_match_full_forwards(self, graphs, images,
                                                                 exits, mode):
-        from seu_forge.campaign import _errors_vs_golden, _multibit_chunk
+        from seu_forge.campaign import _errors, _forward_maps, _multibit_chunk
         graph = graphs[mode]
         spread = self.spread(graph)
         by_layer = {}
@@ -553,8 +545,8 @@ class TestEarlyExits:
             work = graph.copy()
             for spec in specs:
                 sf.apply_fault(work, spec)
-            expected.append(float(np.mean(_errors_vs_golden(work, batch, golden))))
-        assert _multibit_chunk((graph, reps, batch, golden)) == expected
+            expected.append(float(np.mean(_errors(golden, _forward_maps(work, batch)))))
+        assert _multibit_chunk((graph, reps, batch)) == expected
         assert len({kind for _, kind, _ in exits}) >= 2
         assert len(set(expected)) > 3
 
@@ -576,3 +568,117 @@ class TestEarlyExits:
         assert any(kind == "masked" and np.array_equal(own, protected_maps)
                    for _, kind, own in exits)
         assert {kind for _, kind, _ in exits} == {"masked", "poisoned", "resumed"}
+
+
+def _report_bytes(directory):
+    return {f.name: f.read_bytes() for f in sorted(directory.iterdir())}
+
+
+class TestFailedFaultSets:
+    """A fault set that raises is recorded, not fatal, in every campaign kind.
+
+    The second fault set fails: in the sweep a spec whose element is out of
+    range, in the multi-bit campaign a repetition whose second spec has an
+    out-of-range bit, so its first spec is applied when it fails. Later sets
+    must still match full forwards on the faultless graph, and the report
+    bytes must not depend on the worker count.
+    """
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        graph = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5, kernel_scale=2.0)
+        images = sf.generate_calibration_set((16, 16, 3), count=3, seed=11,
+                                             class_count=3)[0]
+        return graph, sf.quantize_ptq(graph, images), images
+
+    def test_sweep(self, model, tmp_path, monkeypatch):
+        import dataclasses
+
+        import seu_forge.campaign as campaign
+        from oracles import sweep_full_forward
+        graph, _, images = model
+        real = campaign.generate_sweep_faults
+
+        def second_out_of_range(graph, plan):
+            specs = real(graph, plan)
+            specs[1] = dataclasses.replace(specs[1], element=10**6)
+            return specs
+
+        monkeypatch.setattr(campaign, "generate_sweep_faults", second_out_of_range)
+        plan = plan_single_bit_sweep(graph, psets=[1, 3, 7], bits=(29, 31),
+                                     injections_per_target=2, seed=3)
+        reports = {}
+        for workers in (1, 2):
+            res = run_single_bit_sweep(graph, plan, images, workers=workers)
+            res.write(tmp_path / str(workers))
+            reports[workers] = _report_bytes(tmp_path / str(workers))
+        assert reports[1] == reports[2]
+        failed = [i for i, o in enumerate(res.outcomes) if o.evaluation_error]
+        assert failed == [1]
+        assert res.outcomes[1].evaluation_error.startswith("IndexError: element 1000000")
+        ok = [o for o in res.outcomes if o.evaluation_error is None]
+        assert [o.per_image_error for o in ok] == \
+            sweep_full_forward(graph, [o.spec for o in ok], images)
+        assert sum(r["n"] for r in res.rows) == len(ok) == 5
+        assert any(o.mean_error > 0.0 for o in ok)
+        means = [role_bit_means(graph, res, bit) for bit in (29, 30, 31)]
+        assert sum(n for m in means for _, _, n in m.values()) == 5
+
+    def test_multibit(self, model, tmp_path, monkeypatch):
+        import dataclasses
+
+        import seu_forge.campaign as campaign
+        _, q, images = model
+        real = campaign._decode_global
+        decoded = []
+
+        def fourth_bit_out_of_range(spans, flat):
+            spec = real(spans, flat)
+            if len(decoded) % 15 == 3:   # repetition 1 of count 2, second spec
+                spec = dataclasses.replace(spec, bit=40)
+            decoded.append(spec)
+            return spec
+
+        monkeypatch.setattr(campaign, "_decode_global", fourth_bit_out_of_range)
+        counts, reps = [2, 3], 3
+        reports = {}
+        for workers in (1, 2):
+            res = run_multi_bit_campaign(q, counts, reps, 8, images, workers=workers)
+            res.write(tmp_path / str(workers))
+            reports[workers] = _report_bytes(tmp_path / str(workers))
+        assert reports[1] == reports[2]
+        assert [(f["flip_count"], f["repetition"]) for f in res.failed] == [(2, 1)]
+        assert res.failed[0]["error"].startswith("ValueError: bit 40 out of range")
+        assert "bit 40 out of range" in reports[1]["multibit_reps.json"].decode()
+        assert reports[1]["multibit_aggregate.csv"].decode().splitlines()[1].startswith("2,2,")
+
+        batch = sf.batch_inputs(images)
+        golden = sf.run_quantized(q, batch).class_map
+        run = decoded[15:]   # the specs the workers=2 campaign drew, in plan order
+        sets = [run[0:2], run[4:6]] + [run[k:k + 3] for k in (6, 9, 12)]
+        expected = []
+        for specs in sets:
+            work = q.copy()
+            for spec in specs:
+                sf.apply_fault(work, spec)
+            maps = sf.run_quantized(work, batch).class_map
+            expected.append(float(np.mean([error_rate(golden[i], maps[i])
+                                           for i in range(maps.shape[0])])))
+        assert res.per_rep_errors == {2: expected[:2], 3: expected[2:]}
+        assert res.means[0] == float(np.mean(expected[:2]))
+        assert sum(e > 0.0 for e in expected) >= 2
+
+    def test_loop_records_the_exit_kind_and_layer(self, model):
+        from seu_forge.campaign import _fault_loop
+        graph, _, images = model
+        kernel = graph.layer_params("conv2D")["conv_kernel"]
+        bias = graph.kernel_bias(graph.output_layer.name)[1]
+        sets = [[sf.FaultSpec(kernel.index, 0, 30, "f32")],
+                [sf.FaultSpec(bias.index, 0, 30, "f32"), sf.FaultSpec(bias.index, 0, 99, "f32")],
+                [sf.FaultSpec(bias.index, 1, 31, "f32")]]
+        exits, golden = _fault_loop(graph, sf.batch_inputs(images), sets)
+        assert [e.kind for e in exits] == ["resumed", "failed", "resumed"]
+        assert exits[1].layer == graph.output_layer.name
+        assert exits[1].error.startswith("ValueError: bit 99 out of range")
+        assert exits[2].layer == graph.output_layer.name and exits[2].maps is not None
+        assert np.array_equal(golden, sf.run_float(graph, sf.batch_inputs(images)).class_map)

@@ -120,6 +120,30 @@ def test_inject_one(model_path, capsys):
     assert "mean_error" in out
 
 
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_inject_one_matches_full_forward_oracle(model_path, capsys, where):
+    from oracles import sweep_full_forward
+    graph = sf.load_model(model_path)
+    layers = [l.name for l in graph.layers if graph.layer_params(l.name)]
+    layer = {"first": layers[0], "middle": layers[len(layers) // 2], "last": layers[-1]}[where]
+    p = min(graph.layer_params(layer).values(), key=lambda p: p.index)
+    spec = sf.FaultSpec(p.index, p.tensor.size // 2, 30, p.tensor.encoding)
+    assert run_cli("inject", "one", "--model", str(model_path), "--pset", str(p.index),
+                   "--element", str(spec.element), "--bit", "30", "--images", "3",
+                   "--image-size", "16") == 0
+    out = json.loads(capsys.readouterr().out)
+    images = sf.generate_calibration_set((16, 16, 3), count=3, seed=1000, class_count=3)[0]
+    assert out["spec"] == json.loads(spec.to_json())
+    assert out["per_image_error"] == sweep_full_forward(graph, [spec], images)[0]
+
+
+def test_inject_one_refuses_an_element_out_of_range(model_path, capsys):
+    assert run_cli("inject", "one", "--model", str(model_path), "--pset", "1",
+                   "--element", "1000000", "--bit", "30", "--images", "2",
+                   "--image-size", "16") == 1
+    assert "element 1000000 out of range" in capsys.readouterr().err
+
+
 def test_sweep_and_report(model_path, tmp_path, capsys):
     out = tmp_path / "sweep"
     assert run_cli("campaign", "sweep", "--model", str(model_path),
@@ -232,3 +256,38 @@ def test_rerun_byte_identical_reports(model_path, tmp_path):
         return {n: (out / n).read_bytes() for n in names}
 
     assert run_once() == run_once()
+
+
+def test_protect_evaluate_reports_equal_at_any_worker_count(model_path, tmp_path):
+    prot = tmp_path / "prot.sfm"
+    assert run_cli("protect", "apply", "--model", str(model_path), "--out", str(prot),
+                   "--pt", "2") == 0
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"eval{workers}"
+        assert run_cli("protect", "evaluate", "--original", str(model_path),
+                       "--protected", str(prot), "--out-dir", str(out), "--images", "2",
+                       "--image-size", "8", "--workers", workers) == 0
+        reports.append((out / "protection_eval.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["per_bit"]
+
+
+def test_sweep_manifest_counts_only_evaluated_faults(model_path, tmp_path, monkeypatch):
+    import dataclasses
+
+    from seu_forge import campaign
+    real = campaign.generate_sweep_faults
+
+    def second_out_of_range(graph, plan):
+        specs = real(graph, plan)
+        specs[1] = dataclasses.replace(specs[1], element=10**6)
+        return specs
+
+    monkeypatch.setattr(campaign, "generate_sweep_faults", second_out_of_range)
+    out = tmp_path / "sweep"
+    assert run_cli("campaign", "sweep", "--model", str(model_path), "--out-dir", str(out),
+                   "--psets", "1", "--bits", "30", "30", "--n", "3", "--images", "2",
+                   "--image-size", "16") == 0
+    assert json.loads((out / "manifest.json").read_text())["faults_evaluated"] == 2
+    assert "evaluation_error" in (out / "sweep_outcomes.jsonl").read_text()

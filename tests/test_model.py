@@ -320,6 +320,23 @@ class TestContainerRefusals:
         with pytest.raises(FormatError, match="unknown encoding"):
             sf.load_model(path)
 
+    @pytest.mark.parametrize("edit,message", [
+        # each escaped as another exception: ValueError, TypeError, ValueError
+        # from ModelGraph, AttributeError
+        (lambda m: m["layers"][1].__setitem__("kind", "gelu"), "unknown layer kind 'gelu'"),
+        (lambda m: next(l for l in m["layers"] if "stride" in l["hyperparams"])[
+            "hyperparams"].__setitem__("stride", "2"), "stride '2'"),
+        (lambda m: m["params"].__delitem__(3), "p-indices must be contiguous"),
+        (lambda m: m["layers"][0].__setitem__("hyperparams", [["stride", 1]]),
+         "hyperparams or inputs has the wrong type"),
+    ], ids=["unknown_kind", "string_stride", "dropped_param", "list_hyperparams"])
+    def test_inconsistent_layer_entries(self, tiny_graph, tmp_path, edit, message):
+        path = tmp_path / "model.sfm"
+        sf.save_model(tiny_graph, path)
+        self.rewrite(path, edit)
+        with pytest.raises(FormatError, match=message):
+            sf.load_model(path)
+
     def test_trailing_bytes(self, tiny_graph, tmp_path):
         path = tmp_path / "model.sfm"
         sf.save_model(tiny_graph, path)

@@ -390,3 +390,69 @@ def test_evaluation_matches_full_forward_oracle(tiny_graph, tiny_inputs):
     assert [row["bit"] for row in per_bit] == [30, 29, 28]
     assert ev.faultless == faultless
     assert ev.per_bit == per_bit
+
+
+def _planted_risky(graph):
+    """A copy of ``graph`` with risky values planted at danger bits 30, 29 and 28."""
+    graph = graph.copy()
+    graph.layer_params("bn_1")["bn_gamma"].tensor.data[::2] = np.float32(1.9995)
+    for layer in ("conv2D_3", graph.output_layer.name):
+        bias = graph.layer_params(layer)["conv_bias"].tensor.data
+        bias[::2] = np.float32(1.5 * 2.0 ** -64)
+        bias[1::2] = np.float32(-1.9995 * 2.0 ** -32)
+    return graph
+
+
+def test_evaluation_with_workers_matches_full_forward_oracle(tiny_graph, tiny_inputs):
+    from oracles import evaluate_protection_full_forward
+    graph = _planted_risky(tiny_graph)
+    prot, _ = protect_parameters(graph, PT_LEVELS[2])
+    ev = evaluate_protection(graph, prot, tiny_inputs[0], bit_filter={30, 29, 28},
+                             workers=2)
+    faultless, per_bit = evaluate_protection_full_forward(
+        graph, prot, tiny_inputs[0], bit_filter={30, 29, 28})
+    assert [row["bit"] for row in per_bit] == [30, 29, 28]
+    assert ev.faultless == faultless
+    assert ev.per_bit == per_bit
+    assert ev.failed == []
+
+
+def test_failed_fault_is_recorded_and_left_out(tiny_graph, tiny_inputs, tmp_path,
+                                               monkeypatch):
+    """The second position gets bit 32, which apply_fault refuses: the pair is
+    left out of both models' rows, exactly as if it had been filtered out, and
+    the report bytes do not depend on the worker count."""
+    import seu_forge.protect as protect
+    graph = _planted_risky(tiny_graph)
+    prot, _ = protect_parameters(graph, PT_LEVELS[2])
+    real = protect.danger_bit
+
+    bits = {30, 29, 28}
+
+    def evaluate(bit_filter, workers):
+        targets = []
+
+        def second_is_bit_32(word):
+            bit = real(word)
+            if bit in bits:
+                targets.append(word)
+            return 32 if bit in bits and len(targets) == 2 else bit
+
+        monkeypatch.setattr(protect, "danger_bit", second_is_bit_32)
+        return evaluate_protection(graph, prot, tiny_inputs[0], bit_filter=bit_filter,
+                                   workers=workers)
+
+    ev = evaluate(bits | {32}, 1)
+    dropped = evaluate(bits, 1)
+    assert [(f["bit"], f["model"]) for f in ev.failed] == [(32, "original"),
+                                                           (32, "protected")]
+    assert all(f["error"].startswith("ValueError: bit 32 out of range") for f in ev.failed)
+    assert dropped.failed == []
+    assert ev.faultless == dropped.faultless and ev.per_bit == dropped.per_bit
+    assert {row["bit"] for row in ev.per_bit} >= {30, 29, 28}
+
+    for workers, run in ((1, ev), (2, evaluate(bits | {32}, 2))):
+        run.write_json(tmp_path / f"eval{workers}.json")
+    report = (tmp_path / "eval1.json").read_bytes()
+    assert report == (tmp_path / "eval2.json").read_bytes()
+    assert b"bit 32 out of range" in report
