@@ -8,12 +8,10 @@ byte-identical for any worker count.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import json
 import math
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -25,7 +23,7 @@ from .engine import (Frontier, channel_chain, finish, golden_frontiers, poisoned
 # module, whose names perfbench's tracer rebinds.
 from .faults import (FaultOutcome, FaultSpec, apply_fault, decode_fault,  # noqa: F401
                      inject_and_measure, revert, target_psets)
-from .model import ModelGraph, batch_inputs, model_hash
+from .model import ModelGraph, batch_inputs, infer_shapes, model_hash
 from .tensor import INVALID_CLASS, ShapeError, Tensor
 
 # ---------------------------------------------------------------------------
@@ -84,6 +82,10 @@ class MetricBundle:
     weighted_recall: float
     weighted_precision: float
     weighted_iou: float
+    error_rate: float = None
+
+    def to_dict(self) -> dict:
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def segmentation_metrics(prediction: np.ndarray, labels: np.ndarray,
@@ -158,16 +160,12 @@ def predict_bit30_error(output_bias_signs, class_shares) -> float:
     change: share_j); in a positive bias the class floods the map (everything
     else changes: 100 - share_j). The estimate is the mean per-class addend.
     """
-    return float(_addends(output_bias_signs, class_shares, flood_if_positive=True).mean())
-
-
-def _addends(output_bias_signs, class_shares, flood_if_positive: bool) -> np.ndarray:
-    """Per-class addends: 100 - share where the class floods the map, else share."""
     signs = np.asarray(output_bias_signs, dtype=np.float64)
     shares = np.asarray(class_shares, dtype=np.float64)
     if signs.shape != shares.shape:
         raise ValueError(f"got {signs.size} signs but {shares.size} class shares")
-    return np.where((signs > 0) == flood_if_positive, 100.0 - shares, shares)
+    addends = np.where(signs > 0, 100.0 - shares, shares)
+    return float(addends.mean())
 
 
 @dataclass
@@ -180,7 +178,11 @@ class SignBitPrediction:
 def predict_sign_bit_error_quantized(output_bias_signs, class_shares) -> SignBitPrediction:
     """Sign-bit analogue: mechanisms invert, so addends are the complements
     of the bit-30 case (negative bias -> class floods -> 100 - share)."""
-    addends = _addends(output_bias_signs, class_shares, flood_if_positive=False)
+    signs = np.asarray(output_bias_signs, dtype=np.float64)
+    shares = np.asarray(class_shares, dtype=np.float64)
+    if signs.shape != shares.shape:
+        raise ValueError(f"got {signs.size} signs but {shares.size} class shares")
+    addends = np.where(signs > 0, shares, 100.0 - shares)
     return SignBitPrediction(float(addends.mean()), [float(a) for a in addends])
 
 
@@ -494,11 +496,12 @@ def _sweep_chunk(args):
 
 
 def _multibit_chunk(args):
-    """Each repetition's mean error over the images, or its failure message."""
+    """(mean error over the images, None) for each repetition, or (None,
+    failure message) for one that failed."""
     graph, rep_specs, batch = args
     exits, golden = _fault_loop(graph, batch, rep_specs)
-    return [ex.error if ex.kind == FAILED else
-            float(np.mean(_errors(golden, ex.class_maps(golden)))) for ex in exits]
+    return [(None, ex.error) if ex.kind == FAILED else
+            (float(np.mean(_errors(golden, ex.class_maps(golden)))), None) for ex in exits]
 
 
 def _run_chunks(worker, jobs, workers: int):
@@ -517,6 +520,21 @@ def _deal(items, workers: int) -> list:
     return [items[w::k] for w in range(k)] if items else []
 
 
+# Resumed exits hold their class maps until their chunk's walk has ended;
+# campaigns deal their fault sets to enough chunks that no walk holds more
+# than this many bytes of them.
+HELD_MAPS_BYTES = 16 << 20
+
+
+def _chunks(graph: ModelGraph, batch: Tensor, items, workers: int) -> list:
+    """``items`` dealt (``_deal``) to ``workers`` chunks, or to more where a
+    chunk would otherwise hold over HELD_MAPS_BYTES of resumed class maps."""
+    n, h, w, _ = infer_shapes(graph, batch.shape[1], batch.shape[2],
+                              batch.shape[0])[graph.output_layer.name]
+    per_chunk = max(1, HELD_MAPS_BYTES // (n * h * w * np.dtype(np.int32).itemsize))
+    return _deal(items, max(workers, -(-len(items) // per_chunk)))
+
+
 def _in_plan_order(parts) -> list:
     """The per-chunk results of ``_deal``'s chunks, back in the order of its items."""
     out = [None] * sum(len(part) for part in parts)
@@ -532,19 +550,27 @@ class SweepResult:
     outcomes: list
     golden_hash: str
 
+    def table(self) -> dict:
+        return {(r["pset"], r["bit"]): r["mean_error"] for r in self.rows}
+
     def write(self, directory, stem="sweep"):
+        import os
         os.makedirs(directory, exist_ok=True)
         with open(os.path.join(directory, f"{stem}_plan.json"), "w") as f:
             f.write(self.plan.to_json() + "\n")
         with open(os.path.join(directory, f"{stem}_outcomes.jsonl"), "w") as f:
             for o in self.outcomes:
                 f.write(o.to_json() + "\n")
-        with open(os.path.join(directory, f"{stem}_aggregate.csv"), "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["pset", "bit", "n", "mean_error", "nan_count", "inf_count"])
-            for r in self.rows:
-                w.writerow([r["pset"], r["bit"], r["n"], repr(r["mean_error"]),
-                            r["nan_count"], r["inf_count"]])
+        write_sweep_csv(self.rows, os.path.join(directory, f"{stem}_aggregate.csv"))
+
+
+def write_sweep_csv(rows, path):
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["pset", "bit", "n", "mean_error", "nan_count", "inf_count"])
+        for r in rows:
+            w.writerow([r["pset"], r["bit"], r["n"], repr(r["mean_error"]),
+                        r["nan_count"], r["inf_count"]])
 
 
 def run_single_bit_sweep(graph: ModelGraph, plan: CampaignPlan, images,
@@ -555,7 +581,7 @@ def run_single_bit_sweep(graph: ModelGraph, plan: CampaignPlan, images,
     batch = batch_inputs(images)
     specs = generate_sweep_faults(graph, plan)
 
-    jobs = [(graph, chunk, batch) for chunk in _deal(specs, workers)]
+    jobs = [(graph, chunk, batch) for chunk in _chunks(graph, batch, specs, workers)]
     outcomes = _in_plan_order(_run_chunks(_sweep_chunk, jobs, workers))
 
     grouped = {}
@@ -589,12 +615,12 @@ class MultiBitResult:
     counts: list
     means: list
     stds: list
-    repetitions: int
     per_rep_errors: dict    # count -> mean errors of the repetitions evaluated
     plan: CampaignPlan = None
     failed: list = field(default_factory=list)  # {flip_count, repetition, error}
 
     def write(self, directory, stem="multibit"):
+        import os
         os.makedirs(directory, exist_ok=True)
         if self.plan is not None:
             with open(os.path.join(directory, f"{stem}_plan.json"), "w") as f:
@@ -611,16 +637,26 @@ class MultiBitResult:
             json.dump(reps, f, sort_keys=True)
 
 
-def _global_fault_space(graph: ModelGraph):
-    spans, offset = [], 0
-    for p in graph.params:
+def _global_fault_space(graph: ModelGraph, roles=None):
+    psets = target_psets(graph, roles=roles) if roles is not None else list(graph.params)
+    spans = []
+    offset = 0
+    for p in psets:
+        nbits = p.tensor.size * p.width
         spans.append((offset, p))
-        offset += p.tensor.size * p.width
+        offset += nbits
     return spans, offset
 
 
 def _decode_global(spans, flat: int) -> FaultSpec:
-    offset, p = spans[bisect.bisect_right(spans, flat, key=lambda span: span[0]) - 1]
+    lo, hi = 0, len(spans) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if spans[mid][0] <= flat:
+            lo = mid
+        else:
+            hi = mid - 1
+    offset, p = spans[lo]
     within = flat - offset
     return FaultSpec(pset=p.index, element=within // p.width,
                      bit=within % p.width, encoding=p.tensor.encoding)
@@ -643,15 +679,15 @@ def run_multi_bit_campaign(graph: ModelGraph, counts, repetitions: int, seed: in
     # dealt to the workers at once, then regrouped by count in plan order.
     # A failed repetition is left out of its count's errors and recorded.
     batch = batch_inputs(images)
-    jobs = [(graph, chunk, batch) for chunk in _deal(reps, workers)]
+    jobs = [(graph, chunk, batch) for chunk in _chunks(graph, batch, reps, workers)]
     errs = _in_plan_order(_run_chunks(_multibit_chunk, jobs, workers))
     per_rep, failed = {}, []
     for k, c in enumerate(counts):
         mine = errs[k * repetitions:(k + 1) * repetitions]
-        per_rep[c] = [e for e in mine if not isinstance(e, str)]
-        failed += [{"flip_count": c, "repetition": r, "error": e}
-                     for r, e in enumerate(mine) if isinstance(e, str)]
+        per_rep[c] = [e for e, error in mine if error is None]
+        failed += [{"flip_count": c, "repetition": r, "error": error}
+                   for r, (_, error) in enumerate(mine) if error is not None]
     means = [float(np.mean(per_rep[c])) if per_rep[c] else None for c in counts]
     stds = [float(np.std(per_rep[c])) if per_rep[c] else None for c in counts]
     plan = plan_multi_bit_campaign(graph, counts, repetitions, seed)
-    return MultiBitResult(counts, means, stds, repetitions, per_rep, plan, failed)
+    return MultiBitResult(counts, means, stds, per_rep, plan, failed)

@@ -351,7 +351,6 @@ def cmd_report(args):
         key = (variant, o["spec"]["pset"], o["spec"]["bit"])
         grouped.setdefault(key, []).append(o)
 
-    means = {k: float(np.mean([o["mean_error"] for o in os_])) for k, os_ in grouped.items()}
     os.makedirs(args.out_dir, exist_ok=True)
     agg_path = os.path.join(args.out_dir, "report_aggregate.csv")
     with open(agg_path, "w", newline="") as f:
@@ -359,11 +358,14 @@ def cmd_report(args):
         w.writerow(["variant", "pset", "bit", "n", "mean_error", "nan_count", "inf_count"])
         for key in sorted(grouped):
             os_ = grouped[key]
-            w.writerow([*key, len(os_), repr(means[key]), sum(o["produced_nan"] for o in os_),
+            mean = float(np.mean([o["mean_error"] for o in os_]))
+            w.writerow([key[0], key[1], key[2], len(os_), repr(mean),
+                        sum(o["produced_nan"] for o in os_),
                         sum(o["produced_inf"] for o in os_)])
 
     tidy = [{"variant": k[0], "pset": k[1], "bit": k[2], "metric": "mean_error",
-             "value": means[k]} for k in sorted(grouped)]
+             "value": float(np.mean([o["mean_error"] for o in grouped[k]]))}
+            for k in sorted(grouped)]
     with open(os.path.join(args.out_dir, "report_long.json"), "w") as f:
         json.dump(tidy, f, sort_keys=True, indent=1)
         f.write("\n")

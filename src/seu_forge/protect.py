@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bits
-from .campaign import (FAILED, _deal, _fault_loop, _in_plan_order,
+from .campaign import (FAILED, _chunks, _fault_loop, _in_plan_order,
                        _run_chunks, error_rate, segmentation_metrics)
 from .engine import run_float
 # apply_fault and revert are not called here; they stay importable from this
@@ -263,21 +263,27 @@ _SCORES = ("giou", "wiou", "error_rate")
 
 
 def _evaluation_chunk(args):
-    """Both models' faultless scores, and each target's pair of scores, with a
-    failed fault's message in place of its score."""
+    """Both models' faultless scores, and for each target a pair (one per
+    model) of (scores, None), or (None, failure message) for a failed fault.
+    Each walk's exits are scored before the next walk starts."""
     original, protected, targets, batch, labels = args
-    walks = [_fault_loop(graph, batch, targets) for graph in (original, protected)]
-    golden = walks[0][1]
-    labels = golden if labels is None else labels
+    golden = None
 
     def score(maps):
-        m = segmentation_metrics(maps, labels, original.class_count)
+        m = segmentation_metrics(maps, golden if labels is None else labels,
+                                 original.class_count)
         return dict(zip(_SCORES, (m.global_iou, m.weighted_iou, error_rate(golden, maps))))
 
-    faultless = {tag: score(own) for tag, (_, own) in zip(_MODELS, walks)}
-    scored = ([ex.error if ex.kind == FAILED else score(ex.class_maps(own)) for ex in exits]
-              for exits, own in walks)
-    return faultless, list(zip(*scored))
+    def walk(graph):
+        nonlocal golden
+        exits, own = _fault_loop(graph, batch, targets)
+        golden = own if golden is None else golden
+        return score(own), [(None, ex.error) if ex.kind == FAILED else
+                            (score(ex.class_maps(own)), None) for ex in exits]
+
+    walks = [walk(graph) for graph in (original, protected)]
+    return ({tag: faultless for tag, (faultless, _) in zip(_MODELS, walks)},
+            list(zip(*(scored for _, scored in walks))))
 
 
 def evaluate_protection(original: ModelGraph, protected: ModelGraph, images,
@@ -307,17 +313,17 @@ def evaluate_protection(original: ModelGraph, protected: ModelGraph, images,
 
     # One job even without targets: its walks give the faultless scores.
     jobs = [(original, protected, chunk, batch, labels)
-            for chunk in _deal(targets, workers) or [[]]]
+            for chunk in _chunks(original, batch, targets, workers) or [[]]]
     parts = _run_chunks(_evaluation_chunk, jobs, workers)
     rows, failed = {}, []
     for (spec,), pair in zip(targets, _in_plan_order([pairs for _, pairs in parts])):
-        errors = [(tag, v) for tag, v in zip(_MODELS, pair) if isinstance(v, str)]
+        errors = [(tag, error) for tag, (_, error) in zip(_MODELS, pair) if error is not None]
         failed += [{"pset": spec.pset, "element": spec.element, "bit": spec.bit,
                     "model": tag, "error": e} for tag, e in errors]
         if not errors:
             rows.setdefault(spec.bit, []).append(pair)
     per_bit = [{"bit": bitpos, "n": len(rows[bitpos]),
-                **{tag: {k: float(np.mean([pair[t][k] for pair in rows[bitpos]]))
+                **{tag: {k: float(np.mean([pair[t][0][k] for pair in rows[bitpos]]))
                          for k in _SCORES} for t, tag in enumerate(_MODELS)}}
                for bitpos in sorted(rows, reverse=True)]
     return ProtectionEvaluation(parts[0][0], per_bit, failed)

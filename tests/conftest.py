@@ -96,3 +96,17 @@ def chain_graph(dead_branch=False):
     conv("output_conv", "out", "up_2", 1, 8, 4, stride=1, padding="same")
     graph = sf.ModelGraph(layers, assign_param_indices(params), 4, {"input_channels": 4})
     return sf.generate_toy_weights(graph, 3, kernel_scale=2.0)
+
+
+def spy_walks(monkeypatch, module):
+    """Record (fault sets, resumed exits) of every ``_fault_loop`` walk ``module`` runs."""
+    import seu_forge.campaign as campaign
+    walks, real = [], campaign._fault_loop
+
+    def fault_loop(graph, batch, fault_sets):
+        exits, golden = real(graph, batch, fault_sets)
+        walks.append((len(fault_sets), sum(ex.maps is not None for ex in exits)))
+        return exits, golden
+
+    monkeypatch.setattr(module, "_fault_loop", fault_loop)
+    return walks

@@ -375,7 +375,7 @@ class TestResumedFaultLoop:
                 sf.revert(graph, tok)
             expected.append(float(np.mean(errs)))
         assert len(set(expected)) > 2  # the faults do change the class maps
-        assert _multibit_chunk((graph, reps, tiny_batch)) == expected
+        assert [e for e, _ in _multibit_chunk((graph, reps, tiny_batch))] == expected
 
 
 class TestRepeatedFlipCounts:
@@ -484,22 +484,35 @@ class TestEarlyExits:
 
     @pytest.fixture
     def exits(self, monkeypatch):
-        """(chain end, exit, own maps) of every fault set measured after its chain."""
-        import seu_forge.campaign as campaign
-        seen = []
-        real = campaign._chain_exit
+        """(chain end, exit kind) of every fault set measured after its chain.
 
-        def spy(graph, start):
-            ex = real(graph, start)
-            # the faults lie before start.after, so a pass from it gives the
-            # graph's own faultless maps
-            own = campaign._forward_maps(graph, start.after)
-            if ex.kind == "poisoned":
-                assert (ex.class_maps(own) == INVALID_CLASS).all()
-            seen.append((start.chain[-1].name, ex.kind, own))
+        Each such exit's class maps, taken with the faultless maps its walk
+        returns, must equal a full forward of its faulted graph from the
+        input batch.
+        """
+        import seu_forge.campaign as campaign
+        import seu_forge.protect as protect
+        seen, pending, batches = [], [], []
+        real_exit, real_loop = campaign._chain_exit, campaign._fault_loop
+        class_maps = campaign.Exit.class_maps
+
+        def chain_exit(graph, start):
+            ex = real_exit(graph, start)
+            pending.append((start.chain[-1].name, ex, campaign._forward_maps(graph, batches[-1])))
             return ex
 
-        monkeypatch.setattr(campaign, "_chain_exit", spy)
+        def fault_loop(graph, batch, fault_sets):
+            batches.append(batch)
+            exits, golden = real_loop(graph, batch, fault_sets)
+            for end, ex, full in pending:
+                assert np.array_equal(class_maps(ex, golden), full), (end, ex.kind)
+                seen.append((end, ex.kind))
+            pending.clear()
+            return exits, golden
+
+        monkeypatch.setattr(campaign, "_chain_exit", chain_exit)
+        monkeypatch.setattr(campaign, "_fault_loop", fault_loop)
+        monkeypatch.setattr(protect, "_fault_loop", fault_loop)
         return seen
 
     @pytest.mark.parametrize("mode", ["float", "quantized"])
@@ -513,7 +526,7 @@ class TestEarlyExits:
         assert all(o.evaluation_error is None for o in outcomes)
         assert [o.per_image_error for o in outcomes] == sweep_full_forward(graph, specs, images)
 
-        kinds = {(end, kind) for end, kind, _ in exits}
+        kinds = set(exits)
         assert {"pool_a", "relu_b"} <= {end for end, _ in kinds}
         if mode == "float":
             assert {("pool_a", "poisoned"), ("relu_b", "poisoned"), ("relu_b", "masked"),
@@ -546,12 +559,13 @@ class TestEarlyExits:
             for spec in specs:
                 sf.apply_fault(work, spec)
             expected.append(float(np.mean(_errors(golden, _forward_maps(work, batch)))))
-        assert _multibit_chunk((graph, reps, batch)) == expected
-        assert len({kind for _, kind, _ in exits}) >= 2
+        assert [e for e, _ in _multibit_chunk((graph, reps, batch))] == expected
+        assert len({kind for _, kind in exits}) >= 2
         assert len(set(expected)) > 3
 
     def test_protection_scores_masked_faults_with_each_models_own_maps(self, graphs, images,
-                                                                      exits):
+                                                                      exits, monkeypatch):
+        import seu_forge.campaign as campaign
         from oracles import evaluate_protection_full_forward
         from seu_forge.protect import PT_LEVELS, evaluate_protection, protect_parameters
         original = graphs["float"]
@@ -559,15 +573,22 @@ class TestEarlyExits:
         # shift one logit, so the protected model's faultless maps differ from the original's
         protected.layer_params("out")["conv_bias"].tensor.data[0] += np.float32(1.0)
         protected_maps = sf.run_float(protected, sf.batch_inputs(images)).class_map
+        scored = []     # (exit kind, the faultless maps it was scored with)
+        real = campaign.Exit.class_maps
 
+        def class_maps(ex, golden):
+            scored.append((ex.kind, golden))
+            return real(ex, golden)
+
+        monkeypatch.setattr(campaign.Exit, "class_maps", class_maps)
         ev = evaluate_protection(original, protected, images, bit_filter={30, 23})
         faultless, per_bit = evaluate_protection_full_forward(original, protected, images,
                                                               bit_filter={30, 23})
         assert ev.faultless == faultless and ev.per_bit == per_bit
         assert faultless["protected"]["error_rate"] > 0.0
-        assert any(kind == "masked" and np.array_equal(own, protected_maps)
-                   for _, kind, own in exits)
-        assert {kind for _, kind, _ in exits} == {"masked", "poisoned", "resumed"}
+        assert any(kind == "masked" and np.array_equal(golden, protected_maps)
+                   for kind, golden in scored)
+        assert {kind for _, kind in exits} == {"masked", "poisoned", "resumed"}
 
 
 def _report_bytes(directory):
@@ -682,3 +703,52 @@ class TestFailedFaultSets:
         assert exits[1].error.startswith("ValueError: bit 99 out of range")
         assert exits[2].layer == graph.output_layer.name and exits[2].maps is not None
         assert np.array_equal(golden, sf.run_float(graph, sf.batch_inputs(images)).class_map)
+
+
+class TestHeldMapsBound:
+    """Campaigns deal their fault sets to enough chunks that no walk holds
+    more than HELD_MAPS_BYTES of resumed class maps; reports do not change.
+
+    The budget is set to two 3x16x16 int32 class maps, so each walk takes at
+    most two fault sets, in chunks the worker count alone would not make.
+    """
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        graph = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5, kernel_scale=2.0)
+        images = sf.generate_calibration_set((16, 16, 3), count=3, seed=11,
+                                             class_count=3)[0]
+        return graph, sf.quantize_ptq(graph, images), images
+
+    @staticmethod
+    def two_maps(monkeypatch):
+        import seu_forge.campaign as campaign
+        monkeypatch.setattr(campaign, "HELD_MAPS_BYTES", 2 * 3 * 16 * 16 * 4 + 1)
+
+    def test_sweep(self, model, tmp_path, monkeypatch):
+        import seu_forge.campaign as campaign
+        from conftest import spy_walks
+        graph, _, images = model
+        plan = plan_single_bit_sweep(graph, psets=[1, 3, 7], bits=(29, 31),
+                                     injections_per_target=3, seed=3)
+        run_single_bit_sweep(graph, plan, images).write(tmp_path / "whole")
+        self.two_maps(monkeypatch)
+        walks = spy_walks(monkeypatch, campaign)
+        run_single_bit_sweep(graph, plan, images).write(tmp_path / "bounded")
+        assert [n for n, _ in walks] == [2, 2, 2, 2, 1]
+        assert sum(resumed for _, resumed in walks) > 2
+        assert _report_bytes(tmp_path / "whole") == _report_bytes(tmp_path / "bounded")
+
+    def test_multibit(self, model, tmp_path, monkeypatch):
+        import seu_forge.campaign as campaign
+        from conftest import spy_walks
+        _, q, images = model
+        run_multi_bit_campaign(q, [1, 4], 4, 8, images).write(tmp_path / "whole")
+        self.two_maps(monkeypatch)
+        walks = spy_walks(monkeypatch, campaign)
+        run_multi_bit_campaign(q, [1, 4], 4, 8, images).write(tmp_path / "bounded")
+        assert [n for n, _ in walks] == [2, 2, 2, 2]
+        assert sum(resumed for _, resumed in walks) > 2
+        run_multi_bit_campaign(q, [1, 4], 4, 8, images, workers=2).write(tmp_path / "pool")
+        assert _report_bytes(tmp_path / "whole") == _report_bytes(tmp_path / "bounded") \
+            == _report_bytes(tmp_path / "pool")

@@ -456,3 +456,21 @@ def test_failed_fault_is_recorded_and_left_out(tiny_graph, tiny_inputs, tmp_path
     report = (tmp_path / "eval1.json").read_bytes()
     assert report == (tmp_path / "eval2.json").read_bytes()
     assert b"bit 32 out of range" in report
+
+
+def test_evaluation_walks_hold_at_most_the_maps_budget(tiny_graph, tiny_inputs, monkeypatch):
+    """With a budget of two class maps, each walk takes at most two positions
+    and the evaluation does not change."""
+    import seu_forge.campaign as campaign
+    import seu_forge.protect as protect
+    from conftest import spy_walks
+    graph = _planted_risky(tiny_graph)
+    prot, _ = protect_parameters(graph, PT_LEVELS[2])
+    images = tiny_inputs[0][:3]
+    whole = evaluate_protection(graph, prot, images, bit_filter={30, 29, 28})
+    monkeypatch.setattr(campaign, "HELD_MAPS_BYTES", 2 * 3 * 16 * 16 * 4 + 1)
+    walks = spy_walks(monkeypatch, protect)
+    bounded = evaluate_protection(graph, prot, images, bit_filter={30, 29, 28})
+    assert len(walks) > 2 and all(n <= 2 for n, _ in walks)
+    assert sum(resumed for _, resumed in walks) > 2
+    assert bounded.faultless == whole.faultless and bounded.per_bit == whole.per_bit
