@@ -8,6 +8,7 @@ byte-identical for any worker count.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import math
@@ -82,10 +83,6 @@ class MetricBundle:
     weighted_recall: float
     weighted_precision: float
     weighted_iou: float
-    error_rate: float = None
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def segmentation_metrics(prediction: np.ndarray, labels: np.ndarray,
@@ -233,6 +230,10 @@ def plan_single_bit_sweep(graph: ModelGraph, *, roles=None, psets=None,
     if not targets:
         raise ValueError("sweep plan selects no parameter sets")
     lo, hi = int(bits[0]), int(bits[1])
+    if lo < 0:
+        raise ValueError(f"bit {lo} is negative; bits are numbered from 0")
+    if injections_per_target is not None and injections_per_target < 1:
+        raise ValueError(f"injections per target must be >= 1, got {injections_per_target}")
     if lo > hi:
         raise ValueError(f"empty bit range [{lo}, {hi}]")
     for p in targets:
@@ -323,31 +324,19 @@ class Exit:
         return self.maps
 
 
-@dataclass(frozen=True)
-class _ChainStart:
-    """A fault set confined to the output channels ``channels`` of a chain L..E.
-
-    See ``engine.channel_chain``. ``source`` is L's input in the faultless
-    pass, ``after`` that pass's frontier just after E and ``reaches_output``
-    whether E's output has a path to the output layer.
-    """
-
-    chain: list
-    channels: np.ndarray
-    source: object
-    after: Frontier
-    reaches_output: bool
-
-
 def _values(activation) -> np.ndarray:
     return activation.data if isinstance(activation, Tensor) else activation
 
 
-def _chain_exit(graph: ModelGraph, start: _ChainStart) -> Exit:
-    """The exit of the faulted ``graph``, from the faulted channels of its chain.
+def _chain_exit(graph: ModelGraph, chain: list, channels: np.ndarray, source,
+                after: Frontier, reaches_output: bool) -> Exit:
+    """The exit of the faulted ``graph``, from the faulted output ``channels``
+    of its chain L..E (``engine.channel_chain``).
 
-    Channels D of E are recomputed from L's input (``engine.run_channels``),
-    then:
+    ``source`` is L's input in the faultless pass, ``after`` that pass's
+    frontier just after E and ``reaches_output`` whether E's output has a
+    path to the output layer. Channels D of E are recomputed from L's input
+    (``engine.run_channels``), then:
 
     - masked: if their bytes equal D of the faultless E, E's whole output is
       faultless; every layer after E reads only faultless activations and
@@ -359,21 +348,18 @@ def _chain_exit(graph: ModelGraph, start: _ChainStart) -> Exit:
 
     Each exit gives the class maps a full forward gives, bit for bit.
     """
-    end = start.chain[-1].name
-    faulty = run_channels(graph, start.chain, start.source, start.channels)
-    if (_values(start.after.live[end])[..., start.channels].tobytes()
-            == _values(faulty).tobytes()):
+    end = chain[-1].name
+    faulty = run_channels(graph, chain, source, channels)
+    if _values(after.live[end])[..., channels].tobytes() == _values(faulty).tobytes():
         return Exit(MASKED, end)
-    if start.reaches_output and poisoned(_values(faulty)):
+    if reaches_output and poisoned(_values(faulty)):
         return Exit(POISONED, end)
-    return _faulted_exit(graph, replace(start.after, splice=(end, start.channels, faulty)))
+    return _resumed_exit(graph, replace(after, splice=(end, channels, faulty)))
 
 
-def _faulted_exit(graph: ModelGraph, start) -> Exit:
-    """The exit of the faulted ``graph`` from a golden Frontier or a _ChainStart."""
-    if isinstance(start, _ChainStart):
-        return _chain_exit(graph, start)
-    return Exit(RESUMED, graph.layers[start.start].name, _forward_maps(graph, start))
+def _resumed_exit(graph: ModelGraph, frontier: Frontier) -> Exit:
+    """The exit of the faulted ``graph`` resumed from a golden ``frontier``."""
+    return Exit(RESUMED, graph.layers[frontier.start].name, _forward_maps(graph, frontier))
 
 
 def _forward_maps(graph: ModelGraph, inp) -> np.ndarray:
@@ -428,8 +414,8 @@ def _fault_loop(graph: ModelGraph, batch: Tensor, fault_sets):
     a set that raises is reverted and recorded as failed. A set confined to
     L, where L's channel chain L..E (``engine.channel_chain``) ends before
     the output layer in an activation something reads, waits for the
-    frontier just after E instead (a :class:`_ChainStart`, see
-    ``_chain_exit``), and L's faultless input is held until then.
+    frontier just after E instead (see ``_chain_exit``), and L's faultless
+    input is held until then.
     """
     work = graph.copy()
     index = {layer.name: i for i, layer in enumerate(work.layers)}
@@ -455,10 +441,11 @@ def _fault_loop(graph: ModelGraph, batch: Tensor, fault_sets):
             held[idx] = frontier.live[work.layers[idx].inputs[0]]
         for i in at.get(idx, ()):
             start, channels = plans[i]
-            inp = frontier if channels is None else _ChainStart(
-                chains[start], channels, held[start], frontier, chains[start][-1].name in reach)
             try:
-                exits[i] = _with_faults(work, fault_sets[i], lambda g: _faulted_exit(g, inp))
+                exits[i] = _with_faults(work, fault_sets[i], lambda g: (
+                    _resumed_exit(g, frontier) if channels is None else
+                    _chain_exit(g, chains[start], channels, held[start], frontier,
+                                chains[start][-1].name in reach)))
             except Exception as exc:  # recorded, not fatal
                 exits[i] = Exit(FAILED, work.layers[start].name,
                                 error=f"{type(exc).__name__}: {exc}")
@@ -479,29 +466,50 @@ def _with_faults(work: ModelGraph, specs, evaluate):
             revert(work, tok)
 
 
-def _sweep_chunk(args):
-    """The :class:`FaultOutcome` of every single fault ``specs`` names."""
-    graph, specs, batch = args
-    exits, golden = _fault_loop(graph, batch, [[s] for s in specs])
+def _score_chunk(args):
+    """Each graph's faultless score and, for each fault set, one pair per
+    graph: (``score(golden, maps)``, None), or (None, failure message) for a
+    set that failed. ``golden`` is the first graph's faultless class maps and
+    ``maps`` the graph's faultless or faulted ones; each walk's exits are
+    scored before the next walk starts."""
+    graphs, fault_sets, batch, score = args
+    golden, faultless, scored = None, [], []
+    for graph in graphs:
+        exits, own = _fault_loop(graph, batch, fault_sets)
+        golden = own if golden is None else golden
+        faultless.append(score(golden, own))
+        scored.append([(None, ex.error) if ex.kind == FAILED else
+                       (score(golden, ex.class_maps(own)), None) for ex in exits])
+    return faultless, list(zip(*scored))
+
+
+def run_fault_sets(graphs, fault_sets, batch: Tensor, score, workers: int = 1):
+    """Each of ``graphs``' faultless score and, for each fault set in plan
+    order, one (value, error) pair per graph (see ``_score_chunk``).
+
+    The sets are dealt with ``_chunks``, one job per chunk; without sets one
+    job runs, whose walks still give the faultless scores. ``score`` must
+    pickle, as jobs go to spawned workers.
+    """
+    chunks = _chunks(graphs[0], batch, fault_sets, workers) or [[]]
+    parts = _run_chunks(_score_chunk, [(graphs, chunk, batch, score) for chunk in chunks],
+                        workers)
+    return parts[0][0], _in_plan_order([pairs for _, pairs in parts])
+
+
+def fault_outcomes(graph: ModelGraph, specs, batch: Tensor, workers: int = 1) -> list:
+    """The :class:`FaultOutcome` of every single fault ``specs`` names, in their order."""
+    _, pairs = run_fault_sets([graph], [[s] for s in specs], batch, _errors, workers)
     outcomes = []
-    for spec, ex in zip(specs, exits):
-        if ex.kind == FAILED:
-            outcomes.append(FaultOutcome(spec, 0, 0, math.nan, math.nan, evaluation_error=ex.error))
+    for spec, ((errors, failure),) in zip(specs, pairs):
+        if failure is not None:
+            outcomes.append(FaultOutcome(spec, 0, 0, math.nan, math.nan, evaluation_error=failure))
             continue
         outcome = decode_fault(graph, spec)
-        outcome.per_image_error = _errors(golden, ex.class_maps(golden))
-        outcome.mean_error = float(np.mean(outcome.per_image_error))
+        outcome.per_image_error = errors
+        outcome.mean_error = float(np.mean(errors))
         outcomes.append(outcome)
     return outcomes
-
-
-def _multibit_chunk(args):
-    """(mean error over the images, None) for each repetition, or (None,
-    failure message) for one that failed."""
-    graph, rep_specs, batch = args
-    exits, golden = _fault_loop(graph, batch, rep_specs)
-    return [(None, ex.error) if ex.kind == FAILED else
-            (float(np.mean(_errors(golden, ex.class_maps(golden)))), None) for ex in exits]
 
 
 def _run_chunks(worker, jobs, workers: int):
@@ -550,9 +558,6 @@ class SweepResult:
     outcomes: list
     golden_hash: str
 
-    def table(self) -> dict:
-        return {(r["pset"], r["bit"]): r["mean_error"] for r in self.rows}
-
     def write(self, directory, stem="sweep"):
         import os
         os.makedirs(directory, exist_ok=True)
@@ -561,16 +566,12 @@ class SweepResult:
         with open(os.path.join(directory, f"{stem}_outcomes.jsonl"), "w") as f:
             for o in self.outcomes:
                 f.write(o.to_json() + "\n")
-        write_sweep_csv(self.rows, os.path.join(directory, f"{stem}_aggregate.csv"))
-
-
-def write_sweep_csv(rows, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["pset", "bit", "n", "mean_error", "nan_count", "inf_count"])
-        for r in rows:
-            w.writerow([r["pset"], r["bit"], r["n"], repr(r["mean_error"]),
-                        r["nan_count"], r["inf_count"]])
+        with open(os.path.join(directory, f"{stem}_aggregate.csv"), "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["pset", "bit", "n", "mean_error", "nan_count", "inf_count"])
+            for r in self.rows:
+                w.writerow([r["pset"], r["bit"], r["n"], repr(r["mean_error"]),
+                            r["nan_count"], r["inf_count"]])
 
 
 def run_single_bit_sweep(graph: ModelGraph, plan: CampaignPlan, images,
@@ -578,11 +579,8 @@ def run_single_bit_sweep(graph: ModelGraph, plan: CampaignPlan, images,
     """Apply/evaluate/revert every planned fault; aggregate per (pset, bit)."""
     if plan.mode != "single_bit_sweep":
         raise ValueError(f"plan mode {plan.mode!r} is not a single-bit sweep")
-    batch = batch_inputs(images)
     specs = generate_sweep_faults(graph, plan)
-
-    jobs = [(graph, chunk, batch) for chunk in _chunks(graph, batch, specs, workers)]
-    outcomes = _in_plan_order(_run_chunks(_sweep_chunk, jobs, workers))
+    outcomes = fault_outcomes(graph, specs, batch_inputs(images), workers)
 
     grouped = {}
     for o in outcomes:
@@ -637,27 +635,20 @@ class MultiBitResult:
             json.dump(reps, f, sort_keys=True)
 
 
-def _global_fault_space(graph: ModelGraph, roles=None):
-    psets = target_psets(graph, roles=roles) if roles is not None else list(graph.params)
-    spans = []
-    offset = 0
-    for p in psets:
-        nbits = p.tensor.size * p.width
-        spans.append((offset, p))
-        offset += nbits
-    return spans, offset
+def _global_fault_space(graph: ModelGraph):
+    """(first bit of each parameter set, the sets) over the whole fault space, and its size."""
+    offsets, offset = [], 0
+    for p in graph.params:
+        offsets.append(offset)
+        offset += p.tensor.size * p.width
+    return (offsets, list(graph.params)), offset
 
 
 def _decode_global(spans, flat: int) -> FaultSpec:
-    lo, hi = 0, len(spans) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if spans[mid][0] <= flat:
-            lo = mid
-        else:
-            hi = mid - 1
-    offset, p = spans[lo]
-    within = flat - offset
+    offsets, psets = spans
+    k = bisect.bisect_right(offsets, flat) - 1
+    p = psets[k]
+    within = flat - offsets[k]
     return FaultSpec(pset=p.index, element=within // p.width,
                      bit=within % p.width, encoding=p.tensor.encoding)
 
@@ -678,13 +669,11 @@ def run_multi_bit_campaign(graph: ModelGraph, counts, repetitions: int, seed: in
     # One pool for the whole campaign: every repetition of every count is
     # dealt to the workers at once, then regrouped by count in plan order.
     # A failed repetition is left out of its count's errors and recorded.
-    batch = batch_inputs(images)
-    jobs = [(graph, chunk, batch) for chunk in _chunks(graph, batch, reps, workers)]
-    errs = _in_plan_order(_run_chunks(_multibit_chunk, jobs, workers))
+    _, pairs = run_fault_sets([graph], reps, batch_inputs(images), _errors, workers)
     per_rep, failed = {}, []
     for k, c in enumerate(counts):
-        mine = errs[k * repetitions:(k + 1) * repetitions]
-        per_rep[c] = [e for e, error in mine if error is None]
+        mine = [pair for pair, in pairs[k * repetitions:(k + 1) * repetitions]]
+        per_rep[c] = [float(np.mean(e)) for e, error in mine if error is None]
         failed += [{"flip_count": c, "repetition": r, "error": error}
                    for r, (_, error) in enumerate(mine) if error is not None]
     means = [float(np.mean(per_rep[c])) if per_rep[c] else None for c in counts]

@@ -205,7 +205,7 @@ def cmd_inject_one(args):
     spec = FaultSpec(pset=args.pset, element=args.element, bit=args.bit,
                      encoding=graph.param(args.pset).tensor.encoding)
     inputs, _ = _images_for(graph, args)
-    outcome, = campaign._sweep_chunk((graph, [spec], batch_inputs(inputs)))
+    outcome, = campaign.fault_outcomes(graph, [spec], batch_inputs(inputs))
     if outcome.evaluation_error is not None:
         raise ValueError(outcome.evaluation_error)
     print(outcome.to_json())

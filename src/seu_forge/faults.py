@@ -155,8 +155,11 @@ def revert(graph: ModelGraph, token: FaultToken) -> None:
     stack.pop()
 
 
-def decode_outcome(graph: ModelGraph, spec: FaultSpec,
-                   old_word: int, new_word: int) -> FaultOutcome:
+def decode_fault(graph: ModelGraph, spec: FaultSpec) -> FaultOutcome:
+    """The value transition ``spec`` makes, decoded without applying it."""
+    p = _validate(graph, spec)
+    old_word = _read_word(p, spec.element)
+    new_word = _flipped(p, old_word, spec.bit)
     if spec.encoding == "f32":
         old_v, new_v = bits.bits_to_f32(old_word), bits.bits_to_f32(new_word)
     else:
@@ -169,13 +172,6 @@ def decode_outcome(graph: ModelGraph, spec: FaultSpec,
         sign_changed=bool((old_v < 0) != (new_v < 0)) if not np.isnan(new_v) else False,
         magnitude_increased=bool(abs(new_v) > abs(old_v)) if np.isfinite(new_v) else True,
     )
-
-
-def decode_fault(graph: ModelGraph, spec: FaultSpec) -> FaultOutcome:
-    """The value transition ``spec`` makes, decoded without applying it."""
-    p = _validate(graph, spec)
-    old = _read_word(p, spec.element)
-    return decode_outcome(graph, spec, old, _flipped(p, old, spec.bit))
 
 
 def inject_and_measure(graph: ModelGraph, spec: FaultSpec, evaluate) -> FaultOutcome:

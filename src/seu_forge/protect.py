@@ -15,12 +15,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import bits
-from .campaign import (FAILED, _chunks, _fault_loop, _in_plan_order,
-                       _run_chunks, error_rate, segmentation_metrics)
+from .campaign import error_rate, run_fault_sets, segmentation_metrics
 from .engine import run_float
 # apply_fault and revert are not called here; they stay importable from this
 # module, whose names perfbench's tracer rebinds.
@@ -262,28 +262,11 @@ _MODELS = ("original", "protected")
 _SCORES = ("giou", "wiou", "error_rate")
 
 
-def _evaluation_chunk(args):
-    """Both models' faultless scores, and for each target a pair (one per
-    model) of (scores, None), or (None, failure message) for a failed fault.
-    Each walk's exits are scored before the next walk starts."""
-    original, protected, targets, batch, labels = args
-    golden = None
-
-    def score(maps):
-        m = segmentation_metrics(maps, golden if labels is None else labels,
-                                 original.class_count)
-        return dict(zip(_SCORES, (m.global_iou, m.weighted_iou, error_rate(golden, maps))))
-
-    def walk(graph):
-        nonlocal golden
-        exits, own = _fault_loop(graph, batch, targets)
-        golden = own if golden is None else golden
-        return score(own), [(None, ex.error) if ex.kind == FAILED else
-                            (score(ex.class_maps(own)), None) for ex in exits]
-
-    walks = [walk(graph) for graph in (original, protected)]
-    return ({tag: faultless for tag, (faultless, _) in zip(_MODELS, walks)},
-            list(zip(*(scored for _, scored in walks))))
+def _scores(labels, class_count: int, golden, maps) -> dict:
+    """The scores of ``maps``: IoU against ``labels`` (default: ``golden``),
+    error rate against ``golden``."""
+    m = segmentation_metrics(maps, golden if labels is None else labels, class_count)
+    return dict(zip(_SCORES, (m.global_iou, m.weighted_iou, error_rate(golden, maps))))
 
 
 def evaluate_protection(original: ModelGraph, protected: ModelGraph, images,
@@ -311,12 +294,10 @@ def evaluate_protection(original: ModelGraph, protected: ModelGraph, images,
                 targets.append([FaultSpec(pset=p.index, element=int(idx), bit=bitpos,
                                           encoding="f32")])
 
-    # One job even without targets: its walks give the faultless scores.
-    jobs = [(original, protected, chunk, batch, labels)
-            for chunk in _chunks(original, batch, targets, workers) or [[]]]
-    parts = _run_chunks(_evaluation_chunk, jobs, workers)
+    faultless, pairs = run_fault_sets([original, protected], targets, batch,
+                                      partial(_scores, labels, original.class_count), workers)
     rows, failed = {}, []
-    for (spec,), pair in zip(targets, _in_plan_order([pairs for _, pairs in parts])):
+    for (spec,), pair in zip(targets, pairs):
         errors = [(tag, error) for tag, (_, error) in zip(_MODELS, pair) if error is not None]
         failed += [{"pset": spec.pset, "element": spec.element, "bit": spec.bit,
                     "model": tag, "error": e} for tag, e in errors]
@@ -326,7 +307,7 @@ def evaluate_protection(original: ModelGraph, protected: ModelGraph, images,
                 **{tag: {k: float(np.mean([pair[t][0][k] for pair in rows[bitpos]]))
                          for k in _SCORES} for t, tag in enumerate(_MODELS)}}
                for bitpos in sorted(rows, reverse=True)]
-    return ProtectionEvaluation(parts[0][0], per_bit, failed)
+    return ProtectionEvaluation(dict(zip(_MODELS, faultless)), per_bit, failed)
 
 
 # ---------------------------------------------------------------------------

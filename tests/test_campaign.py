@@ -184,6 +184,17 @@ class TestSweep:
         with pytest.raises(ValueError, match=r"restrict --bits"):
             plan_single_bit_sweep(q, roles=["conv_kernel"], bits=(23, 30))
 
+    @pytest.mark.parametrize("bits", [(-2, 31), (-1, 0)])
+    def test_plan_refuses_a_negative_bit(self, tiny_graph, bits):
+        with pytest.raises(ValueError, match=f"bit {bits[0]} is negative"):
+            plan_single_bit_sweep(tiny_graph, psets=[2], bits=bits)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_plan_refuses_a_non_positive_n(self, tiny_graph, n):
+        with pytest.raises(ValueError, match=f"must be >= 1, got {n}"):
+            plan_single_bit_sweep(tiny_graph, psets=[2], bits=(30, 31),
+                                  injections_per_target=n)
+
     def test_plan_json_roundtrip(self, tiny_graph):
         plan = plan_single_bit_sweep(tiny_graph, psets=[1, 2], bits=(30, 31), seed=5)
         back = CampaignPlan.from_json(plan.to_json())
@@ -322,7 +333,7 @@ class TestMultiBit:
         chunks = []
 
         def spy(worker, jobs, workers):
-            chunks.extend(chunk for _, chunk, _ in jobs)
+            chunks.extend(chunk for _, chunk, _, _ in jobs)
             return [worker(j) for j in jobs]
 
         monkeypatch.setattr(campaign, "_run_chunks", spy)
@@ -353,7 +364,7 @@ class TestResumedFaultLoop:
     def test_fault_sets_over_several_layers_match_full_forwards(self, tiny_graph,
                                                                 quantized, tiny_batch,
                                                                 graph_kind):
-        from seu_forge.campaign import _errors, _forward_maps, _multibit_chunk
+        from seu_forge.campaign import _errors, _forward_maps, _score_chunk
         graph = quantized if graph_kind == "quantized" else tiny_graph
         run = sf.run_quantized if graph_kind == "quantized" else sf.run_float
         golden = run(graph, tiny_batch).class_map
@@ -375,7 +386,8 @@ class TestResumedFaultLoop:
                 sf.revert(graph, tok)
             expected.append(float(np.mean(errs)))
         assert len(set(expected)) > 2  # the faults do change the class maps
-        assert [e for e, _ in _multibit_chunk((graph, reps, tiny_batch))] == expected
+        _, pairs = _score_chunk(([graph], reps, tiny_batch, _errors))
+        assert [float(np.mean(e)) for (e, _), in pairs] == expected
 
 
 class TestRepeatedFlipCounts:
@@ -424,7 +436,7 @@ class TestMultiBitOnVaryingMaps:
         assert r1.per_rep_errors == r2.per_rep_errors
 
         expected = []
-        for specs in (r for _, chunk, _ in jobs for r in chunk):
+        for specs in (r for _, chunk, _, _ in jobs for r in chunk):
             work = q.copy()
             for spec in specs:
                 sf.apply_fault(work, spec)
@@ -491,14 +503,13 @@ class TestEarlyExits:
         input batch.
         """
         import seu_forge.campaign as campaign
-        import seu_forge.protect as protect
         seen, pending, batches = [], [], []
         real_exit, real_loop = campaign._chain_exit, campaign._fault_loop
         class_maps = campaign.Exit.class_maps
 
-        def chain_exit(graph, start):
-            ex = real_exit(graph, start)
-            pending.append((start.chain[-1].name, ex, campaign._forward_maps(graph, batches[-1])))
+        def chain_exit(graph, chain, *rest):
+            ex = real_exit(graph, chain, *rest)
+            pending.append((chain[-1].name, ex, campaign._forward_maps(graph, batches[-1])))
             return ex
 
         def fault_loop(graph, batch, fault_sets):
@@ -512,17 +523,16 @@ class TestEarlyExits:
 
         monkeypatch.setattr(campaign, "_chain_exit", chain_exit)
         monkeypatch.setattr(campaign, "_fault_loop", fault_loop)
-        monkeypatch.setattr(protect, "_fault_loop", fault_loop)
         return seen
 
     @pytest.mark.parametrize("mode", ["float", "quantized"])
     def test_sweep_matches_full_forward_oracle(self, graphs, images, exits, mode):
         from oracles import sweep_full_forward
-        from seu_forge.campaign import _sweep_chunk
+        from seu_forge.campaign import fault_outcomes
         graph = graphs[mode]
         specs = self.spread(graph) + (self.planted(graph) if mode == "float" else [])
         batch = sf.batch_inputs(images)
-        outcomes = _sweep_chunk((graph, specs, batch))
+        outcomes = fault_outcomes(graph, specs, batch)
         assert all(o.evaluation_error is None for o in outcomes)
         assert [o.per_image_error for o in outcomes] == sweep_full_forward(graph, specs, images)
 
@@ -539,7 +549,7 @@ class TestEarlyExits:
     @pytest.mark.parametrize("mode", ["float", "quantized"])
     def test_multibit_sets_within_one_layer_match_full_forwards(self, graphs, images,
                                                                 exits, mode):
-        from seu_forge.campaign import _errors, _forward_maps, _multibit_chunk
+        from seu_forge.campaign import _errors, _forward_maps, _score_chunk
         graph = graphs[mode]
         spread = self.spread(graph)
         by_layer = {}
@@ -559,7 +569,8 @@ class TestEarlyExits:
             for spec in specs:
                 sf.apply_fault(work, spec)
             expected.append(float(np.mean(_errors(golden, _forward_maps(work, batch)))))
-        assert [e for e, _ in _multibit_chunk((graph, reps, batch))] == expected
+        _, pairs = _score_chunk(([graph], reps, batch, _errors))
+        assert [float(np.mean(e)) for (e, _), in pairs] == expected
         assert len({kind for _, kind in exits}) >= 2
         assert len(set(expected)) > 3
 

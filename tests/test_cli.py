@@ -291,3 +291,37 @@ def test_sweep_manifest_counts_only_evaluated_faults(model_path, tmp_path, monke
                    "--image-size", "16") == 0
     assert json.loads((out / "manifest.json").read_text())["faults_evaluated"] == 2
     assert "evaluation_error" in (out / "sweep_outcomes.jsonl").read_text()
+
+
+def test_sweep_refuses_n_zero(model_path, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert run_cli("campaign", "sweep", "--model", str(model_path), "--out-dir", str(out),
+                   "--psets", "2", "--bits", "30", "31", "--n", "0", "--images", "2",
+                   "--image-size", "16") == 1
+    assert "must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_workers_default_from_environment(model_path, tmp_path, monkeypatch):
+    """SEU_FORGE_WORKERS sets the worker count when --workers is not given,
+    and the report files do not change with it."""
+    from seu_forge import campaign
+    seen, real = [], campaign._run_chunks
+
+    def spy(worker, jobs, workers):
+        seen.append(workers)
+        return real(worker, jobs, workers)
+
+    monkeypatch.setattr(campaign, "_run_chunks", spy)
+    monkeypatch.setenv("SEU_FORGE_WORKERS", "2")
+    reports = {}
+    for tag, extra in (("env", ()), ("one", ("--workers", "1"))):
+        out = tmp_path / tag
+        assert run_cli("campaign", "sweep", "--model", str(model_path), "--out-dir", str(out),
+                       "--psets", "1,2", "--bits", "30", "31", "--n", "3", "--images", "2",
+                       "--image-size", "16", "--seed", "3", *extra) == 0
+        reports[tag] = {f.name: f.read_bytes() for f in sorted(out.iterdir())
+                        if f.name != "manifest.json"}
+    assert seen == [2, 1]
+    assert reports["env"] == reports["one"]
+    assert len(reports["env"]) == 3

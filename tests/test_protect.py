@@ -417,6 +417,26 @@ def test_evaluation_with_workers_matches_full_forward_oracle(tiny_graph, tiny_in
     assert ev.failed == []
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evaluation_with_labels_matches_full_forward_oracle(workers):
+    """IoU is scored against given labels, in the parent and in spawned workers."""
+    from oracles import evaluate_protection_full_forward
+    graph = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5, gamma_range=(1, 2),
+                                    gamma_mode="raw")
+    prot, _ = protect_parameters(graph, PT_LEVELS[2])
+    images, labels = sf.generate_calibration_set((16, 16, 3), count=3, seed=11,
+                                                 class_count=3)
+    ev = evaluate_protection(graph, prot, images, labels=labels, bit_filter={30, 29, 28},
+                             workers=workers)
+    faultless, per_bit = evaluate_protection_full_forward(
+        graph, prot, images, labels=labels, bit_filter={30, 29, 28})
+    assert sum(row["n"] for row in per_bit) == 80
+    assert faultless["original"]["giou"] < 100.0    # not self-labels
+    assert ev.faultless == faultless
+    assert ev.per_bit == per_bit
+    assert ev.failed == []
+
+
 def test_failed_fault_is_recorded_and_left_out(tiny_graph, tiny_inputs, tmp_path,
                                                monkeypatch):
     """The second position gets bit 32, which apply_fault refuses: the pair is
@@ -462,14 +482,13 @@ def test_evaluation_walks_hold_at_most_the_maps_budget(tiny_graph, tiny_inputs, 
     """With a budget of two class maps, each walk takes at most two positions
     and the evaluation does not change."""
     import seu_forge.campaign as campaign
-    import seu_forge.protect as protect
     from conftest import spy_walks
     graph = _planted_risky(tiny_graph)
     prot, _ = protect_parameters(graph, PT_LEVELS[2])
     images = tiny_inputs[0][:3]
     whole = evaluate_protection(graph, prot, images, bit_filter={30, 29, 28})
     monkeypatch.setattr(campaign, "HELD_MAPS_BYTES", 2 * 3 * 16 * 16 * 4 + 1)
-    walks = spy_walks(monkeypatch, protect)
+    walks = spy_walks(monkeypatch, campaign)
     bounded = evaluate_protection(graph, prot, images, bit_filter={30, 29, 28})
     assert len(walks) > 2 and all(n <= 2 for n, _ in walks)
     assert sum(resumed for _, resumed in walks) > 2
