@@ -18,9 +18,9 @@ from .model import (DEFAULT_TARGET_ROLES, FormatError, LayerSpec, ModelGraph,
                     unet_parameter_count)
 from .engine import (InferenceResult, LayerStats, capture_parameter_stats,
                      run_float, run_quantized)
+from .bits import flip_bit_f32, flip_bit_int
 from .faults import (FaultOutcome, FaultSpec, FaultToken, apply_fault,
-                     fault_space_size, flip_bit_f32, flip_bit_int,
-                     inject_and_measure, revert)
+                     fault_space_size, inject_and_measure, revert)
 from .campaign import (CampaignPlan, MetricBundle, MultiBitResult, SweepResult,
                        error_rate, golden_class_shares, plan_multi_bit_campaign,
                        plan_single_bit_sweep, predict_bit30_error,

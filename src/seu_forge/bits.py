@@ -20,8 +20,6 @@ F32_MANT_BITS = 23
 F32_EXP_MASK = 0xFF
 F32_MANT_MASK = (1 << F32_MANT_BITS) - 1
 
-ENCODING_WIDTH = {"f32": 32, "i8": 8, "i32": 32}
-
 # Largest significand a 23-bit mantissa can hold: 2 - 2**-23 ~ 1.99999988.
 MAX_SIGNIFICAND = 2.0 - 2.0 ** -F32_MANT_BITS
 

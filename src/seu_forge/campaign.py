@@ -8,7 +8,6 @@ byte-identical for any worker count.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import json
 import math
@@ -20,10 +19,11 @@ import numpy as np
 
 from .engine import (Frontier, channel_chain, finish, golden_frontiers, poisoned,
                      reaching_output, run_channels, run_float, run_quantized)
-# inject_and_measure is not called here; it stays importable from this
-# module, whose names perfbench's tracer rebinds.
-from .faults import (FaultOutcome, FaultSpec, apply_fault, decode_fault,  # noqa: F401
-                     inject_and_measure, revert, target_psets)
+# apply_fault, revert and inject_and_measure are not called here; they stay
+# importable from this module, whose names perfbench's tracer rebinds.
+from .faults import (FaultOutcome, apply_fault, decode_fault, fault_at,  # noqa: F401
+                     fault_space, inject_and_measure, revert, target_psets,
+                     with_faults)
 from .model import ModelGraph, batch_inputs, infer_shapes, model_hash
 from .tensor import INVALID_CLASS, ShapeError, Tensor
 
@@ -222,18 +222,23 @@ class CampaignPlan:
         return cls(**json.loads(text))
 
 
-def plan_single_bit_sweep(graph: ModelGraph, *, roles=None, psets=None,
-                          bits=(0, 31), injections_per_target=None,
-                          margin=0.025, z_value=1.96, prior=0.5,
-                          seed=0, image_set_id="") -> CampaignPlan:
-    targets = target_psets(graph, roles, psets)
+def _check_sweep(graph: ModelGraph, plan: CampaignPlan) -> list:
+    """The parameter sets a single-bit sweep ``plan`` targets in ``graph``.
+
+    Refuses a plan of another mode, with no target, a negative or empty bit
+    range, a bit beyond a target's width or fewer than one injection per
+    target, however the plan was made.
+    """
+    if plan.mode != "single_bit_sweep":
+        raise ValueError(f"plan mode {plan.mode!r} is not a single-bit sweep")
+    targets = [graph.param(i) for i in plan.targets]
     if not targets:
         raise ValueError("sweep plan selects no parameter sets")
-    lo, hi = int(bits[0]), int(bits[1])
+    lo, hi, n = plan.bit_lo, plan.bit_hi, plan.injections_per_target
     if lo < 0:
         raise ValueError(f"bit {lo} is negative; bits are numbered from 0")
-    if injections_per_target is not None and injections_per_target < 1:
-        raise ValueError(f"injections per target must be >= 1, got {injections_per_target}")
+    if n is not None and n < 1:
+        raise ValueError(f"injections per target must be >= 1, got {n}")
     if lo > hi:
         raise ValueError(f"empty bit range [{lo}, {hi}]")
     for p in targets:
@@ -241,11 +246,21 @@ def plan_single_bit_sweep(graph: ModelGraph, *, roles=None, psets=None,
             raise ValueError(
                 f"bit range [{lo}-{hi}] exceeds p{p.index} ({p.tensor.encoding}, "
                 f"{p.width} bits); restrict --bits to 0..{p.width - 1} or retarget")
-    return CampaignPlan(mode="single_bit_sweep", seed=int(seed),
-                        targets=[p.index for p in targets], bit_lo=lo, bit_hi=hi,
+    return targets
+
+
+def plan_single_bit_sweep(graph: ModelGraph, *, roles=None, psets=None,
+                          bits=(0, 31), injections_per_target=None,
+                          margin=0.025, z_value=1.96, prior=0.5,
+                          seed=0, image_set_id="") -> CampaignPlan:
+    plan = CampaignPlan(mode="single_bit_sweep", seed=int(seed),
+                        targets=[p.index for p in target_psets(graph, roles, psets)],
+                        bit_lo=int(bits[0]), bit_hi=int(bits[1]),
                         injections_per_target=injections_per_target,
                         margin=margin, z_value=z_value, prior=prior,
                         image_set_id=image_set_id)
+    _check_sweep(graph, plan)
+    return plan
 
 
 def _flip_counts(counts) -> list:
@@ -276,22 +291,18 @@ def plan_multi_bit_campaign(graph: ModelGraph, counts, repetitions: int,
 
 def generate_sweep_faults(graph: ModelGraph, plan: CampaignPlan):
     """Serial, seed-deterministic fault list (without replacement per target)."""
+    targets = _check_sweep(graph, plan)
     rng = np.random.Generator(np.random.PCG64(plan.seed))
-    nbits = plan.bit_hi - plan.bit_lo + 1
     specs = []
-    for index in plan.targets:
-        p = graph.param(index)
-        space = p.tensor.size * nbits
-        n = plan.injections_per_target or sample_size(space, plan.margin,
-                                                      plan.z_value, plan.prior)
-        n = min(n, space)
-        chosen = rng.choice(space, size=n, replace=False)
+    for p in targets:
+        space, size = fault_space([p], (plan.bit_lo, plan.bit_hi))
+        n = plan.injections_per_target
+        if n is None:
+            n = sample_size(size, plan.margin, plan.z_value, plan.prior)
+        chosen = rng.choice(size, size=min(n, size), replace=False)
         chosen.sort()
         for flat in chosen:
-            specs.append(FaultSpec(pset=index, element=int(flat) // nbits,
-                                   bit=plan.bit_lo + int(flat) % nbits,
-                                   encoding=p.tensor.encoding,
-                                   seed_ordinal=len(specs)))
+            specs.append(replace(fault_at(space, int(flat)), seed_ordinal=len(specs)))
     return specs
 
 
@@ -442,7 +453,7 @@ def _fault_loop(graph: ModelGraph, batch: Tensor, fault_sets):
         for i in at.get(idx, ()):
             start, channels = plans[i]
             try:
-                exits[i] = _with_faults(work, fault_sets[i], lambda g: (
+                exits[i] = with_faults(work, fault_sets[i], lambda g: (
                     _resumed_exit(g, frontier) if channels is None else
                     _chain_exit(g, chains[start], channels, held[start], frontier,
                                 chains[start][-1].name in reach)))
@@ -452,18 +463,6 @@ def _fault_loop(graph: ModelGraph, batch: Tensor, fault_sets):
         for s in [s for s in held if s + len(chains[s]) == idx]:
             del held[s]
     return exits, finish(work, frontier.live).class_map
-
-
-def _with_faults(work: ModelGraph, specs, evaluate):
-    """apply every spec -> ``evaluate(work)`` -> revert them LIFO, also on failure."""
-    tokens = []
-    try:
-        for spec in specs:
-            tokens.append(apply_fault(work, spec))
-        return evaluate(work)
-    finally:
-        for tok in reversed(tokens):
-            revert(work, tok)
 
 
 def _score_chunk(args):
@@ -577,8 +576,6 @@ class SweepResult:
 def run_single_bit_sweep(graph: ModelGraph, plan: CampaignPlan, images,
                          workers: int = 1) -> SweepResult:
     """Apply/evaluate/revert every planned fault; aggregate per (pset, bit)."""
-    if plan.mode != "single_bit_sweep":
-        raise ValueError(f"plan mode {plan.mode!r} is not a single-bit sweep")
     specs = generate_sweep_faults(graph, plan)
     outcomes = fault_outcomes(graph, specs, batch_inputs(images), workers)
 
@@ -635,35 +632,18 @@ class MultiBitResult:
             json.dump(reps, f, sort_keys=True)
 
 
-def _global_fault_space(graph: ModelGraph):
-    """(first bit of each parameter set, the sets) over the whole fault space, and its size."""
-    offsets, offset = [], 0
-    for p in graph.params:
-        offsets.append(offset)
-        offset += p.tensor.size * p.width
-    return (offsets, list(graph.params)), offset
-
-
-def _decode_global(spans, flat: int) -> FaultSpec:
-    offsets, psets = spans
-    k = bisect.bisect_right(offsets, flat) - 1
-    p = psets[k]
-    within = flat - offsets[k]
-    return FaultSpec(pset=p.index, element=within // p.width,
-                     bit=within % p.width, encoding=p.tensor.encoding)
-
-
 def run_multi_bit_campaign(graph: ModelGraph, counts, repetitions: int, seed: int,
                            images, workers: int = 1) -> MultiBitResult:
     """Random MBU campaign over the whole parameter fault space."""
-    counts = _flip_counts(counts)
-    spans, space = _global_fault_space(graph)
-    too_big = [c for c in counts if c > space]
+    plan = plan_multi_bit_campaign(graph, counts, repetitions, seed)
+    counts, repetitions = plan.counts, plan.repetitions
+    space, size = fault_space(graph.params)
+    too_big = [c for c in counts if c > size]
     if too_big:
-        raise ValueError(f"flip count {max(too_big)} exceeds fault space of {space} bits")
+        raise ValueError(f"flip count {max(too_big)} exceeds fault space of {size} bits")
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    reps = [[_decode_global(spans, int(i)) for i in rng.choice(space, size=c, replace=False)]
+    rng = np.random.Generator(np.random.PCG64(plan.seed))
+    reps = [[fault_at(space, int(i)) for i in rng.choice(size, size=c, replace=False)]
             if c else [] for c in counts for _ in range(repetitions)]
 
     # One pool for the whole campaign: every repetition of every count is
@@ -678,5 +658,4 @@ def run_multi_bit_campaign(graph: ModelGraph, counts, repetitions: int, seed: in
                    for r, (_, error) in enumerate(mine) if error is not None]
     means = [float(np.mean(per_rep[c])) if per_rep[c] else None for c in counts]
     stds = [float(np.std(per_rep[c])) if per_rep[c] else None for c in counts]
-    plan = plan_multi_bit_campaign(graph, counts, repetitions, seed)
     return MultiBitResult(counts, means, stds, per_rep, plan, failed)

@@ -1,13 +1,15 @@
 """Bit-exact fault application to model parameters with exact-revert tokens.
 
 Faults always target a working copy of the graph (ModelGraph.copy); the
-persisted golden model stays intact for the error metric. Bit numbering is
+persisted golden model stays intact for the error metric. A flip is one XOR
+on the element's unsigned word, whatever its encoding. Bit numbering is
 31 = f32 sign, exponent [23-30], per the reporting convention used
 throughout the toolkit.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass, field
 
@@ -15,9 +17,6 @@ import numpy as np
 
 from . import bits
 from .model import DEFAULT_TARGET_ROLES, ModelGraph
-
-flip_bit_f32 = bits.flip_bit_f32
-flip_bit_int = bits.flip_bit_int
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,8 @@ class FaultOutcome:
 
 @dataclass
 class FaultToken:
-    """Revert handle; LIFO order is enforced per graph."""
+    """Revert handle holding the element's unsigned word before the flip;
+    LIFO order is enforced per graph."""
 
     spec: FaultSpec
     original_word: int
@@ -92,35 +92,15 @@ def _validate(graph: ModelGraph, spec: FaultSpec):
     if not 0 <= spec.element < p.tensor.size:
         raise IndexError(f"element {spec.element} out of range for p{spec.pset} "
                          f"({p.tensor.size} elements)")
-    width = bits.ENCODING_WIDTH[spec.encoding]
-    if not 0 <= spec.bit < width:
+    if not 0 <= spec.bit < p.width:
         raise ValueError(f"bit {spec.bit} out of range for {spec.encoding} "
-                         f"(valid 0..{width - 1})")
+                         f"(valid 0..{p.width - 1})")
     return p
 
 
-def _read_word(p, element: int) -> int:
-    flat = p.tensor.flat
-    if p.tensor.encoding == "f32":
-        return int(flat.view(np.uint32)[element])
-    return int(flat[element])
-
-
-def _flipped(p, word: int, bit: int) -> int:
-    if p.tensor.encoding == "f32":
-        return bits.flip_bit_f32(word, bit)
-    return bits.flip_bit_int(word, bit, bits.ENCODING_WIDTH[p.tensor.encoding])
-
-
-def _write_flipped(p, element: int, bit: int) -> tuple:
-    """Flip in place; returns (old_word, new_word) in pattern space."""
-    old = _read_word(p, element)
-    new = _flipped(p, old, bit)
-    if p.tensor.encoding == "f32":
-        p.tensor.flat.view(np.uint32)[element] = np.uint32(new)
-    else:
-        p.tensor.flat[element] = new
-    return old, new
+def _words(p) -> np.ndarray:
+    """The elements of ``p`` as unsigned words of their width; writes go through."""
+    return p.tensor.flat.view(f"u{p.tensor.data.itemsize}")
 
 
 def _stack(graph: ModelGraph) -> list:
@@ -132,8 +112,9 @@ def _stack(graph: ModelGraph) -> list:
 def apply_fault(graph: ModelGraph, spec: FaultSpec) -> FaultToken:
     """Toggle the addressed bit in place and push a revert token (LIFO)."""
     p = _validate(graph, spec)
-    old, _ = _write_flipped(p, spec.element, spec.bit)
-    token = FaultToken(spec, old)
+    words = _words(p)
+    token = FaultToken(spec, int(words[spec.element]))
+    words[spec.element] = token.original_word ^ (1 << spec.bit)
     _stack(graph).append(token)
     return token
 
@@ -145,24 +126,37 @@ def revert(graph: ModelGraph, token: FaultToken) -> None:
     stack = _stack(graph)
     if not stack or stack[-1] is not token:
         raise ValueError("out-of-order revert: token is not the most recent fault")
-    p = graph.param(token.spec.pset)
-    flat = p.tensor.flat
-    if p.tensor.encoding == "f32":
-        flat.view(np.uint32)[token.spec.element] = np.uint32(token.original_word)
-    else:
-        flat[token.spec.element] = token.original_word
+    _words(graph.param(token.spec.pset))[token.spec.element] = token.original_word
     token.used = True
     stack.pop()
 
 
+def with_faults(graph: ModelGraph, specs, evaluate):
+    """apply every spec -> ``evaluate(graph)`` -> revert them LIFO, also on failure."""
+    tokens = []
+    try:
+        for spec in specs:
+            tokens.append(apply_fault(graph, spec))
+        return evaluate(graph)
+    finally:
+        for tok in reversed(tokens):
+            revert(graph, tok)
+
+
 def decode_fault(graph: ModelGraph, spec: FaultSpec) -> FaultOutcome:
-    """The value transition ``spec`` makes, decoded without applying it."""
+    """The value transition ``spec`` makes, decoded without applying it.
+
+    ``original_bits``/``faulty_bits`` are the f32 word, or the signed value
+    of an integer element.
+    """
     p = _validate(graph, spec)
-    old_word = _read_word(p, spec.element)
-    new_word = _flipped(p, old_word, spec.bit)
+    old_word = int(_words(p)[spec.element])
+    new_word = old_word ^ (1 << spec.bit)
     if spec.encoding == "f32":
         old_v, new_v = bits.bits_to_f32(old_word), bits.bits_to_f32(new_word)
     else:
+        sign = 1 << (p.width - 1)
+        old_word, new_word = (old_word ^ sign) - sign, (new_word ^ sign) - sign
         old_v, new_v = float(old_word), float(new_word)
     return FaultOutcome(
         spec=spec, original_bits=old_word, faulty_bits=new_word,
@@ -181,19 +175,40 @@ def inject_and_measure(graph: ModelGraph, spec: FaultSpec, evaluate) -> FaultOut
     error rates (percent).
     """
     outcome = decode_fault(graph, spec)
-    token = apply_fault(graph, spec)
-    try:
-        outcome.per_image_error = [float(e) for e in evaluate(graph)]
-        if outcome.per_image_error:
-            outcome.mean_error = float(np.mean(outcome.per_image_error))
-    finally:
-        revert(graph, token)
+    outcome.per_image_error = [float(e) for e in with_faults(graph, [spec], evaluate)]
+    if outcome.per_image_error:
+        outcome.mean_error = float(np.mean(outcome.per_image_error))
     return outcome
+
+
+def fault_space(psets, bits=None):
+    """The fault address space over ``psets`` and its size.
+
+    Addresses run over the sets in the order given, element-major within a
+    set, over bits ``(lo, hi)`` inclusive or each set's full width.
+    """
+    starts, spans, size = [], [], 0
+    for p in psets:
+        lo, hi = bits if bits is not None else (0, p.width - 1)
+        starts.append(size)
+        spans.append((p, lo, hi - lo + 1))
+        size += p.tensor.size * (hi - lo + 1)
+    return (starts, spans), size
+
+
+def fault_at(space, flat: int) -> FaultSpec:
+    """The fault at address ``flat`` of a :func:`fault_space`."""
+    starts, spans = space
+    k = bisect.bisect_right(starts, flat) - 1
+    p, lo, nbits = spans[k]
+    element, bit = divmod(flat - starts[k], nbits)
+    return FaultSpec(pset=p.index, element=element, bit=lo + bit,
+                     encoding=p.tensor.encoding)
 
 
 def fault_space_size(graph: ModelGraph, roles=None, psets=None) -> int:
     """Count of addressable (element, bit) pairs over the targeted sets."""
-    return sum(p.tensor.size * p.width for p in target_psets(graph, roles, psets))
+    return fault_space(target_psets(graph, roles, psets))[1]
 
 
 def target_psets(graph: ModelGraph, roles=None, psets=None):

@@ -69,7 +69,7 @@ class ParamSet:
 
     @property
     def width(self) -> int:
-        return {"f32": 32, "i8": 8, "i32": 32}[self.tensor.encoding]
+        return self.tensor.data.dtype.itemsize * 8
 
 
 class ModelGraph:

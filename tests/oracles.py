@@ -192,3 +192,72 @@ def sweep_full_forward(graph, specs, images):
         maps = run(work, batch).class_map
         errors.append([sf.error_rate(golden[i], maps[i]) for i in range(maps.shape[0])])
     return errors
+
+
+# ---------------------------------------------------------------------------
+# the scalar fault path: a per-encoding read, flip and decode of one element
+# through bits.flip_bit_f32/flip_bit_int, and the fault addresses decoded by
+# hand (over the whole fault space, and within one set's bit range)
+
+SCALAR_WIDTH = {"f32": 32, "i8": 8, "i32": 32}
+
+
+def read_word_scalar(p, element):
+    """An f32 element's word, or an integer element's signed value."""
+    flat = p.tensor.flat
+    if p.tensor.encoding == "f32":
+        return int(flat.view(np.uint32)[element])
+    return int(flat[element])
+
+
+def flipped_scalar(p, word, bit):
+    if p.tensor.encoding == "f32":
+        from seu_forge.bits import flip_bit_f32
+        return flip_bit_f32(word, bit)
+    from seu_forge.bits import flip_bit_int
+    return flip_bit_int(word, bit, SCALAR_WIDTH[p.tensor.encoding])
+
+
+def decode_fault_scalar(graph, spec):
+    """The :class:`FaultOutcome` fields ``spec`` gives, from the scalar path."""
+    from seu_forge.bits import bits_to_f32
+    from seu_forge.faults import FaultOutcome
+
+    p = graph.param(spec.pset)
+    old_word = read_word_scalar(p, spec.element)
+    new_word = flipped_scalar(p, old_word, spec.bit)
+    if spec.encoding == "f32":
+        old_v, new_v = bits_to_f32(old_word), bits_to_f32(new_word)
+    else:
+        old_v, new_v = float(old_word), float(new_word)
+    return FaultOutcome(
+        spec=spec, original_bits=old_word, faulty_bits=new_word,
+        original_value=old_v, faulty_value=new_v,
+        produced_nan=bool(np.isnan(new_v)),
+        produced_inf=bool(np.isinf(new_v)),
+        sign_changed=bool((old_v < 0) != (new_v < 0)) if not np.isnan(new_v) else False,
+        magnitude_increased=bool(abs(new_v) > abs(old_v)) if np.isfinite(new_v) else True,
+    )
+
+
+def global_fault_scalar(graph, flat):
+    """The fault at ``flat`` over every parameter set of ``graph``, each set's
+    elements in turn, each element's full width in turn."""
+    from seu_forge.faults import FaultSpec
+
+    for p in graph.params:
+        width = SCALAR_WIDTH[p.tensor.encoding]
+        if flat < p.tensor.size * width:
+            return FaultSpec(pset=p.index, element=flat // width, bit=flat % width,
+                             encoding=p.tensor.encoding)
+        flat -= p.tensor.size * width
+    raise IndexError("address beyond the fault space")
+
+
+def sweep_fault_scalar(p, bit_lo, bit_hi, flat):
+    """The fault at ``flat`` within one set's bits ``bit_lo..bit_hi``."""
+    from seu_forge.faults import FaultSpec
+
+    nbits = bit_hi - bit_lo + 1
+    return FaultSpec(pset=p.index, element=flat // nbits, bit=bit_lo + flat % nbits,
+                     encoding=p.tensor.encoding)

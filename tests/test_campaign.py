@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,20 @@ class TestSweep:
         back = CampaignPlan.from_json(plan.to_json())
         assert back == plan
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"bit_lo": -2, "injections_per_target": 0}, "bit -2 is negative"),
+        ({"injections_per_target": 0}, "must be >= 1, got 0"),
+        ({"bit_hi": 40}, r"bit range \[0-40\] exceeds p2"),
+        ({"bit_lo": 5, "bit_hi": 4}, r"empty bit range \[5, 4\]"),
+    ])
+    def test_json_plan_is_checked_before_faults_are_drawn(self, tiny_graph, tiny_inputs,
+                                                          changes, message):
+        plan = plan_single_bit_sweep(tiny_graph, psets=[2], bits=(0, 31),
+                                     injections_per_target=3, seed=1)
+        edited = CampaignPlan.from_json(json.dumps({**json.loads(plan.to_json()), **changes}))
+        with pytest.raises(ValueError, match=message):
+            run_single_bit_sweep(tiny_graph, edited, tiny_inputs[0])
+
     def test_fault_generation_deterministic_without_replacement(self, tiny_graph):
         plan = plan_single_bit_sweep(tiny_graph, psets=[1, 2], bits=(20, 31),
                                      injections_per_target=30, seed=9)
@@ -237,7 +253,7 @@ class TestSweep:
         plan = plan_single_bit_sweep(tiny_graph, psets=[1], bits=(30, 30),
                                      injections_per_target=3, seed=4)
         calls = {"n": 0}
-        real = campaign_mod._with_faults
+        real = campaign_mod.with_faults
 
         def flaky(work, specs, evaluate):
             calls["n"] += 1
@@ -246,7 +262,7 @@ class TestSweep:
                     raise RuntimeError("synthetic evaluation failure")
             return real(work, specs, evaluate)
 
-        monkeypatch.setattr(campaign_mod, "_with_faults", flaky)
+        monkeypatch.setattr(campaign_mod, "with_faults", flaky)
         res = run_single_bit_sweep(tiny_graph, plan, tiny_inputs[0])
         failed = [o for o in res.outcomes if o.evaluation_error]
         assert len(failed) == 1
@@ -307,6 +323,22 @@ class TestMultiBit:
         space = sf.fault_space_size(q, psets=[p.index for p in q.params])
         with pytest.raises(ValueError, match="exceeds fault space"):
             run_multi_bit_campaign(q, [space + 1], 1, 0, tiny_inputs[0])
+
+    def test_zero_repetitions_raise_before_any_walk(self, tiny_graph, tiny_inputs,
+                                                    monkeypatch):
+        import seu_forge.campaign as campaign
+        q = sf.quantize_ptq(tiny_graph, tiny_inputs[0])
+        walks = []
+        real = campaign._fault_loop
+
+        def spy(*args):
+            walks.append(args[2])   # the fault sets it walks
+            return real(*args)
+
+        monkeypatch.setattr(campaign, "_fault_loop", spy)
+        with pytest.raises(ValueError, match="repetitions must be >= 1, got 0"):
+            run_multi_bit_campaign(q, [1, 2], 0, 0, tiny_inputs[0])
+        assert walks == []
 
     def test_hash_preserved(self, tiny_graph, tiny_inputs):
         q = sf.quantize_ptq(tiny_graph, tiny_inputs[0])
@@ -661,7 +693,7 @@ class TestFailedFaultSets:
 
         import seu_forge.campaign as campaign
         _, q, images = model
-        real = campaign._decode_global
+        real = campaign.fault_at
         decoded = []
 
         def fourth_bit_out_of_range(spans, flat):
@@ -671,7 +703,7 @@ class TestFailedFaultSets:
             decoded.append(spec)
             return spec
 
-        monkeypatch.setattr(campaign, "_decode_global", fourth_bit_out_of_range)
+        monkeypatch.setattr(campaign, "fault_at", fourth_bit_out_of_range)
         counts, reps = [2, 3], 3
         reports = {}
         for workers in (1, 2):

@@ -1,13 +1,20 @@
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seu_forge as sf
-from seu_forge.faults import (FaultSpec, apply_fault, fault_space_size,
+from seu_forge.faults import (FaultSpec, apply_fault, decode_fault, fault_at,
+                              fault_space, fault_space_size,
                               inject_and_measure, revert, target_psets)
 
 from conftest import single_conv_graph
+from oracles import (SCALAR_WIDTH, decode_fault_scalar, flipped_scalar,
+                     global_fault_scalar, read_word_scalar, sweep_fault_scalar)
 
 
 def _graph_with_values(values, encoding="f32"):
@@ -178,3 +185,87 @@ class TestFlipTaxonomy:
                 bit = int(rng.integers(0, width))
                 out = sf.flip_bit_int(int(v), bit, width)
                 assert lo <= out <= hi  # stays an integer; no NaN/Inf exists
+
+
+# f32 words the property draws besides arbitrary ones: NaNs with payloads
+# (quiet and signalling, both signs), infinities, subnormals and zeros.
+SPECIAL_F32_WORDS = [0x7FC00001, 0x7F800001, 0xFFC12345, 0xFFBFFFFF, 0x7F800000,
+                     0xFF800000, 0x00000001, 0x007FFFFF, 0x80000001, 0x807FFFFF,
+                     0x80000000, 0x00000000, 0x3F800000, 0x3F7FFFFF]
+
+ELEMENTS = {
+    "f32": st.one_of(st.sampled_from(SPECIAL_F32_WORDS), st.integers(0, 2**32 - 1)).map(
+        lambda w: np.array([w], np.uint32).view(np.float32)[0]),
+    "i8": st.integers(-128, 127),
+    "i32": st.integers(-(2**31), 2**31 - 1),
+}
+
+
+def _one_set_graph(encoding, values):
+    g = single_conv_graph(np.zeros((1, 1, 1, 1)), np.zeros(1), input_channels=1)
+    dtype = {"f32": np.float32, "i8": np.int8, "i32": np.int32}[encoding]
+    g.params[0].tensor = sf.Tensor.from_array(np.array(values, dtype), encoding)
+    return g
+
+
+def _fields(outcome):
+    """Every field of an outcome; the two values as their float64 bytes, so
+    NaN payloads compare too."""
+    d = dataclasses.asdict(outcome)
+    for k in ("original_value", "faulty_value"):
+        d[k] = struct.pack("<d", d[k])
+    return d
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_word_path_matches_the_scalar_path(data):
+    encoding = data.draw(st.sampled_from(sorted(ELEMENTS)))
+    values = data.draw(st.lists(ELEMENTS[encoding], min_size=3, max_size=3))
+    element = data.draw(st.integers(0, 2))
+    bit = data.draw(st.integers(0, SCALAR_WIDTH[encoding] - 1))
+    g = _one_set_graph(encoding, values)
+    p, spec = g.param(1), FaultSpec(1, element, bit, encoding)
+    before = p.tensor.data.tobytes()
+    old = read_word_scalar(p, element)
+
+    assert _fields(decode_fault(g, spec)) == _fields(decode_fault_scalar(g, spec))
+    token = apply_fault(g, spec)
+    assert token.original_word == old & ((1 << SCALAR_WIDTH[encoding]) - 1)
+    assert read_word_scalar(p, element) == flipped_scalar(p, old, bit)
+    others = [i for i in range(3) if i != element]
+    assert p.tensor.flat[others].tobytes() == np.frombuffer(
+        before, p.tensor.data.dtype)[others].tobytes()
+    revert(g, token)
+    assert p.tensor.data.tobytes() == before
+
+
+class TestFaultAddresses:
+    def test_mixed_integer_space_matches_the_scalar_decode(self, tiny_graph, tiny_inputs):
+        q = sf.quantize_ptq(tiny_graph, tiny_inputs[0])
+        assert {p.tensor.encoding for p in q.params} >= {"i8", "i32"}
+        space, size = fault_space(q.params)
+        assert size == fault_space_size(q, psets=[p.index for p in q.params])
+        edges, start = [], 0
+        for p in q.params:
+            edges += [start - 1, start, start + 1]
+            start += p.tensor.size * SCALAR_WIDTH[p.tensor.encoding]
+        assert start == size
+        rng = np.random.Generator(np.random.PCG64(3))
+        flats = [f for f in edges + [size - 1] if 0 <= f < size]
+        flats += [int(f) for f in rng.integers(0, size, 2000)]
+        for flat in flats:
+            assert fault_at(space, flat) == global_fault_scalar(q, flat)
+
+    @pytest.mark.parametrize("quantized, pset, bits", [
+        (False, 2, (28, 31)), (False, 1, (0, 31)), (True, 1, (0, 7)), (True, 2, (0, 31)),
+        (True, 2, (3, 9))])
+    def test_one_set_bit_range_matches_the_sweep_decode(self, tiny_graph, tiny_inputs,
+                                                        quantized, pset, bits):
+        graph = sf.quantize_ptq(tiny_graph, tiny_inputs[0]) if quantized else tiny_graph
+        p = graph.param(pset)
+        assert bits[1] < p.width
+        space, size = fault_space([p], bits)
+        assert size == p.tensor.size * (bits[1] - bits[0] + 1)
+        assert [fault_at(space, f) for f in range(size)] == \
+            [sweep_fault_scalar(p, *bits, f) for f in range(size)]
