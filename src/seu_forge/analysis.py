@@ -1,11 +1,8 @@
 """Diagnostic lenses over a model: sign censuses, risky-exponent scans,
 quantized bit-width tables, calibration reports, correlation summaries.
 
-"Risky" means one bit-flip away from a filled (partial) exponent: either the
-full-exponent-minus-one state 01111111 (flip of bit 30 gives NaN/Inf) or a
-partial exponent with six of its seven bits set (one flip crosses the value
-above 1). Subnormals and zeros are not risky: no single exponent flip can
-fill their exponent.
+"Risky" is the rule of ``bits.RISKY``: one bit-flip away from a filled
+(partial) exponent.
 """
 
 from __future__ import annotations
@@ -37,19 +34,18 @@ def positive_ratio_table(graph: ModelGraph, roles=POSITIVE_RATIO_ROLES) -> list:
 def risky_exponent_scan(graph: ModelGraph) -> list:
     """Classify every f32 parameter's exponent state.
 
-    Per set: counts and element lists for full-exponent-minus-one (01111111),
-    partial-exponent-minus-one (six ones among the low seven bits, MSB=0),
-    the non-protectable candidates among those (exponent 01111110), and the
-    separately flagged 10000000 state.
+    Per set: counts and element lists for full-exponent-minus-one (01111111)
+    and the other risky (partial) states, the risky states protection may not
+    move in either direction, and the separately flagged 10000000 state.
     """
     rows = []
     for p in graph.params:
         if p.tensor.encoding != "f32":
             continue
-        exp = bits.exponent_fields(p.tensor.flat)
+        exp = bits.exponent_fields(p.tensor.flat.view(np.uint32))
         full = exp == 0x7F
-        partial = bits.risky_mask(bits.u32_view(p.tensor.flat)) & ~full
-        nonprot = exp == 0x7E
+        partial = bits.RISKY[exp] & ~full
+        nonprot = bits.RISKY[exp] & ~bits.MAY_INCREMENT[exp] & ~bits.MAY_DECREMENT[exp]
         exp80 = exp == 0x80
         rows.append({
             "pset": p.index, "layer": p.layer, "role": p.role,

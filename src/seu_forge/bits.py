@@ -12,16 +12,11 @@ import struct
 
 import numpy as np
 
-F32_WIDTH = 32
 F32_SIGN_BIT = 31
 F32_EXP_LO = 23
-F32_EXP_BITS = 8
 F32_MANT_BITS = 23
 F32_EXP_MASK = 0xFF
 F32_MANT_MASK = (1 << F32_MANT_BITS) - 1
-
-# Largest significand a 23-bit mantissa can hold: 2 - 2**-23 ~ 1.99999988.
-MAX_SIGNIFICAND = 2.0 - 2.0 ** -F32_MANT_BITS
 
 
 def f32_to_bits(value: float) -> int:
@@ -85,15 +80,6 @@ def f32_flip_value(value: float, bit: int) -> float:
     return bits_to_f32(flip_bit_f32(f32_to_bits(value), bit))
 
 
-def popcount(x: int) -> int:
-    return int(x).bit_count()
-
-
-def partial_exponent_zeros(exponent: int) -> int:
-    """Number of '0' bits among the low 7 exponent bits."""
-    return 7 - popcount(exponent & 0x7F)
-
-
 def twos_complement_width(value: int) -> int:
     """Smallest k with value representable in k-bit two's complement."""
     v = int(value)
@@ -103,36 +89,42 @@ def twos_complement_width(value: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# vectorized views over numpy buffers
+# the risky-exponent rule, one read-only row per 8-bit exponent field
+#
+# A pattern is risky when one exponent flip fills its exponent: 01111111
+# (a bit-30 flip gives NaN/Inf), or a clear MSB with six of the low seven
+# bits set (one flip fills the partial exponent and pushes the value above
+# 1). Subnormals and zeros are never risky. Protection may move a risky
+# exponent one step up or down only where the step strictly lowers the
+# count of ones among the low seven bits.
 
 
-def u32_view(arr: np.ndarray) -> np.ndarray:
-    """uint32 view of a float32 array (no copy; mutations write through)."""
-    if arr.dtype != np.float32:
-        raise TypeError(f"expected float32 buffer, got {arr.dtype}")
-    return arr.view(np.uint32)
+def _low_ones(exponent: int) -> int:
+    return bin(exponent & 0x7F).count("1")
 
 
-def exponent_fields(arr: np.ndarray) -> np.ndarray:
-    return (u32_view(arr) >> np.uint32(F32_EXP_LO)) & np.uint32(F32_EXP_MASK)
+def _danger_bit(exponent: int) -> int:
+    """The bit whose flip fills the exponent: 30 for 01111111, otherwise the
+    one clear low bit; -1 where the exponent is not risky."""
+    if not RISKY[exponent]:
+        return -1
+    return 30 if exponent == 0x7F else F32_EXP_LO + (~exponent & 0x7F).bit_length() - 1
 
 
-def popcount_u32(arr: np.ndarray) -> np.ndarray:
-    """Per-element popcount of a uint32 array (SWAR, no Python loop)."""
-    x = arr.astype(np.uint32)
-    x = x - ((x >> np.uint32(1)) & np.uint32(0x55555555))
-    x = (x & np.uint32(0x33333333)) + ((x >> np.uint32(2)) & np.uint32(0x33333333))
-    x = (x + (x >> np.uint32(4))) & np.uint32(0x0F0F0F0F)
-    return (x * np.uint32(0x01010101)) >> np.uint32(24)
+_EXPONENTS = range(F32_EXP_MASK + 1)
+RISKY = np.array([e < 0x80 and _low_ones(e) >= 6 for e in _EXPONENTS])
+DANGER_BIT = np.array([_danger_bit(e) for e in _EXPONENTS], np.int8)
+MAY_INCREMENT = np.array([RISKY[e] and _low_ones(e + 1) < _low_ones(e) for e in _EXPONENTS])
+MAY_DECREMENT = np.array([RISKY[e] and _low_ones(e - 1) < _low_ones(e) for e in _EXPONENTS])
+for _table in (RISKY, DANGER_BIT, MAY_INCREMENT, MAY_DECREMENT):
+    _table.flags.writeable = False
+
+
+def exponent_fields(words: np.ndarray) -> np.ndarray:
+    """Exponent field of each uint32 f32 word."""
+    return (words >> np.uint32(F32_EXP_LO)) & np.uint32(F32_EXP_MASK)
 
 
 def risky_mask(words: np.ndarray) -> np.ndarray:
-    """Which uint32 f32 words are one exponent flip from a filled exponent.
-
-    Risky: the exponent 01111111 (a bit-30 flip gives NaN/Inf), or a clear
-    exponent MSB with six of the low seven exponent bits set (one flip
-    pushes the value above 1). Subnormals and zeros are never risky.
-    """
-    exp = (words >> np.uint32(F32_EXP_LO)) & np.uint32(F32_EXP_MASK)
-    low_ones = popcount_u32(exp & np.uint32(0x7F))
-    return (exp == 0x7F) | ((exp < 0x80) & (low_ones == 6))
+    """Which uint32 f32 words have a risky exponent (see ``RISKY``)."""
+    return RISKY[exponent_fields(words)]

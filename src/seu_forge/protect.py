@@ -1,13 +1,13 @@
 """Zero-overhead parameter hardening.
 
-Exponent/mantissa reconditioning: parameters whose (partial) exponent is one
-flip away from filled get their exponent nudged by one — up with the
+Exponent/mantissa reconditioning: parameters with a risky exponent
+(``bits.RISKY``) get their exponent nudged by one step — up with the
 significand forced to 1.0, or down with it forced to the 23-bit maximum
-(~1.99999988) — whenever the nudge strictly increases the number of '0's in
-the partial exponent. PT thresholds on the significand bound the allowed
-perturbation. The remaining transforms (BN reparameterization, cross-layer
-equalization, bias absorption) rewrite parameters without changing the
-network function at all.
+(~1.99999988) — where ``bits.MAY_INCREMENT``/``bits.MAY_DECREMENT`` allow
+that step. PT thresholds on the significand bound the allowed perturbation.
+The remaining transforms (BN reparameterization, cross-layer equalization,
+bias absorption) rewrite parameters without changing the network function
+at all.
 """
 
 from __future__ import annotations
@@ -48,19 +48,12 @@ class CandidateClass:
     label: str
 
 
-# The exponent fields of the patterns bits.risky_mask calls risky.
-_RISKY_EXPONENTS = frozenset(np.flatnonzero(bits.risky_mask(
-    np.arange(256, dtype=np.uint32) << np.uint32(bits.F32_EXP_LO))).tolist())
-
-
 def classify_candidate(word: int) -> CandidateClass:
     """Risk/protectability of one f32 bit pattern.
 
-    Candidates are the risky patterns of ``bits.risky_mask``: exponent
-    01111111, or exactly six '1's among the low seven exponent bits (MSB
-    clear). A direction is allowed iff it strictly increases the number of
-    '0's in the partial exponent, which blocks 01111110 entirely and the
-    increment of 01111101; 10000000 is excluded outright (any
+    Candidates are the patterns with a ``bits.RISKY`` exponent, and the
+    allowed directions are its ``bits.MAY_INCREMENT``/``MAY_DECREMENT``
+    rows; 10000000 is labelled non-protectable outright (any
     partial-exponent flip would push the value above 2).
     """
     exp = bits.exponent_field(word)
@@ -68,11 +61,9 @@ def classify_candidate(word: int) -> CandidateClass:
         raise ValueError("NaN/Inf patterns have no protection classification")
     if exp == 0x80:
         return CandidateClass(False, False, False, "non-protectable")
-    if exp not in _RISKY_EXPONENTS:
+    if not bits.RISKY[exp]:
         return CandidateClass(False, False, False, "not-a-candidate")
-    zeros = bits.partial_exponent_zeros
-    inc = zeros(exp + 1) > zeros(exp)
-    dec = exp > 0 and zeros(exp - 1) > zeros(exp)
+    inc, dec = bool(bits.MAY_INCREMENT[exp]), bool(bits.MAY_DECREMENT[exp])
     if inc and dec:
         label = "protect-either"
     elif inc:
@@ -86,14 +77,20 @@ def classify_candidate(word: int) -> CandidateClass:
 
 def danger_bit(word: int) -> int:
     """The bit whose flip fills this candidate's (partial) exponent."""
-    exp = bits.exponent_field(word)
-    if exp == 0x7F:
-        return 30
-    low = exp & 0x7F
-    for pos in range(7):
-        if not low >> pos & 1:
-            return 23 + pos
-    raise ValueError(f"pattern {word:#010x} is not a risky candidate")
+    bit = int(bits.DANGER_BIT[bits.exponent_field(word)])
+    if bit < 0:
+        raise ValueError(f"pattern {word:#010x} is not a risky candidate")
+    return bit
+
+
+def _risky_positions(params):
+    """(set, element, word) of every risky f32 element of ``params``, in order."""
+    for p in params:
+        if p.tensor.encoding != "f32":
+            continue
+        words = p.tensor.flat.view(np.uint32)
+        for idx in np.flatnonzero(bits.risky_mask(words)):
+            yield p, int(idx), int(words[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -194,45 +191,31 @@ def protect_parameters(graph: ModelGraph, pt: ProtectionTarget, roles=None):
     report = ProtectionReport(pt)
     roleset = set(roles) if roles is not None else None
 
-    for p in out.params:
-        if p.tensor.encoding != "f32":
-            continue
-        if roleset is not None and p.role not in roleset:
-            continue
-        words = p.tensor.flat.view(np.uint32)
-        for idx in np.flatnonzero(bits.risky_mask(words)):
-            word = int(words[idx])
-            cls = classify_candidate(word)
-            sig = bits.significand_value(word)
-            sign = bits.sign_field(word)
-            e = bits.exponent_field(word)
-            new_word, rule = None, None
-            if not (cls.allow_increment or cls.allow_decrement):
-                rule = RULE_SKIP_NONPROT
-            elif sig >= pt.full_threshold:
-                if cls.allow_increment:
-                    new_word = bits.assemble_f32(sign, e + 1, 0)
-                    rule = RULE_INCREMENT
-                else:
-                    rule = RULE_SKIP_NONPROT
-            elif sig <= pt.empty_threshold:
-                if cls.allow_decrement:
-                    new_word = bits.assemble_f32(sign, e - 1, bits.F32_MANT_MASK)
-                    rule = RULE_DECREMENT
-                else:
-                    rule = RULE_SKIP_NONPROT
-            else:
-                rule = RULE_SKIP_OUTSIDE
-            before = bits.bits_to_f32(word)
-            after = before
-            if new_word is not None:
-                words[idx] = np.uint32(new_word)
-                after = bits.bits_to_f32(new_word)
-            report.records.append(ProtectionRecord(
-                pset=p.index, element=int(idx), rule=rule,
-                before_bits=word, after_bits=new_word if new_word is not None else word,
-                before_value=before, after_value=after,
-                relative_delta=(after - before) / before if before else 0.0))
+    params = (p for p in out.params if roleset is None or p.role in roleset)
+    for p, idx, word in _risky_positions(params):
+        cls = classify_candidate(word)
+        sig = bits.significand_value(word)
+        sign = bits.sign_field(word)
+        e = bits.exponent_field(word)
+        new_word, rule = word, RULE_SKIP_NONPROT
+        if sig >= pt.full_threshold:
+            if cls.allow_increment:
+                new_word, rule = bits.assemble_f32(sign, e + 1, 0), RULE_INCREMENT
+        elif sig <= pt.empty_threshold:
+            if cls.allow_decrement:
+                new_word = bits.assemble_f32(sign, e - 1, bits.F32_MANT_MASK)
+                rule = RULE_DECREMENT
+        elif cls.allow_increment or cls.allow_decrement:
+            rule = RULE_SKIP_OUTSIDE
+        before = after = bits.bits_to_f32(word)
+        if new_word != word:
+            p.tensor.flat.view(np.uint32)[idx] = new_word
+            after = bits.bits_to_f32(new_word)
+        report.records.append(ProtectionRecord(
+            pset=p.index, element=idx, rule=rule,
+            before_bits=word, after_bits=new_word,
+            before_value=before, after_value=after,
+            relative_delta=(after - before) / before if before else 0.0))
 
     out.with_provenance({"transform": "protect_parameters", "pt": pt.level,
                          "summary": report.summary()})
@@ -284,15 +267,11 @@ def evaluate_protection(original: ModelGraph, protected: ModelGraph, images,
     """
     batch = batch_inputs(images)
     targets = []
-    for p in original.params:
-        if p.tensor.encoding != "f32":
-            continue
-        words = p.tensor.flat.view(np.uint32)
-        for idx in np.flatnonzero(bits.risky_mask(words)):
-            bitpos = danger_bit(int(words[idx]))
-            if bit_filter is None or bitpos in bit_filter:
-                targets.append([FaultSpec(pset=p.index, element=int(idx), bit=bitpos,
-                                          encoding="f32")])
+    for p, idx, word in _risky_positions(original.params):
+        bitpos = danger_bit(word)
+        if bit_filter is None or bitpos in bit_filter:
+            targets.append([FaultSpec(pset=p.index, element=idx, bit=bitpos,
+                                      encoding="f32")])
 
     faultless, pairs = run_fault_sets([original, protected], targets, batch,
                                       partial(_scores, labels, original.class_count), workers)
@@ -344,21 +323,19 @@ def recondition_bn(graph: ModelGraph, strategy: str = "pow2"):
         mu = ps["bn_mu"].tensor.data
         beta = ps["bn_beta"].tensor.data
         for ch in range(gamma.size):
-            word = bits.f32_to_bits(float(gamma[ch]))
-            if not np.isfinite(gamma[ch]) or not classify_candidate(word).candidate:
+            if not _risky(gamma[ch]):
                 continue
             w_ref = float(gamma[ch]) / np.sqrt(float(sigma[ch]) + float(eps))
             b_ref = float(beta[ch]) - w_ref * float(mu[ch])
             for s in (2.0, 0.5, 4.0, 0.25):
-                g2 = np.float32(gamma[ch] * np.float32(s))
-                t = np.float32(sigma[ch] + eps)
-                s2 = np.float32(np.float32(s * s) * t - eps)
-                if not np.isfinite(g2) or s2 < 0:
+                # a trial that overflows is skipped, not warned about
+                with np.errstate(over="ignore"):
+                    g2 = np.float32(gamma[ch] * np.float32(s))
+                    t = np.float32(sigma[ch] + eps)
+                    s2 = np.float32(np.float32(s * s) * t - eps)
+                if not (np.isfinite(g2) and np.isfinite(s2)) or s2 < 0 or _risky(g2):
                     continue
-                if classify_candidate(bits.f32_to_bits(float(g2))).candidate:
-                    continue
-                sig_was_risky = classify_candidate(bits.f32_to_bits(float(sigma[ch]))).candidate
-                if not sig_was_risky and classify_candidate(bits.f32_to_bits(float(s2))).candidate:
+                if not _risky(sigma[ch]) and _risky(s2):
                     continue
                 w_new = float(g2) / np.sqrt(float(s2) + float(eps))
                 b_new = float(beta[ch]) - w_new * float(mu[ch])
@@ -376,6 +353,10 @@ def recondition_bn(graph: ModelGraph, strategy: str = "pow2"):
     return out, {"strategy": strategy, "channels_changed": len(changed),
                  "risky_before": before, "risky_after": _risky_bn_count(out),
                  "changes": changed}
+
+
+def _risky(value) -> bool:
+    return bool(bits.RISKY[bits.exponent_field(bits.f32_to_bits(float(value)))])
 
 
 def _risky_bn_count(graph: ModelGraph) -> int:

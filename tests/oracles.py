@@ -106,6 +106,29 @@ def risky_class_struct(value):
     return "none"
 
 
+def danger_bit_struct(value):
+    """The word bit whose flip turns a risky exponent string into 11111111
+    or 0 followed by 1111111; None when the value is not risky."""
+    if risky_class_struct(value) == "none":
+        return None
+    e = exponent_bits_string(value)
+    for i, c in enumerate(e):
+        if e[:i] + "10"[int(c)] + e[i + 1:] in ("11111111", "01111111"):
+            return 30 - i
+    raise AssertionError(f"risky exponent {e} has no filling flip")
+
+
+def protect_directions_struct(value):
+    """(increment, decrement): whether protection may step a risky value's
+    exponent up or down, i.e. whether the step adds zeros to its low seven
+    bits. (False, False) when the value is not risky."""
+    if risky_class_struct(value) == "none":
+        return False, False
+    e = int(exponent_bits_string(value), 2)
+    down, here, up = (format(x, "08b")[1:].count("0") for x in (e - 1, e, e + 1))
+    return up > here, down > here
+
+
 def confusion_matrix_by_hand(pred, labels, classes):
     conf = np.zeros((classes, classes), dtype=int)
     invalid = np.zeros(classes, dtype=int)

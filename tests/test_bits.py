@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seu_forge import bits
+from seu_forge.protect import classify_candidate, danger_bit
 
-from oracles import flip_f32_struct
+from oracles import (danger_bit_struct, flip_f32_struct, protect_directions_struct,
+                     risky_class_struct)
 
 
 def test_reference_flip_examples():
@@ -83,12 +86,23 @@ def test_width_is_minimal(v):
         assert not (-(1 << (k - 2)) <= v <= (1 << (k - 2)) - 1)
 
 
-def test_popcount_u32_swar():
-    rng = np.random.Generator(np.random.PCG64(4))
-    words = rng.integers(0, 2**32, size=1000, dtype=np.uint32)
-    ours = bits.popcount_u32(words)
-    ref = np.array([int(w).bit_count() for w in words])
-    assert np.array_equal(ours, ref)
+def test_risky_table_matches_struct_oracle():
+    """Every finite exponent, both signs, mantissas 0, 0x2A and max."""
+    words = np.array([sign << 31 | e << 23 | mant for e in range(255) for sign in (0, 1)
+                      for mant in (0, 0x2A, (1 << 23) - 1)], dtype=np.uint32)
+    for word, risky in zip(words.tolist(), bits.risky_mask(words)):
+        value = struct.unpack("<f", struct.pack("<I", word))[0]
+        assert risky == (risky_class_struct(value) != "none")
+        cls = classify_candidate(word)
+        assert cls.candidate == risky
+        directions = protect_directions_struct(value)
+        assert (cls.allow_increment, cls.allow_decrement) == directions
+        expected = danger_bit_struct(value)
+        if expected is None:
+            with pytest.raises(ValueError, match="not a risky candidate"):
+                danger_bit(word)
+        else:
+            assert danger_bit(word) == expected
 
 
 def test_field_helpers():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -68,6 +70,11 @@ class TestClassify:
         assert danger_bit(word_of(1.5)) == 30
         assert danger_bit(word_of(0.1)) == 25   # low-7 zero at position 2
         assert danger_bit(word_of(0.75)) == 23
+
+    @pytest.mark.parametrize("value", [5.0, 0.0, 2.5, 1e-40])
+    def test_danger_bit_refuses_non_candidates(self, value):
+        with pytest.raises(ValueError, match="not a risky candidate"):
+            danger_bit(word_of(value))
 
 
 class TestProtectionTarget:
@@ -250,6 +257,22 @@ class TestReconditionBn:
         with pytest.raises(ValueError, match="unfolded"):
             recondition_bn(folded)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variance, gamma", [(math.nan, 1.5), (math.inf, 1.5),
+                                                 (1e38, 1.5), (3e37, 3.0)])
+    def test_trial_without_finite_variance_is_skipped(self, variance, gamma):
+        """A NaN or Inf variance, or one whose x2 trial overflows, leaves the
+        risky gamma as it was; 3e37 still rescales by 2."""
+        g = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5)
+        ps = g.layer_params("bn")
+        ps["bn_gamma"].tensor.data[0] = np.float32(1.5)
+        ps["bn_sigma"].tensor.data[0] = np.float32(variance)
+        out, report = recondition_bn(g)
+        assert out.layer_params("bn")["bn_gamma"].tensor.data[0] == np.float32(gamma)
+        scales = [c["scale"] for c in report["changes"]
+                  if (c["layer"], c["channel"]) == ("bn", 0)]
+        assert scales == ([] if gamma == 1.5 else [2.0])
+
 
 class TestCLE:
     def test_all_ones_identity(self, tiny_graph, tiny_batch):
@@ -372,6 +395,26 @@ class TestAbsorbBias:
         a = sf.run_float(g, batch)
         b = sf.run_float(out, batch)
         assert np.array_equal(a.class_map, b.class_map)
+
+
+def test_protection_records_and_risky_scan_bytes_are_pinned(tmp_path):
+    """The PT1-PT4 record files and the risky scan of model_b, byte for byte."""
+    graph = sf.generate_toy_weights(sf.build_unet(2, 8, 4, 4), 42)
+    digests = {}
+    for level in PT_LEVELS:
+        _, report = protect_parameters(graph, PT_LEVELS[level])
+        path = tmp_path / f"pt{level}.jsonl"
+        report.write_jsonl(path)
+        digests[level] = hashlib.sha256(path.read_bytes()).hexdigest()
+    scan = json.dumps(sf.risky_exponent_scan(graph), sort_keys=True).encode()
+    digests["scan"] = hashlib.sha256(scan).hexdigest()
+    assert digests == {
+        1: "71d10cee74f001e651df70cdb9861f42bbb30b6c549c9dcc42230f76a3eae5a9",
+        2: "d78c2ab766d517cbfc8ce80b3acd75c4c4d297a473f3a91640fd1336688d8ced",
+        3: "9795400fce4eff57c7d94f0fbcea9f7eae850e8c957bc307ba8d1b36dba8e79c",
+        4: "92122620f377bce9507e3a1296697f552a8b568e1b9f737339ab55760df0417f",
+        "scan": "1c323ca0005da9d8fc7e7e15e2193a989f0a1e7782aeb97ca76cac44c1aa8615",
+    }
 
 
 def test_evaluation_matches_full_forward_oracle(tiny_graph, tiny_inputs):
