@@ -8,10 +8,13 @@ byte-identical for any worker count.
 
 from __future__ import annotations
 
+import atexit
 import csv
+import functools
 import json
 import math
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -487,9 +490,11 @@ def run_fault_sets(graphs, fault_sets, batch: Tensor, score, workers: int = 1):
     order, one (value, error) pair per graph (see ``_score_chunk``).
 
     The sets are dealt with ``_chunks``, one job per chunk; without sets one
-    job runs, whose walks still give the faultless scores. ``score`` must
-    pickle, as jobs go to spawned workers.
+    job runs, whose walks still give the faultless scores. At most one worker
+    per available CPU runs the jobs (``_run_chunks``); ``score`` must pickle,
+    as jobs go to worker processes.
     """
+    workers = max(1, min(workers, _available_cpus()))
     chunks = _chunks(graphs[0], batch, fault_sets, workers) or [[]]
     parts = _run_chunks(_score_chunk, [(graphs, chunk, batch, score) for chunk in chunks],
                         workers)
@@ -511,12 +516,49 @@ def fault_outcomes(graph: ModelGraph, specs, batch: Tensor, workers: int = 1) ->
     return outcomes
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on (all of them where the platform
+    cannot say which)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
 def _run_chunks(worker, jobs, workers: int):
     if workers <= 1 or len(jobs) <= 1:
         return [worker(j) for j in jobs]
-    ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs)), mp_context=ctx) as ex:
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
+                             mp_context=_pool_context()) as ex:
         return list(ex.map(worker, jobs))
+
+
+def _pool_context():
+    """Where pool workers come from: the forkserver (``_forkserver``) where
+    the platform has one, else spawn, whose workers import numpy and
+    seu_forge afresh."""
+    if "forkserver" in multiprocessing.get_all_start_methods():
+        return _forkserver()
+    return multiprocessing.get_context("spawn")
+
+
+@functools.cache
+def _forkserver():
+    """The forkserver context, set up when the first pool is made.
+
+    The server, started with that pool's first worker, imports numpy and
+    seu_forge once and forks every later worker from itself, so a worker
+    starts in milliseconds. (It finds seu_forge on its environment's path,
+    not on this process's ``sys.path``; where it does not, each worker
+    imports it.) It would otherwise outlive this interpreter for
+    a moment, until it sees the alive pipe close, and stay a zombie where
+    nothing reaps orphans; an exit hook closes that pipe and waits for it.
+    """
+    ctx = multiprocessing.get_context("forkserver")
+    ctx.set_forkserver_preload(["numpy", "seu_forge"])
+    from multiprocessing import forkserver
+    stop = getattr(forkserver._forkserver, "_stop", None)
+    if stop is not None:
+        atexit.register(stop)
+    return ctx
 
 
 def _deal(items, workers: int) -> list:

@@ -323,7 +323,8 @@ def recondition_bn(graph: ModelGraph, strategy: str = "pow2"):
         mu = ps["bn_mu"].tensor.data
         beta = ps["bn_beta"].tensor.data
         for ch in range(gamma.size):
-            if not _risky(gamma[ch]):
+            # no scale keeps W of a channel whose sigma + eps is not positive
+            if not _risky(gamma[ch]) or not float(sigma[ch]) + float(eps) > 0:
                 continue
             w_ref = float(gamma[ch]) / np.sqrt(float(sigma[ch]) + float(eps))
             b_ref = float(beta[ch]) - w_ref * float(mu[ch])

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -795,3 +796,105 @@ class TestHeldMapsBound:
         run_multi_bit_campaign(q, [1, 4], 4, 8, images, workers=2).write(tmp_path / "pool")
         assert _report_bytes(tmp_path / "whole") == _report_bytes(tmp_path / "bounded") \
             == _report_bytes(tmp_path / "pool")
+
+
+class TestPool:
+    """Where campaign workers come from, how many there are, and that none
+    outlives the interpreter that started them."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        graph = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5, kernel_scale=2.0)
+        images = sf.generate_calibration_set((16, 16, 3), count=3, seed=11,
+                                             class_count=3)[0]
+        return graph, sf.quantize_ptq(graph, images), images
+
+    @staticmethod
+    def reports(model, tmp_path, workers):
+        graph, q, images = model
+        plan = plan_single_bit_sweep(graph, psets=[1, 3, 7], bits=(29, 31),
+                                     injections_per_target=2, seed=3)
+        out = tmp_path / str(workers)
+        run_single_bit_sweep(graph, plan, images, workers=workers).write(out)
+        run_multi_bit_campaign(q, [1, 4], 3, 8, images, workers=workers).write(out)
+        return _report_bytes(out)
+
+    def test_spawn_where_there_is_no_forkserver(self, model, tmp_path, monkeypatch):
+        import multiprocessing
+
+        import seu_forge.campaign as campaign
+        methods = []
+
+        class Spy(campaign.ProcessPoolExecutor):
+            def __init__(self, max_workers, mp_context):
+                methods.append(mp_context.get_start_method())
+                super().__init__(max_workers, mp_context=mp_context)
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["fork", "spawn"])
+        monkeypatch.setattr(campaign, "ProcessPoolExecutor", Spy)
+        monkeypatch.setattr(campaign, "_available_cpus", lambda: 2)  # a pool on any host
+        assert self.reports(model, tmp_path, 2) == self.reports(model, tmp_path, 1)
+        assert methods == ["spawn", "spawn"]
+
+    @pytest.mark.parametrize("cpus_from", ["affinity", "cpu_count"])
+    def test_at_most_one_worker_per_cpu(self, model, tmp_path, monkeypatch, cpus_from):
+        import os
+
+        import seu_forge.campaign as campaign
+        pools = []
+
+        class InProcess:
+            """Records each pool's size and runs its jobs in this process."""
+
+            def __init__(self, max_workers, mp_context):
+                self.size = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                jobs = list(jobs)
+                pools.append((self.size, len(jobs)))
+                return map(fn, jobs)
+
+        if cpus_from == "affinity":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(campaign, "ProcessPoolExecutor", InProcess)
+        assert self.reports(model, tmp_path, 64) == self.reports(model, tmp_path, 1)
+        assert pools == [(2, 2), (2, 2)]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="checks a Linux process table")
+    def test_no_process_outlives_a_campaign(self):
+        import multiprocessing
+        import os
+        import subprocess
+
+        import seu_forge.campaign as campaign
+        if "forkserver" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no forkserver on this platform")
+        if campaign._available_cpus() < 2:
+            pytest.skip("a pool needs two CPUs")
+        script = (
+            "import multiprocessing.forkserver as fs\n"
+            "import seu_forge as sf\n"
+            "graph = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5)\n"
+            "images = sf.generate_calibration_set((8, 8, 3), count=2, seed=1,"
+            " class_count=3)[0]\n"
+            "q = sf.quantize_ptq(graph, images)\n"
+            "sf.run_multi_bit_campaign(q, [1, 3], 2, 0, images, workers=2)\n"
+            "print(fs._forkserver._forkserver_pid)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sf.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        server = int(run.stdout.split()[-1])
+        # a zombie, left to whoever adopts it, still answers kill(pid, 0)
+        with pytest.raises(ProcessLookupError):
+            os.kill(server, 0)

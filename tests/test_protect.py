@@ -273,6 +273,19 @@ class TestReconditionBn:
                   if (c["layer"], c["channel"]) == ("bn", 0)]
         assert scales == ([] if gamma == 1.5 else [2.0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_channel_without_positive_variance_is_left_untouched(self, tmp_path):
+        """A negative variance loads, as any parameter value does, and leaves
+        its risky gamma as it was, as does a variance of -eps."""
+        g = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5)
+        ps = g.layer_params("bn")
+        ps["bn_gamma"].tensor.data[:2] = np.float32(1.5)
+        ps["bn_sigma"].tensor.data[:2] = [-1.0, -g.bn_epsilon]
+        sf.save_model(g, tmp_path / "m.sfm")
+        out, report = recondition_bn(sf.load_model(tmp_path / "m.sfm"))
+        assert out.layer_params("bn")["bn_gamma"].tensor.data[:2].tolist() == [1.5, 1.5]
+        assert not [c for c in report["changes"] if c["layer"] == "bn" and c["channel"] < 2]
+
 
 class TestCLE:
     def test_all_ones_identity(self, tiny_graph, tiny_batch):
