@@ -7,12 +7,9 @@ quantized bit-width tables, calibration reports, correlation summaries.
 
 from __future__ import annotations
 
-import csv
-import json
-
 import numpy as np
 
-from . import bits
+from . import bits, reports
 from .engine import capture_parameter_stats, run_float
 from .model import ModelGraph, batch_inputs
 
@@ -108,40 +105,26 @@ def correlate(series_a, series_b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# table writers (CSV with the Name / Pos. / Total / % vocabulary, plus JSON)
+# table writers (CSV with the Name / Pos. / Total / % vocabulary)
 
 
 def write_positive_ratio_csv(rows, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["Name", "Pos.", "Total", "%", "pset", "role"])
-        for r in rows:
-            w.writerow([r["layer"], r["positive"], r["total"],
-                        f"{r['percent']:.2f}", r["pset"], r["role"]])
+    reports.write_csv(path, ["Name", "Pos.", "Total", "%", "pset", "role"],
+                      [[r["layer"], r["positive"], r["total"], f"{r['percent']:.2f}",
+                        r["pset"], r["role"]] for r in rows])
 
 
 def write_risky_scan_csv(rows, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["Name", "pset", "role", "Total", "FullRisky", "PartialRisky",
-                    "NonProtectable", "Exp0x80"])
-        for r in rows:
-            w.writerow([r["layer"], r["pset"], r["role"], r["total"],
-                        r["full_risky"], r["partial_risky"],
-                        r["non_protectable"], r["exp_0x80"]])
+    reports.write_csv(path, ["Name", "pset", "role", "Total", "FullRisky", "PartialRisky",
+                             "NonProtectable", "Exp0x80"],
+                      [[r["layer"], r["pset"], r["role"], r["total"], r["full_risky"],
+                        r["partial_risky"], r["non_protectable"], r["exp_0x80"]]
+                       for r in rows])
 
 
 def write_bits_needed_csv(rows, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["Name", "pset", "role", "Positive", "Negative"])
-        for r in rows:
-            w.writerow([r["layer"], r["pset"], r["role"],
-                        r["positive_bits"] if r["positive_bits"] is not None else "-",
-                        r["negative_bits"] if r["negative_bits"] is not None else "-"])
-
-
-def write_json(obj, path):
-    with open(path, "w") as f:
-        json.dump(obj, f, sort_keys=True, indent=1)
-        f.write("\n")
+    reports.write_csv(path, ["Name", "pset", "role", "Positive", "Negative"],
+                      [[r["layer"], r["pset"], r["role"],
+                        "-" if r["positive_bits"] is None else r["positive_bits"],
+                        "-" if r["negative_bits"] is None else r["negative_bits"]]
+                       for r in rows])

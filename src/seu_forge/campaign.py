@@ -9,7 +9,6 @@ byte-identical for any worker count.
 from __future__ import annotations
 
 import atexit
-import csv
 import functools
 import json
 import math
@@ -20,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import reports
 from .engine import (Frontier, channel_chain, finish, golden_frontiers, poisoned,
                      reaching_output, run_channels, run_float, run_quantized)
 # apply_fault, revert and inject_and_measure are not called here; they stay
@@ -27,7 +27,7 @@ from .engine import (Frontier, channel_chain, finish, golden_frontiers, poisoned
 from .faults import (FaultOutcome, apply_fault, decode_fault, fault_at,  # noqa: F401
                      fault_space, inject_and_measure, revert, target_psets,
                      with_faults)
-from .model import ModelGraph, batch_inputs, infer_shapes, model_hash
+from .model import ModelGraph, batch_inputs, infer_shapes
 from .tensor import INVALID_CLASS, ShapeError, Tensor
 
 # ---------------------------------------------------------------------------
@@ -534,7 +534,9 @@ def _run_chunks(worker, jobs, workers: int):
 def _pool_context():
     """Where pool workers come from: the forkserver (``_forkserver``) where
     the platform has one, else spawn, whose workers import numpy and
-    seu_forge afresh."""
+    seu_forge afresh. Either way the pools share the resource tracker."""
+    from multiprocessing import resource_tracker
+    _stop_at_exit(resource_tracker._resource_tracker)
     if "forkserver" in multiprocessing.get_all_start_methods():
         return _forkserver()
     return multiprocessing.get_context("spawn")
@@ -548,17 +550,24 @@ def _forkserver():
     seu_forge once and forks every later worker from itself, so a worker
     starts in milliseconds. (It finds seu_forge on its environment's path,
     not on this process's ``sys.path``; where it does not, each worker
-    imports it.) It would otherwise outlive this interpreter for
-    a moment, until it sees the alive pipe close, and stay a zombie where
-    nothing reaps orphans; an exit hook closes that pipe and waits for it.
+    imports it.)
     """
     ctx = multiprocessing.get_context("forkserver")
     ctx.set_forkserver_preload(["numpy", "seu_forge"])
     from multiprocessing import forkserver
-    stop = getattr(forkserver._forkserver, "_stop", None)
+    _stop_at_exit(forkserver._forkserver)
+    return ctx
+
+
+@functools.cache
+def _stop_at_exit(helper):
+    """Stop multiprocessing's ``helper`` process (resource tracker or
+    forkserver) at exit, the last registered first. It would otherwise
+    outlive this interpreter until it sees its alive pipe close, and stay a
+    zombie where nothing reaps orphans; ``_stop`` closes the pipe and waits."""
+    stop = getattr(helper, "_stop", None)
     if stop is not None:
         atexit.register(stop)
-    return ctx
 
 
 def _deal(items, workers: int) -> list:
@@ -595,32 +604,24 @@ def _in_plan_order(parts) -> list:
 @dataclass
 class SweepResult:
     plan: CampaignPlan
-    rows: list          # per-(pset, bit): n, mean_error, nan/inf counts
+    rows: list          # sweep_rows(outcomes)
     outcomes: list
-    golden_hash: str
 
     def write(self, directory, stem="sweep"):
-        import os
         os.makedirs(directory, exist_ok=True)
-        with open(os.path.join(directory, f"{stem}_plan.json"), "w") as f:
-            f.write(self.plan.to_json() + "\n")
-        with open(os.path.join(directory, f"{stem}_outcomes.jsonl"), "w") as f:
-            for o in self.outcomes:
-                f.write(o.to_json() + "\n")
-        with open(os.path.join(directory, f"{stem}_aggregate.csv"), "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["pset", "bit", "n", "mean_error", "nan_count", "inf_count"])
-            for r in self.rows:
-                w.writerow([r["pset"], r["bit"], r["n"], repr(r["mean_error"]),
-                            r["nan_count"], r["inf_count"]])
+        reports.write_lines(os.path.join(directory, f"{stem}_plan.json"),
+                            [self.plan.to_json()])
+        reports.write_lines(os.path.join(directory, f"{stem}_outcomes.jsonl"),
+                            (o.to_json() for o in self.outcomes))
+        reports.write_csv(os.path.join(directory, f"{stem}_aggregate.csv"),
+                          ["pset", "bit", "n", "mean_error", "nan_count", "inf_count"],
+                          [[r["pset"], r["bit"], r["n"], repr(r["mean_error"]),
+                            r["nan_count"], r["inf_count"]] for r in self.rows])
 
 
-def run_single_bit_sweep(graph: ModelGraph, plan: CampaignPlan, images,
-                         workers: int = 1) -> SweepResult:
-    """Apply/evaluate/revert every planned fault; aggregate per (pset, bit)."""
-    specs = generate_sweep_faults(graph, plan)
-    outcomes = fault_outcomes(graph, specs, batch_inputs(images), workers)
-
+def sweep_rows(outcomes) -> list:
+    """One row per (pset, bit) of ``outcomes``, in that order: ``n`` evaluated
+    outcomes, their mean error (None without any) and NaN and Inf counts."""
     grouped = {}
     for o in outcomes:
         grouped.setdefault((o.spec.pset, o.spec.bit), []).append(o)
@@ -632,7 +633,15 @@ def run_single_bit_sweep(graph: ModelGraph, plan: CampaignPlan, images,
                                     if evaluated else None),
                      "nan_count": sum(o.produced_nan for o in evaluated),
                      "inf_count": sum(o.produced_inf for o in evaluated)})
-    return SweepResult(plan, rows, outcomes, model_hash(graph))
+    return rows
+
+
+def run_single_bit_sweep(graph: ModelGraph, plan: CampaignPlan, images,
+                         workers: int = 1) -> SweepResult:
+    """Apply/evaluate/revert every planned fault; aggregate per (pset, bit)."""
+    outcomes = fault_outcomes(graph, generate_sweep_faults(graph, plan),
+                              batch_inputs(images), workers)
+    return SweepResult(plan, sweep_rows(outcomes), outcomes)
 
 
 def role_bit_means(graph: ModelGraph, result: SweepResult, bit: int) -> dict:
@@ -657,19 +666,18 @@ class MultiBitResult:
     failed: list = field(default_factory=list)  # {flip_count, repetition, error}
 
     def write(self, directory, stem="multibit"):
-        import os
         os.makedirs(directory, exist_ok=True)
         if self.plan is not None:
-            with open(os.path.join(directory, f"{stem}_plan.json"), "w") as f:
-                f.write(self.plan.to_json() + "\n")
-        with open(os.path.join(directory, f"{stem}_aggregate.csv"), "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["flip_count", "repetitions", "mean_error", "std_error"])
-            for c, m, s in zip(self.counts, self.means, self.stds):
-                w.writerow([c, len(self.per_rep_errors[c]), repr(m), repr(s)])
+            reports.write_lines(os.path.join(directory, f"{stem}_plan.json"),
+                                [self.plan.to_json()])
+        reports.write_csv(os.path.join(directory, f"{stem}_aggregate.csv"),
+                          ["flip_count", "repetitions", "mean_error", "std_error"],
+                          [[c, len(self.per_rep_errors[c]), repr(m), repr(s)]
+                           for c, m, s in zip(self.counts, self.means, self.stds)])
         reps = {str(k): v for k, v in self.per_rep_errors.items()}
         if self.failed:
             reps["failed"] = self.failed
+        # compact, without a trailing newline, unlike the reports module's JSON
         with open(os.path.join(directory, f"{stem}_reps.json"), "w") as f:
             json.dump(reps, f, sort_keys=True)
 

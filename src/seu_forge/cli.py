@@ -1,20 +1,21 @@
-"""Batch front-end. Every command takes --seed, writes a manifest echoing its
-resolved inputs (timestamps live in no report file, so reruns with the same
-seeds are byte-identical), and exits non-zero on any failure.
+"""Batch front-end. Every command takes --seed and exits non-zero on any
+failure. Every command that writes files (all but ``model info``, ``inject
+one``, ``campaign plan`` and ``predict``) also writes a manifest echoing its
+resolved inputs, through ``reports`` like every report (timestamps live in no
+report file, so reruns with the same seeds are byte-identical).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import __version__, analysis, campaign, compress, protect
-from .faults import FaultSpec, fault_space_size
+from . import __version__, analysis, campaign, compress, protect, reports
+from .faults import FaultOutcome, FaultSpec, fault_space_size
 from .model import (DEFAULT_TARGET_ROLES, ModelGraph, batch_inputs, build_unet,
                     generate_calibration_set, generate_toy_weights, load_model,
                     model_hash, save_model)
@@ -24,22 +25,18 @@ class UsageError(ValueError):
     pass
 
 
-def _write_manifest(directory_or_path, payload):
-    if os.path.isdir(directory_or_path) or directory_or_path.endswith(os.sep):
-        os.makedirs(directory_or_path, exist_ok=True)
-        path = os.path.join(directory_or_path, "manifest.json")
+def _write_manifest(args, where, **fields):
+    """The manifest of the command ``args`` ran, with ``fields``: manifest.json
+    in directory ``where``, else ``where``.manifest.json beside a file."""
+    if os.path.isdir(where) or where.endswith(os.sep):
+        os.makedirs(where, exist_ok=True)
+        path = os.path.join(where, "manifest.json")
     else:
-        path = directory_or_path + ".manifest.json"
-    payload = dict(payload)
-    payload["package_version"] = __version__
-    with open(path, "w") as f:
-        json.dump(payload, f, sort_keys=True, indent=1)
-        f.write("\n")
-
-
-def _manifest_args(args, exclude=("func",)):
-    return {k: v for k, v in sorted(vars(args).items())
-            if k not in exclude and not callable(v)}
+        path = where + ".manifest.json"
+    command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
+    reports.write_json(path, {
+        **fields, "command": command, "package_version": __version__,
+        "args": {k: v for k, v in vars(args).items() if not callable(v)}})
 
 
 def _load(path) -> ModelGraph:
@@ -91,9 +88,8 @@ def cmd_model_build(args):
                                  positive_bias_fraction=frac,
                                  gamma_range=(args.gamma_lo, args.gamma_hi))
     save_model(graph, args.out)
-    _write_manifest(args.out, {"command": "model build", "args": _manifest_args(args),
-                               "model_hash": model_hash(graph),
-                               "parameter_sets": len(graph.params)})
+    _write_manifest(args, args.out, model_hash=model_hash(graph),
+                    parameter_sets=len(graph.params))
     print(f"wrote {args.out}: {len(graph.params)} parameter sets, "
           f"{sum(p.tensor.size for p in graph.params)} elements, "
           f"hash {model_hash(graph)[:16]}")
@@ -106,8 +102,7 @@ def cmd_model_generate(args):
                                  positive_bias_fraction=frac,
                                  gamma_range=(args.gamma_lo, args.gamma_hi))
     save_model(graph, args.out)
-    _write_manifest(args.out, {"command": "model generate", "args": _manifest_args(args),
-                               "model_hash": model_hash(graph)})
+    _write_manifest(args, args.out, model_hash=model_hash(graph))
     print(f"reseeded weights -> {args.out} (hash {model_hash(graph)[:16]})")
 
 
@@ -152,9 +147,7 @@ def cmd_compress(args):
         extra["zeroed"] = zeroed
         print(f"zeroed {zeroed} parameters with |x| in [{lo}, {hi})")
     save_model(out, args.out)
-    _write_manifest(args.out, {"command": f"compress {args.action}",
-                               "args": _manifest_args(args),
-                               "model_hash": model_hash(out), **extra})
+    _write_manifest(args, args.out, model_hash=model_hash(out), **extra)
     print(f"wrote {args.out} (hash {model_hash(out)[:16]})")
 
 
@@ -169,30 +162,28 @@ def cmd_calibrate(args):
     os.makedirs(args.out_dir, exist_ok=True)
     inputs, _ = _images_for(graph, args)
 
-    ratios = analysis.positive_ratio_table(graph)
-    analysis.write_positive_ratio_csv(ratios, os.path.join(args.out_dir, "positive_ratio.csv"))
-    analysis.write_json(ratios, os.path.join(args.out_dir, "positive_ratio.json"))
-    analysis.write_json(capture_parameter_stats(graph),
-                        os.path.join(args.out_dir, "parameter_stats.json"))
+    wrote = []
 
-    wrote = ["positive_ratio.csv", "positive_ratio.json", "parameter_stats.json"]
+    def out(name):
+        wrote.append(name)
+        return os.path.join(args.out_dir, name)
+
+    ratios = analysis.positive_ratio_table(graph)
+    analysis.write_positive_ratio_csv(ratios, out("positive_ratio.csv"))
+    reports.write_json(out("positive_ratio.json"), ratios)
+    reports.write_json(out("parameter_stats.json"), capture_parameter_stats(graph))
     if graph.flags.get("quantized"):
         table = analysis.bits_needed_table(graph)
-        analysis.write_bits_needed_csv(table, os.path.join(args.out_dir, "bits_needed.csv"))
-        analysis.write_json(table, os.path.join(args.out_dir, "bits_needed.json"))
-        wrote += ["bits_needed.csv", "bits_needed.json"]
+        analysis.write_bits_needed_csv(table, out("bits_needed.csv"))
+        reports.write_json(out("bits_needed.json"), table)
     else:
         scan = analysis.risky_exponent_scan(graph)
-        analysis.write_risky_scan_csv(scan, os.path.join(args.out_dir, "risky_exponents.csv"))
-        analysis.write_json(
-            [{k: v for k, v in r.items() if not k.endswith("_elements")} for r in scan],
-            os.path.join(args.out_dir, "risky_exponents.json"))
-        report = analysis.calibration_report(graph, inputs)
-        analysis.write_json(report, os.path.join(args.out_dir, "calibration.json"))
-        wrote += ["risky_exponents.csv", "risky_exponents.json", "calibration.json"]
+        analysis.write_risky_scan_csv(scan, out("risky_exponents.csv"))
+        reports.write_json(out("risky_exponents.json"), [
+            {k: v for k, v in r.items() if not k.endswith("_elements")} for r in scan])
+        reports.write_json(out("calibration.json"), analysis.calibration_report(graph, inputs))
 
-    _write_manifest(args.out_dir, {"command": "calibrate", "args": _manifest_args(args),
-                                   "model_hash": model_hash(graph), "outputs": wrote})
+    _write_manifest(args, args.out_dir, model_hash=model_hash(graph), outputs=wrote)
     print(f"calibration reports in {args.out_dir}: {', '.join(wrote)}")
 
 
@@ -231,11 +222,9 @@ def cmd_campaign_sweep(args):
         seed=args.seed, image_set_id=f"synthetic:{args.images}@{args.images_seed}")
     result = campaign.run_single_bit_sweep(graph, plan, inputs, workers=_workers(args))
     result.write(args.out_dir, stem="sweep")
-    meta = {"command": "campaign sweep", "args": _manifest_args(args),
-            "model_hash": model_hash(graph), "faults_evaluated": sum(
-                o.evaluation_error is None for o in result.outcomes),
-            "weighting_note": "weighted_bit_error uses w_b ~ (b - lo + 1), normalized"}
-    _write_manifest(args.out_dir, meta)
+    _write_manifest(args, args.out_dir, model_hash=model_hash(graph),
+                    faults_evaluated=sum(o.evaluation_error is None for o in result.outcomes),
+                    weighting_note="weighted_bit_error uses w_b ~ (b - lo + 1), normalized")
     print(f"swept {len(result.outcomes)} faults over {len(plan.targets)} parameter sets "
           f"-> {args.out_dir}")
 
@@ -250,9 +239,7 @@ def cmd_campaign_multibit(args):
     result = campaign.run_multi_bit_campaign(graph, counts, args.repetitions,
                                              args.seed, inputs, workers=_workers(args))
     result.write(args.out_dir, stem="multibit")
-    _write_manifest(args.out_dir, {"command": "campaign multibit",
-                                   "args": _manifest_args(args),
-                                   "model_hash": model_hash(graph)})
+    _write_manifest(args, args.out_dir, model_hash=model_hash(graph))
     for c, m, s in zip(result.counts, result.means, result.stds):
         print(f"flips={c:5d}  mean={m:7.3f}%  std={s:6.3f}" if m is not None
               else f"flips={c:5d}  no repetition evaluated")
@@ -307,8 +294,7 @@ def cmd_protect_apply(args):
         variant = os.path.splitext(os.path.basename(args.model))[0]
         protect.write_protection_summary_csv([(variant, summary)],
                                              stem + "_summary.csv")
-    _write_manifest(args.out, {"command": "protect apply", "args": _manifest_args(args),
-                               "model_hash": model_hash(out), "summary": summary})
+    _write_manifest(args, args.out, model_hash=model_hash(out), summary=summary)
     print(json.dumps(summary, sort_keys=True))
 
 
@@ -319,10 +305,8 @@ def cmd_protect_evaluate(args):
     ev = protect.evaluate_protection(original, protected, inputs, workers=_workers(args))
     os.makedirs(args.out_dir, exist_ok=True)
     ev.write_json(os.path.join(args.out_dir, "protection_eval.json"))
-    _write_manifest(args.out_dir, {"command": "protect evaluate",
-                                   "args": _manifest_args(args),
-                                   "original_hash": model_hash(original),
-                                   "protected_hash": model_hash(protected)})
+    _write_manifest(args, args.out_dir, original_hash=model_hash(original),
+                    protected_hash=model_hash(protected))
     for row in ev.per_bit:
         o, p = row["original"], row["protected"]
         print(f"bit {row['bit']:2d} (n={row['n']:3d})  "
@@ -335,43 +319,26 @@ def cmd_protect_evaluate(args):
 
 
 def cmd_report(args):
-    rows = []
+    logs = {}   # variant -> its outcomes, over every log of that basename
     for path in args.inputs:
         variant = os.path.splitext(os.path.basename(path))[0]
         with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                if record.get("evaluation_error") is None:
-                    rows.append((variant, record))
-    grouped = {}
-    for variant, o in rows:
-        key = (variant, o["spec"]["pset"], o["spec"]["bit"])
-        grouped.setdefault(key, []).append(o)
+            logs.setdefault(variant, []).extend(
+                FaultOutcome.from_json(line) for line in f if line.strip())
+    rows = [(variant, r) for variant in sorted(logs)
+            for r in campaign.sweep_rows(logs[variant]) if r["n"]]
 
     os.makedirs(args.out_dir, exist_ok=True)
-    agg_path = os.path.join(args.out_dir, "report_aggregate.csv")
-    with open(agg_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["variant", "pset", "bit", "n", "mean_error", "nan_count", "inf_count"])
-        for key in sorted(grouped):
-            os_ = grouped[key]
-            mean = float(np.mean([o["mean_error"] for o in os_]))
-            w.writerow([key[0], key[1], key[2], len(os_), repr(mean),
-                        sum(o["produced_nan"] for o in os_),
-                        sum(o["produced_inf"] for o in os_)])
-
-    tidy = [{"variant": k[0], "pset": k[1], "bit": k[2], "metric": "mean_error",
-             "value": float(np.mean([o["mean_error"] for o in grouped[k]]))}
-            for k in sorted(grouped)]
-    with open(os.path.join(args.out_dir, "report_long.json"), "w") as f:
-        json.dump(tidy, f, sort_keys=True, indent=1)
-        f.write("\n")
-    _write_manifest(args.out_dir, {"command": "report", "args": _manifest_args(args),
-                                   "rows": len(tidy)})
-    print(f"merged {len(rows)} outcomes from {len(args.inputs)} logs -> {args.out_dir}")
+    reports.write_csv(os.path.join(args.out_dir, "report_aggregate.csv"),
+                      ["variant", "pset", "bit", "n", "mean_error", "nan_count", "inf_count"],
+                      [[v, r["pset"], r["bit"], r["n"], repr(r["mean_error"]),
+                        r["nan_count"], r["inf_count"]] for v, r in rows])
+    reports.write_json(os.path.join(args.out_dir, "report_long.json"), [
+        {"variant": v, "pset": r["pset"], "bit": r["bit"], "metric": "mean_error",
+         "value": r["mean_error"]} for v, r in rows])
+    _write_manifest(args, args.out_dir, rows=len(rows))
+    print(f"merged {sum(r['n'] for _, r in rows)} outcomes from {len(args.inputs)} logs "
+          f"-> {args.out_dir}")
 
 
 # ---------------------------------------------------------------------------

@@ -402,18 +402,6 @@ def _param_entry(graph: ModelGraph, index: int) -> dict:
         raise ValueError(f"missing scale table for p{index}") from None
 
 
-def quantized_mac(q_w, q_x, q_b, z_x: int) -> int:
-    """Scalar affine-MAC accumulator: sum(q_w*q_x) - Z_x*sum(q_w) + q_b, int32 wrap."""
-    qw = np.asarray(q_w, dtype=np.int32)
-    qx = np.asarray(q_x, dtype=np.int32)
-    with np.errstate(over="ignore"):
-        acc = np.int32(0)
-        acc = acc + np.sum(qw * qx, dtype=np.int32)
-        acc = acc - np.int32(z_x) * np.sum(qw, dtype=np.int32)
-        acc = acc + np.int32(q_b)
-    return int(acc)
-
-
 # Integers up to 2**24 in magnitude are exact in float32.
 _F32_EXACT = 2 ** 24
 

@@ -73,6 +73,13 @@ class FaultOutcome:
             d["evaluation_error"] = self.evaluation_error
         return json.dumps(d, sort_keys=True)
 
+    @classmethod
+    def from_json(cls, line: str) -> "FaultOutcome":
+        d = json.loads(line)
+        return cls(**{**d, "spec": FaultSpec(**d["spec"]),
+                      "original_value": float(d["original_value"]),
+                      "faulty_value": float(d["faulty_value"])})
+
 
 @dataclass
 class FaultToken:

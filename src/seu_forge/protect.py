@@ -12,14 +12,13 @@ at all.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from . import bits
+from . import bits, reports
 from .campaign import error_rate, run_fault_sets, segmentation_metrics
 from .engine import run_float
 # apply_fault and revert are not called here; they stay importable from this
@@ -158,22 +157,18 @@ class ProtectionReport:
         return out
 
     def write_jsonl(self, path):
-        with open(path, "w") as f:
-            for r in self.records:
-                f.write(r.to_json() + "\n")
+        reports.write_lines(path, (r.to_json() for r in self.records))
 
 
 def write_protection_summary_csv(summaries, path):
     """Per-(variant, PT) candidate-count summary table."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["variant", "pt", "candidates", "protected",
-                    "incremented", "decremented", "skipped_nonprotectable",
-                    "skipped_outside_thresholds"])
-        for variant, s in summaries:
-            w.writerow([variant, s["pt"], s["candidates"], s["protected"],
+    reports.write_csv(path, ["variant", "pt", "candidates", "protected",
+                             "incremented", "decremented", "skipped_nonprotectable",
+                             "skipped_outside_thresholds"],
+                      [[variant, s["pt"], s["candidates"], s["protected"],
                         s[RULE_INCREMENT], s[RULE_DECREMENT],
-                        s[RULE_SKIP_NONPROT], s[RULE_SKIP_OUTSIDE]])
+                        s[RULE_SKIP_NONPROT], s[RULE_SKIP_OUTSIDE]]
+                       for variant, s in summaries])
 
 
 def protect_parameters(graph: ModelGraph, pt: ProtectionTarget, roles=None):
@@ -236,9 +231,7 @@ class ProtectionEvaluation:
         report = {"faultless": self.faultless, "per_bit": self.per_bit}
         if self.failed:
             report["failed"] = self.failed
-        with open(path, "w") as f:
-            json.dump(report, f, sort_keys=True, indent=1)
-            f.write("\n")
+        reports.write_json(path, report)
 
 
 _MODELS = ("original", "protected")

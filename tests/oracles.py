@@ -146,6 +146,18 @@ def eq5_scalar(q_w, q_x, q_b, z_x):
         - int(z_x) * sum(int(w) for w in q_w) + int(q_b)
 
 
+def quantized_mac(q_w, q_x, q_b, z_x: int) -> int:
+    """Scalar affine-MAC accumulator: sum(q_w*q_x) - Z_x*sum(q_w) + q_b, int32 wrap."""
+    qw = np.asarray(q_w, dtype=np.int32)
+    qx = np.asarray(q_x, dtype=np.int32)
+    with np.errstate(over="ignore"):
+        acc = np.int32(0)
+        acc = acc + np.sum(qw * qx, dtype=np.int32)
+        acc = acc - np.int32(z_x) * np.sum(qw, dtype=np.int32)
+        acc = acc + np.int32(q_b)
+    return int(acc)
+
+
 def evaluate_protection_full_forward(original, protected, images, labels=None,
                                      bit_filter=None):
     """Paired protection evaluation with one full forward from the input per fault.

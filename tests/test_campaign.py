@@ -870,31 +870,55 @@ class TestPool:
         assert self.reports(model, tmp_path, 64) == self.reports(model, tmp_path, 1)
         assert pools == [(2, 2), (2, 2)]
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="checks a Linux process table")
-    def test_no_process_outlives_a_campaign(self):
-        import multiprocessing
+    @staticmethod
+    def pid_in_campaign(prelude, pid):
+        """Run a workers=2 multi-bit campaign in a fresh interpreter after
+        ``prelude`` and return the value of ``pid`` it printed before exiting."""
         import os
         import subprocess
 
         import seu_forge.campaign as campaign
-        if "forkserver" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no forkserver on this platform")
         if campaign._available_cpus() < 2:
             pytest.skip("a pool needs two CPUs")
         script = (
-            "import multiprocessing.forkserver as fs\n"
+            f"{prelude}\n"
             "import seu_forge as sf\n"
             "graph = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5)\n"
             "images = sf.generate_calibration_set((8, 8, 3), count=2, seed=1,"
             " class_count=3)[0]\n"
             "q = sf.quantize_ptq(graph, images)\n"
             "sf.run_multi_bit_campaign(q, [1, 3], 2, 0, images, workers=2)\n"
-            "print(fs._forkserver._forkserver_pid)\n")
+            f"print({pid})\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(sf.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
         run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                              text=True, timeout=120, check=True)
-        server = int(run.stdout.split()[-1])
+        return int(run.stdout.split()[-1])
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="checks a Linux process table")
+    def test_no_process_outlives_a_campaign(self):
+        import multiprocessing
+        import os
+
+        if "forkserver" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no forkserver on this platform")
+        server = self.pid_in_campaign("import multiprocessing.forkserver as fs",
+                                      "fs._forkserver._forkserver_pid")
         # a zombie, left to whoever adopts it, still answers kill(pid, 0)
         with pytest.raises(ProcessLookupError):
             os.kill(server, 0)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="checks a Linux process table")
+    @pytest.mark.parametrize("start", ["forkserver", "spawn"])
+    def test_no_resource_tracker_outlives_a_campaign(self, start):
+        import multiprocessing
+        import os
+
+        if start not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {start} on this platform")
+        prelude = "import multiprocessing\nfrom multiprocessing import resource_tracker as rt"
+        if start == "spawn":
+            prelude += "\nmultiprocessing.get_all_start_methods = lambda: ['fork', 'spawn']"
+        tracker = self.pid_in_campaign(prelude, "rt._resource_tracker._pid")
+        with pytest.raises(ProcessLookupError):
+            os.kill(tracker, 0)

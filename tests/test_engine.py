@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 import seu_forge as sf
-from seu_forge.engine import (_conv_int, golden_frontiers, quantized_mac, run_float,
-                             run_quantized)
+from seu_forge.engine import _conv_int, golden_frontiers, run_float, run_quantized
 from seu_forge.tensor import BnParams, Tensor
 
 from conftest import single_conv_graph
-from oracles import eq5_scalar
+from oracles import eq5_scalar, quantized_mac
 
 
 def test_run_twice_identical_bits(tiny_graph, tiny_batch):

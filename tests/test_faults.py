@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seu_forge as sf
-from seu_forge.faults import (FaultSpec, apply_fault, decode_fault, fault_at,
-                              fault_space, fault_space_size,
+from seu_forge.faults import (FaultOutcome, FaultSpec, apply_fault, decode_fault,
+                              fault_at, fault_space, fault_space_size,
                               inject_and_measure, revert, target_psets)
 
 from conftest import single_conv_graph
@@ -121,6 +121,26 @@ class TestOutcomeDecoding:
     def test_spec_json_roundtrip(self):
         spec = FaultSpec(3, 17, 30, "f32", seed_ordinal=5)
         assert FaultSpec.from_json(spec.to_json()) == spec
+
+    def test_outcome_json_roundtrip(self, tiny_graph, tiny_inputs, tiny_batch):
+        from seu_forge.campaign import fault_outcomes
+        work = tiny_graph.copy()
+        bias = work.param(2)
+        assert bias.role == "conv_bias" and bias.tensor.size == 4
+        bias.tensor.flat[:] = [1.0, -1.0, 1.5, 0.0]
+        plan = sf.plan_single_bit_sweep(work, psets=[2], bits=(30, 31),
+                                        injections_per_target=8)
+        outcomes = sf.run_single_bit_sweep(work, plan, tiny_inputs[0]).outcomes
+        assert {"nan", "inf", "-inf", "-0.0"} <= {repr(o.faulty_value) for o in outcomes}
+        q = sf.quantize_ptq(tiny_graph, tiny_inputs[0])
+        kernel, qbias = q.param(1), q.param(2)
+        assert (kernel.tensor.encoding, qbias.tensor.encoding) == ("i8", "i32")
+        outcomes += fault_outcomes(q, [FaultSpec(1, 0, 7, "i8"), FaultSpec(2, 0, 31, "i32"),
+                                       FaultSpec(1, kernel.tensor.size, 0, "i8")], tiny_batch)
+        assert outcomes[-1].evaluation_error is not None
+        assert math.isnan(outcomes[-1].original_value)
+        for o in outcomes:
+            assert FaultOutcome.from_json(o.to_json()).to_json() == o.to_json()
 
 
 class TestFaultSpace:
