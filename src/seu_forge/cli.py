@@ -322,9 +322,14 @@ def cmd_report(args):
     logs = {}   # variant -> its outcomes, over every log of that basename
     for path in args.inputs:
         variant = os.path.splitext(os.path.basename(path))[0]
+        outcomes = logs.setdefault(variant, [])
         with open(path) as f:
-            logs.setdefault(variant, []).extend(
-                FaultOutcome.from_json(line) for line in f if line.strip())
+            for number, line in enumerate(f, 1):
+                if line.strip():
+                    try:
+                        outcomes.append(FaultOutcome.from_json(line))
+                    except ValueError as exc:  # a JSON syntax error included
+                        raise ValueError(f"{path}:{number}: {exc}") from None
     rows = [(variant, r) for variant in sorted(logs)
             for r in campaign.sweep_rows(logs[variant]) if r["n"]]
 

@@ -4,6 +4,15 @@ The quantized path implements the affine scheme r = S*(q - Z) with per-tensor
 symmetric 8-bit weights, 32-bit biases (scale S_w*S_x), int32 accumulators
 (two's-complement wraparound), and requantization by a double-precision
 multiply followed by round-half-even, saturating to [-128, 127].
+
+Its convolutions build no im2col matrix. The zero-point-shifted input is
+padded once into a channel-major (Cin, N, Hp, Wp) float32 buffer, and each
+kernel tap is one float32 BLAS GEMM over a view of it. With |w| <= 128 and
+|x - Z| <= 255, a sum of at most 2**24 // (128 * 255) = 514 products is an
+integer float32 holds exactly, so the taps add up in float32 in groups of at
+most 514 rows and the groups in int32: the bits of an int32 matmul. Zero
+points outside [-128, 127] are refused (see model.check_quant_entry). The
+integer activations are NHWC arrays laid out channel-major in memory.
 """
 
 from __future__ import annotations
@@ -13,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .model import CONV_KINDS, ModelGraph
-from .tensor import (BnParams, ShapeError, Tensor, _pad_same, argmax_channels,
+from .model import CONV_KINDS, ModelGraph, check_quant_entry
+from .tensor import (BnParams, ShapeError, Tensor, _same_padding, argmax_channels,
                      batchnorm_forward, concat_channels, conv2d_forward,
                      conv2d_transpose_forward, maxpool2d, relu)
 
@@ -381,7 +390,10 @@ def run_float(graph: ModelGraph, inp, capture: bool = False,
 
 
 def _round_half_even_clip_i8(values: np.ndarray) -> np.ndarray:
-    return np.clip(np.rint(values), -128, 127).astype(np.int8)
+    """float64 ``values`` rounded half to even and saturated to int8; rounds ``values`` in place."""
+    np.rint(values, out=values)
+    np.clip(values, -128, 127, out=values)
+    return values.astype(np.int8)
 
 
 def _act_entry(graph: ModelGraph, name: str) -> dict:
@@ -389,77 +401,148 @@ def _act_entry(graph: ModelGraph, name: str) -> dict:
     if not tables:
         raise ValueError("graph carries no quantization tables")
     try:
-        return tables["activations"][name]
+        entry = tables["activations"][name]
     except KeyError:
         raise ValueError(f"missing scale table for activation {name!r}") from None
+    return check_quant_entry(entry, f"scale table for activation {name!r}")
 
 
 def _param_entry(graph: ModelGraph, index: int) -> dict:
     tables = graph.metadata.get("quantization")
     try:
-        return tables["params"][str(index)]
+        entry = tables["params"][str(index)]
     except KeyError:
         raise ValueError(f"missing scale table for p{index}") from None
+    return check_quant_entry(entry, f"scale table for p{index}")
 
 
-# Integers up to 2**24 in magnitude are exact in float32.
-_F32_EXACT = 2 ** 24
+# An int8 weight has |w| <= 128 and a zero-point-shifted int8 activation
+# |x - Z| <= 255 (Z in [-128, 127]), so a sum of at most this many products
+# is an integer of magnitude at most 2**24, which float32 holds exactly.
+_EXACT_ROWS = 2 ** 24 // (128 * 255)
 
 
-def _absmax(a: np.ndarray) -> float:
-    return max(float(a.max(initial=0)), -float(a.min(initial=0)))
+def _channel_major(x: np.ndarray, ph: int, pw: int, top: int, left: int) -> np.ndarray:
+    """NHWC ``x`` as a (C, N, H + ph, W + pw) float32 buffer with zero borders."""
+    n, h, w, c = x.shape
+    xc = np.zeros((c, n, h + ph, w + pw), dtype=np.float32)
+    xc[:, :, top:top + h, left:left + w] = x.transpose(3, 0, 1, 2)
+    return xc
 
 
-def _gemm_int(cols: np.ndarray, kmat: np.ndarray, cols_absmax: float) -> np.ndarray:
-    """Exact int32 ``cols @ kmat`` for float32 operands that hold integers.
+def _tap_terms(kernel: np.ndarray, i: int, j: int, rows: np.ndarray, offset: int, m: int):
+    """(Cout x c, c x M) float32 GEMM operands of kernel tap (i, j), c <= _EXACT_ROWS.
 
-    The K axis is cut into chunks of at most ``2**24 // (max|cols| *
-    max|kmat|)`` rows, read from the actual operands (``cols_absmax`` is
-    max|cols|, taken by the caller from the smaller tensor cols was copied
-    from). Every partial sum of a chunk is then an integer of magnitude at
-    most 2**24, so float32 BLAS computes it exactly in any summation order.
-    Chunk results are cast to int32 and added in int32 with two's-complement
-    wraparound, which equals the wrapped int32 sum of all K products.
+    ``kernel`` is (Kh, Kw, Cout, Cin); ``rows`` is a channel-major (Cin, .)
+    input, read from column ``offset`` on. Cin beyond _EXACT_ROWS is split.
     """
-    k = kmat.shape[0]
-    bound = cols_absmax * _absmax(kmat)
-    step = k if bound == 0 else min(k, int(_F32_EXACT // bound))
-    acc = (cols[..., :step] @ kmat[:step]).astype(np.int32)
-    for r in range(step, k, step):
-        acc += (cols[..., r:r + step] @ kmat[r:r + step]).astype(np.int32)
-    return acc
+    for c in range(0, kernel.shape[3], _EXACT_ROWS):
+        yield (kernel[i, j, :, c:c + _EXACT_ROWS],
+               rows[c:c + _EXACT_ROWS, offset:offset + m])
+
+
+def _exact_groups(terms):
+    """Float32 sums of ``w @ x`` over consecutive ``terms``, at most _EXACT_ROWS rows each.
+
+    Each term pairs a (Cout, c) kernel block with a (c, M) input view, both
+    float32 holding integers within the bounds of _EXACT_ROWS. Every
+    partial sum of a group is then an integer of magnitude at most 2**24,
+    so BLAS computes it exactly in any summation order. The (Cout, M)
+    buffer yielded is reused for the next group.
+    """
+    group = tmp = None
+    depth = 0  # rows summed into group
+    for w, x in terms:
+        if depth + w.shape[1] > _EXACT_ROWS:
+            yield group
+            depth = 0
+        if depth == 0:
+            group = np.matmul(w, x, out=group)
+        else:
+            tmp = np.matmul(w, x, out=tmp)
+            group += tmp
+        depth += w.shape[1]
+    yield group
+
+
+def _tap_sum(terms, out: np.ndarray) -> None:
+    """Set int32 ``out`` (Cout, ...) to the wrapped int32 sum of ``w @ x`` over ``terms``.
+
+    The exact float32 group sums (:func:`_exact_groups`, M values per
+    channel, as many as ``out`` holds) are cast to int32 and added with
+    two's-complement wraparound, which equals the wrapped int32 sum of all
+    the products.
+    """
+    for g, group in enumerate(_exact_groups(terms)):
+        if g == 0:
+            out[...] = group.reshape(out.shape)
+        else:
+            out += group.reshape(out.shape).astype(np.int32)
 
 
 def _conv_int(x_shifted: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
               stride: int, padding: str) -> np.ndarray:
-    """int32 conv over zero-point-shifted integer activations (im2col + GEMM).
+    """int32 conv over zero-point-shifted integer activations, one exact GEMM per tap.
 
+    ``x_shifted`` (NHWC) holds integers of magnitude at most 255, int8
+    activations minus a zero point in [-128, 127]; ``kernel`` is int8.
     Integer addition is associative mod 2^32, so unlike the float path the
-    summation order is free. The im2col matrix is built directly in float32
-    and multiplied through float32 BLAS by :func:`_gemm_int`, which splits
-    K = Kh*Kw*Cin into chunks small enough that every partial sum stays an
-    integer below 2^24 (at |q_w| = 128 and |x - Z| = 255 that is 514 rows,
-    so a 3x3x64 layer runs in two chunks). The chunks and the bias are then
-    added in int32 with wraparound, giving the same bits as an int32 matmul.
+    summation order is free. The input is padded once into a channel-major
+    (Cin, N, Hp, Wp) float32 buffer. Flattened to (Cin, N*Hp*Wp), the
+    input of kernel tap (i, j) for every output cell at once is the view
+    from column i*Wp + j on: its rows are contiguous, so each tap is one
+    float32 BLAS GEMM (Cout x Cin) @ (Cin x M) without a copy. Products add
+    up exactly in float32 over groups of taps of at most _EXACT_ROWS = 514
+    rows (see :func:`_exact_groups`; Cin > 514 is split within a tap), the
+    groups and the bias in int32 with wraparound, giving the same bits as
+    an int32 matmul. The grid is computed at every padded cell and cropped
+    (subsampled for stride > 1) to OH x OW. Returns N x OH x OW x Cout int32,
+    a view of the channel-major accumulator.
     """
     kh, kw, cin, cout = kernel.shape
-    if padding == "same":
-        x_shifted = _pad_same(x_shifted, kh, kw, stride)
     n, h, w, _ = x_shifted.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    cols = np.empty((n, oh, ow, kh * kw * cin), dtype=np.float32)
-    pos = 0
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, :, pos:pos + cin] = x_shifted[
-                :, i:i + (oh - 1) * stride + 1:stride,
-                j:j + (ow - 1) * stride + 1:stride, :]
-            pos += cin
-    acc = _gemm_int(cols, kernel.reshape(kh * kw * cin, cout).astype(np.float32),
-                    _absmax(x_shifted))
-    acc += bias.astype(np.int32)
-    return acc
+    ph, pw, top, left = (_same_padding(h, w, kh, kw, stride) if padding == "same"
+                         else (0, 0, 0, 0))
+    xc = _channel_major(x_shifted, ph, pw, top, left)
+    hp, wp = h + ph, w + pw
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
+    # cell (n, y, x) sits at column n*Hp*Wp + y*Wp + x; the last valid cell
+    # and every tap it reads lie within the first m columns
+    m = n * hp * wp - (kh - 1) * wp - (kw - 1)
+    rows = xc.reshape(cin, -1)
+    kmat = kernel.transpose(0, 1, 3, 2).astype(np.float32)
+    acc = np.empty((cout, n, hp, wp), dtype=np.int32)
+    grid = acc.reshape(cout, -1)[:, :m]
+    _tap_sum((t for i in range(kh) for j in range(kw)
+              for t in _tap_terms(kmat, i, j, rows, i * wp + j, m)), grid)
+    grid += bias.astype(np.int32)[:, None]
+    cells = acc[:, :, :(oh - 1) * stride + 1:stride, :(ow - 1) * stride + 1:stride]
+    return cells.transpose(1, 2, 3, 0)
+
+
+def _conv_transpose_int(x_shifted: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
+                        stride: int) -> np.ndarray:
+    """int32 transposed conv (stride == kernel size) with :func:`_conv_int`'s tap GEMMs.
+
+    Every output cell receives exactly one tap, so tap (i, j) fills the
+    cells at offset (i, j) of each stride x stride block with one exact
+    GEMM over the channel-major input. Returns N x OH x OW x Cout int32.
+    """
+    kh, kw, _, cout = kernel.shape
+    if kh != stride or kw != stride:
+        raise ValueError(f"unsupported combination: kernel {kh}x{kw} with stride {stride} "
+                         "(only stride == kernel size is supported)")
+    n, h, w, cin = x_shifted.shape
+    rows = _channel_major(x_shifted, 0, 0, 0, 0).reshape(cin, -1)
+    kmat = kernel.transpose(0, 1, 3, 2).astype(np.float32)
+    acc = np.empty((cout, n, h, stride, w, stride), dtype=np.int32)
+    for i in range(stride):
+        for j in range(stride):
+            _tap_sum(_tap_terms(kmat, i, j, rows, 0, n * h * w), acc[:, :, :, i, :, j])
+    acc = acc.reshape(cout, n, h * stride, w * stride)
+    acc += bias.astype(np.int32)[:, None, None, None]
+    return acc.transpose(1, 2, 3, 0)
 
 
 def _quantized_enter(graph: ModelGraph, inp: Tensor) -> dict:
@@ -478,35 +561,37 @@ def _quantized_conv(graph, layer, ins, channels=None):
     in_ent = _act_entry(graph, layer.inputs[0])
     out_ent = _act_entry(graph, layer.name)
     w_ent = _param_entry(graph, kernel_p.index)
-    x_shift = ins[0].astype(np.float32) - np.float32(in_ent["zero_point"])
-    # Sliced to ``channels``, the GEMM may cut K into other chunks, but
-    # integer sums are exact in any grouping, so each channel's bits stay.
+    x_shift = np.subtract(ins[0], np.float32(in_ent["zero_point"]), dtype=np.float32)
+    # Sliced to ``channels``, each tap's GEMM computes only those output
+    # channels; integer sums are exact in any grouping, so their bits stay.
     kernel = _take(kernel_p.tensor.data, channels)
     bias = _take(bias_p.tensor.data, channels)
     if layer.kind == "conv2d_transpose":
-        stride = layer.hyperparams.get("stride", 2)
-        n, h, w, _ = x_shift.shape
-        cout = kernel.shape[3]
-        acc = np.empty((n, h * stride, w * stride, cout), dtype=np.int32)
-        kmat = kernel.astype(np.float32)
-        x_absmax = _absmax(x_shift)
-        for i in range(stride):
-            for j in range(stride):
-                acc[:, i::stride, j::stride, :] = (
-                    _gemm_int(x_shift, kmat[i, j], x_absmax) + bias.astype(np.int32))
+        acc = _conv_transpose_int(x_shift, kernel, bias, layer.hyperparams.get("stride", 2))
     else:
         acc = _conv_int(x_shift, kernel, bias,
                         layer.hyperparams.get("stride", 1),
                         layer.hyperparams.get("padding", "same"))
     m = (w_ent["scale"] * in_ent["scale"]) / out_ent["scale"]
-    return _round_half_even_clip_i8(acc.astype(np.float64) * m + out_ent["zero_point"])
+    values = acc.astype(np.float64)  # keeps the accumulator's channel-major layout
+    values *= m
+    values += out_ent["zero_point"]
+    return _round_half_even_clip_i8(values)
 
 
 def _quantized_maxpool(graph, layer, ins, channels=None):
     n, h, w, c = ins[0].shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool requires even H,W, got {(h, w)}")
-    return ins[0].reshape(n, h // 2, 2, w // 2, 2, c).max(axis=(2, 4))
+    x = ins[0]
+    # pairwise maxima of the four cells of each window: exact for integers,
+    # and elementwise, so fast in the channel-major layout the convs leave
+    return np.maximum(np.maximum(x[:, ::2, ::2], x[:, ::2, 1::2]),
+                      np.maximum(x[:, 1::2, ::2], x[:, 1::2, 1::2]))
+
+
+# The 256 int8 values, indexed by their uint8 bit patterns.
+_INT8_VALUES = np.arange(256, dtype=np.uint8).view(np.int8)
 
 
 def _quantized_concat(graph, layer, ins):
@@ -514,9 +599,11 @@ def _quantized_concat(graph, layer, ins):
     parts = []
     for ref, part in zip(layer.inputs, ins):
         e = _act_entry(graph, ref)
-        rescaled = ((part.astype(np.float64) - e["zero_point"])
+        # the rescale of every int8 value, looked up by bit pattern
+        rescaled = ((_INT8_VALUES.astype(np.float64) - e["zero_point"])
                     * (e["scale"] / out_ent["scale"]))
-        parts.append(_round_half_even_clip_i8(rescaled + out_ent["zero_point"]))
+        table = _round_half_even_clip_i8(rescaled + out_ent["zero_point"])
+        parts.append(table[part.view(np.uint8)])
     return np.concatenate(parts, axis=3)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,9 +38,7 @@ class FaultSpec:
 
     @classmethod
     def from_json(cls, line: str) -> "FaultSpec":
-        d = json.loads(line)
-        return cls(d["pset"], d["element"], d["bit"], d["encoding"],
-                   d.get("seed_ordinal"))
+        return cls(**_record(json.loads(line), cls, "fault spec", optional=("seed_ordinal",)))
 
 
 @dataclass
@@ -75,10 +73,28 @@ class FaultOutcome:
 
     @classmethod
     def from_json(cls, line: str) -> "FaultOutcome":
-        d = json.loads(line)
-        return cls(**{**d, "spec": FaultSpec(**d["spec"]),
+        d = _record(json.loads(line), cls, "fault outcome", optional=("evaluation_error",))
+        spec = _record(d["spec"], FaultSpec, "fault spec", optional=("seed_ordinal",))
+        return cls(**{**d, "spec": FaultSpec(**spec),
                       "original_value": float(d["original_value"]),
                       "faulty_value": float(d["faulty_value"])})
+
+
+def _record(d, cls, what: str, optional=()) -> dict:
+    """``d``, a JSON object holding every field of dataclass ``cls`` but ``optional``.
+
+    Raises ValueError naming the first missing or unknown key.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    names = [f.name for f in fields(cls)]
+    missing = [k for k in names if k not in d and k not in optional]
+    if missing:
+        raise ValueError(f"{what} is missing key {missing[0]!r}")
+    unknown = [k for k in d if k not in names]
+    if unknown:
+        raise ValueError(f"{what} has unknown key {unknown[0]!r}")
+    return d
 
 
 @dataclass

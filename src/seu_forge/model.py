@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -581,6 +582,8 @@ def load_model(path) -> ModelGraph:
         raise FormatError(f"{path}: blob checksum failure")
 
     layers = [_layer(entry, path) for entry in layer_entries]
+    if "quantization" in metadata:
+        _quantization(metadata["quantization"], path)
     params = []
     for e in param_entries:
         index, layer, role, encoding, shape, offset, nbytes = _fields(
@@ -627,6 +630,37 @@ def _layer(entry, path) -> LayerSpec:
         raise FormatError(f"{path}: layer {name!r} has stride {stride!r} and padding "
                           f"{padding!r}; want an int >= 1 and 'same' or 'valid'")
     return LayerSpec(kind, name, hyperparams, inputs)
+
+
+def _quantization(tables, path) -> None:
+    """FormatError unless ``tables`` holds valid activation and parameter entries."""
+    sections = _fields(tables, ("activations", "params"), path, "quantization")
+    for kind, section in zip(("activations", "params"), sections):
+        if not isinstance(section, dict):
+            raise FormatError(f"{path}: quantization {kind} is not a JSON object")
+        for name, entry in section.items():
+            try:
+                check_quant_entry(entry, f"quantization {kind} entry {name!r}")
+            except ValueError as exc:
+                raise FormatError(f"{path}: {exc}") from None
+
+
+def check_quant_entry(entry, what: str) -> dict:
+    """``entry``, a quantization table entry; ValueError unless its fields are usable.
+
+    Its ``zero_point`` must be an int in [-128, 127] (the int8 range, which
+    the integer convolution's exact GEMM bound assumes) and its ``scale`` a
+    finite positive number.
+    """
+    if not isinstance(entry, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    zero, scale = entry.get("zero_point"), entry.get("scale")
+    if not (_is_int(zero) and -128 <= zero <= 127):
+        raise ValueError(f"{what} has zero_point {zero!r}; want an int in [-128, 127]")
+    if not (isinstance(scale, (int, float)) and not isinstance(scale, bool)
+            and math.isfinite(scale) and scale > 0):
+        raise ValueError(f"{what} has scale {scale!r}; want a finite positive number")
+    return entry
 
 
 def _is_int(value) -> bool:

@@ -115,11 +115,6 @@ def _same_padding(h: int, w: int, kh: int, kw: int, stride: int) -> tuple:
     return ph, pw, ph // 2, pw // 2
 
 
-def _pad_same(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    ph, pw, top, left = _same_padding(x.shape[1], x.shape[2], kh, kw, stride)
-    return np.pad(x, ((0, 0), (top, ph - top), (left, pw - left), (0, 0)))
-
-
 def _accumulate_taps(rows: np.ndarray, k_tap: np.ndarray, acc: np.ndarray,
                      tmp: np.ndarray) -> None:
     """acc += rows[ci] * k_tap[ci][:, None] for ci in order, rounding each product.

@@ -158,6 +158,31 @@ def quantized_mac(q_w, q_x, q_b, z_x: int) -> int:
     return int(acc)
 
 
+def quantized_convtr_scalar(q_x, z_x, q_w, q_b, m, z_y, stride=2):
+    """Scalar quantized transposed conv, stride == kernel size, to int8.
+
+    Each output cell is one quantized_mac over Cin of the one input pixel
+    and kernel tap that reach it, requantized as ``acc * m + z_y`` in
+    double precision, rounded half to even and saturated to [-128, 127].
+    """
+    q_x = np.asarray(q_x, dtype=np.int32)
+    q_w = np.asarray(q_w, dtype=np.int32)
+    kh, kw, cin, cout = q_w.shape
+    n, h, w, _ = q_x.shape
+    out = np.zeros((n, h * stride, w * stride, cout), dtype=np.int8)
+    for b in range(n):
+        for i in range(h):
+            for j in range(w):
+                for ki in range(kh):
+                    for kj in range(kw):
+                        for co in range(cout):
+                            acc = quantized_mac(q_w[ki, kj, :, co], q_x[b, i, j, :],
+                                                q_b[co], z_x)
+                            q = round(float(acc) * m + z_y)  # half to even
+                            out[b, i * stride + ki, j * stride + kj, co] = max(-128, min(127, q))
+    return out
+
+
 def evaluate_protection_full_forward(original, protected, images, labels=None,
                                      bit_filter=None):
     """Paired protection evaluation with one full forward from the input per fault.

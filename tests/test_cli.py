@@ -169,6 +169,24 @@ def test_report_empty_log(tmp_path):
     assert lines == ["variant,pset,bit,n,mean_error,nan_count,inf_count"]
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d.__setitem__("extra", 1), "fault outcome has unknown key 'extra'"),
+    (lambda d: d.__delitem__("faulty_bits"), "fault outcome is missing key 'faulty_bits'"),
+    (lambda d: d["spec"].__setitem__("extra", 1), "fault spec has unknown key 'extra'"),
+    (lambda d: d["spec"].__delitem__("bit"), "fault spec is missing key 'bit'"),
+], ids=["extra_key", "missing_key", "spec_extra_key", "spec_missing_key"])
+def test_report_refuses_a_bad_outcome_line(tmp_path, capsys, edit, message):
+    spec = sf.FaultSpec(pset=1, element=0, bit=30, encoding="f32")
+    good = sf.FaultOutcome(spec, 0, 1 << 30, 0.0, 2.0, mean_error=0.5).to_json()
+    bad = json.loads(good)
+    edit(bad)
+    log = tmp_path / "sweep_outcomes.jsonl"
+    log.write_text(f"{good}\n\n{json.dumps(bad)}\n")
+    assert run_cli("report", "--inputs", str(log), "--out-dir", str(tmp_path / "rep")) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {log}:3: {message}\n"
+
+
 def test_sweep_bits_on_int_model_usage_error(model_path, tmp_path, capsys):
     quant = tmp_path / "q.sfm"
     run_cli("compress", "quantize", "--model", str(model_path), "--out", str(quant),

@@ -2,13 +2,16 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import seu_forge as sf
-from seu_forge.engine import _conv_int, golden_frontiers, run_float, run_quantized
+from seu_forge.engine import (_conv_int, _conv_transpose_int, _quantized_conv,
+                              golden_frontiers, run_float, run_quantized)
 from seu_forge.tensor import BnParams, Tensor
 
 from conftest import single_conv_graph
-from oracles import eq5_scalar, quantized_mac
+from oracles import eq5_scalar, quantized_convtr_scalar, quantized_mac
 
 
 def test_run_twice_identical_bits(tiny_graph, tiny_batch):
@@ -200,6 +203,117 @@ class TestConvInt:
         assert (np.abs(sums) > 2**24).all() and (sums % 2 == 1).all()
         # -2**31 + 5 plus a negative sum wraps round to a positive int32
         assert (ours[..., 0] > 0).all() and (ours[..., 1] < 0).all()
+
+    @given(seed=st.integers(0, 2**32 - 1), stride=st.integers(1, 2),
+           padding=st.sampled_from(["same", "valid"]), z_x=st.integers(-128, 127),
+           kh=st.integers(1, 3), kw=st.integers(1, 3), cin=st.integers(1, 70),
+           cout=st.integers(1, 3), h=st.integers(3, 5), w=st.integers(3, 5),
+           x_fill=st.sampled_from([None, -128, 127]),
+           w_fill=st.sampled_from([None, -128, 127]))
+    # all of a 3x3x70 patch at |x - Z| = 255 against -128 weights: 630 rows
+    # whose products sum beyond 2**24
+    @example(seed=0, stride=1, padding="same", z_x=-128, kh=3, kw=3, cin=70, cout=2,
+             h=3, w=3, x_fill=127, w_fill=-128)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_mac_loop(self, seed, stride, padding, z_x, kh, kw, cin, cout, h, w,
+                              x_fill, w_fill):
+        """Any layer shape, zero point and operands, 3x3 layers past 514 rows included."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+
+        def operand(size, fill):
+            # random int8 values, or ``fill`` with a tenth of them random
+            values = rng.integers(-128, 128, size=size)
+            if fill is not None:
+                values[rng.random(size) >= 0.1] = fill
+            return values.astype(np.int8)
+
+        q_x = operand((2, h, w, cin), x_fill)
+        q_w = operand((kh, kw, cin, cout), w_fill)
+        q_b = rng.integers(-2**31, 2**31, size=cout).astype(np.int32)
+        x_shift = q_x.astype(np.int32) - np.int32(z_x)
+        ours = _conv_int(x_shift, q_w, q_b, stride, padding)
+        assert ours.dtype == np.int32
+        assert np.array_equal(ours, conv_int_mac_loop(q_x, z_x, q_w, q_b, stride, padding))
+
+
+class TestQuantizedConvTranspose:
+    """A quantized transposed-conv layer agrees with a scalar oracle."""
+
+    @staticmethod
+    def graph(q_w, q_b, s_w, s_x, z_x, s_y, z_y):
+        kh, _, cin, cout = q_w.shape
+        layer = sf.LayerSpec("conv2d_transpose", "up",
+                             {"kernel_size": kh, "stride": kh, "filters": cout}, ["input"])
+        params = [sf.ParamSet(1, "up", "convtr_kernel", Tensor.from_array(q_w, "i8")),
+                  sf.ParamSet(2, "up", "convtr_bias", Tensor.from_array(q_b, "i32"))]
+        meta = {
+            "input_channels": cin,
+            "flags": {"pruned": False, "folded": True, "quantized": True},
+            "quantization": {
+                "activations": {"input": {"scale": s_x, "zero_point": z_x},
+                                "up": {"scale": s_y, "zero_point": z_y}},
+                "params": {"1": {"scale": s_w, "zero_point": 0, "bits": 8},
+                           "2": {"scale": s_w * s_x, "zero_point": 0, "bits": 32}},
+            },
+        }
+        return sf.ModelGraph([layer], params, cout, meta)
+
+    # 520 input channels split within each tap (more than 514 rows)
+    @pytest.mark.parametrize("cin,z_x", [(5, -128), (16, 37), (520, 127)])
+    def test_matches_scalar_oracle(self, cin, z_x):
+        rng = np.random.Generator(np.random.PCG64(cin))
+        q_x = rng.integers(-128, 128, size=(2, 3, 2, cin)).astype(np.int8)
+        q_x[0, 0, 0] = -128 if z_x > 0 else 127                 # |x - Z| = 255
+        q_w = rng.integers(-128, 128, size=(2, 2, cin, 3)).astype(np.int8)
+        q_w[1, 0, :, 1] = -128
+        q_b = rng.integers(-2**16, 2**16, size=3).astype(np.int32)
+        s_w, s_x, s_y, z_y = 0.0123, 0.0456, 0.1 * cin, -5
+        g = self.graph(q_w, q_b, s_w, s_x, z_x, s_y, z_y)
+        ours = _quantized_conv(g, g.layers[0], [q_x])
+        ref = quantized_convtr_scalar(q_x, z_x, q_w, q_b, (s_w * s_x) / s_y, z_y)
+        assert ours.dtype == np.int8 and ours.shape == (2, 6, 4, 3)
+        assert np.array_equal(ours, ref)
+        assert len(np.unique(ref)) > 10  # not saturated throughout
+
+    def test_wide_accumulator_exact(self):
+        # 520 rows of |x - Z| = 255 against -128 weights, one of them -127,
+        # sum to an odd integer beyond 2**24, which no float32 holds: the
+        # tap's GEMM must split Cin to stay exact
+        z_x = 127
+        q_x = np.full((1, 2, 2, 520), -128, np.int8)
+        q_w = np.full((2, 2, 520, 2), -128, np.int8)
+        q_w[:, :, 17, 0] = -127
+        q_b = np.array([3, -2**31], np.int32)
+        acc = _conv_transpose_int(q_x.astype(np.int32) - z_x, q_w, q_b, 2)
+        ref = np.array([[[[quantized_mac(q_w[i % 2, j % 2, :, co], q_x[0, i // 2, j // 2],
+                                         q_b[co], z_x) for co in range(2)]
+                          for j in range(4)] for i in range(4)]], np.int32)
+        assert np.array_equal(acc, ref)
+        sums = ref.astype(np.int64) - q_b
+        assert (np.abs(sums[..., 0]) > 2**24).all() and (sums[..., 0] % 2 == 1).all()
+
+    def test_kernel_size_other_than_stride_refused(self):
+        # as in the float path; a 3x3 kernel at stride 2 would drop taps
+        g = self.graph(np.ones((3, 3, 2, 2), np.int8), np.zeros(2, np.int32),
+                       1.0, 1.0, 0, 1.0, 0)
+        g.layers[0].hyperparams["stride"] = 2
+        with pytest.raises(ValueError, match="kernel 3x3 with stride 2"):
+            _quantized_conv(g, g.layers[0], [np.zeros((1, 2, 2, 2), np.int8)])
+
+    @pytest.mark.parametrize("section,name,entry,message", [
+        ("activations", "input", {"scale": 0.5, "zero_point": 2**20}, "zero_point 1048576"),
+        ("activations", "input", {"scale": 0.5, "zero_point": None}, "zero_point None"),
+        ("activations", "up", {"scale": 0.5, "zero_point": "7"}, "zero_point '7'"),
+        ("activations", "up", {"scale": 0.5, "zero_point": 1.5}, "zero_point 1.5"),
+        ("params", "1", {"scale": float("nan"), "zero_point": 0}, "scale nan"),
+        ("params", "1", {"scale": 1.0, "zero_point": False}, "zero_point False"),
+    ])
+    def test_bad_table_entry_refused(self, section, name, entry, message):
+        q_w = np.ones((2, 2, 3, 2), np.int8)
+        g = self.graph(q_w, np.zeros(2, np.int32), 1.0, 1.0, 0, 1.0, 0)
+        g.metadata["quantization"][section][name] = entry
+        with pytest.raises(ValueError, match=message):
+            _quantized_conv(g, g.layers[0], [np.zeros((1, 2, 2, 3), np.int8)])
 
 
 class TestQuantizedEngine:

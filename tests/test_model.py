@@ -357,3 +357,50 @@ class TestContainerRefusals:
                                     dict(tiny_graph.metadata)), path)
         with pytest.raises(FormatError, match="input channels 4 != kernel Cin 5"):
             sf.load_model(path)
+
+
+class TestQuantizationTables:
+    """A quantization entry with an unusable zero point or scale is refused at load."""
+
+    BAD = [("zero_point", 2**20), ("zero_point", None), ("zero_point", "7"),
+           ("zero_point", 1.5), ("zero_point", True), ("zero_point", -129),
+           ("scale", 0.0), ("scale", -1.0), ("scale", "0.5"), ("scale", None),
+           ("scale", False)]
+
+    @pytest.fixture(scope="class")
+    def quantized(self, tiny_graph, tiny_inputs):
+        return sf.quantize_ptq(tiny_graph, tiny_inputs[0])
+
+    @pytest.mark.parametrize("key,value", BAD)
+    @pytest.mark.parametrize("section,name", [("activations", "relu"), ("params", "1")])
+    def test_bad_entry_refused(self, quantized, tmp_path, section, name, key, value):
+        path = tmp_path / "model.sfq"
+        sf.save_model(quantized, path)
+        TestContainerRefusals.rewrite(
+            path, lambda m: m["metadata"]["quantization"][section][name].__setitem__(key, value))
+        with pytest.raises(FormatError, match=f"{section} entry '{name}' has {key}"):
+            sf.load_model(path)
+
+    @pytest.mark.parametrize("tables,message", [
+        ([], "quantization is not a JSON object"),
+        ({"activations": {}}, "quantization is missing key 'params'"),
+        ({"activations": {}, "params": [1]}, "quantization params is not a JSON object"),
+        ({"activations": {"input": 1.0}, "params": {}}, "entry 'input' is not a JSON object"),
+    ])
+    def test_malformed_tables_refused(self, quantized, tmp_path, tables, message):
+        path = tmp_path / "model.sfq"
+        sf.save_model(quantized, path)
+        TestContainerRefusals.rewrite(
+            path, lambda m: m["metadata"].__setitem__("quantization", tables))
+        with pytest.raises(FormatError, match=message):
+            sf.load_model(path)
+
+    @pytest.mark.parametrize("zero_point", [-128, 127])
+    def test_int8_range_ends_load_and_run(self, quantized, tmp_path, tiny_batch, zero_point):
+        edited = quantized.copy()   # metadata included
+        edited.metadata["quantization"]["activations"]["relu"]["zero_point"] = zero_point
+        path = tmp_path / "model.sfq"
+        sf.save_model(edited, path)
+        back = sf.load_model(path)
+        assert back.metadata["quantization"] == edited.metadata["quantization"]
+        assert sf.run_quantized(back, tiny_batch).logits.data.shape[:3] == (6, 16, 16)
