@@ -320,9 +320,9 @@ MASKED, POISONED, RESUMED, FAILED = "masked", "poisoned", "resumed", "failed"
 class Exit:
     """How one fault set's faulted forward ended, and at which layer: masked
     or poisoned at the end E of its first faulted layer's channel chain (see
-    ``_chain_exit``), resumed at the first layer it reran, with its class
-    ``maps``, or failed at its first faulted layer, with ``error``
-    "{type}: {message}"."""
+    ``_chain_exit``), resumed at the first layer it reran (at E where it
+    reran none), with its class ``maps``, or failed at its first faulted
+    layer, with ``error`` "{type}: {message}"."""
 
     kind: str
     layer: str
@@ -342,38 +342,45 @@ def _values(activation) -> np.ndarray:
     return activation.data if isinstance(activation, Tensor) else activation
 
 
-def _chain_exit(graph: ModelGraph, chain: list, channels: np.ndarray, source,
-                after: Frontier, reaches_output: bool) -> Exit:
-    """The exit of the faulted ``graph``, from the faulted output ``channels``
-    of its chain L..E (``engine.channel_chain``).
+def _chain_exit(graph: ModelGraph, chain: list, channels: np.ndarray, later: bool, source,
+                after: Frontier, reach: set) -> Exit:
+    """The exit of the faulted ``graph`` at ``after``, the faultless pass's
+    frontier just after the chain L..E of its first faulted layer L.
 
-    ``source`` is L's input in the faultless pass, ``after`` that pass's
-    frontier just after E and ``reaches_output`` whether E's output has a
-    path to the output layer. Channels D of E are recomputed from L's input
-    (``engine.run_channels``), then:
+    ``channels`` (D, see ``_fault_plan``) are the only channels of E that
+    can differ from the faultless pass; ``later`` says whether a fault lies
+    after E, ``source`` is L's faultless input and ``reach`` names the
+    activations with a path to the output layer. With D empty or E unread
+    (then not live after E) the set is masked, or resumes from ``after``
+    with later faults. Otherwise D is recomputed (``engine.run_channels``):
 
-    - masked: if their bytes equal D of the faultless E, E's whole output is
-      faultless; every layer after E reads only faultless activations and
+    - masked: without later faults, if D's bytes equal D of the faultless
+      E, every layer after E reads only faultless activations and
       parameters, so the maps are the graph's faultless maps;
-    - poisoned (float): if E reaches the output and one of them is NaN at
-      every position, every pixel is INVALID_CLASS (``engine.poisoned``);
-    - otherwise they are spliced into a copy of the faultless E and the
-      forward resumes just after E.
+    - poisoned (float): if E reaches the output and one of D is NaN at
+      every position, every pixel is INVALID_CLASS (``engine.poisoned``),
+      later faults or not: such a channel stays NaN through every float op;
+    - otherwise the forward resumes just after E, D spliced into a copy of E.
 
     Each exit gives the class maps a full forward gives, bit for bit.
     """
     end = chain[-1].name
+    if not channels.size or end not in after.live:
+        return _resumed_exit(graph, after) if later else Exit(MASKED, end)
     faulty = run_channels(graph, chain, source, channels)
-    if _values(after.live[end])[..., channels].tobytes() == _values(faulty).tobytes():
+    if not later and _values(after.live[end])[..., channels].tobytes() == _values(faulty).tobytes():
         return Exit(MASKED, end)
-    if reaches_output and poisoned(_values(faulty)):
+    if end in reach and poisoned(_values(faulty)):
         return Exit(POISONED, end)
     return _resumed_exit(graph, replace(after, splice=(end, channels, faulty)))
 
 
 def _resumed_exit(graph: ModelGraph, frontier: Frontier) -> Exit:
-    """The exit of the faulted ``graph`` resumed from a golden ``frontier``."""
-    return Exit(RESUMED, graph.layers[frontier.start].name, _forward_maps(graph, frontier))
+    """The exit of the faulted ``graph`` resumed from a golden ``frontier``,
+    at the first layer it reruns, or at the spliced one where it reruns none."""
+    start = frontier.start
+    layer = graph.layers[start].name if start < len(graph.layers) else frontier.splice[0]
+    return Exit(RESUMED, layer, _forward_maps(graph, frontier))
 
 
 def _forward_maps(graph: ModelGraph, inp) -> np.ndarray:
@@ -388,33 +395,29 @@ def _errors(golden: np.ndarray, maps: np.ndarray) -> list:
     return [error_rate(golden[i], maps[i]) for i in range(maps.shape[0])]
 
 
-def _first_faulted_layer(graph: ModelGraph, specs, layer_index: dict) -> int:
-    """Index of the first layer that reads a parameter ``specs`` flips.
+def _fault_plan(graph: ModelGraph, specs, layer_index: dict):
+    """(L, chain, D, later): where fault set ``specs`` is measured.
 
-    Every layer op reads only its own layer's parameters, so no activation
-    before that layer can change. A set naming an unknown parameter set
-    starts at the input, where applying it fails as it would anyway.
-    """
-    try:
-        return min((layer_index[graph.param(s.pset).layer] for s in specs), default=0)
-    except KeyError:
-        return 0
-
-
-def _faulted_channels(graph: ModelGraph, specs, layer):
-    """Sorted output channels of ``layer`` that ``specs`` flip parameters of.
-
-    None unless ``specs`` is non-empty and every spec lies in ``layer``.
-    Channel c owns kernel[..., c] (element % Cout) and bias[c] or a
-    batch-norm vector's entry c (element % C), the last axis in both cases.
+    L is the index of the first layer that reads a parameter ``specs``
+    flips; every layer op reads only its own layer's parameters, so no
+    activation before L can change. ``chain`` is L..E (``engine.channel_chain``),
+    D the sorted channels of E that specs inside the chain flip and
+    ``later`` whether a spec lies after E. Channel c owns kernel[..., c]
+    (element % Cout) and bias[c] or a batch-norm vector's entry c
+    (element % C). A set naming an unknown parameter set plans at layer 0,
+    where applying it fails as it would anyway.
     """
     try:
         params = [graph.param(s.pset) for s in specs]
     except KeyError:
-        return None
-    if not specs or any(p.layer != layer.name for p in params):
-        return None
-    return np.array(sorted({s.element % p.tensor.shape[-1] for s, p in zip(specs, params)}))
+        params = []
+    owners = [(layer_index[p.layer], s.element % p.tensor.shape[-1])  # (layer, channel)
+              for s, p in zip(specs, params)]
+    start = min((i for i, _ in owners), default=0)
+    chain = channel_chain(graph, start)
+    end = start + len(chain)
+    channels = sorted({c for i, c in owners if i < end})
+    return start, chain, np.array(channels, dtype=int), any(i >= end for i, _ in owners)
 
 
 def _fault_loop(graph: ModelGraph, batch: Tensor, fault_sets):
@@ -422,49 +425,29 @@ def _fault_loop(graph: ModelGraph, batch: Tensor, fault_sets):
     ``fault_sets``, and the graph's faultless class maps.
 
     The copy's faultless pass is walked once, through the output layer,
-    whose class maps are the faultless ones. A fault in layer L cannot
-    change an activation computed before L, so each set is applied, its
-    exit taken and the set reverted at L's frontier before the walk goes on;
-    a set that raises is reverted and recorded as failed. A set confined to
-    L, where L's channel chain L..E (``engine.channel_chain``) ends before
-    the output layer in an activation something reads, waits for the
-    frontier just after E instead (see ``_chain_exit``), and L's faultless
-    input is held until then.
+    whose class maps are the faultless ones. Each set is applied, its exit
+    taken (``_chain_exit``) and the set reverted at the frontier just after
+    the chain L..E of its first faulted layer L (``_fault_plan``), with L's
+    faultless input held until then; a set that raises is recorded as failed.
     """
     work = graph.copy()
     index = {layer.name: i for i, layer in enumerate(work.layers)}
     reach = reaching_output(work)
-    chains = {}     # L -> its chain, or None where the sets starting at L resume from L
-    plans = []      # set -> (L, its faulted channels if it is measured after L's chain)
-    at = {}         # frontier index -> sets measured there
-    for i, specs in enumerate(fault_sets):
-        start = _first_faulted_layer(work, specs, index)
-        if start not in chains:
-            chain = channel_chain(work, start)
-            usable = start + len(chain) < len(work.layers) and work.consumers(chain[-1].name)
-            chains[start] = chain if usable else None
-        channels = _faulted_channels(work, specs, work.layers[start]) if chains[start] else None
-        plans.append((start, channels))
-        at.setdefault(start if channels is None else start + len(chains[start]), []).append(i)
+    plans = [_fault_plan(work, specs, index) for specs in fault_sets]
     exits = [None] * len(fault_sets)
-    sources = {start for start, channels in plans if channels is not None}
-    held = {}       # L -> L's faultless input, while sets starting at L wait
+    sources = [None] * len(fault_sets)  # each set's L input, from L's frontier to its exit
     for frontier in golden_frontiers(work, batch, stop=len(work.layers)):
-        idx = frontier.start
-        if idx in sources:
-            held[idx] = frontier.live[work.layers[idx].inputs[0]]
-        for i in at.get(idx, ()):
-            start, channels = plans[i]
-            try:
-                exits[i] = with_faults(work, fault_sets[i], lambda g: (
-                    _resumed_exit(g, frontier) if channels is None else
-                    _chain_exit(g, chains[start], channels, held[start], frontier,
-                                chains[start][-1].name in reach)))
-            except Exception as exc:  # recorded, not fatal
-                exits[i] = Exit(FAILED, work.layers[start].name,
-                                error=f"{type(exc).__name__}: {exc}")
-        for s in [s for s in held if s + len(chains[s]) == idx]:
-            del held[s]
+        for i, (start, chain, channels, later) in enumerate(plans):
+            if start == frontier.start:
+                sources[i] = frontier.live[work.layers[start].inputs[0]]
+            elif start + len(chain) == frontier.start:
+                try:
+                    exits[i] = with_faults(work, fault_sets[i], lambda g: _chain_exit(
+                        g, chain, channels, later, sources[i], frontier, reach))
+                except Exception as exc:  # recorded, not fatal
+                    exits[i] = Exit(FAILED, work.layers[start].name,
+                                    error=f"{type(exc).__name__}: {exc}")
+                sources[i] = None
     return exits, finish(work, frontier.live).class_map
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import run_float
+from .engine import _FLOAT, _execute
 from .model import (CONV_KINDS, ModelGraph, ParamSet, _LAYER_ROLES, assign_param_indices,
                     batch_inputs, infer_shapes, LayerSpec)
 from .tensor import Tensor
@@ -102,17 +102,17 @@ def quantize_ptq(graph: ModelGraph, calibration_inputs) -> ModelGraph:
     if not graph.flags.get("folded"):
         graph = fold_bn(graph)
 
-    batch = batch_inputs(calibration_inputs)
-    trace = run_float(graph, batch, capture=True).trace
+    observed = {}   # activation -> entry from the min and max of its finite values
 
-    activations = {}
-    for name in ["input"] + [l.name for l in graph.layers]:
-        layer = None if name == "input" else graph.layer(name)
-        if layer is not None and layer.kind in ("relu", "maxpool"):
-            activations[name] = dict(activations[layer.inputs[0]])
-            continue
-        st = trace[name]
-        activations[name] = _affine_entry(st.min, st.max)
+    def record(name, tensor):
+        finite = tensor.data[np.isfinite(tensor.data)]
+        observed[name] = _affine_entry(float(finite.min()), float(finite.max()))
+
+    _execute(graph, _FLOAT, batch_inputs(calibration_inputs), record=record)
+    activations = {"input": observed["input"]}
+    for layer in graph.layers:  # relu and maxpool keep their input's entry
+        activations[layer.name] = (dict(activations[layer.inputs[0]])
+                                   if layer.kind in ("relu", "maxpool") else observed[layer.name])
 
     src = graph.copy()
     param_table = {}

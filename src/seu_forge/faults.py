@@ -80,18 +80,31 @@ class FaultOutcome:
                       "faulty_value": float(d["faulty_value"])})
 
 
-def _record(d, cls, what: str, optional=()) -> dict:
-    """``d``, a JSON object holding every field of dataclass ``cls`` but ``optional``.
+# A field's JSON type and its name in messages, by annotation (null too where
+# the default is None); to_json writes an outcome's values as float reprs.
+_JSON_TYPES = {"int": (int, "an int"), "str": (str, "a string"), "bool": (bool, "true or false"),
+               "float": ((int, float), "a number"), "list": (list, "a list"),
+               "FaultSpec": (dict, "an object")}
+_REPRS = ("original_value", "faulty_value")
 
-    Raises ValueError naming the first missing or unknown key.
+
+def _record(d, cls, what: str, optional=()) -> dict:
+    """``d``, a JSON object holding every field of dataclass ``cls`` but
+    ``optional``, each of its type (``_JSON_TYPES``).
+
+    Raises ValueError naming the first missing or mistyped field, else unknown key.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{what} is not a JSON object")
-    names = [f.name for f in fields(cls)]
-    missing = [k for k in names if k not in d and k not in optional]
-    if missing:
-        raise ValueError(f"{what} is missing key {missing[0]!r}")
-    unknown = [k for k in d if k not in names]
+    for f in fields(cls):
+        if f.name not in d and f.name not in optional:
+            raise ValueError(f"{what} is missing key {f.name!r}")
+        value = d.get(f.name)
+        types, kind = (str, "a string") if f.name in _REPRS else _JSON_TYPES[f.type]
+        if (value is not None or f.default is not None) and (
+                not isinstance(value, types) or isinstance(value, bool) != (types is bool)):
+            raise ValueError(f"{what} field {f.name!r} is {json.dumps(value)}, not {kind}")
+    unknown = [k for k in d if k not in {f.name for f in fields(cls)}]
     if unknown:
         raise ValueError(f"{what} has unknown key {unknown[0]!r}")
     return d

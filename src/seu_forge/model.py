@@ -344,6 +344,9 @@ def infer_shapes(graph: ModelGraph, height: int, width: int, batch: int = 1) -> 
                 raise ShapeError(f"{layer.name}: input channels {c} != kernel Cin {k[2]}")
             s = layer.hyperparams.get("stride", 2 if layer.kind == "conv2d_transpose" else 1)
             if layer.kind == "conv2d_transpose":
+                if k[:2] != (s, s):
+                    raise ShapeError(f"{layer.name}: transposed conv kernel "
+                                     f"{k[0]}x{k[1]} != stride {s}")
                 oh, ow = h * s, w * s
             elif layer.hyperparams.get("padding", "same") == "same":
                 oh, ow = -(-h // s), -(-w // s)
@@ -360,6 +363,8 @@ def infer_shapes(graph: ModelGraph, height: int, width: int, batch: int = 1) -> 
             shapes[layer.name] = ins[0]
         elif layer.kind == "maxpool":
             n, h, w, c = ins[0]
+            if (layer.hyperparams.get("window", 2), layer.hyperparams.get("stride", 2)) != (2, 2):
+                raise ShapeError(f"{layer.name}: maxpool {layer.hyperparams} is not 2x2/2")
             if h % 2 or w % 2:
                 raise ShapeError(f"{layer.name}: H,W must be even, got {(h, w)}")
             shapes[layer.name] = (n, h // 2, w // 2, c)

@@ -239,11 +239,9 @@ def relu(inp: Tensor) -> Tensor:
     return Tensor.from_array(np.maximum(inp.data, np.float32(0.0)))
 
 
-def maxpool2d(inp: Tensor, window: int = 2, stride: int = 2) -> Tensor:
-    """2x2/2 windowed max; NaN in a window poisons its output."""
+def maxpool2d(inp: Tensor) -> Tensor:
+    """2x2/2 windowed max, the only maxpool a model holds; NaN in a window poisons its output."""
     _check_f32(inp, "input")
-    if window != 2 or stride != 2:
-        raise ValueError("only 2x2 window with stride 2 is supported")
     n, h, w, c = inp.data.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2d requires even H,W, got {(h, w)}")

@@ -233,6 +233,24 @@ def evaluate_protection_full_forward(original, protected, images, labels=None,
     return faultless, per_bit
 
 
+def fault_sets_full_forward(graph, fault_sets, images):
+    """The faultless class maps of ``graph`` and those of each fault set in
+    ``fault_sets``: every spec of the set applied to a fresh copy of
+    ``graph``, one full forward from the input per set. Works in either
+    numeric mode."""
+    import seu_forge as sf
+
+    batch = sf.batch_inputs(images)
+    run = sf.run_quantized if graph.flags.get("quantized") else sf.run_float
+    maps = []
+    for specs in fault_sets:
+        work = graph.copy()
+        for spec in specs:
+            sf.apply_fault(work, spec)
+        maps.append(run(work, batch).class_map)
+    return run(graph, batch).class_map, maps
+
+
 def sweep_full_forward(graph, specs, images):
     """Per-image error rates of each single fault in ``specs``, one full forward
     from the input per fault, on a fresh copy of ``graph``.
@@ -242,16 +260,9 @@ def sweep_full_forward(graph, specs, images):
     """
     import seu_forge as sf
 
-    batch = sf.batch_inputs(images)
-    run = sf.run_quantized if graph.flags.get("quantized") else sf.run_float
-    golden = run(graph, batch).class_map
-    errors = []
-    for spec in specs:
-        work = graph.copy()
-        sf.apply_fault(work, spec)
-        maps = run(work, batch).class_map
-        errors.append([sf.error_rate(golden[i], maps[i]) for i in range(maps.shape[0])])
-    return errors
+    golden, faulted = fault_sets_full_forward(graph, [[spec] for spec in specs], images)
+    return [[sf.error_rate(golden[i], maps[i]) for i in range(maps.shape[0])]
+            for maps in faulted]
 
 
 # ---------------------------------------------------------------------------

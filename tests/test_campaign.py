@@ -379,7 +379,7 @@ class TestMultiBit:
 
 
 class TestResumedFaultLoop:
-    """Campaigns resume each fault set at its first faulted layer."""
+    """Fault sets spanning several layers, and empty ones, agree with full forwards."""
 
     @pytest.fixture(scope="class")
     def quantized(self, tiny_graph, tiny_inputs):
@@ -633,6 +633,98 @@ class TestEarlyExits:
         assert any(kind == "masked" and np.array_equal(golden, protected_maps)
                    for kind, golden in scored)
         assert {kind for _, kind in exits} == {"masked", "poisoned", "resumed"}
+
+
+class TestOneMeasuringPath:
+    """Every fault set is measured just after its first faulted layer's
+    channel chain L..E: sets spanning layers, chains ending at the output
+    layer, chains ending in an activation nothing reads and empty sets.
+
+    Each exit's class maps, taken with the faultless maps of its walk, must
+    equal a full forward of the faulted graph from the input. Planted on
+    ``chain_graph(dead_branch=True)``: bn_a's gamma[1] and the output bias[1]
+    are 1.5, whose bit-30 flips give NaN; up_2's channel 0 is zero (kernel
+    and bias), so no flip of an output kernel weight reading it changes a
+    logit. conv_e ends the dead branch, so nothing reads it.
+    """
+
+    @pytest.fixture(scope="class")
+    def images(self):
+        return sf.generate_calibration_set((16, 16, 4), count=3, seed=11, class_count=4)[0]
+
+    @pytest.fixture(scope="class")
+    def graphs(self, images):
+        from conftest import chain_graph
+        g = chain_graph(dead_branch=True)
+        g.layer_params("bn_a")["bn_gamma"].tensor.data[1] = 1.5
+        g.layer_params("out")["conv_bias"].tensor.data[1] = 1.5
+        g.layer_params("up_2")["convtr_kernel"].tensor.data[..., 0] = 0.0
+        g.layer_params("up_2")["convtr_bias"].tensor.data[0] = 0.0
+        return {"float": g, "quantized": sf.quantize_ptq(g, images)}
+
+    @staticmethod
+    def spec(graph, layer, role, element, bit):
+        p = graph.layer_params(layer)[role]
+        return sf.FaultSpec(p.index, element, bit, p.tensor.encoding)
+
+    @staticmethod
+    def exits(graph, images, fault_sets):
+        """(kind, layer) of each set's exit, each checked against a full forward."""
+        from oracles import fault_sets_full_forward
+        from seu_forge.campaign import _fault_loop
+        exits, golden = _fault_loop(graph, sf.batch_inputs(images), fault_sets)
+        expected_golden, expected = fault_sets_full_forward(graph, fault_sets, images)
+        assert np.array_equal(golden, expected_golden)
+        for ex, maps in zip(exits, expected):
+            assert np.array_equal(ex.class_maps(golden), maps), (ex.kind, ex.layer)
+        return [(ex.kind, ex.layer) for ex in exits]
+
+    def test_sets_spanning_layers_exit_poisoned_with_later_specs(self, graphs, images):
+        g = graphs["float"]
+        nan = self.spec(g, "bn_a", "bn_gamma", 1, 30)
+        sets = [[nan, self.spec(g, "conv_c", "conv_bias", 0, 22)],
+                [self.spec(g, "bn_a", "bn_beta", 5, 3), nan,
+                 self.spec(g, "out", "conv_bias", 0, 30)]]
+        assert self.exits(g, images, sets) == [("poisoned", "pool_a")] * 2
+
+    def test_unchanged_chain_end_with_later_specs_resumes(self, graphs, images):
+        g = graphs["float"]
+        # -0.0 for up_2's zero kernel weight 0 leaves its channel 0 zero
+        zero = self.spec(g, "up_2", "convtr_kernel", 0, 31)
+        sets = [[zero], [zero, self.spec(g, "out", "conv_bias", 0, 22)]]
+        assert self.exits(g, images, sets) == [("masked", "up_2"), ("resumed", "out")]
+
+    @pytest.mark.parametrize("mode", ["float", "quantized"])
+    def test_output_layer_faults_exit_masked_and_poisoned(self, graphs, images, mode):
+        g = graphs[mode]
+        top = g.layer_params("out")["conv_kernel"].width - 1
+        # output kernel elements 0 and 2 weigh up_2's zero channel 0 into classes 0 and 2
+        sets = [[self.spec(g, "out", "conv_kernel", 0, top)],
+                [self.spec(g, "out", "conv_kernel", 2, 3)],
+                [self.spec(g, "out", "conv_bias", 1, 30)]]
+        # a NaN bias poisons the float logits; an int32 bias has no NaN
+        last = "poisoned" if mode == "float" else "resumed"
+        assert self.exits(g, images, sets) == [("masked", "out")] * 2 + [(last, "out")]
+
+    @pytest.mark.parametrize("mode", ["float", "quantized"])
+    def test_chain_end_nothing_reads(self, graphs, images, mode):
+        g = graphs[mode]
+        dead = self.spec(g, "conv_e", "conv_bias", 0, 30)
+        sets = [[dead], [dead, self.spec(g, "conv_c", "conv_bias", 1, 22)]]
+        assert self.exits(g, images, sets) == [("masked", "conv_e"), ("resumed", "conv_c")]
+
+    @pytest.mark.parametrize("mode", ["float", "quantized"])
+    def test_empty_set_is_masked_without_a_forward(self, graphs, images, mode, monkeypatch):
+        import seu_forge.campaign as campaign
+        calls = []
+
+        def counted(name, real):
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in ("run_channels", "_forward_maps"):
+            monkeypatch.setattr(campaign, name, counted(name, getattr(campaign, name)))
+        assert self.exits(graphs[mode], images, [[], []]) == [("masked", "pool_a")] * 2
+        assert calls == []
 
 
 def _report_bytes(directory):

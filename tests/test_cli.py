@@ -174,7 +174,13 @@ def test_report_empty_log(tmp_path):
     (lambda d: d.__delitem__("faulty_bits"), "fault outcome is missing key 'faulty_bits'"),
     (lambda d: d["spec"].__setitem__("extra", 1), "fault spec has unknown key 'extra'"),
     (lambda d: d["spec"].__delitem__("bit"), "fault spec is missing key 'bit'"),
-], ids=["extra_key", "missing_key", "spec_extra_key", "spec_missing_key"])
+    (lambda d: d.__setitem__("mean_error", "abc"),
+     "fault outcome field 'mean_error' is \"abc\", not a number"),
+    (lambda d: d.__setitem__("produced_nan", "no"),
+     "fault outcome field 'produced_nan' is \"no\", not true or false"),
+    (lambda d: d["spec"].__setitem__("pset", "1"), "fault spec field 'pset' is \"1\", not an int"),
+], ids=["extra_key", "missing_key", "spec_extra_key", "spec_missing_key",
+        "string_mean_error", "string_flag", "string_pset"])
 def test_report_refuses_a_bad_outcome_line(tmp_path, capsys, edit, message):
     spec = sf.FaultSpec(pset=1, element=0, bit=30, encoding="f32")
     good = sf.FaultOutcome(spec, 0, 1 << 30, 0.0, 2.0, mean_error=0.5).to_json()

@@ -344,6 +344,20 @@ class TestContainerRefusals:
         with pytest.raises(FormatError, match="1 trailing bytes"):
             sf.load_model(path)
 
+    @pytest.mark.parametrize("kind,key,value,message", [
+        ("conv2d_transpose", "stride", 3, "transposed conv kernel 2x2 != stride 3"),
+        ("maxpool", "window", 3, "'stride': 2, 'window': 3} is not 2x2/2"),
+        ("maxpool", "stride", 3, "'stride': 3, 'window': 2} is not 2x2/2"),
+    ], ids=["convtr_stride", "maxpool_window", "maxpool_stride"])
+    def test_layer_no_forward_runs(self, tiny_graph, tmp_path, kind, key, value, message):
+        # each loaded and failed only in inference, or (the maxpool) ran as 2x2/2
+        path = tmp_path / "model.sfm"
+        sf.save_model(tiny_graph, path)
+        self.rewrite(path, lambda m: next(l for l in m["layers"] if l["kind"] == kind)[
+            "hyperparams"].__setitem__(key, value))
+        with pytest.raises(FormatError, match=message):
+            sf.load_model(path)
+
     def test_kernel_shape_disagreeing_with_graph(self, tiny_graph, tmp_path):
         # conv2D_1 reads conv2D's 4 channels; a 5-channel kernel used to load
         # and fail only in inference
