@@ -16,8 +16,7 @@ from .model import (DEFAULT_TARGET_ROLES, FormatError, LayerSpec, ModelGraph,
                     generate_calibration_set, generate_toy_weights,
                     infer_shapes, load_model, model_hash, save_model,
                     unet_parameter_count)
-from .engine import (InferenceResult, LayerStats, capture_parameter_stats,
-                     run_float, run_quantized)
+from .engine import InferenceResult, run_float, run_quantized
 from .bits import flip_bit_f32, flip_bit_int
 from .faults import (FaultOutcome, FaultSpec, FaultToken, apply_fault,
                      fault_space_size, inject_and_measure, revert)
@@ -28,9 +27,9 @@ from .campaign import (CampaignPlan, MetricBundle, MultiBitResult, SweepResult,
                        run_single_bit_sweep, sample_size, segmentation_metrics,
                        weighted_bit_error)
 from .compress import fold_bn, prune_structured, quantize_ptq, sparse_zero
-from .analysis import (bits_needed_table, calibration_report, correlate,
-                       positive_ratio_table, risky_exponent_scan,
-                       risky_pattern_count)
+from .analysis import (LayerStats, bits_needed_table, calibration_report,
+                       capture_parameter_stats, correlate, positive_ratio_table,
+                       risky_exponent_scan, risky_pattern_count)
 from .protect import (AbsorptionError, CandidateClass, EqualizationError,
                       PT_LEVELS, ProtectionReport, ProtectionTarget,
                       absorb_bias, classify_candidate, cross_layer_equalize,

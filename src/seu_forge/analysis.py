@@ -1,5 +1,6 @@
 """Diagnostic lenses over a model: sign censuses, risky-exponent scans,
-quantized bit-width tables, calibration reports, correlation summaries.
+quantized bit-width tables, calibration reports and their statistics (the
+activations recorded through the executor's ``record`` hook), correlation summaries.
 
 "Risky" is the rule of ``bits.RISKY``: one bit-flip away from a filled
 (partial) exponent.
@@ -7,10 +8,12 @@ quantized bit-width tables, calibration reports, correlation summaries.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import bits, reports
-from .engine import capture_parameter_stats, run_float
+from .engine import _FLOAT, _execute
 from .model import ModelGraph, batch_inputs
 
 POSITIVE_RATIO_ROLES = ("conv_bias", "bn_beta", "convtr_bias")
@@ -81,12 +84,94 @@ def bits_needed_table(graph: ModelGraph) -> list:
     return rows
 
 
+# ---------------------------------------------------------------------------
+# calibration statistics
+
+HIST_BINS = 64
+# Fixed log-spaced magnitude bin edges shared by all histograms, so reports
+# from different runs are directly comparable.
+HIST_EDGES = np.logspace(-12.0, 12.0, HIST_BINS + 1)
+
+
+def magnitude_histogram(values: np.ndarray) -> dict:
+    """64 log-spaced magnitude bins split by sign, plus zero/NaN/Inf counts."""
+    v = np.asarray(values).ravel().astype(np.float64)
+    nan = int(np.isnan(v).sum())
+    inf = int(np.isinf(v).sum())
+    finite = v[np.isfinite(v)]
+    zeros = int((finite == 0).sum())
+    out = {"zeros": zeros, "nan": nan, "inf": inf}
+    for label, part in (("neg", finite[finite < 0]), ("pos", finite[finite > 0])):
+        idx = np.digitize(np.abs(part), HIST_EDGES) - 1
+        idx = np.clip(idx, 0, HIST_BINS - 1)
+        out[label] = np.bincount(idx, minlength=HIST_BINS).astype(int).tolist()
+    return out
+
+
+@dataclass
+class LayerStats:
+    """Observed activation statistics of one layer over one or more runs."""
+
+    min: float = None
+    max: float = None
+    nan_count: int = 0
+    inf_count: int = 0
+    histogram: dict = None
+
+    def update(self, values: np.ndarray):
+        self.nan_count += int(np.isnan(values).sum())
+        self.inf_count += int(np.isinf(values).sum())
+        finite = values[np.isfinite(values)]
+        if finite.size:
+            lo, hi = float(finite.min()), float(finite.max())
+            self.min = lo if self.min is None else min(self.min, lo)
+            self.max = hi if self.max is None else max(self.max, hi)
+        h = magnitude_histogram(values)
+        if self.histogram is None:
+            self.histogram = h
+        else:
+            for k in ("zeros", "nan", "inf"):
+                self.histogram[k] += h[k]
+            for k in ("neg", "pos"):
+                self.histogram[k] = [a + b for a, b in zip(self.histogram[k], h[k])]
+
+    def to_dict(self) -> dict:
+        return {"min": self.min, "max": self.max, "nan_count": self.nan_count,
+                "inf_count": self.inf_count, "histogram": self.histogram}
+
+
+def capture_parameter_stats(graph: ModelGraph) -> dict:
+    """Exact per-ParamSet min/max/histogram and sign census."""
+    stats = {}
+    for p in graph.params:
+        v = p.tensor.data
+        finite = v[np.isfinite(v)] if p.tensor.encoding == "f32" else v
+        stats[p.index] = {
+            "layer": p.layer,
+            "role": p.role,
+            "encoding": p.tensor.encoding,
+            "min": float(finite.min()) if finite.size else None,
+            "max": float(finite.max()) if finite.size else None,
+            "positive": int((v > 0).sum()),
+            "total": int(v.size),
+            "histogram": magnitude_histogram(v),
+        }
+    return stats
+
+
 def calibration_report(graph: ModelGraph, inputs) -> dict:
     """Parameter ranges plus activation ranges/histograms over an input set."""
-    result = run_float(graph, batch_inputs(inputs), capture=True)
+    if graph.flags.get("quantized"):
+        raise ValueError("graph is quantized; calibration reports run in float")
+    activations = {}
+
+    def record(name, tensor):
+        activations.setdefault(name, LayerStats()).update(tensor.data)
+
+    _execute(graph, _FLOAT, batch_inputs(inputs), record=record)
     return {
         "parameters": capture_parameter_stats(graph),
-        "activations": {name: st.to_dict() for name, st in result.trace.items()},
+        "activations": {name: st.to_dict() for name, st in activations.items()},
         "images": len(inputs),
     }
 

@@ -597,9 +597,15 @@ class SweepResult:
         reports.write_lines(os.path.join(directory, f"{stem}_outcomes.jsonl"),
                             (o.to_json() for o in self.outcomes))
         reports.write_csv(os.path.join(directory, f"{stem}_aggregate.csv"),
-                          ["pset", "bit", "n", "mean_error", "nan_count", "inf_count"],
-                          [[r["pset"], r["bit"], r["n"], repr(r["mean_error"]),
-                            r["nan_count"], r["inf_count"]] for r in self.rows])
+                          SWEEP_COLUMNS, [sweep_cells(r) for r in self.rows])
+
+
+SWEEP_COLUMNS = ["pset", "bit", "n", "mean_error", "nan_count", "inf_count"]
+
+
+def sweep_cells(row) -> list:
+    """A :func:`sweep_rows` row as the cells of SWEEP_COLUMNS, mean_error as its repr."""
+    return [repr(row[k]) if k == "mean_error" else row[k] for k in SWEEP_COLUMNS]
 
 
 def sweep_rows(outcomes) -> list:

@@ -81,12 +81,17 @@ def _workers(args) -> int:
 # model
 
 
-def cmd_model_build(args):
-    graph = build_unet(args.levels, args.base_filters, args.classes, args.channels)
+def _toy_weights(graph: ModelGraph, args) -> ModelGraph:
+    """``graph`` with the toy weights that ``args`` (the weight options) ask for."""
     frac = "span" if args.span_bias_fractions else args.positive_bias_fraction
-    graph = generate_toy_weights(graph, args.seed, kernel_scale=args.kernel_scale,
-                                 positive_bias_fraction=frac,
-                                 gamma_range=(args.gamma_lo, args.gamma_hi))
+    return generate_toy_weights(graph, args.seed, kernel_scale=args.kernel_scale,
+                                positive_bias_fraction=frac,
+                                gamma_range=(args.gamma_lo, args.gamma_hi))
+
+
+def cmd_model_build(args):
+    graph = _toy_weights(build_unet(args.levels, args.base_filters, args.classes,
+                                    args.channels), args)
     save_model(graph, args.out)
     _write_manifest(args, args.out, model_hash=model_hash(graph),
                     parameter_sets=len(graph.params))
@@ -96,11 +101,7 @@ def cmd_model_build(args):
 
 
 def cmd_model_generate(args):
-    graph = _load(args.model)
-    frac = "span" if args.span_bias_fractions else args.positive_bias_fraction
-    graph = generate_toy_weights(graph, args.seed, kernel_scale=args.kernel_scale,
-                                 positive_bias_fraction=frac,
-                                 gamma_range=(args.gamma_lo, args.gamma_hi))
+    graph = _toy_weights(_load(args.model), args)
     save_model(graph, args.out)
     _write_manifest(args, args.out, model_hash=model_hash(graph))
     print(f"reseeded weights -> {args.out} (hash {model_hash(graph)[:16]})")
@@ -156,8 +157,6 @@ def cmd_compress(args):
 
 
 def cmd_calibrate(args):
-    from .engine import capture_parameter_stats
-
     graph = _load(args.model)
     os.makedirs(args.out_dir, exist_ok=True)
     inputs, _ = _images_for(graph, args)
@@ -171,7 +170,7 @@ def cmd_calibrate(args):
     ratios = analysis.positive_ratio_table(graph)
     analysis.write_positive_ratio_csv(ratios, out("positive_ratio.csv"))
     reports.write_json(out("positive_ratio.json"), ratios)
-    reports.write_json(out("parameter_stats.json"), capture_parameter_stats(graph))
+    reports.write_json(out("parameter_stats.json"), analysis.capture_parameter_stats(graph))
     if graph.flags.get("quantized"):
         table = analysis.bits_needed_table(graph)
         analysis.write_bits_needed_csv(table, out("bits_needed.csv"))
@@ -335,9 +334,8 @@ def cmd_report(args):
 
     os.makedirs(args.out_dir, exist_ok=True)
     reports.write_csv(os.path.join(args.out_dir, "report_aggregate.csv"),
-                      ["variant", "pset", "bit", "n", "mean_error", "nan_count", "inf_count"],
-                      [[v, r["pset"], r["bit"], r["n"], repr(r["mean_error"]),
-                        r["nan_count"], r["inf_count"]] for v, r in rows])
+                      ["variant", *campaign.SWEEP_COLUMNS],
+                      [[v, *campaign.sweep_cells(r)] for v, r in rows])
     reports.write_json(os.path.join(args.out_dir, "report_long.json"), [
         {"variant": v, "pset": r["pset"], "bit": r["bit"], "metric": "mean_error",
          "value": r["mean_error"]} for v, r in rows])

@@ -233,21 +233,16 @@ def prune_structured(graph: ModelGraph, keep_fraction: float = None,
 # sparse zeroing
 
 
-def sparse_zero(graph: ModelGraph, predicate, roles=None):
-    """Set matching float parameters to +0.0; returns (graph, zeroed_count).
+def sparse_zero(graph: ModelGraph, predicate):
+    """Set matching convolution kernels and biases to +0.0; returns (graph, zeroed_count).
 
     ``predicate`` maps a value array to a boolean mask of the same shape.
-    Default roles: convolution kernels and biases.
     """
     if graph.flags.get("quantized"):
         raise ValueError("sparse_zero operates on a float graph")
-    roles = set(roles) if roles is not None else {
-        "conv_kernel", "conv_bias", "convtr_kernel", "convtr_bias"}
     out = graph.copy()
     zeroed = 0
-    for p in out.params:
-        if p.role not in roles:
-            continue
+    for p in out.params_of(("conv_kernel", "conv_bias", "convtr_kernel", "convtr_bias")):
         mask = np.asarray(predicate(p.tensor.data), dtype=bool)
         if mask.shape != p.tensor.data.shape:
             raise ValueError("predicate mask shape does not match parameter shape")

@@ -1,5 +1,8 @@
 """Graph execution: bit-reproducible float mode and integer-quantized mode.
 
+This module only executes. A caller observes a pass through ``_execute``'s
+``record`` hook, as ``compress.quantize_ptq`` and ``analysis.calibration_report`` do.
+
 The quantized path implements the affine scheme r = S*(q - Z) with per-tensor
 symmetric 8-bit weights, 32-bit biases (scale S_w*S_x), int32 accumulators
 (two's-complement wraparound), and requantization by a double-precision
@@ -23,68 +26,15 @@ from typing import Callable
 import numpy as np
 
 from .model import CONV_KINDS, ModelGraph, check_quant_entry
-from .tensor import (BnParams, ShapeError, Tensor, _same_padding, argmax_channels,
-                     batchnorm_forward, concat_channels, conv2d_forward,
+from .tensor import (BnParams, ShapeError, Tensor, _channel_major, _same_padding,
+                     argmax_channels, batchnorm_forward, concat_channels, conv2d_forward,
                      conv2d_transpose_forward, maxpool2d, relu)
-
-HIST_BINS = 64
-# Fixed log-spaced magnitude bin edges shared by all histograms, so reports
-# from different runs are directly comparable.
-HIST_EDGES = np.logspace(-12.0, 12.0, HIST_BINS + 1)
-
-
-def magnitude_histogram(values: np.ndarray) -> dict:
-    """64 log-spaced magnitude bins split by sign, plus zero/NaN/Inf counts."""
-    v = np.asarray(values).ravel().astype(np.float64)
-    nan = int(np.isnan(v).sum())
-    inf = int(np.isinf(v).sum())
-    finite = v[np.isfinite(v)]
-    zeros = int((finite == 0).sum())
-    out = {"zeros": zeros, "nan": nan, "inf": inf}
-    for label, part in (("neg", finite[finite < 0]), ("pos", finite[finite > 0])):
-        idx = np.digitize(np.abs(part), HIST_EDGES) - 1
-        idx = np.clip(idx, 0, HIST_BINS - 1)
-        out[label] = np.bincount(idx, minlength=HIST_BINS).astype(int).tolist()
-    return out
-
-
-@dataclass
-class LayerStats:
-    """Observed activation statistics of one layer over one or more runs."""
-
-    min: float = None
-    max: float = None
-    nan_count: int = 0
-    inf_count: int = 0
-    histogram: dict = None
-
-    def update(self, values: np.ndarray):
-        self.nan_count += int(np.isnan(values).sum())
-        self.inf_count += int(np.isinf(values).sum())
-        finite = values[np.isfinite(values)]
-        if finite.size:
-            lo, hi = float(finite.min()), float(finite.max())
-            self.min = lo if self.min is None else min(self.min, lo)
-            self.max = hi if self.max is None else max(self.max, hi)
-        h = magnitude_histogram(values)
-        if self.histogram is None:
-            self.histogram = h
-        else:
-            for k in ("zeros", "nan", "inf"):
-                self.histogram[k] += h[k]
-            for k in ("neg", "pos"):
-                self.histogram[k] = [a + b for a, b in zip(self.histogram[k], h[k])]
-
-    def to_dict(self) -> dict:
-        return {"min": self.min, "max": self.max, "nan_count": self.nan_count,
-                "inf_count": self.inf_count, "histogram": self.histogram}
 
 
 @dataclass
 class InferenceResult:
     logits: Tensor
     class_map: np.ndarray
-    trace: dict = None
     collected: dict = None  # requested intermediate layer outputs
 
 
@@ -362,27 +312,20 @@ _FLOAT = _Mode(
     unsupported="unknown layer kind {kind!r}")
 
 
-def run_float(graph: ModelGraph, inp, capture: bool = False,
-              collect=()) -> InferenceResult:
+def run_float(graph: ModelGraph, inp, collect=()) -> InferenceResult:
     """Deterministic float32 forward pass; class map via argmax_channels.
 
     ``inp`` is the input batch, or a :class:`Frontier` of this graph's
     faultless pass to resume from; the result is bit-identical either way.
     ``collect`` names layers, run at or after the start, whose output
     tensors should be retained on the result. Every other activation is
-    freed after its last consumer has run (``capture`` statistics, of the
-    start's live activations and of every layer run, are recorded first).
+    freed after its last consumer has run.
     """
     if graph.flags.get("quantized"):
         raise ValueError("graph is quantized; use run_quantized")
-    trace = {} if capture else None
-
-    def record(name, tensor):
-        trace.setdefault(name, LayerStats()).update(tensor.data)
-
-    outputs = _execute(graph, _FLOAT, inp, collect, record if capture else None)
+    outputs = _execute(graph, _FLOAT, inp, collect)
     collected = {name: outputs[name] for name in collect} if collect else None
-    return replace(finish(graph, outputs), trace=trace, collected=collected)
+    return replace(finish(graph, outputs), collected=collected)
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +363,6 @@ def _param_entry(graph: ModelGraph, index: int) -> dict:
 # |x - Z| <= 255 (Z in [-128, 127]), so a sum of at most this many products
 # is an integer of magnitude at most 2**24, which float32 holds exactly.
 _EXACT_ROWS = 2 ** 24 // (128 * 255)
-
-
-def _channel_major(x: np.ndarray, ph: int, pw: int, top: int, left: int) -> np.ndarray:
-    """NHWC ``x`` as a (C, N, H + ph, W + pw) float32 buffer with zero borders."""
-    n, h, w, c = x.shape
-    xc = np.zeros((c, n, h + ph, w + pw), dtype=np.float32)
-    xc[:, :, top:top + h, left:left + w] = x.transpose(3, 0, 1, 2)
-    return xc
 
 
 def _tap_terms(kernel: np.ndarray, i: int, j: int, rows: np.ndarray, offset: int, m: int):
@@ -627,22 +562,3 @@ def run_quantized(graph: ModelGraph, inp) -> InferenceResult:
     if not graph.flags.get("quantized"):
         raise ValueError("graph is not quantized; use run_float")
     return finish(graph, _execute(graph, _QUANTIZED, inp))
-
-
-def capture_parameter_stats(graph: ModelGraph) -> dict:
-    """Exact per-ParamSet min/max/histogram and sign census."""
-    stats = {}
-    for p in graph.params:
-        v = p.tensor.data
-        finite = v[np.isfinite(v)] if p.tensor.encoding == "f32" else v
-        stats[p.index] = {
-            "layer": p.layer,
-            "role": p.role,
-            "encoding": p.tensor.encoding,
-            "min": float(finite.min()) if finite.size else None,
-            "max": float(finite.max()) if finite.size else None,
-            "positive": int((v > 0).sum()),
-            "total": int(v.size),
-            "histogram": magnitude_histogram(v),
-        }
-    return stats

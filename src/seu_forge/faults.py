@@ -76,8 +76,7 @@ class FaultOutcome:
         d = _record(json.loads(line), cls, "fault outcome", optional=("evaluation_error",))
         spec = _record(d["spec"], FaultSpec, "fault spec", optional=("seed_ordinal",))
         return cls(**{**d, "spec": FaultSpec(**spec),
-                      "original_value": float(d["original_value"]),
-                      "faulty_value": float(d["faulty_value"])})
+                      **{name: _float_repr(d[name], name) for name in _REPRS}})
 
 
 # A field's JSON type and its name in messages, by annotation (null too where
@@ -86,6 +85,14 @@ _JSON_TYPES = {"int": (int, "an int"), "str": (str, "a string"), "bool": (bool, 
                "float": ((int, float), "a number"), "list": (list, "a list"),
                "FaultSpec": (dict, "an object")}
 _REPRS = ("original_value", "faulty_value")
+
+
+def _float_repr(text: str, name: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"fault outcome field {name!r} is {json.dumps(text)}, "
+                         "not a float repr") from None
 
 
 def _record(d, cls, what: str, optional=()) -> dict:

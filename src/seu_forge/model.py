@@ -149,12 +149,9 @@ class ModelGraph:
         ps = self._by_layer[name]
         return ps[kernel_role], ps[bias_role]
 
-    def params_of(self, roles=None, layers=None):
-        roles = set(roles) if roles is not None else None
-        layers = set(layers) if layers is not None else None
-        return [p for p in self.params
-                if (roles is None or p.role in roles)
-                and (layers is None or p.layer in layers)]
+    def params_of(self, roles):
+        roles = set(roles)
+        return [p for p in self.params if p.role in roles]
 
     @property
     def flags(self) -> dict:
@@ -382,18 +379,20 @@ def infer_shapes(graph: ModelGraph, height: int, width: int, batch: int = 1) -> 
 # toy weights and calibration data
 
 
+_SIGMA_RANGE = (0.01, 1.0)  # toy BN variances are uniform over it
+
+
 def generate_toy_weights(graph: ModelGraph, seed: int, *,
                          kernel_scale: float = 1.0,
                          positive_bias_fraction=0.5,
                          gamma_range=(0.5, 1.5),
-                         gamma_mode: str = "compensated",
-                         sigma_range=(0.01, 1.0)) -> ModelGraph:
+                         gamma_mode: str = "compensated") -> ModelGraph:
     """Deterministic desk-scale substitute for trained weights.
 
     Kernels are uniform with fan-in-scaled bounds (+-kernel_scale*sqrt(3/fan))
     so activation magnitudes stay tame at any depth. Bias-like parameters
     (conv/convtr biases and BN betas) get magnitudes in (0.02, 0.9) with the
-    requested fraction of positive signs. BN sigma lives in sigma_range,
+    requested fraction of positive signs. BN sigma lives in [0.01, 1.0),
     reproducing the 1/sqrt(variance) amplification regime.
 
     gamma_mode "compensated" (default) draws gamma = u*sqrt(sigma+eps) with
@@ -402,9 +401,9 @@ def generate_toy_weights(graph: ModelGraph, seed: int, *,
     gamma_range directly (used to seed gammas into specific exponent ranges,
     e.g. (1, 2), at the price of unnormalized dynamics).
 
-    positive_bias_fraction may be a float, a {layer_name: fraction} mapping,
-    or "span" (deterministically shuffled linspace(0, 1) over the bias-bearing
-    layers, giving per-layer ratios that span the full range).
+    positive_bias_fraction may be a float or "span" (deterministically
+    shuffled linspace(0, 1) over the bias-bearing layers, giving per-layer
+    ratios that span the full range).
     """
     if gamma_mode not in ("compensated", "raw"):
         raise ValueError(f"unknown gamma_mode {gamma_mode!r}")
@@ -421,8 +420,6 @@ def generate_toy_weights(graph: ModelGraph, seed: int, *,
         fractions = np.linspace(0.0, 1.0, len(bias_layers))
         rng.shuffle(fractions)
         frac_by_layer = dict(zip(bias_layers, fractions))
-    elif isinstance(positive_bias_fraction, dict):
-        frac_by_layer = {n: float(positive_bias_fraction.get(n, 0.5)) for n in bias_layers}
     else:
         frac_by_layer = {n: float(positive_bias_fraction) for n in bias_layers}
 
@@ -447,7 +444,7 @@ def generate_toy_weights(graph: ModelGraph, seed: int, *,
         elif p.role == "bn_mu":
             vals = rng.uniform(-0.2, 0.2, size=shape).astype(np.float32)
         elif p.role == "bn_sigma":
-            vals = rng.uniform(*sigma_range, size=shape).astype(np.float32)
+            vals = rng.uniform(*_SIGMA_RANGE, size=shape).astype(np.float32)
             u = pending.pop((p.layer, "bn_gamma"), None)
             if u is not None:
                 gamma = out.layer_params(p.layer)["bn_gamma"].tensor
@@ -459,11 +456,9 @@ def generate_toy_weights(graph: ModelGraph, seed: int, *,
     out.metadata.update({"prng": "numpy-pcg64", "seed": int(seed)})
     out.with_provenance({"transform": "generate_toy_weights", "seed": int(seed),
                          "kernel_scale": kernel_scale,
-                         "positive_bias_fraction": (positive_bias_fraction
-                                                    if not isinstance(positive_bias_fraction, dict)
-                                                    else "per-layer"),
+                         "positive_bias_fraction": positive_bias_fraction,
                          "gamma_range": list(gamma_range), "gamma_mode": gamma_mode,
-                         "sigma_range": list(sigma_range)})
+                         "sigma_range": list(_SIGMA_RANGE)})
     return out
 
 

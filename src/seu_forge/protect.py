@@ -286,7 +286,7 @@ def evaluate_protection(original: ModelGraph, protected: ModelGraph, images,
 # BN reparameterization
 
 
-def recondition_bn(graph: ModelGraph, strategy: str = "pow2"):
+def recondition_bn(graph: ModelGraph):
     """Rewrite risky BN gammas via the function-preserving joint move
     gamma' = s*gamma, sigma' = s^2*(sigma+eps) - eps with power-of-two s.
 
@@ -296,17 +296,10 @@ def recondition_bn(graph: ModelGraph, strategy: str = "pow2"):
     """
     if graph.flags.get("folded") or graph.flags.get("quantized"):
         raise ValueError("recondition_bn operates on the unfolded float graph")
-    if strategy not in ("identity", "pow2"):
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     out = graph.copy()
     eps = np.float32(out.bn_epsilon)
     changed = []
-    before = _risky_bn_count(graph)
-    if strategy == "identity":
-        return out, {"strategy": strategy, "channels_changed": 0,
-                     "risky_before": before, "risky_after": before, "changes": []}
-
     for layer in out.layers:
         if layer.kind != "batchnorm":
             continue
@@ -342,10 +335,10 @@ def recondition_bn(graph: ModelGraph, strategy: str = "pow2"):
                 changed.append({"layer": layer.name, "channel": ch, "scale": s})
                 break
 
-    out.with_provenance({"transform": "recondition_bn", "strategy": strategy,
+    out.with_provenance({"transform": "recondition_bn", "strategy": "pow2",
                          "channels_changed": len(changed)})
-    return out, {"strategy": strategy, "channels_changed": len(changed),
-                 "risky_before": before, "risky_after": _risky_bn_count(out),
+    return out, {"strategy": "pow2", "channels_changed": len(changed),
+                 "risky_before": _risky_bn_count(graph), "risky_after": _risky_bn_count(out),
                  "changes": changed}
 
 
@@ -416,24 +409,22 @@ def cross_layer_equalize(graph: ModelGraph, scales, layer_n: str,
                                 "pair": [layer_n, layer_np1]})
 
 
-def suggest_cle_scales(graph: ModelGraph, layer_n: str, layer_np1: str,
-                       pow2: bool = True) -> np.ndarray:
-    """Range-balancing scales s_c = sqrt(r1_c / r2_c), optionally snapped to
-    powers of two (exactly representable: zero drift in W, b)."""
+def suggest_cle_scales(graph: ModelGraph, layer_n: str, layer_np1: str) -> np.ndarray:
+    """Range-balancing scales s_c = sqrt(r1_c / r2_c), snapped to powers of
+    two (exactly representable: zero drift in W, b)."""
     wn = graph.kernel_bias(layer_n)[0].tensor.data
     wn1 = graph.kernel_bias(layer_np1)[0].tensor.data
     r1 = np.abs(wn).max(axis=(0, 1, 2))
     r2 = np.abs(wn1).max(axis=(0, 1, 3))
     s = np.sqrt(np.where(r2 > 0, r1 / np.maximum(r2, 1e-30), 1.0))
     s = np.where((r1 > 0) & (r2 > 0), s, 1.0)
-    if pow2:
-        s = 2.0 ** np.rint(np.log2(np.maximum(s, 1e-30)))
-        s = np.maximum(s, 2.0 ** -30)
+    s = 2.0 ** np.rint(np.log2(np.maximum(s, 1e-30)))
+    s = np.maximum(s, 2.0 ** -30)
     return s.astype(np.float32)
 
 
 def absorb_bias(graph: ModelGraph, amounts, layer_n: str, layer_np1: str,
-                witness_inputs, verify: bool = True) -> ModelGraph:
+                witness_inputs) -> ModelGraph:
     """Shift per-channel constants out of layer n's bias into layer n+1's:
     b_n -> b_n - c, b_{n+1} -> W_{n+1}*c + b_{n+1}.
 
@@ -462,12 +453,12 @@ def absorb_bias(graph: ModelGraph, amounts, layer_n: str, layer_np1: str,
                               f"({bn_.shape}), got {c.shape}")
 
     has_relu = "relu" in path
+    if has_relu and np.any(c < 0):
+        bad = np.flatnonzero(c < 0).tolist()
+        raise AbsorptionError(f"negative amounts cannot cross a ReLU; "
+                              f"offending channels {bad}")
+    batch = batch_inputs(witness_inputs)
     if has_relu:
-        if np.any(c < 0):
-            bad = np.flatnonzero(c < 0).tolist()
-            raise AbsorptionError(f"negative amounts cannot cross a ReLU; "
-                                  f"offending channels {bad}")
-        batch = batch_inputs(witness_inputs)
         pre = run_float(graph, batch, collect=(layer_n,)).collected[layer_n].data
         min_pre = pre.min(axis=(0, 1, 2))
         # channels with c == 0 are untouched; the ReLU identity only binds
@@ -486,14 +477,12 @@ def absorb_bias(graph: ModelGraph, amounts, layer_n: str, layer_np1: str,
     b1[...] = (b1.astype(np.float64) + delta).astype(np.float32)
     out.with_provenance({"transform": "absorb_bias", "pair": [layer_n, layer_np1]})
 
-    if verify:
-        batch = batch_inputs(witness_inputs)
-        ref = run_float(graph, batch).logits.data
-        new = run_float(out, batch).logits.data
-        # logit fields cross zero, so "relative" is against the output scale
-        scale = max(float(np.abs(ref).max()), 1e-30)
-        rel = float(np.abs(new - ref).max()) / scale
-        if rel > 1e-6:
-            raise AbsorptionError(f"witness outputs drifted by {rel:.3e} relative "
-                                  "to the logit scale (max allowed 1e-6)")
+    ref = run_float(graph, batch).logits.data
+    new = run_float(out, batch).logits.data
+    # logit fields cross zero, so "relative" is against the output scale
+    scale = max(float(np.abs(ref).max()), 1e-30)
+    rel = float(np.abs(new - ref).max()) / scale
+    if rel > 1e-6:
+        raise AbsorptionError(f"witness outputs drifted by {rel:.3e} relative "
+                              "to the logit scale (max allowed 1e-6)")
     return out

@@ -93,8 +93,6 @@ class BnParams:
             raise ShapeError(f"batch-norm vectors disagree on channel count: {sorted(lens)}")
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if np.any(self.sigma[np.isfinite(self.sigma)] < 0):
-            raise ValueError("variance entries must be >= 0")
 
     @property
     def channels(self) -> int:
@@ -113,6 +111,14 @@ def _same_padding(h: int, w: int, kh: int, kw: int, stride: int) -> tuple:
     ph = max((oh - 1) * stride + kh - h, 0)
     pw = max((ow - 1) * stride + kw - w, 0)
     return ph, pw, ph // 2, pw // 2
+
+
+def _channel_major(x: np.ndarray, ph: int, pw: int, top: int, left: int) -> np.ndarray:
+    """NHWC ``x`` as a (C, N, H + ph, W + pw) float32 buffer with zero borders."""
+    n, h, w, c = x.shape
+    xc = np.zeros((c, n, h + ph, w + pw), dtype=np.float32)
+    xc[:, :, top:top + h, left:left + w] = x.transpose(3, 0, 1, 2)
+    return xc
 
 
 def _accumulate_taps(rows: np.ndarray, k_tap: np.ndarray, acc: np.ndarray,
@@ -163,9 +169,7 @@ def conv2d_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
                          f"{(n, h + ph, w + pw, cin)}")
 
     m = n * oh * ow
-    # The input is padded straight into its channel-major copy (Cin, N, H, W).
-    xc = np.zeros((cin, n, h + ph, w + pw), dtype=np.float32)
-    xc[:, :, top:top + h, left:left + w] = x.transpose(3, 0, 1, 2)
+    xc = _channel_major(x, ph, pw, top, left)
     acc = np.zeros((cout, m), dtype=np.float32)
     tmp = np.empty((cout, m), dtype=np.float32)
     rows = np.empty((cin, n, oh, ow), dtype=np.float32)
@@ -218,7 +222,9 @@ def conv2d_transpose_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
 
 
 def batchnorm_forward(inp: Tensor, params: BnParams) -> Tensor:
-    """Per-channel y = gamma*(x-mu)/sqrt(sigma+eps) + beta, float32 throughout."""
+    """Per-channel y = gamma*(x-mu)/sqrt(sigma+eps) + beta, float32 throughout.
+
+    A channel whose sigma + eps is negative (a flipped variance) is NaN, as in a deployed rsqrt."""
     _check_f32(inp, "input")
     x = inp.data
     if x.shape[3] != params.channels:

@@ -113,6 +113,36 @@ class TestBitsNeeded:
 
 
 class TestCalibrationReport:
+    def test_capture_trace(self, tiny_graph, tiny_inputs):
+        acts = calibration_report(tiny_graph, tiny_inputs[0])["activations"]
+        assert "input" in acts
+        for layer in tiny_graph.layers:
+            st = acts[layer.name]
+            assert st["min"] is not None and st["min"] <= st["max"]
+            assert st["nan_count"] == 0 and st["inf_count"] == 0
+            hist = st["histogram"]
+            assert sum(hist["pos"]) + sum(hist["neg"]) + hist["zeros"] > 0
+
+    def test_trace_counts_nan_inf(self, tiny_graph, tiny_inputs, tiny_batch):
+        g = tiny_graph.copy()
+        g.layer_params("bn")["bn_gamma"].tensor.data[0] = np.nan
+        acts = calibration_report(g, tiny_inputs[0])["activations"]
+        assert acts["bn"]["nan_count"] > 0
+        assert acts[g.output_layer.name]["nan_count"] > 0
+        assert (sf.run_float(g, tiny_batch).class_map == sf.INVALID_CLASS).any()
+
+    def test_capture_survives_freed_activations(self, tiny_graph, tiny_inputs, tiny_batch):
+        names = ["input"] + [layer.name for layer in tiny_graph.layers]
+        acts = calibration_report(tiny_graph, tiny_inputs[0])["activations"]
+        assert sorted(acts) == sorted(names)
+        # each activation's statistics are those of the activation itself,
+        # recorded before the pass freed it
+        full = sf.run_float(tiny_graph, tiny_batch, collect=names)
+        for name in names:
+            st = sf.LayerStats()
+            st.update(full.collected[name].data)
+            assert acts[name] == st.to_dict()
+
     def test_reproducible(self, tiny_graph, tiny_inputs):
         a = calibration_report(tiny_graph, tiny_inputs[0])
         b = calibration_report(tiny_graph, tiny_inputs[0])

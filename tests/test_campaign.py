@@ -3,9 +3,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seu_forge as sf
-from seu_forge.campaign import (CampaignPlan, error_rate,
+from seu_forge.campaign import (CampaignPlan, error_rate, fault_outcomes,
                                 generate_sweep_faults, golden_class_shares,
                                 plan_single_bit_sweep, predict_bit30_error,
                                 role_bit_means,
@@ -280,6 +282,16 @@ class TestSweep:
         assert r1.rows == r2.rows
         assert [o.to_json() for o in r1.outcomes] == [o.to_json() for o in r2.outcomes]
 
+    def test_bn_variance_sign_flips_are_measured(self, tiny_graph, tiny_inputs):
+        # bit 31 makes a variance negative; sigma + eps < 0 then turns its
+        # channel NaN, a poisoned outcome like any other, not a failed fault
+        plan = plan_single_bit_sweep(tiny_graph, roles=["bn_sigma"], bits=(31, 31),
+                                     injections_per_target=4, seed=3)
+        res = run_single_bit_sweep(tiny_graph, plan, tiny_inputs[0])
+        assert res.outcomes and all(o.evaluation_error is None for o in res.outcomes)
+        assert all(o.mean_error == 100.0 for o in res.outcomes)
+        assert res.rows and all(r["n"] >= 1 for r in res.rows)
+
     def test_golden_self_error_zero(self, tiny_graph, tiny_inputs, tiny_batch):
         maps = sf.run_float(tiny_graph, tiny_batch).class_map
         for i in range(maps.shape[0]):
@@ -376,6 +388,42 @@ class TestMultiBit:
             assert sorted({len(specs) for specs in chunk}) == counts
         assert dealt.per_rep_errors == serial.per_rep_errors
         assert (dealt.means, dealt.stds) == (serial.means, serial.stds)
+
+
+class TestEveryFaultMeasured:
+    """No parameter value makes a forward fail: every drawn fault is measured,
+    a batch-norm variance flipped negative (a NaN channel) included."""
+
+    @pytest.fixture(scope="class")
+    def models(self, tiny_graph, tiny_inputs):
+        images = tiny_inputs[0][:2]
+        return (tiny_graph, sf.quantize_ptq(tiny_graph, images)), sf.batch_inputs(images)
+
+    @pytest.mark.parametrize("quantized, role", [
+        *((False, role) for role in sf.ROLES),
+        *((True, role) for role in sf.ROLES if not role.startswith("bn_"))])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_any_single_fault(self, models, quantized, role, data):
+        graphs, batch = models
+        graph = graphs[quantized]
+        p = data.draw(st.sampled_from(graph.params_of((role,))))
+        encoding = p.tensor.encoding
+        top = 7 if encoding == "i8" else 31
+        # the sign bit and the top exponent bit are drawn often: they make
+        # values negative or non-finite
+        bit = data.draw(st.integers(0, top) | st.sampled_from([top - 1, top]))
+        spec = sf.FaultSpec(pset=p.index, element=data.draw(st.integers(0, p.tensor.size - 1)),
+                            bit=bit, encoding=encoding)
+        outcome, = fault_outcomes(graph, [spec], batch)
+        assert outcome.evaluation_error is None
+
+    def test_float_multi_bit_campaign_fails_no_repetition(self, tiny_graph, tiny_inputs,
+                                                          tmp_path):
+        res = run_multi_bit_campaign(tiny_graph, [250], 20, 3, tiny_inputs[0][:3])
+        assert res.failed == [] and len(res.per_rep_errors[250]) == 20
+        res.write(tmp_path)
+        assert "failed" not in json.loads((tmp_path / "multibit_reps.json").read_text())
 
 
 class TestResumedFaultLoop:

@@ -179,8 +179,13 @@ def test_report_empty_log(tmp_path):
     (lambda d: d.__setitem__("produced_nan", "no"),
      "fault outcome field 'produced_nan' is \"no\", not true or false"),
     (lambda d: d["spec"].__setitem__("pset", "1"), "fault spec field 'pset' is \"1\", not an int"),
+    (lambda d: d.__setitem__("original_value", "abc"),
+     "fault outcome field 'original_value' is \"abc\", not a float repr"),
+    (lambda d: d.__setitem__("faulty_value", "2.0x"),
+     "fault outcome field 'faulty_value' is \"2.0x\", not a float repr"),
 ], ids=["extra_key", "missing_key", "spec_extra_key", "spec_missing_key",
-        "string_mean_error", "string_flag", "string_pset"])
+        "string_mean_error", "string_flag", "string_pset", "bad_original_value",
+        "bad_faulty_value"])
 def test_report_refuses_a_bad_outcome_line(tmp_path, capsys, edit, message):
     spec = sf.FaultSpec(pset=1, element=0, bit=30, encoding="f32")
     good = sf.FaultOutcome(spec, 0, 1 << 30, 0.0, 2.0, mean_error=0.5).to_json()

@@ -67,31 +67,10 @@ def test_thread_interleaving_matches_serial(tiny_graph, tiny_inputs):
         assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
-def test_capture_trace(tiny_graph, tiny_batch):
-    res = run_float(tiny_graph, tiny_batch, capture=True)
-    assert "input" in res.trace
-    for layer in tiny_graph.layers:
-        st = res.trace[layer.name]
-        assert st.min is not None and st.min <= st.max
-        assert st.nan_count == 0 and st.inf_count == 0
-        binned = sum(st.histogram["pos"]) + sum(st.histogram["neg"]) + st.histogram["zeros"]
-        assert binned > 0
-
-
-def test_trace_counts_nan_inf(tiny_graph, tiny_batch):
-    g = tiny_graph.copy()
-    g.layer_params("bn")["bn_gamma"].tensor.data[0] = np.nan
-    res = run_float(g, tiny_batch, capture=True)
-    assert res.trace["bn"].nan_count > 0
-    assert res.trace[g.output_layer.name].nan_count > 0
-    assert (res.class_map == sf.INVALID_CLASS).any()
-
-
-def test_collect_and_capture_survive_freed_activations(tiny_graph, tiny_batch):
+def test_collect_survives_freed_activations(tiny_graph, tiny_batch):
     names = ["input"] + [layer.name for layer in tiny_graph.layers]
-    full = run_float(tiny_graph, tiny_batch, capture=True, collect=names)
+    full = run_float(tiny_graph, tiny_batch, collect=names)
     assert sorted(full.collected) == sorted(names)
-    assert sorted(full.trace) == sorted(names)
     assert full.collected["input"] is tiny_batch
     first = tiny_graph.layers[0]
     ps = tiny_graph.layer_params(first.name)
@@ -99,12 +78,10 @@ def test_collect_and_capture_survive_freed_activations(tiny_graph, tiny_batch):
                                ps["conv_bias"].tensor.data)
     # each layer requested on its own, the rest freed along the way
     for name in (first.name, names[len(names) // 2], names[-2]):
-        res = run_float(tiny_graph, tiny_batch, capture=True, collect=(name,))
+        res = run_float(tiny_graph, tiny_batch, collect=(name,))
         assert list(res.collected) == [name]
         got = res.collected[name].data
         assert np.array_equal(got.view(np.uint32), full.collected[name].data.view(np.uint32))
-        assert sorted(res.trace) == sorted(names)
-        assert all(res.trace[n].to_dict() == full.trace[n].to_dict() for n in names)
     got = run_float(tiny_graph, tiny_batch, collect=(first.name,)).collected[first.name].data
     assert np.array_equal(got.view(np.uint32), direct.data.view(np.uint32))
 

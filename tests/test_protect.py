@@ -218,11 +218,6 @@ class TestEvaluateProtection:
 
 
 class TestReconditionBn:
-    def test_identity_strategy(self, tiny_graph):
-        out, report = recondition_bn(tiny_graph, strategy="identity")
-        assert report["channels_changed"] == 0
-        assert sf.model_hash(out) == sf.model_hash(tiny_graph)
-
     def test_pow2_move_preserves_function(self, tiny_graph, tiny_batch):
         g = tiny_graph.copy()
         g.layer_params("bn")["bn_gamma"].tensor.data[0] = np.float32(1.0005)

@@ -216,9 +216,17 @@ class TestBatchnorm:
         with pytest.raises(ValueError):
             BnParams(np.ones(2, np.float32), np.ones(2, np.float32),
                      np.ones(2, np.float32), np.ones(2, np.float32), 0.0)
-        with pytest.raises(ValueError):
-            BnParams(np.ones(1, np.float32), np.ones(1, np.float32),
-                     np.ones(1, np.float32), -np.ones(1, np.float32), 1e-3)
+        # a negative variance is a value, not an error: sigma + eps < 0 has a
+        # NaN square root, as in a deployed rsqrt, so that channel is NaN and
+        # the others are untouched
+        x = t(np.arange(8, dtype=np.float32).reshape(1, 2, 2, 2))
+        sigma = np.array([-1.0, 0.25], np.float32)
+        ones, zeros = np.ones(2, np.float32), np.zeros(2, np.float32)
+        y = batchnorm_forward(x, BnParams(ones, zeros, zeros, sigma, 1e-3)).data
+        assert np.isnan(y[..., 0]).all()
+        healthy = batchnorm_forward(
+            x, BnParams(ones, zeros, zeros, np.full(2, 0.25, np.float32), 1e-3)).data
+        assert np.array_equal(y[..., 1].view(np.uint32), healthy[..., 1].view(np.uint32))
 
 
 class TestReluPool:
