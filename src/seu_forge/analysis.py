@@ -110,30 +110,23 @@ def magnitude_histogram(values: np.ndarray) -> dict:
 
 @dataclass
 class LayerStats:
-    """Observed activation statistics of one layer over one or more runs."""
+    """Observed statistics of one recorded activation."""
 
-    min: float = None
-    max: float = None
-    nan_count: int = 0
-    inf_count: int = 0
-    histogram: dict = None
+    min: float
+    max: float
+    nan_count: int
+    inf_count: int
+    histogram: dict
 
-    def update(self, values: np.ndarray):
-        self.nan_count += int(np.isnan(values).sum())
-        self.inf_count += int(np.isinf(values).sum())
+    @classmethod
+    def of(cls, values: np.ndarray) -> "LayerStats":
+        """Min and max of the finite ``values`` (None without any), NaN and Inf
+        counts and the magnitude histogram."""
         finite = values[np.isfinite(values)]
-        if finite.size:
-            lo, hi = float(finite.min()), float(finite.max())
-            self.min = lo if self.min is None else min(self.min, lo)
-            self.max = hi if self.max is None else max(self.max, hi)
-        h = magnitude_histogram(values)
-        if self.histogram is None:
-            self.histogram = h
-        else:
-            for k in ("zeros", "nan", "inf"):
-                self.histogram[k] += h[k]
-            for k in ("neg", "pos"):
-                self.histogram[k] = [a + b for a, b in zip(self.histogram[k], h[k])]
+        return cls(float(finite.min()) if finite.size else None,
+                   float(finite.max()) if finite.size else None,
+                   int(np.isnan(values).sum()), int(np.isinf(values).sum()),
+                   magnitude_histogram(values))
 
     def to_dict(self) -> dict:
         return {"min": self.min, "max": self.max, "nan_count": self.nan_count,
@@ -166,7 +159,7 @@ def calibration_report(graph: ModelGraph, inputs) -> dict:
     activations = {}
 
     def record(name, tensor):
-        activations.setdefault(name, LayerStats()).update(tensor.data)
+        activations[name] = LayerStats.of(tensor.data)
 
     _execute(graph, _FLOAT, batch_inputs(inputs), record=record)
     return {

@@ -76,10 +76,6 @@ def flip_bit_int(value: int, bit: int, width: int) -> int:
     return u - (1 << width) if u >= 1 << (width - 1) else u
 
 
-def f32_flip_value(value: float, bit: int) -> float:
-    return bits_to_f32(flip_bit_f32(f32_to_bits(value), bit))
-
-
 def twos_complement_width(value: int) -> int:
     """Smallest k with value representable in k-bit two's complement."""
     v = int(value)

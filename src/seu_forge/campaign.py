@@ -153,6 +153,17 @@ def golden_class_shares(class_maps, class_count: int) -> np.ndarray:
     return 100.0 * counts / total
 
 
+def _bias_addends(output_bias_signs, class_shares, floods_positive: bool) -> np.ndarray:
+    """Per-class error addends of a flip in output bias j: 100 - share_j where
+    it floods class j (a positive bias if ``floods_positive``, else a
+    non-positive one), share_j where it suppresses it."""
+    signs = np.asarray(output_bias_signs, dtype=np.float64)
+    shares = np.asarray(class_shares, dtype=np.float64)
+    if signs.shape != shares.shape:
+        raise ValueError(f"got {signs.size} signs but {shares.size} class shares")
+    return np.where((signs > 0) == floods_positive, 100.0 - shares, shares)
+
+
 def predict_bit30_error(output_bias_signs, class_shares) -> float:
     """Expected error rate of a bit-30 flip in a uniformly chosen output bias.
 
@@ -160,12 +171,7 @@ def predict_bit30_error(output_bias_signs, class_shares) -> float:
     change: share_j); in a positive bias the class floods the map (everything
     else changes: 100 - share_j). The estimate is the mean per-class addend.
     """
-    signs = np.asarray(output_bias_signs, dtype=np.float64)
-    shares = np.asarray(class_shares, dtype=np.float64)
-    if signs.shape != shares.shape:
-        raise ValueError(f"got {signs.size} signs but {shares.size} class shares")
-    addends = np.where(signs > 0, 100.0 - shares, shares)
-    return float(addends.mean())
+    return float(_bias_addends(output_bias_signs, class_shares, floods_positive=True).mean())
 
 
 @dataclass
@@ -178,11 +184,7 @@ class SignBitPrediction:
 def predict_sign_bit_error_quantized(output_bias_signs, class_shares) -> SignBitPrediction:
     """Sign-bit analogue: mechanisms invert, so addends are the complements
     of the bit-30 case (negative bias -> class floods -> 100 - share)."""
-    signs = np.asarray(output_bias_signs, dtype=np.float64)
-    shares = np.asarray(class_shares, dtype=np.float64)
-    if signs.shape != shares.shape:
-        raise ValueError(f"got {signs.size} signs but {shares.size} class shares")
-    addends = np.where(signs > 0, shares, 100.0 - shares)
+    addends = _bias_addends(output_bias_signs, class_shares, floods_positive=False)
     return SignBitPrediction(float(addends.mean()), [float(a) for a in addends])
 
 
@@ -610,7 +612,12 @@ def sweep_cells(row) -> list:
 
 def sweep_rows(outcomes) -> list:
     """One row per (pset, bit) of ``outcomes``, in that order: ``n`` evaluated
-    outcomes, their mean error (None without any) and NaN and Inf counts."""
+    outcomes, their mean error (None without any) and NaN and Inf counts.
+
+    ``nan_count`` and ``inf_count`` count the evaluated faults whose flipped
+    parameter value is NaN or Inf (``FaultOutcome.produced_nan`` and
+    ``produced_inf``), not the faults whose output turned NaN; those show
+    in the mean error, as invalid pixels."""
     grouped = {}
     for o in outcomes:
         grouped.setdefault((o.spec.pset, o.spec.bit), []).append(o)
@@ -651,14 +658,13 @@ class MultiBitResult:
     means: list
     stds: list
     per_rep_errors: dict    # count -> mean errors of the repetitions evaluated
-    plan: CampaignPlan = None
+    plan: CampaignPlan
     failed: list = field(default_factory=list)  # {flip_count, repetition, error}
 
     def write(self, directory, stem="multibit"):
         os.makedirs(directory, exist_ok=True)
-        if self.plan is not None:
-            reports.write_lines(os.path.join(directory, f"{stem}_plan.json"),
-                                [self.plan.to_json()])
+        reports.write_lines(os.path.join(directory, f"{stem}_plan.json"),
+                            [self.plan.to_json()])
         reports.write_csv(os.path.join(directory, f"{stem}_aggregate.csv"),
                           ["flip_count", "repetitions", "mean_error", "std_error"],
                           [[c, len(self.per_rep_errors[c]), repr(m), repr(s)]

@@ -1,7 +1,10 @@
 """Graph execution: bit-reproducible float mode and integer-quantized mode.
 
-This module only executes. A caller observes a pass through ``_execute``'s
-``record`` hook, as ``compress.quantize_ptq`` and ``analysis.calibration_report`` do.
+This module only executes. Every pass, full, resumed from a :class:`Frontier`
+or the faultless walk of ``golden_frontiers``, runs through one layer loop,
+``_walk``, and is observed through one hook, its ``record`` callback, as
+``run_float(collect=)``, ``compress.quantize_ptq`` and
+``analysis.calibration_report`` do.
 
 The quantized path implements the affine scheme r = S*(q - Z) with per-tensor
 symmetric 8-bit weights, 32-bit biases (scale S_w*S_x), int32 accumulators
@@ -50,22 +53,20 @@ def _bn_params(graph: ModelGraph, name: str, channels=None) -> BnParams:
                     graph.bn_epsilon)
 
 
-def _drop_schedule(graph: ModelGraph, keep=()) -> list:
+def _drop_schedule(graph: ModelGraph) -> list:
     """For each layer index, the activations to free once that layer has run.
 
     An activation is freed right after its last consumer, or right after it
-    is made if nothing consumes it, unless it is the output layer's or named
-    in ``keep``.
+    is made if nothing consumes it, unless it is the output layer's.
     """
     last = {"input": 0}
     for idx, layer in enumerate(graph.layers):
         last[layer.name] = idx
         for ref in layer.inputs:
             last[ref] = idx
-    keep = set(keep) | {graph.output_layer.name}
     drops = [[] for _ in graph.layers]
     for name, idx in last.items():
-        if name not in keep:
+        if name != graph.output_layer.name:
             drops[idx].append(name)
     return drops
 
@@ -107,32 +108,14 @@ def _mode(graph: ModelGraph) -> _Mode:
     return _QUANTIZED if graph.flags.get("quantized") else _FLOAT
 
 
-def _steps(graph: ModelGraph, mode: _Mode, live: dict, start: int, drops: list,
-           record=None):
-    """Run layers ``start`` onward on ``live`` in place, yielding each index first.
+def _walk(graph: ModelGraph, mode: _Mode, inp, record=None):
+    """Run ``inp`` (an input batch, or a :class:`Frontier`) to the output layer,
+    yielding the :class:`Frontier` before each layer and, last, the finished pass's.
 
-    After a layer runs, its output joins ``live`` (and goes to ``record``)
-    and the activations ``drops`` names for it leave.
-    """
-    for idx in range(start, len(graph.layers)):
-        yield idx
-        layer = graph.layers[idx]
-        op = mode.ops.get(layer.kind)
-        if op is None:
-            raise ValueError(mode.unsupported.format(kind=layer.kind))
-        out = op(graph, layer, [live[r] for r in layer.inputs])
-        live[layer.name] = out
-        if record is not None:
-            record(layer.name, out)
-        for name in drops[idx]:
-            del live[name]
-
-
-def _execute(graph: ModelGraph, mode: _Mode, inp, keep=(), record=None) -> dict:
-    """Run ``inp`` (an input tensor, or a :class:`Frontier`) to the output layer.
-
-    Returns the activations still alive at the end: the output layer's and
-    those named in ``keep``.
+    A frontier's splice is applied as the walk starts. Every activation the
+    walk starts with, then each layer's output, goes to ``record(name,
+    value)``. Each activation is freed after its last consumer has run;
+    each frontier yielded owns its dict.
     """
     if not isinstance(inp, Frontier):
         inp = Frontier(0, mode.enter(graph, inp))
@@ -143,9 +126,27 @@ def _execute(graph: ModelGraph, mode: _Mode, inp, keep=(), record=None) -> dict:
     if record is not None:
         for name, value in live.items():
             record(name, value)
-    for _ in _steps(graph, mode, live, inp.start, _drop_schedule(graph, keep), record):
-        pass
-    return live
+    drops = _drop_schedule(graph)
+    for idx in range(inp.start, len(graph.layers)):
+        yield Frontier(idx, dict(live))
+        layer = graph.layers[idx]
+        op = mode.ops.get(layer.kind)
+        if op is None:
+            raise ValueError(mode.unsupported.format(kind=layer.kind))
+        out = op(graph, layer, [live[r] for r in layer.inputs])
+        live[layer.name] = out
+        if record is not None:
+            record(layer.name, out)
+        for name in drops[idx]:
+            del live[name]
+    yield Frontier(len(graph.layers), live)
+
+
+def _execute(graph: ModelGraph, mode: _Mode, inp, record=None) -> dict:
+    """The output layer's activation, by name, once ``inp`` is walked (:func:`_walk`)."""
+    for frontier in _walk(graph, mode, inp, record):
+        pass  # a loop, not unpacking, so that no earlier frontier is held
+    return frontier.live
 
 
 def _with_channels(activation, channels, values):
@@ -169,14 +170,11 @@ def golden_frontiers(graph: ModelGraph, inp: Tensor, stop: int = None):
     parameters as it resumes, so faults applied while a frontier is in use
     must be reverted before the next one is requested.
     """
-    mode = _mode(graph)
     stop = len(graph.layers) - 1 if stop is None else stop
-    live = mode.enter(graph, inp)
-    for idx in _steps(graph, mode, live, 0, _drop_schedule(graph)):
-        yield Frontier(idx, dict(live))
-        if idx >= stop:
+    for frontier in _walk(graph, _mode(graph), inp):
+        yield frontier
+        if frontier.start >= stop:
             return
-    yield Frontier(len(graph.layers), dict(live))
 
 
 def finish(graph: ModelGraph, live: dict) -> InferenceResult:
@@ -285,15 +283,12 @@ def _kernel_bias(graph, layer, channels):
 
 def _float_conv(graph, layer, ins, channels=None):
     kernel, bias = _kernel_bias(graph, layer, channels)
-    return conv2d_forward(ins[0], kernel, bias,
-                          stride=layer.hyperparams.get("stride", 1),
-                          padding=layer.hyperparams.get("padding", "same"))
+    return conv2d_forward(ins[0], kernel, bias, stride=layer.stride, padding=layer.padding)
 
 
 def _float_conv_transpose(graph, layer, ins, channels=None):
     kernel, bias = _kernel_bias(graph, layer, channels)
-    return conv2d_transpose_forward(ins[0], kernel, bias,
-                                    stride=layer.hyperparams.get("stride", 2))
+    return conv2d_transpose_forward(ins[0], kernel, bias, stride=layer.stride)
 
 
 # The ops look the tensor kernels up by this module's names when they run,
@@ -318,13 +313,19 @@ def run_float(graph: ModelGraph, inp, collect=()) -> InferenceResult:
     ``inp`` is the input batch, or a :class:`Frontier` of this graph's
     faultless pass to resume from; the result is bit-identical either way.
     ``collect`` names layers, run at or after the start, whose output
-    tensors should be retained on the result. Every other activation is
-    freed after its last consumer has run.
+    tensors should be retained on the result; the pass records them as it
+    goes and frees every activation after its last consumer has run.
     """
     if graph.flags.get("quantized"):
         raise ValueError("graph is quantized; use run_quantized")
-    outputs = _execute(graph, _FLOAT, inp, collect)
-    collected = {name: outputs[name] for name in collect} if collect else None
+    wanted, seen = set(collect), {}
+
+    def record(name, value):
+        if name in wanted:
+            seen[name] = value
+
+    outputs = _execute(graph, _FLOAT, inp, record if collect else None)
+    collected = {name: seen[name] for name in collect} if collect else None
     return replace(finish(graph, outputs), collected=collected)
 
 
@@ -502,11 +503,9 @@ def _quantized_conv(graph, layer, ins, channels=None):
     kernel = _take(kernel_p.tensor.data, channels)
     bias = _take(bias_p.tensor.data, channels)
     if layer.kind == "conv2d_transpose":
-        acc = _conv_transpose_int(x_shift, kernel, bias, layer.hyperparams.get("stride", 2))
+        acc = _conv_transpose_int(x_shift, kernel, bias, layer.stride)
     else:
-        acc = _conv_int(x_shift, kernel, bias,
-                        layer.hyperparams.get("stride", 1),
-                        layer.hyperparams.get("padding", "same"))
+        acc = _conv_int(x_shift, kernel, bias, layer.stride, layer.padding)
     m = (w_ent["scale"] * in_ent["scale"]) / out_ent["scale"]
     values = acc.astype(np.float64)  # keeps the accumulator's channel-major layout
     values *= m

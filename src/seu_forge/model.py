@@ -60,6 +60,17 @@ class LayerSpec:
     hyperparams: dict = field(default_factory=dict)
     inputs: list = field(default_factory=list)
 
+    @property
+    def stride(self) -> int:
+        """``hyperparams["stride"]``; by default 2 for a transposed conv or maxpool, else 1."""
+        return self.hyperparams.get("stride", 2 if self.kind in ("conv2d_transpose", "maxpool")
+                                    else 1)
+
+    @property
+    def padding(self) -> str:
+        """``hyperparams["padding"]``; by default ``"same"``."""
+        return self.hyperparams.get("padding", "same")
+
 
 @dataclass
 class ParamSet:
@@ -339,13 +350,13 @@ def infer_shapes(graph: ModelGraph, height: int, width: int, batch: int = 1) -> 
             k = graph.kernel_bias(layer.name)[0].tensor.shape
             if k[2] != c:
                 raise ShapeError(f"{layer.name}: input channels {c} != kernel Cin {k[2]}")
-            s = layer.hyperparams.get("stride", 2 if layer.kind == "conv2d_transpose" else 1)
+            s = layer.stride
             if layer.kind == "conv2d_transpose":
                 if k[:2] != (s, s):
                     raise ShapeError(f"{layer.name}: transposed conv kernel "
                                      f"{k[0]}x{k[1]} != stride {s}")
                 oh, ow = h * s, w * s
-            elif layer.hyperparams.get("padding", "same") == "same":
+            elif layer.padding == "same":
                 oh, ow = -(-h // s), -(-w // s)
             else:
                 oh, ow = (h - k[0]) // s + 1, (w - k[1]) // s + 1
@@ -360,7 +371,7 @@ def infer_shapes(graph: ModelGraph, height: int, width: int, batch: int = 1) -> 
             shapes[layer.name] = ins[0]
         elif layer.kind == "maxpool":
             n, h, w, c = ins[0]
-            if (layer.hyperparams.get("window", 2), layer.hyperparams.get("stride", 2)) != (2, 2):
+            if (layer.hyperparams.get("window", 2), layer.stride) != (2, 2):
                 raise ShapeError(f"{layer.name}: maxpool {layer.hyperparams} is not 2x2/2")
             if h % 2 or w % 2:
                 raise ShapeError(f"{layer.name}: H,W must be even, got {(h, w)}")
@@ -612,9 +623,45 @@ def load_model(path) -> ModelGraph:
         graph = ModelGraph(layers, params, class_count, metadata)
         side = 1 << graph.pool_stages
         infer_shapes(graph, side, side)
+        _check_numeric_mode(graph)
     except ValueError as exc:  # ShapeError included
         raise FormatError(f"{path}: inconsistent graph ({exc})") from None
     return graph
+
+
+def _check_numeric_mode(graph: ModelGraph) -> None:
+    """ValueError unless ``graph``'s layers, parameters and tables fit its numeric mode.
+
+    A float graph holds only f32 parameters. A quantized graph has no
+    batch-norm layer, i8 conv kernels and i32 conv biases, a scale table
+    entry for the input and for every layer, and one for every conv kernel
+    and bias.
+    """
+    if not isinstance(graph.flags, dict):
+        raise ValueError("flags is not a JSON object")
+    if not graph.flags.get("quantized"):
+        for p in graph.params:
+            if p.tensor.encoding != "f32":
+                raise ValueError(f"float graph holds p{p.index} as {p.tensor.encoding}")
+        return
+    for layer in graph.layers:
+        if layer.kind == "batchnorm":
+            raise ValueError(f"quantized graph has batch-norm layer {layer.name!r}")
+    tables = graph.metadata.get("quantization")
+    if tables is None:
+        raise ValueError("quantized graph carries no quantization tables")
+    for name in ["input"] + [layer.name for layer in graph.layers]:
+        if name not in tables["activations"]:
+            raise ValueError(f"missing scale table for activation {name!r}")
+    for layer in graph.layers:
+        if layer.kind not in CONV_KINDS:
+            continue
+        for p, encoding in zip(graph.kernel_bias(layer.name), ("i8", "i32")):
+            if p.tensor.encoding != encoding:
+                raise ValueError(f"quantized graph holds p{p.index} ({p.role}) as "
+                                 f"{p.tensor.encoding}, not {encoding}")
+            if str(p.index) not in tables["params"]:
+                raise ValueError(f"missing scale table for p{p.index}")
 
 
 def _layer(entry, path) -> LayerSpec:
@@ -625,11 +672,11 @@ def _layer(entry, path) -> LayerSpec:
             and isinstance(inputs, list) and all(isinstance(r, str) for r in inputs)):
         raise FormatError(f"{path}: layer {name!r} kind, name, hyperparams or inputs "
                           "has the wrong type")
-    stride, padding = hyperparams.get("stride", 1), hyperparams.get("padding", "same")
-    if not (_is_int(stride) and stride >= 1 and padding in ("same", "valid")):
-        raise FormatError(f"{path}: layer {name!r} has stride {stride!r} and padding "
-                          f"{padding!r}; want an int >= 1 and 'same' or 'valid'")
-    return LayerSpec(kind, name, hyperparams, inputs)
+    spec = LayerSpec(kind, name, hyperparams, inputs)
+    if not (_is_int(spec.stride) and spec.stride >= 1 and spec.padding in ("same", "valid")):
+        raise FormatError(f"{path}: layer {name!r} has stride {spec.stride!r} and padding "
+                          f"{spec.padding!r}; want an int >= 1 and 'same' or 'valid'")
+    return spec
 
 
 def _quantization(tables, path) -> None:

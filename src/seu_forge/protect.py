@@ -24,7 +24,7 @@ from .engine import run_float
 # apply_fault and revert are not called here; they stay importable from this
 # module, whose names perfbench's tracer rebinds.
 from .faults import FaultSpec, apply_fault, revert  # noqa: F401
-from .model import CONV_KINDS, ModelGraph, batch_inputs
+from .model import _LAYER_ROLES, CONV_KINDS, ModelGraph, batch_inputs
 
 
 class EqualizationError(ValueError):
@@ -347,10 +347,7 @@ def _risky(value) -> bool:
 
 
 def _risky_bn_count(graph: ModelGraph) -> int:
-    count = 0
-    for p in graph.params_of(roles=("bn_gamma", "bn_beta", "bn_mu", "bn_sigma")):
-        count += int(bits.risky_mask(p.tensor.flat.view(np.uint32)).sum())
-    return count
+    return sum(1 for _ in _risky_positions(graph.params_of(roles=_LAYER_ROLES["batchnorm"])))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +438,7 @@ def absorb_bias(graph: ModelGraph, amounts, layer_n: str, layer_np1: str,
     k = graph.kernel_bias(layer_np1)[0].tensor.shape
     if lnp1.kind == "conv2d_transpose":
         raise AbsorptionError("absorbing into a transposed convolution is not supported")
-    if (k[0] > 1 or k[1] > 1) and lnp1.hyperparams.get("padding", "same") == "same":
+    if (k[0] > 1 or k[1] > 1) and lnp1.padding == "same":
         raise AbsorptionError(
             f"{layer_np1} is a zero-padded {k[0]}x{k[1]} convolution: the absorbed "
             "shift W*c is wrong at borders; use a 1x1 or valid-padding consumer")

@@ -139,8 +139,7 @@ class TestCalibrationReport:
         # recorded before the pass freed it
         full = sf.run_float(tiny_graph, tiny_batch, collect=names)
         for name in names:
-            st = sf.LayerStats()
-            st.update(full.collected[name].data)
+            st = sf.LayerStats.of(full.collected[name].data)
             assert acts[name] == st.to_dict()
 
     def test_reproducible(self, tiny_graph, tiny_inputs):

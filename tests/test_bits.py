@@ -15,9 +15,9 @@ from oracles import (danger_bit_struct, flip_f32_struct, protect_directions_stru
 
 def test_reference_flip_examples():
     # bit 30 turns 1.0 into +inf, 1.5 into NaN, 0.1 into ~3.40e37
-    assert bits.f32_flip_value(1.0, 30) == math.inf
-    assert math.isnan(bits.f32_flip_value(1.5, 30))
-    blown = bits.f32_flip_value(0.1, 30)
+    assert bits.bits_to_f32(bits.flip_bit_f32(bits.f32_to_bits(1.0), 30)) == math.inf
+    assert math.isnan(bits.bits_to_f32(bits.flip_bit_f32(bits.f32_to_bits(1.5), 30)))
+    blown = bits.bits_to_f32(bits.flip_bit_f32(bits.f32_to_bits(0.1), 30))
     # exponent field 123 -> 251: significand 1.6 * 2^124
     expected = np.float32(0.1) / np.float32(2.0) ** -4 * np.float32(2.0) ** 124
     assert blown == pytest.approx(float(expected), rel=1e-6)

@@ -86,6 +86,32 @@ def test_collect_survives_freed_activations(tiny_graph, tiny_batch):
     assert np.array_equal(got.view(np.uint32), direct.data.view(np.uint32))
 
 
+def test_conv_defaults_match_explicit_hyperparams(tiny_graph, tiny_inputs, tiny_batch,
+                                                  tmp_path):
+    """A transposed conv without a stride runs at stride 2, a conv without a
+    padding as "same": shapes and logit bits equal the explicit graph's, in
+    both numeric modes and after a save and load."""
+    dropped = {"conv2d_transpose": "stride", "conv2d": "padding"}
+
+    def implicit(graph):
+        out = graph.copy()
+        for layer in out.layers:
+            if layer.kind in dropped:
+                del layer.hyperparams[dropped[layer.kind]]
+        return out
+
+    quantized = sf.quantize_ptq(tiny_graph, tiny_inputs[0])
+    for graph, run in ((tiny_graph, run_float), (quantized, run_quantized)):
+        path = tmp_path / "implicit.sfm"
+        sf.save_model(implicit(graph), path)
+        for other in (implicit(graph), sf.load_model(path)):
+            assert all(dropped[l.kind] not in l.hyperparams
+                       for l in other.layers if l.kind in dropped)
+            assert sf.infer_shapes(other, 16, 16, 6) == sf.infer_shapes(graph, 16, 16, 6)
+            got, want = run(other, tiny_batch).logits.data, run(graph, tiny_batch).logits.data
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
 def test_rejects_wrong_input_channels(tiny_graph):
     bad = Tensor.from_array(np.zeros((1, 16, 16, 5), np.float32))
     with pytest.raises(sf.ShapeError):

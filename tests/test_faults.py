@@ -193,7 +193,7 @@ class TestFlipTaxonomy:
         from seu_forge import bits
         rng = np.random.Generator(np.random.PCG64(12))
         for v in rng.uniform(2**-100, 1.0, size=200):
-            flipped = bits.f32_flip_value(float(np.float32(v)), 30)
+            flipped = bits.bits_to_f32(bits.flip_bit_f32(bits.f32_to_bits(float(np.float32(v))), 30))
             assert math.isfinite(flipped) and abs(flipped) > 1.0
 
     def test_integers_never_nan_inf(self):

@@ -373,6 +373,39 @@ class TestContainerRefusals:
             sf.load_model(path)
 
 
+class TestNumericMode:
+    """A container whose numeric mode disagrees with its contents is refused at load."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        graph = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), seed=5)
+        images, _ = sf.generate_calibration_set((16, 16, 3), count=3, seed=1)
+        return {False: graph, True: sf.quantize_ptq(graph, images)}
+
+    @pytest.mark.parametrize("quantized,edit,message", [
+        (True, lambda m: m["metadata"]["quantization"]["activations"].__delitem__("conv2D_1"),
+         "missing scale table for activation 'conv2D_1'"),
+        (True, lambda m: m["metadata"]["quantization"]["params"].__delitem__("3"),
+         "missing scale table for p3"),
+        (True, lambda m: m["metadata"].__delitem__("quantization"),
+         "carries no quantization tables"),
+        (True, lambda m: m["metadata"]["flags"].__setitem__("quantized", False),
+         "float graph holds p1 as i8"),
+        (False, lambda m: m["metadata"]["flags"].__setitem__("quantized", True),
+         "quantized graph has batch-norm layer 'bn'"),
+    ], ids=["activation_entry", "param_entry", "no_tables", "quantized_as_float",
+            "float_as_quantized"])
+    def test_refused(self, models, tmp_path, quantized, edit, message):
+        # each loaded and failed only in inference (the quantized_as_float
+        # one inside a campaign's golden walk)
+        path = tmp_path / "model.sfm"
+        sf.save_model(models[quantized], path)
+        sf.load_model(path)
+        TestContainerRefusals.rewrite(path, edit)
+        with pytest.raises(FormatError, match=message):
+            sf.load_model(path)
+
+
 class TestQuantizationTables:
     """A quantization entry with an unusable zero point or scale is refused at load."""
 
