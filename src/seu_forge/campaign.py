@@ -101,9 +101,10 @@ def segmentation_metrics(prediction: np.ndarray, labels: np.ndarray,
     lab = labels.ravel()
     valid = (pred >= 0) & (pred < class_count)
     # confusion[i, j]: label i predicted as j; INVALID predictions live in an
-    # extra per-row "invalid" count so recall denominators stay exact.
-    conf = np.zeros((class_count, class_count), dtype=np.int64)
-    np.add.at(conf, (lab[valid], pred[valid]), 1)
+    # extra per-row "invalid" count so recall denominators stay exact. Pair
+    # (i, j) is counted at i * C + j.
+    conf = np.bincount(lab[valid].astype(np.int64) * class_count + pred[valid],
+                       minlength=class_count * class_count).reshape(class_count, class_count)
     invalid_per_label = np.bincount(lab[~valid], minlength=class_count).astype(np.int64)
 
     tp = np.diag(conf).astype(np.float64)
@@ -458,15 +459,27 @@ def _score_chunk(args):
     graph: (``score(golden, maps)``, None), or (None, failure message) for a
     set that failed. ``golden`` is the first graph's faultless class maps and
     ``maps`` the graph's faultless or faulted ones; each walk's exits are
-    scored before the next walk starts."""
+    scored before the next walk starts. A walk's masked exits share one
+    class map, and so do its poisoned ones: each kind is scored at its first
+    exit, and its later exits share that value."""
     graphs, fault_sets, batch, score = args
     golden, faultless, scored = None, [], []
     for graph in graphs:
         exits, own = _fault_loop(graph, batch, fault_sets)
         golden = own if golden is None else golden
         faultless.append(score(golden, own))
-        scored.append([(None, ex.error) if ex.kind == FAILED else
-                       (score(golden, ex.class_maps(own)), None) for ex in exits])
+        shared = {}  # exit kind -> score, for the masked and poisoned kinds
+        pairs = []
+        for ex in exits:
+            if ex.kind == FAILED:
+                pairs.append((None, ex.error))
+            elif ex.kind == RESUMED:
+                pairs.append((score(golden, ex.maps), None))
+            else:
+                if ex.kind not in shared:
+                    shared[ex.kind] = score(golden, ex.class_maps(own))
+                pairs.append((shared[ex.kind], None))
+        scored.append(pairs)
     return faultless, list(zip(*scored))
 
 
@@ -495,7 +508,7 @@ def fault_outcomes(graph: ModelGraph, specs, batch: Tensor, workers: int = 1) ->
             outcomes.append(FaultOutcome(spec, 0, 0, math.nan, math.nan, evaluation_error=failure))
             continue
         outcome = decode_fault(graph, spec)
-        outcome.per_image_error = errors
+        outcome.per_image_error = list(errors)  # exits of one kind share ``errors``
         outcome.mean_error = float(np.mean(errors))
         outcomes.append(outcome)
     return outcomes

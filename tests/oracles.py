@@ -129,6 +129,53 @@ def protect_directions_struct(value):
     return up > here, down > here
 
 
+def protect_parameters_scalar(graph, pt, roles=None):
+    """``protect_parameters`` one element at a time: each risky f32 element
+    of each set in p-index order is classified with ``classify_candidate``
+    and its significand compared with the PT thresholds as a Python float.
+    Returns (graph, report)."""
+    from seu_forge import bits
+    from seu_forge.protect import (RULE_DECREMENT, RULE_INCREMENT, RULE_SKIP_NONPROT,
+                                   RULE_SKIP_OUTSIDE, ProtectionRecord, ProtectionReport,
+                                   classify_candidate)
+
+    out = graph.copy()
+    report = ProtectionReport(pt)
+    roleset = set(roles) if roles is not None else None
+
+    params = (p for p in out.params if roleset is None or p.role in roleset)
+    for p in params:
+        if p.tensor.encoding != "f32":
+            continue
+        words = p.tensor.flat.view(np.uint32)
+        for idx in np.flatnonzero(bits.risky_mask(words)):
+            idx, word = int(idx), int(words[idx])
+            cls = classify_candidate(word)
+            sig = bits.significand_value(word)
+            sign = bits.sign_field(word)
+            e = bits.exponent_field(word)
+            new_word, rule = word, RULE_SKIP_NONPROT
+            if sig >= pt.full_threshold:
+                if cls.allow_increment:
+                    new_word, rule = bits.assemble_f32(sign, e + 1, 0), RULE_INCREMENT
+            elif sig <= pt.empty_threshold:
+                if cls.allow_decrement:
+                    new_word = bits.assemble_f32(sign, e - 1, bits.F32_MANT_MASK)
+                    rule = RULE_DECREMENT
+            elif cls.allow_increment or cls.allow_decrement:
+                rule = RULE_SKIP_OUTSIDE
+            before = after = bits.bits_to_f32(word)
+            if new_word != word:
+                p.tensor.flat.view(np.uint32)[idx] = new_word
+                after = bits.bits_to_f32(new_word)
+            report.records.append(ProtectionRecord(
+                pset=p.index, element=idx, rule=rule,
+                before_bits=word, after_bits=new_word,
+                before_value=before, after_value=after,
+                relative_delta=(after - before) / before if before else 0.0))
+    return out, report
+
+
 def confusion_matrix_by_hand(pred, labels, classes):
     conf = np.zeros((classes, classes), dtype=int)
     invalid = np.zeros(classes, dtype=int)

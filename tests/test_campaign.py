@@ -125,6 +125,35 @@ class TestSegmentationMetrics:
         assert m.per_class_recall[0] == 0.0
         assert m.global_iou == 0.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_counts_match_the_confusion_matrix_by_hand(self, data):
+        """Per-class and global scores are those of the hand-counted confusion
+        matrix, with INVALID and out-of-range predictions counted per label,
+        for label maps of any integer type (label * classes overflows uint8)."""
+        classes = data.draw(st.integers(1, 20))
+        size = data.draw(st.integers(1, 40))
+        labels = np.array(data.draw(st.lists(st.integers(0, classes - 1),
+                                             min_size=size, max_size=size)),
+                          data.draw(st.sampled_from([np.uint8, np.int32, np.int64])))
+        pred = np.array(data.draw(st.lists(
+            st.sampled_from([INVALID_CLASS, -2, classes, classes + 3]) |
+            st.integers(0, classes - 1), min_size=size, max_size=size)), np.int32)
+        conf, invalid = confusion_matrix_by_hand(pred, labels, classes)
+        m = segmentation_metrics(pred.reshape(1, size), labels.reshape(1, size), classes)
+
+        def pct(num, den):
+            return 100.0 * num / den if den > 0 else 100.0
+
+        tp = [float(conf[c, c]) for c in range(classes)]
+        fn = [int(conf[c].sum()) + int(invalid[c]) - conf[c, c] for c in range(classes)]
+        fp = [int(conf[:, c].sum()) - conf[c, c] for c in range(classes)]
+        assert m.per_class_recall == [pct(tp[c], tp[c] + fn[c]) for c in range(classes)]
+        assert m.per_class_precision == [pct(tp[c], tp[c] + fp[c]) for c in range(classes)]
+        assert m.per_class_iou == [pct(tp[c], tp[c] + fn[c] + fp[c]) for c in range(classes)]
+        assert m.global_recall == 100.0 * sum(tp) / size
+        assert m.global_iou == pct(sum(tp), sum(tp) + sum(fn) + sum(fp))
+
 
 class TestPredictors:
     @pytest.mark.parametrize("addends,expected", [

@@ -1,9 +1,13 @@
 import hashlib
 import json
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seu_forge as sf
 from seu_forge import bits
@@ -13,6 +17,9 @@ from seu_forge.protect import (PT_LEVELS, AbsorptionError, EqualizationError,
                                danger_bit, evaluate_protection,
                                protect_parameters, recondition_bn,
                                suggest_cle_scales)
+
+from conftest import single_conv_graph
+from oracles import danger_bit_struct, protect_parameters_scalar
 
 
 def word_of(value):
@@ -544,3 +551,91 @@ def test_evaluation_walks_hold_at_most_the_maps_budget(tiny_graph, tiny_inputs, 
     assert len(walks) > 2 and all(n <= 2 for n, _ in walks)
     assert sum(resumed for _, resumed in walks) > 2
     assert bounded.faultless == whole.faultless and bounded.per_bit == whole.per_bit
+
+
+# ---------------------------------------------------------------------------
+# the array pass against the element loop it replaced
+
+
+RISKY_EXPONENTS = [e for e in range(256) if bits.RISKY[e]]
+# a target whose thresholds are f32 significands, where ">=" and ">" differ;
+# no PT level's threshold is one
+EXACT_TARGET = ProtectionTarget("exact", 1.75, 1.25)
+TARGETS = [*PT_LEVELS.values(), EXACT_TARGET]
+
+
+def _near(threshold):
+    """The mantissas of the f32 significands nearest ``threshold``, and one ulp
+    either side of them."""
+    m = (threshold - 1.0) * (1 << bits.F32_MANT_BITS)
+    return [x for x in range(math.floor(m) - 1, math.ceil(m) + 2) if 0 <= x <= bits.F32_MANT_MASK]
+
+
+THRESHOLD_MANTISSAS = sorted({m for t in TARGETS
+                              for m in _near(t.full_threshold) + _near(t.empty_threshold)})
+SIGNS = st.integers(0, 1)
+WORDS = st.one_of(
+    st.builds(bits.assemble_f32, SIGNS, st.sampled_from(RISKY_EXPONENTS),
+              st.integers(0, bits.F32_MANT_MASK)),
+    st.builds(bits.assemble_f32, SIGNS, st.sampled_from(RISKY_EXPONENTS),
+              st.sampled_from(THRESHOLD_MANTISSAS)),
+    st.builds(bits.assemble_f32, SIGNS, st.just(0), st.integers(0, bits.F32_MANT_MASK)),
+    st.builds(bits.assemble_f32, SIGNS, st.just(0xFF), st.integers(0, bits.F32_MANT_MASK)),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _word_graph(data):
+    """A one-conv graph whose kernel and bias hold drawn f32 words."""
+    cin, cout = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+    kernel = data.draw(st.lists(WORDS, min_size=cin * cout, max_size=cin * cout))
+    bias = data.draw(st.lists(WORDS, min_size=cout, max_size=cout))
+    as_f32 = lambda words, shape: np.array(words, np.uint32).view(np.float32).reshape(shape)
+    return single_conv_graph(as_f32(kernel, (1, 1, cin, cout)), as_f32(bias, (cout,)))
+
+
+def _record_fields(record):
+    """A record's fields, each float as its bits."""
+    return [struct.pack("<d", v) if isinstance(v, float) else (type(v), v)
+            for v in record.__dict__.values()]
+
+
+@pytest.mark.parametrize("roles", [None, ("conv_bias",)])
+@pytest.mark.parametrize("target", TARGETS, ids=lambda t: t.level)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_protection_matches_the_element_loop(target, roles, data):
+    """Protected words and records equal the element-by-element loop's, floats
+    by their bits: every risky exponent with either sign, zeros, subnormals,
+    infinities, NaN payloads and mantissas at and beside each threshold."""
+    graph = _word_graph(data)
+    prot, report = protect_parameters(graph, target, roles=roles)
+    expected, oracle = protect_parameters_scalar(graph, target, roles=roles)
+    for p, q in zip(prot.params, expected.params):
+        assert p.tensor.flat.tobytes() == q.tensor.flat.tobytes()
+    assert [_record_fields(r) for r in report.records] == \
+        [_record_fields(r) for r in oracle.records]
+    assert [r.to_json() for r in report.records] == [r.to_json() for r in oracle.records]
+
+
+@pytest.mark.parametrize("bit_filter", [None, {30}, set(range(23, 30))])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_evaluation_targets_are_the_danger_bits(bit_filter, data, tiny_inputs):
+    """The evaluated positions are each risky element's danger bit, as the
+    struct oracle finds it, kept where the filter admits the bit."""
+    import seu_forge.protect as protect
+    graph = _word_graph(data)
+    expected = [(p.index, element, bit)
+                for p in graph.params for element, value in enumerate(p.tensor.flat)
+                for bit in [danger_bit_struct(value)]
+                if bit is not None and (bit_filter is None or bit in bit_filter)]
+    seen = []
+
+    def run_fault_sets(graphs, fault_sets, batch, score, workers):
+        seen.extend((spec.pset, spec.element, spec.bit) for (spec,) in fault_sets)
+        return [{}, {}], [((None, "skipped"), (None, "skipped"))] * len(fault_sets)
+
+    with mock.patch.object(protect, "run_fault_sets", run_fault_sets):
+        evaluate_protection(graph, graph, tiny_inputs[0][:1], bit_filter=bit_filter)
+    assert seen == expected
