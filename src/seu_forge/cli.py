@@ -286,7 +286,7 @@ def cmd_protect_apply(args):
     graph = _load(args.model)
     out, report = protect.protect_parameters(graph, protect.PT_LEVELS[args.pt])
     save_model(out, args.out)
-    summary = report.summary()
+    summary = out.metadata["provenance"][-1]["summary"]
     if args.report:
         report.write_jsonl(args.report)
         stem = args.report[:-6] if args.report.endswith(".jsonl") else args.report

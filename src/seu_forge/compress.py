@@ -105,8 +105,11 @@ def quantize_ptq(graph: ModelGraph, calibration_inputs) -> ModelGraph:
     observed = {}   # activation -> entry from the min and max of its finite values
 
     def record(name, tensor):
-        finite = tensor.data[np.isfinite(tensor.data)]
-        observed[name] = _affine_entry(float(finite.min()), float(finite.max()))
+        lo, hi = tensor.data.min(), tensor.data.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):  # a NaN or an Inf is in the way
+            finite = tensor.data[np.isfinite(tensor.data)]
+            lo, hi = finite.min(), finite.max()
+        observed[name] = _affine_entry(float(lo), float(hi))
 
     _execute(graph, _FLOAT, batch_inputs(calibration_inputs), record=record)
     activations = {"input": observed["input"]}

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -147,11 +149,10 @@ class ProtectionReport:
         return [r for r in self.records if r.rule in (RULE_INCREMENT, RULE_DECREMENT)]
 
     def summary(self) -> dict:
-        out = {"pt": self.pt.level, "candidates": len(self.records),
-               RULE_INCREMENT: 0, RULE_DECREMENT: 0,
-               RULE_SKIP_NONPROT: 0, RULE_SKIP_OUTSIDE: 0}
-        for r in self.records:
-            out[r.rule] += 1
+        counts = Counter(map(attrgetter("rule"), self.records))
+        out = {"pt": self.pt.level, "candidates": len(self.records)}
+        out.update((rule, counts[rule]) for rule in
+                   (RULE_INCREMENT, RULE_DECREMENT, RULE_SKIP_NONPROT, RULE_SKIP_OUTSIDE))
         out["protected"] = out[RULE_INCREMENT] + out[RULE_DECREMENT]
         return out
 

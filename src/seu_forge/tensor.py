@@ -6,13 +6,26 @@ oracle — produce identical bit patterns. This is what makes fault-injection
 error rates exactly reproducible.
 
 Activation tensors are laid out N,H,W,C; convolution kernels Kh,Kw,Cin,Cout.
-Inside the convolutions the working layout is channel-major instead: the
-accumulator is (Cout, N*OH*OW) and each kernel tap's input window is copied
-once into a (Cin, N*OH*OW) buffer, so every multiply and add runs over long
-contiguous rows. Only the memory layout differs from the naive loop. Each
-output cell still sees the same float32 operations in the same order
-(product rounded to float32, added to a float32 accumulator that starts at
-+0.0, in (kh, kw, cin) order, bias last), so the bits are unchanged.
+Inside the convolutions the working layout is channel-major instead: for a
+(sub-)batch of N images the accumulator is (Cout, N*OH*OW) and each kernel
+tap's input window is copied once into a (Cin, N*OH*OW) buffer, so every
+multiply and add runs over long contiguous rows. Only the memory layout
+differs from the naive loop. Each output cell still sees the same float32
+operations in the same order (product rounded to float32, added to a
+float32 accumulator that starts at +0.0, in (kh, kw, cin) order, bias
+last), so the bits are unchanged.
+
+Two choices keep those rows at cache speed, and neither changes a bit.
+``conv2d_forward`` runs the batch in the fewest sub-batches of one size
+(the last may hold fewer images) whose accumulator holds at most
+``_BLOCK_CELLS`` float32, so the accumulator and the product buffer (1 MiB
+together) stay in a 2 MiB L2 cache; an image larger than that is one
+sub-batch. And both convolutions run their
+multiplies at a ufunc buffer size of ``_BUFSIZE`` elements: numpy buffers a
+call with an operand broadcast along the inner axis, such as a tap's Cout
+weights against a row, whenever the rows are shorter than a third of the
+buffer size (8192 by default), and that buffered path made 2560-element
+rows about four times slower.
 
 "Bit for bit" holds up to NaN payloads. Where two different NaNs meet in
 one output cell (say a NaN weight and an Inf - Inf cancellation), numpy's
@@ -23,6 +36,7 @@ a NaN logit makes its pixel INVALID_CLASS whatever the payload.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +135,27 @@ def _channel_major(x: np.ndarray, ph: int, pw: int, top: int, left: int) -> np.n
     return xc
 
 
+# A sub-batch's (Cout, nb*OH*OW) accumulator holds at most this many float32.
+_BLOCK_CELLS = 1 << 17
+# ufunc buffer size inside the convolutions; numpy 1.x needs a multiple of 16.
+_BUFSIZE = 64
+
+
+@contextmanager
+def _kernel_scope():
+    """Faulted parameters may overflow; broadcast multiplies run unbuffered.
+
+    numpy >= 2 restores the buffer size when ``errstate`` exits, numpy 1.x
+    does not, hence the ``finally``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        old = np.setbufsize(_BUFSIZE)
+        try:
+            yield
+        finally:
+            np.setbufsize(old)
+
+
 def _accumulate_taps(rows: np.ndarray, k_tap: np.ndarray, acc: np.ndarray,
                      tmp: np.ndarray) -> None:
     """acc += rows[ci] * k_tap[ci][:, None] for ci in order, rounding each product.
@@ -132,6 +167,14 @@ def _accumulate_taps(rows: np.ndarray, k_tap: np.ndarray, acc: np.ndarray,
         acc += tmp
 
 
+def _sub_batch(n: int, cells: int) -> int:
+    """Images per sub-batch, for the fewest sub-batches of one size (the
+    last may be smaller) with at most ``_BLOCK_CELLS`` accumulator cells,
+    at ``cells`` per image; at least one image."""
+    count = -(-n // max(_BLOCK_CELLS // cells, 1))
+    return -(-n // count)
+
+
 def conv2d_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
                    stride: int = 1, padding: str = "same") -> Tensor:
     """2D cross-correlation plus bias with fixed (kh, kw, cin) accumulation.
@@ -139,10 +182,15 @@ def conv2d_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
     Bit-reproducible: per output cell the float32 operation sequence is
     identical to the naive quadruple loop, bias added last. The loop runs
     channel-major: for each tap (i, j) the strided input window is copied
-    once into a reused (Cin, N*OH*OW) buffer, and each Cin step multiplies
+    once into a reused (Cin, nb*OH*OW) buffer, and each Cin step multiplies
     one contiguous row by the tap's Cout weights and adds the result to a
-    (Cout, N*OH*OW) accumulator. That changes where the operands sit in
+    (Cout, nb*OH*OW) accumulator. That changes where the operands sit in
     memory, not which float32 operations each cell sees or their order.
+
+    The batch runs in sub-batches of nb images (``_sub_batch``), small
+    enough to stay in L2 cache, each accumulating in its own slice of one
+    channel-major (Cout, N, OH, OW) output; the multiplies run unbuffered
+    (``_kernel_scope``). See the module docstring for why.
     """
     _check_f32(inp, "input")
     _check_f32(kernel, "kernel")
@@ -168,19 +216,26 @@ def conv2d_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
         raise ShapeError(f"kernel {k.shape} larger than padded input "
                          f"{(n, h + ph, w + pw, cin)}")
 
-    m = n * oh * ow
-    xc = _channel_major(x, ph, pw, top, left)
-    acc = np.zeros((cout, m), dtype=np.float32)
-    tmp = np.empty((cout, m), dtype=np.float32)
-    rows = np.empty((cin, n, oh, ow), dtype=np.float32)
-    with np.errstate(over="ignore", invalid="ignore"):  # faulted params legally overflow
-        for i in range(kh):
-            for j in range(kw):
-                rows[...] = xc[:, :, i:i + (oh - 1) * stride + 1:stride,
-                               j:j + (ow - 1) * stride + 1:stride]
-                _accumulate_taps(rows.reshape(cin, m), k[i, j], acc, tmp)
-        acc += bias[:, None]
-    return Tensor.from_array(acc.reshape(cout, n, oh, ow).transpose(1, 2, 3, 0))
+    nb = _sub_batch(n, cout * oh * ow)
+    out = np.empty((cout, n, oh, ow), dtype=np.float32)
+    # flat buffers, so that a smaller last sub-batch still gets contiguous ones
+    tmp_buf = np.empty(cout * nb * oh * ow, dtype=np.float32)
+    rows_buf = np.empty(cin * nb * oh * ow, dtype=np.float32)
+    with _kernel_scope():
+        for b in range(0, n, nb):
+            xc = _channel_major(x[b:b + nb], ph, pw, top, left)
+            m = xc.shape[1] * oh * ow
+            acc = out[:, b:b + nb].reshape(cout, m)  # a view: its rows are contiguous
+            tmp = tmp_buf[:cout * m].reshape(cout, m)
+            rows = rows_buf[:cin * m].reshape(xc.shape[:2] + (oh, ow))
+            acc.fill(0.0)
+            for i in range(kh):
+                for j in range(kw):
+                    rows[...] = xc[:, :, i:i + (oh - 1) * stride + 1:stride,
+                                   j:j + (ow - 1) * stride + 1:stride]
+                    _accumulate_taps(rows.reshape(cin, m), k[i, j], acc, tmp)
+            acc += bias[:, None]
+    return Tensor.from_array(out.transpose(1, 2, 3, 0))
 
 
 def conv2d_transpose_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
@@ -189,7 +244,9 @@ def conv2d_transpose_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
 
     With that restriction every output pixel receives exactly one kernel tap,
     so the scatter is disjoint and only the Cin sum order (row-major) matters.
-    The Cin sum runs channel-major, as in :func:`conv2d_forward`.
+    The Cin sum runs channel-major and unbuffered, as in
+    :func:`conv2d_forward`, and the bias is added to each tap's finished sum
+    before the scatter.
     """
     _check_f32(inp, "input")
     _check_f32(kernel, "kernel")
@@ -211,13 +268,13 @@ def conv2d_transpose_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
     out = np.empty((n, h * stride, w * stride, cout), dtype=np.float32)
     acc = np.empty((cout, m), dtype=np.float32)
     tmp = np.empty((cout, m), dtype=np.float32)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _kernel_scope():
         for i in range(kh):
             for j in range(kw):
                 acc.fill(0.0)
                 _accumulate_taps(rows, k[i, j], acc, tmp)
+                acc += bias[:, None]
                 out[:, i::stride, j::stride, :] = acc.reshape(cout, n, h, w).transpose(1, 2, 3, 0)
-        out += bias
     return Tensor.from_array(out)
 
 

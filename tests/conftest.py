@@ -9,6 +9,19 @@ sys.path.insert(0, str(Path(__file__).parent))
 import seu_forge as sf
 
 
+@pytest.fixture(autouse=True)
+def numpy_state_kept():
+    """Fail any test that leaves numpy's ufunc buffer size or error state
+    changed, such as a kernel that sets them and does not restore them.
+    numpy >= 2 restores both when ``np.errstate`` exits; numpy 1.x keeps a
+    buffer size set inside it."""
+    before = np.getbufsize(), np.geterr()
+    yield
+    after = np.getbufsize(), np.geterr()
+    if after != before:
+        pytest.fail(f"numpy state changed from {before} to {after}")
+
+
 @pytest.fixture(scope="session")
 def tiny_graph():
     """2-level/4-filter/3-class model with default (compensated) dynamics."""

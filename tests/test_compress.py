@@ -101,6 +101,20 @@ class TestQuantize:
         assert q.metadata["quantization"]["params"]["1"]["degenerate"]
         assert (q.param(1).tensor.data == 0).all()
 
+    def test_activation_range_skips_nonfinite_values(self):
+        from conftest import single_conv_graph
+        from seu_forge.compress import _affine_entry
+        g = single_conv_graph(np.array([1.0, -1.0]).reshape(1, 1, 1, 2), [0.5, 0.0],
+                              input_channels=1)
+        g.metadata["flags"] = {"pruned": False, "folded": True, "quantized": False}
+        inputs = [sf.Tensor.from_array(np.array(v, np.float32).reshape(1, 2, 2, 1))
+                  for v in ([np.inf, 2.0, -3.0, np.nan], [-np.inf, 1.0, 0.0, 4.0])]
+        activations = quantize_ptq(g, inputs).metadata["quantization"]["activations"]
+        # the input and the conv output both hold +Inf, -Inf and NaN; the
+        # entries span their finite values only: [-3, 4] and [-4, 4.5]
+        assert activations["input"] == _affine_entry(-3.0, 4.0)
+        assert activations["conv"] == _affine_entry(-4.0, 4.5)
+
     def test_folds_internally_and_flags(self, tiny_graph, tiny_inputs):
         q = quantize_ptq(tiny_graph, tiny_inputs[0])
         assert q.flags["quantized"] and q.flags["folded"]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seu_forge.tensor as tensor
 from seu_forge.tensor import (INVALID_CLASS, BnParams, ShapeError, Tensor,
                               argmax_channels, batchnorm_forward,
                               concat_channels, conv2d_forward,
@@ -125,6 +126,57 @@ class TestConv2dOracleShapes:
         ours = conv2d_forward(t(x), t(k), b, stride=stride, padding=padding).data
         assert_same_bits(ours, conv2d_quadruple_loop(x, k, b, stride=stride,
                                                      padding=padding))
+
+
+class TestConv2dSubBatches:
+    """A batch that runs in unequal sub-batches gives the quadruple loop's bits."""
+
+    @pytest.fixture
+    def block_sizes(self, monkeypatch):
+        """The images of each sub-batch ``conv2d_forward`` runs."""
+        sizes, real = [], tensor._channel_major
+
+        def channel_major(x, *padding):
+            sizes.append(x.shape[0])
+            return real(x, *padding)
+
+        monkeypatch.setattr(tensor, "_channel_major", channel_major)
+        return sizes
+
+    @pytest.mark.parametrize("kind", [None] + sorted(FAULT_VALUES))
+    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "valid")])
+    def test_five_images_in_blocks_of_2_2_1(self, block_sizes, monkeypatch,
+                                            kind, stride, padding):
+        rng = np.random.Generator(np.random.PCG64(41))
+        x = rng.normal(size=(5, 7, 6, 3)).astype(np.float32)
+        k = rng.normal(size=(3, 3, 3, 4)).astype(np.float32)
+        if kind is not None:
+            k = with_faulted_weights(k, FAULT_VALUES[kind], 8)
+        b = rng.normal(size=4).astype(np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = conv2d_quadruple_loop(x, k, b, stride=stride, padding=padding)
+        # room for two images' (Cout, OH*OW) accumulators, not three
+        monkeypatch.setattr(tensor, "_BLOCK_CELLS", 2 * int(np.prod(ref.shape[1:])))
+        ours = conv2d_forward(t(x), t(k), b, stride=stride, padding=padding).data
+        assert block_sizes == [2, 2, 1]
+        assert_same_bits(ours, ref)
+
+    def test_default_budget_keeps_small_batch_whole(self, block_sizes):
+        conv2d_forward(t(np.ones((5, 7, 6, 3))), t(np.ones((3, 3, 3, 4))), np.zeros(4))
+        assert block_sizes == [5]
+
+
+class TestKernelNumpyState:
+    def test_convolutions_restore_buffer_size(self):
+        x = t(np.ones((2, 4, 4, 3)))
+        old = np.setbufsize(4096)
+        try:
+            conv2d_forward(x, t(np.ones((3, 3, 3, 2))), [0.0, 1.0])
+            assert np.getbufsize() == 4096
+            conv2d_transpose_forward(x, t(np.ones((2, 2, 3, 2))), [0.0, 1.0])
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(old)
 
 
 class TestConvTranspose:
