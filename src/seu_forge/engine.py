@@ -11,25 +11,31 @@ symmetric 8-bit weights, 32-bit biases (scale S_w*S_x), int32 accumulators
 (two's-complement wraparound), and requantization by a double-precision
 multiply followed by round-half-even, saturating to [-128, 127].
 
-Its convolutions build no im2col matrix. The zero-point-shifted input is
-padded once into a channel-major (Cin, N, Hp, Wp) float32 buffer, and each
-kernel tap is one float32 BLAS GEMM over a view of it. With |w| <= 128 and
-|x - Z| <= 255, a sum of at most 2**24 // (128 * 255) = 514 products is an
-integer float32 holds exactly, so the taps add up in float32 in groups of at
-most 514 rows and the groups in int32: the bits of an int32 matmul. Zero
-points outside [-128, 127] are refused (see model.check_quant_entry). The
-integer activations are NHWC arrays laid out channel-major in memory.
+Its convolutions build no im2col matrix. The int8 input minus its zero
+point is written once into a padded channel-major (Cin, N, Hp, Wp) float32
+buffer, and each kernel tap is one float32 BLAS GEMM over a view of it.
+With |w| <= 128 and |x - Z| <= 255, a sum of at most 2**24 // (128 * 255)
+= 514 products is an integer float32 holds exactly, so the taps add up in
+float32 in groups of at most 514 rows and the groups in int32: the bits of
+an int32 matmul. The output columns run in blocks of at most
+``_BLOCK_CELLS`` accumulator cells, every tap of a block before the next,
+and each block is requantized into the int8 output while it is still in
+cache; integer sums are exact in any grouping of columns and requantization
+works per cell, so the blocks change no byte. Zero points outside
+[-128, 127] are refused (see model.check_quant_entry). The integer
+activations are NHWC arrays laid out channel-major in memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .model import CONV_KINDS, ModelGraph, check_quant_entry
-from .tensor import (BnParams, ShapeError, Tensor, _channel_major, _same_padding,
+from .tensor import (BnParams, ShapeError, Tensor, _same_padding,
                      argmax_channels, batchnorm_forward, concat_channels, conv2d_forward,
                      conv2d_transpose_forward, maxpool2d, relu)
 
@@ -333,11 +339,26 @@ def run_float(graph: ModelGraph, inp, collect=()) -> InferenceResult:
 # quantized execution
 
 
-def _round_half_even_clip_i8(values: np.ndarray) -> np.ndarray:
-    """float64 ``values`` rounded half to even and saturated to int8; rounds ``values`` in place."""
+def _round_half_even_clip_i8(values: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """float64 ``values`` rounded half to even and saturated to int8; rounds ``values`` in place.
+
+    The int8 result is written to ``out`` (any int8 view of ``values``'s
+    shape) if given, else to a new array.
+    """
     np.rint(values, out=values)
     np.clip(values, -128, 127, out=values)
-    return values.astype(np.int8)
+    if out is None:
+        return values.astype(np.int8)
+    np.copyto(out, values, casting="unsafe")
+    return out
+
+
+def _requantize(out: np.ndarray, acc: np.ndarray, multiplier: float, zero_point: int) -> None:
+    """Set int8 ``out`` to int32 ``acc`` (same shape) requantized: ``acc * multiplier
+    + zero_point`` in float64, rounded half to even and saturated."""
+    values = np.multiply(acc, multiplier, dtype=np.float64)
+    values += zero_point
+    _round_half_even_clip_i8(values, out)
 
 
 def _act_entry(graph: ModelGraph, name: str) -> dict:
@@ -416,6 +437,62 @@ def _tap_sum(terms, out: np.ndarray) -> None:
             out += group.reshape(out.shape).astype(np.int32)
 
 
+# A column block's (Cout, cols) int32 accumulator holds at most this many
+# cells, so that it, the float32 GEMM buffers and the float64 values of its
+# requantization stay in a 2 MiB L2 cache together.
+_BLOCK_CELLS = 1 << 15
+
+
+def _shifted_grid(x: np.ndarray, zero_point: int, ph: int, pw: int, top: int,
+                  left: int) -> np.ndarray:
+    """NHWC integer ``x`` minus ``zero_point`` as a (C, N, H + ph, W + pw) float32
+    buffer whose borders are zero, the shifted zero point."""
+    n, h, w, c = x.shape
+    xc = np.zeros((c, n, h + ph, w + pw), dtype=np.float32)
+    np.subtract(x.transpose(3, 0, 1, 2), np.float32(zero_point),
+                out=xc[:, :, top:top + h, left:left + w], dtype=np.float32)
+    return xc
+
+
+def _conv_grid(x: np.ndarray, zero_point: int, kernel: np.ndarray, bias: np.ndarray,
+               stride: int, padding: str, dtype, sink) -> np.ndarray:
+    """The conv of NHWC ``x - zero_point`` by int8 ``kernel`` plus ``bias``, column
+    block by column block (see :func:`_conv_int`).
+
+    Each block's finished int32 sums, bias included, go to ``sink(out, acc)``
+    with ``out`` the block's columns of a (Cout, N*Hp*Wp) grid of ``dtype``:
+    ``np.copyto`` keeps them, :func:`_requantize` requantizes them while
+    they are in cache. Returns the N x OH x OW x Cout cells of the grid.
+    """
+    kh, kw, cin, cout = kernel.shape
+    n, h, w, _ = x.shape
+    ph, pw, top, left = (_same_padding(h, w, kh, kw, stride) if padding == "same"
+                         else (0, 0, 0, 0))
+    xc = _shifted_grid(x, zero_point, ph, pw, top, left)
+    hp, wp = h + ph, w + pw
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
+    # cell (n, y, x) sits at column n*Hp*Wp + y*Wp + x; the last valid cell
+    # and every tap it reads lie within the first m columns
+    m = n * hp * wp - (kh - 1) * wp - (kw - 1)
+    rows = xc.reshape(cin, -1)
+    kmat = kernel.transpose(0, 1, 3, 2).astype(np.float32)
+    grid = np.empty((cout, n, hp, wp), dtype=dtype)
+    columns = grid.reshape(cout, -1)
+    width = min(max(_BLOCK_CELLS // cout, 1), m)
+    acc = np.empty((cout, width), dtype=np.int32)
+    bias = bias.astype(np.int32)[:, None]
+    for start in range(0, m, width):
+        block = acc[:, :min(width, m - start)]
+        _tap_sum((t for i in range(kh) for j in range(kw)
+                  for t in _tap_terms(kmat, i, j, rows, start + i * wp + j, block.shape[1])),
+                 block)
+        block += bias
+        sink(columns[:, start:start + block.shape[1]], block)
+    cells = grid[:, :, :(oh - 1) * stride + 1:stride, :(ow - 1) * stride + 1:stride]
+    return cells.transpose(1, 2, 3, 0)
+
+
 def _conv_int(x_shifted: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
               stride: int, padding: str) -> np.ndarray:
     """int32 conv over zero-point-shifted integer activations, one exact GEMM per tap.
@@ -425,60 +502,58 @@ def _conv_int(x_shifted: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     Integer addition is associative mod 2^32, so unlike the float path the
     summation order is free. The input is padded once into a channel-major
     (Cin, N, Hp, Wp) float32 buffer. Flattened to (Cin, N*Hp*Wp), the
-    input of kernel tap (i, j) for every output cell at once is the view
-    from column i*Wp + j on: its rows are contiguous, so each tap is one
-    float32 BLAS GEMM (Cout x Cin) @ (Cin x M) without a copy. Products add
-    up exactly in float32 over groups of taps of at most _EXACT_ROWS = 514
-    rows (see :func:`_exact_groups`; Cin > 514 is split within a tap), the
-    groups and the bias in int32 with wraparound, giving the same bits as
-    an int32 matmul. The grid is computed at every padded cell and cropped
-    (subsampled for stride > 1) to OH x OW. Returns N x OH x OW x Cout int32,
-    a view of the channel-major accumulator.
+    input of kernel tap (i, j) for the output cell at column c is column
+    c + i*Wp + j: its rows are contiguous, so for a block of columns each
+    tap is one float32 BLAS GEMM (Cout x Cin) @ (Cin x cols) over a view,
+    without a copy. Products add up exactly in float32 over groups of taps
+    of at most _EXACT_ROWS = 514 rows (see :func:`_exact_groups`; Cin > 514
+    is split within a tap), the groups and the bias in int32 with
+    wraparound, giving the same bits as an int32 matmul.
+
+    The columns run in blocks of at most ``_BLOCK_CELLS`` accumulator cells,
+    every tap of a block before the next block, so that the block's
+    buffers stay in L2 cache; integer sums are exact in any grouping of
+    columns, so the blocks change no bit. :func:`_quantized_conv` runs the
+    same blocks and requantizes each one as it is finished. The grid is
+    computed at every padded cell and cropped (subsampled for stride > 1)
+    to OH x OW. Returns N x OH x OW x Cout int32, a view of the
+    channel-major grid.
     """
-    kh, kw, cin, cout = kernel.shape
-    n, h, w, _ = x_shifted.shape
-    ph, pw, top, left = (_same_padding(h, w, kh, kw, stride) if padding == "same"
-                         else (0, 0, 0, 0))
-    xc = _channel_major(x_shifted, ph, pw, top, left)
-    hp, wp = h + ph, w + pw
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
-    # cell (n, y, x) sits at column n*Hp*Wp + y*Wp + x; the last valid cell
-    # and every tap it reads lie within the first m columns
-    m = n * hp * wp - (kh - 1) * wp - (kw - 1)
-    rows = xc.reshape(cin, -1)
-    kmat = kernel.transpose(0, 1, 3, 2).astype(np.float32)
-    acc = np.empty((cout, n, hp, wp), dtype=np.int32)
-    grid = acc.reshape(cout, -1)[:, :m]
-    _tap_sum((t for i in range(kh) for j in range(kw)
-              for t in _tap_terms(kmat, i, j, rows, i * wp + j, m)), grid)
-    grid += bias.astype(np.int32)[:, None]
-    cells = acc[:, :, :(oh - 1) * stride + 1:stride, :(ow - 1) * stride + 1:stride]
-    return cells.transpose(1, 2, 3, 0)
+    return _conv_grid(x_shifted, 0, kernel, bias, stride, padding, np.int32, np.copyto)
 
 
-def _conv_transpose_int(x_shifted: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
-                        stride: int) -> np.ndarray:
-    """int32 transposed conv (stride == kernel size) with :func:`_conv_int`'s tap GEMMs.
+def _conv_transpose_grid(x: np.ndarray, zero_point: int, kernel: np.ndarray,
+                         bias: np.ndarray, stride: int, dtype, sink) -> np.ndarray:
+    """The transposed conv of NHWC ``x - zero_point`` (stride == kernel size), each
+    tap's int32 sums, bias included, going to ``sink`` as in :func:`_conv_grid`.
 
     Every output cell receives exactly one tap, so tap (i, j) fills the
     cells at offset (i, j) of each stride x stride block with one exact
-    GEMM over the channel-major input. Returns N x OH x OW x Cout int32.
+    GEMM over the channel-major input. Returns N x OH x OW x Cout.
     """
     kh, kw, _, cout = kernel.shape
     if kh != stride or kw != stride:
         raise ValueError(f"unsupported combination: kernel {kh}x{kw} with stride {stride} "
                          "(only stride == kernel size is supported)")
-    n, h, w, cin = x_shifted.shape
-    rows = _channel_major(x_shifted, 0, 0, 0, 0).reshape(cin, -1)
+    n, h, w, cin = x.shape
+    rows = _shifted_grid(x, zero_point, 0, 0, 0, 0).reshape(cin, -1)
     kmat = kernel.transpose(0, 1, 3, 2).astype(np.float32)
-    acc = np.empty((cout, n, h, stride, w, stride), dtype=np.int32)
+    grid = np.empty((cout, n, h, stride, w, stride), dtype=dtype)
+    acc = np.empty((cout, n, h, w), dtype=np.int32)
+    bias = bias.astype(np.int32)[:, None, None, None]
     for i in range(stride):
         for j in range(stride):
-            _tap_sum(_tap_terms(kmat, i, j, rows, 0, n * h * w), acc[:, :, :, i, :, j])
-    acc = acc.reshape(cout, n, h * stride, w * stride)
-    acc += bias.astype(np.int32)[:, None, None, None]
-    return acc.transpose(1, 2, 3, 0)
+            _tap_sum(_tap_terms(kmat, i, j, rows, 0, n * h * w), acc)
+            acc += bias
+            sink(grid[:, :, :, i, :, j], acc)
+    return grid.reshape(cout, n, h * stride, w * stride).transpose(1, 2, 3, 0)
+
+
+def _conv_transpose_int(x_shifted: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
+                        stride: int) -> np.ndarray:
+    """int32 transposed conv (stride == kernel size) with :func:`_conv_int`'s tap
+    GEMMs. Returns N x OH x OW x Cout int32."""
+    return _conv_transpose_grid(x_shifted, 0, kernel, bias, stride, np.int32, np.copyto)
 
 
 def _quantized_enter(graph: ModelGraph, inp: Tensor) -> dict:
@@ -497,20 +572,18 @@ def _quantized_conv(graph, layer, ins, channels=None):
     in_ent = _act_entry(graph, layer.inputs[0])
     out_ent = _act_entry(graph, layer.name)
     w_ent = _param_entry(graph, kernel_p.index)
-    x_shift = np.subtract(ins[0], np.float32(in_ent["zero_point"]), dtype=np.float32)
     # Sliced to ``channels``, each tap's GEMM computes only those output
     # channels; integer sums are exact in any grouping, so their bits stay.
     kernel = _take(kernel_p.tensor.data, channels)
     bias = _take(bias_p.tensor.data, channels)
+    sink = partial(_requantize,
+                   multiplier=(w_ent["scale"] * in_ent["scale"]) / out_ent["scale"],
+                   zero_point=out_ent["zero_point"])
     if layer.kind == "conv2d_transpose":
-        acc = _conv_transpose_int(x_shift, kernel, bias, layer.stride)
-    else:
-        acc = _conv_int(x_shift, kernel, bias, layer.stride, layer.padding)
-    m = (w_ent["scale"] * in_ent["scale"]) / out_ent["scale"]
-    values = acc.astype(np.float64)  # keeps the accumulator's channel-major layout
-    values *= m
-    values += out_ent["zero_point"]
-    return _round_half_even_clip_i8(values)
+        return _conv_transpose_grid(ins[0], in_ent["zero_point"], kernel, bias,
+                                    layer.stride, np.int8, sink)
+    return _conv_grid(ins[0], in_ent["zero_point"], kernel, bias, layer.stride,
+                      layer.padding, np.int8, sink)
 
 
 def _quantized_maxpool(graph, layer, ins, channels=None):
@@ -529,16 +602,23 @@ _INT8_VALUES = np.arange(256, dtype=np.uint8).view(np.int8)
 
 
 def _quantized_concat(graph, layer, ins):
+    """Each input rescaled to the output's scale by a 256-entry table, looked up
+    by bit pattern into one channel-major (C, N, H, W) buffer; its NHWC view."""
     out_ent = _act_entry(graph, layer.name)
-    parts = []
+    n, h, w, _ = ins[0].shape
+    out = np.empty((sum(part.shape[3] for part in ins), n, h, w), dtype=np.int8)
+    start = 0
     for ref, part in zip(layer.inputs, ins):
         e = _act_entry(graph, ref)
-        # the rescale of every int8 value, looked up by bit pattern
+        # the rescale of every int8 value
         rescaled = ((_INT8_VALUES.astype(np.float64) - e["zero_point"])
                     * (e["scale"] / out_ent["scale"]))
         table = _round_half_even_clip_i8(rescaled + out_ent["zero_point"])
-        parts.append(table[part.view(np.uint8)])
-    return np.concatenate(parts, axis=3)
+        # a uint8 index is always in range; "clip" skips the buffered bounds check
+        np.take(table, part.view(np.uint8).transpose(3, 0, 1, 2),
+                out=out[start:start + part.shape[3]], mode="clip")
+        start += part.shape[3]
+    return out.transpose(1, 2, 3, 0)
 
 
 _QUANTIZED = _Mode(

@@ -1,4 +1,5 @@
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seu_forge as sf
+from seu_forge import engine
 from seu_forge.engine import (_conv_int, _conv_transpose_int, _quantized_conv,
                               golden_frontiers, run_float, run_quantized)
 from seu_forge.tensor import BnParams, Tensor
@@ -237,6 +239,150 @@ class TestConvInt:
         ours = _conv_int(x_shift, q_w, q_b, stride, padding)
         assert ours.dtype == np.int32
         assert np.array_equal(ours, conv_int_mac_loop(q_x, z_x, q_w, q_b, stride, padding))
+
+
+def quantized_conv_graph(q_w, q_b, stride, padding, s_w, s_x, z_x, s_y, z_y):
+    """One int8 conv2d layer, input "input", output "conv", with its scale tables."""
+    kh, _, cin, cout = q_w.shape
+    layer = sf.LayerSpec("conv2d", "conv", {"kernel_size": kh, "stride": stride,
+                                            "padding": padding, "filters": cout}, ["input"])
+    params = [sf.ParamSet(1, "conv", "conv_kernel", Tensor.from_array(q_w, "i8")),
+              sf.ParamSet(2, "conv", "conv_bias", Tensor.from_array(q_b, "i32"))]
+    meta = {
+        "input_channels": cin,
+        "flags": {"pruned": False, "folded": True, "quantized": True},
+        "quantization": {
+            "activations": {"input": {"scale": s_x, "zero_point": z_x},
+                            "conv": {"scale": s_y, "zero_point": z_y}},
+            "params": {"1": {"scale": s_w, "zero_point": 0, "bits": 8},
+                       "2": {"scale": s_w * s_x, "zero_point": 0, "bits": 32}},
+        },
+    }
+    return sf.ModelGraph([layer], params, cout, meta)
+
+
+class TestConvIntBlocks:
+    """Column blocks of the integer conv change no bit, wherever their boundaries fall."""
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        """The columns of each block the integer conv sums."""
+        widths, real = [], engine._tap_sum
+
+        def tap_sum(terms, out):
+            widths.append(out.shape[1])
+            return real(terms, out)
+
+        monkeypatch.setattr(engine, "_tap_sum", tap_sum)
+        return widths
+
+    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "valid")])
+    def test_boundaries_mid_row(self, widths, monkeypatch, stride, padding):
+        rng = np.random.Generator(np.random.PCG64(43))
+        z_x = 127
+        q_x = rng.integers(-128, 128, size=(2, 7, 9, 3)).astype(np.int8)
+        q_x[1, 3, 4, :] = -128                                  # |x - Z| = 255
+        q_w = rng.integers(-128, 128, size=(3, 3, 3, 4)).astype(np.int8)
+        q_b = rng.integers(-2**31, 2**31, size=4).astype(np.int32)
+        # 4 output channels, 13 columns a block: no row of 9 or 11 cells
+        # starts a block after the first
+        monkeypatch.setattr(engine, "_BLOCK_CELLS", 4 * 13 + 3)
+        ours = _conv_int(q_x.astype(np.int32) - np.int32(z_x), q_w, q_b, stride, padding)
+        assert len(widths) > 5 and set(widths[:-1]) == {13}
+        assert np.array_equal(ours, conv_int_mac_loop(q_x, z_x, q_w, q_b, stride, padding))
+
+    def test_wide_layer_groups_split_inside_each_block(self, widths, monkeypatch):
+        # K = 3*3*64 = 576 > 514: within each block the first eight taps
+        # (512 rows) make one exact float32 group and the ninth another. At
+        # |x - Z| = 255 against -128 weights, one odd, a whole patch sums to
+        # an odd integer beyond 2**24, which one float32 group would round.
+        z_x = -128
+        q_x = np.full((2, 5, 6, 64), 127, np.int8)
+        q_x[1, 2, 3, 7] = 0
+        q_w = np.full((3, 3, 64, 2), -128, np.int8)
+        q_w[0, 2, 17, 0] = q_w[2, 1, 40, 1] = -127
+        q_b = np.array([-2**31 + 5, 2**31 - 9], np.int32)
+        monkeypatch.setattr(engine, "_BLOCK_CELLS", 2 * 10)
+        ours = _conv_int(q_x.astype(np.int32) - np.int32(z_x), q_w, q_b, 1, "same")
+        assert len(widths) > 5 and set(widths[:-1]) == {10}
+        assert np.array_equal(ours, conv_int_mac_loop(q_x, z_x, q_w, q_b, 1, "same"))
+        sums = np.array([eq5_scalar(q_w[..., co].ravel(), q_x[0, 1:4, 1:4].ravel(), 0, z_x)
+                         for co in range(2)])
+        assert (np.abs(sums) > 2**24).all() and (sums % 2 == 1).all()
+
+    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "valid")])
+    def test_requantized_blocks_equal_one_block(self, widths, monkeypatch, stride, padding):
+        # M = 0.5 puts every odd accumulator on a tie, which rounds half to
+        # even; the extreme operands of the first image saturate
+        rng = np.random.Generator(np.random.PCG64(44))
+        z_x, z_y = -3, 1
+        q_x = rng.integers(-8, 9, size=(2, 8, 7, 5)).astype(np.int8)
+        q_x[0, :4] = rng.choice(np.array([-128, 127], np.int8), size=(4, 7, 5))
+        q_w = rng.integers(-3, 4, size=(3, 3, 5, 6)).astype(np.int8)
+        q_w[..., 5] = 127
+        q_b = rng.integers(-40, 41, size=6).astype(np.int32)
+        g = quantized_conv_graph(q_w, q_b, stride, padding, 1.0, 0.5, z_x, 1.0, z_y)
+        one = _quantized_conv(g, g.layers[0], [q_x])
+        assert len(widths) == 1
+        monkeypatch.setattr(engine, "_BLOCK_CELLS", 6 * 11)
+        blocked = _quantized_conv(g, g.layers[0], [q_x])
+        assert len(widths) > 5
+        assert blocked.dtype == np.int8 and blocked.shape == one.shape
+        assert np.ascontiguousarray(blocked).tobytes() == np.ascontiguousarray(one).tobytes()
+        acc = conv_int_mac_loop(q_x, z_x, q_w, q_b, stride, padding)
+        ref = np.clip(np.rint(acc * 0.5 + z_y), -128, 127).astype(np.int8)
+        assert np.array_equal(blocked, ref)
+        assert (blocked == 127).any() and (blocked == -128).any()
+        ties = (acc % 2 == 1) & (np.abs(acc * 0.5 + z_y) < 127)
+        assert ties.sum() > 20
+
+    @given(seed=st.integers(0, 2**32 - 1), budget=st.integers(1, 300),
+           stride=st.integers(1, 2), padding=st.sampled_from(["same", "valid"]),
+           z_x=st.integers(-128, 127), kh=st.integers(1, 3), kw=st.integers(1, 3),
+           cin=st.integers(1, 6), cout=st.integers(1, 5), h=st.integers(3, 6),
+           w=st.integers(3, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_any_budget_matches_mac_loop(self, seed, budget, stride, padding, z_x, kh, kw,
+                                         cin, cout, h, w):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        q_x = rng.integers(-128, 128, size=(2, h, w, cin)).astype(np.int8)
+        q_w = rng.integers(-128, 128, size=(kh, kw, cin, cout)).astype(np.int8)
+        q_b = rng.integers(-2**31, 2**31, size=cout).astype(np.int32)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_BLOCK_CELLS", budget)
+            ours = _conv_int(q_x.astype(np.int32) - np.int32(z_x), q_w, q_b, stride, padding)
+        assert np.array_equal(ours, conv_int_mac_loop(q_x, z_x, q_w, q_b, stride, padding))
+
+
+class TestQuantizedConcat:
+    @pytest.mark.parametrize("channel_major", [False, True])
+    def test_matches_table_lookup_and_concatenate(self, channel_major):
+        rng = np.random.Generator(np.random.PCG64(45))
+        parts = [rng.integers(-128, 128, size=(2, 3, 4, c)).astype(np.int8) for c in (3, 5)]
+        if channel_major:  # as the convolutions leave them
+            parts = [np.ascontiguousarray(p.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+                     for p in parts]
+        entries = {"a": {"scale": 0.031, "zero_point": -128},
+                   "b": {"scale": 0.117, "zero_point": 127},
+                   "cat": {"scale": 0.05, "zero_point": 9}}
+        graph = SimpleNamespace(metadata={"quantization": {"activations": entries}})
+        layer = SimpleNamespace(name="cat", inputs=["a", "b"])
+        ours = engine._quantized_concat(graph, layer, parts)
+
+        def table(ref):
+            # round() in Python rounds half to even, as np.rint does
+            e, out = entries[ref], entries["cat"]
+            # entry u holds the rescale of the int8 value with bit pattern u
+            return np.array([min(127, max(-128, round((u - 256 * (u > 127) - e["zero_point"])
+                                                       * (e["scale"] / out["scale"])
+                                                       + out["zero_point"])))
+                             for u in range(256)], np.int8)
+
+        ref = np.concatenate([table(r)[p.view(np.uint8)] for r, p in zip("ab", parts)],
+                             axis=3)
+        assert ours.dtype == np.int8 and np.array_equal(ours, ref)
+        assert ours.transpose(3, 0, 1, 2).flags.c_contiguous
+        assert (ref == 127).any() or (ref == -128).any()
 
 
 class TestQuantizedConvTranspose:
