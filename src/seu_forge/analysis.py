@@ -138,16 +138,16 @@ def capture_parameter_stats(graph: ModelGraph) -> dict:
     stats = {}
     for p in graph.params:
         v = p.tensor.data
-        finite = v[np.isfinite(v)] if p.tensor.encoding == "f32" else v
+        st = LayerStats.of(v)
         stats[p.index] = {
             "layer": p.layer,
             "role": p.role,
             "encoding": p.tensor.encoding,
-            "min": float(finite.min()) if finite.size else None,
-            "max": float(finite.max()) if finite.size else None,
+            "min": st.min,
+            "max": st.max,
             "positive": int((v > 0).sum()),
             "total": int(v.size),
-            "histogram": magnitude_histogram(v),
+            "histogram": st.histogram,
         }
     return stats
 

@@ -685,9 +685,7 @@ class MultiBitResult:
         reps = {str(k): v for k, v in self.per_rep_errors.items()}
         if self.failed:
             reps["failed"] = self.failed
-        # compact, without a trailing newline, unlike the reports module's JSON
-        with open(os.path.join(directory, f"{stem}_reps.json"), "w") as f:
-            json.dump(reps, f, sort_keys=True)
+        reports.write_compact_json(os.path.join(directory, f"{stem}_reps.json"), reps)
 
 
 def run_multi_bit_campaign(graph: ModelGraph, counts, repetitions: int, seed: int,

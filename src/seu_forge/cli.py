@@ -56,10 +56,9 @@ def _images_for(graph: ModelGraph, args):
         raise UsageError(f"--image-size {side} must be divisible by {1 << pools} "
                          f"(the model has {pools} pooling stages)")
     channels = graph.metadata.get("input_channels", 1)
-    inputs, labels = generate_calibration_set(
-        (side, side, channels), count=args.images, seed=args.images_seed,
-        class_count=graph.class_count)
-    return inputs, labels
+    inputs, _ = generate_calibration_set((side, side, channels), count=args.images,
+                                         seed=args.images_seed)
+    return inputs
 
 
 def _add_image_opts(p):
@@ -134,7 +133,7 @@ def cmd_compress(args):
     if args.action == "fold":
         out = compress.fold_bn(graph)
     elif args.action == "quantize":
-        inputs, _ = _images_for(graph, args)
+        inputs = _images_for(graph, args)
         out = compress.quantize_ptq(graph, inputs)
     elif args.action == "prune":
         if (args.keep_fraction is None) == (args.threshold is None):
@@ -159,7 +158,7 @@ def cmd_compress(args):
 def cmd_calibrate(args):
     graph = _load(args.model)
     os.makedirs(args.out_dir, exist_ok=True)
-    inputs, _ = _images_for(graph, args)
+    inputs = _images_for(graph, args)
 
     wrote = []
 
@@ -194,7 +193,7 @@ def cmd_inject_one(args):
     graph = _load(args.model)
     spec = FaultSpec(pset=args.pset, element=args.element, bit=args.bit,
                      encoding=graph.param(args.pset).tensor.encoding)
-    inputs, _ = _images_for(graph, args)
+    inputs = _images_for(graph, args)
     outcome, = campaign.fault_outcomes(graph, [spec], batch_inputs(inputs))
     if outcome.evaluation_error is not None:
         raise ValueError(outcome.evaluation_error)
@@ -214,7 +213,7 @@ def cmd_campaign_sweep(args):
     graph = _load(args.model)
     roles = args.roles.split(",") if args.roles else None
     psets = [int(x) for x in args.psets.split(",")] if args.psets else None
-    inputs, _ = _images_for(graph, args)
+    inputs = _images_for(graph, args)
     plan = campaign.plan_single_bit_sweep(
         graph, roles=roles, psets=psets, bits=(args.bits[0], args.bits[1]),
         injections_per_target=args.n, margin=args.e, z_value=args.t, prior=args.p,
@@ -234,7 +233,7 @@ def cmd_campaign_multibit(args):
         raise UsageError("multi-bit campaigns run on quantized models "
                          "(compress quantize first)")
     counts = [int(x) for x in args.counts.split(",")]
-    inputs, _ = _images_for(graph, args)
+    inputs = _images_for(graph, args)
     result = campaign.run_multi_bit_campaign(graph, counts, args.repetitions,
                                              args.seed, inputs, workers=_workers(args))
     result.write(args.out_dir, stem="multibit")
@@ -251,7 +250,7 @@ def cmd_campaign_multibit(args):
 def _shares_and_signs(args):
     if args.model:
         graph = _load(args.model)
-        inputs, _ = _images_for(graph, args)
+        inputs = _images_for(graph, args)
         maps = campaign._forward_maps(graph, batch_inputs(inputs))
         shares = campaign.golden_class_shares(maps, graph.class_count)
         bias = graph.kernel_bias(graph.output_layer.name)[1].tensor.data
@@ -300,7 +299,7 @@ def cmd_protect_apply(args):
 def cmd_protect_evaluate(args):
     original = _load(args.original)
     protected = _load(args.protected)
-    inputs, _ = _images_for(original, args)
+    inputs = _images_for(original, args)
     ev = protect.evaluate_protection(original, protected, inputs, workers=_workers(args))
     os.makedirs(args.out_dir, exist_ok=True)
     ev.write_json(os.path.join(args.out_dir, "protection_eval.json"))

@@ -6,6 +6,11 @@ or the faultless walk of ``golden_frontiers``, runs through one layer loop,
 ``run_float(collect=)``, ``compress.quantize_ptq`` and
 ``analysis.calibration_report`` do.
 
+Both modes share the loop's input edge: before any layer runs, it refuses a
+layer kind the mode has no op for, an input batch that is not f32 and one
+without the model's ``input_channels``; the mode then only converts the
+batch. Both share ``tensor``'s 2x2 max-pool and transposed-conv refusal.
+
 The quantized path implements the affine scheme r = S*(q - Z) with per-tensor
 symmetric 8-bit weights, 32-bit biases (scale S_w*S_x), int32 accumulators
 (two's-complement wraparound), and requantization by a double-precision
@@ -35,9 +40,9 @@ from typing import Callable
 import numpy as np
 
 from .model import CONV_KINDS, ModelGraph, check_quant_entry
-from .tensor import (BnParams, ShapeError, Tensor, _same_padding,
-                     argmax_channels, batchnorm_forward, concat_channels, conv2d_forward,
-                     conv2d_transpose_forward, maxpool2d, relu)
+from .tensor import (BnParams, ShapeError, Tensor, _check_transpose_stride, _max2x2,
+                     _same_padding, argmax_channels, batchnorm_forward, concat_channels,
+                     conv2d_forward, conv2d_transpose_forward, maxpool2d, relu)
 
 
 @dataclass
@@ -104,10 +109,10 @@ class Frontier:
 
 @dataclass(frozen=True)
 class _Mode:
+    name: str  # named by the refusal of a layer kind with no op
     # layer kind -> op(graph, layer, inputs[, channels]); see run_channels
     ops: dict
-    enter: Callable[[ModelGraph, Tensor], dict]  # input -> layer 0's live activations
-    unsupported: str                            # error for a kind with no op
+    enter: Callable[[ModelGraph, Tensor], object]  # checked input batch -> activation "input"
 
 
 def _mode(graph: ModelGraph) -> _Mode:
@@ -118,13 +123,27 @@ def _walk(graph: ModelGraph, mode: _Mode, inp, record=None):
     """Run ``inp`` (an input batch, or a :class:`Frontier`) to the output layer,
     yielding the :class:`Frontier` before each layer and, last, the finished pass's.
 
+    Before any layer runs, the input edge refuses a layer kind the mode has
+    no op for (``ValueError``), and a batch that is not f32 (``TypeError``)
+    or lacks the model's ``input_channels`` (``ShapeError``); ``mode.enter``
+    converts the batch to the activation ``"input"``.
+
     A frontier's splice is applied as the walk starts. Every activation the
     walk starts with, then each layer's output, goes to ``record(name,
     value)``. Each activation is freed after its last consumer has run;
     each frontier yielded owns its dict.
     """
+    kind = next((l.kind for l in graph.layers if l.kind not in mode.ops), None)
+    if kind is not None:
+        raise ValueError(f"layer kind {kind!r} not supported in {mode.name} mode")
     if not isinstance(inp, Frontier):
-        inp = Frontier(0, mode.enter(graph, inp))
+        if inp.encoding != "f32":
+            raise TypeError(f"the input batch must be f32, got {inp.encoding}")
+        want_c = graph.metadata.get("input_channels")
+        if want_c is not None and inp.shape[3:] != (want_c,):
+            raise ShapeError(f"input shape {inp.shape} does not match model "
+                             f"input channels {want_c}")
+        inp = Frontier(0, {"input": mode.enter(graph, inp)})
     live = dict(inp.live)
     if inp.splice is not None:
         name, channels, values = inp.splice
@@ -136,10 +155,7 @@ def _walk(graph: ModelGraph, mode: _Mode, inp, record=None):
     for idx in range(inp.start, len(graph.layers)):
         yield Frontier(idx, dict(live))
         layer = graph.layers[idx]
-        op = mode.ops.get(layer.kind)
-        if op is None:
-            raise ValueError(mode.unsupported.format(kind=layer.kind))
-        out = op(graph, layer, [live[r] for r in layer.inputs])
+        out = mode.ops[layer.kind](graph, layer, [live[r] for r in layer.inputs])
         live[layer.name] = out
         if record is not None:
             record(layer.name, out)
@@ -272,45 +288,28 @@ def reaching_output(graph: ModelGraph) -> set:
 # float execution
 
 
-def _float_enter(graph: ModelGraph, inp: Tensor) -> dict:
-    want_c = graph.metadata.get("input_channels")
-    if want_c is not None and inp.data.shape[3] != want_c:
-        raise ShapeError(f"input shape {inp.data.shape} does not match model "
-                         f"input channels {want_c}")
-    return {"input": inp}
-
-
-def _kernel_bias(graph, layer, channels):
+def _float_conv(graph, layer, ins, channels=None):
     kernel, bias = (p.tensor for p in graph.kernel_bias(layer.name))
     if channels is not None:
         kernel = Tensor.from_array(kernel.data[..., channels])
-    return kernel, _take(bias.data, channels)
-
-
-def _float_conv(graph, layer, ins, channels=None):
-    kernel, bias = _kernel_bias(graph, layer, channels)
+    bias = _take(bias.data, channels)
+    if layer.kind == "conv2d_transpose":
+        return conv2d_transpose_forward(ins[0], kernel, bias, stride=layer.stride)
     return conv2d_forward(ins[0], kernel, bias, stride=layer.stride, padding=layer.padding)
-
-
-def _float_conv_transpose(graph, layer, ins, channels=None):
-    kernel, bias = _kernel_bias(graph, layer, channels)
-    return conv2d_transpose_forward(ins[0], kernel, bias, stride=layer.stride)
 
 
 # The ops look the tensor kernels up by this module's names when they run,
 # not when the table is built, so a kernel rebound here (as perfbench's
 # tracer does) reaches every forward pass, channel-restricted ones included.
 _FLOAT = _Mode(
-    ops={"conv2d": _float_conv,
-         "output_conv": _float_conv,
-         "conv2d_transpose": _float_conv_transpose,
+    name="float",
+    ops={**dict.fromkeys(CONV_KINDS, _float_conv),
          "batchnorm": lambda graph, layer, ins, channels=None: batchnorm_forward(
              ins[0], _bn_params(graph, layer.name, channels)),
          "relu": lambda graph, layer, ins, channels=None: relu(ins[0]),
          "maxpool": lambda graph, layer, ins, channels=None: maxpool2d(ins[0]),
          "concat": lambda graph, layer, ins: concat_channels(ins[0], ins[1])},
-    enter=_float_enter,
-    unsupported="unknown layer kind {kind!r}")
+    enter=lambda graph, inp: inp)
 
 
 def run_float(graph: ModelGraph, inp, collect=()) -> InferenceResult:
@@ -532,9 +531,7 @@ def _conv_transpose_grid(x: np.ndarray, zero_point: int, kernel: np.ndarray,
     GEMM over the channel-major input. Returns N x OH x OW x Cout.
     """
     kh, kw, _, cout = kernel.shape
-    if kh != stride or kw != stride:
-        raise ValueError(f"unsupported combination: kernel {kh}x{kw} with stride {stride} "
-                         "(only stride == kernel size is supported)")
+    _check_transpose_stride(kh, kw, stride)
     n, h, w, cin = x.shape
     rows = _shifted_grid(x, zero_point, 0, 0, 0, 0).reshape(cin, -1)
     kmat = kernel.transpose(0, 1, 3, 2).astype(np.float32)
@@ -556,15 +553,10 @@ def _conv_transpose_int(x_shifted: np.ndarray, kernel: np.ndarray, bias: np.ndar
     return _conv_transpose_grid(x_shifted, 0, kernel, bias, stride, np.int32, np.copyto)
 
 
-def _quantized_enter(graph: ModelGraph, inp: Tensor) -> dict:
-    if any(l.kind == "batchnorm" for l in graph.layers):
-        raise ValueError("quantized graph still contains batch-norm layers; fold first")
-    if inp.encoding != "f32":
-        raise TypeError("quantized inference takes a float input and quantizes it "
-                        "at the input edge")
+def _quantize_input(graph: ModelGraph, inp: Tensor) -> np.ndarray:
     ent = _act_entry(graph, "input")
-    return {"input": _round_half_even_clip_i8(inp.data.astype(np.float64) / ent["scale"]
-                                              + ent["zero_point"])}
+    return _round_half_even_clip_i8(inp.data.astype(np.float64) / ent["scale"]
+                                    + ent["zero_point"])
 
 
 def _quantized_conv(graph, layer, ins, channels=None):
@@ -584,17 +576,6 @@ def _quantized_conv(graph, layer, ins, channels=None):
                                     layer.stride, np.int8, sink)
     return _conv_grid(ins[0], in_ent["zero_point"], kernel, bias, layer.stride,
                       layer.padding, np.int8, sink)
-
-
-def _quantized_maxpool(graph, layer, ins, channels=None):
-    n, h, w, c = ins[0].shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"maxpool requires even H,W, got {(h, w)}")
-    x = ins[0]
-    # pairwise maxima of the four cells of each window: exact for integers,
-    # and elementwise, so fast in the channel-major layout the convs leave
-    return np.maximum(np.maximum(x[:, ::2, ::2], x[:, ::2, 1::2]),
-                      np.maximum(x[:, 1::2, ::2], x[:, 1::2, 1::2]))
 
 
 # The 256 int8 values, indexed by their uint8 bit patterns.
@@ -622,13 +603,13 @@ def _quantized_concat(graph, layer, ins):
 
 
 _QUANTIZED = _Mode(
+    name="quantized",
     ops={**dict.fromkeys(CONV_KINDS, _quantized_conv),
          "relu": lambda graph, layer, ins, channels=None: np.maximum(
              ins[0], np.int8(_act_entry(graph, layer.inputs[0])["zero_point"])),
-         "maxpool": _quantized_maxpool,
+         "maxpool": lambda graph, layer, ins, channels=None: _max2x2(ins[0]),
          "concat": _quantized_concat},
-    enter=_quantized_enter,
-    unsupported="layer kind {kind!r} not supported in quantized mode")
+    enter=_quantize_input)
 
 
 def run_quantized(graph: ModelGraph, inp) -> InferenceResult:

@@ -182,8 +182,6 @@ def protect_parameters(graph: ModelGraph, pt: ProtectionTarget, roles=None):
     """
     if graph.flags.get("quantized"):
         raise ValueError("protection applies to float graphs")
-    if isinstance(pt, int):
-        pt = PT_LEVELS[pt]
     out = graph.copy()
     report = ProtectionReport(pt)
     roleset = set(roles) if roles is not None else None

@@ -13,6 +13,12 @@ def write_json(path, obj):
         f.write("\n")
 
 
+def write_compact_json(path, obj):
+    """JSON with sorted keys, no indent and no trailing newline: ``multibit_reps.json``."""
+    with open(path, "w") as f:
+        json.dump(obj, f, sort_keys=True)
+
+
 def write_lines(path, lines):
     with open(path, "w") as f:
         f.writelines(line + "\n" for line in lines)

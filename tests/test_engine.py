@@ -726,3 +726,48 @@ class TestChannelRestriction:
         reach = reaching_output(graph)
         assert reach == {"input"} | {l.name for l in graph.layers} - {"conv_d", "relu_d",
                                                                           "conv_e"}
+
+
+class TestInputEdge:
+    """Both numeric modes refuse the same batches and layer kinds, before any layer runs."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        graph = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 4), 5)
+        calibration, _ = sf.generate_calibration_set((16, 16, 4), count=2, seed=1)
+        return {run_float: graph, run_quantized: sf.quantize_ptq(graph, calibration)}
+
+    @pytest.mark.parametrize("channels", [8, 2, 3, 5])
+    @pytest.mark.parametrize("run", [run_float, run_quantized])
+    def test_wrong_channel_count_refused(self, models, run, channels):
+        # a quantized graph once read an 8-channel batch as if it had 4 channels
+        # and returned class maps; a 2-channel one failed inside numpy
+        batch = Tensor.from_array(np.random.default_rng(channels).random(
+            (2, 16, 16, channels), dtype=np.float32))
+        with pytest.raises(sf.ShapeError, match="input channels 4"):
+            run(models[run], batch)
+
+    @pytest.mark.parametrize("run", [run_float, run_quantized])
+    def test_non_f32_batch_refused(self, models, run):
+        with pytest.raises(TypeError, match="f32"):
+            run(models[run], Tensor.from_array(np.zeros((1, 16, 16, 4)), "i8"))
+
+    @pytest.mark.parametrize("run, kind", [(run_float, "gelu"), (run_quantized, "gelu"),
+                                           (run_quantized, "batchnorm")])
+    def test_kind_without_op_refused_before_any_op(self, models, monkeypatch, run, kind):
+        graph = models[run].copy()
+        # the last layer, so that a refusal made on reaching it would come too late
+        last = graph.layers[-1]
+        graph.layers[-1] = sf.LayerSpec(kind, last.name, last.hyperparams, last.inputs)
+        mode, name = ((engine._QUANTIZED, "quantized") if run is run_quantized
+                      else (engine._FLOAT, "float"))
+        calls = []
+        for op_kind, op in mode.ops.items():
+            monkeypatch.setitem(mode.ops, op_kind, lambda *args, op_kind=op_kind, op=op:
+                                calls.append(op_kind) or op(*args))
+        batch = Tensor.from_array(np.zeros((1, 16, 16, 4), np.float32))
+        with pytest.raises(ValueError, match=f"layer kind '{kind}' not supported in {name} mode"):
+            run(graph, batch)
+        with pytest.raises(ValueError, match="not supported"):
+            next(golden_frontiers(graph, batch))
+        assert calls == []

@@ -359,3 +359,54 @@ class TestTensorContainer:
         x = Tensor.from_array(np.zeros((2, 2), np.float32))
         x.flat[3] = 7.0
         assert x.data[1, 1] == 7.0
+
+
+_F32_SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-45, -1e-45, 1.1754942e-38,
+                          -1.1754942e-38, 1.0, -1.0, 3.4028235e38], dtype=np.float32)
+
+
+@st.composite
+def pool_inputs(draw):
+    """An NHWC array with even H and W, float32 rich in NaN, infinities, signed
+    zeros and subnormals, or int8; C-contiguous or laid out channel-major."""
+    shape = (draw(st.integers(1, 2)), 2 * draw(st.integers(1, 4)), 2 * draw(st.integers(1, 4)),
+             draw(st.integers(1, 9)))
+    size = int(np.prod(shape))
+    if draw(st.booleans()):
+        words = draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=size, max_size=size))
+        picks = draw(st.lists(st.integers(-1, len(_F32_SPECIALS) - 1),
+                              min_size=size, max_size=size))
+        x = np.array(words, dtype=np.uint32).view(np.float32)
+        x = np.where(np.array(picks) >= 0, _F32_SPECIALS[picks], x).astype(np.float32)
+    else:
+        x = np.array(draw(st.lists(st.integers(-128, 127), min_size=size, max_size=size)),
+                     dtype=np.int8)
+    x = x.reshape(shape)
+    if draw(st.booleans()):
+        x = np.ascontiguousarray(x.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+    return x
+
+
+class TestMax2x2:
+    @settings(max_examples=300, deadline=None)
+    @given(x=pool_inputs())
+    def test_matches_reshape_max(self, x):
+        """The pairwise max serving both modes equals a reshape-and-max reduction:
+        the same bytes outside NaN cells, NaN in the same cells, the input's layout."""
+        n, h, w, c = x.shape
+        want = x.reshape(n, h // 2, 2, w // 2, 2, c).max(axis=(2, 4))
+        got = tensor._max2x2(x)
+        assert got.dtype == x.dtype and got.shape == want.shape
+        nan = np.isnan(want) if x.dtype == np.float32 else np.zeros(want.shape, bool)
+        if x.dtype == np.float32:
+            assert np.array_equal(np.isnan(got), nan)
+            assert np.array_equal(maxpool2d(Tensor.from_array(x)).data.view(np.uint32)[~nan],
+                                  want.view(np.uint32)[~nan])
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+        if not x.flags.c_contiguous:
+            assert got.transpose(3, 0, 1, 2).flags.c_contiguous
+
+    @pytest.mark.parametrize("shape", [(1, 3, 4, 2), (1, 4, 5, 2)])
+    def test_odd_sides_refused(self, shape):
+        with pytest.raises(ShapeError, match="even"):
+            tensor._max2x2(np.zeros(shape, np.int8))
