@@ -9,16 +9,19 @@ or the faultless walk of ``golden_frontiers``, runs through one layer loop,
 Both modes share the loop's input edge: before any layer runs, it refuses a
 layer kind the mode has no op for, an input batch that is not f32 and one
 without the model's ``input_channels``; the mode then only converts the
-batch. Both share ``tensor``'s 2x2 max-pool and transposed-conv refusal.
+batch. Both share ``tensor``'s 2x2 max-pool and output-extent rule, and run
+a transposed conv as their one convolution core's 1x1 conv of its stacked
+taps, then depth-to-space (see ``tensor``).
 
 The quantized path implements the affine scheme r = S*(q - Z) with per-tensor
 symmetric 8-bit weights, 32-bit biases (scale S_w*S_x), int32 accumulators
 (two's-complement wraparound), and requantization by a double-precision
 multiply followed by round-half-even, saturating to [-128, 127].
 
-Its convolutions build no im2col matrix. The int8 input minus its zero
-point is written once into a padded channel-major (Cin, N, Hp, Wp) float32
-buffer, and each kernel tap is one float32 BLAS GEMM over a view of it.
+Its one convolution core, ``_conv_grid``, builds no im2col matrix. The int8
+input minus its zero point is written once into a padded channel-major
+(Cin, N, Hp, Wp) float32 buffer, and each kernel tap is one float32 BLAS
+GEMM over a view of it.
 With |w| <= 128 and |x - Z| <= 255, a sum of at most 2**24 // (128 * 255)
 = 514 products is an integer float32 holds exactly, so the taps add up in
 float32 in groups of at most 514 rows and the groups in int32: the bits of
@@ -40,8 +43,8 @@ from typing import Callable
 import numpy as np
 
 from .model import CONV_KINDS, ModelGraph, check_quant_entry
-from .tensor import (BnParams, ShapeError, Tensor, _check_transpose_stride, _max2x2,
-                     _same_padding, argmax_channels, batchnorm_forward, concat_channels,
+from .tensor import (BnParams, ShapeError, Tensor, _conv_extent, _depth_to_space, _max2x2,
+                     _stacked_taps, argmax_channels, batchnorm_forward, concat_channels,
                      conv2d_forward, conv2d_transpose_forward, maxpool2d, relu)
 
 
@@ -465,12 +468,9 @@ def _conv_grid(x: np.ndarray, zero_point: int, kernel: np.ndarray, bias: np.ndar
     """
     kh, kw, cin, cout = kernel.shape
     n, h, w, _ = x.shape
-    ph, pw, top, left = (_same_padding(h, w, kh, kw, stride) if padding == "same"
-                         else (0, 0, 0, 0))
+    ph, pw, top, left, oh, ow = _conv_extent(x.shape, kernel.shape, stride, padding)
     xc = _shifted_grid(x, zero_point, ph, pw, top, left)
     hp, wp = h + ph, w + pw
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
     # cell (n, y, x) sits at column n*Hp*Wp + y*Wp + x; the last valid cell
     # and every tap it reads lie within the first m columns
     m = n * hp * wp - (kh - 1) * wp - (kw - 1)
@@ -521,36 +521,20 @@ def _conv_int(x_shifted: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     return _conv_grid(x_shifted, 0, kernel, bias, stride, padding, np.int32, np.copyto)
 
 
-def _conv_transpose_grid(x: np.ndarray, zero_point: int, kernel: np.ndarray,
-                         bias: np.ndarray, stride: int, dtype, sink) -> np.ndarray:
-    """The transposed conv of NHWC ``x - zero_point`` (stride == kernel size), each
-    tap's int32 sums, bias included, going to ``sink`` as in :func:`_conv_grid`.
-
-    Every output cell receives exactly one tap, so tap (i, j) fills the
-    cells at offset (i, j) of each stride x stride block with one exact
-    GEMM over the channel-major input. Returns N x OH x OW x Cout.
-    """
-    kh, kw, _, cout = kernel.shape
-    _check_transpose_stride(kh, kw, stride)
-    n, h, w, cin = x.shape
-    rows = _shifted_grid(x, zero_point, 0, 0, 0, 0).reshape(cin, -1)
-    kmat = kernel.transpose(0, 1, 3, 2).astype(np.float32)
-    grid = np.empty((cout, n, h, stride, w, stride), dtype=dtype)
-    acc = np.empty((cout, n, h, w), dtype=np.int32)
-    bias = bias.astype(np.int32)[:, None, None, None]
-    for i in range(stride):
-        for j in range(stride):
-            _tap_sum(_tap_terms(kmat, i, j, rows, 0, n * h * w), acc)
-            acc += bias
-            sink(grid[:, :, :, i, :, j], acc)
-    return grid.reshape(cout, n, h * stride, w * stride).transpose(1, 2, 3, 0)
+def _to_space(cells: np.ndarray, stride: int) -> np.ndarray:
+    """The cells of a conv by ``tensor._stacked_taps``'s kernel moved depth-to-space
+    (``tensor._depth_to_space``) into a new channel-major grid; its NHWC view."""
+    n, h, w, c = cells.shape
+    grid = np.empty((c // stride ** 2, n, h * stride, w * stride), dtype=cells.dtype)
+    return _depth_to_space(cells, stride, grid.transpose(1, 2, 3, 0))
 
 
 def _conv_transpose_int(x_shifted: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
                         stride: int) -> np.ndarray:
-    """int32 transposed conv (stride == kernel size) with :func:`_conv_int`'s tap
-    GEMMs. Returns N x OH x OW x Cout int32."""
-    return _conv_transpose_grid(x_shifted, 0, kernel, bias, stride, np.int32, np.copyto)
+    """int32 transposed conv (stride == kernel size): :func:`_conv_int` of its
+    stacked taps, then depth-to-space. Returns N x OH x OW x Cout int32."""
+    kernel, bias = _stacked_taps(kernel, bias, stride)
+    return _to_space(_conv_int(x_shifted, kernel, bias, 1, "valid"), stride)
 
 
 def _quantize_input(graph: ModelGraph, inp: Tensor) -> np.ndarray:
@@ -572,8 +556,9 @@ def _quantized_conv(graph, layer, ins, channels=None):
                    multiplier=(w_ent["scale"] * in_ent["scale"]) / out_ent["scale"],
                    zero_point=out_ent["zero_point"])
     if layer.kind == "conv2d_transpose":
-        return _conv_transpose_grid(ins[0], in_ent["zero_point"], kernel, bias,
-                                    layer.stride, np.int8, sink)
+        kernel, bias = _stacked_taps(kernel, bias, layer.stride)
+        return _to_space(_conv_grid(ins[0], in_ent["zero_point"], kernel, bias, 1, "valid",
+                                    np.int8, sink), layer.stride)
     return _conv_grid(ins[0], in_ent["zero_point"], kernel, bias, layer.stride,
                       layer.padding, np.int8, sink)
 

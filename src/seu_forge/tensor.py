@@ -6,26 +6,33 @@ oracle — produce identical bit patterns. This is what makes fault-injection
 error rates exactly reproducible.
 
 Activation tensors are laid out N,H,W,C; convolution kernels Kh,Kw,Cin,Cout.
-Inside the convolutions the working layout is channel-major instead: for a
-(sub-)batch of N images the accumulator is (Cout, N*OH*OW) and each kernel
-tap's input window is copied once into a (Cin, N*OH*OW) buffer, so every
-multiply and add runs over long contiguous rows. Only the memory layout
-differs from the naive loop. Each output cell still sees the same float32
-operations in the same order (product rounded to float32, added to a
-float32 accumulator that starts at +0.0, in (kh, kw, cin) order, bias
-last), so the bits are unchanged.
+Every float convolution runs through one core, ``_conv_channel_major``,
+whose working layout is channel-major: for a (sub-)batch of N images the
+accumulator is (Cout, N*OH*OW) and each kernel tap's input window is copied
+once into a (Cin, N*OH*OW) buffer, so every multiply and add runs over long
+contiguous rows. Only the memory layout differs from the naive loop. Each
+output cell still sees the same float32 operations in the same order
+(product rounded to float32, added to a float32 accumulator that starts at
++0.0, in (kh, kw, cin) order, bias last), so the bits are unchanged.
+
+A transposed conv whose kernel equals its stride s, the only kind run, is
+one 1x1 conv with s*s times the output channels, one per tap and output
+channel (``_stacked_taps``), followed by a periodic shuffle, depth-to-space
+(``_depth_to_space``); see Shi et al., "Is the deconvolution layer the
+same as a convolutional layer?" (2016). Each output cell receives one tap,
+so it still sees +0.0, its Cin products in order, then its bias. The
+integer path in ``engine`` runs its transposed convs the same way.
 
 Two choices keep those rows at cache speed, and neither changes a bit.
-``conv2d_forward`` runs the batch in the fewest sub-batches of one size
-(the last may hold fewer images) whose accumulator holds at most
-``_BLOCK_CELLS`` float32, so the accumulator and the product buffer (1 MiB
-together) stay in a 2 MiB L2 cache; an image larger than that is one
-sub-batch. And both convolutions run their
-multiplies at a ufunc buffer size of ``_BUFSIZE`` elements: numpy buffers a
-call with an operand broadcast along the inner axis, such as a tap's Cout
-weights against a row, whenever the rows are shorter than a third of the
-buffer size (8192 by default), and that buffered path made 2560-element
-rows about four times slower.
+The core runs the batch in the fewest sub-batches of one size (the last
+may hold fewer images) whose accumulator holds at most ``_BLOCK_CELLS``
+float32, so the accumulator and the product buffer (1 MiB together) stay
+in a 2 MiB L2 cache; an image larger than that is one sub-batch. And it
+runs its multiplies at a ufunc buffer size of ``_BUFSIZE`` elements: numpy
+buffers a call with an operand broadcast along the inner axis, such as a
+tap's Cout weights against a row, whenever the rows are shorter than a
+third of the buffer size (8192 by default), and that buffered path made
+2560-element rows about four times slower.
 
 Both numeric modes share one 2x2/2 max-pool, ``_max2x2``: the pairwise
 maxima of each window's four cells over strided views, so it keeps its
@@ -122,13 +129,21 @@ def _check_f32(t: Tensor, name: str):
         raise TypeError(f"{name} must be f32, got {t.encoding}")
 
 
-def _same_padding(h: int, w: int, kh: int, kw: int, stride: int) -> tuple:
-    """(ph, pw, top, left): total and leading zero rows/columns of 'same' padding."""
-    oh = -(-h // stride)
-    ow = -(-w // stride)
-    ph = max((oh - 1) * stride + kh - h, 0)
-    pw = max((ow - 1) * stride + kw - w, 0)
-    return ph, pw, ph // 2, pw // 2
+def _conv_extent(x_shape: tuple, k_shape: tuple, stride: int, padding: str) -> tuple:
+    """(ph, pw, top, left, oh, ow) of a conv of NHWC ``x_shape`` by ``k_shape``: total and
+    leading zero rows/columns of its padding, and its output extent. Refuses a kernel
+    larger than its padded input."""
+    n, h, w, cin = x_shape
+    kh, kw = k_shape[:2]
+    same = padding == "same"
+    ph = max((-(-h // stride) - 1) * stride + kh - h, 0) if same else 0
+    pw = max((-(-w // stride) - 1) * stride + kw - w, 0) if same else 0
+    oh = (h + ph - kh) // stride + 1
+    ow = (w + pw - kw) // stride + 1
+    if oh <= 0 or ow <= 0:
+        raise ShapeError(f"kernel {tuple(k_shape)} larger than padded input "
+                         f"{(n, h + ph, w + pw, cin)}")
+    return ph, pw, ph // 2, pw // 2, oh, ow
 
 
 def _check_transpose_stride(kh: int, kw: int, stride: int):
@@ -186,47 +201,21 @@ def _sub_batch(n: int, cells: int) -> int:
     return -(-n // count)
 
 
-def conv2d_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
-                   stride: int = 1, padding: str = "same") -> Tensor:
-    """2D cross-correlation plus bias with fixed (kh, kw, cin) accumulation.
+def _conv_channel_major(x: np.ndarray, k: np.ndarray, bias: np.ndarray, stride: int,
+                        padding: str) -> np.ndarray:
+    """The float32 conv of NHWC ``x`` by ``k`` plus ``bias`` as a channel-major
+    (Cout, N, OH, OW) array; every float convolution runs through it.
 
-    Bit-reproducible: per output cell the float32 operation sequence is
-    identical to the naive quadruple loop, bias added last. The loop runs
-    channel-major: for each tap (i, j) the strided input window is copied
-    once into a reused (Cin, nb*OH*OW) buffer, and each Cin step multiplies
-    one contiguous row by the tap's Cout weights and adds the result to a
-    (Cout, nb*OH*OW) accumulator. That changes where the operands sit in
-    memory, not which float32 operations each cell sees or their order.
-
-    The batch runs in sub-batches of nb images (``_sub_batch``), small
-    enough to stay in L2 cache, each accumulating in its own slice of one
-    channel-major (Cout, N, OH, OW) output; the multiplies run unbuffered
-    (``_kernel_scope``). See the module docstring for why.
+    Per output cell the float32 operations are the naive quadruple loop's,
+    in its order, bias last. For each tap (i, j) the strided input window
+    of a sub-batch of nb images (``_sub_batch``) is copied once into a
+    reused (Cin, nb*OH*OW) buffer, and each Cin step multiplies one
+    contiguous row by the tap's Cout weights and adds it to the sub-batch's
+    slice of the output; the multiplies run unbuffered (``_kernel_scope``).
     """
-    _check_f32(inp, "input")
-    _check_f32(kernel, "kernel")
-    if stride < 1:
-        raise ValueError(f"stride must be positive, got {stride}")
-    if padding not in ("same", "valid"):
-        raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
-    x = inp.data
-    k = kernel.data
     kh, kw, cin, cout = k.shape
-    if x.shape[3] != cin:
-        raise ShapeError(f"input channels {x.shape} do not match kernel Cin {k.shape}")
-    bias = np.asarray(bias, dtype=np.float32)
-    if bias.shape != (cout,):
-        raise ShapeError(f"bias shape {bias.shape} does not match Cout of kernel {k.shape}")
-
-    n, h, w, _ = x.shape
-    ph, pw, top, left = (_same_padding(h, w, kh, kw, stride) if padding == "same"
-                         else (0, 0, 0, 0))
-    oh = (h + ph - kh) // stride + 1
-    ow = (w + pw - kw) // stride + 1
-    if oh <= 0 or ow <= 0:
-        raise ShapeError(f"kernel {k.shape} larger than padded input "
-                         f"{(n, h + ph, w + pw, cin)}")
-
+    n = x.shape[0]
+    ph, pw, top, left, oh, ow = _conv_extent(x.shape, k.shape, stride, padding)
     nb = _sub_batch(n, cout * oh * ow)
     out = np.empty((cout, n, oh, ow), dtype=np.float32)
     # flat buffers, so that a smaller last sub-batch still gets contiguous ones
@@ -246,45 +235,68 @@ def conv2d_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
                                    j:j + (ow - 1) * stride + 1:stride]
                     _accumulate_taps(rows.reshape(cin, m), k[i, j], acc, tmp)
             acc += bias[:, None]
-    return Tensor.from_array(out.transpose(1, 2, 3, 0))
+    return out
 
 
-def conv2d_transpose_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
-                             stride: int = 2) -> Tensor:
-    """Transposed convolution restricted to stride == kernel size.
-
-    With that restriction every output pixel receives exactly one kernel tap,
-    so the scatter is disjoint and only the Cin sum order (row-major) matters.
-    The Cin sum runs channel-major and unbuffered, as in
-    :func:`conv2d_forward`, and the bias is added to each tap's finished sum
-    before the scatter.
-    """
+def _checked_operands(inp: Tensor, kernel: Tensor, bias) -> tuple:
+    """The input and kernel arrays and the float32 bias of a float convolution, checked."""
     _check_f32(inp, "input")
     _check_f32(kernel, "kernel")
     x = inp.data
     k = kernel.data
-    kh, kw, cin, cout = k.shape
-    _check_transpose_stride(kh, kw, stride)
-    if x.shape[3] != cin:
+    if x.shape[3] != k.shape[2]:
         raise ShapeError(f"input channels {x.shape} do not match kernel Cin {k.shape}")
     bias = np.asarray(bias, dtype=np.float32)
-    if bias.shape != (cout,):
+    if bias.shape != (k.shape[3],):
         raise ShapeError(f"bias shape {bias.shape} does not match Cout of kernel {k.shape}")
+    return x, k, bias
 
+
+def conv2d_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
+                   stride: int = 1, padding: str = "same") -> Tensor:
+    """2D cross-correlation plus bias with fixed (kh, kw, cin) accumulation,
+    bit for bit the naive quadruple loop's (see :func:`_conv_channel_major`)."""
+    x, k, bias = _checked_operands(inp, kernel, bias)
+    if stride < 1:
+        raise ValueError(f"stride must be positive, got {stride}")
+    if padding not in ("same", "valid"):
+        raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
+    return Tensor.from_array(_conv_channel_major(x, k, bias, stride, padding)
+                             .transpose(1, 2, 3, 0))
+
+
+def _stacked_taps(kernel: np.ndarray, bias: np.ndarray, stride: int) -> tuple:
+    """The 1x1 conv that computes a transposed conv's taps (kernel size == stride).
+
+    Kernel (s, s, Cin, Cout) becomes (1, 1, Cin, s*s*Cout), its output
+    channels in (i, j, cout) order, and the bias is tiled s*s times; see
+    :func:`_depth_to_space`. Refuses any other kernel size.
+    """
+    kh, kw, cin, _ = kernel.shape
+    _check_transpose_stride(kh, kw, stride)
+    return kernel.transpose(2, 0, 1, 3).reshape(1, 1, cin, -1), np.tile(bias, kh * kw)
+
+
+def _depth_to_space(cells: np.ndarray, stride: int, out: np.ndarray) -> np.ndarray:
+    """Move the NHWC cells of a conv by :func:`_stacked_taps`'s kernel into NHWC
+    ``out``, of any memory layout, and return it: channel (i, j, co) of cell
+    (y, x) goes to cell (s*y + i, s*x + j), channel co."""
+    for tap, part in enumerate(np.split(cells, stride * stride, axis=3)):
+        out[:, tap // stride::stride, tap % stride::stride] = part
+    return out
+
+
+def conv2d_transpose_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
+                             stride: int = 2) -> Tensor:
+    """Transposed convolution restricted to stride == kernel size: the core's
+    1x1 conv of its stacked taps, copied depth-to-space into the NHWC output
+    (see the module docstring)."""
+    x, k, bias = _checked_operands(inp, kernel, bias)
     n, h, w, _ = x.shape
-    m = n * h * w
-    rows = np.ascontiguousarray(x.transpose(3, 0, 1, 2)).reshape(cin, m)
-    out = np.empty((n, h * stride, w * stride, cout), dtype=np.float32)
-    acc = np.empty((cout, m), dtype=np.float32)
-    tmp = np.empty((cout, m), dtype=np.float32)
-    with _kernel_scope():
-        for i in range(kh):
-            for j in range(kw):
-                acc.fill(0.0)
-                _accumulate_taps(rows, k[i, j], acc, tmp)
-                acc += bias[:, None]
-                out[:, i::stride, j::stride, :] = acc.reshape(cout, n, h, w).transpose(1, 2, 3, 0)
-    return Tensor.from_array(out)
+    k, bias = _stacked_taps(k, bias, stride)
+    cells = _conv_channel_major(x, k, bias, 1, "valid").transpose(1, 2, 3, 0)
+    out = np.empty((n, h * stride, w * stride, kernel.shape[3]), dtype=np.float32)
+    return Tensor.from_array(_depth_to_space(cells, stride, out))
 
 
 def batchnorm_forward(inp: Tensor, params: BnParams) -> Tensor:

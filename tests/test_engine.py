@@ -7,13 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seu_forge as sf
-from seu_forge import engine
+from seu_forge import engine, tensor
 from seu_forge.engine import (_conv_int, _conv_transpose_int, _quantized_conv,
                               golden_frontiers, run_float, run_quantized)
 from seu_forge.tensor import BnParams, Tensor
 
 from conftest import single_conv_graph
-from oracles import eq5_scalar, quantized_convtr_scalar, quantized_mac
+from oracles import convtr_scatter_add, eq5_scalar, quantized_convtr_scalar, quantized_mac
+from test_tensor import FAULT_VALUES, with_faulted_weights
 
 
 def test_run_twice_identical_bits(tiny_graph, tiny_batch):
@@ -465,6 +466,103 @@ class TestQuantizedConvTranspose:
             _quantized_conv(g, g.layers[0], [np.zeros((1, 2, 2, 3), np.int8)])
 
 
+
+class TestConvTransposeOneCore:
+    """A transposed conv runs as its mode's one convolution core's 1x1 conv of the
+    stacked taps, then depth-to-space: bit for bit the scatter-add and scalar
+    oracles, at any shape, stride, channel subset, sub-batch and column block."""
+
+    @staticmethod
+    def float_graph(k, b):
+        kh, _, cin, cout = k.shape
+        layer = sf.LayerSpec("conv2d_transpose", "up",
+                             {"kernel_size": kh, "stride": kh, "filters": cout}, ["input"])
+        params = [sf.ParamSet(1, "up", "convtr_kernel", Tensor.from_array(k)),
+                  sf.ParamSet(2, "up", "convtr_bias", Tensor.from_array(b))]
+        return sf.ModelGraph([layer], params, cout, {"input_channels": cin})
+
+    @staticmethod
+    def subset(rng, cout, pick):
+        return np.sort(rng.choice(cout, size=rng.integers(1, cout + 1), replace=False)) \
+            if pick else None
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), h=st.integers(1, 4),
+           w=st.integers(1, 4), stride=st.integers(1, 3), cin=st.integers(1, 6),
+           cout=st.integers(1, 4), fault=st.sampled_from([None] + sorted(FAULT_VALUES)),
+           pick=st.booleans(), budget=st.integers(1, 1200))
+    # three sub-batches of one image each
+    @example(seed=1, n=3, h=2, w=3, stride=2, cin=4, cout=3, fault="nan", pick=False, budget=1)
+    @settings(max_examples=60, deadline=None)
+    def test_float_matches_scatter_add(self, seed, n, h, w, stride, cin, cout, fault, pick,
+                                       budget):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        x = rng.normal(size=(n, h, w, cin)).astype(np.float32)
+        k = rng.normal(size=(stride, stride, cin, cout)).astype(np.float32)
+        if fault is not None:
+            k = with_faulted_weights(k, FAULT_VALUES[fault][:k.size], seed % 1000)
+        b = rng.normal(size=cout).astype(np.float32)
+        channels = self.subset(rng, cout, pick)
+        sel = slice(None) if channels is None else channels
+        g = self.float_graph(k, b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor, "_BLOCK_CELLS", budget)
+            ours = engine._float_conv(g, g.layers[0], [Tensor.from_array(x)], channels)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = convtr_scatter_add(x, k[..., sel], b[sel], stride=stride)
+        assert isinstance(ours, Tensor) and ours.data.flags.c_contiguous
+        assert ours.shape == ref.shape
+        # where two different NaNs meet in a cell, the payload kept may differ
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(ours.data), nan)
+        assert np.array_equal(ours.data.view(np.uint32)[~nan], ref.view(np.uint32)[~nan])
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), h=st.integers(1, 3),
+           w=st.integers(1, 3), stride=st.integers(1, 3),
+           cin=st.sampled_from([1, 2, 5, 9, 515, 530]), cout=st.integers(1, 4),
+           z_x=st.integers(-128, 127), x_fill=st.sampled_from([None, -128, 127]),
+           w_fill=st.sampled_from([None, -128, 127]), pick=st.booleans(),
+           budget=st.integers(1, 300))
+    # 530 rows of |x - Z| = 255 against -128 weights sum beyond 2**24, in
+    # column blocks of 7 cells
+    @example(seed=2, n=2, h=3, w=2, stride=2, cin=530, cout=2, z_x=-128, x_fill=127,
+             w_fill=-128, pick=False, budget=4 * 2 * 7)
+    @settings(max_examples=40, deadline=None)
+    def test_quantized_matches_scalar_oracles(self, seed, n, h, w, stride, cin, cout, z_x,
+                                              x_fill, w_fill, pick, budget):
+        rng = np.random.Generator(np.random.PCG64(seed))
+
+        def operand(size, fill):
+            # random int8 values, or ``fill`` with a tenth of them random
+            values = rng.integers(-128, 128, size=size)
+            if fill is not None:
+                values[rng.random(size) >= 0.1] = fill
+            return values.astype(np.int8)
+
+        q_x = operand((n, h, w, cin), x_fill)
+        q_w = operand((stride, stride, cin, cout), w_fill)
+        q_b = rng.integers(-2**31, 2**31, size=cout).astype(np.int32)
+        channels = self.subset(rng, cout, pick)
+        sel = slice(None) if channels is None else channels
+        s_w, s_x, s_y, z_y = 0.0123, 0.0456, 20.0 * cin, 3
+        g = TestQuantizedConvTranspose.graph(q_w, q_b, s_w, s_x, z_x, s_y, z_y)
+        x_shift = q_x.astype(np.int32) - np.int32(z_x)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_BLOCK_CELLS", budget)
+            ours = _quantized_conv(g, g.layers[0], [q_x], channels)
+            acc = _conv_transpose_int(x_shift, q_w[..., sel], q_b[sel], stride)
+        ref = quantized_convtr_scalar(q_x, z_x, q_w[..., sel], q_b[sel], (s_w * s_x) / s_y,
+                                      z_y, stride=stride)
+        assert ours.dtype == np.int8 and np.array_equal(ours, ref)
+        # channel-major in memory, as concat and the next conv read it
+        assert ours.transpose(3, 0, 1, 2).flags.c_contiguous
+        mac = np.array([[[[quantized_mac(q_w[i % stride, j % stride, :, co],
+                                         q_x[b, i // stride, j // stride], q_b[co], z_x)
+                           for co in np.arange(cout)[sel]]
+                          for j in range(w * stride)] for i in range(h * stride)]
+                        for b in range(n)], np.int32)
+        assert acc.dtype == np.int32 and np.array_equal(acc, mac)
+
+
 class TestQuantizedEngine:
     def _mini_quantized_graph(self, q_w, q_b, s_w, s_x, z_x, s_y, z_y):
         g = single_conv_graph(np.zeros((1, 1, 1, 1)), [0.0])
@@ -771,3 +869,23 @@ class TestInputEdge:
         with pytest.raises(ValueError, match="not supported"):
             next(golden_frontiers(graph, batch))
         assert calls == []
+
+
+class TestKernelLargerThanPaddedInput:
+    """Both numeric modes refuse a kernel larger than its padded input alike."""
+
+    @pytest.mark.parametrize("images", [1, 2, 3])
+    @pytest.mark.parametrize("run", [run_float, run_quantized])
+    def test_valid_conv_on_small_images_refused(self, run, images):
+        # a quantized 3x3 "valid" conv on 2x2 images once failed inside numpy
+        # (one image) or on a (n, 0, 0, 3) output shape (two or three)
+        rng = np.random.default_rng(images)
+        graph = single_conv_graph(rng.normal(size=(3, 3, 2, 3)), [0.1, -0.2, 0.3],
+                                  padding="valid")
+        if run is run_quantized:
+            calibration, _ = sf.generate_calibration_set((8, 8, 2), count=2, seed=1)
+            graph = sf.quantize_ptq(graph, calibration)
+        batch = Tensor.from_array(rng.normal(size=(images, 2, 2, 2)))
+        with pytest.raises(sf.ShapeError, match=rf"kernel \(3, 3, 2, 3\) larger than padded "
+                                                rf"input \({images}, 2, 2, 2\)"):
+            run(graph, batch)
