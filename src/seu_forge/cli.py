@@ -70,10 +70,21 @@ def _add_image_opts(p):
 
 
 def _workers(args) -> int:
+    """--workers, else SEU_FORGE_WORKERS if set, else 1; refuses a count below 1."""
     if args.workers is not None:
+        if args.workers < 1:
+            raise UsageError(f"--workers must be >= 1, got {args.workers}")
         return args.workers
     env = os.environ.get("SEU_FORGE_WORKERS")
-    return int(env) if env else 1
+    if not env:
+        return 1
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise UsageError(f"SEU_FORGE_WORKERS must be a positive integer, got {env!r}")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +221,7 @@ def cmd_campaign_plan(args):
 
 
 def cmd_campaign_sweep(args):
+    workers = _workers(args)
     graph = _load(args.model)
     roles = args.roles.split(",") if args.roles else None
     psets = [int(x) for x in args.psets.split(",")] if args.psets else None
@@ -218,7 +230,7 @@ def cmd_campaign_sweep(args):
         graph, roles=roles, psets=psets, bits=(args.bits[0], args.bits[1]),
         injections_per_target=args.n, margin=args.e, z_value=args.t, prior=args.p,
         seed=args.seed, image_set_id=f"synthetic:{args.images}@{args.images_seed}")
-    result = campaign.run_single_bit_sweep(graph, plan, inputs, workers=_workers(args))
+    result = campaign.run_single_bit_sweep(graph, plan, inputs, workers=workers)
     result.write(args.out_dir, stem="sweep")
     _write_manifest(args, args.out_dir, model_hash=model_hash(graph),
                     faults_evaluated=sum(o.evaluation_error is None for o in result.outcomes),
@@ -228,6 +240,7 @@ def cmd_campaign_sweep(args):
 
 
 def cmd_campaign_multibit(args):
+    workers = _workers(args)
     graph = _load(args.model)
     if not graph.flags.get("quantized"):
         raise UsageError("multi-bit campaigns run on quantized models "
@@ -235,7 +248,7 @@ def cmd_campaign_multibit(args):
     counts = [int(x) for x in args.counts.split(",")]
     inputs = _images_for(graph, args)
     result = campaign.run_multi_bit_campaign(graph, counts, args.repetitions,
-                                             args.seed, inputs, workers=_workers(args))
+                                             args.seed, inputs, workers=workers)
     result.write(args.out_dir, stem="multibit")
     _write_manifest(args, args.out_dir, model_hash=model_hash(graph))
     for c, m, s in zip(result.counts, result.means, result.stds):
@@ -297,10 +310,11 @@ def cmd_protect_apply(args):
 
 
 def cmd_protect_evaluate(args):
+    workers = _workers(args)
     original = _load(args.original)
     protected = _load(args.protected)
     inputs = _images_for(original, args)
-    ev = protect.evaluate_protection(original, protected, inputs, workers=_workers(args))
+    ev = protect.evaluate_protection(original, protected, inputs, workers=workers)
     os.makedirs(args.out_dir, exist_ok=True)
     ev.write_json(os.path.join(args.out_dir, "protection_eval.json"))
     _write_manifest(args, args.out_dir, original_hash=model_hash(original),

@@ -9,9 +9,11 @@ or the faultless walk of ``golden_frontiers``, runs through one layer loop,
 Both modes share the loop's input edge: before any layer runs, it refuses a
 layer kind the mode has no op for, an input batch that is not f32 and one
 without the model's ``input_channels``; the mode then only converts the
-batch. Both share ``tensor``'s 2x2 max-pool and output-extent rule, and run
-a transposed conv as their one convolution core's 1x1 conv of its stacked
-taps, then depth-to-space (see ``tensor``).
+batch. Both share ``tensor``'s 2x2 max-pool, output-extent rule and
+depth-to-space, and run a transposed conv as their one convolution core's
+1x1 conv of its stacked taps, then depth-to-space (see ``tensor``). Both
+keep every layer's output as an NHWC view of channel-major (C, N, H, W)
+memory, so no layer copies data between layouts.
 
 The quantized path implements the affine scheme r = S*(q - Z) with per-tensor
 symmetric 8-bit weights, 32-bit biases (scale S_w*S_x), int32 accumulators
@@ -30,8 +32,7 @@ an int32 matmul. The output columns run in blocks of at most
 and each block is requantized into the int8 output while it is still in
 cache; integer sums are exact in any grouping of columns and requantization
 works per cell, so the blocks change no byte. Zero points outside
-[-128, 127] are refused (see model.check_quant_entry). The integer
-activations are NHWC arrays laid out channel-major in memory.
+[-128, 127] are refused (see model.check_quant_entry).
 """
 
 from __future__ import annotations
@@ -175,10 +176,12 @@ def _execute(graph: ModelGraph, mode: _Mode, inp, record=None) -> dict:
 
 
 def _with_channels(activation, channels, values):
-    """A copy of ``activation`` with its channels ``channels`` set to ``values``."""
+    """A copy of ``activation``, in its memory layout, with its channels
+    ``channels`` set to ``values``."""
     if isinstance(activation, Tensor):
-        return Tensor.from_array(_with_channels(activation.data, channels, values.data))
-    out = activation.copy()
+        return Tensor(activation.shape, activation.encoding,
+                      _with_channels(activation.data, channels, values.data))
+    out = activation.copy(order="K")
     out[..., channels] = values
     return out
 
@@ -521,20 +524,12 @@ def _conv_int(x_shifted: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     return _conv_grid(x_shifted, 0, kernel, bias, stride, padding, np.int32, np.copyto)
 
 
-def _to_space(cells: np.ndarray, stride: int) -> np.ndarray:
-    """The cells of a conv by ``tensor._stacked_taps``'s kernel moved depth-to-space
-    (``tensor._depth_to_space``) into a new channel-major grid; its NHWC view."""
-    n, h, w, c = cells.shape
-    grid = np.empty((c // stride ** 2, n, h * stride, w * stride), dtype=cells.dtype)
-    return _depth_to_space(cells, stride, grid.transpose(1, 2, 3, 0))
-
-
 def _conv_transpose_int(x_shifted: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
                         stride: int) -> np.ndarray:
     """int32 transposed conv (stride == kernel size): :func:`_conv_int` of its
     stacked taps, then depth-to-space. Returns N x OH x OW x Cout int32."""
     kernel, bias = _stacked_taps(kernel, bias, stride)
-    return _to_space(_conv_int(x_shifted, kernel, bias, 1, "valid"), stride)
+    return _depth_to_space(_conv_int(x_shifted, kernel, bias, 1, "valid"), stride)
 
 
 def _quantize_input(graph: ModelGraph, inp: Tensor) -> np.ndarray:
@@ -557,8 +552,8 @@ def _quantized_conv(graph, layer, ins, channels=None):
                    zero_point=out_ent["zero_point"])
     if layer.kind == "conv2d_transpose":
         kernel, bias = _stacked_taps(kernel, bias, layer.stride)
-        return _to_space(_conv_grid(ins[0], in_ent["zero_point"], kernel, bias, 1, "valid",
-                                    np.int8, sink), layer.stride)
+        return _depth_to_space(_conv_grid(ins[0], in_ent["zero_point"], kernel, bias, 1,
+                                          "valid", np.int8, sink), layer.stride)
     return _conv_grid(ins[0], in_ent["zero_point"], kernel, bias, layer.stride,
                       layer.padding, np.int8, sink)
 

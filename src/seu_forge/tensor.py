@@ -5,7 +5,15 @@ bias added last) so that two runs — or a run and the naive quadruple-loop
 oracle — produce identical bit patterns. This is what makes fault-injection
 error rates exactly reproducible.
 
-Activation tensors are laid out N,H,W,C; convolution kernels Kh,Kw,Cin,Cout.
+Activation tensors are indexed N,H,W,C; convolution kernels Kh,Kw,Cin,Cout.
+In memory, activations are channel-major in both numeric modes: every float
+op returns an NHWC view of (C, N, H, W) memory, as the integer path in
+``engine`` does. Conv, transposed conv, batch-norm and concat each write one
+new channel-major buffer, and ReLU and max-pool keep their input's layout,
+so no layer copies data between layouts and batch-norm's per-channel ops run
+over long contiguous rows. A :class:`Tensor` keeps an array of its stated
+shape in the layout given; parameters are C-contiguous.
+
 Every float convolution runs through one core, ``_conv_channel_major``,
 whose working layout is channel-major: for a (sub-)batch of N images the
 accumulator is (Cout, N*OH*OW) and each kernel tap's input window is copied
@@ -65,7 +73,7 @@ class ShapeError(ValueError):
 
 @dataclass
 class Tensor:
-    """Flat row-major buffer plus explicit shape and element encoding."""
+    """An array of explicit shape and element encoding, in any memory layout."""
 
     shape: tuple
     encoding: str
@@ -82,7 +90,8 @@ class Tensor:
             raise TypeError(f"encoding {self.encoding} requires dtype {want}, got {self.data.dtype}")
         if self.data.size != int(np.prod(self.shape)):
             raise ShapeError(f"shape {self.shape} does not match buffer of {self.data.size} elements")
-        self.data = np.ascontiguousarray(self.data).reshape(self.shape)
+        if self.data.shape != self.shape:  # an array of the stated shape keeps its layout
+            self.data = np.ascontiguousarray(self.data).reshape(self.shape)
 
     @classmethod
     def from_array(cls, array, encoding: str = "f32") -> "Tensor":
@@ -91,7 +100,13 @@ class Tensor:
 
     @property
     def flat(self) -> np.ndarray:
-        """Flat row-major view; writes go through to the tensor."""
+        """Flat row-major view; writes go through to the tensor.
+
+        Refused for a buffer that is not C-contiguous, such as a channel-major
+        activation, where no such view exists and a write would be lost."""
+        if not self.data.flags.c_contiguous:
+            raise ValueError(f"tensor of shape {self.shape} is not C-contiguous; "
+                             "it has no flat view")
         return self.data.reshape(-1)
 
     def copy(self) -> "Tensor":
@@ -122,6 +137,11 @@ class BnParams:
     @property
     def channels(self) -> int:
         return len(self.gamma)
+
+
+def _activation(values: np.ndarray, encoding: str = "f32") -> Tensor:
+    """A Tensor over NHWC ``values`` in their own memory layout, without a copy."""
+    return Tensor(values.shape, encoding, values)
 
 
 def _check_f32(t: Tensor, name: str):
@@ -261,8 +281,7 @@ def conv2d_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
         raise ValueError(f"stride must be positive, got {stride}")
     if padding not in ("same", "valid"):
         raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
-    return Tensor.from_array(_conv_channel_major(x, k, bias, stride, padding)
-                             .transpose(1, 2, 3, 0))
+    return _activation(_conv_channel_major(x, k, bias, stride, padding).transpose(1, 2, 3, 0))
 
 
 def _stacked_taps(kernel: np.ndarray, bias: np.ndarray, stride: int) -> tuple:
@@ -277,10 +296,13 @@ def _stacked_taps(kernel: np.ndarray, bias: np.ndarray, stride: int) -> tuple:
     return kernel.transpose(2, 0, 1, 3).reshape(1, 1, cin, -1), np.tile(bias, kh * kw)
 
 
-def _depth_to_space(cells: np.ndarray, stride: int, out: np.ndarray) -> np.ndarray:
-    """Move the NHWC cells of a conv by :func:`_stacked_taps`'s kernel into NHWC
-    ``out``, of any memory layout, and return it: channel (i, j, co) of cell
-    (y, x) goes to cell (s*y + i, s*x + j), channel co."""
+def _depth_to_space(cells: np.ndarray, stride: int) -> np.ndarray:
+    """The NHWC cells of a conv by :func:`_stacked_taps`'s kernel moved into a new
+    channel-major (Cout, N, H*s, W*s) grid, one copy per tap; its NHWC view.
+    Channel (i, j, co) of cell (y, x) goes to cell (s*y + i, s*x + j), channel co."""
+    n, h, w, c = cells.shape
+    grid = np.empty((c // stride ** 2, n, h * stride, w * stride), dtype=cells.dtype)
+    out = grid.transpose(1, 2, 3, 0)
     for tap, part in enumerate(np.split(cells, stride * stride, axis=3)):
         out[:, tap // stride::stride, tap % stride::stride] = part
     return out
@@ -289,20 +311,20 @@ def _depth_to_space(cells: np.ndarray, stride: int, out: np.ndarray) -> np.ndarr
 def conv2d_transpose_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
                              stride: int = 2) -> Tensor:
     """Transposed convolution restricted to stride == kernel size: the core's
-    1x1 conv of its stacked taps, copied depth-to-space into the NHWC output
-    (see the module docstring)."""
+    1x1 conv of its stacked taps, copied depth-to-space into a channel-major
+    output (see the module docstring)."""
     x, k, bias = _checked_operands(inp, kernel, bias)
-    n, h, w, _ = x.shape
     k, bias = _stacked_taps(k, bias, stride)
     cells = _conv_channel_major(x, k, bias, 1, "valid").transpose(1, 2, 3, 0)
-    out = np.empty((n, h * stride, w * stride, kernel.shape[3]), dtype=np.float32)
-    return Tensor.from_array(_depth_to_space(cells, stride, out))
+    return _activation(_depth_to_space(cells, stride))
 
 
 def batchnorm_forward(inp: Tensor, params: BnParams) -> Tensor:
     """Per-channel y = gamma*(x-mu)/sqrt(sigma+eps) + beta, float32 throughout.
 
-    A channel whose sigma + eps is negative (a flipped variance) is NaN, as in a deployed rsqrt."""
+    The four ops run in that order, each over the contiguous rows of a new
+    channel-major buffer, one row per channel. A channel whose sigma + eps is
+    negative (a flipped variance) is NaN, as in a deployed rsqrt."""
     _check_f32(inp, "input")
     x = inp.data
     if x.shape[3] != params.channels:
@@ -311,16 +333,21 @@ def batchnorm_forward(inp: Tensor, params: BnParams) -> Tensor:
     beta = np.asarray(params.beta, dtype=np.float32)
     mu = np.asarray(params.mu, dtype=np.float32)
     sigma = np.asarray(params.sigma, dtype=np.float32)
+    grid = np.empty((x.shape[3],) + x.shape[:3], dtype=np.float32)
+    rows = grid.reshape(x.shape[3], -1)
     with np.errstate(over="ignore", invalid="ignore"):
         denom = np.sqrt(sigma + np.float32(params.epsilon))
-        y = gamma * (x - mu) / denom + beta
-    return Tensor.from_array(y)
+        np.subtract(x.transpose(3, 0, 1, 2), mu[:, None, None, None], out=grid)
+        np.multiply(gamma[:, None], rows, out=rows)
+        np.divide(rows, denom[:, None], out=rows)
+        np.add(rows, beta[:, None], out=rows)
+    return _activation(grid.transpose(1, 2, 3, 0))
 
 
 def relu(inp: Tensor) -> Tensor:
-    """max(0, x); NaN stays NaN, -inf becomes 0."""
+    """max(0, x) in the input's memory layout; NaN stays NaN, -inf becomes 0."""
     _check_f32(inp, "input")
-    return Tensor.from_array(np.maximum(inp.data, np.float32(0.0)))
+    return _activation(np.maximum(inp.data, np.float32(0.0)))
 
 
 def _max2x2(x: np.ndarray) -> np.ndarray:
@@ -335,17 +362,20 @@ def _max2x2(x: np.ndarray) -> np.ndarray:
 def maxpool2d(inp: Tensor) -> Tensor:
     """2x2/2 windowed max, the only maxpool a model holds; NaN in a window poisons its output."""
     _check_f32(inp, "input")
-    return Tensor.from_array(_max2x2(inp.data))
+    return _activation(_max2x2(inp.data))
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Channel-axis concatenation, a's channels first."""
+    """Channel-axis concatenation, a's channels first, into one channel-major buffer."""
     if a.encoding != b.encoding:
         raise ShapeError(f"encoding mismatch: {a.encoding} vs {b.encoding}")
     if a.data.shape[:3] != b.data.shape[:3]:
         raise ShapeError(f"N,H,W mismatch: {a.data.shape} vs {b.data.shape}")
-    return Tensor(a.data.shape[:3] + (a.data.shape[3] + b.data.shape[3],), a.encoding,
-                  np.concatenate([a.data, b.data], axis=3))
+    ca = a.data.shape[3]
+    grid = np.empty((ca + b.data.shape[3],) + a.data.shape[:3], dtype=a.data.dtype)
+    grid[:ca] = a.data.transpose(3, 0, 1, 2)
+    grid[ca:] = b.data.transpose(3, 0, 1, 2)
+    return _activation(grid.transpose(1, 2, 3, 0), a.encoding)
 
 
 def argmax_channels(logits: Tensor) -> np.ndarray:

@@ -354,3 +354,32 @@ def test_workers_default_from_environment(model_path, tmp_path, monkeypatch):
     assert seen == [2, 1]
     assert reports["env"] == reports["one"]
     assert len(reports["env"]) == 3
+
+
+@pytest.mark.parametrize("command", ["sweep", "multibit", "evaluate"])
+@pytest.mark.parametrize("workers,env,message", [
+    ("0", None, "--workers must be >= 1, got 0"),
+    ("-3", "2", "--workers must be >= 1, got -3"),
+    (None, "two", "SEU_FORGE_WORKERS must be a positive integer, got 'two'"),
+    (None, "0", "SEU_FORGE_WORKERS must be a positive integer, got '0'"),
+])
+def test_worker_count_below_one_refused(model_path, tmp_path, monkeypatch, capsys, command,
+                                        workers, env, message):
+    """A worker count below 1, given by --workers or by SEU_FORGE_WORKERS, is a
+    usage error that names its source: exit 2, nothing written."""
+    if env is None:
+        monkeypatch.delenv("SEU_FORGE_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("SEU_FORGE_WORKERS", env)
+    out = tmp_path / "out"
+    argv = {"sweep": ("campaign", "sweep", "--model", str(model_path), "--psets", "1",
+                      "--bits", "30", "30", "--n", "1"),
+            "multibit": ("campaign", "multibit", "--model", str(model_path),
+                         "--counts", "1", "--repetitions", "1"),
+            "evaluate": ("protect", "evaluate", "--original", str(model_path),
+                         "--protected", str(model_path))}[command]
+    extra = () if workers is None else ("--workers", workers)
+    assert run_cli(*argv, "--out-dir", str(out), "--images", "1", "--image-size", "16",
+                   *extra) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -89,6 +89,16 @@ def test_collect_survives_freed_activations(tiny_graph, tiny_batch):
     assert np.array_equal(got.view(np.uint32), direct.data.view(np.uint32))
 
 
+def test_every_float_activation_is_channel_major(tiny_graph, tiny_batch):
+    """Every layer's output and the logits are NHWC views of channel-major
+    memory, the integer path's layout, so no layer copies between layouts."""
+    kinds = {layer.kind for layer in tiny_graph.layers}
+    assert {"conv2d", "conv2d_transpose", "batchnorm", "relu", "maxpool", "concat"} <= kinds
+    res = run_float(tiny_graph, tiny_batch, collect=[l.name for l in tiny_graph.layers])
+    for name, value in [*res.collected.items(), ("logits", res.logits)]:
+        assert value.data.transpose(3, 0, 1, 2).flags.c_contiguous, name
+
+
 def test_conv_defaults_match_explicit_hyperparams(tiny_graph, tiny_inputs, tiny_batch,
                                                   tmp_path):
     """A transposed conv without a stride runs at stride 2, a conv without a
@@ -509,7 +519,7 @@ class TestConvTransposeOneCore:
             ours = engine._float_conv(g, g.layers[0], [Tensor.from_array(x)], channels)
         with np.errstate(over="ignore", invalid="ignore"):
             ref = convtr_scatter_add(x, k[..., sel], b[sel], stride=stride)
-        assert isinstance(ours, Tensor) and ours.data.flags.c_contiguous
+        assert isinstance(ours, Tensor) and ours.data.transpose(3, 0, 1, 2).flags.c_contiguous
         assert ours.shape == ref.shape
         # where two different NaNs meet in a cell, the payload kept may differ
         nan = np.isnan(ref)

@@ -360,6 +360,26 @@ class TestTensorContainer:
         x.flat[3] = 7.0
         assert x.data[1, 1] == 7.0
 
+    def test_flat_refused_where_no_flat_view_exists(self):
+        """A channel-major activation has no row-major flat view: a reshape would
+        copy it and lose writes, so ``flat`` refuses it."""
+        x = conv2d_forward(t(np.zeros((1, 2, 2, 3))), t(np.ones((1, 1, 3, 2))), [0.0, 0.0])
+        assert not x.data.flags.c_contiguous
+        with pytest.raises(ValueError, match="not C-contiguous"):
+            x.flat
+
+    def test_parameters_keep_a_write_through_flat_view(self, tmp_path):
+        """Parameters are C-contiguous however a graph is made, so faults and
+        protection write through ``flat``."""
+        import seu_forge as sf
+        built = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5)
+        sf.save_model(built, str(tmp_path / "m.sfm"))
+        inputs, _ = sf.generate_calibration_set((8, 8, 3), count=2, seed=1)
+        for graph in (built, built.copy(), sf.load_model(str(tmp_path / "m.sfm")),
+                      sf.fold_bn(built), sf.quantize_ptq(built, inputs)):
+            for p in graph.params:
+                assert np.shares_memory(p.tensor.flat, p.tensor.data), p.index
+
 
 _F32_SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-45, -1e-45, 1.1754942e-38,
                           -1.1754942e-38, 1.0, -1.0, 3.4028235e38], dtype=np.float32)
@@ -410,3 +430,44 @@ class TestMax2x2:
     def test_odd_sides_refused(self, shape):
         with pytest.raises(ShapeError, match="even"):
             tensor._max2x2(np.zeros(shape, np.int8))
+
+
+class TestChannelMajorLayout:
+    """Each float op gives the same bytes for a row-major and a channel-major
+    NHWC input. Conv, transposed conv, batch-norm and concat write one new
+    channel-major buffer; ReLU and max-pool keep their input's layout; so a
+    channel-major input gives a channel-major output from every op."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(x=pool_inputs().filter(lambda x: x.dtype == np.float32),
+           seed=st.integers(0, 2 ** 32 - 1), stride=st.integers(1, 2),
+           padding=st.sampled_from(["same", "valid"]))
+    def test_same_bytes_in_any_layout_channel_major_out(self, x, seed, stride, padding):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        n, h, w, c = x.shape
+        size = int(rng.integers(1, min(3, h, w) + 1))
+        k = t(rng.normal(size=(size, size, c, 3)))
+        kt = t(rng.normal(size=(stride, stride, c, 2)))
+        b = rng.normal(size=3).astype(np.float32)
+        # a normal variance is negative half the time: NaN channels
+        bn = BnParams(*rng.normal(size=(4, c)).astype(np.float32), 1e-3)
+        ops = {"conv2d_forward": lambda a: conv2d_forward(a, k, b, stride, padding),
+               "conv2d_transpose_forward": lambda a: conv2d_transpose_forward(a, kt, b[:2],
+                                                                             stride),
+               "batchnorm_forward": lambda a: batchnorm_forward(a, bn),
+               "relu": relu,
+               "maxpool2d": maxpool2d,
+               "concat_channels": lambda a: concat_channels(a, relu(a))}
+        row_major = np.ascontiguousarray(x)
+        channel_major = np.ascontiguousarray(x.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+        for name, op in ops.items():
+            rows, channels = (op(Tensor(a.shape, "f32", a)) for a in (row_major, channel_major))
+            assert channels.data.transpose(3, 0, 1, 2).flags.c_contiguous, name
+            keeps_layout = name in ("relu", "maxpool2d")
+            assert (rows.data.flags.c_contiguous if keeps_layout
+                    else rows.data.transpose(3, 0, 1, 2).flags.c_contiguous), name
+            # where two different NaNs meet in a cell, the payload kept may differ
+            nan = np.isnan(rows.data)
+            assert np.array_equal(np.isnan(channels.data), nan), name
+            assert rows.data[~nan].tobytes() == channels.data[~nan].tobytes(), name
+            assert np.array_equal(argmax_channels(rows), argmax_channels(channels)), name
