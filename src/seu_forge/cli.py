@@ -153,6 +153,8 @@ def cmd_compress(args):
                                         threshold=args.threshold)
     elif args.action == "sparse-zero":
         lo, hi = args.abs_range
+        if not lo < hi:  # [LO, HI) holds nothing
+            raise UsageError(f"--abs-range needs LO < HI, got {lo} {hi}")
         out, zeroed = compress.sparse_zero(
             graph, lambda v: (np.abs(v) >= lo) & (np.abs(v) < hi))
         extra["zeroed"] = zeroed

@@ -31,7 +31,11 @@ an int32 matmul. The output columns run in blocks of at most
 ``_BLOCK_CELLS`` accumulator cells, every tap of a block before the next,
 and each block is requantized into the int8 output while it is still in
 cache; integer sums are exact in any grouping of columns and requantization
-works per cell, so the blocks change no byte. Zero points outside
+works per cell, so the blocks change no byte. An input channel at the zero
+point in every cell (a ReLU-dead one) adds exactly 0 to every sum, so the
+core drops it from the grid and the kernel and forms the 514-row groups over
+the kept channels; with none kept, the sums are the bias. Liveness comes
+from each call's own input, which may be faulted. Zero points outside
 [-128, 127] are refused (see model.check_quant_entry).
 """
 
@@ -44,9 +48,10 @@ from typing import Callable
 import numpy as np
 
 from .model import CONV_KINDS, ModelGraph, check_quant_entry
-from .tensor import (BnParams, ShapeError, Tensor, _conv_extent, _depth_to_space, _max2x2,
-                     _stacked_taps, argmax_channels, batchnorm_forward, concat_channels,
-                     conv2d_forward, conv2d_transpose_forward, maxpool2d, relu)
+from .tensor import (BnParams, ShapeError, Tensor, _conv_extent, _depth_to_space,
+                     _live_channels, _max2x2, _stacked_taps, argmax_channels,
+                     batchnorm_forward, concat_channels, conv2d_forward,
+                     conv2d_transpose_forward, maxpool2d, relu)
 
 
 @dataclass
@@ -410,7 +415,7 @@ def _exact_groups(terms):
     float32 holding integers within the bounds of _EXACT_ROWS. Every
     partial sum of a group is then an integer of magnitude at most 2**24,
     so BLAS computes it exactly in any summation order. The (Cout, M)
-    buffer yielded is reused for the next group.
+    buffer yielded is reused for the next group. No terms yield no group.
     """
     group = tmp = None
     depth = 0  # rows summed into group
@@ -424,7 +429,8 @@ def _exact_groups(terms):
             tmp = np.matmul(w, x, out=tmp)
             group += tmp
         depth += w.shape[1]
-    yield group
+    if group is not None:
+        yield group
 
 
 def _tap_sum(terms, out: np.ndarray) -> None:
@@ -433,13 +439,13 @@ def _tap_sum(terms, out: np.ndarray) -> None:
     The exact float32 group sums (:func:`_exact_groups`, M values per
     channel, as many as ``out`` holds) are cast to int32 and added with
     two's-complement wraparound, which equals the wrapped int32 sum of all
-    the products.
+    the products. Without terms the sum is empty: 0.
     """
-    for g, group in enumerate(_exact_groups(terms)):
-        if g == 0:
-            out[...] = group.reshape(out.shape)
-        else:
-            out += group.reshape(out.shape).astype(np.int32)
+    groups = _exact_groups(terms)
+    first = next(groups, None)
+    out[...] = 0 if first is None else first.reshape(out.shape)
+    for group in groups:
+        out += group.reshape(out.shape).astype(np.int32)
 
 
 # A column block's (Cout, cols) int32 accumulator holds at most this many
@@ -449,13 +455,16 @@ _BLOCK_CELLS = 1 << 15
 
 
 def _shifted_grid(x: np.ndarray, zero_point: int, ph: int, pw: int, top: int,
-                  left: int) -> np.ndarray:
-    """NHWC integer ``x`` minus ``zero_point`` as a (C, N, H + ph, W + pw) float32
-    buffer whose borders are zero, the shifted zero point."""
-    n, h, w, c = x.shape
-    xc = np.zeros((c, n, h + ph, w + pw), dtype=np.float32)
-    np.subtract(x.transpose(3, 0, 1, 2), np.float32(zero_point),
-                out=xc[:, :, top:top + h, left:left + w], dtype=np.float32)
+                  left: int, channels) -> np.ndarray:
+    """Channels ``channels`` of NHWC integer ``x`` minus ``zero_point``, in their
+    order, as a (len(channels), N, H + ph, W + pw) float32 buffer whose borders
+    are zero, the shifted zero point; each is written straight into the buffer."""
+    n, h, w, _ = x.shape
+    xc = np.zeros((len(channels), n, h + ph, w + pw), dtype=np.float32)
+    xt = x.transpose(3, 0, 1, 2)
+    for row, ch in enumerate(channels):
+        np.subtract(xt[ch], np.float32(zero_point),
+                    out=xc[row, :, top:top + h, left:left + w], dtype=np.float32)
     return xc
 
 
@@ -472,13 +481,15 @@ def _conv_grid(x: np.ndarray, zero_point: int, kernel: np.ndarray, bias: np.ndar
     kh, kw, cin, cout = kernel.shape
     n, h, w, _ = x.shape
     ph, pw, top, left, oh, ow = _conv_extent(x.shape, kernel.shape, stride, padding)
-    xc = _shifted_grid(x, zero_point, ph, pw, top, left)
+    # a channel at the zero point in every cell adds 0 to every sum
+    kept = np.flatnonzero(_live_channels(x, zero_point))
+    xc = _shifted_grid(x, zero_point, ph, pw, top, left, kept)
     hp, wp = h + ph, w + pw
     # cell (n, y, x) sits at column n*Hp*Wp + y*Wp + x; the last valid cell
     # and every tap it reads lie within the first m columns
     m = n * hp * wp - (kh - 1) * wp - (kw - 1)
-    rows = xc.reshape(cin, -1)
-    kmat = kernel.transpose(0, 1, 3, 2).astype(np.float32)
+    rows = xc.reshape(kept.size, n * hp * wp)
+    kmat = kernel[:, :, kept].transpose(0, 1, 3, 2).astype(np.float32)
     grid = np.empty((cout, n, hp, wp), dtype=dtype)
     columns = grid.reshape(cout, -1)
     width = min(max(_BLOCK_CELLS // cout, 1), m)
@@ -503,7 +514,8 @@ def _conv_int(x_shifted: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     activations minus a zero point in [-128, 127]; ``kernel`` is int8.
     Integer addition is associative mod 2^32, so unlike the float path the
     summation order is free. The input is padded once into a channel-major
-    (Cin, N, Hp, Wp) float32 buffer. Flattened to (Cin, N*Hp*Wp), the
+    (Cin, N, Hp, Wp) float32 buffer, less its channels that are 0 in every
+    cell, which add nothing. Flattened to (Cin, N*Hp*Wp), the
     input of kernel tap (i, j) for the output cell at column c is column
     c + i*Wp + j: its rows are contiguous, so for a block of columns each
     tap is one float32 BLAS GEMM (Cout x Cin) @ (Cin x cols) over a view,

@@ -31,6 +31,16 @@ same as a convolutional layer?" (2016). Each output cell receives one tap,
 so it still sees +0.0, its Cin products in order, then its bias. The
 integer path in ``engine`` runs its transposed convs the same way.
 
+Products of an input channel that is +0 or -0 in every cell of a sub-batch
+are skipped: ``_channel_major`` writes only the kept channels and the tap
+loop reads only their kernel rows. This is exact. The accumulator starts at
++0.0, and a round-to-nearest sum is -0 only when both addends are -0, so the
+accumulator is never -0, and adding +-0 to it leaves every bit alone, Inf
+and NaN included; a finite weight times +-0 is +-0. A channel read by an Inf
+or NaN weight is kept, since 0 * Inf and 0 * NaN are NaN. Liveness comes
+from each call's own input (``_live_channels``), so a fault that revives or
+kills a channel is seen.
+
 Two choices keep those rows at cache speed, and neither changes a bit.
 The core runs the batch in the fewest sub-batches of one size (the last
 may hold fewer images) whose accumulator holds at most ``_BLOCK_CELLS``
@@ -173,11 +183,31 @@ def _check_transpose_stride(kh: int, kw: int, stride: int):
                          "(only stride == kernel size is supported)")
 
 
-def _channel_major(x: np.ndarray, ph: int, pw: int, top: int, left: int) -> np.ndarray:
-    """NHWC ``x`` as a (C, N, H + ph, W + pw) float32 buffer with zero borders."""
-    n, h, w, c = x.shape
-    xc = np.zeros((c, n, h + ph, w + pw), dtype=np.float32)
-    xc[:, :, top:top + h, left:left + w] = x.transpose(3, 0, 1, 2)
+def _live_channels(x: np.ndarray, zero=0) -> np.ndarray:
+    """Per channel (last axis) of NHWC ``x``, whether some cell differs from ``zero``.
+
+    Two reductions over each channel's row: a NaN max or min differs from
+    ``zero``, and so does any nonzero value, while -0.0 equals 0. The rows are
+    a view of channel-major memory. A row-major ``x`` is copied into
+    contiguous rows first: numpy reduces rows of strided elements more than
+    ten times slower than it makes that copy.
+    """
+    rows = x.transpose(3, 0, 1, 2).reshape(x.shape[3], -1)
+    if rows.strides[1] != rows.itemsize:
+        rows = np.ascontiguousarray(rows)
+    return (rows.max(axis=1) != zero) | (rows.min(axis=1) != zero)
+
+
+def _channel_major(x: np.ndarray, ph: int, pw: int, top: int, left: int,
+                   channels) -> np.ndarray:
+    """Channels ``channels`` of NHWC ``x``, in their order, as a (len(channels), N,
+    H + ph, W + pw) float32 buffer with zero borders; each is copied straight
+    into the buffer."""
+    n, h, w, _ = x.shape
+    xc = np.zeros((len(channels), n, h + ph, w + pw), dtype=np.float32)
+    xt = x.transpose(3, 0, 1, 2)
+    for row, ch in enumerate(channels):
+        xc[row, :, top:top + h, left:left + w] = xt[ch]
     return xc
 
 
@@ -232,6 +262,9 @@ def _conv_channel_major(x: np.ndarray, k: np.ndarray, bias: np.ndarray, stride: 
     reused (Cin, nb*OH*OW) buffer, and each Cin step multiplies one
     contiguous row by the tap's Cout weights and adds it to the sub-batch's
     slice of the output; the multiplies run unbuffered (``_kernel_scope``).
+    The buffer and the Cin steps hold only the sub-batch's kept channels: a
+    channel that is +-0 in every cell is dropped unless a weight reading it
+    is Inf or NaN (see the module docstring).
     """
     kh, kw, cin, cout = k.shape
     n = x.shape[0]
@@ -241,19 +274,24 @@ def _conv_channel_major(x: np.ndarray, k: np.ndarray, bias: np.ndarray, stride: 
     # flat buffers, so that a smaller last sub-batch still gets contiguous ones
     tmp_buf = np.empty(cout * nb * oh * ow, dtype=np.float32)
     rows_buf = np.empty(cin * nb * oh * ow, dtype=np.float32)
+    # 0 * Inf and 0 * NaN are NaN: a channel read by such a weight always runs
+    unsafe = ~np.isfinite(k).all(axis=(0, 1, 3))
     with _kernel_scope():
         for b in range(0, n, nb):
-            xc = _channel_major(x[b:b + nb], ph, pw, top, left)
+            xb = x[b:b + nb]
+            kept = np.flatnonzero(_live_channels(xb) | unsafe)
+            xc = _channel_major(xb, ph, pw, top, left, kept)
             m = xc.shape[1] * oh * ow
             acc = out[:, b:b + nb].reshape(cout, m)  # a view: its rows are contiguous
             tmp = tmp_buf[:cout * m].reshape(cout, m)
-            rows = rows_buf[:cin * m].reshape(xc.shape[:2] + (oh, ow))
+            rows = rows_buf[:kept.size * m].reshape(xc.shape[:2] + (oh, ow))
+            k_kept = k[:, :, kept]
             acc.fill(0.0)
             for i in range(kh):
                 for j in range(kw):
                     rows[...] = xc[:, :, i:i + (oh - 1) * stride + 1:stride,
                                    j:j + (ow - 1) * stride + 1:stride]
-                    _accumulate_taps(rows.reshape(cin, m), k[i, j], acc, tmp)
+                    _accumulate_taps(rows.reshape(kept.size, m), k_kept[i, j], acc, tmp)
             acc += bias[:, None]
     return out
 

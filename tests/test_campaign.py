@@ -712,6 +712,90 @@ class TestEarlyExits:
         assert {kind for _, kind in exits} == {"masked", "poisoned", "resumed"}
 
 
+def _class_maps(golden, maps):
+    """A ``run_fault_sets`` score: the class maps themselves."""
+    return maps
+
+
+class TestDeadInputChannels:
+    """Campaigns on a model whose ReLUs leave whole conv inputs at zero agree
+    with full forwards from the input batch. Both convolution cores drop an
+    input channel that is zero in every cell (at the zero point, quantized),
+    but keep one that a faulted weight turned Inf or NaN reads, as 0 * Inf
+    and 0 * NaN are NaN."""
+
+    @pytest.fixture(scope="class")
+    def images(self):
+        # the CLI's image set at --images 3 --image-size 16
+        return sf.generate_calibration_set((16, 16, 3), count=3, seed=1000)[0]
+
+    @pytest.fixture(scope="class")
+    def graphs(self, images):
+        # model build --levels 2 --base-filters 4 --classes 3 --channels 3 --seed 5
+        #     --positive-bias-fraction 0: every bias negative, so many ReLUs are dead
+        g = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5, kernel_scale=0.25,
+                                    positive_bias_fraction=0.0)
+        return {"float": g, "quantized": sf.quantize_ptq(g, images)}
+
+    @staticmethod
+    def kept_channels(graph, batch):
+        """The channels of each grid the convolution cores build in a faultless
+        forward (one grid per sub-batch in float)."""
+        from seu_forge import engine, tensor
+        quantized = graph.flags.get("quantized")
+        module, name = (engine, "_shifted_grid") if quantized else (tensor, "_channel_major")
+        counts, real = [], getattr(module, name)
+
+        def grid(*args):
+            counts.append(len(args[-1]))
+            return real(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(module, name, grid)
+            (sf.run_quantized if quantized else sf.run_float)(graph, batch)
+        return counts
+
+    @pytest.mark.parametrize("mode", ["float", "quantized"])
+    def test_sweep_matches_full_forward_oracle(self, graphs, images, mode):
+        from oracles import sweep_full_forward
+        graph = graphs[mode]
+        batch = sf.batch_inputs(images)
+        kept = self.kept_channels(graph, batch)
+        assert kept.count(0) >= 3  # whole layers read no live channel
+        specs = TestEarlyExits.spread(graph)
+        outcomes = fault_outcomes(graph, specs, batch)
+        assert all(o.evaluation_error is None for o in outcomes)
+        assert [o.per_image_error for o in outcomes] == sweep_full_forward(graph, specs, images)
+        assert any(o.mean_error > 0 for o in outcomes)
+
+    # a bit-30 flip makes 1.0 +Inf and 1.5 a NaN
+    @pytest.mark.parametrize("value", [1.0, 1.5])
+    @pytest.mark.parametrize("layer", ["conv2D_1", "conv2Dtr", "conv2D_9"])
+    def test_nonfinite_weight_on_a_dead_channel_matches_full_forward(self, graphs, images,
+                                                                      layer, value):
+        from oracles import fault_sets_full_forward
+        from seu_forge.campaign import run_fault_sets
+        graph = graphs["float"].copy()
+        batch = sf.batch_inputs(images)
+        src = graph.layers[[l.name for l in graph.layers].index(layer)].inputs[0]
+        dead = sf.run_float(graph, batch, collect=[src]).collected[src].data
+        assert (dead[..., 0] == 0).all()
+        kernel = graph.layer_params(layer)
+        kernel = kernel.get("conv_kernel") or kernel["convtr_kernel"]
+        kernel.tensor.data[0, 0, 0, 0] = value     # reads input channel 0
+        spec = sf.FaultSpec(kernel.index, 0, 30, "f32")
+        (faultless,), [((maps, failure),)] = run_fault_sets([graph], [[spec]], batch,
+                                                            _class_maps)
+        golden, (full,) = fault_sets_full_forward(graph, [[spec]], images)
+        assert failure is None
+        assert np.array_equal(faultless, golden)
+        assert np.array_equal(maps == INVALID_CLASS, full == INVALID_CLASS)
+        assert (maps == INVALID_CLASS).any()
+        assert ([error_rate(golden[i], maps[i]) for i in range(len(images))]
+                == [error_rate(golden[i], full[i]) for i in range(len(images))])
+        assert np.array_equal(maps, full)
+
+
 class TestOneMeasuringPath:
     """Every fault set is measured just after its first faulted layer's
     channel chain L..E: sets spanning layers, chains ending at the output

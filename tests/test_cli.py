@@ -383,3 +383,14 @@ def test_worker_count_below_one_refused(model_path, tmp_path, monkeypatch, capsy
                    *extra) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lo,hi", [("2.0", "1.0"), ("1.0", "1.0"), ("nan", "2.0")])
+def test_sparse_zero_empty_range_refused(model_path, tmp_path, capsys, lo, hi):
+    """An --abs-range [LO, HI) that holds no value is a usage error naming the
+    option: exit 2, no model or manifest written."""
+    out = tmp_path / "zeroed.sfm"
+    assert run_cli("compress", "sparse-zero", "--model", str(model_path), "--out",
+                   str(out), "--abs-range", lo, hi) == 2
+    assert "--abs-range" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -899,3 +899,97 @@ class TestKernelLargerThanPaddedInput:
         with pytest.raises(sf.ShapeError, match=rf"kernel \(3, 3, 2, 3\) larger than padded "
                                                 rf"input \({images}, 2, 2, 2\)"):
             run(graph, batch)
+
+
+class TestZeroPointChannels:
+    """An input channel at the zero point in every cell adds exactly 0 to every
+    int32 sum, so the integer core drops it from its grid and kernel and forms
+    its exact groups of at most 514 rows over the kept channels. Every sum
+    keeps the scalar MAC loops' bits, and with no channel kept it is the bias."""
+
+    @staticmethod
+    def kept_counts(mp):
+        """The channels ``_shifted_grid`` writes, for each grid it builds."""
+        counts, real = [], engine._shifted_grid
+
+        def shifted_grid(x, zero_point, *extent_and_channels):
+            counts.append(len(extent_and_channels[4]))
+            return real(x, zero_point, *extent_and_channels)
+
+        mp.setattr(engine, "_shifted_grid", shifted_grid)
+        return counts
+
+    @staticmethod
+    def mac_transpose(q_x, z_x, q_w, q_b):
+        """Each cell of the int32 transposed conv, one quantized_mac over Cin."""
+        stride, _, _, cout = q_w.shape
+        n, h, w, _ = q_x.shape
+        return np.array([[[[quantized_mac(q_w[i % stride, j % stride, :, co],
+                                          q_x[b, i // stride, j // stride], q_b[co], z_x)
+                            for co in range(cout)]
+                           for j in range(w * stride)] for i in range(h * stride)]
+                         for b in range(n)], np.int32).reshape(n, h * stride, w * stride, cout)
+
+    @given(seed=st.integers(0, 2**32 - 1), transpose=st.booleans(), n=st.integers(1, 2),
+           h=st.integers(2, 4), w=st.integers(2, 4), stride=st.integers(1, 2),
+           padding=st.sampled_from(["same", "valid"]), size=st.integers(1, 3),
+           cin=st.integers(1, 530), cout=st.integers(1, 2), z_x=st.integers(-128, 127),
+           held=st.sampled_from([0.0, 0.03, 0.5, 0.97, 1.0]), below=st.booleans(),
+           x_fill=st.sampled_from([None, -128, 127]),
+           w_fill=st.sampled_from([None, -128, 127]), budget=st.integers(1, 300))
+    # 16 of 530 channels held: the 514 kept make one exact group a tap, and at
+    # |x - Z| = 255 against -128 weights a 3x3 window sums beyond 2**24
+    @example(seed=5, transpose=False, n=1, h=3, w=3, stride=1, padding="same", size=3,
+             cin=530, cout=2, z_x=-128, held=0.03, below=False, x_fill=127, w_fill=-128,
+             budget=300)
+    @example(seed=6, transpose=True, n=2, h=2, w=3, stride=2, padding="valid", size=2,
+             cin=530, cout=2, z_x=-128, held=0.03, below=False, x_fill=127, w_fill=-128,
+             budget=40)
+    # every channel held: bias-only sums
+    @example(seed=7, transpose=False, n=2, h=3, w=4, stride=2, padding="same", size=3,
+             cin=9, cout=2, z_x=5, held=1.0, below=False, x_fill=None, w_fill=None, budget=7)
+    @example(seed=8, transpose=True, n=1, h=2, w=2, stride=2, padding="valid", size=2,
+             cin=20, cout=2, z_x=-7, held=1.0, below=False, x_fill=None, w_fill=None,
+             budget=300)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_mac_loops(self, seed, transpose, n, h, w, stride, padding, size, cin,
+                               cout, z_x, held, below, x_fill, w_fill, budget):
+        rng = np.random.Generator(np.random.PCG64(seed))
+
+        def operand(shape, fill):
+            # random int8 values, or ``fill`` with a tenth of them random
+            values = rng.integers(-128, 128, size=shape)
+            if fill is not None:
+                values[rng.random(shape) >= 0.1] = fill
+            return values.astype(np.int8)
+
+        size = stride if transpose else min(size, h, w)
+        q_x = operand((n, h, w, cin), x_fill)
+        if below:  # every other channel at or below the zero point, yet live
+            q_x[..., ::2] = np.minimum(q_x[..., ::2], np.int8(z_x))
+        q_x[..., rng.permutation(cin)[:round(held * cin)]] = z_x
+        q_w = operand((size, size, cin, cout), w_fill)
+        q_b = rng.integers(-2**31, 2**31, size=cout).astype(np.int32)
+        x_shift = q_x.astype(np.int32) - np.int32(z_x)
+        s_w, s_x, s_y, z_y = 0.0123, 0.0456, 20.0 * cin, 3
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_BLOCK_CELLS", budget)
+            counts = self.kept_counts(mp)
+            if transpose:
+                g = TestQuantizedConvTranspose.graph(q_w, q_b, s_w, s_x, z_x, s_y, z_y)
+                acc = _conv_transpose_int(x_shift, q_w, q_b, stride)
+                mac = self.mac_transpose(q_x, z_x, q_w, q_b)
+                ref = quantized_convtr_scalar(q_x, z_x, q_w, q_b, (s_w * s_x) / s_y, z_y,
+                                              stride=stride)
+            else:
+                g = quantized_conv_graph(q_w, q_b, stride, padding, s_w, s_x, z_x, s_y, z_y)
+                acc = _conv_int(x_shift, q_w, q_b, stride, padding)
+                mac = conv_int_mac_loop(q_x, z_x, q_w, q_b, stride, padding)
+                ref = np.clip(np.rint(mac * ((s_w * s_x) / s_y) + z_y), -128, 127)
+            ours = _quantized_conv(g, g.layers[0], [q_x])
+        assert acc.dtype == np.int32 and np.array_equal(acc, mac)
+        assert ours.dtype == np.int8 and np.array_equal(ours, ref.astype(np.int8))
+        live = int((q_x != z_x).any(axis=(0, 1, 2)).sum())
+        assert counts == [live, live]
+        if live == 0:
+            assert np.array_equal(mac, np.broadcast_to(q_b, mac.shape))

@@ -471,3 +471,135 @@ class TestChannelMajorLayout:
             assert np.array_equal(np.isnan(channels.data), nan), name
             assert rows.data[~nan].tobytes() == channels.data[~nan].tobytes(), name
             assert np.array_equal(argmax_channels(rows), argmax_channels(channels)), name
+
+
+def signed_zeros(rng, shape):
+    """float32 +0 and -0, drawn half and half."""
+    return np.where(rng.random(shape) < 0.5, np.float32(0.0), np.float32(-0.0))
+
+
+class TestDeadChannels:
+    """An input channel that is +0 or -0 in every cell of a sub-batch is dropped
+    from that sub-batch, unless a weight reading it is Inf or NaN. The
+    accumulator starts at +0.0 and so is never -0, and adding a +-0 product
+    to it changes no bit: the bits stay the oracles'."""
+
+    @staticmethod
+    def kept_channels(mp):
+        """(images, channels written) of each sub-batch ``_channel_major`` builds."""
+        calls, real = [], tensor._channel_major
+
+        def channel_major(x, *padding):
+            calls.append((x.shape[0], list(padding[4])))
+            return real(x, *padding)
+
+        mp.setattr(tensor, "_channel_major", channel_major)
+        return calls
+
+    @staticmethod
+    def expected_kept(x, k, calls):
+        """Per sub-batch of ``calls``, the channels nonzero in one of its cells
+        or read by a weight that is not finite."""
+        unsafe = ~np.isfinite(k).all(axis=(0, 1, 3))
+        kept, start = [], 0
+        for images, _ in calls:
+            live = (x[start:start + images] != 0).any(axis=(0, 1, 2))
+            kept.append(np.flatnonzero(live | unsafe).tolist())
+            start += images
+        return kept
+
+    @given(seed=st.integers(0, 2**32 - 1), transpose=st.booleans(), n=st.integers(1, 3),
+           h=st.integers(1, 4), w=st.integers(1, 4), cin=st.integers(1, 5),
+           cout=st.integers(1, 3), stride=st.integers(1, 2),
+           padding=st.sampled_from(["same", "valid"]),
+           fault=st.sampled_from([None] + sorted(FAULT_VALUES)),
+           budget=st.integers(1, 200), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracles_with_dead_channels(self, seed, transpose, n, h, w, cin, cout,
+                                                stride, padding, fault, budget, data):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        kinds = ["live", "dead", "part", "negative"]
+        if fault in (None, "subnormal", "negative_zero"):
+            # an input NaN where no weight can make another NaN in its cells
+            kinds.append("nan")
+        states = data.draw(st.lists(st.sampled_from(kinds), min_size=cin, max_size=cin))
+        x = rng.normal(size=(n, h, w, cin)).astype(np.float32)
+        for c, state in enumerate(states):
+            if state == "dead":
+                x[..., c] = signed_zeros(rng, (n, h, w))
+            elif state == "part":  # dead in some images, so in some sub-batches
+                images = rng.random(n) < 0.5
+                x[images, ..., c] = signed_zeros(rng, (int(images.sum()), h, w))
+            elif state == "negative":  # no positive cell, yet live
+                x[..., c] = np.where(rng.random((n, h, w)) < 0.7, signed_zeros(rng, (n, h, w)),
+                                     -np.abs(x[..., c]))
+            elif state == "nan":  # one NaN cell among zeros
+                x[..., c] = signed_zeros(rng, (n, h, w))
+                x[tuple(rng.integers(0, (n, h, w))) + (c,)] = np.nan
+        size = stride if transpose else int(rng.integers(1, min(3, h, w) + 1))
+        k = rng.normal(size=(size, size, cin, cout)).astype(np.float32)
+        dead = [c for c, state in enumerate(states) if state == "dead"]
+        if fault is not None and dead:
+            # one NaN payload at most, so that no two different NaNs meet in a cell
+            values = FAULT_VALUES[fault][:1 if fault == "nan" else None]
+            k_dead = k[:, :, dead]
+            k[:, :, dead] = with_faulted_weights(k_dead, values[:k_dead.size], seed)
+        b = rng.normal(size=cout).astype(np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = (convtr_scatter_add(x, k, b, stride=stride) if transpose
+                   else conv2d_quadruple_loop(x, k, b, stride=stride, padding=padding))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor, "_BLOCK_CELLS", budget)
+            calls = self.kept_channels(mp)
+            ours = (conv2d_transpose_forward(t(x), t(k), b, stride=stride) if transpose
+                    else conv2d_forward(t(x), t(k), b, stride=stride, padding=padding))
+        assert_same_bits(ours.data, ref)
+        assert [kept for _, kept in calls] == self.expected_kept(x, k, calls)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_channel_dead_in_one_sub_batch_only(self, transpose):
+        rng = np.random.Generator(np.random.PCG64(50))
+        x = rng.normal(size=(3, 3, 4, 3)).astype(np.float32)
+        x[1, ..., 0] = signed_zeros(rng, (3, 4))        # dead in the second image only
+        x[..., 2] = signed_zeros(rng, (3, 3, 4))        # dead in every image
+        k = rng.normal(size=(2, 2, 3, 2)).astype(np.float32)
+        b = rng.normal(size=2).astype(np.float32)
+        ref = (convtr_scatter_add(x, k, b, stride=2) if transpose
+               else conv2d_quadruple_loop(x, k, b))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor, "_BLOCK_CELLS", 1)       # one image a sub-batch
+            calls = self.kept_channels(mp)
+            ours = (conv2d_transpose_forward(t(x), t(k), b, stride=2) if transpose
+                    else conv2d_forward(t(x), t(k), b))
+        assert calls == [(1, [0, 1]), (1, [1]), (1, [0, 1])]
+        assert_same_bits(ours.data, ref)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_every_channel_zero_gives_the_bias(self, transpose):
+        rng = np.random.Generator(np.random.PCG64(51))
+        x = signed_zeros(rng, (3, 4, 5, 6))
+        k = rng.normal(size=(2, 2, 6, 3)).astype(np.float32)
+        b = np.array([0.25, -1.5, 3.0], np.float32)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = self.kept_channels(mp)
+            ours = (conv2d_transpose_forward(t(x), t(k), b, stride=2) if transpose
+                    else conv2d_forward(t(x), t(k), b))
+        assert calls and all(kept == [] for _, kept in calls)
+        assert_same_bits(ours.data, np.broadcast_to(b, ours.shape))
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_inf_weight_on_dead_channel_gives_the_oracles_nan_cells(self, transpose):
+        rng = np.random.Generator(np.random.PCG64(52))
+        x = rng.normal(size=(2, 4, 4, 3)).astype(np.float32)
+        x[..., 1] = signed_zeros(rng, (2, 4, 4))
+        k = rng.normal(size=(2, 2, 3, 2)).astype(np.float32)
+        k[1, 1, 1, 0] = np.inf                 # reads the dead channel 1
+        b = rng.normal(size=2).astype(np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = (convtr_scatter_add(x, k, b, stride=2) if transpose
+                   else conv2d_quadruple_loop(x, k, b))
+        ours = (conv2d_transpose_forward(t(x), t(k), b, stride=2) if transpose
+                else conv2d_forward(t(x), t(k), b)).data
+        assert_same_bits(ours, ref)
+        nan = np.isnan(ref)
+        assert nan[..., 0].any() and not nan[..., 1].any()
