@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .model import CONV_KINDS, ModelGraph, check_quant_entry
-from .tensor import (BnParams, ShapeError, Tensor, _conv_extent, _depth_to_space,
+from .tensor import (BnParams, ShapeError, Tensor, _activation, _conv_extent, _depth_to_space,
                      _live_channels, _max2x2, _stacked_taps, argmax_channels,
                      batchnorm_forward, concat_channels, conv2d_forward,
                      conv2d_transpose_forward, maxpool2d, relu)
@@ -216,8 +216,9 @@ def finish(graph: ModelGraph, live: dict) -> InferenceResult:
     logits = live[graph.output_layer.name]
     if graph.flags.get("quantized"):
         ent = _act_entry(graph, graph.output_layer.name)
-        logits = Tensor.from_array(((logits.astype(np.float64) - ent["zero_point"])
-                                    * ent["scale"]).astype(np.float32))
+        # channel-major, as in float mode: astype keeps the int8 logits' layout
+        logits = _activation(((logits.astype(np.float64) - ent["zero_point"])
+                              * ent["scale"]).astype(np.float32))
     return InferenceResult(logits, argmax_channels(logits))
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ENCODINGS, ShapeError, Tensor
+from .tensor import ENCODINGS, ShapeError, Tensor, _conv_extent
 
 MAGIC = b"SEUFORGE"
 FORMAT_VERSION = 1
@@ -356,10 +356,11 @@ def infer_shapes(graph: ModelGraph, height: int, width: int, batch: int = 1) -> 
                     raise ShapeError(f"{layer.name}: transposed conv kernel "
                                      f"{k[0]}x{k[1]} != stride {s}")
                 oh, ow = h * s, w * s
-            elif layer.padding == "same":
-                oh, ow = -(-h // s), -(-w // s)
             else:
-                oh, ow = (h - k[0]) // s + 1, (w - k[1]) // s + 1
+                try:
+                    oh, ow = _conv_extent(ins[0], k, s, layer.padding)[4:]
+                except ShapeError as e:
+                    raise ShapeError(f"{layer.name}: {e}") from None
             shapes[layer.name] = (n, oh, ow, k[3])
         elif layer.kind == "batchnorm":
             n, h, w, c = ins[0]
@@ -608,7 +609,7 @@ def load_model(path) -> ModelGraph:
             raise FormatError(f"{path}: p{index} offset, nbytes or shape is not "
                               "a non-negative int (list)")
         dt = np.dtype(_BLOB_DTYPES[encoding])
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         if nbytes != count * dt.itemsize:
             raise FormatError(f"{path}: p{index} holds {nbytes} bytes, not "
                               f"{count} {encoding} values")
@@ -621,7 +622,9 @@ def load_model(path) -> ModelGraph:
     params.sort(key=lambda p: p.index)
     try:
         graph = ModelGraph(layers, params, class_count, metadata)
-        side = 1 << graph.pool_stages
+        # the container is checked, not an image size: at this side no
+        # "valid" kernel outgrows its input
+        side = 1 << (graph.pool_stages + 10)
         infer_shapes(graph, side, side)
         _check_numeric_mode(graph)
     except ValueError as exc:  # ShapeError included

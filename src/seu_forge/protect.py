@@ -6,8 +6,10 @@ significand forced to 1.0, or down with it forced to the 23-bit maximum
 (~1.99999988) — where ``bits.MAY_INCREMENT``/``bits.MAY_DECREMENT`` allow
 that step. PT thresholds on the significand bound the allowed perturbation.
 Reconditioning and the paired evaluation's scan for risky positions each
-cost one lookup in those tables per parameter set, over all of its words;
-per-record work is done only where a record is kept.
+cost one lookup in those tables per parameter set, over all of its words.
+A report keeps its records as per-set columns (``ProtectionRecords``) and
+builds a record object only when one is read, so reconditioning and its
+summary do no per-element Python work.
 The remaining transforms (BN reparameterization, cross-layer equalization,
 bias absorption) rewrite parameters without changing the network function
 at all.
@@ -15,12 +17,13 @@ at all.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
-from collections import Counter
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from operator import attrgetter
 
 import numpy as np
 
@@ -140,16 +143,86 @@ class ProtectionRecord:
         return json.dumps(d, sort_keys=True)
 
 
+_RULES = np.array([RULE_SKIP_NONPROT, RULE_SKIP_OUTSIDE, RULE_INCREMENT, RULE_DECREMENT],
+                  dtype=object)
+_RULE_CODE = {rule: code for code, rule in enumerate(_RULES)}
+
+
+def _records(pset, element, rule, before, after):
+    """The records of one set's columns, in column order: the floats are the
+    f32 values of the words as Python floats (float64), the relative delta
+    their float64 quotient."""
+    value_before = before.view(np.float32).astype(np.float64)
+    value_after = after.view(np.float32).astype(np.float64)
+    delta = (value_after - value_before) / value_before
+    # the columns in ProtectionRecord's field order
+    return map(ProtectionRecord, itertools.repeat(pset, element.size), element.tolist(),
+               _RULES[rule].tolist(), before.tolist(), after.tolist(),
+               value_before.tolist(), value_after.tolist(), delta.tolist())
+
+
+class ProtectionRecords(Sequence):
+    """The records of a report, held as per-set columns: element indices,
+    rule codes (indices into ``_RULES``) and the uint32 words before and
+    after. A :class:`ProtectionRecord` is built each time one is read, so
+    editing a record read out changes nothing stored."""
+
+    def __init__(self):
+        self._sets = []  # (pset, element, rule, before, after) per added set
+        self._ends = []  # the number of records up to the end of each set
+
+    def add_set(self, pset: int, element, rule, before, after):
+        """Append the records of one set's equal-length columns."""
+        self._sets.append((pset, element, rule, before, after))
+        self._ends.append(len(self) + element.size)
+
+    def append(self, record: ProtectionRecord):
+        """Append one record as a set of one element. Its floats must be the
+        ones its words give; a record whose floats are not is refused."""
+        columns = (np.array([record.element], np.int64),
+                   np.array([_RULE_CODE[record.rule]], np.uint8),
+                   np.array([record.before_bits], np.uint32),
+                   np.array([record.after_bits], np.uint32))
+        stored, = _records(record.pset, *columns)
+        if stored.to_json() != record.to_json():
+            raise ValueError(f"record {record} does not hold the floats of its words")
+        self.add_set(record.pset, *columns)
+
+    def rule_counts(self) -> dict:
+        """{rule: number of records} over every rule."""
+        codes = np.concatenate([np.zeros(0, np.uint8), *(s[2] for s in self._sets)])
+        return dict(zip(_RULES.tolist(), np.bincount(codes, minlength=_RULES.size).tolist()))
+
+    def __len__(self):
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i):
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("record index out of range")
+        s = bisect.bisect_right(self._ends, i)
+        pset, *columns = self._sets[s]
+        j = i - (self._ends[s - 1] if s else 0)
+        record, = _records(pset, *(c[j:j + 1] for c in columns))
+        return record
+
+    def __iter__(self):
+        for columns in self._sets:
+            yield from _records(*columns)
+
+
 @dataclass
 class ProtectionReport:
     pt: ProtectionTarget
-    records: list = field(default_factory=list)
+    records: ProtectionRecords = field(default_factory=ProtectionRecords)
 
     def applied(self):
         return [r for r in self.records if r.rule in (RULE_INCREMENT, RULE_DECREMENT)]
 
     def summary(self) -> dict:
-        counts = Counter(map(attrgetter("rule"), self.records))
+        counts = self.records.rule_counts()
         out = {"pt": self.pt.level, "candidates": len(self.records)}
         out.update((rule, counts[rule]) for rule in
                    (RULE_INCREMENT, RULE_DECREMENT, RULE_SKIP_NONPROT, RULE_SKIP_OUTSIDE))
@@ -177,8 +250,9 @@ def protect_parameters(graph: ModelGraph, pt: ProtectionTarget, roles=None):
     Negative values are treated by significand magnitude (sign untouched).
     Idempotent at a fixed PT: protected patterns leave the candidate set or
     land outside the thresholds. Each f32 set costs one table lookup over
-    its words (``_protect_set``); per-record work is done only for its
-    risky elements, which get one record each.
+    its words and a few array operations over its risky elements
+    (``_protect_set``), whose columns the report keeps; no record object is
+    built until the report's records are read.
     """
     if graph.flags.get("quantized"):
         raise ValueError("protection applies to float graphs")
@@ -188,22 +262,21 @@ def protect_parameters(graph: ModelGraph, pt: ProtectionTarget, roles=None):
 
     params = (p for p in out.params if roleset is None or p.role in roleset)
     for p, words in _f32_words(params):
-        report.records += _protect_set(p.index, words, pt)
+        report.records.add_set(p.index, *_protect_set(words, pt))
 
     out.with_provenance({"transform": "protect_parameters", "pt": pt.level,
                          "summary": report.summary()})
     return out, report
 
 
-_RULES = np.array([RULE_SKIP_NONPROT, RULE_SKIP_OUTSIDE, RULE_INCREMENT, RULE_DECREMENT],
-                  dtype=object)
 _EXP_ONE = np.uint32(1 << bits.F32_EXP_LO)
 _MANT = np.uint32(bits.F32_MANT_MASK)
 
 
-def _protect_set(pset: int, words: np.ndarray, pt: ProtectionTarget) -> list:
-    """The records of the risky elements of one set's ``words``, in element
-    order, with the words of the elements a rule moves rewritten in place.
+def _protect_set(words: np.ndarray, pt: ProtectionTarget) -> tuple:
+    """The record columns of the risky elements of one set's ``words``, in
+    element order: (element, rule code, word before, word after). The words
+    of the elements a rule moves are rewritten in place.
 
     An element whose significand is at or above the full threshold steps
     its exponent up where ``bits.MAY_INCREMENT`` allows, mantissa cleared;
@@ -221,27 +294,13 @@ def _protect_set(pset: int, words: np.ndarray, pt: ProtectionTarget) -> list:
     inc, dec = bits.MAY_INCREMENT[exp], bits.MAY_DECREMENT[exp]
     up, down = full & inc, ~full & empty & dec
     outside = ~full & ~empty & (inc | dec)
-    rule = np.select([outside, up, down], [1, 2, 3], 0)
+    rule = np.select([outside, up, down], [1, 2, 3], 0).astype(np.uint8)  # codes into _RULES
     after = before.copy()
     after[up] = (before[up] & ~_MANT) + _EXP_ONE
     after[down] = (before[down] | _MANT) - _EXP_ONE
     moved = np.flatnonzero(up | down)
     words[element[moved]] = after[moved]
-
-    value_before = before.view(np.float32).astype(np.float64)
-    value_after = after.view(np.float32).astype(np.float64)
-    delta = (value_after - value_before) / value_before
-    # an element left as it was gets its before int and float as its after
-    # ones, not equal copies, which cost model_b's 13,072 records 2 MB of RSS
-    bits_before, values_before = before.tolist(), value_before.tolist()
-    bits_after, values_after = list(bits_before), list(values_before)
-    for i, word, value in zip(moved.tolist(), after[moved].tolist(),
-                              value_after[moved].tolist()):
-        bits_after[i], values_after[i] = word, value
-    # the columns in ProtectionRecord's field order
-    return list(map(ProtectionRecord, itertools.repeat(pset, element.size), element.tolist(),
-                    _RULES[rule].tolist(), bits_before, bits_after,
-                    values_before, values_after, delta.tolist()))
+    return element, rule, before, after
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,7 @@ a NaN logit makes its pixel INVALID_CLASS whatever the payload.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -98,7 +99,7 @@ class Tensor:
         want = ENCODINGS[self.encoding]
         if self.data.dtype != want:
             raise TypeError(f"encoding {self.encoding} requires dtype {want}, got {self.data.dtype}")
-        if self.data.size != int(np.prod(self.shape)):
+        if self.data.size != math.prod(self.shape):
             raise ShapeError(f"shape {self.shape} does not match buffer of {self.data.size} elements")
         if self.data.shape != self.shape:  # an array of the stated shape keeps its layout
             self.data = np.ascontiguousarray(self.data).reshape(self.shape)

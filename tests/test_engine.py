@@ -99,6 +99,16 @@ def test_every_float_activation_is_channel_major(tiny_graph, tiny_batch):
         assert value.data.transpose(3, 0, 1, 2).flags.c_contiguous, name
 
 
+def test_quantized_logits_are_channel_major(tiny_graph, tiny_inputs, tiny_batch):
+    """The dequantized logits keep the int8 logits' channel-major layout, as
+    float mode's do, and the class maps are those of a row-major copy."""
+    res = run_quantized(sf.quantize_ptq(tiny_graph, tiny_inputs[0]), tiny_batch)
+    assert res.logits.data.transpose(3, 0, 1, 2).flags.c_contiguous
+    row_major = Tensor.from_array(res.logits.data)
+    assert row_major.data.flags.c_contiguous
+    assert np.array_equal(res.class_map, tensor.argmax_channels(row_major))
+
+
 def test_conv_defaults_match_explicit_hyperparams(tiny_graph, tiny_inputs, tiny_batch,
                                                   tmp_path):
     """A transposed conv without a stride runs at stride 2, a conv without a

@@ -6,6 +6,8 @@ import pytest
 import seu_forge as sf
 from seu_forge.model import FormatError, infer_shapes, unet_parameter_count
 
+from conftest import single_conv_graph
+
 
 def test_unet_full_scale_parameter_count():
     # 5 levels, 32 base filters, 6 classes, 25 channels: the full-scale
@@ -54,6 +56,30 @@ def test_shape_propagation_all_divisible_sizes():
         assert shapes[g.output_layer.name] == (1, side, side, 3)
     with pytest.raises(sf.ShapeError):
         infer_shapes(g, 6, 6)  # not divisible by 2^levels
+
+
+def test_shape_inference_refuses_a_valid_kernel_larger_than_its_input():
+    """Shape inference refuses a "valid" 3x3 conv on 2x2 images, as the
+    executor does, instead of giving it a zero extent."""
+    g = sf.build_unet(2, 4, 3, 3)
+    g.layer("conv2D").hyperparams["padding"] = "valid"
+    with pytest.raises(sf.ShapeError, match="conv2D: kernel"):
+        infer_shapes(g, 2, 2, 2)
+    with pytest.raises(sf.ShapeError, match="kernel"):
+        sf.run_float(g, sf.Tensor.from_array(np.zeros((2, 2, 2, 3), np.float32)))
+
+
+def test_a_valid_conv_model_saves_and_loads(tmp_path):
+    """A model of "valid" 3x3 convs loads and runs as saved: loading checks
+    the container at a side no kernel outgrows."""
+    kernel = np.arange(3 * 3 * 2 * 2, dtype=np.float32).reshape(3, 3, 2, 2) / 36
+    g = single_conv_graph(kernel, [0.5, -0.25], padding="valid")
+    sf.save_model(g, tmp_path / "valid.sfm")
+    back = sf.load_model(tmp_path / "valid.sfm")
+    batch = sf.Tensor.from_array(np.linspace(-1, 1, 5 * 5 * 2, dtype=np.float32)
+                                 .reshape(1, 5, 5, 2))
+    assert np.array_equal(sf.run_float(back, batch).logits.data,
+                          sf.run_float(g, batch).logits.data)
 
 
 def test_build_validation():

@@ -1,7 +1,10 @@
+import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 import seu_forge as sf
 from seu_forge import bits
 from seu_forge.protect import (PT_LEVELS, AbsorptionError, EqualizationError,
+                               ProtectionRecord, ProtectionRecords,
                                ProtectionTarget, absorb_bias,
                                classify_candidate, cross_layer_equalize,
                                danger_bit, evaluate_protection,
@@ -639,3 +643,71 @@ def test_evaluation_targets_are_the_danger_bits(bit_filter, data, tiny_inputs):
     with mock.patch.object(protect, "run_fault_sets", run_fault_sets):
         evaluate_protection(graph, graph, tiny_inputs[0][:1], bit_filter=bit_filter)
     assert seen == expected
+
+
+# ---------------------------------------------------------------------------
+# the report's columns
+
+
+def test_protection_and_its_summary_build_no_record_objects(monkeypatch):
+    """protect_parameters and summary() keep model_b's records as columns;
+    a record object is built only when one is read."""
+    graph = sf.generate_toy_weights(sf.build_unet(2, 8, 4, 4), 42)
+    built = []
+    init = ProtectionRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProtectionRecord, "__init__", counting_init)
+    _, report = protect_parameters(graph, PT_LEVELS[2])
+    summary = report.summary()
+    assert not built
+    assert sum(1 for _ in report.records) == len(built) == summary["candidates"] > 0
+
+
+def _jsonl_bytes(report):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "records.jsonl")
+        report.write_jsonl(path)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+@pytest.mark.parametrize("target", TARGETS, ids=lambda t: t.level)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_appended_records_read_as_the_array_pass_columns(target, data):
+    """A report filled through ``records.append``, as the element loop fills
+    it, has the array pass's summary, applied records and JSONL bytes; in
+    both, length, indexing and iteration agree."""
+    graph = _word_graph(data)
+    _, report = protect_parameters(graph, target)
+    _, oracle = protect_parameters_scalar(graph, target)
+    assert oracle.summary() == report.summary()
+    assert [_record_fields(r) for r in oracle.applied()] == \
+        [_record_fields(r) for r in report.applied()]
+    assert _jsonl_bytes(oracle) == _jsonl_bytes(report)
+    for records in (report.records, oracle.records):
+        listed = [_record_fields(r) for r in records]
+        n = len(listed)
+        assert len(records) == n
+        assert [_record_fields(records[i]) for i in range(-n, n)] == listed * 2
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                records[i]
+
+
+def test_append_refuses_floats_that_are_not_the_words(tiny_graph):
+    """A record's floats are read from its words, so an appended record
+    whose floats differ is refused, not stored altered."""
+    _, report = protect_parameters(tiny_graph, PT_LEVELS[2])
+    record = report.applied()[0]
+    records = ProtectionRecords()
+    records.append(record)
+    for bad in (dataclasses.replace(record, after_value=record.before_value),
+                dataclasses.replace(record, relative_delta=-record.relative_delta)):
+        with pytest.raises(ValueError, match="floats of its words"):
+            records.append(bad)
+    assert [r.to_json() for r in records] == [record.to_json()]
