@@ -34,9 +34,9 @@ def positive_ratio_table(graph: ModelGraph, roles=POSITIVE_RATIO_ROLES) -> list:
 def risky_exponent_scan(graph: ModelGraph) -> list:
     """Classify every f32 parameter's exponent state.
 
-    Per set: counts and element lists for full-exponent-minus-one (01111111)
-    and the other risky (partial) states, the risky states protection may not
-    move in either direction, and the separately flagged 10000000 state.
+    Per set: counts of full-exponent-minus-one (01111111) and the other
+    risky (partial) states, the risky states protection may not move in
+    either direction, and the separately flagged 10000000 state.
     """
     rows = []
     for p in graph.params:
@@ -46,16 +46,13 @@ def risky_exponent_scan(graph: ModelGraph) -> list:
         full = exp == 0x7F
         partial = bits.RISKY[exp] & ~full
         nonprot = bits.RISKY[exp] & ~bits.MAY_INCREMENT[exp] & ~bits.MAY_DECREMENT[exp]
-        exp80 = exp == 0x80
         rows.append({
             "pset": p.index, "layer": p.layer, "role": p.role,
             "total": int(p.tensor.size),
             "full_risky": int(full.sum()),
             "partial_risky": int(partial.sum()),
             "non_protectable": int(nonprot.sum()),
-            "exp_0x80": int(exp80.sum()),
-            "full_elements": np.flatnonzero(full).tolist(),
-            "partial_elements": np.flatnonzero(partial).tolist(),
+            "exp_0x80": int((exp == 0x80).sum()),
         })
     return rows
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import atexit
 import functools
+import itertools
 import json
 import math
 import multiprocessing
@@ -460,8 +461,8 @@ def _score_chunk(args):
     set that failed. ``golden`` is the first graph's faultless class maps and
     ``maps`` the graph's faultless or faulted ones; each walk's exits are
     scored before the next walk starts. A walk's masked exits share one
-    class map, and so do its poisoned ones: each kind is scored at its first
-    exit, and its later exits share that value."""
+    class map, its faultless one, whose score they share; its poisoned exits
+    share one too, scored at the first of them. No reader changes a score."""
     graphs, fault_sets, batch, score = args
     golden, faultless, scored = None, [], []
     for graph in graphs:
@@ -477,7 +478,8 @@ def _score_chunk(args):
                 pairs.append((score(golden, ex.maps), None))
             else:
                 if ex.kind not in shared:
-                    shared[ex.kind] = score(golden, ex.class_maps(own))
+                    maps = ex.class_maps(own)
+                    shared[ex.kind] = faultless[-1] if maps is own else score(golden, maps)
                 pairs.append((shared[ex.kind], None))
         scored.append(pairs)
     return faultless, list(zip(*scored))
@@ -490,13 +492,26 @@ def run_fault_sets(graphs, fault_sets, batch: Tensor, score, workers: int = 1):
     The sets are dealt with ``_chunks``, one job per chunk; without sets one
     job runs, whose walks still give the faultless scores. At most one worker
     per available CPU runs the jobs (``_run_chunks``); ``score`` must pickle,
-    as jobs go to worker processes.
+    as jobs go to worker processes. Every graph takes the same fault sets,
+    so a graph whose parameter table (the index, role, shape and encoding
+    of each set) differs from the first graph's is refused.
     """
+    table = _param_table(graphs[0])
+    for graph in graphs[1:]:
+        for ours, theirs in itertools.zip_longest(table, _param_table(graph)):
+            if ours != theirs:
+                raise ValueError(f"graphs cannot be paired: their parameter tables differ "
+                                 f"at p{(ours or theirs)[0]} ({ours} vs {theirs})")
     workers = max(1, min(workers, _available_cpus()))
     chunks = _chunks(graphs[0], batch, fault_sets, workers) or [[]]
     parts = _run_chunks(_score_chunk, [(graphs, chunk, batch, score) for chunk in chunks],
                         workers)
     return parts[0][0], _in_plan_order([pairs for _, pairs in parts])
+
+
+def _param_table(graph: ModelGraph) -> list:
+    """(index, role, shape, encoding) of each of ``graph``'s parameter sets, in order."""
+    return [(p.index, p.role, p.tensor.shape, p.tensor.encoding) for p in graph.params]
 
 
 def fault_outcomes(graph: ModelGraph, specs, batch: Tensor, workers: int = 1) -> list:

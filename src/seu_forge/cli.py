@@ -50,6 +50,10 @@ def _default_side(graph: ModelGraph) -> int:
 
 
 def _images_for(graph: ModelGraph, args):
+    """The synthetic images the image options ask for; refuses an option below 1."""
+    for option, value in (("--images", args.images), ("--image-size", args.image_size)):
+        if value is not None and value < 1:
+            raise UsageError(f"{option} must be >= 1, got {value}")
     side = args.image_size or _default_side(graph)
     pools = graph.pool_stages
     if side % (1 << pools):
@@ -170,8 +174,8 @@ def cmd_compress(args):
 
 def cmd_calibrate(args):
     graph = _load(args.model)
-    os.makedirs(args.out_dir, exist_ok=True)
     inputs = _images_for(graph, args)
+    os.makedirs(args.out_dir, exist_ok=True)
 
     wrote = []
 
@@ -190,8 +194,7 @@ def cmd_calibrate(args):
     else:
         scan = analysis.risky_exponent_scan(graph)
         analysis.write_risky_scan_csv(scan, out("risky_exponents.csv"))
-        reports.write_json(out("risky_exponents.json"), [
-            {k: v for k, v in r.items() if not k.endswith("_elements")} for r in scan])
+        reports.write_json(out("risky_exponents.json"), scan)
         reports.write_json(out("calibration.json"), analysis.calibration_report(graph, inputs))
 
     _write_manifest(args, args.out_dir, model_hash=model_hash(graph), outputs=wrote)

@@ -17,11 +17,8 @@ at all.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -161,20 +158,19 @@ def _records(pset, element, rule, before, after):
                value_before.tolist(), value_after.tolist(), delta.tolist())
 
 
-class ProtectionRecords(Sequence):
+class ProtectionRecords:
     """The records of a report, held as per-set columns: element indices,
     rule codes (indices into ``_RULES``) and the uint32 words before and
-    after. A :class:`ProtectionRecord` is built each time one is read, so
-    editing a record read out changes nothing stored."""
+    after. Records are read by iteration, which builds each
+    :class:`ProtectionRecord` as it is reached, so editing a record read out
+    changes nothing stored."""
 
     def __init__(self):
         self._sets = []  # (pset, element, rule, before, after) per added set
-        self._ends = []  # the number of records up to the end of each set
 
     def add_set(self, pset: int, element, rule, before, after):
         """Append the records of one set's equal-length columns."""
         self._sets.append((pset, element, rule, before, after))
-        self._ends.append(len(self) + element.size)
 
     def append(self, record: ProtectionRecord):
         """Append one record as a set of one element. Its floats must be the
@@ -194,19 +190,7 @@ class ProtectionRecords(Sequence):
         return dict(zip(_RULES.tolist(), np.bincount(codes, minlength=_RULES.size).tolist()))
 
     def __len__(self):
-        return self._ends[-1] if self._ends else 0
-
-    def __getitem__(self, i):
-        i = operator.index(i)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("record index out of range")
-        s = bisect.bisect_right(self._ends, i)
-        pset, *columns = self._sets[s]
-        j = i - (self._ends[s - 1] if s else 0)
-        record, = _records(pset, *(c[j:j + 1] for c in columns))
-        return record
+        return sum(s[1].size for s in self._sets)
 
     def __iter__(self):
         for columns in self._sets:
@@ -344,9 +328,8 @@ def evaluate_protection(original: ModelGraph, protected: ModelGraph, images,
     fails in either model is left out of both models' means and ``n`` and
     recorded in ``failed``. The result is the same for any ``workers``.
 
-    The positions come from one ``bits.DANGER_BIT`` lookup per f32 set of
-    ``original``, kept where ``bit_filter`` admits the bit; only those
-    positions get a ``danger_bit`` call and a fault set.
+    The positions and their bits come from one ``bits.DANGER_BIT`` lookup
+    per f32 set of ``original``, kept where ``bit_filter`` admits the bit.
     """
     batch = batch_inputs(images)
     targets = []
@@ -355,11 +338,9 @@ def evaluate_protection(original: ModelGraph, protected: ModelGraph, images,
         chosen = danger >= 0
         if bit_filter is not None:
             chosen &= np.isin(danger, list(bit_filter))
-        for idx in np.flatnonzero(chosen).tolist():
-            bitpos = danger_bit(int(words[idx]))
-            if bit_filter is None or bitpos in bit_filter:
-                targets.append([FaultSpec(pset=p.index, element=idx, bit=bitpos,
-                                          encoding="f32")])
+        idx = np.flatnonzero(chosen)
+        targets += [[FaultSpec(pset=p.index, element=element, bit=bitpos, encoding="f32")]
+                    for element, bitpos in zip(idx.tolist(), danger[idx].tolist())]
 
     faultless, pairs = run_fault_sets([original, protected], targets, batch,
                                       partial(_scores, labels, original.class_count), workers)

@@ -44,9 +44,7 @@ class TestRiskyScan:
         rows = risky_exponent_scan(g)
         bias_row = next(r for r in rows if r["role"] == "conv_bias")
         assert bias_row["full_risky"] == 1
-        assert bias_row["full_elements"] == [0]
         assert bias_row["partial_risky"] == 3      # 0.1, 0.75, 0.6
-        assert set(bias_row["partial_elements"]) == {1, 2, 4}
         assert bias_row["non_protectable"] == 2    # the two exp-126 values
         assert bias_row["exp_0x80"] == 1
 

@@ -887,6 +887,27 @@ class TestOneMeasuringPath:
         assert self.exits(graphs[mode], images, [[], []]) == [("masked", "pool_a")] * 2
         assert calls == []
 
+    def test_masked_exits_share_each_walks_faultless_score(self, graphs, images):
+        """Each walk scores its faultless maps once, and its masked exits hold
+        that score: the masked kind's maps are the faultless maps."""
+        from seu_forge.campaign import _errors, _score_chunk
+        g = graphs["float"]
+        shifted = g.copy()  # other faultless maps, the same parameter table
+        shifted.layer_params("out")["conv_bias"].tensor.data[0] += np.float32(1.0)
+        top = g.layer_params("out")["conv_kernel"].width - 1
+        sets = [[], [self.spec(g, "out", "conv_kernel", 0, top)],
+                [self.spec(g, "out", "conv_kernel", 2, 3)], []]
+        calls = []
+
+        def score(golden, maps):
+            calls.append(maps)
+            return _errors(golden, maps)
+
+        faultless, pairs = _score_chunk(([g, shifted], sets, sf.batch_inputs(images), score))
+        assert len(calls) == 2
+        assert faultless[0] != faultless[1]
+        assert pairs == [((faultless[0], None), (faultless[1], None))] * len(sets)
+
 
 def _report_bytes(directory):
     return {f.name: f.read_bytes() for f in sorted(directory.iterdir())}
@@ -1000,6 +1021,25 @@ class TestFailedFaultSets:
         assert exits[1].error.startswith("ValueError: bit 99 out of range")
         assert exits[2].layer == graph.output_layer.name and exits[2].maps is not None
         assert np.array_equal(golden, sf.run_float(graph, sf.batch_inputs(images)).class_map)
+
+
+@pytest.mark.parametrize("other,where", [("levels3", 37), ("quantized", 1)])
+def test_graphs_whose_parameter_tables_differ_are_refused(other, where, monkeypatch):
+    """Every graph takes the first graph's fault sets, so one whose parameter
+    table differs is refused, naming the first differing p-index, before any
+    walk."""
+    import seu_forge.campaign as campaign
+    from conftest import spy_walks
+    from seu_forge.campaign import _errors, run_fault_sets
+    graph = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5)
+    images = sf.generate_calibration_set((16, 16, 3), count=2, seed=11)[0]
+    second = {"levels3": lambda: sf.generate_toy_weights(sf.build_unet(3, 4, 3, 3), 5),
+              "quantized": lambda: sf.quantize_ptq(graph, images)}[other]()
+    walks = spy_walks(monkeypatch, campaign)
+    specs = [[sf.FaultSpec(1, 0, 30, "f32")]]
+    with pytest.raises(ValueError, match=rf"parameter tables differ at p{where} "):
+        run_fault_sets([graph, second], specs, sf.batch_inputs(images), _errors)
+    assert walks == []
 
 
 class TestHeldMapsBound:

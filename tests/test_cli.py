@@ -394,3 +394,36 @@ def test_sparse_zero_empty_range_refused(model_path, tmp_path, capsys, lo, hi):
                    str(out), "--abs-range", lo, hi) == 2
     assert "--abs-range" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["calibrate", "sweep", "evaluate"])
+@pytest.mark.parametrize("option,value", [("--image-size", "0"), ("--image-size", "-16"),
+                                          ("--images", "0")])
+def test_image_options_below_one_refused(model_path, tmp_path, capsys, command, option,
+                                         value):
+    """An image count or side below 1 is a usage error that names its option:
+    exit 2, nothing written, the output directory included."""
+    out = tmp_path / "out"
+    argv = {"calibrate": ("calibrate", "--model", str(model_path)),
+            "sweep": ("campaign", "sweep", "--model", str(model_path), "--psets", "1",
+                      "--bits", "30", "30", "--n", "1"),
+            "evaluate": ("protect", "evaluate", "--original", str(model_path),
+                         "--protected", str(model_path))}[command]
+    images = {"--images": "2", "--image-size": "16", option: value}
+    assert run_cli(*argv, "--out-dir", str(out), *(x for kv in images.items() for x in kv)) == 2
+    assert f"{option} must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_protect_evaluate_refuses_models_that_cannot_be_paired(model_path, tmp_path, capsys):
+    """The protected model must have the original's parameter table: a model
+    with another depth is refused, and no report is written."""
+    deeper = tmp_path / "deeper.sfm"
+    assert run_cli("model", "build", "--out", str(deeper), "--levels", "3",
+                   "--base-filters", "4", "--classes", "3", "--channels", "3") == 0
+    out = tmp_path / "eval"
+    assert run_cli("protect", "evaluate", "--original", str(model_path), "--protected",
+                   str(deeper), "--out-dir", str(out), "--images", "2",
+                   "--image-size", "16") == 1
+    assert "parameter tables differ at p37 " in capsys.readouterr().err
+    assert not (out / "protection_eval.json").exists()

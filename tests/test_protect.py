@@ -432,7 +432,7 @@ def test_protection_records_and_risky_scan_bytes_are_pinned(tmp_path):
         2: "d78c2ab766d517cbfc8ce80b3acd75c4c4d297a473f3a91640fd1336688d8ced",
         3: "9795400fce4eff57c7d94f0fbcea9f7eae850e8c957bc307ba8d1b36dba8e79c",
         4: "92122620f377bce9507e3a1296697f552a8b568e1b9f737339ab55760df0417f",
-        "scan": "1c323ca0005da9d8fc7e7e15e2193a989f0a1e7782aeb97ca76cac44c1aa8615",
+        "scan": "c7e45197aa59f1d8c7f0c84bcde34ece8246ec5b266530bffcf442f15d347063",
     }
 
 
@@ -507,20 +507,20 @@ def test_failed_fault_is_recorded_and_left_out(tiny_graph, tiny_inputs, tmp_path
     import seu_forge.protect as protect
     graph = _planted_risky(tiny_graph)
     prot, _ = protect_parameters(graph, PT_LEVELS[2])
-    real = protect.danger_bit
+    real = protect.run_fault_sets
 
     bits = {30, 29, 28}
 
     def evaluate(bit_filter, workers):
-        targets = []
+        def second_is_bit_32(graphs, fault_sets, *rest):
+            # the evaluation's own list: the bit it records is the one run
+            if 32 in bit_filter:
+                fault_sets[1] = [dataclasses.replace(fault_sets[1][0], bit=32)]
+            else:
+                del fault_sets[1]
+            return real(graphs, fault_sets, *rest)
 
-        def second_is_bit_32(word):
-            bit = real(word)
-            if bit in bits:
-                targets.append(word)
-            return 32 if bit in bits and len(targets) == 2 else bit
-
-        monkeypatch.setattr(protect, "danger_bit", second_is_bit_32)
+        monkeypatch.setattr(protect, "run_fault_sets", second_is_bit_32)
         return evaluate_protection(graph, prot, tiny_inputs[0], bit_filter=bit_filter,
                                    workers=workers)
 
@@ -538,6 +538,20 @@ def test_failed_fault_is_recorded_and_left_out(tiny_graph, tiny_inputs, tmp_path
     report = (tmp_path / "eval1.json").read_bytes()
     assert report == (tmp_path / "eval2.json").read_bytes()
     assert b"bit 32 out of range" in report
+
+
+def test_evaluation_takes_each_bit_from_its_danger_lookup(tiny_graph, tiny_inputs,
+                                                          monkeypatch):
+    """The positions' bits come from the one ``bits.DANGER_BIT`` lookup per
+    set: ``danger_bit`` is not called, and every risky position is evaluated."""
+    import seu_forge.protect as protect
+    graph = _planted_risky(tiny_graph)
+    prot, report = protect_parameters(graph, PT_LEVELS[2])
+    calls = []
+    monkeypatch.setattr(protect, "danger_bit", lambda word: calls.append(word))
+    ev = evaluate_protection(graph, prot, tiny_inputs[0][:1])
+    assert calls == []
+    assert sum(row["n"] for row in ev.per_bit) == len(report.records) > 0
 
 
 def test_evaluation_walks_hold_at_most_the_maps_budget(tiny_graph, tiny_inputs, monkeypatch):
@@ -681,7 +695,7 @@ def _jsonl_bytes(report):
 def test_appended_records_read_as_the_array_pass_columns(target, data):
     """A report filled through ``records.append``, as the element loop fills
     it, has the array pass's summary, applied records and JSONL bytes; in
-    both, length, indexing and iteration agree."""
+    both, length and iteration agree."""
     graph = _word_graph(data)
     _, report = protect_parameters(graph, target)
     _, oracle = protect_parameters_scalar(graph, target)
@@ -693,10 +707,6 @@ def test_appended_records_read_as_the_array_pass_columns(target, data):
         listed = [_record_fields(r) for r in records]
         n = len(listed)
         assert len(records) == n
-        assert [_record_fields(records[i]) for i in range(-n, n)] == listed * 2
-        for i in (n, -n - 1):
-            with pytest.raises(IndexError):
-                records[i]
 
 
 def test_append_refuses_floats_that_are_not_the_words(tiny_graph):
