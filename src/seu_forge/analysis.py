@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bits, reports
-from .engine import _FLOAT, _execute
+from .engine import _execute
 from .model import ModelGraph, batch_inputs
 
 POSITIVE_RATIO_ROLES = ("conv_bias", "bn_beta", "convtr_bias")
@@ -158,7 +158,7 @@ def calibration_report(graph: ModelGraph, inputs) -> dict:
     def record(name, tensor):
         activations[name] = LayerStats.of(tensor.data)
 
-    _execute(graph, _FLOAT, batch_inputs(inputs), record=record)
+    _execute(graph, batch_inputs(inputs), record=record)
     return {
         "parameters": capture_parameter_stats(graph),
         "activations": {name: st.to_dict() for name, st in activations.items()},

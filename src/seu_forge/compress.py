@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import _FLOAT, _execute
+from .engine import _execute
 from .model import (CONV_KINDS, ModelGraph, ParamSet, _LAYER_ROLES, assign_param_indices,
                     batch_inputs, infer_shapes, LayerSpec)
 from .tensor import Tensor
@@ -111,7 +111,7 @@ def quantize_ptq(graph: ModelGraph, calibration_inputs) -> ModelGraph:
             lo, hi = finite.min(), finite.max()
         observed[name] = _affine_entry(float(lo), float(hi))
 
-    _execute(graph, _FLOAT, batch_inputs(calibration_inputs), record=record)
+    _execute(graph, batch_inputs(calibration_inputs), record=record)
     activations = {"input": observed["input"]}
     for layer in graph.layers:  # relu and maxpool keep their input's entry
         activations[layer.name] = (dict(activations[layer.inputs[0]])

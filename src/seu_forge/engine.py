@@ -21,22 +21,19 @@ symmetric 8-bit weights, 32-bit biases (scale S_w*S_x), int32 accumulators
 multiply followed by round-half-even, saturating to [-128, 127].
 
 Its one convolution core, ``_conv_grid``, builds no im2col matrix. The int8
-input minus its zero point is written once into a padded channel-major
-(Cin, N, Hp, Wp) float32 buffer, and each kernel tap is one float32 BLAS
-GEMM over a view of it.
-With |w| <= 128 and |x - Z| <= 255, a sum of at most 2**24 // (128 * 255)
-= 514 products is an integer float32 holds exactly, so the taps add up in
-float32 in groups of at most 514 rows and the groups in int32: the bits of
-an int32 matmul. The output columns run in blocks of at most
-``_BLOCK_CELLS`` accumulator cells, every tap of a block before the next,
-and each block is requantized into the int8 output while it is still in
-cache; integer sums are exact in any grouping of columns and requantization
-works per cell, so the blocks change no byte. An input channel at the zero
-point in every cell (a ReLU-dead one) adds exactly 0 to every sum, so the
-core drops it from the grid and the kernel and forms the 514-row groups over
-the kept channels; with none kept, the sums are the bias. Liveness comes
-from each call's own input, which may be faulted. Zero points outside
-[-128, 127] are refused (see model.check_quant_entry).
+input minus its zero point is staged once, as in float mode, into a padded
+channel-major (Cin, N, Hp, Wp) float32 buffer (``tensor._channel_major``),
+and each kernel tap is one float32 BLAS GEMM over a view of it, summed
+exactly into int32 (see ``_tap_sum``). The output columns run in blocks of
+at most ``_BLOCK_CELLS`` accumulator cells, every tap of a block before the
+next, and each block is requantized into the int8 output while it is still
+in cache; integer sums are exact in any grouping of columns and
+requantization works per cell, so the blocks change no byte. An input
+channel at the zero point in every cell (a ReLU-dead one) adds exactly 0 to
+every sum, so the core drops it from the grid and the kernel; with none
+kept, the sums are the bias. Liveness comes from each call's own input,
+which may be faulted. Zero points outside [-128, 127] are refused (see
+model.check_quant_entry).
 """
 
 from __future__ import annotations
@@ -48,9 +45,9 @@ from typing import Callable
 import numpy as np
 
 from .model import CONV_KINDS, ModelGraph, check_quant_entry
-from .tensor import (BnParams, ShapeError, Tensor, _activation, _conv_extent, _depth_to_space,
-                     _live_channels, _max2x2, _stacked_taps, argmax_channels,
-                     batchnorm_forward, concat_channels, conv2d_forward,
+from .tensor import (BnParams, ShapeError, Tensor, _activation, _channel_major, _conv_extent,
+                     _depth_to_space, _live_channels, _max2x2, _stacked_taps,
+                     argmax_channels, batchnorm_forward, concat_channels, conv2d_forward,
                      conv2d_transpose_forward, maxpool2d, relu)
 
 
@@ -128,9 +125,10 @@ def _mode(graph: ModelGraph) -> _Mode:
     return _QUANTIZED if graph.flags.get("quantized") else _FLOAT
 
 
-def _walk(graph: ModelGraph, mode: _Mode, inp, record=None):
-    """Run ``inp`` (an input batch, or a :class:`Frontier`) to the output layer,
-    yielding the :class:`Frontier` before each layer and, last, the finished pass's.
+def _walk(graph: ModelGraph, inp, record=None):
+    """Run ``inp`` (an input batch, or a :class:`Frontier`) to the output layer in
+    the graph's numeric mode (:func:`_mode`), yielding the :class:`Frontier`
+    before each layer and, last, the finished pass's.
 
     Before any layer runs, the input edge refuses a layer kind the mode has
     no op for (``ValueError``), and a batch that is not f32 (``TypeError``)
@@ -142,6 +140,7 @@ def _walk(graph: ModelGraph, mode: _Mode, inp, record=None):
     value)``. Each activation is freed after its last consumer has run;
     each frontier yielded owns its dict.
     """
+    mode = _mode(graph)
     kind = next((l.kind for l in graph.layers if l.kind not in mode.ops), None)
     if kind is not None:
         raise ValueError(f"layer kind {kind!r} not supported in {mode.name} mode")
@@ -173,9 +172,9 @@ def _walk(graph: ModelGraph, mode: _Mode, inp, record=None):
     yield Frontier(len(graph.layers), live)
 
 
-def _execute(graph: ModelGraph, mode: _Mode, inp, record=None) -> dict:
+def _execute(graph: ModelGraph, inp, record=None) -> dict:
     """The output layer's activation, by name, once ``inp`` is walked (:func:`_walk`)."""
-    for frontier in _walk(graph, mode, inp, record):
+    for frontier in _walk(graph, inp, record):
         pass  # a loop, not unpacking, so that no earlier frontier is held
     return frontier.live
 
@@ -204,7 +203,7 @@ def golden_frontiers(graph: ModelGraph, inp: Tensor, stop: int = None):
     must be reverted before the next one is requested.
     """
     stop = len(graph.layers) - 1 if stop is None else stop
-    for frontier in _walk(graph, _mode(graph), inp):
+    for frontier in _walk(graph, inp):
         yield frontier
         if frontier.start >= stop:
             return
@@ -341,7 +340,7 @@ def run_float(graph: ModelGraph, inp, collect=()) -> InferenceResult:
         if name in wanted:
             seen[name] = value
 
-    outputs = _execute(graph, _FLOAT, inp, record if collect else None)
+    outputs = _execute(graph, inp, record if collect else None)
     collected = {name: seen[name] for name in collect} if collect else None
     return replace(finish(graph, outputs), collected=collected)
 
@@ -392,81 +391,51 @@ def _param_entry(graph: ModelGraph, index: int) -> dict:
     return check_quant_entry(entry, f"scale table for p{index}")
 
 
-# An int8 weight has |w| <= 128 and a zero-point-shifted int8 activation
-# |x - Z| <= 255 (Z in [-128, 127]), so a sum of at most this many products
-# is an integer of magnitude at most 2**24, which float32 holds exactly.
+# The rows of one exact float32 group (see _tap_sum): 514.
 _EXACT_ROWS = 2 ** 24 // (128 * 255)
 
 
-def _tap_terms(kernel: np.ndarray, i: int, j: int, rows: np.ndarray, offset: int, m: int):
-    """(Cout x c, c x M) float32 GEMM operands of kernel tap (i, j), c <= _EXACT_ROWS.
+def _tap_sum(kernel: np.ndarray, rows: np.ndarray, wp: int, start: int,
+             out: np.ndarray) -> None:
+    """Add to int32 ``out`` (Cout, M) the sum over kernel taps (i, j) of the GEMM
+    ``kernel[i, j] @ rows[:, c:c + M]``, c = ``start`` + i*``wp`` + j, wrapped to int32.
 
-    ``kernel`` is (Kh, Kw, Cout, Cin); ``rows`` is a channel-major (Cin, .)
-    input, read from column ``offset`` on. Cin beyond _EXACT_ROWS is split.
+    ``kernel`` is (Kh, Kw, Cout, Cin) and ``rows`` (Cin, .), both float32
+    holding integers: int8 weights, |w| <= 128, and int8 activations less a
+    zero point in [-128, 127], |x - Z| <= 255. A sum of at most
+    _EXACT_ROWS = 2**24 // (128 * 255) = 514 products is then an integer of
+    magnitude at most 2**24, which float32 holds exactly, so BLAS computes it
+    exactly in any summation order. The taps' products, Cin split in slices
+    of at most 514 rows, add up in float32 in groups of at most 514 rows;
+    each group is cast to int32 and added into ``out`` with two's-complement
+    wraparound. Integer addition is associative mod 2**32, so ``out`` gains
+    the bits of an int32 matmul, whatever the grouping. With Cin = 0 it adds
+    nothing.
     """
-    for c in range(0, kernel.shape[3], _EXACT_ROWS):
-        yield (kernel[i, j, :, c:c + _EXACT_ROWS],
-               rows[c:c + _EXACT_ROWS, offset:offset + m])
-
-
-def _exact_groups(terms):
-    """Float32 sums of ``w @ x`` over consecutive ``terms``, at most _EXACT_ROWS rows each.
-
-    Each term pairs a (Cout, c) kernel block with a (c, M) input view, both
-    float32 holding integers within the bounds of _EXACT_ROWS. Every
-    partial sum of a group is then an integer of magnitude at most 2**24,
-    so BLAS computes it exactly in any summation order. The (Cout, M)
-    buffer yielded is reused for the next group. No terms yield no group.
-    """
+    m = out.shape[1]
     group = tmp = None
     depth = 0  # rows summed into group
-    for w, x in terms:
-        if depth + w.shape[1] > _EXACT_ROWS:
-            yield group
-            depth = 0
-        if depth == 0:
-            group = np.matmul(w, x, out=group)
-        else:
-            tmp = np.matmul(w, x, out=tmp)
-            group += tmp
-        depth += w.shape[1]
-    if group is not None:
-        yield group
-
-
-def _tap_sum(terms, out: np.ndarray) -> None:
-    """Set int32 ``out`` (Cout, ...) to the wrapped int32 sum of ``w @ x`` over ``terms``.
-
-    The exact float32 group sums (:func:`_exact_groups`, M values per
-    channel, as many as ``out`` holds) are cast to int32 and added with
-    two's-complement wraparound, which equals the wrapped int32 sum of all
-    the products. Without terms the sum is empty: 0.
-    """
-    groups = _exact_groups(terms)
-    first = next(groups, None)
-    out[...] = 0 if first is None else first.reshape(out.shape)
-    for group in groups:
-        out += group.reshape(out.shape).astype(np.int32)
+    for i, j in np.ndindex(*kernel.shape[:2]):
+        offset = start + i * wp + j
+        for c in range(0, kernel.shape[3], _EXACT_ROWS):
+            w, x = kernel[i, j, :, c:c + _EXACT_ROWS], rows[c:c + _EXACT_ROWS, offset:offset + m]
+            if depth + w.shape[1] > _EXACT_ROWS:
+                out += group.astype(np.int32)
+                depth = 0
+            if depth == 0:
+                group = np.matmul(w, x, out=group)
+            else:
+                tmp = np.matmul(w, x, out=tmp)
+                group += tmp
+            depth += w.shape[1]
+    if depth:
+        out += group.astype(np.int32)
 
 
 # A column block's (Cout, cols) int32 accumulator holds at most this many
 # cells, so that it, the float32 GEMM buffers and the float64 values of its
 # requantization stay in a 2 MiB L2 cache together.
 _BLOCK_CELLS = 1 << 15
-
-
-def _shifted_grid(x: np.ndarray, zero_point: int, ph: int, pw: int, top: int,
-                  left: int, channels) -> np.ndarray:
-    """Channels ``channels`` of NHWC integer ``x`` minus ``zero_point``, in their
-    order, as a (len(channels), N, H + ph, W + pw) float32 buffer whose borders
-    are zero, the shifted zero point; each is written straight into the buffer."""
-    n, h, w, _ = x.shape
-    xc = np.zeros((len(channels), n, h + ph, w + pw), dtype=np.float32)
-    xt = x.transpose(3, 0, 1, 2)
-    for row, ch in enumerate(channels):
-        np.subtract(xt[ch], np.float32(zero_point),
-                    out=xc[row, :, top:top + h, left:left + w], dtype=np.float32)
-    return xc
 
 
 def _conv_grid(x: np.ndarray, zero_point: int, kernel: np.ndarray, bias: np.ndarray,
@@ -484,7 +453,7 @@ def _conv_grid(x: np.ndarray, zero_point: int, kernel: np.ndarray, bias: np.ndar
     ph, pw, top, left, oh, ow = _conv_extent(x.shape, kernel.shape, stride, padding)
     # a channel at the zero point in every cell adds 0 to every sum
     kept = np.flatnonzero(_live_channels(x, zero_point))
-    xc = _shifted_grid(x, zero_point, ph, pw, top, left, kept)
+    xc = _channel_major(x, ph, pw, top, left, kept, zero_point)
     hp, wp = h + ph, w + pw
     # cell (n, y, x) sits at column n*Hp*Wp + y*Wp + x; the last valid cell
     # and every tap it reads lie within the first m columns
@@ -498,10 +467,8 @@ def _conv_grid(x: np.ndarray, zero_point: int, kernel: np.ndarray, bias: np.ndar
     bias = bias.astype(np.int32)[:, None]
     for start in range(0, m, width):
         block = acc[:, :min(width, m - start)]
-        _tap_sum((t for i in range(kh) for j in range(kw)
-                  for t in _tap_terms(kmat, i, j, rows, start + i * wp + j, block.shape[1])),
-                 block)
-        block += bias
+        block[...] = bias
+        _tap_sum(kmat, rows, wp, start, block)
         sink(columns[:, start:start + block.shape[1]], block)
     cells = grid[:, :, :(oh - 1) * stride + 1:stride, :(ow - 1) * stride + 1:stride]
     return cells.transpose(1, 2, 3, 0)
@@ -512,18 +479,14 @@ def _conv_int(x_shifted: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     """int32 conv over zero-point-shifted integer activations, one exact GEMM per tap.
 
     ``x_shifted`` (NHWC) holds integers of magnitude at most 255, int8
-    activations minus a zero point in [-128, 127]; ``kernel`` is int8.
-    Integer addition is associative mod 2^32, so unlike the float path the
-    summation order is free. The input is padded once into a channel-major
-    (Cin, N, Hp, Wp) float32 buffer, less its channels that are 0 in every
-    cell, which add nothing. Flattened to (Cin, N*Hp*Wp), the
-    input of kernel tap (i, j) for the output cell at column c is column
-    c + i*Wp + j: its rows are contiguous, so for a block of columns each
-    tap is one float32 BLAS GEMM (Cout x Cin) @ (Cin x cols) over a view,
-    without a copy. Products add up exactly in float32 over groups of taps
-    of at most _EXACT_ROWS = 514 rows (see :func:`_exact_groups`; Cin > 514
-    is split within a tap), the groups and the bias in int32 with
-    wraparound, giving the same bits as an int32 matmul.
+    activations minus a zero point in [-128, 127]; ``kernel`` is int8. The
+    input is padded once into a channel-major (Cin, N, Hp, Wp) float32
+    buffer, less its channels that are 0 in every cell, which add nothing.
+    Flattened to (Cin, N*Hp*Wp), the input of kernel tap (i, j) for the
+    output cell at column c is column c + i*Wp + j: its rows are contiguous,
+    so for a block of columns each tap is one float32 BLAS GEMM (Cout x Cin)
+    @ (Cin x cols) over a view, without a copy, and :func:`_tap_sum` adds
+    the taps up exactly to an int32 matmul's bits.
 
     The columns run in blocks of at most ``_BLOCK_CELLS`` accumulator cells,
     every tap of a block before the next block, so that the block's
@@ -535,14 +498,6 @@ def _conv_int(x_shifted: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     channel-major grid.
     """
     return _conv_grid(x_shifted, 0, kernel, bias, stride, padding, np.int32, np.copyto)
-
-
-def _conv_transpose_int(x_shifted: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
-                        stride: int) -> np.ndarray:
-    """int32 transposed conv (stride == kernel size): :func:`_conv_int` of its
-    stacked taps, then depth-to-space. Returns N x OH x OW x Cout int32."""
-    kernel, bias = _stacked_taps(kernel, bias, stride)
-    return _depth_to_space(_conv_int(x_shifted, kernel, bias, 1, "valid"), stride)
 
 
 def _quantize_input(graph: ModelGraph, inp: Tensor) -> np.ndarray:
@@ -614,4 +569,4 @@ def run_quantized(graph: ModelGraph, inp) -> InferenceResult:
     """
     if not graph.flags.get("quantized"):
         raise ValueError("graph is not quantized; use run_float")
-    return finish(graph, _execute(graph, _QUANTIZED, inp))
+    return finish(graph, _execute(graph, inp))

@@ -330,7 +330,10 @@ def evaluate_protection(original: ModelGraph, protected: ModelGraph, images,
 
     The positions and their bits come from one ``bits.DANGER_BIT`` lookup
     per f32 set of ``original``, kept where ``bit_filter`` admits the bit.
+    A quantized ``original`` holds no such set and is refused before any walk.
     """
+    if original.flags.get("quantized"):
+        raise ValueError("protection applies to float graphs")
     batch = batch_inputs(images)
     targets = []
     for p, words in _f32_words(original.params):

@@ -200,15 +200,17 @@ def _live_channels(x: np.ndarray, zero=0) -> np.ndarray:
 
 
 def _channel_major(x: np.ndarray, ph: int, pw: int, top: int, left: int,
-                   channels) -> np.ndarray:
-    """Channels ``channels`` of NHWC ``x``, in their order, as a (len(channels), N,
-    H + ph, W + pw) float32 buffer with zero borders; each is copied straight
-    into the buffer."""
+                   channels, zero=0) -> np.ndarray:
+    """Channels ``channels`` of NHWC ``x`` minus ``zero``, in their order, as a
+    (len(channels), N, H + ph, W + pw) float32 buffer with +0.0 borders; each is
+    written straight into the buffer. Both convolution cores stage their input
+    here; at ``zero`` 0 a float ``x - 0.0`` keeps every bit, -0.0 included."""
     n, h, w, _ = x.shape
     xc = np.zeros((len(channels), n, h + ph, w + pw), dtype=np.float32)
     xt = x.transpose(3, 0, 1, 2)
     for row, ch in enumerate(channels):
-        xc[row, :, top:top + h, left:left + w] = xt[ch]
+        np.subtract(xt[ch], np.float32(zero), out=xc[row, :, top:top + h, left:left + w],
+                    dtype=np.float32)
     return xc
 
 
@@ -277,17 +279,19 @@ def _conv_channel_major(x: np.ndarray, k: np.ndarray, bias: np.ndarray, stride: 
     rows_buf = np.empty(cin * nb * oh * ow, dtype=np.float32)
     # 0 * Inf and 0 * NaN are NaN: a channel read by such a weight always runs
     unsafe = ~np.isfinite(k).all(axis=(0, 1, 3))
-    with _kernel_scope():
-        for b in range(0, n, nb):
-            xb = x[b:b + nb]
-            kept = np.flatnonzero(_live_channels(xb) | unsafe)
-            xc = _channel_major(xb, ph, pw, top, left, kept)
-            m = xc.shape[1] * oh * ow
-            acc = out[:, b:b + nb].reshape(cout, m)  # a view: its rows are contiguous
-            tmp = tmp_buf[:cout * m].reshape(cout, m)
-            rows = rows_buf[:kept.size * m].reshape(xc.shape[:2] + (oh, ow))
-            k_kept = k[:, :, kept]
-            acc.fill(0.0)
+    for b in range(0, n, nb):
+        xb = x[b:b + nb]
+        kept = np.flatnonzero(_live_channels(xb) | unsafe)
+        # staged at numpy's default buffer size: at _BUFSIZE the scalar
+        # subtract of _channel_major ran about four times slower
+        xc = _channel_major(xb, ph, pw, top, left, kept)
+        m = xc.shape[1] * oh * ow
+        acc = out[:, b:b + nb].reshape(cout, m)  # a view: its rows are contiguous
+        tmp = tmp_buf[:cout * m].reshape(cout, m)
+        rows = rows_buf[:kept.size * m].reshape(xc.shape[:2] + (oh, ow))
+        k_kept = k[:, :, kept]
+        acc.fill(0.0)
+        with _kernel_scope():
             for i in range(kh):
                 for j in range(kw):
                     rows[...] = xc[:, :, i:i + (oh - 1) * stride + 1:stride,

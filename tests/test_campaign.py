@@ -743,15 +743,15 @@ class TestDeadInputChannels:
         forward (one grid per sub-batch in float)."""
         from seu_forge import engine, tensor
         quantized = graph.flags.get("quantized")
-        module, name = (engine, "_shifted_grid") if quantized else (tensor, "_channel_major")
-        counts, real = [], getattr(module, name)
+        module = engine if quantized else tensor
+        counts, real = [], module._channel_major
 
         def grid(*args):
-            counts.append(len(args[-1]))
+            counts.append(len(args[5]))
             return real(*args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(module, name, grid)
+            mp.setattr(module, "_channel_major", grid)
             (sf.run_quantized if quantized else sf.run_float)(graph, batch)
         return counts
 

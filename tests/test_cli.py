@@ -427,3 +427,17 @@ def test_protect_evaluate_refuses_models_that_cannot_be_paired(model_path, tmp_p
                    "--image-size", "16") == 1
     assert "parameter tables differ at p37 " in capsys.readouterr().err
     assert not (out / "protection_eval.json").exists()
+
+
+def test_protect_evaluate_refuses_a_quantized_model(model_path, tmp_path, capsys):
+    """A quantized model holds no f32 set to protect: protect evaluate refuses
+    it, as protect apply does, and writes no report."""
+    quant = tmp_path / "q.sfm"
+    assert run_cli("compress", "quantize", "--model", str(model_path), "--out", str(quant),
+                   "--images", "3", "--image-size", "16") == 0
+    out = tmp_path / "eval"
+    assert run_cli("protect", "evaluate", "--original", str(quant), "--protected",
+                   str(quant), "--out-dir", str(out), "--images", "3",
+                   "--image-size", "16") == 1
+    assert "protection applies to float graphs" in capsys.readouterr().err
+    assert not (out / "protection_eval.json").exists()

@@ -8,13 +8,19 @@ from hypothesis import strategies as st
 
 import seu_forge as sf
 from seu_forge import engine, tensor
-from seu_forge.engine import (_conv_int, _conv_transpose_int, _quantized_conv,
-                              golden_frontiers, run_float, run_quantized)
-from seu_forge.tensor import BnParams, Tensor
+from seu_forge.engine import _conv_int, _quantized_conv, golden_frontiers, run_float, run_quantized
+from seu_forge.tensor import BnParams, Tensor, _depth_to_space, _stacked_taps
 
 from conftest import single_conv_graph
 from oracles import convtr_scatter_add, eq5_scalar, quantized_convtr_scalar, quantized_mac
 from test_tensor import FAULT_VALUES, with_faulted_weights
+
+
+def _conv_transpose_int(x_shifted, kernel, bias, stride):
+    """The int32 transposed conv (stride == kernel size) as the quantized path runs it:
+    ``_conv_int`` of its stacked taps, then depth-to-space."""
+    kernel, bias = _stacked_taps(kernel, bias, stride)
+    return _depth_to_space(_conv_int(x_shifted, kernel, bias, 1, "valid"), stride)
 
 
 def test_run_twice_identical_bits(tiny_graph, tiny_batch):
@@ -290,9 +296,9 @@ class TestConvIntBlocks:
         """The columns of each block the integer conv sums."""
         widths, real = [], engine._tap_sum
 
-        def tap_sum(terms, out):
-            widths.append(out.shape[1])
-            return real(terms, out)
+        def tap_sum(*args):
+            widths.append(args[-1].shape[1])
+            return real(*args)
 
         monkeypatch.setattr(engine, "_tap_sum", tap_sum)
         return widths
@@ -919,14 +925,14 @@ class TestZeroPointChannels:
 
     @staticmethod
     def kept_counts(mp):
-        """The channels ``_shifted_grid`` writes, for each grid it builds."""
-        counts, real = [], engine._shifted_grid
+        """The channels ``_channel_major`` writes, for each grid the integer core builds."""
+        counts, real = [], engine._channel_major
 
-        def shifted_grid(x, zero_point, *extent_and_channels):
-            counts.append(len(extent_and_channels[4]))
-            return real(x, zero_point, *extent_and_channels)
+        def channel_major(*args):
+            counts.append(len(args[5]))
+            return real(*args)
 
-        mp.setattr(engine, "_shifted_grid", shifted_grid)
+        mp.setattr(engine, "_channel_major", channel_major)
         return counts
 
     @staticmethod

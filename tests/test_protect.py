@@ -571,6 +571,19 @@ def test_evaluation_walks_hold_at_most_the_maps_budget(tiny_graph, tiny_inputs, 
     assert bounded.faultless == whole.faultless and bounded.per_bit == whole.per_bit
 
 
+def test_quantized_original_refused_before_any_walk(tiny_graph, tiny_inputs, monkeypatch):
+    """A quantized model holds no f32 set to protect: evaluate_protection
+    refuses it, as protect_parameters does, before any forward runs."""
+    import seu_forge.campaign as campaign
+    from conftest import spy_walks
+    images = tiny_inputs[0][:3]
+    quantized = sf.quantize_ptq(tiny_graph, images)
+    walks = spy_walks(monkeypatch, campaign)
+    with pytest.raises(ValueError, match="protection applies to float graphs"):
+        evaluate_protection(quantized, quantized, images)
+    assert walks == []
+
+
 # ---------------------------------------------------------------------------
 # the array pass against the element loop it replaced
 

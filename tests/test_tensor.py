@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import seu_forge.tensor as tensor
 from seu_forge.tensor import (INVALID_CLASS, BnParams, ShapeError, Tensor,
@@ -603,3 +604,59 @@ class TestDeadChannels:
         assert_same_bits(ours, ref)
         nan = np.isnan(ref)
         assert nan[..., 0].any() and not nan[..., 1].any()
+
+
+# -0.0 and +-Inf, the smallest subnormals, the smallest normal, NaN and the largest finite
+F32_EDGES = [-0.0, 0.0, math.inf, -math.inf, 1e-45, -1e-45, 1.1754944e-38, math.nan,
+             -3.4028235e38]
+
+
+@st.composite
+def staging_cases(draw, dtype):
+    """(NHWC ``x``, (ph, pw, top, left), channels) for ``_channel_major``; ``x`` is
+    row-major or, as activations are, an NHWC view of channel-major memory."""
+    shape = tuple(draw(st.integers(1, hi)) for hi in (2, 4, 4, 4))
+    elements = st.one_of(st.sampled_from(F32_EDGES), st.floats(width=32)) \
+        if dtype == np.float32 else None
+    x = draw(hnp.arrays(dtype, shape, elements=elements))
+    if draw(st.booleans()):
+        x = np.ascontiguousarray(x.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+    ph, pw = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    extent = (ph, pw, draw(st.integers(0, ph)), draw(st.integers(0, pw)))
+    channels = draw(st.lists(st.integers(0, shape[3] - 1), unique=True, max_size=shape[3]))
+    return x, extent, np.array(channels, dtype=np.intp)
+
+
+class TestChannelMajorStaging:
+    """Both convolution cores stage their input through ``_channel_major``: the
+    kept channels less a zero point, in their order, inside +0.0 borders."""
+
+    @staticmethod
+    def staged(case, zero):
+        """The staged grid's interior and the bits of its borders."""
+        x, (ph, pw, top, left), channels = case
+        n, h, w, _ = x.shape
+        xc = tensor._channel_major(x, ph, pw, top, left, channels, zero)
+        assert xc.dtype == np.float32 and xc.shape == (len(channels), n, h + ph, w + pw)
+        border = np.ones(xc.shape[2:], dtype=bool)
+        border[top:top + h, left:left + w] = False
+        return xc[:, :, top:top + h, left:left + w], xc[:, :, border].view(np.uint32)
+
+    @given(case=staging_cases(np.float32))
+    @example(case=(np.full((1, 1, 1, 1), -0.0, np.float32), (0, 0, 0, 0), np.array([0])))
+    @settings(max_examples=60, deadline=None)
+    def test_float_channels_keep_every_bit(self, case):
+        inner, border = self.staged(case, 0)
+        want = case[0][..., case[2]].transpose(3, 0, 1, 2)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(inner), nan)
+        assert np.array_equal(inner.view(np.uint32)[~nan], want.view(np.uint32)[~nan])
+        assert not border.any()  # +0.0
+
+    @given(case=staging_cases(np.int8), zero=st.integers(-128, 127))
+    @settings(max_examples=60, deadline=None)
+    def test_int8_channels_less_their_zero_point(self, case, zero):
+        inner, border = self.staged(case, zero)
+        want = case[0][..., case[2]].transpose(3, 0, 1, 2).astype(np.int32) - zero
+        assert np.array_equal(inner, want.astype(np.float32))
+        assert not border.any()
