@@ -14,8 +14,7 @@ from .tensor import (INVALID_CLASS, BnParams, ShapeError, Tensor,
 from .model import (DEFAULT_TARGET_ROLES, FormatError, LayerSpec, ModelGraph,
                     ParamSet, ROLES, batch_inputs, build_unet,
                     generate_calibration_set, generate_toy_weights,
-                    infer_shapes, load_model, model_hash, save_model,
-                    unet_parameter_count)
+                    infer_shapes, load_model, model_hash, save_model)
 from .engine import InferenceResult, run_float, run_quantized
 from .bits import flip_bit_f32, flip_bit_int
 from .faults import (FaultOutcome, FaultSpec, FaultToken, apply_fault,

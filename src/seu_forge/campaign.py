@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import reports
-from .engine import (Frontier, channel_chain, finish, golden_frontiers, poisoned,
-                     reaching_output, run_channels, run_float, run_quantized)
+from .engine import (Frontier, _walk, channel_chain, finish, poisoned, reaching_output,
+                     run_channels, run_float, run_quantized)
 # apply_fault, revert and inject_and_measure are not called here; they stay
 # importable from this module, whose names perfbench's tracer rebinds.
 from .faults import (FaultOutcome, apply_fault, decode_fault, fault_at,  # noqa: F401
@@ -440,7 +440,7 @@ def _fault_loop(graph: ModelGraph, batch: Tensor, fault_sets):
     plans = [_fault_plan(work, specs, index) for specs in fault_sets]
     exits = [None] * len(fault_sets)
     sources = [None] * len(fault_sets)  # each set's L input, from L's frontier to its exit
-    for frontier in golden_frontiers(work, batch, stop=len(work.layers)):
+    for frontier in _walk(work, batch):
         for i, (start, chain, channels, later) in enumerate(plans):
             if start == frontier.start:
                 sources[i] = frontier.live[work.layers[start].inputs[0]]

@@ -1,8 +1,8 @@
 """Graph execution: bit-reproducible float mode and integer-quantized mode.
 
 This module only executes. Every pass, full, resumed from a :class:`Frontier`
-or the faultless walk of ``golden_frontiers``, runs through one layer loop,
-``_walk``, and is observed through one hook, its ``record`` callback, as
+or a campaign's faultless walk, runs through one layer loop, ``_walk``, and
+is observed through one hook, its ``record`` callback, as
 ``run_float(collect=)``, ``compress.quantize_ptq`` and
 ``analysis.calibration_report`` do.
 
@@ -138,7 +138,9 @@ def _walk(graph: ModelGraph, inp, record=None):
     A frontier's splice is applied as the walk starts. Every activation the
     walk starts with, then each layer's output, goes to ``record(name,
     value)``. Each activation is freed after its last consumer has run;
-    each frontier yielded owns its dict.
+    each frontier yielded owns its dict. The walk reads the graph's
+    parameters as it resumes, so faults applied while a frontier is in use
+    must be reverted before the next frontier is requested.
     """
     mode = _mode(graph)
     kind = next((l.kind for l in graph.layers if l.kind not in mode.ops), None)
@@ -188,25 +190,6 @@ def _with_channels(activation, channels, values):
     out = activation.copy(order="K")
     out[..., channels] = values
     return out
-
-
-def golden_frontiers(graph: ModelGraph, inp: Tensor, stop: int = None):
-    """Walk the faultless forward pass, yielding the :class:`Frontier` before each layer.
-
-    Works in either numeric mode (chosen by the graph's ``quantized`` flag)
-    and ends after yielding the frontier of layer ``stop`` (default: the
-    output layer), without running that layer; at ``len(graph.layers)`` it
-    ends with the finished pass (see :func:`finish`). Only the live set is
-    held; each activation is freed after its last consumer, as in a full
-    forward. Each frontier owns its dict; the walk reads the graph's
-    parameters as it resumes, so faults applied while a frontier is in use
-    must be reverted before the next one is requested.
-    """
-    stop = len(graph.layers) - 1 if stop is None else stop
-    for frontier in _walk(graph, inp):
-        yield frontier
-        if frontier.start >= stop:
-            return
 
 
 def finish(graph: ModelGraph, live: dict) -> InferenceResult:
@@ -441,12 +424,14 @@ _BLOCK_CELLS = 1 << 15
 def _conv_grid(x: np.ndarray, zero_point: int, kernel: np.ndarray, bias: np.ndarray,
                stride: int, padding: str, dtype, sink) -> np.ndarray:
     """The conv of NHWC ``x - zero_point`` by int8 ``kernel`` plus ``bias``, column
-    block by column block (see :func:`_conv_int`).
+    block by column block (see the module docstring).
 
     Each block's finished int32 sums, bias included, go to ``sink(out, acc)``
     with ``out`` the block's columns of a (Cout, N*Hp*Wp) grid of ``dtype``:
     ``np.copyto`` keeps them, :func:`_requantize` requantizes them while
-    they are in cache. Returns the N x OH x OW x Cout cells of the grid.
+    they are in cache. The grid is computed at every padded cell and cropped
+    (subsampled for stride > 1) to OH x OW: returns N x OH x OW x Cout, a
+    view of the channel-major grid.
     """
     kh, kw, cin, cout = kernel.shape
     n, h, w, _ = x.shape
@@ -472,32 +457,6 @@ def _conv_grid(x: np.ndarray, zero_point: int, kernel: np.ndarray, bias: np.ndar
         sink(columns[:, start:start + block.shape[1]], block)
     cells = grid[:, :, :(oh - 1) * stride + 1:stride, :(ow - 1) * stride + 1:stride]
     return cells.transpose(1, 2, 3, 0)
-
-
-def _conv_int(x_shifted: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
-              stride: int, padding: str) -> np.ndarray:
-    """int32 conv over zero-point-shifted integer activations, one exact GEMM per tap.
-
-    ``x_shifted`` (NHWC) holds integers of magnitude at most 255, int8
-    activations minus a zero point in [-128, 127]; ``kernel`` is int8. The
-    input is padded once into a channel-major (Cin, N, Hp, Wp) float32
-    buffer, less its channels that are 0 in every cell, which add nothing.
-    Flattened to (Cin, N*Hp*Wp), the input of kernel tap (i, j) for the
-    output cell at column c is column c + i*Wp + j: its rows are contiguous,
-    so for a block of columns each tap is one float32 BLAS GEMM (Cout x Cin)
-    @ (Cin x cols) over a view, without a copy, and :func:`_tap_sum` adds
-    the taps up exactly to an int32 matmul's bits.
-
-    The columns run in blocks of at most ``_BLOCK_CELLS`` accumulator cells,
-    every tap of a block before the next block, so that the block's
-    buffers stay in L2 cache; integer sums are exact in any grouping of
-    columns, so the blocks change no bit. :func:`_quantized_conv` runs the
-    same blocks and requantizes each one as it is finished. The grid is
-    computed at every padded cell and cropped (subsampled for stride > 1)
-    to OH x OW. Returns N x OH x OW x Cout int32, a view of the
-    channel-major grid.
-    """
-    return _conv_grid(x_shifted, 0, kernel, bias, stride, padding, np.int32, np.copyto)
 
 
 def _quantize_input(graph: ModelGraph, inp: Tensor) -> np.ndarray:
@@ -530,19 +489,22 @@ def _quantized_conv(graph, layer, ins, channels=None):
 _INT8_VALUES = np.arange(256, dtype=np.uint8).view(np.int8)
 
 
+def _rescale_table(graph: ModelGraph, src: str, dst: str) -> np.ndarray:
+    """Each int8 value at activation ``src``'s entry, by its uint8 bit pattern, at
+    ``dst``'s: (v - Z_src) * S_src / S_dst + Z_dst, rounded half to even and saturated."""
+    e, out = _act_entry(graph, src), _act_entry(graph, dst)
+    rescaled = (_INT8_VALUES.astype(np.float64) - e["zero_point"]) * (e["scale"] / out["scale"])
+    return _round_half_even_clip_i8(rescaled + out["zero_point"])
+
+
 def _quantized_concat(graph, layer, ins):
-    """Each input rescaled to the output's scale by a 256-entry table, looked up
-    by bit pattern into one channel-major (C, N, H, W) buffer; its NHWC view."""
-    out_ent = _act_entry(graph, layer.name)
+    """Each input rescaled to the output's entry (:func:`_rescale_table`) into one
+    channel-major (C, N, H, W) buffer; its NHWC view."""
     n, h, w, _ = ins[0].shape
     out = np.empty((sum(part.shape[3] for part in ins), n, h, w), dtype=np.int8)
     start = 0
     for ref, part in zip(layer.inputs, ins):
-        e = _act_entry(graph, ref)
-        # the rescale of every int8 value
-        rescaled = ((_INT8_VALUES.astype(np.float64) - e["zero_point"])
-                    * (e["scale"] / out_ent["scale"]))
-        table = _round_half_even_clip_i8(rescaled + out_ent["zero_point"])
+        table = _rescale_table(graph, ref, layer.name)
         # a uint8 index is always in range; "clip" skips the buffered bounds check
         np.take(table, part.view(np.uint8).transpose(3, 0, 1, 2),
                 out=out[start:start + part.shape[3]], mode="clip")
@@ -550,12 +512,22 @@ def _quantized_concat(graph, layer, ins):
     return out.transpose(1, 2, 3, 0)
 
 
+def _at_own_entry(graph, layer, values: np.ndarray) -> np.ndarray:
+    """``values``, which a ReLU or max-pool ``layer`` computes at its input's entry,
+    at its own: as a one-input concat, or as they are where the entries are equal."""
+    src, dst = _act_entry(graph, layer.inputs[0]), _act_entry(graph, layer.name)
+    if (src["scale"], src["zero_point"]) == (dst["scale"], dst["zero_point"]):
+        return values
+    return _quantized_concat(graph, layer, [values])
+
+
 _QUANTIZED = _Mode(
     name="quantized",
     ops={**dict.fromkeys(CONV_KINDS, _quantized_conv),
-         "relu": lambda graph, layer, ins, channels=None: np.maximum(
-             ins[0], np.int8(_act_entry(graph, layer.inputs[0])["zero_point"])),
-         "maxpool": lambda graph, layer, ins, channels=None: _max2x2(ins[0]),
+         "relu": lambda graph, layer, ins, channels=None: _at_own_entry(graph, layer, np.maximum(
+             ins[0], np.int8(_act_entry(graph, layer.inputs[0])["zero_point"]))),
+         "maxpool": lambda graph, layer, ins, channels=None: _at_own_entry(
+             graph, layer, _max2x2(ins[0])),
          "concat": _quantized_concat},
     enter=_quantize_input)
 

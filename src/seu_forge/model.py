@@ -42,6 +42,7 @@ _LAYER_ROLES = {
     "output_conv": ("conv_kernel", "conv_bias"),
     "conv2d_transpose": ("convtr_kernel", "convtr_bias"),
     "batchnorm": ("bn_gamma", "bn_beta", "bn_mu", "bn_sigma"),
+    "relu": (), "maxpool": (), "concat": (),  # kinds with no parameter set
 }
 # The layer kinds that convolve their input with a (kernel, bias) pair.
 CONV_KINDS = ("conv2d", "conv2d_transpose", "output_conv")
@@ -108,7 +109,17 @@ class ModelGraph:
             raise ValueError("p-indices must be contiguous 1..N")
         self._by_layer = {}
         for p in self.params:
-            self._by_layer.setdefault(p.layer, {})[p.role] = p
+            # refuse a set that no op reads; an unknown kind is left to infer_shapes
+            layer, have = self._by_name.get(p.layer), self._by_layer.setdefault(p.layer, {})
+            if layer is None:
+                raise ValueError(f"p{p.index} belongs to no layer: {p.layer!r}")
+            if p.role not in _LAYER_ROLES.get(layer.kind, (p.role,)):
+                raise ValueError(f"p{p.index} is a {p.role} set, which a {layer.kind} "
+                                 f"layer ({layer.name}) does not carry")
+            if p.role in have:
+                raise ValueError(f"layer {layer.name} has two {p.role} sets, "
+                                 f"p{have[p.role].index} and p{p.index}")
+            have[p.role] = p
         self._validate_param_complements()
 
     def _validate_param_complements(self):
@@ -312,28 +323,6 @@ def build_unet(levels: int, base_filters: int, class_count: int,
         "input_channels": input_channels,
     }
     return ModelGraph(layers, assign_param_indices(params), class_count, metadata)
-
-
-def unet_parameter_count(levels: int, base_filters: int, class_count: int,
-                         input_channels: int) -> int:
-    """Closed-form element count of build_unet output (all eight roles)."""
-    total = 0
-    cin = input_channels
-    enc = []
-    for level in range(levels + 1):
-        f = base_filters * (1 << level)
-        total += 9 * cin * f + f + 4 * f      # conv1 + bias + bn
-        total += 9 * f * f + f + 4 * f        # conv2 + bias + bn
-        enc.append(f)
-        cin = f
-    for level in reversed(range(levels)):
-        f = base_filters * (1 << level)
-        total += 4 * cin * f + f              # transposed conv
-        total += 9 * (2 * f) * f + f + 4 * f  # conv after concat
-        total += 9 * f * f + f + 4 * f
-        cin = f
-    total += cin * class_count + class_count  # 1x1 output conv
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import seu_forge as sf
 from seu_forge import engine, tensor
-from seu_forge.engine import _conv_int, _quantized_conv, golden_frontiers, run_float, run_quantized
+from seu_forge.engine import _conv_grid, _quantized_conv, _walk, run_float, run_quantized
 from seu_forge.tensor import BnParams, Tensor, _depth_to_space, _stacked_taps
 
 from conftest import single_conv_graph
@@ -16,11 +17,17 @@ from oracles import convtr_scatter_add, eq5_scalar, quantized_convtr_scalar, qua
 from test_tensor import FAULT_VALUES, with_faulted_weights
 
 
+def _int32_conv(x_shifted, kernel, bias, stride, padding):
+    """The int32 conv of integer ``x_shifted`` (int8 activations less their zero
+    point) by int8 ``kernel`` plus ``bias``: the integer core's sums, kept as they are."""
+    return _conv_grid(x_shifted, 0, kernel, bias, stride, padding, np.int32, np.copyto)
+
+
 def _conv_transpose_int(x_shifted, kernel, bias, stride):
     """The int32 transposed conv (stride == kernel size) as the quantized path runs it:
-    ``_conv_int`` of its stacked taps, then depth-to-space."""
+    ``_int32_conv`` of its stacked taps, then depth-to-space."""
     kernel, bias = _stacked_taps(kernel, bias, stride)
-    return _depth_to_space(_conv_int(x_shifted, kernel, bias, 1, "valid"), stride)
+    return _depth_to_space(_int32_conv(x_shifted, kernel, bias, 1, "valid"), stride)
 
 
 def test_run_twice_identical_bits(tiny_graph, tiny_batch):
@@ -212,7 +219,7 @@ class TestConvInt:
         q_w[1, 1, :, 0] = -128
         q_b = rng.integers(-2**20, 2**20, size=4).astype(np.int32)
         x_shift = q_x.astype(np.int32) - np.int32(z_x)
-        ours = _conv_int(x_shift, q_w, q_b, stride, padding)
+        ours = _int32_conv(x_shift, q_w, q_b, stride, padding)
         assert ours.dtype == np.int32
         assert np.array_equal(ours, conv_int_mac_loop(q_x, z_x, q_w, q_b, stride, padding))
 
@@ -227,7 +234,7 @@ class TestConvInt:
         q_w[0, 2, 17, 0] = q_w[2, 1, 40, 1] = -127
         q_b = np.array([-2**31 + 5, 0], np.int32)
         x_shift = q_x.astype(np.int32) - np.int32(z_x)
-        ours = _conv_int(x_shift, q_w, q_b, 1, "same")
+        ours = _int32_conv(x_shift, q_w, q_b, 1, "same")
         ref = conv_int_mac_loop(q_x, z_x, q_w, q_b, 1, "same")
         assert np.array_equal(ours, ref)
         sums = np.array([eq5_scalar(q_w[..., co].ravel(), q_x[0, :3, :3].ravel(), 0, z_x)
@@ -263,7 +270,7 @@ class TestConvInt:
         q_w = operand((kh, kw, cin, cout), w_fill)
         q_b = rng.integers(-2**31, 2**31, size=cout).astype(np.int32)
         x_shift = q_x.astype(np.int32) - np.int32(z_x)
-        ours = _conv_int(x_shift, q_w, q_b, stride, padding)
+        ours = _int32_conv(x_shift, q_w, q_b, stride, padding)
         assert ours.dtype == np.int32
         assert np.array_equal(ours, conv_int_mac_loop(q_x, z_x, q_w, q_b, stride, padding))
 
@@ -314,7 +321,7 @@ class TestConvIntBlocks:
         # 4 output channels, 13 columns a block: no row of 9 or 11 cells
         # starts a block after the first
         monkeypatch.setattr(engine, "_BLOCK_CELLS", 4 * 13 + 3)
-        ours = _conv_int(q_x.astype(np.int32) - np.int32(z_x), q_w, q_b, stride, padding)
+        ours = _int32_conv(q_x.astype(np.int32) - np.int32(z_x), q_w, q_b, stride, padding)
         assert len(widths) > 5 and set(widths[:-1]) == {13}
         assert np.array_equal(ours, conv_int_mac_loop(q_x, z_x, q_w, q_b, stride, padding))
 
@@ -330,7 +337,7 @@ class TestConvIntBlocks:
         q_w[0, 2, 17, 0] = q_w[2, 1, 40, 1] = -127
         q_b = np.array([-2**31 + 5, 2**31 - 9], np.int32)
         monkeypatch.setattr(engine, "_BLOCK_CELLS", 2 * 10)
-        ours = _conv_int(q_x.astype(np.int32) - np.int32(z_x), q_w, q_b, 1, "same")
+        ours = _int32_conv(q_x.astype(np.int32) - np.int32(z_x), q_w, q_b, 1, "same")
         assert len(widths) > 5 and set(widths[:-1]) == {10}
         assert np.array_equal(ours, conv_int_mac_loop(q_x, z_x, q_w, q_b, 1, "same"))
         sums = np.array([eq5_scalar(q_w[..., co].ravel(), q_x[0, 1:4, 1:4].ravel(), 0, z_x)
@@ -377,7 +384,7 @@ class TestConvIntBlocks:
         q_b = rng.integers(-2**31, 2**31, size=cout).astype(np.int32)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_BLOCK_CELLS", budget)
-            ours = _conv_int(q_x.astype(np.int32) - np.int32(z_x), q_w, q_b, stride, padding)
+            ours = _int32_conv(q_x.astype(np.int32) - np.int32(z_x), q_w, q_b, stride, padding)
         assert np.array_equal(ours, conv_int_mac_loop(q_x, z_x, q_w, q_b, stride, padding))
 
 
@@ -410,6 +417,46 @@ class TestQuantizedConcat:
         assert ours.dtype == np.int8 and np.array_equal(ours, ref)
         assert ours.transpose(3, 0, 1, 2).flags.c_contiguous
         assert (ref == 127).any() or (ref == -128).any()
+
+
+class TestReluMaxpoolRescale:
+    """A quantized ReLU or max-pool computes its values at its input's entry and
+    rescales them to its own entry where the two differ."""
+
+    @pytest.mark.parametrize("channel_major", [False, True])
+    @pytest.mark.parametrize("kind", ["relu", "maxpool"])
+    def test_double_output_scale(self, kind, channel_major):
+        z_in, z_out = -7, 90
+        entries = {"a": {"scale": 0.25, "zero_point": z_in},
+                   "op": {"scale": 0.5, "zero_point": z_out}}
+        graph = SimpleNamespace(metadata={"quantization": {"activations": entries}})
+        layer = SimpleNamespace(name="op", inputs=["a"])
+        v = np.arange(-128, 128).astype(np.int8)  # every int8 value
+        x = v.reshape(1, 16, 16, 1)
+        if kind == "maxpool":  # each value fills one 2x2 window
+            x = x.repeat(2, axis=1).repeat(2, axis=2)
+        if channel_major:  # as the convolutions leave them
+            x = np.ascontiguousarray(x.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+        ours = engine._QUANTIZED.ops[kind](graph, layer, [x])
+        kept = np.maximum(v, z_in) if kind == "relu" else v
+        want = np.clip(np.rint((kept.astype(np.float64) - z_in) / 2) + z_out, -128, 127)
+        assert ours.dtype == np.int8 and np.array_equal(ours.reshape(-1), want)
+        assert ours.transpose(3, 0, 1, 2).flags.c_contiguous
+        assert (want == 127).any()
+
+    def test_lowered_zero_points_keep_the_maps(self, tiny_graph, tiny_inputs, tiny_batch):
+        # every ReLU and max-pool entry 20 below its input's: each value is
+        # looked up 20 lower, and its consumers subtract a zero point 20 lower
+        q = sf.quantize_ptq(tiny_graph, tiny_inputs[0])
+        lowered = q.copy()
+        entries = lowered.metadata["quantization"]["activations"]
+        for layer in lowered.layers:
+            if layer.kind in ("relu", "maxpool"):
+                entries[layer.name]["zero_point"] -= 20
+        assert min(entries[l.name]["zero_point"] for l in lowered.layers) >= -128
+        ours, want = run_quantized(lowered, tiny_batch), run_quantized(q, tiny_batch)
+        assert ours.logits.data.tobytes() == want.logits.data.tobytes()
+        assert np.array_equal(ours.class_map, want.class_map)
 
 
 class TestQuantizedConvTranspose:
@@ -701,7 +748,7 @@ class TestFrontierResume:
         graph = graphs[quantized].copy()
         run = run_quantized if quantized else run_float
         golden = run(graph, batch).logits.data
-        frontiers = list(golden_frontiers(graph, batch))
+        frontiers = list(islice(_walk(graph, batch), len(graph.layers)))
         assert [f.start for f in frontiers] == list(range(len(graph.layers)))
         faulted = changed = 0
         for frontier, layer in zip(frontiers, graph.layers):
@@ -725,7 +772,7 @@ class TestFrontierResume:
         graphs, batch = model_b
         graph = graphs[quantized].copy()
         run = run_quantized if quantized else run_float
-        frontiers = list(golden_frontiers(graph, batch))
+        frontiers = list(islice(_walk(graph, batch), len(graph.layers)))
         before = [self.values(f) for f in frontiers]
         for frontier, layer in zip(frontiers, graph.layers):
             spec = self.layer_fault(graph, layer)
@@ -741,15 +788,15 @@ class TestFrontierResume:
 
     def test_walk_stops_at_requested_layer(self, model_b):
         graphs, batch = model_b
-        starts = [f.start for f in golden_frontiers(graphs[False], batch, stop=3)]
+        starts = [f.start for f in islice(_walk(graphs[False], batch), 3 + 1)]
         assert starts == [0, 1, 2, 3]
-        first = next(golden_frontiers(graphs[True], batch))
+        first = next(islice(_walk(graphs[True], batch), len(graphs[True].layers)))
         assert list(first.live) == ["input"] and first.live["input"].dtype == np.int8
 
     def test_collect_from_a_frontier(self, model_b):
         graphs, batch = model_b
         graph = graphs[False]
-        *_, frontier = golden_frontiers(graph, batch, stop=5)
+        *_, frontier = islice(_walk(graph, batch), 5 + 1)
         late = graph.layers[5].name
         resumed = run_float(graph, frontier, collect=(late,)).collected[late].data
         full = run_float(graph, batch, collect=(late,)).collected[late].data
@@ -792,7 +839,7 @@ class TestChannelRestriction:
         graphs, batch = graphs
         graph = graphs[kind]
         mode = _QUANTIZED if kind == "quantized" else _FLOAT
-        frontiers = list(golden_frontiers(graph, batch))
+        frontiers = list(islice(_walk(graph, batch), len(graph.layers)))
         checked = set()
         for frontier, layer in zip(frontiers, graph.layers):
             if layer.kind == "concat":
@@ -817,7 +864,7 @@ class TestChannelRestriction:
         from seu_forge.engine import channel_chain, run_channels
         graphs, batch = graphs
         graph = graphs[kind]
-        frontiers = list(golden_frontiers(graph, batch))
+        frontiers = list(islice(_walk(graph, batch), len(graph.layers)))
         for idx, layer in enumerate(graph.layers):
             if not graph.layer_params(layer.name):
                 continue
@@ -893,7 +940,7 @@ class TestInputEdge:
         with pytest.raises(ValueError, match=f"layer kind '{kind}' not supported in {name} mode"):
             run(graph, batch)
         with pytest.raises(ValueError, match="not supported"):
-            next(golden_frontiers(graph, batch))
+            next(islice(_walk(graph, batch), len(graph.layers)))
         assert calls == []
 
 
@@ -999,7 +1046,7 @@ class TestZeroPointChannels:
                                               stride=stride)
             else:
                 g = quantized_conv_graph(q_w, q_b, stride, padding, s_w, s_x, z_x, s_y, z_y)
-                acc = _conv_int(x_shift, q_w, q_b, stride, padding)
+                acc = _int32_conv(x_shift, q_w, q_b, stride, padding)
                 mac = conv_int_mac_loop(q_x, z_x, q_w, q_b, stride, padding)
                 ref = np.clip(np.rint(mac * ((s_w * s_x) / s_y) + z_y), -128, 127)
             ours = _quantized_conv(g, g.layers[0], [q_x])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import seu_forge as sf
-from seu_forge.model import FormatError, infer_shapes, unet_parameter_count
+from seu_forge.model import FormatError, infer_shapes
 
 from conftest import single_conv_graph
 
@@ -12,19 +12,11 @@ from conftest import single_conv_graph
 def test_unet_full_scale_parameter_count():
     # 5 levels, 32 base filters, 6 classes, 25 channels: the full-scale
     # configuration totals 31.13M parameters (31.1M-class model)
-    count = unet_parameter_count(5, 32, 6, 25)
-    assert count == 31_125_062
     g = sf.build_unet(5, 32, 6, 25)
-    assert sum(p.tensor.size for p in g.params) == count
+    count = sum(p.tensor.size for p in g.params)
+    assert count == 31_125_062
     # p-index bookkeeping at full scale: 23 convs, 22 BNs, 5 transposed convs
     assert len(g.params) == 2 * 23 + 4 * 22 + 2 * 5
-
-
-def test_unet_enumerated_count_matches_closed_form():
-    g = sf.build_unet(3, 8, 4, 4)
-    assert sum(p.tensor.size for p in g.params) == unet_parameter_count(3, 8, 4, 4)
-    g2 = sf.build_unet(2, 4, 3, 3)
-    assert sum(p.tensor.size for p in g2.params) == unet_parameter_count(2, 4, 3, 3)
 
 
 def test_unet_structure_and_pindex_convention():
@@ -359,6 +351,26 @@ class TestContainerRefusals:
     def test_inconsistent_layer_entries(self, tiny_graph, tmp_path, edit, message):
         path = tmp_path / "model.sfm"
         sf.save_model(tiny_graph, path)
+        self.rewrite(path, edit)
+        with pytest.raises(FormatError, match=message):
+            sf.load_model(path)
+
+    @pytest.mark.parametrize("owner,copied,message", [
+        ("ghost", 2, "belongs to no layer: 'ghost'"),
+        ("relu", 3, "is a bn_gamma set, which a relu layer"),
+        ("conv2D", 2, "layer conv2D has two conv_bias sets"),
+    ], ids=["ghost_owner", "role_not_carried", "repeated_role"])
+    def test_parameter_set_no_op_reads(self, tiny_graph, tmp_path, owner, copied, message):
+        # each loaded: a sweep on the ghost set failed in its fault plan, and
+        # faults on the others read 0.0 error (the repeated role's later set
+        # is the one inference read)
+        path = tmp_path / "model.sfm"
+        sf.save_model(tiny_graph, path)
+
+        def edit(m):
+            m["params"].append(dict(m["params"][copied - 1], index=len(m["params"]) + 1,
+                                    layer=owner))
+
         self.rewrite(path, edit)
         with pytest.raises(FormatError, match=message):
             sf.load_model(path)
