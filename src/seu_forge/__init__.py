@@ -29,8 +29,8 @@ from .compress import fold_bn, prune_structured, quantize_ptq, sparse_zero
 from .analysis import (LayerStats, bits_needed_table, calibration_report,
                        capture_parameter_stats, correlate, positive_ratio_table,
                        risky_exponent_scan, risky_pattern_count)
-from .protect import (AbsorptionError, CandidateClass, EqualizationError,
+from .protect import (AbsorptionError, EqualizationError,
                       PT_LEVELS, ProtectionReport, ProtectionTarget,
-                      absorb_bias, classify_candidate, cross_layer_equalize,
+                      absorb_bias, cross_layer_equalize,
                       evaluate_protection, protect_parameters, recondition_bn,
                       suggest_cle_scales)

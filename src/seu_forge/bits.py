@@ -32,25 +32,6 @@ def exponent_field(word: int) -> int:
     return (word >> F32_EXP_LO) & F32_EXP_MASK
 
 
-def mantissa_field(word: int) -> int:
-    return word & F32_MANT_MASK
-
-
-def sign_field(word: int) -> int:
-    return (word >> F32_SIGN_BIT) & 1
-
-
-def significand_value(word: int) -> float:
-    """Significand 1.m in [1, 2) of a normal number (sign ignored)."""
-    return 1.0 + mantissa_field(word) / float(1 << F32_MANT_BITS)
-
-
-def assemble_f32(sign: int, exponent: int, mantissa: int) -> int:
-    if not 0 <= exponent <= F32_EXP_MASK:
-        raise ValueError(f"exponent field {exponent} out of [0, 255]")
-    return (sign & 1) << F32_SIGN_BIT | exponent << F32_EXP_LO | (mantissa & F32_MANT_MASK)
-
-
 def flip_bit_f32(word: int, bit: int) -> int:
     """Toggle one bit of a 32-bit float pattern. Involution by construction."""
     if not 0 <= bit <= 31:

@@ -364,27 +364,35 @@ def _chain_exit(graph: ModelGraph, chain: list, channels: np.ndarray, later: boo
     - poisoned (float): if E reaches the output and one of D is NaN at
       every position, every pixel is INVALID_CLASS (``engine.poisoned``),
       later faults or not: such a channel stays NaN through every float op;
-    - otherwise the forward resumes just after E, D spliced into a copy of E.
+    - otherwise the forward resumes just after E, from ``after``'s live set
+      with D replaced in a copy of E.
 
     Each exit gives the class maps a full forward gives, bit for bit.
     """
     end = chain[-1].name
-    if not channels.size or end not in after.live:
-        return _resumed_exit(graph, after) if later else Exit(MASKED, end)
-    faulty = run_channels(graph, chain, source, channels)
-    if not later and _values(after.live[end])[..., channels].tobytes() == _values(faulty).tobytes():
+    if channels.size and end in after.live:
+        faulty = run_channels(graph, chain, source, channels)
+        if not later and (_values(after.live[end])[..., channels].tobytes()
+                          == _values(faulty).tobytes()):
+            return Exit(MASKED, end)
+        if end in reach and poisoned(_values(faulty)):
+            return Exit(POISONED, end)
+        after = Frontier(after.start, {**after.live,
+                                       end: _with_channels(after.live[end], channels, faulty)})
+    elif not later:
         return Exit(MASKED, end)
-    if end in reach and poisoned(_values(faulty)):
-        return Exit(POISONED, end)
-    return _resumed_exit(graph, replace(after, splice=(end, channels, faulty)))
+    layer = graph.layers[after.start].name if after.start < len(graph.layers) else end
+    return Exit(RESUMED, layer, _forward_maps(graph, after))
 
 
-def _resumed_exit(graph: ModelGraph, frontier: Frontier) -> Exit:
-    """The exit of the faulted ``graph`` resumed from a golden ``frontier``,
-    at the first layer it reruns, or at the spliced one where it reruns none."""
-    start = frontier.start
-    layer = graph.layers[start].name if start < len(graph.layers) else frontier.splice[0]
-    return Exit(RESUMED, layer, _forward_maps(graph, frontier))
+def _with_channels(activation, channels, values):
+    """A copy of ``activation``, in its memory layout, with its channels
+    ``channels`` set to ``values``."""
+    out = _values(activation).copy(order="K")
+    out[..., channels] = _values(values)
+    if isinstance(activation, Tensor):
+        return Tensor(activation.shape, activation.encoding, out)
+    return out
 
 
 def _forward_maps(graph: ModelGraph, inp) -> np.ndarray:

@@ -7,13 +7,15 @@ is observed through one hook, its ``record`` callback, as
 ``analysis.calibration_report`` do.
 
 Both modes share the loop's input edge: before any layer runs, it refuses a
-layer kind the mode has no op for, an input batch that is not f32 and one
-without the model's ``input_channels``; the mode then only converts the
-batch. Both share ``tensor``'s 2x2 max-pool, output-extent rule and
-depth-to-space, and run a transposed conv as their one convolution core's
-1x1 conv of its stacked taps, then depth-to-space (see ``tensor``). Both
-keep every layer's output as an NHWC view of channel-major (C, N, H, W)
-memory, so no layer copies data between layouts.
+layer kind the mode has no op for, a graph whose parameters or scale tables
+do not fit its numeric mode (``model.check_numeric_mode``), an input batch
+that is not f32 and one without the model's ``input_channels``; the mode
+then only converts the batch, and no op checks a table entry again. Both
+share ``tensor``'s 2x2 max-pool, output-extent rule and depth-to-space, and
+run a transposed conv as their one convolution core's 1x1 conv of its
+stacked taps, then depth-to-space (see ``tensor``). Both keep every layer's
+output as an NHWC view of channel-major (C, N, H, W) memory, so no layer
+copies data between layouts.
 
 The quantized path implements the affine scheme r = S*(q - Z) with per-tensor
 symmetric 8-bit weights, 32-bit biases (scale S_w*S_x), int32 accumulators
@@ -32,8 +34,8 @@ requantization works per cell, so the blocks change no byte. An input
 channel at the zero point in every cell (a ReLU-dead one) adds exactly 0 to
 every sum, so the core drops it from the grid and the kernel; with none
 kept, the sums are the bias. Liveness comes from each call's own input,
-which may be faulted. Zero points outside [-128, 127] are refused (see
-model.check_quant_entry).
+which may be faulted. Zero points outside [-128, 127] are refused at the
+input edge (see model.check_quant_entry).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import CONV_KINDS, ModelGraph, check_quant_entry
+from .model import CONV_KINDS, ModelGraph, check_numeric_mode
 from .tensor import (BnParams, ShapeError, Tensor, _activation, _channel_major, _conv_extent,
                      _depth_to_space, _live_channels, _max2x2, _stacked_taps,
                      argmax_channels, batchnorm_forward, concat_channels, conv2d_forward,
@@ -100,17 +102,13 @@ class Frontier:
     value: :class:`Tensor` objects in float mode, int8 arrays in quantized
     mode (the input already quantized). A faulted forward resumed from a
     frontier of the faultless pass shares those values by reference, so no
-    layer op may write its inputs in place.
-
-    ``splice``, if given, is ``(name, channels, values)``: a pass from this
-    frontier reads ``live[name]`` with those channels (last axis) replaced
-    by ``values``. The patched copy is made when the pass starts and is
-    freed with the pass's other activations, not held by the frontier.
+    layer op may write its inputs in place; a caller that patches an
+    activation resumes from a new frontier whose ``live`` holds the patched
+    copy, which lives until that pass ends.
     """
 
     start: int
     live: dict
-    splice: tuple = None
 
 
 @dataclass(frozen=True)
@@ -131,21 +129,23 @@ def _walk(graph: ModelGraph, inp, record=None):
     before each layer and, last, the finished pass's.
 
     Before any layer runs, the input edge refuses a layer kind the mode has
-    no op for (``ValueError``), and a batch that is not f32 (``TypeError``)
-    or lacks the model's ``input_channels`` (``ShapeError``); ``mode.enter``
-    converts the batch to the activation ``"input"``.
+    no op for and a graph that ``model.check_numeric_mode`` refuses
+    (``ValueError``), for a batch and a frontier alike, and a batch that is
+    not f32 (``TypeError``) or lacks the model's ``input_channels``
+    (``ShapeError``); ``mode.enter`` converts the batch to the activation
+    ``"input"``.
 
-    A frontier's splice is applied as the walk starts. Every activation the
-    walk starts with, then each layer's output, goes to ``record(name,
-    value)``. Each activation is freed after its last consumer has run;
-    each frontier yielded owns its dict. The walk reads the graph's
-    parameters as it resumes, so faults applied while a frontier is in use
-    must be reverted before the next frontier is requested.
+    Every activation the walk starts with, then each layer's output, goes to
+    ``record(name, value)``. Each activation is freed after its last
+    consumer has run; each frontier yielded owns its dict. The walk reads
+    the graph's parameters as it resumes, so faults applied while a frontier
+    is in use must be reverted before the next frontier is requested.
     """
     mode = _mode(graph)
     kind = next((l.kind for l in graph.layers if l.kind not in mode.ops), None)
     if kind is not None:
         raise ValueError(f"layer kind {kind!r} not supported in {mode.name} mode")
+    check_numeric_mode(graph)
     if not isinstance(inp, Frontier):
         if inp.encoding != "f32":
             raise TypeError(f"the input batch must be f32, got {inp.encoding}")
@@ -155,9 +155,6 @@ def _walk(graph: ModelGraph, inp, record=None):
                              f"input channels {want_c}")
         inp = Frontier(0, {"input": mode.enter(graph, inp)})
     live = dict(inp.live)
-    if inp.splice is not None:
-        name, channels, values = inp.splice
-        live[name] = _with_channels(live[name], channels, values)
     if record is not None:
         for name, value in live.items():
             record(name, value)
@@ -179,17 +176,6 @@ def _execute(graph: ModelGraph, inp, record=None) -> dict:
     for frontier in _walk(graph, inp, record):
         pass  # a loop, not unpacking, so that no earlier frontier is held
     return frontier.live
-
-
-def _with_channels(activation, channels, values):
-    """A copy of ``activation``, in its memory layout, with its channels
-    ``channels`` set to ``values``."""
-    if isinstance(activation, Tensor):
-        return Tensor(activation.shape, activation.encoding,
-                      _with_channels(activation.data, channels, values.data))
-    out = activation.copy(order="K")
-    out[..., channels] = values
-    return out
 
 
 def finish(graph: ModelGraph, live: dict) -> InferenceResult:
@@ -241,7 +227,8 @@ def run_channels(graph: ModelGraph, chain: list, source, channels: np.ndarray):
     ``source`` is L's input activation. The ops are the full ones, run with
     their parameters sliced to ``channels``; a convolution reads its whole
     input, a channelwise op only those channels. The result is byte for byte
-    those channels of the full chain's output.
+    those channels of the full chain's output. Nothing is checked here: the
+    graph is one that a walk's input edge has checked.
     """
     mode = _mode(graph)
     x = source
@@ -355,23 +342,8 @@ def _requantize(out: np.ndarray, acc: np.ndarray, multiplier: float, zero_point:
 
 
 def _act_entry(graph: ModelGraph, name: str) -> dict:
-    tables = graph.metadata.get("quantization")
-    if not tables:
-        raise ValueError("graph carries no quantization tables")
-    try:
-        entry = tables["activations"][name]
-    except KeyError:
-        raise ValueError(f"missing scale table for activation {name!r}") from None
-    return check_quant_entry(entry, f"scale table for activation {name!r}")
-
-
-def _param_entry(graph: ModelGraph, index: int) -> dict:
-    tables = graph.metadata.get("quantization")
-    try:
-        entry = tables["params"][str(index)]
-    except KeyError:
-        raise ValueError(f"missing scale table for p{index}") from None
-    return check_quant_entry(entry, f"scale table for p{index}")
+    """Activation ``name``'s scale table entry, which the walk's input edge has checked."""
+    return graph.metadata["quantization"]["activations"][name]
 
 
 # The rows of one exact float32 group (see _tap_sum): 514.
@@ -469,7 +441,7 @@ def _quantized_conv(graph, layer, ins, channels=None):
     kernel_p, bias_p = graph.kernel_bias(layer.name)
     in_ent = _act_entry(graph, layer.inputs[0])
     out_ent = _act_entry(graph, layer.name)
-    w_ent = _param_entry(graph, kernel_p.index)
+    w_ent = graph.metadata["quantization"]["params"][str(kernel_p.index)]
     # Sliced to ``channels``, each tap's GEMM computes only those output
     # channels; integer sums are exact in any grouping, so their bits stay.
     kernel = _take(kernel_p.tensor.data, channels)

@@ -262,5 +262,4 @@ def target_psets(graph: ModelGraph, roles=None, psets=None):
     """
     if psets is not None:
         return [graph.param(i) for i in sorted(set(psets))]
-    roles = set(roles) if roles is not None else set(DEFAULT_TARGET_ROLES)
-    return [p for p in graph.params if p.role in roles]
+    return graph.params_of(roles if roles is not None else DEFAULT_TARGET_ROLES)

@@ -172,7 +172,12 @@ class ModelGraph:
         return ps[kernel_role], ps[bias_role]
 
     def params_of(self, roles):
+        """The parameter sets whose role is one of ``roles``, in p-index order;
+        ValueError for a name that is not in ROLES."""
         roles = set(roles)
+        unknown = sorted(roles.difference(ROLES))
+        if unknown:
+            raise ValueError(f"unknown parameter role {unknown[0]!r}; roles are {', '.join(ROLES)}")
         return [p for p in self.params if p.role in roles]
 
     @property
@@ -615,19 +620,19 @@ def load_model(path) -> ModelGraph:
         # "valid" kernel outgrows its input
         side = 1 << (graph.pool_stages + 10)
         infer_shapes(graph, side, side)
-        _check_numeric_mode(graph)
+        check_numeric_mode(graph)
     except ValueError as exc:  # ShapeError included
         raise FormatError(f"{path}: inconsistent graph ({exc})") from None
     return graph
 
 
-def _check_numeric_mode(graph: ModelGraph) -> None:
+def check_numeric_mode(graph: ModelGraph) -> None:
     """ValueError unless ``graph``'s layers, parameters and tables fit its numeric mode.
 
     A float graph holds only f32 parameters. A quantized graph has no
-    batch-norm layer, i8 conv kernels and i32 conv biases, a scale table
-    entry for the input and for every layer, and one for every conv kernel
-    and bias.
+    batch-norm layer, i8 conv kernels and i32 conv biases, and a usable
+    scale table entry (``check_quant_entry``) for the input, for every layer
+    and for every conv kernel and bias.
     """
     if not isinstance(graph.flags, dict):
         raise ValueError("flags is not a JSON object")
@@ -640,11 +645,15 @@ def _check_numeric_mode(graph: ModelGraph) -> None:
         if layer.kind == "batchnorm":
             raise ValueError(f"quantized graph has batch-norm layer {layer.name!r}")
     tables = graph.metadata.get("quantization")
-    if tables is None:
-        raise ValueError("quantized graph carries no quantization tables")
+    acts, params = (tables.get(kind) if isinstance(tables, dict) else None
+                    for kind in ("activations", "params"))
+    if not (isinstance(acts, dict) and isinstance(params, dict)):
+        raise ValueError("quantized graph carries no quantization tables with "
+                         "'activations' and 'params' objects")
     for name in ["input"] + [layer.name for layer in graph.layers]:
-        if name not in tables["activations"]:
+        if name not in acts:
             raise ValueError(f"missing scale table for activation {name!r}")
+        check_quant_entry(acts[name], f"scale table for activation {name!r}")
     for layer in graph.layers:
         if layer.kind not in CONV_KINDS:
             continue
@@ -652,8 +661,9 @@ def _check_numeric_mode(graph: ModelGraph) -> None:
             if p.tensor.encoding != encoding:
                 raise ValueError(f"quantized graph holds p{p.index} ({p.role}) as "
                                  f"{p.tensor.encoding}, not {encoding}")
-            if str(p.index) not in tables["params"]:
+            if str(p.index) not in params:
                 raise ValueError(f"missing scale table for p{p.index}")
+            check_quant_entry(params[str(p.index)], f"scale table for p{p.index}")
 
 
 def _layer(entry, path) -> LayerSpec:

@@ -45,41 +45,6 @@ class AbsorptionError(ValueError):
 # candidate classification
 
 
-@dataclass(frozen=True)
-class CandidateClass:
-    candidate: bool
-    allow_increment: bool
-    allow_decrement: bool
-    label: str
-
-
-def classify_candidate(word: int) -> CandidateClass:
-    """Risk/protectability of one f32 bit pattern.
-
-    Candidates are the patterns with a ``bits.RISKY`` exponent, and the
-    allowed directions are its ``bits.MAY_INCREMENT``/``MAY_DECREMENT``
-    rows; 10000000 is labelled non-protectable outright (any
-    partial-exponent flip would push the value above 2).
-    """
-    exp = bits.exponent_field(word)
-    if exp == 0xFF:
-        raise ValueError("NaN/Inf patterns have no protection classification")
-    if exp == 0x80:
-        return CandidateClass(False, False, False, "non-protectable")
-    if not bits.RISKY[exp]:
-        return CandidateClass(False, False, False, "not-a-candidate")
-    inc, dec = bool(bits.MAY_INCREMENT[exp]), bool(bits.MAY_DECREMENT[exp])
-    if inc and dec:
-        label = "protect-either"
-    elif inc:
-        label = "protect-by-increment"
-    elif dec:
-        label = "protect-by-decrement"
-    else:
-        label = "non-protectable"
-    return CandidateClass(True, inc, dec, label)
-
-
 def danger_bit(word: int) -> int:
     """The bit whose flip fills this candidate's (partial) exponent."""
     bit = int(bits.DANGER_BIT[bits.exponent_field(word)])
@@ -242,10 +207,7 @@ def protect_parameters(graph: ModelGraph, pt: ProtectionTarget, roles=None):
         raise ValueError("protection applies to float graphs")
     out = graph.copy()
     report = ProtectionReport(pt)
-    roleset = set(roles) if roles is not None else None
-
-    params = (p for p in out.params if roleset is None or p.role in roleset)
-    for p, words in _f32_words(params):
+    for p, words in _f32_words(out.params if roles is None else out.params_of(roles)):
         report.records.add_set(p.index, *_protect_set(words, pt))
 
     out.with_provenance({"transform": "protect_parameters", "pt": pt.level,

@@ -5,6 +5,7 @@ decoding) and stays independent of the package's vectorized paths.
 """
 
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,6 +130,64 @@ def protect_directions_struct(value):
     return up > here, down > here
 
 
+# f32 fields of a word and its protection class, one word at a time
+
+
+def mantissa_field(word):
+    return word & ((1 << 23) - 1)
+
+
+def sign_field(word):
+    return (word >> 31) & 1
+
+
+def significand_value(word):
+    """Significand 1.m in [1, 2) of a normal number (sign ignored)."""
+    return 1.0 + mantissa_field(word) / float(1 << 23)
+
+
+def assemble_f32(sign, exponent, mantissa):
+    if not 0 <= exponent <= 0xFF:
+        raise ValueError(f"exponent field {exponent} out of [0, 255]")
+    return (sign & 1) << 31 | exponent << 23 | mantissa_field(mantissa)
+
+
+@dataclass(frozen=True)
+class CandidateClass:
+    candidate: bool
+    allow_increment: bool
+    allow_decrement: bool
+    label: str
+
+
+def classify_candidate(word):
+    """Risk/protectability of one f32 bit pattern.
+
+    Candidates are the patterns with a ``bits.RISKY`` exponent, and the
+    allowed directions are its ``bits.MAY_INCREMENT``/``MAY_DECREMENT``
+    rows; 10000000 is labelled non-protectable outright (any
+    partial-exponent flip would push the value above 2).
+    """
+    from seu_forge import bits
+    exp = bits.exponent_field(word)
+    if exp == 0xFF:
+        raise ValueError("NaN/Inf patterns have no protection classification")
+    if exp == 0x80:
+        return CandidateClass(False, False, False, "non-protectable")
+    if not bits.RISKY[exp]:
+        return CandidateClass(False, False, False, "not-a-candidate")
+    inc, dec = bool(bits.MAY_INCREMENT[exp]), bool(bits.MAY_DECREMENT[exp])
+    if inc and dec:
+        label = "protect-either"
+    elif inc:
+        label = "protect-by-increment"
+    elif dec:
+        label = "protect-by-decrement"
+    else:
+        label = "non-protectable"
+    return CandidateClass(True, inc, dec, label)
+
+
 def protect_parameters_scalar(graph, pt, roles=None):
     """``protect_parameters`` one element at a time: each risky f32 element
     of each set in p-index order is classified with ``classify_candidate``
@@ -136,8 +195,7 @@ def protect_parameters_scalar(graph, pt, roles=None):
     Returns (graph, report)."""
     from seu_forge import bits
     from seu_forge.protect import (RULE_DECREMENT, RULE_INCREMENT, RULE_SKIP_NONPROT,
-                                   RULE_SKIP_OUTSIDE, ProtectionRecord, ProtectionReport,
-                                   classify_candidate)
+                                   RULE_SKIP_OUTSIDE, ProtectionRecord, ProtectionReport)
 
     out = graph.copy()
     report = ProtectionReport(pt)
@@ -151,16 +209,16 @@ def protect_parameters_scalar(graph, pt, roles=None):
         for idx in np.flatnonzero(bits.risky_mask(words)):
             idx, word = int(idx), int(words[idx])
             cls = classify_candidate(word)
-            sig = bits.significand_value(word)
-            sign = bits.sign_field(word)
+            sig = significand_value(word)
+            sign = sign_field(word)
             e = bits.exponent_field(word)
             new_word, rule = word, RULE_SKIP_NONPROT
             if sig >= pt.full_threshold:
                 if cls.allow_increment:
-                    new_word, rule = bits.assemble_f32(sign, e + 1, 0), RULE_INCREMENT
+                    new_word, rule = assemble_f32(sign, e + 1, 0), RULE_INCREMENT
             elif sig <= pt.empty_threshold:
                 if cls.allow_decrement:
-                    new_word = bits.assemble_f32(sign, e - 1, bits.F32_MANT_MASK)
+                    new_word = assemble_f32(sign, e - 1, bits.F32_MANT_MASK)
                     rule = RULE_DECREMENT
             elif cls.allow_increment or cls.allow_decrement:
                 rule = RULE_SKIP_OUTSIDE

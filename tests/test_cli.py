@@ -331,6 +331,15 @@ def test_sweep_refuses_n_zero(model_path, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_refuses_an_unknown_role(model_path, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert run_cli("campaign", "sweep", "--model", str(model_path), "--out-dir", str(out),
+                   "--roles", "conv_kernal,conv_bias", "--bits", "30", "31", "--n", "1",
+                   "--images", "2", "--image-size", "16") == 1
+    assert "unknown parameter role 'conv_kernal'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_workers_default_from_environment(model_path, tmp_path, monkeypatch):
     """SEU_FORGE_WORKERS sets the worker count when --workers is not given,
     and the report files do not change with it."""

@@ -536,7 +536,7 @@ class TestQuantizedConvTranspose:
         g = self.graph(q_w, np.zeros(2, np.int32), 1.0, 1.0, 0, 1.0, 0)
         g.metadata["quantization"][section][name] = entry
         with pytest.raises(ValueError, match=message):
-            _quantized_conv(g, g.layers[0], [np.zeros((1, 2, 2, 3), np.int8)])
+            run_quantized(g, Tensor.from_array(np.zeros((1, 2, 2, 3), np.float32)))
 
 
 
@@ -930,18 +930,88 @@ class TestInputEdge:
         # the last layer, so that a refusal made on reaching it would come too late
         last = graph.layers[-1]
         graph.layers[-1] = sf.LayerSpec(kind, last.name, last.hyperparams, last.inputs)
-        mode, name = ((engine._QUANTIZED, "quantized") if run is run_quantized
-                      else (engine._FLOAT, "float"))
-        calls = []
-        for op_kind, op in mode.ops.items():
-            monkeypatch.setitem(mode.ops, op_kind, lambda *args, op_kind=op_kind, op=op:
-                                calls.append(op_kind) or op(*args))
+        name = "quantized" if run is run_quantized else "float"
+        calls = self.spy_ops(monkeypatch, run)
         batch = Tensor.from_array(np.zeros((1, 16, 16, 4), np.float32))
         with pytest.raises(ValueError, match=f"layer kind '{kind}' not supported in {name} mode"):
             run(graph, batch)
         with pytest.raises(ValueError, match="not supported"):
             next(islice(_walk(graph, batch), len(graph.layers)))
         assert calls == []
+
+    @staticmethod
+    def spy_ops(monkeypatch, run):
+        """The kinds of the ops that ``run``'s numeric mode runs from now on, in order."""
+        mode = engine._QUANTIZED if run is run_quantized else engine._FLOAT
+        calls = []
+        for op_kind, op in mode.ops.items():
+            monkeypatch.setitem(mode.ops, op_kind, lambda *args, op_kind=op_kind, op=op:
+                                calls.append(op_kind) or op(*args))
+        return calls
+
+    # Graphs built in memory, which no load checks: each one's parameters or
+    # tables do not fit its numeric mode, and each is refused at the input edge.
+    UNFIT = {
+        "output_zero_point": (run_quantized, "zero_point 300",
+                              lambda g: g.metadata["quantization"]["activations"][
+                                  g.output_layer.name].__setitem__("zero_point", 300)),
+        "no_activations": (run_quantized, "no quantization tables with 'activations'",
+                           lambda g: g.metadata["quantization"].__delitem__("activations")),
+        "no_params": (run_quantized, "no quantization tables with 'activations' and 'params'",
+                      lambda g: g.metadata["quantization"].__delitem__("params")),
+        "i32_conv_bias": (run_float, r"float graph holds p2 as i32",
+                          lambda g: TestInputEdge.recode(g.param(2), "i32")),
+        "i8_bn_gamma": (run_float, r"float graph holds p3 as i8",
+                        lambda g: TestInputEdge.recode(g.param(3), "i8")),
+    }
+
+    @staticmethod
+    def recode(p, encoding):
+        assert (p.role, p.tensor.encoding) in {("conv_bias", "f32"), ("bn_gamma", "f32")}
+        p.tensor = Tensor.from_array(np.round(p.tensor.data), encoding)
+
+    def unfit(self, models, case):
+        run, message, edit = self.UNFIT[case]
+        graph = models[run].copy()
+        edit(graph)
+        return run, message, graph
+
+    @pytest.mark.parametrize("case", list(UNFIT))
+    def test_unfit_graph_refused_before_any_op(self, models, monkeypatch, case):
+        run, message, graph = self.unfit(models, case)
+        calls = self.spy_ops(monkeypatch, run)
+        batch = Tensor.from_array(np.zeros((1, 16, 16, 4), np.float32))
+        with pytest.raises(ValueError, match=message):
+            run(graph, batch)
+        assert calls == []
+        # a frontier of the graph's faultless pass is refused the same way
+        frontier = next(_walk(models[run], batch))
+        with pytest.raises(ValueError, match=message):
+            run(graph, frontier)
+        assert calls == []
+
+    @pytest.mark.parametrize("case", list(UNFIT))
+    def test_unfit_graph_refused_before_any_chain_exit(self, models, monkeypatch, case):
+        import seu_forge.campaign as campaign
+        run, message, graph = self.unfit(models, case)
+        exits, real = [], campaign._chain_exit
+        monkeypatch.setattr(campaign, "_chain_exit",
+                            lambda g, chain, *rest: exits.append(chain[-1].name)
+                            or real(g, chain, *rest))
+        # faults in the first layer's kernel, whose exits come before any later layer runs
+        kernel = graph.param(1)
+        sets = [[sf.FaultSpec(1, element, 1, kernel.tensor.encoding)] for element in (0, 5)]
+        batch = Tensor.from_array(np.zeros((1, 16, 16, 4), np.float32))
+        with pytest.raises(ValueError, match=message):
+            campaign.run_fault_sets([graph], sets, batch, campaign._errors)
+        assert exits == []
+
+    def test_tables_lacking_a_section_are_a_value_error(self, models):
+        from seu_forge.model import check_numeric_mode
+        for case in ("no_activations", "no_params"):
+            _, message, graph = self.unfit(models, case)
+            with pytest.raises(ValueError, match=message):
+                check_numeric_mode(graph)
 
 
 class TestKernelLargerThanPaddedInput:

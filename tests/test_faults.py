@@ -13,7 +13,7 @@ from seu_forge.faults import (FaultOutcome, FaultSpec, apply_fault, decode_fault
                               inject_and_measure, revert, target_psets)
 
 from conftest import single_conv_graph
-from oracles import (SCALAR_WIDTH, decode_fault_scalar, flipped_scalar,
+from oracles import (SCALAR_WIDTH, assemble_f32, decode_fault_scalar, flipped_scalar,
                      global_fault_scalar, read_word_scalar, sweep_fault_scalar)
 
 
@@ -176,6 +176,17 @@ class TestFaultSpace:
         targets = target_psets(tiny_graph, psets=[5, 1, 3])
         assert [p.index for p in targets] == [1, 3, 5]
 
+    def test_unknown_role_refused(self, tiny_graph):
+        """A misspelled role is refused by every role filter, not dropped."""
+        from seu_forge.protect import PT_LEVELS, protect_parameters
+        roles = ("conv_kernal", "conv_bias")
+        for select in (lambda: tiny_graph.params_of(roles),
+                       lambda: target_psets(tiny_graph, roles=roles),
+                       lambda: sf.plan_single_bit_sweep(tiny_graph, roles=roles, bits=(30, 31)),
+                       lambda: protect_parameters(tiny_graph, PT_LEVELS[2], roles=roles)):
+            with pytest.raises(ValueError, match="unknown parameter role 'conv_kernal'"):
+                select()
+
 
 class TestFlipTaxonomy:
     def test_interval_1_2_bit30(self):
@@ -183,7 +194,7 @@ class TestFlipTaxonomy:
         mantissas = rng.integers(1, 2**23, size=500)
         from seu_forge import bits
         for m in mantissas:
-            word = bits.assemble_f32(0, 0x7F, int(m))
+            word = assemble_f32(0, 0x7F, int(m))
             flipped = bits.bits_to_f32(bits.flip_bit_f32(word, 30))
             assert math.isnan(flipped)
         # exactly 1.0 -> +inf

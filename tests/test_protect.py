@@ -16,14 +16,14 @@ import seu_forge as sf
 from seu_forge import bits
 from seu_forge.protect import (PT_LEVELS, AbsorptionError, EqualizationError,
                                ProtectionRecord, ProtectionRecords,
-                               ProtectionTarget, absorb_bias,
-                               classify_candidate, cross_layer_equalize,
+                               ProtectionTarget, absorb_bias, cross_layer_equalize,
                                danger_bit, evaluate_protection,
                                protect_parameters, recondition_bn,
                                suggest_cle_scales)
 
 from conftest import single_conv_graph
-from oracles import danger_bit_struct, protect_parameters_scalar
+from oracles import (assemble_f32, classify_candidate, danger_bit_struct, mantissa_field,
+                     protect_parameters_scalar)
 
 
 def word_of(value):
@@ -58,7 +58,7 @@ class TestClassify:
         for exp, inc, dec in [(63, True, True), (95, True, True), (111, True, True),
                               (119, True, True), (123, True, True),
                               (125, False, True), (126, False, False)]:
-            cls = classify_candidate(bits.assemble_f32(0, exp, 1234))
+            cls = classify_candidate(assemble_f32(0, exp, 1234))
             assert cls.candidate
             assert cls.allow_increment == inc and cls.allow_decrement == dec
 
@@ -72,7 +72,7 @@ class TestClassify:
         # candidates are exactly the exponents one low-7 flip from filled
         expected = {63, 95, 111, 119, 123, 125, 126, 127}
         for exp in range(0, 255):
-            cls = classify_candidate(bits.assemble_f32(0, exp, 0x2A))
+            cls = classify_candidate(assemble_f32(0, exp, 0x2A))
             assert cls.candidate == (exp in expected), exp
             if exp >= 0x80:
                 assert not cls.candidate
@@ -123,7 +123,7 @@ class TestProtectParameters:
         assert v == np.float32(0.99999994)
         word = int(np.asarray(v, np.float32).view(np.uint32))
         assert bits.exponent_field(word) == 0x7E
-        assert bits.mantissa_field(word) == bits.F32_MANT_MASK
+        assert mantissa_field(word) == bits.F32_MANT_MASK
 
     def test_non_protectable_untouched(self):
         g = self._planted_graph()
@@ -606,12 +606,12 @@ THRESHOLD_MANTISSAS = sorted({m for t in TARGETS
                               for m in _near(t.full_threshold) + _near(t.empty_threshold)})
 SIGNS = st.integers(0, 1)
 WORDS = st.one_of(
-    st.builds(bits.assemble_f32, SIGNS, st.sampled_from(RISKY_EXPONENTS),
+    st.builds(assemble_f32, SIGNS, st.sampled_from(RISKY_EXPONENTS),
               st.integers(0, bits.F32_MANT_MASK)),
-    st.builds(bits.assemble_f32, SIGNS, st.sampled_from(RISKY_EXPONENTS),
+    st.builds(assemble_f32, SIGNS, st.sampled_from(RISKY_EXPONENTS),
               st.sampled_from(THRESHOLD_MANTISSAS)),
-    st.builds(bits.assemble_f32, SIGNS, st.just(0), st.integers(0, bits.F32_MANT_MASK)),
-    st.builds(bits.assemble_f32, SIGNS, st.just(0xFF), st.integers(0, bits.F32_MANT_MASK)),
+    st.builds(assemble_f32, SIGNS, st.just(0), st.integers(0, bits.F32_MANT_MASK)),
+    st.builds(assemble_f32, SIGNS, st.just(0xFF), st.integers(0, bits.F32_MANT_MASK)),
     st.integers(0, 2**32 - 1),
 )
 
