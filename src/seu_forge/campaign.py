@@ -42,14 +42,20 @@ def sample_size(N: int, e: float, t: float, p: float) -> int:
     """
     if N < 1:
         raise ValueError(f"fault space size N must be >= 1, got {N}")
+    _check_sizing(e, t, p)
+    n = N / (1.0 + e * e * (N - 1) / (t * t * p * (1.0 - p)))
+    return min(N, max(1, math.ceil(n)))
+
+
+def _check_sizing(e: float, t: float, p: float) -> None:
+    """ValueError unless ``sample_size`` can size a campaign with margin
+    ``e``, cut-off ``t`` and prior ``p``."""
     if not 0 < e < 1:
         raise ValueError(f"error margin e must be in (0, 1), got {e}")
     if t <= 0:
         raise ValueError(f"confidence cut-off t must be positive, got {t}")
     if not 0 < p < 1:
         raise ValueError(f"prior p must be in (0, 1), got {p}")
-    n = N / (1.0 + e * e * (N - 1) / (t * t * p * (1.0 - p)))
-    return min(N, max(1, math.ceil(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +239,10 @@ def _check_sweep(graph: ModelGraph, plan: CampaignPlan) -> list:
     """The parameter sets a single-bit sweep ``plan`` targets in ``graph``.
 
     Refuses a plan of another mode, with no target, a negative or empty bit
-    range, a bit beyond a target's width or fewer than one injection per
-    target, however the plan was made.
+    range, a bit beyond a target's width, fewer than one injection per
+    target or a margin, cut-off or prior that ``sample_size`` refuses (the
+    plan records them even where an explicit injection count leaves them
+    unused), however the plan was made.
     """
     if plan.mode != "single_bit_sweep":
         raise ValueError(f"plan mode {plan.mode!r} is not a single-bit sweep")
@@ -246,6 +254,7 @@ def _check_sweep(graph: ModelGraph, plan: CampaignPlan) -> list:
         raise ValueError(f"bit {lo} is negative; bits are numbered from 0")
     if n is not None and n < 1:
         raise ValueError(f"injections per target must be >= 1, got {n}")
+    _check_sizing(plan.margin, plan.z_value, plan.prior)
     if lo > hi:
         raise ValueError(f"empty bit range [{lo}, {hi}]")
     for p in targets:

@@ -1,29 +1,25 @@
 """Model transforms studied for robustness effects: BN folding, post-training
 integer quantization, structured filter pruning, sparse zeroing.
 
-All transforms are graph-to-graph (inputs untouched) and append a provenance
-entry to the result's metadata.
+All transforms are graph-to-graph: each edits its own ``graph.copy()`` in
+place, leaving its input untouched, and appends a provenance entry to the
+copy's metadata. Quantization and pruning rewrite the copy's parameter sets
+where they stand, so every set keeps its p-index. ``fold_bn``, the one
+transform that removes sets, renumbers the sets left to p1..pN in the order
+they have.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .engine import _execute
-from .model import (CONV_KINDS, ModelGraph, ParamSet, _LAYER_ROLES, assign_param_indices,
-                    batch_inputs, infer_shapes, LayerSpec)
+from .model import CONV_KINDS, ModelGraph, assign_param_indices, batch_inputs, infer_shapes
 from .tensor import Tensor
 
 I32_MIN, I32_MAX = -(1 << 31), (1 << 31) - 1
-
-
-def _rebuild(layers, params_by_layer, class_count, metadata) -> ModelGraph:
-    """Reassemble a graph with p-indices renumbered in layer/role order."""
-    params = []
-    for layer in layers:
-        for role in _LAYER_ROLES.get(layer.kind, ()):
-            params.append(params_by_layer[layer.name][role])
-    return ModelGraph(layers, assign_param_indices(params), class_count, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -63,17 +59,11 @@ def fold_bn(graph: ModelGraph) -> ModelGraph:
         kernel[...] = kernel * scale
         bias[...] = gamma * (bias - mu) / denom + beta
 
-    layers, pby = [], {}
-    for layer in src.layers:
-        if layer.kind == "batchnorm":
-            continue
-        inputs = [fold_into.get(r, r) for r in layer.inputs]
-        layers.append(LayerSpec(layer.kind, layer.name, dict(layer.hyperparams), inputs))
-        pby[layer.name] = src.layer_params(layer.name)
-
-    metadata = src.metadata
-    metadata["flags"]["folded"] = True
-    out = _rebuild(layers, pby, src.class_count, metadata)
+    layers = [replace(layer, inputs=[fold_into.get(r, r) for r in layer.inputs])
+              for layer in src.layers if layer.name not in fold_into]
+    params = assign_param_indices([p for p in src.params if p.layer not in fold_into])
+    src.flags["folded"] = True
+    out = ModelGraph(layers, params, src.class_count, src.metadata)
     return out.with_provenance({"transform": "fold_bn", "folded_layers": len(fold_into)})
 
 
@@ -99,8 +89,7 @@ def quantize_ptq(graph: ModelGraph, calibration_inputs) -> ModelGraph:
         raise ValueError("graph is already quantized")
     if not calibration_inputs:
         raise ValueError("PTQ requires a non-empty calibration set")
-    if not graph.flags.get("folded"):
-        graph = fold_bn(graph)
+    src = graph.copy() if graph.flags.get("folded") else fold_bn(graph)
 
     observed = {}   # activation -> entry from the min and max of its finite values
 
@@ -111,15 +100,13 @@ def quantize_ptq(graph: ModelGraph, calibration_inputs) -> ModelGraph:
             lo, hi = finite.min(), finite.max()
         observed[name] = _affine_entry(float(lo), float(hi))
 
-    _execute(graph, batch_inputs(calibration_inputs), record=record)
+    _execute(src, batch_inputs(calibration_inputs), record=record)
     activations = {"input": observed["input"]}
-    for layer in graph.layers:  # relu and maxpool keep their input's entry
+    for layer in src.layers:  # relu and maxpool keep their input's entry
         activations[layer.name] = (dict(activations[layer.inputs[0]])
                                    if layer.kind in ("relu", "maxpool") else observed[layer.name])
 
-    src = graph.copy()
     param_table = {}
-    new_params = {}
     for layer in src.layers:
         if layer.kind not in CONV_KINDS:
             continue
@@ -135,21 +122,12 @@ def quantize_ptq(graph: ModelGraph, calibration_inputs) -> ModelGraph:
         param_table[str(kernel_p.index)] = {"scale": s_w, "zero_point": 0, "bits": 8,
                                             "degenerate": max_abs == 0.0}
         param_table[str(bias_p.index)] = {"scale": s_b, "zero_point": 0, "bits": 32}
-        new_params[(layer.name, kernel_p.role)] = Tensor.from_array(q_w, "i8")
-        new_params[(layer.name, bias_p.role)] = Tensor.from_array(q_b, "i32")
+        kernel_p.tensor = Tensor.from_array(q_w, "i8")
+        bias_p.tensor = Tensor.from_array(q_b, "i32")
 
-    pby = {}
-    for layer in src.layers:
-        pby[layer.name] = {}
-        for role, p in src.layer_params(layer.name).items():
-            t = new_params.get((layer.name, role), p.tensor)
-            pby[layer.name][role] = ParamSet(p.index, p.layer, p.role, t)
-
-    metadata = src.metadata
-    metadata["flags"]["quantized"] = True
-    metadata["quantization"] = {"activations": activations, "params": param_table}
-    out = _rebuild(list(src.layers), pby, src.class_count, metadata)
-    return out.with_provenance({"transform": "quantize_ptq",
+    src.flags["quantized"] = True
+    src.metadata["quantization"] = {"activations": activations, "params": param_table}
+    return src.with_provenance({"transform": "quantize_ptq",
                                 "calibration_images": len(calibration_inputs)})
 
 
@@ -199,37 +177,30 @@ def prune_structured(graph: ModelGraph, keep_fraction: float = None,
         else:
             channels[layer.name] = channels[layer.inputs[0]]
 
-    pby = {}
     for layer in src.layers:
-        pby[layer.name] = {}
         if layer.kind in CONV_KINDS:
             kernel_p, bias_p = src.kernel_bias(layer.name)
             # kept lists carry original channel indices, so they select
             # directly into the original Cin axis (concat offsets included)
             cin_pos = np.asarray(channels[layer.inputs[0]], dtype=int)
             own = channels[layer.name]
-            w = kernel_p.tensor.data[:, :, cin_pos, :][:, :, :, own]
-            b = bias_p.tensor.data[own]
-            for p, values in ((kernel_p, w), (bias_p, b)):
-                pby[layer.name][p.role] = ParamSet(0, layer.name, p.role,
-                                                   Tensor.from_array(values))
+            kernel_p.tensor = Tensor.from_array(
+                kernel_p.tensor.data[:, :, cin_pos, :][:, :, :, own])
+            bias_p.tensor = Tensor.from_array(bias_p.tensor.data[own])
             if layer.kind != "output_conv":
                 layer.hyperparams["filters"] = int(own.size)
         elif layer.kind == "batchnorm":
             own = np.asarray(channels[layer.inputs[0]], dtype=int)
-            for role, p in src.layer_params(layer.name).items():
-                pby[layer.name][role] = ParamSet(0, layer.name, role,
-                                                 Tensor.from_array(p.tensor.data[own]))
+            for p in src.layer_params(layer.name).values():
+                p.tensor = Tensor.from_array(p.tensor.data[own])
 
-    metadata = src.metadata
-    metadata["flags"]["pruned"] = True
-    out = _rebuild(list(src.layers), pby, src.class_count, metadata)
-    out.with_provenance({
+    src.flags["pruned"] = True
+    src.with_provenance({
         "transform": "prune_structured", "criterion": "l1-single-pass",
         "keep_fraction": keep_fraction, "threshold": threshold,
         "filters": {n: int(v.size) for n, v in kept_out.items()}})
-    infer_shapes(out, side, side)  # post-prune validity gate
-    return out
+    infer_shapes(src, side, side)  # post-prune validity gate
+    return src
 
 
 # ---------------------------------------------------------------------------

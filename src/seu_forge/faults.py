@@ -17,6 +17,7 @@ import numpy as np
 
 from . import bits
 from .model import DEFAULT_TARGET_ROLES, ModelGraph
+from .tensor import ENCODINGS
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,24 @@ class FaultSpec:
 
     @classmethod
     def from_json(cls, line: str) -> "FaultSpec":
-        return cls(**_record(json.loads(line), cls, "fault spec", optional=("seed_ordinal",)))
+        return cls._from_record(json.loads(line))
+
+    @classmethod
+    def _from_record(cls, d) -> "FaultSpec":
+        """The spec JSON object ``d`` addresses; ValueError naming the first
+        field that no model could hold: an unknown encoding, a bit outside
+        the encoding's width, a negative element or a pset below 1."""
+        d = _record(d, cls, "fault spec", optional=("seed_ordinal",))
+        if d["encoding"] not in ENCODINGS:
+            _refuse("fault spec", "encoding", d, f"not one of {', '.join(ENCODINGS)}")
+        width = np.dtype(ENCODINGS[d["encoding"]]).itemsize * 8
+        if not 0 <= d["bit"] < width:
+            _refuse("fault spec", "bit", d, f"outside 0..{width - 1} for {d['encoding']}")
+        if d["element"] < 0:
+            _refuse("fault spec", "element", d, "negative")
+        if d["pset"] < 1:
+            _refuse("fault spec", "pset", d, "below 1; sets are numbered from p1")
+        return cls(**d)
 
 
 @dataclass
@@ -73,9 +91,19 @@ class FaultOutcome:
 
     @classmethod
     def from_json(cls, line: str) -> "FaultOutcome":
+        """The outcome a JSON line records; ValueError naming the first field
+        no campaign writes. An evaluated outcome (no ``evaluation_error``)
+        has a ``mean_error`` and a non-empty ``per_image_error`` of error
+        rates, finite numbers in [0, 100]."""
         d = _record(json.loads(line), cls, "fault outcome", optional=("evaluation_error",))
-        spec = _record(d["spec"], FaultSpec, "fault spec", optional=("seed_ordinal",))
-        return cls(**{**d, "spec": FaultSpec(**spec),
+        spec = FaultSpec._from_record(d["spec"])
+        if d.get("evaluation_error") is None:
+            if not _is_rate(d["mean_error"]):
+                _refuse("fault outcome", "mean_error", d, "not an error rate in [0, 100]")
+            if not (d["per_image_error"] and all(map(_is_rate, d["per_image_error"]))):
+                _refuse("fault outcome", "per_image_error", d,
+                        "not a non-empty list of error rates in [0, 100]")
+        return cls(**{**d, "spec": spec,
                       **{name: _float_repr(d[name], name) for name in _REPRS}})
 
 
@@ -85,6 +113,15 @@ _JSON_TYPES = {"int": (int, "an int"), "str": (str, "a string"), "bool": (bool, 
                "float": ((int, float), "a number"), "list": (list, "a list"),
                "FaultSpec": (dict, "an object")}
 _REPRS = ("original_value", "faulty_value")
+
+
+def _refuse(what: str, name: str, d: dict, why: str):
+    raise ValueError(f"{what} field {name!r} is {json.dumps(d[name])}, {why}")
+
+
+def _is_rate(value) -> bool:
+    """Whether ``value`` is a percent error rate: a finite number in [0, 100]."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 100
 
 
 def _float_repr(text: str, name: str) -> float:

@@ -9,9 +9,12 @@ Model container format (little-endian throughout):
                  encodings, quantization tables, bn epsilon, provenance)
     ...          raw parameter blobs, little-endian IEEE-754 / two's complement
 
-Parameter sets are indexed p1..pN contiguously in graph topological order,
-kernels before biases within a layer (gamma, beta, mu, sigma within a BN
-layer). The index table is rebuilt by every graph transform.
+Parameter sets are indexed p1..pN contiguously. Every model the toolkit
+builds numbers them in graph topological order, kernels before biases
+within a layer (gamma, beta, mu, sigma within a BN layer). A graph
+transform edits its own copy of its input in place, so every set keeps its
+index; ``compress.fold_bn``, the one transform that removes sets (the
+batch-norm ones), renumbers the sets left to p1..pN in the order they have.
 """
 
 from __future__ import annotations
@@ -88,8 +91,8 @@ class ParamSet:
 class ModelGraph:
     """Ordered layer graph plus p-indexed parameter sets.
 
-    Immutable by convention after construction: transforms return new graphs,
-    and fault injection operates on a working copy (see ``copy``).
+    Immutable by convention after construction: a transform edits and
+    returns its own ``copy``, and fault injection operates on a working copy.
     """
 
     def __init__(self, layers, params, class_count, metadata=None):

@@ -239,6 +239,10 @@ class TestSweep:
         ({"injections_per_target": 0}, "must be >= 1, got 0"),
         ({"bit_hi": 40}, r"bit range \[0-40\] exceeds p2"),
         ({"bit_lo": 5, "bit_hi": 4}, r"empty bit range \[5, 4\]"),
+        # the plan records its sizing, so it is checked although n leaves it unused
+        ({"margin": 5.0}, r"error margin e must be in \(0, 1\), got 5.0"),
+        ({"z_value": -2.0}, "confidence cut-off t must be positive, got -2.0"),
+        ({"prior": 7.0}, r"prior p must be in \(0, 1\), got 7.0"),
     ])
     def test_json_plan_is_checked_before_faults_are_drawn(self, tiny_graph, tiny_inputs,
                                                           changes, message):

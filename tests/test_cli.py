@@ -183,12 +183,15 @@ def test_report_empty_log(tmp_path):
      "fault outcome field 'original_value' is \"abc\", not a float repr"),
     (lambda d: d.__setitem__("faulty_value", "2.0x"),
      "fault outcome field 'faulty_value' is \"2.0x\", not a float repr"),
+    (lambda d: d.__setitem__("mean_error", None),
+     "fault outcome field 'mean_error' is null, not an error rate in [0, 100]"),
 ], ids=["extra_key", "missing_key", "spec_extra_key", "spec_missing_key",
         "string_mean_error", "string_flag", "string_pset", "bad_original_value",
-        "bad_faulty_value"])
+        "bad_faulty_value", "evaluated_without_a_mean"])
 def test_report_refuses_a_bad_outcome_line(tmp_path, capsys, edit, message):
     spec = sf.FaultSpec(pset=1, element=0, bit=30, encoding="f32")
-    good = sf.FaultOutcome(spec, 0, 1 << 30, 0.0, 2.0, mean_error=0.5).to_json()
+    good = sf.FaultOutcome(spec, 0, 1 << 30, 0.0, 2.0, per_image_error=[0.5],
+                           mean_error=0.5).to_json()
     bad = json.loads(good)
     edit(bad)
     log = tmp_path / "sweep_outcomes.jsonl"
@@ -196,6 +199,7 @@ def test_report_refuses_a_bad_outcome_line(tmp_path, capsys, edit, message):
     assert run_cli("report", "--inputs", str(log), "--out-dir", str(tmp_path / "rep")) == 1
     err = capsys.readouterr().err
     assert err == f"error: {log}:3: {message}\n"
+    assert not (tmp_path / "rep").exists()
 
 
 def test_sweep_bits_on_int_model_usage_error(model_path, tmp_path, capsys):
@@ -329,6 +333,15 @@ def test_sweep_refuses_n_zero(model_path, tmp_path, capsys):
                    "--image-size", "16") == 1
     assert "must be >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_with_n_refuses_bad_sizing(model_path, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert run_cli("campaign", "sweep", "--model", str(model_path), "--out-dir", str(out),
+                   "--psets", "1", "--bits", "30", "30", "--n", "1", "--e", "5", "--t", "-2",
+                   "--p", "7", "--images", "2", "--image-size", "16") == 1
+    assert "error margin e must be in (0, 1), got 5" in capsys.readouterr().err
+    assert not (out / "sweep_plan.json").exists()
 
 
 def test_sweep_refuses_an_unknown_role(model_path, tmp_path, capsys):

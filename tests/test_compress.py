@@ -1,3 +1,6 @@
+import copy
+import json
+
 import numpy as np
 import pytest
 
@@ -275,3 +278,70 @@ class TestSparseZero:
         q = quantize_ptq(tiny_graph, tiny_inputs[0])
         with pytest.raises(ValueError, match="float"):
             sparse_zero(q, lambda v: np.zeros_like(v, bool))
+
+
+# ---------------------------------------------------------------------------
+# the transforms' contract: each edits its own copy of its input
+
+# name -> transform(graph, calibration images); the last two take a folded graph
+TRANSFORMS = {
+    "fold_bn": lambda g, images: fold_bn(g),
+    "quantize_ptq": quantize_ptq,
+    "prune_structured": lambda g, images: prune_structured(g, keep_fraction=0.5),
+    "sparse_zero": lambda g, images: sparse_zero(g, lambda v: v < 0)[0],
+    "protect_parameters": lambda g, images: sf.protect_parameters(g, sf.PT_LEVELS[2])[0],
+    "recondition_bn": lambda g, images: sf.recondition_bn(g)[0],
+    "generate_toy_weights": lambda g, images: sf.generate_toy_weights(g, 9),
+    "cross_layer_equalize": lambda g, images: sf.cross_layer_equalize(
+        g, np.array([2.0, 0.5, 4.0, 1.0], np.float32), "conv2D", "conv2D_1"),
+    "absorb_bias": lambda g, images: sf.absorb_bias(
+        g, np.zeros(4, np.float32), [l.name for l in g.layers if l.kind == "conv2d"][-1],
+        g.output_layer.name, images),
+}
+ON_FOLDED = ("cross_layer_equalize", "absorb_bias")
+
+
+def _toy_graph():
+    return sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5)
+
+
+def _swapped_first_conv():
+    """The toy graph with its first conv's bias as p1 and its kernel as p2."""
+    g = _toy_graph()
+    kernel, bias = g.params[:2]
+    kernel.index, bias.index = 2, 1
+    return sf.ModelGraph(g.layers, [bias, kernel, *g.params[2:]], g.class_count, g.metadata)
+
+
+@pytest.mark.parametrize("name", TRANSFORMS)
+def test_transform_leaves_its_input_unchanged(name, tiny_inputs):
+    g = fold_bn(_toy_graph()) if name in ON_FOLDED else _toy_graph()
+    before = (sf.model_hash(g), json.dumps(g.metadata, sort_keys=True), copy.deepcopy(g.layers))
+    out = TRANSFORMS[name](g, tiny_inputs[0])
+    assert (sf.model_hash(g), json.dumps(g.metadata, sort_keys=True), g.layers) == before
+    # nor can a later edit of the result reach the input
+    assert not any(np.shares_memory(p.tensor.data, q.tensor.data)
+                   for p in g.params for q in out.params)
+
+
+@pytest.mark.parametrize("name", ["fold_bn", "quantize_ptq", "prune_structured"])
+def test_transform_keeps_a_hand_built_set_order(name, tiny_inputs, tiny_batch):
+    """Each set keeps its place: the first conv's bias stays p1 and its
+    kernel p2, every other set keeps the index it has in the layer/role
+    ordered graph, and both results hold and compute the same values."""
+    out = TRANSFORMS[name](_swapped_first_conv(), tiny_inputs[0])
+    ref = TRANSFORMS[name](_toy_graph(), tiny_inputs[0])
+    assert [(p.index, p.layer, p.role) for p in out.params[:2]] == [
+        (1, "conv2D", "conv_bias"), (2, "conv2D", "conv_kernel")]
+    assert [(p.index, p.role) for p in out.params[2:]] == [(p.index, p.role) for p in ref.params[2:]]
+    for p in out.params:
+        assert np.array_equal(p.tensor.data, ref.layer_params(p.layer)[p.role].tensor.data)
+    run = sf.run_quantized if out.flags["quantized"] else sf.run_float
+    assert np.array_equal(run(out, tiny_batch).logits.data, run(ref, tiny_batch).logits.data)
+    if name == "quantize_ptq":
+        # the scale table entries follow the sets they scale
+        table, ref_table = (g.metadata["quantization"]["params"] for g in (out, ref))
+        assert (table["1"]["bits"], table["2"]["bits"]) == (32, 8)
+        assert (table["1"], table["2"]) == (ref_table["2"], ref_table["1"])
+        assert {k: v for k, v in table.items() if k not in ("1", "2")} == \
+            {k: v for k, v in ref_table.items() if k not in ("1", "2")}

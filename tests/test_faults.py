@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import struct
 
@@ -141,6 +142,42 @@ class TestOutcomeDecoding:
         assert math.isnan(outcomes[-1].original_value)
         for o in outcomes:
             assert FaultOutcome.from_json(o.to_json()).to_json() == o.to_json()
+
+
+# An evaluated outcome as a sweep records it.
+EVALUATED = FaultOutcome(FaultSpec(1, 0, 30, "f32"), 0, 1 << 30, 0.0, 2.0,
+                         per_image_error=[0.25, 0.75], mean_error=0.5)
+
+
+@pytest.mark.parametrize("spec_edit, edit, field", [
+    ({"encoding": "f64"}, {}, "encoding"),
+    ({"bit": -1}, {}, "bit"),
+    ({"bit": 99}, {}, "bit"),
+    ({"bit": 20, "encoding": "i8"}, {}, "bit"),
+    ({"element": -5}, {}, "element"),
+    ({"pset": -4}, {}, "pset"),
+    ({}, {"mean_error": None}, "mean_error"),
+    ({}, {"mean_error": float("nan")}, "mean_error"),
+    ({}, {"mean_error": 1e9}, "mean_error"),
+    ({}, {"per_image_error": [None]}, "per_image_error"),
+], ids=["f64", "bit_minus_1", "bit_99_f32", "bit_20_i8", "element_minus_5", "pset_minus_4",
+        "null_mean", "nan_mean", "huge_mean", "null_image_error"])
+def test_a_record_no_campaign_writes_is_refused(spec_edit, edit, field):
+    d = json.loads(EVALUATED.to_json())
+    d["spec"].update(spec_edit)
+    d.update(edit)
+    with pytest.raises(ValueError, match=f"field '{field}' is "):
+        FaultOutcome.from_json(json.dumps(d))
+    if spec_edit:
+        with pytest.raises(ValueError, match=f"fault spec field '{field}' is "):
+            FaultSpec.from_json(json.dumps(d["spec"]))
+
+
+def test_a_failed_record_needs_no_error_rates():
+    d = json.loads(EVALUATED.to_json())
+    assert FaultOutcome.from_json(json.dumps(d)) == EVALUATED
+    d.update(mean_error=None, per_image_error=[], evaluation_error="IndexError: p1")
+    assert FaultOutcome.from_json(json.dumps(d)).evaluation_error == "IndexError: p1"
 
 
 class TestFaultSpace:
