@@ -93,8 +93,8 @@ class FaultOutcome:
     def from_json(cls, line: str) -> "FaultOutcome":
         """The outcome a JSON line records; ValueError naming the first field
         no campaign writes. An evaluated outcome (no ``evaluation_error``)
-        has a ``mean_error`` and a non-empty ``per_image_error`` of error
-        rates, finite numbers in [0, 100]."""
+        has a non-empty ``per_image_error`` of error rates, finite numbers
+        in [0, 100], and their mean as ``mean_error``, as campaigns write it."""
         d = _record(json.loads(line), cls, "fault outcome", optional=("evaluation_error",))
         spec = FaultSpec._from_record(d["spec"])
         if d.get("evaluation_error") is None:
@@ -103,6 +103,8 @@ class FaultOutcome:
             if not (d["per_image_error"] and all(map(_is_rate, d["per_image_error"]))):
                 _refuse("fault outcome", "per_image_error", d,
                         "not a non-empty list of error rates in [0, 100]")
+            if d["mean_error"] != float(np.mean(d["per_image_error"])):
+                _refuse("fault outcome", "mean_error", d, "not the mean of per_image_error")
         return cls(**{**d, "spec": spec,
                       **{name: _float_repr(d[name], name) for name in _REPRS}})
 

@@ -89,7 +89,9 @@ class ParamSet:
 
 
 class ModelGraph:
-    """Ordered layer graph plus p-indexed parameter sets.
+    """Ordered layer graph plus p-indexed parameter sets, held in p-index
+    order whatever order they are passed in, so that ``params``, hashing,
+    saving and renumbering read one order.
 
     Immutable by convention after construction: a transform edits and
     returns its own ``copy``, and fault injection operates on a working copy.
@@ -97,7 +99,7 @@ class ModelGraph:
 
     def __init__(self, layers, params, class_count, metadata=None):
         self.layers = list(layers)
-        self.params = list(params)
+        self.params = sorted(params, key=lambda p: p.index)
         self.class_count = int(class_count)
         self.metadata = metadata if metadata is not None else {}
         self.metadata.setdefault("bn_epsilon", DEFAULT_BN_EPSILON)
@@ -616,7 +618,6 @@ def load_model(path) -> ModelGraph:
         arr = np.frombuffer(blob, dtype=dt, count=count, offset=offset).copy()
         arr = arr.astype(ENCODINGS[encoding]).reshape(shape)
         params.append(ParamSet(index, layer, role, Tensor(tuple(shape), encoding, arr)))
-    params.sort(key=lambda p: p.index)
     try:
         graph = ModelGraph(layers, params, class_count, metadata)
         # the container is checked, not an image size: at this side no

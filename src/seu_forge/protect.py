@@ -5,11 +5,13 @@ Exponent/mantissa reconditioning: parameters with a risky exponent
 significand forced to 1.0, or down with it forced to the 23-bit maximum
 (~1.99999988) — where ``bits.MAY_INCREMENT``/``bits.MAY_DECREMENT`` allow
 that step. PT thresholds on the significand bound the allowed perturbation.
-Reconditioning and the paired evaluation's scan for risky positions each
-cost one lookup in those tables per parameter set, over all of its words.
-A report keeps its records as per-set columns (``ProtectionRecords``) and
-builds a record object only when one is read, so reconditioning and its
-summary do no per-element Python work.
+The paired evaluation's scan for risky positions costs one lookup in those
+tables per parameter set, over all of its words. Reconditioning gathers the
+risky words of every set and decides them all in one integer pass, the PT
+thresholds as mantissa bounds. A report keeps its records as per-set
+columns (``ProtectionRecords``) and builds a record object only when one is
+read; its record file is written from the columns, so reconditioning, its
+summary and its record file do no per-record object work.
 The remaining transforms (BN reparameterization, cross-layer equalization,
 bias absorption) rewrite parameters without changing the network function
 at all.
@@ -18,7 +20,7 @@ at all.
 from __future__ import annotations
 
 import itertools
-import json
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -86,6 +88,18 @@ RULE_DECREMENT = "exponent-- mantissa->max"
 RULE_SKIP_NONPROT = "skipped non-protectable"
 RULE_SKIP_OUTSIDE = "skipped mantissa outside thresholds"
 
+_RULES = np.array([RULE_SKIP_NONPROT, RULE_SKIP_OUTSIDE, RULE_INCREMENT, RULE_DECREMENT],
+                  dtype=object)
+_RULE_CODE = {rule: code for code, rule in enumerate(_RULES)}
+_MOVES = 2  # the codes at and above it move the word
+
+# One record as a JSON line, keys sorted as ``json.dumps(..., sort_keys=True)``
+# writes them, filled from a tuple in key order. The floats are written by
+# repr: the values as JSON strings, the relative delta as the number that
+# json.dumps writes for a finite float.
+_LINE = ('{"after_bits": %d, "after_value": "%r", "before_bits": %d, "before_value": "%r", '
+         '"element": %d, "pset": %d, "relative_delta": %r, "rule": "%s"}')
+
 
 @dataclass
 class ProtectionRecord:
@@ -99,28 +113,36 @@ class ProtectionRecord:
     relative_delta: float
 
     def to_json(self) -> str:
-        d = dict(self.__dict__)
-        d["before_value"] = repr(self.before_value)
-        d["after_value"] = repr(self.after_value)
-        return json.dumps(d, sort_keys=True)
+        """The record's JSON line, as ``write_jsonl`` writes it from the columns."""
+        return _LINE % (self.after_bits, self.after_value, self.before_bits, self.before_value,
+                        self.element, self.pset, self.relative_delta, self.rule)
 
 
-_RULES = np.array([RULE_SKIP_NONPROT, RULE_SKIP_OUTSIDE, RULE_INCREMENT, RULE_DECREMENT],
-                  dtype=object)
-_RULE_CODE = {rule: code for code, rule in enumerate(_RULES)}
+def _floats(before, after):
+    """The f32 values of the words as float64, and their relative delta, the
+    float64 quotient. A risky word is normal and one exponent step keeps it
+    finite, so every delta of a report is finite."""
+    value_before = before.view(np.float32).astype(np.float64)
+    value_after = after.view(np.float32).astype(np.float64)
+    return value_before, value_after, (value_after - value_before) / value_before
 
 
 def _records(pset, element, rule, before, after):
-    """The records of one set's columns, in column order: the floats are the
-    f32 values of the words as Python floats (float64), the relative delta
-    their float64 quotient."""
-    value_before = before.view(np.float32).astype(np.float64)
-    value_after = after.view(np.float32).astype(np.float64)
-    delta = (value_after - value_before) / value_before
+    """The records of one set's columns, in column order."""
+    value_before, value_after, delta = _floats(before, after)
     # the columns in ProtectionRecord's field order
     return map(ProtectionRecord, itertools.repeat(pset, element.size), element.tolist(),
                _RULES[rule].tolist(), before.tolist(), after.tolist(),
                value_before.tolist(), value_after.tolist(), delta.tolist())
+
+
+def _lines(pset, element, rule, before, after):
+    """The JSON lines of one set's columns, in column order; no record is built."""
+    value_before, value_after, delta = _floats(before, after)
+    # the columns in _LINE's order
+    return map(_LINE.__mod__, zip(after.tolist(), value_after.tolist(), before.tolist(),
+                                  value_before.tolist(), element.tolist(),
+                                  itertools.repeat(pset), delta.tolist(), _RULES[rule].tolist()))
 
 
 class ProtectionRecords:
@@ -128,7 +150,7 @@ class ProtectionRecords:
     rule codes (indices into ``_RULES``) and the uint32 words before and
     after. Records are read by iteration, which builds each
     :class:`ProtectionRecord` as it is reached, so editing a record read out
-    changes nothing stored."""
+    changes nothing stored; ``lines`` formats them from the columns."""
 
     def __init__(self):
         self._sets = []  # (pset, element, rule, before, after) per added set
@@ -138,8 +160,11 @@ class ProtectionRecords:
         self._sets.append((pset, element, rule, before, after))
 
     def append(self, record: ProtectionRecord):
-        """Append one record as a set of one element. Its floats must be the
-        ones its words give; a record whose floats are not is refused."""
+        """Append one record as a set of one element. Its word before must be
+        a risky candidate, as every record of a pass is, and its floats the
+        ones its words give; any other record is refused."""
+        if not bits.RISKY[bits.exponent_field(record.before_bits)]:
+            raise ValueError(f"record {record} is not of a risky word")
         columns = (np.array([record.element], np.int64),
                    np.array([_RULE_CODE[record.rule]], np.uint8),
                    np.array([record.before_bits], np.uint32),
@@ -153,6 +178,18 @@ class ProtectionRecords:
         """{rule: number of records} over every rule."""
         codes = np.concatenate([np.zeros(0, np.uint8), *(s[2] for s in self._sets)])
         return dict(zip(_RULES.tolist(), np.bincount(codes, minlength=_RULES.size).tolist()))
+
+    def moves(self):
+        """The records whose rule moves the word, in record order; no other
+        record is built."""
+        for pset, element, rule, before, after in self._sets:
+            moved = np.flatnonzero(rule >= _MOVES)
+            yield from _records(pset, element[moved], rule[moved], before[moved], after[moved])
+
+    def lines(self):
+        """Every record's JSON line (``ProtectionRecord.to_json``), in record order."""
+        for columns in self._sets:
+            yield from _lines(*columns)
 
     def __len__(self):
         return sum(s[1].size for s in self._sets)
@@ -168,7 +205,7 @@ class ProtectionReport:
     records: ProtectionRecords = field(default_factory=ProtectionRecords)
 
     def applied(self):
-        return [r for r in self.records if r.rule in (RULE_INCREMENT, RULE_DECREMENT)]
+        return list(self.records.moves())
 
     def summary(self) -> dict:
         counts = self.records.rule_counts()
@@ -179,7 +216,7 @@ class ProtectionReport:
         return out
 
     def write_jsonl(self, path):
-        reports.write_lines(path, (r.to_json() for r in self.records))
+        reports.write_lines(path, self.records.lines())
 
 
 def write_protection_summary_csv(summaries, path):
@@ -198,55 +235,68 @@ def protect_parameters(graph: ModelGraph, pt: ProtectionTarget, roles=None):
 
     Negative values are treated by significand magnitude (sign untouched).
     Idempotent at a fixed PT: protected patterns leave the candidate set or
-    land outside the thresholds. Each f32 set costs one table lookup over
-    its words and a few array operations over its risky elements
-    (``_protect_set``), whose columns the report keeps; no record object is
-    built until the report's records are read.
+    land outside the thresholds. The risky words of every selected f32 set
+    are gathered and decided in one pass over all of them (``_decide``);
+    each set then takes back its words after and the report a view of its
+    columns. No record object is built until the report's records are read,
+    and ``write_jsonl`` builds none.
     """
     if graph.flags.get("quantized"):
         raise ValueError("protection applies to float graphs")
     out = graph.copy()
+    sets = [(p.index, words, np.flatnonzero(bits.risky_mask(words)))
+            for p, words in _f32_words(out.params if roles is None else out.params_of(roles))]
+    before = np.concatenate([np.zeros(0, np.uint32), *(words[e] for _, words, e in sets)])
+    rule, after = _decide(before, pt)
     report = ProtectionReport(pt)
-    for p, words in _f32_words(out.params if roles is None else out.params_of(roles)):
-        report.records.add_set(p.index, *_protect_set(words, pt))
+    stop = 0
+    for pset, words, element in sets:
+        start, stop = stop, stop + element.size
+        words[element] = after[start:stop]  # a word no rule moves is written as it was
+        report.records.add_set(pset, element, rule[start:stop], before[start:stop],
+                               after[start:stop])
 
     out.with_provenance({"transform": "protect_parameters", "pt": pt.level,
                          "summary": report.summary()})
     return out, report
 
 
-_EXP_ONE = np.uint32(1 << bits.F32_EXP_LO)
 _MANT = np.uint32(bits.F32_MANT_MASK)
+# by rule code: the bits a rule keeps of the word, then the step it adds
+# (uint32 wraps, so 0xFFFFFFFF subtracts one: the cleared mantissa borrows
+# from the exponent and fills)
+_KEEP = np.array([0xFFFFFFFF, 0xFFFFFFFF, ~bits.F32_MANT_MASK & 0xFFFFFFFF,
+                  ~bits.F32_MANT_MASK & 0xFFFFFFFF], np.uint32)
+_STEP = np.array([0, 0, 1 << bits.F32_EXP_LO, 0xFFFFFFFF], np.uint32)
 
 
-def _protect_set(words: np.ndarray, pt: ProtectionTarget) -> tuple:
-    """The record columns of the risky elements of one set's ``words``, in
-    element order: (element, rule code, word before, word after). The words
-    of the elements a rule moves are rewritten in place.
+def _decide(before: np.ndarray, pt: ProtectionTarget) -> tuple:
+    """The rule code (index into ``_RULES``) and word after of each risky word.
 
-    An element whose significand is at or above the full threshold steps
-    its exponent up where ``bits.MAY_INCREMENT`` allows, mantissa cleared;
-    one at or below the empty threshold steps down where
-    ``bits.MAY_DECREMENT`` allows, mantissa filled. Neither step reaches the
-    sign, as a risky exponent lies in [63, 127]. An element between the
-    thresholds that may move either way is skipped as outside them; every
-    other risky element is skipped as non-protectable.
+    A word whose significand is at or above the full threshold steps its
+    exponent up where ``bits.MAY_INCREMENT`` allows, mantissa cleared; one
+    at or below the empty threshold steps down where ``bits.MAY_DECREMENT``
+    allows, mantissa filled. Neither step reaches the sign, as a risky
+    exponent lies in [63, 127]. A word between the thresholds that may move
+    either way is skipped as outside them; every other risky word is skipped
+    as non-protectable.
+
+    The thresholds are compared as mantissa bounds: the significand
+    1 + m/2^23, t - 1 and its scaling by 2^23 are exact in float64, so
+    1 + m/2^23 >= t exactly when m >= ceil((t - 1)·2^23), and <= t exactly
+    when m <= floor((t - 1)·2^23). As empty < full, the bounds part the
+    mantissas into disjoint bands.
     """
-    element = np.flatnonzero(bits.risky_mask(words))
-    before = words[element]
+    scale = 1 << bits.F32_MANT_BITS
+    mant = before & _MANT
     exp = bits.exponent_fields(before)
-    sig = 1.0 + (before & _MANT) / float(1 << bits.F32_MANT_BITS)
-    full, empty = sig >= pt.full_threshold, sig <= pt.empty_threshold
+    full = mant >= math.ceil((pt.full_threshold - 1.0) * scale)
+    empty = mant <= math.floor((pt.empty_threshold - 1.0) * scale)
     inc, dec = bits.MAY_INCREMENT[exp], bits.MAY_DECREMENT[exp]
-    up, down = full & inc, ~full & empty & dec
-    outside = ~full & ~empty & (inc | dec)
-    rule = np.select([outside, up, down], [1, 2, 3], 0).astype(np.uint8)  # codes into _RULES
-    after = before.copy()
-    after[up] = (before[up] & ~_MANT) + _EXP_ONE
-    after[down] = (before[down] | _MANT) - _EXP_ONE
-    moved = np.flatnonzero(up | down)
-    words[element[moved]] = after[moved]
-    return element, rule, before, after
+    outside, up, down = ~(full | empty) & (inc | dec), full & inc, empty & dec
+    # the sum of the disjoint masks, weighted by their codes
+    rule = outside.view(np.uint8) + up.view(np.uint8) * 2 + down.view(np.uint8) * 3
+    return rule, (before & _KEEP[rule]) + _STEP[rule]
 
 
 # ---------------------------------------------------------------------------

@@ -160,8 +160,9 @@ EVALUATED = FaultOutcome(FaultSpec(1, 0, 30, "f32"), 0, 1 << 30, 0.0, 2.0,
     ({}, {"mean_error": float("nan")}, "mean_error"),
     ({}, {"mean_error": 1e9}, "mean_error"),
     ({}, {"per_image_error": [None]}, "per_image_error"),
+    ({}, {"per_image_error": [0.0, 0.0], "mean_error": 50}, "mean_error"),
 ], ids=["f64", "bit_minus_1", "bit_99_f32", "bit_20_i8", "element_minus_5", "pset_minus_4",
-        "null_mean", "nan_mean", "huge_mean", "null_image_error"])
+        "null_mean", "nan_mean", "huge_mean", "null_image_error", "mean_not_of_images"])
 def test_a_record_no_campaign_writes_is_refused(spec_edit, edit, field):
     d = json.loads(EVALUATED.to_json())
     d["spec"].update(spec_edit)

@@ -244,6 +244,25 @@ def test_pindex_stable_across_save_load(tiny_graph, tmp_path):
         assert np.array_equal(p.tensor.data, q.tensor.data)
 
 
+def test_sets_listed_out_of_order_are_held_in_index_order(tmp_path):
+    """With p1 and p2 listed the other way round the graph is the sorted one:
+    the same hash, kept over a save/load round trip, and p1 before p2 in
+    ``params_of`` and in ``fold_bn``'s renumbering."""
+    graph = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5)
+    p1, p2, *rest = graph.params
+    assert (p1.role, p2.role) == ("conv_kernel", "conv_bias")
+    swapped = sf.ModelGraph(graph.layers, [p2, p1, *rest], graph.class_count,
+                            json.loads(json.dumps(graph.metadata)))
+    assert sf.model_hash(swapped) == sf.model_hash(graph)
+    sf.save_model(swapped, tmp_path / "m.sfm")
+    assert sf.model_hash(sf.load_model(tmp_path / "m.sfm")) == sf.model_hash(graph)
+    assert [p.index for p in swapped.params_of(("conv_kernel", "conv_bias"))][:2] == [1, 2]
+    folded = sf.fold_bn(swapped)
+    assert [(p.index, p.layer, p.role) for p in folded.params[:2]] == [
+        (1, "conv2D", "conv_kernel"), (2, "conv2D", "conv_bias")]
+    assert sf.model_hash(folded) == sf.model_hash(sf.fold_bn(graph))
+
+
 class TestContainerRefusals:
     """Corrupt manifests are refused with FormatError, not a raw exception."""
 

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import seu_forge as sf
 from seu_forge import bits
-from seu_forge.protect import (PT_LEVELS, AbsorptionError, EqualizationError,
-                               ProtectionRecord, ProtectionRecords,
+from seu_forge.protect import (PT_LEVELS, RULE_DECREMENT, RULE_INCREMENT, AbsorptionError,
+                               EqualizationError, ProtectionRecord, ProtectionRecords,
                                ProtectionTarget, absorb_bias, cross_layer_equalize,
                                danger_bit, evaluate_protection,
                                protect_parameters, recondition_bn,
@@ -616,6 +616,11 @@ WORDS = st.one_of(
 )
 
 
+NON_RISKY_WORDS = st.builds(assemble_f32, SIGNS,
+                            st.sampled_from([e for e in range(256) if not bits.RISKY[e]]),
+                            st.integers(0, bits.F32_MANT_MASK))
+
+
 def _word_graph(data):
     """A one-conv graph whose kernel and bias hold drawn f32 words."""
     cin, cout = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
@@ -734,3 +739,75 @@ def test_append_refuses_floats_that_are_not_the_words(tiny_graph):
         with pytest.raises(ValueError, match="floats of its words"):
             records.append(bad)
     assert [r.to_json() for r in records] == [record.to_json()]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [0.0, -0.0, 5.0, 1e-40, math.inf])
+def test_append_refuses_a_record_of_a_word_that_is_not_risky(value):
+    """A pass records only risky words, whose values are normal and whose
+    relative deltas are finite; a record of any other word is refused."""
+    word = word_of(value)
+    record = ProtectionRecord(1, 0, "skipped non-protectable", word, word, value, value, 0.0)
+    records = ProtectionRecords()
+    with pytest.raises(ValueError, match="not of a risky word"):
+        records.append(record)
+    assert len(records) == 0
+
+
+def _gap_graph(data):
+    """A conv feeding a 1x1 output conv whose kernels each hold a risky word
+    among drawn ones, and whose first bias (p2) holds none."""
+    cin, mid, cout = (data.draw(st.integers(1, 3)) for _ in range(3))
+
+    def f32(words, size, shape):
+        drawn = data.draw(st.lists(words, min_size=size, max_size=size))
+        return sf.Tensor.from_array(np.array(drawn, np.uint32).view(np.float32).reshape(shape))
+
+    def risky_among(size, shape):
+        tensor = f32(WORDS, size, shape)
+        tensor.flat.view(np.uint32)[data.draw(st.integers(0, size - 1))] = data.draw(
+            st.builds(assemble_f32, SIGNS, st.sampled_from(RISKY_EXPONENTS),
+                      st.integers(0, bits.F32_MANT_MASK)))
+        return tensor
+
+    layers = [sf.LayerSpec("conv2d", "a", {"kernel_size": 1, "stride": 1, "padding": "same",
+                                           "filters": mid}, ["input"]),
+              sf.LayerSpec("output_conv", "o", {"kernel_size": 1, "stride": 1,
+                                                "padding": "same", "filters": cout}, ["a"])]
+    params = [sf.ParamSet(1, "a", "conv_kernel", risky_among(cin * mid, (1, 1, cin, mid))),
+              sf.ParamSet(2, "a", "conv_bias", f32(NON_RISKY_WORDS, mid, (mid,))),
+              sf.ParamSet(3, "o", "conv_kernel", risky_among(mid * cout, (1, 1, mid, cout))),
+              sf.ParamSet(4, "o", "conv_bias", f32(WORDS, cout, (cout,)))]
+    return sf.ModelGraph(layers, params, cout, {"input_channels": cin})
+
+
+def _json_line(record):
+    """A record's line as json.dumps writes its fields, the values as reprs."""
+    return json.dumps({"pset": record.pset, "element": record.element, "rule": record.rule,
+                       "before_bits": record.before_bits, "after_bits": record.after_bits,
+                       "before_value": repr(record.before_value),
+                       "after_value": repr(record.after_value),
+                       "relative_delta": record.relative_delta}, sort_keys=True)
+
+
+@pytest.mark.parametrize("build", [_word_graph, _gap_graph], ids=["words", "gap"])
+@pytest.mark.parametrize("target", TARGETS, ids=lambda t: t.level)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_record_lines_are_the_json_of_the_records(target, build, data):
+    """The record file written from the columns holds, line for line, what
+    json.dumps writes for each record read out; ``applied()`` is the moves
+    among them; the words equal the element loop's, also across a set with
+    no candidate between two with some."""
+    graph = build(data)
+    prot, report = protect_parameters(graph, target)
+    expected, _ = protect_parameters_scalar(graph, target)
+    for p, q in zip(prot.params, expected.params):
+        assert p.tensor.flat.tobytes() == q.tensor.flat.tobytes()
+    records = list(report.records)
+    if build is _gap_graph:
+        assert {1, 3} <= {r.pset for r in records} and 2 not in {r.pset for r in records}
+    assert _jsonl_bytes(report) == "".join(_json_line(r) + "\n" for r in records).encode()
+    assert [r.to_json() for r in records] == [_json_line(r) for r in records]
+    assert [_record_fields(r) for r in report.applied()] == \
+        [_record_fields(r) for r in records if r.rule in (RULE_INCREMENT, RULE_DECREMENT)]
