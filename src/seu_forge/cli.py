@@ -228,8 +228,11 @@ def cmd_campaign_plan(args):
 def cmd_campaign_sweep(args):
     workers = _workers(args)
     graph = _load(args.model)
-    roles = args.roles.split(",") if args.roles else None
-    psets = [int(x) for x in args.psets.split(",")] if args.psets else None
+    roles = args.roles.split(",")  # an empty item is refused as an unknown role
+    try:
+        psets = None if args.psets is None else [int(x) for x in args.psets.split(",")]
+    except ValueError:
+        raise UsageError(f"--psets needs comma-separated ints, got {args.psets!r}") from None
     inputs = _images_for(graph, args)
     plan = campaign.plan_single_bit_sweep(
         graph, roles=roles, psets=psets, bits=(args.bits[0], args.bits[1]),
@@ -300,6 +303,10 @@ def cmd_predict_signbit(args):
 
 
 def cmd_protect_apply(args):
+    # refused before the model is written, which a failed report would leave without a manifest
+    for path in filter(None, (args.out, args.report)):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise UsageError(f"the directory of {path!r} does not exist")
     graph = _load(args.model)
     out, report = protect.protect_parameters(graph, protect.PT_LEVELS[args.pt])
     save_model(out, args.out)

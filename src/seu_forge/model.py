@@ -418,6 +418,12 @@ def generate_toy_weights(graph: ModelGraph, seed: int, *,
     """
     if gamma_mode not in ("compensated", "raw"):
         raise ValueError(f"unknown gamma_mode {gamma_mode!r}")
+    if not 0 <= kernel_scale < math.inf:
+        raise ValueError(f"kernel_scale must be finite and >= 0, got {kernel_scale}")
+    if not -math.inf < gamma_range[0] <= gamma_range[1] < math.inf:
+        raise ValueError(f"gamma_range must be finite with lo <= hi, got {tuple(gamma_range)}")
+    if positive_bias_fraction != "span" and not 0 <= float(positive_bias_fraction) <= 1:
+        raise ValueError(f"positive_bias_fraction must be in [0, 1], got {positive_bias_fraction}")
     if graph.flags.get("quantized"):
         raise ValueError("cannot reseed weights of a quantized graph")
     rng = np.random.Generator(np.random.PCG64(seed))

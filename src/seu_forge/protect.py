@@ -5,13 +5,13 @@ Exponent/mantissa reconditioning: parameters with a risky exponent
 significand forced to 1.0, or down with it forced to the 23-bit maximum
 (~1.99999988) — where ``bits.MAY_INCREMENT``/``bits.MAY_DECREMENT`` allow
 that step. PT thresholds on the significand bound the allowed perturbation.
-The paired evaluation's scan for risky positions costs one lookup in those
-tables per parameter set, over all of its words. Reconditioning gathers the
-risky words of every set and decides them all in one integer pass, the PT
-thresholds as mantissa bounds. A report keeps its records as per-set
-columns (``ProtectionRecords``) and builds a record object only when one is
-read; its record file is written from the columns, so reconditioning, its
-summary and its record file do no per-record object work.
+Risky words are gathered in one place (``_risky_words``), one ``bits.RISKY``
+lookup per f32 set, for reconditioning, the paired evaluation and the BN
+risky count. Reconditioning decides the gathered words in one integer pass,
+the PT thresholds as mantissa bounds. A report keeps its records as per-set
+columns, which only ``ProtectionRecords.add_set`` writes, and builds a
+record object only when one is read; reconditioning, its summary and its
+record file (written from the columns) do no per-record object work.
 The remaining transforms (BN reparameterization, cross-layer equalization,
 bias absorption) rewrite parameters without changing the network function
 at all.
@@ -55,9 +55,11 @@ def danger_bit(word: int) -> int:
     return bit
 
 
-def _f32_words(params):
-    """(set, uint32 view of its elements) of every f32 set of ``params``, in order."""
-    return [(p, p.tensor.flat.view(np.uint32)) for p in params if p.tensor.encoding == "f32"]
+def _risky_words(params):
+    """(set, uint32 view of its elements, indices of its risky words) of every
+    f32 set of ``params``, in order: the one gather of risky words."""
+    words = [(p, p.tensor.flat.view(np.uint32)) for p in params if p.tensor.encoding == "f32"]
+    return [(p, w, np.flatnonzero(bits.risky_mask(w))) for p, w in words]
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +92,6 @@ RULE_SKIP_OUTSIDE = "skipped mantissa outside thresholds"
 
 _RULES = np.array([RULE_SKIP_NONPROT, RULE_SKIP_OUTSIDE, RULE_INCREMENT, RULE_DECREMENT],
                   dtype=object)
-_RULE_CODE = {rule: code for code, rule in enumerate(_RULES)}
 _MOVES = 2  # the codes at and above it move the word
 
 # One record as a JSON line, keys sorted as ``json.dumps(..., sort_keys=True)``
@@ -158,21 +159,6 @@ class ProtectionRecords:
     def add_set(self, pset: int, element, rule, before, after):
         """Append the records of one set's equal-length columns."""
         self._sets.append((pset, element, rule, before, after))
-
-    def append(self, record: ProtectionRecord):
-        """Append one record as a set of one element. Its word before must be
-        a risky candidate, as every record of a pass is, and its floats the
-        ones its words give; any other record is refused."""
-        if not bits.RISKY[bits.exponent_field(record.before_bits)]:
-            raise ValueError(f"record {record} is not of a risky word")
-        columns = (np.array([record.element], np.int64),
-                   np.array([_RULE_CODE[record.rule]], np.uint8),
-                   np.array([record.before_bits], np.uint32),
-                   np.array([record.after_bits], np.uint32))
-        stored, = _records(record.pset, *columns)
-        if stored.to_json() != record.to_json():
-            raise ValueError(f"record {record} does not hold the floats of its words")
-        self.add_set(record.pset, *columns)
 
     def rule_counts(self) -> dict:
         """{rule: number of records} over every rule."""
@@ -244,16 +230,15 @@ def protect_parameters(graph: ModelGraph, pt: ProtectionTarget, roles=None):
     if graph.flags.get("quantized"):
         raise ValueError("protection applies to float graphs")
     out = graph.copy()
-    sets = [(p.index, words, np.flatnonzero(bits.risky_mask(words)))
-            for p, words in _f32_words(out.params if roles is None else out.params_of(roles))]
+    sets = _risky_words(out.params if roles is None else out.params_of(roles))
     before = np.concatenate([np.zeros(0, np.uint32), *(words[e] for _, words, e in sets)])
     rule, after = _decide(before, pt)
     report = ProtectionReport(pt)
     stop = 0
-    for pset, words, element in sets:
+    for p, words, element in sets:
         start, stop = stop, stop + element.size
         words[element] = after[start:stop]  # a word no rule moves is written as it was
-        report.records.add_set(pset, element, rule[start:stop], before[start:stop],
+        report.records.add_set(p.index, element, rule[start:stop], before[start:stop],
                                after[start:stop])
 
     out.with_provenance({"transform": "protect_parameters", "pt": pt.level,
@@ -340,22 +325,22 @@ def evaluate_protection(original: ModelGraph, protected: ModelGraph, images,
     fails in either model is left out of both models' means and ``n`` and
     recorded in ``failed``. The result is the same for any ``workers``.
 
-    The positions and their bits come from one ``bits.DANGER_BIT`` lookup
-    per f32 set of ``original``, kept where ``bit_filter`` admits the bit.
+    The positions are ``original``'s gathered risky words, in p-index then
+    element order; their bits come from one ``bits.DANGER_BIT`` lookup per f32
+    set, over its risky words, kept where ``bit_filter`` admits the bit.
     A quantized ``original`` holds no such set and is refused before any walk.
     """
     if original.flags.get("quantized"):
         raise ValueError("protection applies to float graphs")
     batch = batch_inputs(images)
     targets = []
-    for p, words in _f32_words(original.params):
-        danger = bits.DANGER_BIT[bits.exponent_fields(words)]
-        chosen = danger >= 0
+    for p, words, risky in _risky_words(original.params):
+        danger = bits.DANGER_BIT[bits.exponent_fields(words[risky])]
         if bit_filter is not None:
-            chosen &= np.isin(danger, list(bit_filter))
-        idx = np.flatnonzero(chosen)
+            chosen = np.isin(danger, list(bit_filter))
+            risky, danger = risky[chosen], danger[chosen]
         targets += [[FaultSpec(pset=p.index, element=element, bit=bitpos, encoding="f32")]
-                    for element, bitpos in zip(idx.tolist(), danger[idx].tolist())]
+                    for element, bitpos in zip(risky.tolist(), danger.tolist())]
 
     faultless, pairs = run_fault_sets([original, protected], targets, batch,
                                       partial(_scores, labels, original.class_count), workers)
@@ -438,8 +423,8 @@ def _risky(value) -> bool:
 
 
 def _risky_bn_count(graph: ModelGraph) -> int:
-    return sum(int(bits.risky_mask(words).sum())
-               for _, words in _f32_words(graph.params_of(roles=_LAYER_ROLES["batchnorm"])))
+    sets = _risky_words(graph.params_of(roles=_LAYER_ROLES["batchnorm"]))
+    return sum(risky.size for _, _, risky in sets)
 
 
 # ---------------------------------------------------------------------------

@@ -192,20 +192,25 @@ def protect_parameters_scalar(graph, pt, roles=None):
     """``protect_parameters`` one element at a time: each risky f32 element
     of each set in p-index order is classified with ``classify_candidate``
     and its significand compared with the PT thresholds as a Python float.
+    Each set's records go into the report as columns through ``add_set``,
+    and the records read back must carry the floats computed here.
     Returns (graph, report)."""
     from seu_forge import bits
-    from seu_forge.protect import (RULE_DECREMENT, RULE_INCREMENT, RULE_SKIP_NONPROT,
+    from seu_forge.protect import (_RULES, RULE_DECREMENT, RULE_INCREMENT, RULE_SKIP_NONPROT,
                                    RULE_SKIP_OUTSIDE, ProtectionRecord, ProtectionReport)
 
     out = graph.copy()
     report = ProtectionReport(pt)
     roleset = set(roles) if roles is not None else None
+    rule_code = {rule: code for code, rule in enumerate(_RULES.tolist())}
+    expected = []
 
     params = (p for p in out.params if roleset is None or p.role in roleset)
     for p in params:
         if p.tensor.encoding != "f32":
             continue
         words = p.tensor.flat.view(np.uint32)
+        records = []
         for idx in np.flatnonzero(bits.risky_mask(words)):
             idx, word = int(idx), int(words[idx])
             cls = classify_candidate(word)
@@ -226,11 +231,18 @@ def protect_parameters_scalar(graph, pt, roles=None):
             if new_word != word:
                 p.tensor.flat.view(np.uint32)[idx] = new_word
                 after = bits.bits_to_f32(new_word)
-            report.records.append(ProtectionRecord(
+            records.append(ProtectionRecord(
                 pset=p.index, element=idx, rule=rule,
                 before_bits=word, after_bits=new_word,
                 before_value=before, after_value=after,
                 relative_delta=(after - before) / before if before else 0.0))
+        report.records.add_set(p.index, np.array([r.element for r in records], np.int64),
+                               np.array([rule_code[r.rule] for r in records], np.uint8),
+                               np.array([r.before_bits for r in records], np.uint32),
+                               np.array([r.after_bits for r in records], np.uint32))
+        expected += records
+    # the report reads its floats from the words; they must be the ones computed here
+    assert [r.to_json() for r in report.records] == [r.to_json() for r in expected]
     return out, report
 
 

@@ -353,6 +353,25 @@ def test_sweep_refuses_an_unknown_role(model_path, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option,value,code,message", [
+    ("--psets", "", 2, "--psets needs comma-separated ints, got ''"),
+    ("--psets", "1,x", 2, "--psets needs comma-separated ints, got '1,x'"),
+    ("--psets", "1,,2", 2, "--psets needs comma-separated ints, got '1,,2'"),
+    ("--roles", "", 1, "unknown parameter role ''"),
+], ids=["psets-empty", "psets-not-int", "psets-empty-item", "roles-empty"])
+def test_sweep_refuses_an_empty_or_unreadable_list(model_path, tmp_path, capsys, option,
+                                                    value, code, message):
+    """An empty --psets or --roles list, or a --psets item that is not an int,
+    is refused in one error line: no default targets, nothing written."""
+    out = tmp_path / "sweep"
+    assert run_cli("campaign", "sweep", "--model", str(model_path), "--out-dir", str(out),
+                   option, value, "--bits", "30", "31", "--n", "1", "--images", "2",
+                   "--image-size", "16") == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_workers_default_from_environment(model_path, tmp_path, monkeypatch):
     """SEU_FORGE_WORKERS sets the worker count when --workers is not given,
     and the report files do not change with it."""
@@ -463,3 +482,35 @@ def test_protect_evaluate_refuses_a_quantized_model(model_path, tmp_path, capsys
                    "--image-size", "16") == 1
     assert "protection applies to float graphs" in capsys.readouterr().err
     assert not (out / "protection_eval.json").exists()
+
+
+@pytest.mark.parametrize("command", ["build", "generate"])
+@pytest.mark.parametrize("options,message", [
+    (("--kernel-scale", "nan"), "kernel_scale"),
+    (("--kernel-scale", "inf"), "kernel_scale"),
+    (("--kernel-scale", "-1"), "kernel_scale"),
+    (("--gamma-lo", "nan"), "gamma_range"),
+    (("--gamma-lo", "2", "--gamma-hi", "1"), "gamma_range"),
+    (("--positive-bias-fraction", "3"), "positive_bias_fraction"),
+], ids=["scale-nan", "scale-inf", "scale-negative", "gamma-lo-nan", "gamma-lo-above-hi",
+        "fraction-3"])
+def test_bad_weight_options_refused(model_path, tmp_path, capsys, command, options, message):
+    """A weight option no weights can be drawn from exits 1 with one error
+    line naming it, and writes no model."""
+    out = tmp_path / "bad.sfm"
+    source = ("--levels", "2") if command == "build" else ("--model", str(model_path))
+    assert run_cli("model", command, *source, "--out", str(out), *options) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message} must be") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_protect_apply_refuses_a_missing_report_directory(model_path, tmp_path, capsys):
+    """A --report whose directory does not exist is refused before the
+    protected model is written."""
+    out = tmp_path / "p.sfm"
+    report = tmp_path / "missing" / "r.jsonl"
+    assert run_cli("protect", "apply", "--model", str(model_path), "--out", str(out),
+                   "--pt", "2", "--report", str(report)) == 2
+    assert capsys.readouterr().err == f"error: the directory of {str(report)!r} does not exist\n"
+    assert not out.exists() and list(tmp_path.iterdir()) == []

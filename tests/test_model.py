@@ -143,6 +143,18 @@ class TestToyWeights:
         percents = [r["percent"] for r in rows]
         assert min(percents) < 15 and max(percents) > 85
 
+    @pytest.mark.parametrize("option,value", [
+        ("kernel_scale", float("nan")), ("kernel_scale", float("inf")), ("kernel_scale", -1.0),
+        ("gamma_range", (float("nan"), 1.5)), ("gamma_range", (0.5, float("inf"))),
+        ("gamma_range", (2.0, 1.0)),
+        ("positive_bias_fraction", 3.0), ("positive_bias_fraction", -0.5),
+        ("positive_bias_fraction", float("nan")),
+    ])
+    def test_bad_weight_options_refused(self, option, value):
+        """An option no weights can be drawn from is refused by name."""
+        with pytest.raises(ValueError, match=f"^{option} must be"):
+            sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 7, **{option: value})
+
 
 class TestCalibrationSet:
     def test_deterministic(self):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import seu_forge as sf
 from seu_forge import bits
 from seu_forge.protect import (PT_LEVELS, RULE_DECREMENT, RULE_INCREMENT, AbsorptionError,
-                               EqualizationError, ProtectionRecord, ProtectionRecords,
+                               EqualizationError, ProtectionRecord,
                                ProtectionTarget, absorb_bias, cross_layer_equalize,
                                danger_bit, evaluate_protection,
                                protect_parameters, recondition_bn,
@@ -711,7 +711,7 @@ def _jsonl_bytes(report):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_appended_records_read_as_the_array_pass_columns(target, data):
-    """A report filled through ``records.append``, as the element loop fills
+    """A report filled through ``records.add_set``, as the element loop fills
     it, has the array pass's summary, applied records and JSONL bytes; in
     both, length and iteration agree."""
     graph = _word_graph(data)
@@ -725,33 +725,6 @@ def test_appended_records_read_as_the_array_pass_columns(target, data):
         listed = [_record_fields(r) for r in records]
         n = len(listed)
         assert len(records) == n
-
-
-def test_append_refuses_floats_that_are_not_the_words(tiny_graph):
-    """A record's floats are read from its words, so an appended record
-    whose floats differ is refused, not stored altered."""
-    _, report = protect_parameters(tiny_graph, PT_LEVELS[2])
-    record = report.applied()[0]
-    records = ProtectionRecords()
-    records.append(record)
-    for bad in (dataclasses.replace(record, after_value=record.before_value),
-                dataclasses.replace(record, relative_delta=-record.relative_delta)):
-        with pytest.raises(ValueError, match="floats of its words"):
-            records.append(bad)
-    assert [r.to_json() for r in records] == [record.to_json()]
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("value", [0.0, -0.0, 5.0, 1e-40, math.inf])
-def test_append_refuses_a_record_of_a_word_that_is_not_risky(value):
-    """A pass records only risky words, whose values are normal and whose
-    relative deltas are finite; a record of any other word is refused."""
-    word = word_of(value)
-    record = ProtectionRecord(1, 0, "skipped non-protectable", word, word, value, value, 0.0)
-    records = ProtectionRecords()
-    with pytest.raises(ValueError, match="not of a risky word"):
-        records.append(record)
-    assert len(records) == 0
 
 
 def _gap_graph(data):
