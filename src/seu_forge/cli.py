@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -71,6 +72,19 @@ def _add_image_opts(p):
     p.add_argument("--images-seed", type=int, default=1000)
     p.add_argument("--image-size", type=int, default=None,
                    help="square image side (default: model-dependent)")
+
+
+def _comma_list(option: str, text: str, kind=int) -> list:
+    """The comma-separated ``kind`` values of ``option``; refuses an empty item, one
+    that is not a number, and a float that is not finite."""
+    try:
+        values = [kind(item) for item in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{option} needs comma-separated {kind.__name__}s, "
+                         f"got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{option} needs finite numbers, got {text!r}")
+    return values
 
 
 def _workers(args) -> int:
@@ -227,12 +241,9 @@ def cmd_campaign_plan(args):
 
 def cmd_campaign_sweep(args):
     workers = _workers(args)
-    graph = _load(args.model)
     roles = args.roles.split(",")  # an empty item is refused as an unknown role
-    try:
-        psets = None if args.psets is None else [int(x) for x in args.psets.split(",")]
-    except ValueError:
-        raise UsageError(f"--psets needs comma-separated ints, got {args.psets!r}") from None
+    psets = None if args.psets is None else _comma_list("--psets", args.psets)
+    graph = _load(args.model)
     inputs = _images_for(graph, args)
     plan = campaign.plan_single_bit_sweep(
         graph, roles=roles, psets=psets, bits=(args.bits[0], args.bits[1]),
@@ -249,11 +260,11 @@ def cmd_campaign_sweep(args):
 
 def cmd_campaign_multibit(args):
     workers = _workers(args)
+    counts = _comma_list("--counts", args.counts)
     graph = _load(args.model)
     if not graph.flags.get("quantized"):
         raise UsageError("multi-bit campaigns run on quantized models "
                          "(compress quantize first)")
-    counts = [int(x) for x in args.counts.split(",")]
     inputs = _images_for(graph, args)
     result = campaign.run_multi_bit_campaign(graph, counts, args.repetitions,
                                              args.seed, inputs, workers=workers)
@@ -269,6 +280,10 @@ def cmd_campaign_multibit(args):
 
 
 def _shares_and_signs(args):
+    shares = None if args.shares is None else _comma_list("--shares", args.shares, float)
+    signs = None if args.signs is None else _comma_list("--signs", args.signs, float)
+    if shares is not None and not all(0 <= share <= 100 for share in shares):
+        raise UsageError(f"--shares must lie in [0, 100], got {args.shares!r}")
     if args.model:
         graph = _load(args.model)
         inputs = _images_for(graph, args)
@@ -277,11 +292,9 @@ def _shares_and_signs(args):
         bias = graph.kernel_bias(graph.output_layer.name)[1].tensor.data
         signs = np.sign(bias.astype(np.float64))
         return signs, shares
-    if args.shares is None or args.signs is None:
+    if shares is None or signs is None:
         raise UsageError("give either --model or both --shares and --signs")
-    shares = np.array([float(x) for x in args.shares.split(",")])
-    signs = np.array([float(x) for x in args.signs.split(",")])
-    return signs, shares
+    return np.array(signs), np.array(shares)
 
 
 def cmd_predict_bit30(args):
@@ -506,6 +519,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        for option in ("seed", "images_seed"):  # refused before any work
+            value = getattr(args, option, 0)
+            if value < 0:
+                raise UsageError(f"--{option.replace('_', '-')} must be >= 0, got {value}")
         args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,31 +11,29 @@ layer kind the mode has no op for, a graph whose parameters or scale tables
 do not fit its numeric mode (``model.check_numeric_mode``), an input batch
 that is not f32 and one without the model's ``input_channels``; the mode
 then only converts the batch, and no op checks a table entry again. Both
-share ``tensor``'s 2x2 max-pool, output-extent rule and depth-to-space, and
-run a transposed conv as their one convolution core's 1x1 conv of its
-stacked taps, then depth-to-space (see ``tensor``). Both keep every layer's
-output as an NHWC view of channel-major (C, N, H, W) memory, so no layer
-copies data between layouts.
+share ``tensor``'s 2x2 max-pool and its one convolution core,
+``tensor._conv_grid``, and run a transposed conv as the core's 1x1 conv of
+its stacked taps, then depth-to-space (see ``tensor``). Both keep every
+layer's output as an NHWC view of channel-major (C, N, H, W) memory, so no
+layer copies data between layouts.
 
 The quantized path implements the affine scheme r = S*(q - Z) with per-tensor
 symmetric 8-bit weights, 32-bit biases (scale S_w*S_x), int32 accumulators
 (two's-complement wraparound), and requantization by a double-precision
 multiply followed by round-half-even, saturating to [-128, 127].
 
-Its one convolution core, ``_conv_grid``, builds no im2col matrix. The int8
-input minus its zero point is staged once, as in float mode, into a padded
-channel-major (Cin, N, Hp, Wp) float32 buffer (``tensor._channel_major``),
-and each kernel tap is one float32 BLAS GEMM over a view of it, summed
-exactly into int32 (see ``_tap_sum``). The output columns run in blocks of
-at most ``_BLOCK_CELLS`` accumulator cells, every tap of a block before the
-next, and each block is requantized into the int8 output while it is still
-in cache; integer sums are exact in any grouping of columns and
-requantization works per cell, so the blocks change no byte. An input
-channel at the zero point in every cell (a ReLU-dead one) adds exactly 0 to
-every sum, so the core drops it from the grid and the kernel; with none
-kept, the sums are the bias. Liveness comes from each call's own input,
-which may be faulted. Zero points outside [-128, 127] are refused at the
-input edge (see model.check_quant_entry).
+Its convolutions run through ``tensor._conv_grid``, which stages the int8
+input less its zero point once, drops the channels at the zero point in
+every cell of the call's input, and computes every cell of a stride > 1
+conv, which no model the CLI or perfbench builds has, then subsamples (see
+``tensor``). The core hands each column block, at most ``_BLOCK_CELLS``
+int32 accumulator cells, to ``_requantized_fill``: the bias, then each
+kernel tap as one float32 BLAS GEMM over an offset view of the staged rows,
+summed exactly into int32 (see ``_tap_sum``), then requantization into int8
+while the block is in cache. Integer sums are exact in any grouping of
+columns and requantization works per cell, so the blocks change no byte.
+Zero points outside [-128, 127] are refused at the input edge (see
+model.check_quant_entry).
 """
 
 from __future__ import annotations
@@ -47,10 +45,10 @@ from typing import Callable
 import numpy as np
 
 from .model import CONV_KINDS, ModelGraph, check_numeric_mode
-from .tensor import (BnParams, ShapeError, Tensor, _activation, _channel_major, _conv_extent,
-                     _depth_to_space, _live_channels, _max2x2, _stacked_taps,
-                     argmax_channels, batchnorm_forward, concat_channels, conv2d_forward,
-                     conv2d_transpose_forward, maxpool2d, relu)
+from .tensor import (BnParams, ShapeError, Tensor, _activation, _conv_grid, _depth_to_space,
+                     _max2x2, _stacked_taps, argmax_channels, batchnorm_forward,
+                     concat_channels, conv2d_forward, conv2d_transpose_forward, maxpool2d,
+                     relu)
 
 
 @dataclass
@@ -350,12 +348,12 @@ def _act_entry(graph: ModelGraph, name: str) -> dict:
 _EXACT_ROWS = 2 ** 24 // (128 * 255)
 
 
-def _tap_sum(kernel: np.ndarray, rows: np.ndarray, wp: int, start: int,
+def _tap_sum(kernel: np.ndarray, rows: np.ndarray, ws: int, start: int,
              out: np.ndarray) -> None:
     """Add to int32 ``out`` (Cout, M) the sum over kernel taps (i, j) of the GEMM
-    ``kernel[i, j] @ rows[:, c:c + M]``, c = ``start`` + i*``wp`` + j, wrapped to int32.
+    ``kernel[i, j].T @ rows[:, c:c + M]``, c = ``start`` + i*``ws`` + j, wrapped to int32.
 
-    ``kernel`` is (Kh, Kw, Cout, Cin) and ``rows`` (Cin, .), both float32
+    ``kernel`` is (Kh, Kw, Cin, Cout) and ``rows`` (Cin, .), both float32
     holding integers: int8 weights, |w| <= 128, and int8 activations less a
     zero point in [-128, 127], |x - Z| <= 255. A sum of at most
     _EXACT_ROWS = 2**24 // (128 * 255) = 514 products is then an integer of
@@ -371,9 +369,9 @@ def _tap_sum(kernel: np.ndarray, rows: np.ndarray, wp: int, start: int,
     group = tmp = None
     depth = 0  # rows summed into group
     for i, j in np.ndindex(*kernel.shape[:2]):
-        offset = start + i * wp + j
-        for c in range(0, kernel.shape[3], _EXACT_ROWS):
-            w, x = kernel[i, j, :, c:c + _EXACT_ROWS], rows[c:c + _EXACT_ROWS, offset:offset + m]
+        offset = start + i * ws + j
+        for c in range(0, kernel.shape[2], _EXACT_ROWS):
+            w, x = kernel[i, j, c:c + _EXACT_ROWS].T, rows[c:c + _EXACT_ROWS, offset:offset + m]
             if depth + w.shape[1] > _EXACT_ROWS:
                 out += group.astype(np.int32)
                 depth = 0
@@ -393,42 +391,15 @@ def _tap_sum(kernel: np.ndarray, rows: np.ndarray, wp: int, start: int,
 _BLOCK_CELLS = 1 << 15
 
 
-def _conv_grid(x: np.ndarray, zero_point: int, kernel: np.ndarray, bias: np.ndarray,
-               stride: int, padding: str, dtype, sink) -> np.ndarray:
-    """The conv of NHWC ``x - zero_point`` by int8 ``kernel`` plus ``bias``, column
-    block by column block (see the module docstring).
-
-    Each block's finished int32 sums, bias included, go to ``sink(out, acc)``
-    with ``out`` the block's columns of a (Cout, N*Hp*Wp) grid of ``dtype``:
-    ``np.copyto`` keeps them, :func:`_requantize` requantizes them while
-    they are in cache. The grid is computed at every padded cell and cropped
-    (subsampled for stride > 1) to OH x OW: returns N x OH x OW x Cout, a
-    view of the channel-major grid.
-    """
-    kh, kw, cin, cout = kernel.shape
-    n, h, w, _ = x.shape
-    ph, pw, top, left, oh, ow = _conv_extent(x.shape, kernel.shape, stride, padding)
-    # a channel at the zero point in every cell adds 0 to every sum
-    kept = np.flatnonzero(_live_channels(x, zero_point))
-    xc = _channel_major(x, ph, pw, top, left, kept, zero_point)
-    hp, wp = h + ph, w + pw
-    # cell (n, y, x) sits at column n*Hp*Wp + y*Wp + x; the last valid cell
-    # and every tap it reads lie within the first m columns
-    m = n * hp * wp - (kh - 1) * wp - (kw - 1)
-    rows = xc.reshape(kept.size, n * hp * wp)
-    kmat = kernel[:, :, kept].transpose(0, 1, 3, 2).astype(np.float32)
-    grid = np.empty((cout, n, hp, wp), dtype=dtype)
-    columns = grid.reshape(cout, -1)
-    width = min(max(_BLOCK_CELLS // cout, 1), m)
-    acc = np.empty((cout, width), dtype=np.int32)
-    bias = bias.astype(np.int32)[:, None]
-    for start in range(0, m, width):
-        block = acc[:, :min(width, m - start)]
-        block[...] = bias
-        _tap_sum(kmat, rows, wp, start, block)
-        sink(columns[:, start:start + block.shape[1]], block)
-    cells = grid[:, :, :(oh - 1) * stride + 1:stride, :(ow - 1) * stride + 1:stride]
-    return cells.transpose(1, 2, 3, 0)
+def _requantized_fill(out: np.ndarray, rows: np.ndarray, taps: np.ndarray, bias: np.ndarray,
+                      start: int, ws: int, multiplier: float, zero_point: int) -> None:
+    """The int8 fill of ``tensor._conv_grid``: each cell's exact int32 sum, ``bias``
+    plus its taps (:func:`_tap_sum`), requantized into int8 ``out`` while the
+    block is in cache."""
+    acc = np.empty(out.shape, dtype=np.int32)
+    acc[...] = bias[:, None]
+    _tap_sum(taps, rows, ws, start, acc)
+    _requantize(out, acc, multiplier, zero_point)
 
 
 def _quantize_input(graph: ModelGraph, inp: Tensor) -> np.ndarray:
@@ -446,15 +417,15 @@ def _quantized_conv(graph, layer, ins, channels=None):
     # channels; integer sums are exact in any grouping, so their bits stay.
     kernel = _take(kernel_p.tensor.data, channels)
     bias = _take(bias_p.tensor.data, channels)
-    sink = partial(_requantize,
+    fill = partial(_requantized_fill,
                    multiplier=(w_ent["scale"] * in_ent["scale"]) / out_ent["scale"],
                    zero_point=out_ent["zero_point"])
     if layer.kind == "conv2d_transpose":
         kernel, bias = _stacked_taps(kernel, bias, layer.stride)
-        return _depth_to_space(_conv_grid(ins[0], in_ent["zero_point"], kernel, bias, 1,
-                                          "valid", np.int8, sink), layer.stride)
-    return _conv_grid(ins[0], in_ent["zero_point"], kernel, bias, layer.stride,
-                      layer.padding, np.int8, sink)
+        return _depth_to_space(_conv_grid(ins[0], kernel, bias, 1, "valid", fill, _BLOCK_CELLS,
+                                          np.int8, in_ent["zero_point"]), layer.stride)
+    return _conv_grid(ins[0], kernel, bias, layer.stride, layer.padding, fill, _BLOCK_CELLS,
+                      np.int8, in_ent["zero_point"])
 
 
 # The 256 int8 values, indexed by their uint8 bit patterns.

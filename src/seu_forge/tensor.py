@@ -14,14 +14,30 @@ so no layer copies data between layouts and batch-norm's per-channel ops run
 over long contiguous rows. A :class:`Tensor` keeps an array of its stated
 shape in the layout given; parameters are C-contiguous.
 
-Every float convolution runs through one core, ``_conv_channel_major``,
-whose working layout is channel-major: for a (sub-)batch of N images the
-accumulator is (Cout, N*OH*OW) and each kernel tap's input window is copied
-once into a (Cin, N*OH*OW) buffer, so every multiply and add runs over long
-contiguous rows. Only the memory layout differs from the naive loop. Each
-output cell still sees the same float32 operations in the same order
-(product rounded to float32, added to a float32 accumulator that starts at
-+0.0, in (kh, kw, cin) order, bias last), so the bits are unchanged.
+Every convolution of both numeric modes runs through one core,
+``_conv_grid``, with no im2col matrix and no copied tap windows. It stages
+the call's kept input channels, less the zero point (0 in float), once as
+channel-major float32 rows (``_channel_major``) in which neighbouring images
+and rows share their zero padding: an image spans Hs = H + max(top, bottom)
+rows of Ws = W + max(left, right) cells, and (kh-1)*Ws + kw-1 zeros end the
+rows. Each kernel tap then reads one offset view of the rows. The core runs
+the output grid's columns in blocks, each set by its mode's fill
+(``_float_fill``, ``engine._requantized_fill``), and returns the valid
+cells as a compact channel-major array. A cell's operations do not depend
+on its block, so the blocks change no bit. No model the CLI or perfbench
+builds has a convolution of stride > 1; for one, the core computes every
+cell and subsamples.
+
+The float fill starts each cell at +0.0 and adds its products in (kh, kw,
+cin) order, each rounded to float32, then the bias: the naive loop's
+operations in its order. Two choices keep it at cache speed and change no
+bit. A block holds at most ``_BLOCK_CELLS`` float32 cells, so it and its
+product buffer (1 MiB together) stay in a 2 MiB L2 cache. And its
+multiplies run at a ufunc buffer size of ``_BUFSIZE``: numpy buffers a call
+with an operand broadcast along the inner axis, such as a tap's Cout
+weights against a row, whenever the rows are shorter than a third of the
+buffer size (8192 by default), and that buffered path made 2560-element
+rows about four times slower.
 
 A transposed conv whose kernel equals its stride s, the only kind run, is
 one 1x1 conv with s*s times the output channels, one per tap and output
@@ -31,26 +47,14 @@ same as a convolutional layer?" (2016). Each output cell receives one tap,
 so it still sees +0.0, its Cin products in order, then its bias. The
 integer path in ``engine`` runs its transposed convs the same way.
 
-Products of an input channel that is +0 or -0 in every cell of a sub-batch
-are skipped: ``_channel_major`` writes only the kept channels and the tap
-loop reads only their kernel rows. This is exact. The accumulator starts at
-+0.0, and a round-to-nearest sum is -0 only when both addends are -0, so the
-accumulator is never -0, and adding +-0 to it leaves every bit alone, Inf
-and NaN included; a finite weight times +-0 is +-0. A channel read by an Inf
-or NaN weight is kept, since 0 * Inf and 0 * NaN are NaN. Liveness comes
-from each call's own input (``_live_channels``), so a fault that revives or
-kills a channel is seen.
-
-Two choices keep those rows at cache speed, and neither changes a bit.
-The core runs the batch in the fewest sub-batches of one size (the last
-may hold fewer images) whose accumulator holds at most ``_BLOCK_CELLS``
-float32, so the accumulator and the product buffer (1 MiB together) stay
-in a 2 MiB L2 cache; an image larger than that is one sub-batch. And it
-runs its multiplies at a ufunc buffer size of ``_BUFSIZE`` elements: numpy
-buffers a call with an operand broadcast along the inner axis, such as a
-tap's Cout weights against a row, whenever the rows are shorter than a
-third of the buffer size (8192 by default), and that buffered path made
-2560-element rows about four times slower.
+Liveness comes from each call's whole input (``_live_channels``), so a
+fault that revives or kills a channel is seen. A channel at the zero point
+in every cell is dropped unless a weight reading it is Inf or NaN (0 * Inf
+and 0 * NaN are NaN). In int8 it adds exactly 0 to every sum. In float it
+is +-0 everywhere, and a finite weight times +-0 is +-0; the accumulator
+starts at +0.0, and a round-to-nearest sum is -0 only when both addends
+are -0, so it is never -0, and adding +-0 to it leaves every bit alone,
+Inf and NaN included.
 
 Both numeric modes share one 2x2/2 max-pool, ``_max2x2``: the pairwise
 maxima of each window's four cells over strided views, so it keeps its
@@ -199,22 +203,59 @@ def _live_channels(x: np.ndarray, zero=0) -> np.ndarray:
     return (rows.max(axis=1) != zero) | (rows.min(axis=1) != zero)
 
 
-def _channel_major(x: np.ndarray, ph: int, pw: int, top: int, left: int,
-                   channels, zero=0) -> np.ndarray:
-    """Channels ``channels`` of NHWC ``x`` minus ``zero``, in their order, as a
-    (len(channels), N, H + ph, W + pw) float32 buffer with +0.0 borders; each is
-    written straight into the buffer. Both convolution cores stage their input
-    here; at ``zero`` 0 a float ``x - 0.0`` keeps every bit, -0.0 included."""
+def _channel_major(x: np.ndarray, channels, top: int, left: int, hs: int, ws: int,
+                   tail: int, zero=0) -> np.ndarray:
+    """Channels ``channels`` of NHWC ``x`` minus ``zero``, in their order, staged as
+    the rows of a (len(channels), N*hs*ws + tail) float32 array of +0.0: cell
+    (y, x) of image n at column n*hs*ws + (top + y)*ws + left + x. The zeros
+    after one row or image pad it and the next alike. The convolution core
+    stages its input here; at ``zero`` 0 a float ``x - 0.0`` keeps every bit,
+    -0.0 included."""
     n, h, w, _ = x.shape
-    xc = np.zeros((len(channels), n, h + ph, w + pw), dtype=np.float32)
+    rows = np.zeros((len(channels), n * hs * ws + tail), dtype=np.float32)
+    cells = rows[:, :n * hs * ws].reshape(len(channels), n, hs, ws)
     xt = x.transpose(3, 0, 1, 2)
     for row, ch in enumerate(channels):
-        np.subtract(xt[ch], np.float32(zero), out=xc[row, :, top:top + h, left:left + w],
+        np.subtract(xt[ch], np.float32(zero), out=cells[row, :, top:top + h, left:left + w],
                     dtype=np.float32)
-    return xc
+    return rows
 
 
-# A sub-batch's (Cout, nb*OH*OW) accumulator holds at most this many float32.
+def _conv_grid(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride: int,
+               padding: str, fill, block_cells: int, dtype, zero=0) -> np.ndarray:
+    """The conv of NHWC ``x - zero`` by ``kernel`` plus ``bias``, in ``dtype``, as an
+    NHWC view of a compact channel-major (Cout, N, OH, OW) array; every
+    convolution of both numeric modes runs through it (see the module docstring).
+
+    Grid column c = n*Hs*Ws + y*Ws + x is the cell at (y, x) of image n, and
+    tap (i, j) reads it from staged column c + i*Ws + j. The columns run in
+    blocks of at most ``block_cells`` // Cout: ``fill(out, rows, taps, bias,
+    start, ws)`` sets ``out``, the (Cout, cols) block from column ``start``,
+    from the staged ``rows`` and the kept channels' float32 ``taps`` (Kh, Kw,
+    Cin, Cout).
+    """
+    kh, kw, _, cout = kernel.shape
+    n, h, w, _ = x.shape
+    ph, pw, top, left, oh, ow = _conv_extent(x.shape, kernel.shape, stride, padding)
+    hs, ws = h + max(top, ph - top), w + max(left, pw - left)
+    # 0 * Inf and 0 * NaN are NaN: a channel read by such a weight always runs
+    kept = np.flatnonzero(_live_channels(x, zero) | ~np.isfinite(kernel).all(axis=(0, 1, 3)))
+    # staged at numpy's default buffer size: at _BUFSIZE the scalar subtract
+    # ran about four times slower
+    rows = _channel_major(x, kept, top, left, hs, ws, (kh - 1) * ws + kw - 1, zero)
+    taps = np.asarray(kernel[:, :, kept], dtype=np.float32)
+    grid = np.empty((cout, n, hs, ws), dtype=dtype)
+    columns = grid.reshape(cout, -1)
+    width = max(block_cells // cout, 1)
+    for start in range(0, columns.shape[1], width):
+        fill(columns[:, start:start + width], rows, taps, bias, start, ws)
+    cells = grid[:, :, :(oh - 1) * stride + 1:stride, :(ow - 1) * stride + 1:stride]
+    return np.ascontiguousarray(cells).transpose(1, 2, 3, 0)
+
+
+# A column block's (Cout, cols) float32 accumulator holds at most this many
+# cells, so that it and its product buffer (1 MiB together) stay in a 2 MiB
+# L2 cache.
 _BLOCK_CELLS = 1 << 17
 # ufunc buffer size inside the convolutions; numpy 1.x needs a multiple of 16.
 _BUFSIZE = 64
@@ -246,59 +287,19 @@ def _accumulate_taps(rows: np.ndarray, k_tap: np.ndarray, acc: np.ndarray,
         acc += tmp
 
 
-def _sub_batch(n: int, cells: int) -> int:
-    """Images per sub-batch, for the fewest sub-batches of one size (the
-    last may be smaller) with at most ``_BLOCK_CELLS`` accumulator cells,
-    at ``cells`` per image; at least one image."""
-    count = -(-n // max(_BLOCK_CELLS // cells, 1))
-    return -(-n // count)
-
-
-def _conv_channel_major(x: np.ndarray, k: np.ndarray, bias: np.ndarray, stride: int,
-                        padding: str) -> np.ndarray:
-    """The float32 conv of NHWC ``x`` by ``k`` plus ``bias`` as a channel-major
-    (Cout, N, OH, OW) array; every float convolution runs through it.
-
-    Per output cell the float32 operations are the naive quadruple loop's,
-    in its order, bias last. For each tap (i, j) the strided input window
-    of a sub-batch of nb images (``_sub_batch``) is copied once into a
-    reused (Cin, nb*OH*OW) buffer, and each Cin step multiplies one
-    contiguous row by the tap's Cout weights and adds it to the sub-batch's
-    slice of the output; the multiplies run unbuffered (``_kernel_scope``).
-    The buffer and the Cin steps hold only the sub-batch's kept channels: a
-    channel that is +-0 in every cell is dropped unless a weight reading it
-    is Inf or NaN (see the module docstring).
-    """
-    kh, kw, cin, cout = k.shape
-    n = x.shape[0]
-    ph, pw, top, left, oh, ow = _conv_extent(x.shape, k.shape, stride, padding)
-    nb = _sub_batch(n, cout * oh * ow)
-    out = np.empty((cout, n, oh, ow), dtype=np.float32)
-    # flat buffers, so that a smaller last sub-batch still gets contiguous ones
-    tmp_buf = np.empty(cout * nb * oh * ow, dtype=np.float32)
-    rows_buf = np.empty(cin * nb * oh * ow, dtype=np.float32)
-    # 0 * Inf and 0 * NaN are NaN: a channel read by such a weight always runs
-    unsafe = ~np.isfinite(k).all(axis=(0, 1, 3))
-    for b in range(0, n, nb):
-        xb = x[b:b + nb]
-        kept = np.flatnonzero(_live_channels(xb) | unsafe)
-        # staged at numpy's default buffer size: at _BUFSIZE the scalar
-        # subtract of _channel_major ran about four times slower
-        xc = _channel_major(xb, ph, pw, top, left, kept)
-        m = xc.shape[1] * oh * ow
-        acc = out[:, b:b + nb].reshape(cout, m)  # a view: its rows are contiguous
-        tmp = tmp_buf[:cout * m].reshape(cout, m)
-        rows = rows_buf[:kept.size * m].reshape(xc.shape[:2] + (oh, ow))
-        k_kept = k[:, :, kept]
-        acc.fill(0.0)
-        with _kernel_scope():
-            for i in range(kh):
-                for j in range(kw):
-                    rows[...] = xc[:, :, i:i + (oh - 1) * stride + 1:stride,
-                                   j:j + (ow - 1) * stride + 1:stride]
-                    _accumulate_taps(rows.reshape(kept.size, m), k_kept[i, j], acc, tmp)
-            acc += bias[:, None]
-    return out
+def _float_fill(out: np.ndarray, rows: np.ndarray, taps: np.ndarray, bias: np.ndarray,
+                start: int, ws: int) -> None:
+    """The float fill of :func:`_conv_grid`: each cell of ``out`` starts at +0.0,
+    gains its products in (i, j, cin) order, each rounded to float32, then
+    ``bias``; the multiplies run unbuffered over offset views of ``rows``."""
+    cols = out.shape[1]
+    tmp = np.empty(out.shape, dtype=np.float32)
+    out.fill(0.0)
+    with _kernel_scope():
+        for i, j in np.ndindex(*taps.shape[:2]):
+            c = start + i * ws + j
+            _accumulate_taps(rows[:, c:c + cols], taps[i, j], out, tmp)
+        out += bias[:, None]
 
 
 def _checked_operands(inp: Tensor, kernel: Tensor, bias) -> tuple:
@@ -318,13 +319,14 @@ def _checked_operands(inp: Tensor, kernel: Tensor, bias) -> tuple:
 def conv2d_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
                    stride: int = 1, padding: str = "same") -> Tensor:
     """2D cross-correlation plus bias with fixed (kh, kw, cin) accumulation,
-    bit for bit the naive quadruple loop's (see :func:`_conv_channel_major`)."""
+    bit for bit the naive quadruple loop's (see :func:`_conv_grid`)."""
     x, k, bias = _checked_operands(inp, kernel, bias)
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
     if padding not in ("same", "valid"):
         raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
-    return _activation(_conv_channel_major(x, k, bias, stride, padding).transpose(1, 2, 3, 0))
+    return _activation(_conv_grid(x, k, bias, stride, padding, _float_fill, _BLOCK_CELLS,
+                                  np.float32))
 
 
 def _stacked_taps(kernel: np.ndarray, bias: np.ndarray, stride: int) -> tuple:
@@ -358,7 +360,7 @@ def conv2d_transpose_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
     output (see the module docstring)."""
     x, k, bias = _checked_operands(inp, kernel, bias)
     k, bias = _stacked_taps(k, bias, stride)
-    cells = _conv_channel_major(x, k, bias, 1, "valid").transpose(1, 2, 3, 0)
+    cells = _conv_grid(x, k, bias, 1, "valid", _float_fill, _BLOCK_CELLS, np.float32)
     return _activation(_depth_to_space(cells, stride))
 
 

@@ -743,20 +743,18 @@ class TestDeadInputChannels:
 
     @staticmethod
     def kept_channels(graph, batch):
-        """The channels of each grid the convolution cores build in a faultless
-        forward (one grid per sub-batch in float)."""
-        from seu_forge import engine, tensor
-        quantized = graph.flags.get("quantized")
-        module = engine if quantized else tensor
-        counts, real = [], module._channel_major
+        """The channels of each grid the convolution core builds in a faultless
+        forward, one grid a call."""
+        from seu_forge import tensor
+        counts, real = [], tensor._channel_major
 
         def grid(*args):
-            counts.append(len(args[5]))
+            counts.append(len(args[1]))
             return real(*args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(module, "_channel_major", grid)
-            (sf.run_quantized if quantized else sf.run_float)(graph, batch)
+            mp.setattr(tensor, "_channel_major", grid)
+            (sf.run_quantized if graph.flags.get("quantized") else sf.run_float)(graph, batch)
         return counts
 
     @pytest.mark.parametrize("mode", ["float", "quantized"])

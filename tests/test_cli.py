@@ -372,6 +372,58 @@ def test_sweep_refuses_an_empty_or_unreadable_list(model_path, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("campaign", "multibit", "--counts", ""), "--counts needs comma-separated ints, got ''"),
+    (("campaign", "multibit", "--counts", "1,x"),
+     "--counts needs comma-separated ints, got '1,x'"),
+    (("campaign", "multibit", "--counts", "1,,2"),
+     "--counts needs comma-separated ints, got '1,,2'"),
+    (("predict", "bit30", "--shares", "", "--signs", ""),
+     "--shares needs comma-separated floats, got ''"),
+    (("predict", "bit30", "--shares", "30,70", "--signs", "1,"),
+     "--signs needs comma-separated floats, got '1,'"),
+    (("predict", "signbit", "--shares", "inf,50", "--signs", "1,-1"),
+     "--shares needs finite numbers, got 'inf,50'"),
+    (("predict", "signbit", "--shares", "nan,50", "--signs", "1,-1"),
+     "--shares needs finite numbers, got 'nan,50'"),
+    (("predict", "bit30", "--shares", "101,-1", "--signs", "1,-1"),
+     "--shares must lie in [0, 100], got '101,-1'"),
+    (("predict", "bit30", "--shares", "30,70", "--signs", "1,-inf"),
+     "--signs needs finite numbers, got '1,-inf'"),
+], ids=["counts-empty", "counts-not-int", "counts-empty-item", "shares-empty",
+        "signs-empty-item", "shares-inf", "shares-nan", "shares-out-of-range", "signs-inf"])
+def test_list_options_refused_before_the_model(model_path, tmp_path, capsys, monkeypatch,
+                                               argv, message):
+    """A comma list with an empty item, an item that is not a number, or a share
+    or sign that is not finite is a usage error naming its option, raised
+    before any model is loaded."""
+    from seu_forge import cli
+
+    def load(path):
+        raise AssertionError("a model was loaded")
+
+    monkeypatch.setattr(cli, "_load", load)
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--model", str(model_path),
+                   *(("--out-dir", str(out)) if argv[0] == "campaign" else ())) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", ["--seed", "--images-seed"])
+def test_negative_seed_refused(model_path, tmp_path, capsys, option):
+    """A negative seed is a usage error naming its option; nothing is written."""
+    out = tmp_path / "out"
+    argv = {"--seed": ("model", "build", "--out", str(out)),
+            "--images-seed": ("campaign", "sweep", "--model", str(model_path),
+                              "--out-dir", str(out), "--psets", "1", "--bits", "30", "30",
+                              "--n", "1", "--images", "2", "--image-size", "16")}[option]
+    assert run_cli(*argv, option, "-1") == 2
+    assert capsys.readouterr().err == f"error: {option} must be >= 0, got -1\n"
+    assert not out.exists() and not tmp_path.joinpath("out.manifest.json").exists()
+
+
 def test_workers_default_from_environment(model_path, tmp_path, monkeypatch):
     """SEU_FORGE_WORKERS sets the worker count when --workers is not given,
     and the report files do not change with it."""

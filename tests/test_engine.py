@@ -9,18 +9,26 @@ from hypothesis import strategies as st
 
 import seu_forge as sf
 from seu_forge import engine, tensor
-from seu_forge.engine import _conv_grid, _quantized_conv, _walk, run_float, run_quantized
-from seu_forge.tensor import BnParams, Tensor, _depth_to_space, _stacked_taps
+from seu_forge.engine import _quantized_conv, _walk, run_float, run_quantized
+from seu_forge.tensor import BnParams, Tensor, _conv_grid, _depth_to_space, _stacked_taps
 
 from conftest import single_conv_graph
-from oracles import convtr_scatter_add, eq5_scalar, quantized_convtr_scalar, quantized_mac
+from oracles import (conv2d_quadruple_loop, convtr_scatter_add, eq5_scalar,
+                     quantized_convtr_scalar, quantized_mac)
 from test_tensor import FAULT_VALUES, with_faulted_weights
+
+
+def _int32_fill(out, rows, taps, bias, start, ws):
+    """The int8 fill's sums, bias included, kept as they are."""
+    out[...] = bias[:, None]
+    engine._tap_sum(taps, rows, ws, start, out)
 
 
 def _int32_conv(x_shifted, kernel, bias, stride, padding):
     """The int32 conv of integer ``x_shifted`` (int8 activations less their zero
     point) by int8 ``kernel`` plus ``bias``: the integer core's sums, kept as they are."""
-    return _conv_grid(x_shifted, 0, kernel, bias, stride, padding, np.int32, np.copyto)
+    return _conv_grid(x_shifted, kernel, bias, stride, padding, _int32_fill,
+                      engine._BLOCK_CELLS, np.int32)
 
 
 def _conv_transpose_int(x_shifted, kernel, bias, stride):
@@ -318,8 +326,8 @@ class TestConvIntBlocks:
         q_x[1, 3, 4, :] = -128                                  # |x - Z| = 255
         q_w = rng.integers(-128, 128, size=(3, 3, 3, 4)).astype(np.int8)
         q_b = rng.integers(-2**31, 2**31, size=4).astype(np.int32)
-        # 4 output channels, 13 columns a block: no row of 9 or 11 cells
-        # starts a block after the first
+        # 4 output channels, 13 columns a block: most blocks start inside
+        # a grid row of 9 or 10 cells
         monkeypatch.setattr(engine, "_BLOCK_CELLS", 4 * 13 + 3)
         ours = _int32_conv(q_x.astype(np.int32) - np.int32(z_x), q_w, q_b, stride, padding)
         assert len(widths) > 5 and set(widths[:-1]) == {13}
@@ -386,6 +394,73 @@ class TestConvIntBlocks:
             mp.setattr(engine, "_BLOCK_CELLS", budget)
             ours = _int32_conv(q_x.astype(np.int32) - np.int32(z_x), q_w, q_b, stride, padding)
         assert np.array_equal(ours, conv_int_mac_loop(q_x, z_x, q_w, q_b, stride, padding))
+
+
+class TestSharedZeros:
+    """Neighbouring images and rows of the core's staged grid share their zero
+    rows and columns, and no output cell reads another image's or row's cells:
+    a batch of three images whose border cells hold extremes convolves to its
+    single-image convs joined along N, and to the oracles', in both modes."""
+
+    CASES = [pytest.param((kh, kw), stride, padding, id=f"{kh}x{kw}-{stride}-{padding}")
+             for kh in (1, 2, 3) for kw in (1, 2, 3) for stride in (1, 2)
+             for padding in ("same", "valid")]
+
+    @staticmethod
+    def border(rng, h, w, share):
+        """A random ``share`` of the first and last rows' and columns' cells."""
+        edge = np.ones((h, w), dtype=bool)
+        edge[1:-1, 1:-1] = False
+        return edge & (rng.random((h, w)) < share)
+
+    @staticmethod
+    def batch_and_joined(conv, x):
+        return conv(x), np.concatenate([conv(x[i:i + 1]) for i in range(len(x))])
+
+    @pytest.mark.parametrize("size,stride,padding", CASES)
+    def test_float(self, size, stride, padding):
+        rng = np.random.Generator(np.random.PCG64(61))
+        x = rng.normal(size=(3, 5, 6, 2)).astype(np.float32)
+        extremes = np.array([np.inf, -np.inf, np.nan, 3e38, -3e38], np.float32)
+        for image in x:
+            # half the border cells: a NaN or Inf cell makes its own window's
+            # outputs NaN or Inf, where a cell read from a neighbour would hide
+            edge = self.border(rng, 5, 6, 0.5)
+            image[edge] = rng.choice(extremes, size=(int(edge.sum()), 2))
+        k = rng.normal(size=size + (2, 3)).astype(np.float32)
+        b = rng.normal(size=3).astype(np.float32)
+        batch, joined = self.batch_and_joined(
+            lambda images: sf.conv2d_forward(Tensor.from_array(images), Tensor.from_array(k),
+                                             b, stride, padding).data, x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = conv2d_quadruple_loop(x, k, b, stride=stride, padding=padding)
+        for want in (joined, ref):
+            # where two different NaNs meet in a cell, the payload kept may differ
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(batch), nan)
+            assert np.array_equal(batch.view(np.uint32)[~nan], want.view(np.uint32)[~nan])
+        assert np.isfinite(batch).any()
+
+    @pytest.mark.parametrize("z_x", [-128, 127])
+    @pytest.mark.parametrize("size,stride,padding", CASES)
+    def test_int8(self, size, stride, padding, z_x):
+        rng = np.random.Generator(np.random.PCG64(62))
+        q_x = rng.integers(-128, 128, size=(3, 5, 6, 2)).astype(np.int8)
+        for image in q_x:  # |x - Z| = 255 or 0 at every border cell
+            edge = self.border(rng, 5, 6, 1.0)
+            image[edge] = rng.choice(np.array([-128, 127], np.int8), size=(int(edge.sum()), 2))
+        q_w = rng.integers(-128, 128, size=size + (2, 3)).astype(np.int8)
+        q_b = rng.integers(-2**20, 2**20, size=3).astype(np.int32)
+        sums, joined = self.batch_and_joined(
+            lambda q: _int32_conv(q.astype(np.int32) - np.int32(z_x), q_w, q_b, stride,
+                                  padding), q_x)
+        mac = conv_int_mac_loop(q_x, z_x, q_w, q_b, stride, padding)
+        assert np.array_equal(sums, joined) and np.array_equal(sums, mac)
+        multiplier, z_y = 1 / 4096, 3
+        g = quantized_conv_graph(q_w, q_b, stride, padding, 1.0, 1.0, z_x, 4096.0, z_y)
+        ours, joined = self.batch_and_joined(lambda q: _quantized_conv(g, g.layers[0], [q]), q_x)
+        ref = np.clip(np.rint(mac * multiplier + z_y), -128, 127).astype(np.int8)
+        assert np.array_equal(ours, joined) and np.array_equal(ours, ref)
 
 
 class TestQuantizedConcat:
@@ -541,9 +616,9 @@ class TestQuantizedConvTranspose:
 
 
 class TestConvTransposeOneCore:
-    """A transposed conv runs as its mode's one convolution core's 1x1 conv of the
+    """A transposed conv runs as the one convolution core's 1x1 conv of the
     stacked taps, then depth-to-space: bit for bit the scatter-add and scalar
-    oracles, at any shape, stride, channel subset, sub-batch and column block."""
+    oracles, at any shape, stride, channel subset and column block."""
 
     @staticmethod
     def float_graph(k, b):
@@ -563,7 +638,7 @@ class TestConvTransposeOneCore:
            w=st.integers(1, 4), stride=st.integers(1, 3), cin=st.integers(1, 6),
            cout=st.integers(1, 4), fault=st.sampled_from([None] + sorted(FAULT_VALUES)),
            pick=st.booleans(), budget=st.integers(1, 1200))
-    # three sub-batches of one image each
+    # blocks of one column each
     @example(seed=1, n=3, h=2, w=3, stride=2, cin=4, cout=3, fault="nan", pick=False, budget=1)
     @settings(max_examples=60, deadline=None)
     def test_float_matches_scatter_add(self, seed, n, h, w, stride, cin, cout, fault, pick,
@@ -1042,14 +1117,14 @@ class TestZeroPointChannels:
 
     @staticmethod
     def kept_counts(mp):
-        """The channels ``_channel_major`` writes, for each grid the integer core builds."""
-        counts, real = [], engine._channel_major
+        """The channels ``_channel_major`` writes, for each grid the core builds."""
+        counts, real = [], tensor._channel_major
 
         def channel_major(*args):
-            counts.append(len(args[5]))
+            counts.append(len(args[1]))
             return real(*args)
 
-        mp.setattr(engine, "_channel_major", channel_major)
+        mp.setattr(tensor, "_channel_major", channel_major)
         return counts
 
     @staticmethod

@@ -129,25 +129,27 @@ class TestConv2dOracleShapes:
                                                      padding=padding))
 
 
-class TestConv2dSubBatches:
-    """A batch that runs in unequal sub-batches gives the quadruple loop's bits."""
+class TestConv2dBlocks:
+    """A conv whose grid columns run in several blocks gives the quadruple loop's bits."""
 
     @pytest.fixture
-    def block_sizes(self, monkeypatch):
-        """The images of each sub-batch ``conv2d_forward`` runs."""
-        sizes, real = [], tensor._channel_major
+    def block_widths(self, monkeypatch):
+        """The grid columns of each block ``conv2d_forward`` fills."""
+        widths, real = [], tensor._float_fill
 
-        def channel_major(x, *padding):
-            sizes.append(x.shape[0])
-            return real(x, *padding)
+        def float_fill(out, *args, **kwargs):
+            widths.append(out.shape[1])
+            return real(out, *args, **kwargs)
 
-        monkeypatch.setattr(tensor, "_channel_major", channel_major)
-        return sizes
+        monkeypatch.setattr(tensor, "_float_fill", float_fill)
+        return widths
 
     @pytest.mark.parametrize("kind", [None] + sorted(FAULT_VALUES))
-    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "valid")])
-    def test_five_images_in_blocks_of_2_2_1(self, block_sizes, monkeypatch,
-                                            kind, stride, padding):
+    # 5 images of 8x7 (same) or 7x6 (valid) grid cells, in blocks of 84 or 12 columns
+    @pytest.mark.parametrize("stride,padding,widths", [(1, "same", [84, 84, 84, 28]),
+                                                       (2, "valid", [12] * 17 + [6])])
+    def test_five_images_in_blocks(self, block_widths, monkeypatch, kind, stride, padding,
+                                   widths):
         rng = np.random.Generator(np.random.PCG64(41))
         x = rng.normal(size=(5, 7, 6, 3)).astype(np.float32)
         k = rng.normal(size=(3, 3, 3, 4)).astype(np.float32)
@@ -159,12 +161,12 @@ class TestConv2dSubBatches:
         # room for two images' (Cout, OH*OW) accumulators, not three
         monkeypatch.setattr(tensor, "_BLOCK_CELLS", 2 * int(np.prod(ref.shape[1:])))
         ours = conv2d_forward(t(x), t(k), b, stride=stride, padding=padding).data
-        assert block_sizes == [2, 2, 1]
+        assert block_widths == widths
         assert_same_bits(ours, ref)
 
-    def test_default_budget_keeps_small_batch_whole(self, block_sizes):
+    def test_default_budget_keeps_small_batch_whole(self, block_widths):
         conv2d_forward(t(np.ones((5, 7, 6, 3))), t(np.ones((3, 3, 3, 4))), np.zeros(4))
-        assert block_sizes == [5]
+        assert block_widths == [5 * 8 * 7]
 
 
 class TestKernelNumpyState:
@@ -480,34 +482,28 @@ def signed_zeros(rng, shape):
 
 
 class TestDeadChannels:
-    """An input channel that is +0 or -0 in every cell of a sub-batch is dropped
-    from that sub-batch, unless a weight reading it is Inf or NaN. The
+    """An input channel that is +0 or -0 in every cell of a call's input is
+    dropped from that call, unless a weight reading it is Inf or NaN. The
     accumulator starts at +0.0 and so is never -0, and adding a +-0 product
     to it changes no bit: the bits stay the oracles'."""
 
     @staticmethod
     def kept_channels(mp):
-        """(images, channels written) of each sub-batch ``_channel_major`` builds."""
+        """The channels ``_channel_major`` writes, for each call."""
         calls, real = [], tensor._channel_major
 
-        def channel_major(x, *padding):
-            calls.append((x.shape[0], list(padding[4])))
-            return real(x, *padding)
+        def channel_major(x, channels, *layout):
+            calls.append(list(channels))
+            return real(x, channels, *layout)
 
         mp.setattr(tensor, "_channel_major", channel_major)
         return calls
 
     @staticmethod
-    def expected_kept(x, k, calls):
-        """Per sub-batch of ``calls``, the channels nonzero in one of its cells
-        or read by a weight that is not finite."""
+    def expected_kept(x, k):
+        """The channels nonzero in one cell of ``x`` or read by a weight that is not finite."""
         unsafe = ~np.isfinite(k).all(axis=(0, 1, 3))
-        kept, start = [], 0
-        for images, _ in calls:
-            live = (x[start:start + images] != 0).any(axis=(0, 1, 2))
-            kept.append(np.flatnonzero(live | unsafe).tolist())
-            start += images
-        return kept
+        return np.flatnonzero((x != 0).any(axis=(0, 1, 2)) | unsafe).tolist()
 
     @given(seed=st.integers(0, 2**32 - 1), transpose=st.booleans(), n=st.integers(1, 3),
            h=st.integers(1, 4), w=st.integers(1, 4), cin=st.integers(1, 5),
@@ -528,7 +524,7 @@ class TestDeadChannels:
         for c, state in enumerate(states):
             if state == "dead":
                 x[..., c] = signed_zeros(rng, (n, h, w))
-            elif state == "part":  # dead in some images, so in some sub-batches
+            elif state == "part":  # dead in some images
                 images = rng.random(n) < 0.5
                 x[images, ..., c] = signed_zeros(rng, (int(images.sum()), h, w))
             elif state == "negative":  # no positive cell, yet live
@@ -555,10 +551,10 @@ class TestDeadChannels:
             ours = (conv2d_transpose_forward(t(x), t(k), b, stride=stride) if transpose
                     else conv2d_forward(t(x), t(k), b, stride=stride, padding=padding))
         assert_same_bits(ours.data, ref)
-        assert [kept for _, kept in calls] == self.expected_kept(x, k, calls)
+        assert calls == [self.expected_kept(x, k)]
 
     @pytest.mark.parametrize("transpose", [False, True])
-    def test_channel_dead_in_one_sub_batch_only(self, transpose):
+    def test_channel_dead_in_one_image_only_is_kept(self, transpose):
         rng = np.random.Generator(np.random.PCG64(50))
         x = rng.normal(size=(3, 3, 4, 3)).astype(np.float32)
         x[1, ..., 0] = signed_zeros(rng, (3, 4))        # dead in the second image only
@@ -568,11 +564,11 @@ class TestDeadChannels:
         ref = (convtr_scatter_add(x, k, b, stride=2) if transpose
                else conv2d_quadruple_loop(x, k, b))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tensor, "_BLOCK_CELLS", 1)       # one image a sub-batch
+            mp.setattr(tensor, "_BLOCK_CELLS", 1)       # one column a block
             calls = self.kept_channels(mp)
             ours = (conv2d_transpose_forward(t(x), t(k), b, stride=2) if transpose
                     else conv2d_forward(t(x), t(k), b))
-        assert calls == [(1, [0, 1]), (1, [1]), (1, [0, 1])]
+        assert calls == [[0, 1]]
         assert_same_bits(ours.data, ref)
 
     @pytest.mark.parametrize("transpose", [False, True])
@@ -585,7 +581,7 @@ class TestDeadChannels:
             calls = self.kept_channels(mp)
             ours = (conv2d_transpose_forward(t(x), t(k), b, stride=2) if transpose
                     else conv2d_forward(t(x), t(k), b))
-        assert calls and all(kept == [] for _, kept in calls)
+        assert calls == [[]]
         assert_same_bits(ours.data, np.broadcast_to(b, ours.shape))
 
     @pytest.mark.parametrize("transpose", [False, True])
@@ -613,8 +609,8 @@ F32_EDGES = [-0.0, 0.0, math.inf, -math.inf, 1e-45, -1e-45, 1.1754944e-38, math.
 
 @st.composite
 def staging_cases(draw, dtype):
-    """(NHWC ``x``, (ph, pw, top, left), channels) for ``_channel_major``; ``x`` is
-    row-major or, as activations are, an NHWC view of channel-major memory."""
+    """(NHWC ``x``, (ph, pw, top, left), channels, tail) for ``_channel_major``; ``x``
+    is row-major or, as activations are, an NHWC view of channel-major memory."""
     shape = tuple(draw(st.integers(1, hi)) for hi in (2, 4, 4, 4))
     elements = st.one_of(st.sampled_from(F32_EDGES), st.floats(width=32)) \
         if dtype == np.float32 else None
@@ -624,26 +620,29 @@ def staging_cases(draw, dtype):
     ph, pw = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     extent = (ph, pw, draw(st.integers(0, ph)), draw(st.integers(0, pw)))
     channels = draw(st.lists(st.integers(0, shape[3] - 1), unique=True, max_size=shape[3]))
-    return x, extent, np.array(channels, dtype=np.intp)
+    return x, extent, np.array(channels, dtype=np.intp), draw(st.integers(0, 8))
 
 
 class TestChannelMajorStaging:
-    """Both convolution cores stage their input through ``_channel_major``: the
-    kept channels less a zero point, in their order, inside +0.0 borders."""
+    """The convolution core stages its input through ``_channel_major``: the kept
+    channels less a zero point, in their order, each image's cells inside
+    max(top, bottom) zero rows and max(left, right) zero columns that it
+    shares with its neighbours, then ``tail`` zeros; every zero is +0.0."""
 
     @staticmethod
     def staged(case, zero):
-        """The staged grid's interior and the bits of its borders."""
-        x, (ph, pw, top, left), channels = case
+        """The staged cells, as (C, N, H, W), and the bits of every other column."""
+        x, (ph, pw, top, left), channels, tail = case
         n, h, w, _ = x.shape
-        xc = tensor._channel_major(x, ph, pw, top, left, channels, zero)
-        assert xc.dtype == np.float32 and xc.shape == (len(channels), n, h + ph, w + pw)
-        border = np.ones(xc.shape[2:], dtype=bool)
-        border[top:top + h, left:left + w] = False
-        return xc[:, :, top:top + h, left:left + w], xc[:, :, border].view(np.uint32)
+        hs, ws = h + max(top, ph - top), w + max(left, pw - left)
+        rows = tensor._channel_major(x, channels, top, left, hs, ws, tail, zero)
+        assert rows.dtype == np.float32 and rows.shape == (len(channels), n * hs * ws + tail)
+        cell = np.zeros(rows.shape[1], dtype=bool)
+        cell[:n * hs * ws].reshape(n, hs, ws)[:, top:top + h, left:left + w] = True
+        return rows[:, cell].reshape(len(channels), n, h, w), rows[:, ~cell].view(np.uint32)
 
     @given(case=staging_cases(np.float32))
-    @example(case=(np.full((1, 1, 1, 1), -0.0, np.float32), (0, 0, 0, 0), np.array([0])))
+    @example(case=(np.full((1, 1, 1, 1), -0.0, np.float32), (0, 0, 0, 0), np.array([0]), 0))
     @settings(max_examples=60, deadline=None)
     def test_float_channels_keep_every_bit(self, case):
         inner, border = self.staged(case, 0)
