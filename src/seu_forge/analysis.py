@@ -155,8 +155,8 @@ def calibration_report(graph: ModelGraph, inputs) -> dict:
         raise ValueError("graph is quantized; calibration reports run in float")
     activations = {}
 
-    def record(name, tensor):
-        activations[name] = LayerStats.of(tensor.data)
+    def record(name, values):
+        activations[name] = LayerStats.of(values)
 
     _execute(graph, batch_inputs(inputs), record=record)
     return {

@@ -52,6 +52,8 @@ def _check_sizing(e: float, t: float, p: float) -> None:
     ``e``, cut-off ``t`` and prior ``p``."""
     if not 0 < e < 1:
         raise ValueError(f"error margin e must be in (0, 1), got {e}")
+    if not math.isfinite(t):
+        raise ValueError(f"confidence cut-off t must be finite, got {t}")
     if t <= 0:
         raise ValueError(f"confidence cut-off t must be positive, got {t}")
     if not 0 < p < 1:
@@ -351,10 +353,6 @@ class Exit:
         return self.maps
 
 
-def _values(activation) -> np.ndarray:
-    return activation.data if isinstance(activation, Tensor) else activation
-
-
 def _chain_exit(graph: ModelGraph, chain: list, channels: np.ndarray, later: bool, source,
                 after: Frontier, reach: set) -> Exit:
     """The exit of the faulted ``graph`` at ``after``, the faultless pass's
@@ -381,27 +379,17 @@ def _chain_exit(graph: ModelGraph, chain: list, channels: np.ndarray, later: boo
     end = chain[-1].name
     if channels.size and end in after.live:
         faulty = run_channels(graph, chain, source, channels)
-        if not later and (_values(after.live[end])[..., channels].tobytes()
-                          == _values(faulty).tobytes()):
+        if not later and after.live[end][..., channels].tobytes() == faulty.tobytes():
             return Exit(MASKED, end)
-        if end in reach and poisoned(_values(faulty)):
+        if end in reach and poisoned(faulty):
             return Exit(POISONED, end)
-        after = Frontier(after.start, {**after.live,
-                                       end: _with_channels(after.live[end], channels, faulty)})
+        patched = after.live[end].copy(order="K")  # in E's memory layout
+        patched[..., channels] = faulty
+        after = Frontier(after.start, {**after.live, end: patched})
     elif not later:
         return Exit(MASKED, end)
     layer = graph.layers[after.start].name if after.start < len(graph.layers) else end
     return Exit(RESUMED, layer, _forward_maps(graph, after))
-
-
-def _with_channels(activation, channels, values):
-    """A copy of ``activation``, in its memory layout, with its channels
-    ``channels`` set to ``values``."""
-    out = _values(activation).copy(order="K")
-    out[..., channels] = _values(values)
-    if isinstance(activation, Tensor):
-        return Tensor(activation.shape, activation.encoding, out)
-    return out
 
 
 def _forward_maps(graph: ModelGraph, inp) -> np.ndarray:

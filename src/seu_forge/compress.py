@@ -87,20 +87,22 @@ def quantize_ptq(graph: ModelGraph, calibration_inputs) -> ModelGraph:
     """
     if graph.flags.get("quantized"):
         raise ValueError("graph is already quantized")
+    calibration_inputs = list(calibration_inputs)
     if not calibration_inputs:
         raise ValueError("PTQ requires a non-empty calibration set")
+    batch = batch_inputs(calibration_inputs)
     src = graph.copy() if graph.flags.get("folded") else fold_bn(graph)
 
     observed = {}   # activation -> entry from the min and max of its finite values
 
-    def record(name, tensor):
-        lo, hi = tensor.data.min(), tensor.data.max()
+    def record(name, values):
+        lo, hi = values.min(), values.max()
         if not (np.isfinite(lo) and np.isfinite(hi)):  # a NaN or an Inf is in the way
-            finite = tensor.data[np.isfinite(tensor.data)]
+            finite = values[np.isfinite(values)]
             lo, hi = finite.min(), finite.max()
         observed[name] = _affine_entry(float(lo), float(hi))
 
-    _execute(src, batch_inputs(calibration_inputs), record=record)
+    _execute(src, batch, record=record)
     activations = {"input": observed["input"]}
     for layer in src.layers:  # relu and maxpool keep their input's entry
         activations[layer.name] = (dict(activations[layer.inputs[0]])
@@ -145,6 +147,8 @@ def prune_structured(graph: ModelGraph, keep_fraction: float = None,
         raise ValueError("give exactly one of keep_fraction or threshold")
     if keep_fraction is not None and not 0 < keep_fraction <= 1:
         raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
+    if threshold is not None and np.isnan(threshold):
+        raise ValueError(f"threshold must be a number, got {threshold}")
 
     src = graph.copy()
     side = 1 << src.pool_stages

@@ -9,13 +9,19 @@ is observed through one hook, its ``record`` callback, as
 Both modes share the loop's input edge: before any layer runs, it refuses a
 layer kind the mode has no op for, a graph whose parameters or scale tables
 do not fit its numeric mode (``model.check_numeric_mode``), an input batch
-that is not f32 and one without the model's ``input_channels``; the mode
-then only converts the batch, and no op checks a table entry again. Both
-share ``tensor``'s 2x2 max-pool and its one convolution core,
-``tensor._conv_grid``, and run a transposed conv as the core's 1x1 conv of
-its stacked taps, then depth-to-space (see ``tensor``). Both keep every
-layer's output as an NHWC view of channel-major (C, N, H, W) memory, so no
-layer copies data between layouts.
+that is not an f32 :class:`Tensor` and one without the model's
+``input_channels``; the mode then only converts the batch, and no op checks
+a table entry again. Both share ``tensor``'s 2x2 max-pool and its one
+convolution core, ``tensor._conv_grid``, and run a transposed conv as the
+core's 1x1 conv of its stacked taps, then depth-to-space (see ``tensor``).
+
+Every activation the executor holds, records and yields is a plain
+``np.ndarray`` in both modes, float32 or int8, and each layer's output is an
+NHWC view of channel-major (C, N, H, W) memory, so no layer copies data
+between layouts. Tensors appear only at the executor's edges: the input
+batch, the public kernels' operands and results (the float ops wrap their
+arrays in Tensor views, with no copy, to call them) and the result's logits
+and collected layers.
 
 The quantized path implements the affine scheme r = S*(q - Z) with per-tensor
 symmetric 8-bit weights, 32-bit biases (scale S_w*S_x), int32 accumulators
@@ -97,12 +103,12 @@ class Frontier:
     """A forward pass paused just before layer ``start`` runs.
 
     ``live`` maps every activation still needed from ``start`` on to its
-    value: :class:`Tensor` objects in float mode, int8 arrays in quantized
-    mode (the input already quantized). A faulted forward resumed from a
-    frontier of the faultless pass shares those values by reference, so no
-    layer op may write its inputs in place; a caller that patches an
-    activation resumes from a new frontier whose ``live`` holds the patched
-    copy, which lives until that pass ends.
+    array, float32 or int8 (the input already quantized), in both modes;
+    Tensors appear only at the input batch, the public kernels and the
+    results. A faulted forward resumed from a frontier of the faultless pass
+    shares those arrays by reference, so no layer op may write its inputs in
+    place; a caller that patches an activation resumes from a new frontier
+    whose ``live`` holds the patched copy, which lives until that pass ends.
     """
 
     start: int
@@ -114,7 +120,7 @@ class _Mode:
     name: str  # named by the refusal of a layer kind with no op
     # layer kind -> op(graph, layer, inputs[, channels]); see run_channels
     ops: dict
-    enter: Callable[[ModelGraph, Tensor], object]  # checked input batch -> activation "input"
+    enter: Callable[[ModelGraph, Tensor], np.ndarray]  # checked batch -> activation "input"
 
 
 def _mode(graph: ModelGraph) -> _Mode:
@@ -129,15 +135,16 @@ def _walk(graph: ModelGraph, inp, record=None):
     Before any layer runs, the input edge refuses a layer kind the mode has
     no op for and a graph that ``model.check_numeric_mode`` refuses
     (``ValueError``), for a batch and a frontier alike, and a batch that is
-    not f32 (``TypeError``) or lacks the model's ``input_channels``
-    (``ShapeError``); ``mode.enter`` converts the batch to the activation
-    ``"input"``.
+    not an f32 :class:`Tensor` (``TypeError``) or lacks the model's
+    ``input_channels`` (``ShapeError``); ``mode.enter`` converts the batch
+    to the array of the activation ``"input"``.
 
     Every activation the walk starts with, then each layer's output, goes to
-    ``record(name, value)``. Each activation is freed after its last
-    consumer has run; each frontier yielded owns its dict. The walk reads
-    the graph's parameters as it resumes, so faults applied while a frontier
-    is in use must be reverted before the next frontier is requested.
+    ``record(name, value)`` as an array. Each activation is freed after its
+    last consumer has run; each frontier yielded owns its dict. The walk
+    reads the graph's parameters as it resumes, so faults applied while a
+    frontier is in use must be reverted before the next frontier is
+    requested.
     """
     mode = _mode(graph)
     kind = next((l.kind for l in graph.layers if l.kind not in mode.ops), None)
@@ -145,6 +152,8 @@ def _walk(graph: ModelGraph, inp, record=None):
         raise ValueError(f"layer kind {kind!r} not supported in {mode.name} mode")
     check_numeric_mode(graph)
     if not isinstance(inp, Frontier):
+        if not isinstance(inp, Tensor):
+            raise TypeError(f"the input batch must be a Tensor, got {type(inp).__name__}")
         if inp.encoding != "f32":
             raise TypeError(f"the input batch must be f32, got {inp.encoding}")
         want_c = graph.metadata.get("input_channels")
@@ -183,8 +192,8 @@ def finish(graph: ModelGraph, live: dict) -> InferenceResult:
     if graph.flags.get("quantized"):
         ent = _act_entry(graph, graph.output_layer.name)
         # channel-major, as in float mode: astype keeps the int8 logits' layout
-        logits = _activation(((logits.astype(np.float64) - ent["zero_point"])
-                              * ent["scale"]).astype(np.float32))
+        logits = ((logits.astype(np.float64) - ent["zero_point"]) * ent["scale"]).astype(np.float32)
+    logits = _activation(logits)
     return InferenceResult(logits, argmax_channels(logits))
 
 
@@ -229,9 +238,7 @@ def run_channels(graph: ModelGraph, chain: list, source, channels: np.ndarray):
     graph is one that a walk's input edge has checked.
     """
     mode = _mode(graph)
-    x = source
-    if chain[0].kind in CHANNELWISE:
-        x = Tensor.from_array(x.data[..., channels]) if isinstance(x, Tensor) else x[..., channels]
+    x = source[..., channels] if chain[0].kind in CHANNELWISE else source
     for layer in chain:
         x = mode.ops[layer.kind](graph, layer, [x], channels)
     return x
@@ -270,25 +277,27 @@ def reaching_output(graph: ModelGraph) -> set:
 def _float_conv(graph, layer, ins, channels=None):
     kernel, bias = (p.tensor for p in graph.kernel_bias(layer.name))
     if channels is not None:
-        kernel = Tensor.from_array(kernel.data[..., channels])
-    bias = _take(bias.data, channels)
+        kernel = _activation(kernel.data[..., channels])
+    bias, x = _take(bias.data, channels), _activation(ins[0])
     if layer.kind == "conv2d_transpose":
-        return conv2d_transpose_forward(ins[0], kernel, bias, stride=layer.stride)
-    return conv2d_forward(ins[0], kernel, bias, stride=layer.stride, padding=layer.padding)
+        return conv2d_transpose_forward(x, kernel, bias, stride=layer.stride).data
+    return conv2d_forward(x, kernel, bias, stride=layer.stride, padding=layer.padding).data
 
 
-# The ops look the tensor kernels up by this module's names when they run,
-# not when the table is built, so a kernel rebound here (as perfbench's
-# tracer does) reaches every forward pass, channel-restricted ones included.
+# The float ops wrap their arrays as Tensors (views) to call the public kernels
+# by this module's names, looked up when they run, so a kernel rebound here (as
+# perfbench's tracer does) reaches every forward pass, channel-restricted ones
+# included; each returns its result's array.
 _FLOAT = _Mode(
     name="float",
     ops={**dict.fromkeys(CONV_KINDS, _float_conv),
          "batchnorm": lambda graph, layer, ins, channels=None: batchnorm_forward(
-             ins[0], _bn_params(graph, layer.name, channels)),
-         "relu": lambda graph, layer, ins, channels=None: relu(ins[0]),
-         "maxpool": lambda graph, layer, ins, channels=None: maxpool2d(ins[0]),
-         "concat": lambda graph, layer, ins: concat_channels(ins[0], ins[1])},
-    enter=lambda graph, inp: inp)
+             _activation(ins[0]), _bn_params(graph, layer.name, channels)).data,
+         "relu": lambda graph, layer, ins, channels=None: relu(_activation(ins[0])).data,
+         "maxpool": lambda graph, layer, ins, channels=None: maxpool2d(_activation(ins[0])).data,
+         "concat": lambda graph, layer, ins: concat_channels(
+             _activation(ins[0]), _activation(ins[1])).data},
+    enter=lambda graph, inp: inp.data)
 
 
 def run_float(graph: ModelGraph, inp, collect=()) -> InferenceResult:
@@ -296,9 +305,10 @@ def run_float(graph: ModelGraph, inp, collect=()) -> InferenceResult:
 
     ``inp`` is the input batch, or a :class:`Frontier` of this graph's
     faultless pass to resume from; the result is bit-identical either way.
-    ``collect`` names layers, run at or after the start, whose output
-    tensors should be retained on the result; the pass records them as it
-    goes and frees every activation after its last consumer has run.
+    ``collect`` names layers, run at or after the start, whose outputs
+    should be retained on the result, each as a Tensor over its array; the
+    pass records them as it goes and frees every activation after its last
+    consumer has run.
     """
     if graph.flags.get("quantized"):
         raise ValueError("graph is quantized; use run_quantized")
@@ -309,7 +319,7 @@ def run_float(graph: ModelGraph, inp, collect=()) -> InferenceResult:
             seen[name] = value
 
     outputs = _execute(graph, inp, record if collect else None)
-    collected = {name: seen[name] for name in collect} if collect else None
+    collected = {name: _activation(seen[name]) for name in collect} if collect else None
     return replace(finish(graph, outputs), collected=collected)
 
 

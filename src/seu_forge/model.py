@@ -522,7 +522,13 @@ def generate_calibration_set(shape, count: int = 10, seed: int = 0,
 
 
 def batch_inputs(inputs) -> Tensor:
-    """Stack single-image tensors into one N,H,W,C batch."""
+    """Stack 4-D (n, H, W, C) tensors into one N,H,W,C batch; any other item is a
+    ``TypeError`` naming its type and shape."""
+    inputs = list(inputs)
+    for t in inputs:
+        if not isinstance(t, Tensor) or len(t.shape) != 4:
+            got = type(t).__name__ + (f" of shape {tuple(t.shape)}" if hasattr(t, "shape") else "")
+            raise TypeError(f"an input batch is stacked from 4-D Tensors, got {got}")
     return Tensor.from_array(np.concatenate([t.data for t in inputs], axis=0))
 
 

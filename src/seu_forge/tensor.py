@@ -155,7 +155,7 @@ class BnParams:
 
 
 def _activation(values: np.ndarray, encoding: str = "f32") -> Tensor:
-    """A Tensor over NHWC ``values`` in their own memory layout, without a copy."""
+    """A Tensor over ``values`` in their own memory layout, without a copy."""
     return Tensor(values.shape, encoding, values)
 
 

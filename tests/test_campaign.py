@@ -48,6 +48,15 @@ class TestSampleSize:
             with pytest.raises(ValueError):
                 sample_size(*bad)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_cut_off_must_be_finite(self, tiny_graph, t):
+        # t <= 0 is False for NaN: a NaN t once sized a campaign by int(NaN), an
+        # infinite one as the whole fault space
+        with pytest.raises(ValueError, match=f"confidence cut-off t must be finite, got {t}"):
+            sample_size(100, 0.025, t, 0.5)
+        with pytest.raises(ValueError, match="confidence cut-off t must be finite"):
+            plan_single_bit_sweep(tiny_graph, psets=[2], injections_per_target=1, z_value=t)
+
     def test_monotonicity_grid(self):
         es = np.linspace(0.005, 0.2, 100)
         ns = [sample_size(10**6, float(e), 1.96, 0.5) for e in es]

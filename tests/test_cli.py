@@ -47,6 +47,32 @@ def test_campaign_plan_rejects_bad_domain(capsys):
     assert run_cli("campaign", "plan", "--N", "0") != 0
 
 
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_campaign_plan_refuses_a_cut_off_that_is_not_finite(capsys, t):
+    assert run_cli("campaign", "plan", "--N", "100", "--t", t) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: confidence cut-off t must be finite, got {t}\n"
+    assert captured.out == ""
+
+
+def test_sweep_with_n_refuses_a_nan_cut_off(model_path, tmp_path, capsys):
+    """A NaN t once reached sweep_plan.json as ``"z_value": NaN``, which is not JSON."""
+    out = tmp_path / "sweep"
+    assert run_cli("campaign", "sweep", "--model", str(model_path), "--out-dir", str(out),
+                   "--psets", "1", "--bits", "30", "30", "--n", "1", "--t", "nan",
+                   "--images", "2", "--image-size", "16") == 1
+    assert capsys.readouterr().err == "error: confidence cut-off t must be finite, got nan\n"
+    assert not out.exists()
+
+
+def test_prune_refuses_a_nan_threshold(model_path, tmp_path, capsys):
+    out = tmp_path / "pnan.sfm"
+    assert run_cli("compress", "prune", "--model", str(model_path), "--out", str(out),
+                   "--threshold", "nan") == 1
+    assert capsys.readouterr().err == "error: threshold must be a number, got nan\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_model_build_writes_manifest(model_path):
     with open(str(model_path) + ".manifest.json") as f:
         manifest = json.load(f)

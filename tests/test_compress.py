@@ -152,6 +152,12 @@ class TestQuantize:
         with pytest.raises(ValueError, match="calibration"):
             quantize_ptq(tiny_graph, [])
 
+    def test_array_calibration_set_refused(self, tiny_graph, tiny_inputs):
+        # one (N, H, W, C) array once failed on numpy's ambiguous truth value
+        stacked = sf.batch_inputs(tiny_inputs[0]).data
+        with pytest.raises(TypeError, match=r"4-D Tensors, got ndarray of shape \(16, 16, 3\)"):
+            quantize_ptq(tiny_graph, stacked)
+
     def test_double_quantize_rejected(self, tiny_graph, tiny_inputs):
         q = quantize_ptq(tiny_graph, tiny_inputs[0])
         with pytest.raises(ValueError, match="already quantized"):
@@ -234,6 +240,11 @@ class TestPrune:
         folded = fold_bn(tiny_graph)
         with pytest.raises(ValueError, match="unfolded"):
             prune_structured(folded, keep_fraction=0.5)
+
+    def test_nan_threshold_refused(self, tiny_graph):
+        # no norm is >= NaN, so every layer was once cut to its 2-filter floor
+        with pytest.raises(ValueError, match="threshold must be a number, got nan"):
+            prune_structured(tiny_graph, threshold=float("nan"))
 
 
 class TestSparseZero:

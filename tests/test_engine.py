@@ -95,7 +95,7 @@ def test_collect_survives_freed_activations(tiny_graph, tiny_batch):
     names = ["input"] + [layer.name for layer in tiny_graph.layers]
     full = run_float(tiny_graph, tiny_batch, collect=names)
     assert sorted(full.collected) == sorted(names)
-    assert full.collected["input"] is tiny_batch
+    assert full.collected["input"].data is tiny_batch.data
     first = tiny_graph.layers[0]
     ps = tiny_graph.layer_params(first.name)
     direct = sf.conv2d_forward(tiny_batch, ps["conv_kernel"].tensor,
@@ -654,15 +654,15 @@ class TestConvTransposeOneCore:
         g = self.float_graph(k, b)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tensor, "_BLOCK_CELLS", budget)
-            ours = engine._float_conv(g, g.layers[0], [Tensor.from_array(x)], channels)
+            ours = engine._float_conv(g, g.layers[0], [x], channels)
         with np.errstate(over="ignore", invalid="ignore"):
             ref = convtr_scatter_add(x, k[..., sel], b[sel], stride=stride)
-        assert isinstance(ours, Tensor) and ours.data.transpose(3, 0, 1, 2).flags.c_contiguous
+        assert type(ours) is np.ndarray and ours.transpose(3, 0, 1, 2).flags.c_contiguous
         assert ours.shape == ref.shape
         # where two different NaNs meet in a cell, the payload kept may differ
         nan = np.isnan(ref)
-        assert np.array_equal(np.isnan(ours.data), nan)
-        assert np.array_equal(ours.data.view(np.uint32)[~nan], ref.view(np.uint32)[~nan])
+        assert np.array_equal(np.isnan(ours), nan)
+        assert np.array_equal(ours.view(np.uint32)[~nan], ref.view(np.uint32)[~nan])
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), h=st.integers(1, 3),
            w=st.integers(1, 3), stride=st.integers(1, 3),
@@ -814,8 +814,7 @@ class TestFrontierResume:
 
     @staticmethod
     def values(frontier):
-        return {name: np.array(v.data if isinstance(v, Tensor) else v, copy=True)
-                for name, v in frontier.live.items()}
+        return {name: v.copy() for name, v in frontier.live.items()}
 
     @pytest.mark.parametrize("quantized", [False, True])
     def test_fault_in_every_layer_matches_full_forward(self, model_b, quantized):
@@ -921,14 +920,9 @@ class TestChannelRestriction:
                 continue
             ins = [frontier.live[r] for r in layer.inputs]
             full = mode.ops[layer.kind](graph, layer, ins)
-            full = full.data if isinstance(full, Tensor) else full
             for channels in (np.array([2]), np.array([0, 2, 3]), np.arange(full.shape[-1])):
-                x = ins[0]
-                if layer.kind in CHANNELWISE:
-                    x = Tensor.from_array(x.data[..., channels]) if isinstance(x, Tensor) \
-                        else x[..., channels]
+                x = ins[0][..., channels] if layer.kind in CHANNELWISE else ins[0]
                 part = mode.ops[layer.kind](graph, layer, [x], channels)
-                part = part.data if isinstance(part, Tensor) else part
                 assert part.tobytes() == full[..., channels].tobytes(), (layer.name, channels)
             checked.add(layer.kind)
         assert checked >= ({"conv2d", "conv2d_transpose", "output_conv", "relu", "maxpool"}
@@ -948,11 +942,32 @@ class TestChannelRestriction:
             if after is None or chain[-1].name not in after.live:
                 continue
             end = after.live[chain[-1].name]
-            end = end.data if isinstance(end, Tensor) else end
             channels = np.array([0, 2])
             part = run_channels(graph, chain, frontiers[idx].live[layer.inputs[0]], channels)
-            part = part.data if isinstance(part, Tensor) else part
             assert part.tobytes() == end[..., channels].tobytes(), layer.name
+
+    @pytest.mark.parametrize("kind", ["float", "quantized"])
+    def test_every_value_inside_the_executor_is_a_channel_major_array(self, graphs, kind):
+        """What ``record`` sees, every frontier's live values and every
+        run_channels result are plain arrays in both modes, not Tensors; each
+        layer's output is channel-major."""
+        from seu_forge.engine import channel_chain, run_channels
+        graphs, batch = graphs
+        graph = graphs[kind]
+        recorded = {}
+        frontiers = list(_walk(graph, batch, record=recorded.__setitem__))
+        assert recorded.keys() == {"input"} | {layer.name for layer in graph.layers}
+        values = [*recorded.items(), *(item for f in frontiers for item in f.live.items())]
+        for idx, layer in enumerate(graph.layers):
+            if graph.layer_params(layer.name):
+                chain = channel_chain(graph, idx)
+                values.append((chain[-1].name, run_channels(
+                    graph, chain, frontiers[idx].live[layer.inputs[0]], np.array([0, 2]))))
+        assert len(values) > 2 * len(recorded)
+        for name, value in values:
+            assert type(value) is np.ndarray, name
+            if name != "input":  # the batch's own array, in its layout
+                assert value.transpose(3, 0, 1, 2).flags.c_contiguous, name
 
     def test_poisoned(self):
         from seu_forge.engine import poisoned
@@ -992,6 +1007,12 @@ class TestInputEdge:
             (2, 16, 16, channels), dtype=np.float32))
         with pytest.raises(sf.ShapeError, match="input channels 4"):
             run(models[run], batch)
+
+    @pytest.mark.parametrize("run", [run_float, run_quantized])
+    def test_array_batch_refused(self, models, run):
+        # an array batch once failed on its missing ``encoding`` (AttributeError)
+        with pytest.raises(TypeError, match="the input batch must be a Tensor, got ndarray"):
+            run(models[run], np.zeros((1, 16, 16, 4), np.float32))
 
     @pytest.mark.parametrize("run", [run_float, run_quantized])
     def test_non_f32_batch_refused(self, models, run):

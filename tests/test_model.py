@@ -176,6 +176,31 @@ class TestCalibrationSet:
             sf.generate_calibration_set((8, 8, 1), count=0, seed=0)
 
 
+class TestBatchInputs:
+    def test_stacks_images_along_n(self):
+        inputs, _ = sf.generate_calibration_set((8, 8, 3), count=3, seed=2)
+        batch = sf.batch_inputs(inputs)
+        assert batch.shape == (3, 8, 8, 3)
+        assert np.array_equal(batch.data[1:2], inputs[1].data)
+
+    @pytest.mark.parametrize("item, got", [
+        # arrays were once read through ``.data``, a memoryview, and ten
+        # (64, 64, 4) images became one (640, 64, 4) batch
+        (np.zeros((8, 8, 3), np.float32), r"ndarray of shape \(8, 8, 3\)"),
+        (np.zeros((1, 8, 8, 3), np.float32), r"ndarray of shape \(1, 8, 8, 3\)"),
+        (sf.Tensor.from_array(np.zeros((8, 8, 3))), r"Tensor of shape \(8, 8, 3\)"),
+        ([1.0], "list"),
+    ], ids=["hwc-array", "nhwc-array", "hwc-tensor", "list"])
+    def test_an_item_that_is_not_a_4d_tensor_is_refused(self, item, got):
+        inputs, _ = sf.generate_calibration_set((8, 8, 3), count=1, seed=2)
+        with pytest.raises(TypeError, match=f"stacked from 4-D Tensors, got {got}$"):
+            sf.batch_inputs([inputs[0], item])
+
+    def test_empty_list_keeps_numpys_message(self):
+        with pytest.raises(ValueError, match="need at least one array to concatenate"):
+            sf.batch_inputs([])
+
+
 class TestContainerFormat:
     def test_roundtrip_bit_identical(self, tiny_graph, tmp_path):
         path = tmp_path / "model.sfm"
