@@ -35,12 +35,20 @@ from .tensor import INVALID_CLASS, ShapeError, Tensor
 # sample sizing (statistical fault injection)
 
 
+def _whole(field: str, value) -> int:
+    """``value``, a Python or numpy integer, as an int; refuses a bool or any other
+    value, which would be truncated or handed on to numpy, naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def sample_size(N: int, e: float, t: float, p: float) -> int:
     """Minimum injections for a statistically significant campaign.
 
     n = N / (1 + e^2 * (N-1) / (t^2 * p * (1-p))), rounded up, clamped to N.
     """
-    if N < 1:
+    if _whole("N", N) < 1:
         raise ValueError(f"fault space size N must be >= 1, got {N}")
     _check_sizing(e, t, p)
     n = N / (1.0 + e * e * (N - 1) / (t * t * p * (1.0 - p)))
@@ -240,21 +248,24 @@ class CampaignPlan:
 def _check_sweep(graph: ModelGraph, plan: CampaignPlan) -> list:
     """The parameter sets a single-bit sweep ``plan`` targets in ``graph``.
 
-    Refuses a plan of another mode, with no target, a negative or empty bit
-    range, a bit beyond a target's width, fewer than one injection per
-    target or a margin, cut-off or prior that ``sample_size`` refuses (the
-    plan records them even where an explicit injection count leaves them
-    unused), however the plan was made.
+    Refuses a plan of another mode, with no target, a seed, bit or injection
+    count that is not an integer, a negative or empty bit range, a bit beyond
+    a target's width, fewer than one injection per target or a margin,
+    cut-off or prior that ``sample_size`` refuses (the plan records them even
+    where an explicit injection count leaves them unused), however the plan
+    was made.
     """
     if plan.mode != "single_bit_sweep":
         raise ValueError(f"plan mode {plan.mode!r} is not a single-bit sweep")
     targets = [graph.param(i) for i in plan.targets]
     if not targets:
         raise ValueError("sweep plan selects no parameter sets")
-    lo, hi, n = plan.bit_lo, plan.bit_hi, plan.injections_per_target
+    _whole("seed", plan.seed)
+    lo, hi = _whole("bit_lo", plan.bit_lo), _whole("bit_hi", plan.bit_hi)
+    n = plan.injections_per_target
     if lo < 0:
         raise ValueError(f"bit {lo} is negative; bits are numbered from 0")
-    if n is not None and n < 1:
+    if n is not None and _whole("injections_per_target", n) < 1:
         raise ValueError(f"injections per target must be >= 1, got {n}")
     _check_sizing(plan.margin, plan.z_value, plan.prior)
     if lo > hi:
@@ -271,10 +282,12 @@ def plan_single_bit_sweep(graph: ModelGraph, *, roles=None, psets=None,
                           bits=(0, 31), injections_per_target=None,
                           margin=0.025, z_value=1.96, prior=0.5,
                           seed=0, image_set_id="") -> CampaignPlan:
-    plan = CampaignPlan(mode="single_bit_sweep", seed=int(seed),
+    n = injections_per_target
+    plan = CampaignPlan(mode="single_bit_sweep", seed=_whole("seed", seed),
                         targets=[p.index for p in target_psets(graph, roles, psets)],
-                        bit_lo=int(bits[0]), bit_hi=int(bits[1]),
-                        injections_per_target=injections_per_target,
+                        bit_lo=_whole("bit_lo", bits[0]), bit_hi=_whole("bit_hi", bits[1]),
+                        injections_per_target=None if n is None else _whole(
+                            "injections_per_target", n),
                         margin=margin, z_value=z_value, prior=prior,
                         image_set_id=image_set_id)
     _check_sweep(graph, plan)
@@ -282,9 +295,10 @@ def plan_single_bit_sweep(graph: ModelGraph, *, roles=None, psets=None,
 
 
 def _flip_counts(counts) -> list:
-    """``counts`` as ints; refuses a negative or repeated count, which would
-    silently replace the earlier count's repetitions."""
-    counts = [int(c) for c in counts]
+    """``counts`` as ints; refuses a count that is not an integer, and a negative
+    or repeated one, which would silently replace the earlier count's
+    repetitions."""
+    counts = [_whole("flip count", c) for c in counts]
     if any(c < 0 for c in counts):
         raise ValueError("flip counts must be non-negative")
     repeated = sorted({c for c in counts if counts.count(c) > 1})
@@ -299,9 +313,9 @@ def plan_multi_bit_campaign(graph: ModelGraph, counts, repetitions: int,
     counts = _flip_counts(counts)
     if not counts:
         raise ValueError("flip counts must be a non-empty list of non-negative ints")
-    if repetitions < 1:
+    if _whole("repetitions", repetitions) < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    return CampaignPlan(mode="multi_bit_random", seed=int(seed),
+    return CampaignPlan(mode="multi_bit_random", seed=_whole("seed", seed),
                         targets=[p.index for p in graph.params],
                         counts=counts, repetitions=int(repetitions),
                         image_set_id=image_set_id)

@@ -528,7 +528,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, IndexError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str() is its message's repr, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
     return 0
 

@@ -20,8 +20,8 @@ Every activation the executor holds, records and yields is a plain
 NHWC view of channel-major (C, N, H, W) memory, so no layer copies data
 between layouts. Tensors appear only at the executor's edges: the input
 batch, the public kernels' operands and results (the float ops wrap their
-arrays in Tensor views, with no copy, to call them) and the result's logits
-and collected layers.
+arrays with the plain constructor, ``Tensor(values)``, which copies
+nothing, to call them) and the result's logits and collected layers.
 
 The quantized path implements the affine scheme r = S*(q - Z) with per-tensor
 symmetric 8-bit weights, 32-bit biases (scale S_w*S_x), int32 accumulators
@@ -51,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .model import CONV_KINDS, ModelGraph, check_numeric_mode
-from .tensor import (BnParams, ShapeError, Tensor, _activation, _conv_grid, _depth_to_space,
+from .tensor import (BnParams, ShapeError, Tensor, _conv_grid, _depth_to_space,
                      _max2x2, _stacked_taps, argmax_channels, batchnorm_forward,
                      concat_channels, conv2d_forward, conv2d_transpose_forward, maxpool2d,
                      relu)
@@ -193,7 +193,7 @@ def finish(graph: ModelGraph, live: dict) -> InferenceResult:
         ent = _act_entry(graph, graph.output_layer.name)
         # channel-major, as in float mode: astype keeps the int8 logits' layout
         logits = ((logits.astype(np.float64) - ent["zero_point"]) * ent["scale"]).astype(np.float32)
-    logits = _activation(logits)
+    logits = Tensor(logits)
     return InferenceResult(logits, argmax_channels(logits))
 
 
@@ -277,14 +277,14 @@ def reaching_output(graph: ModelGraph) -> set:
 def _float_conv(graph, layer, ins, channels=None):
     kernel, bias = (p.tensor for p in graph.kernel_bias(layer.name))
     if channels is not None:
-        kernel = _activation(kernel.data[..., channels])
-    bias, x = _take(bias.data, channels), _activation(ins[0])
+        kernel = Tensor(kernel.data[..., channels])
+    bias, x = _take(bias.data, channels), Tensor(ins[0])
     if layer.kind == "conv2d_transpose":
         return conv2d_transpose_forward(x, kernel, bias, stride=layer.stride).data
     return conv2d_forward(x, kernel, bias, stride=layer.stride, padding=layer.padding).data
 
 
-# The float ops wrap their arrays as Tensors (views) to call the public kernels
+# The float ops wrap their arrays as Tensors (no copy) to call the public kernels
 # by this module's names, looked up when they run, so a kernel rebound here (as
 # perfbench's tracer does) reaches every forward pass, channel-restricted ones
 # included; each returns its result's array.
@@ -292,11 +292,11 @@ _FLOAT = _Mode(
     name="float",
     ops={**dict.fromkeys(CONV_KINDS, _float_conv),
          "batchnorm": lambda graph, layer, ins, channels=None: batchnorm_forward(
-             _activation(ins[0]), _bn_params(graph, layer.name, channels)).data,
-         "relu": lambda graph, layer, ins, channels=None: relu(_activation(ins[0])).data,
-         "maxpool": lambda graph, layer, ins, channels=None: maxpool2d(_activation(ins[0])).data,
+             Tensor(ins[0]), _bn_params(graph, layer.name, channels)).data,
+         "relu": lambda graph, layer, ins, channels=None: relu(Tensor(ins[0])).data,
+         "maxpool": lambda graph, layer, ins, channels=None: maxpool2d(Tensor(ins[0])).data,
          "concat": lambda graph, layer, ins: concat_channels(
-             _activation(ins[0]), _activation(ins[1])).data},
+             Tensor(ins[0]), Tensor(ins[1])).data},
     enter=lambda graph, inp: inp.data)
 
 
@@ -319,7 +319,7 @@ def run_float(graph: ModelGraph, inp, collect=()) -> InferenceResult:
             seen[name] = value
 
     outputs = _execute(graph, inp, record if collect else None)
-    collected = {name: _activation(seen[name]) for name in collect} if collect else None
+    collected = {name: Tensor(seen[name]) for name in collect} if collect else None
     return replace(finish(graph, outputs), collected=collected)
 
 

@@ -238,7 +238,7 @@ def model_hash(graph: ModelGraph) -> str:
 
 
 def _zeros(shape, encoding="f32"):
-    return Tensor.from_array(np.zeros(shape, dtype=ENCODINGS[encoding]), encoding)
+    return Tensor(np.zeros(shape, dtype=ENCODINGS[encoding]))
 
 
 class _Namer:
@@ -629,7 +629,7 @@ def load_model(path) -> ModelGraph:
                               f"lie outside the {len(blob)}-byte blob")
         arr = np.frombuffer(blob, dtype=dt, count=count, offset=offset).copy()
         arr = arr.astype(ENCODINGS[encoding]).reshape(shape)
-        params.append(ParamSet(index, layer, role, Tensor(tuple(shape), encoding, arr)))
+        params.append(ParamSet(index, layer, role, Tensor(arr)))
     try:
         graph = ModelGraph(layers, params, class_count, metadata)
         # the container is checked, not an image size: at this side no

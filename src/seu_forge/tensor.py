@@ -11,8 +11,9 @@ op returns an NHWC view of (C, N, H, W) memory, as the integer path in
 ``engine`` does. Conv, transposed conv, batch-norm and concat each write one
 new channel-major buffer, and ReLU and max-pool keep their input's layout,
 so no layer copies data between layouts and batch-norm's per-channel ops run
-over long contiguous rows. A :class:`Tensor` keeps an array of its stated
-shape in the layout given; parameters are C-contiguous.
+over long contiguous rows. A :class:`Tensor` is its array, in the layout
+given: its shape and encoding are the array's shape and dtype.
+Parameters are C-contiguous.
 
 Every convolution of both numeric modes runs through one core,
 ``_conv_grid``, with no im2col matrix and no copied tap windows. It stages
@@ -69,7 +70,6 @@ a NaN logit makes its pixel INVALID_CLASS whatever the payload.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -86,32 +86,36 @@ class ShapeError(ValueError):
     """Shape/encoding mismatch between operands; message names both."""
 
 
+_ENCODING_OF = {np.dtype(dtype): name for name, dtype in ENCODINGS.items()}
+
+
 @dataclass
 class Tensor:
-    """An array of explicit shape and element encoding, in any memory layout."""
+    """An array, in any memory layout; its shape and element encoding are the array's."""
 
-    shape: tuple
-    encoding: str
     data: np.ndarray
 
     def __post_init__(self):
-        self.shape = tuple(int(s) for s in self.shape)
-        if any(s <= 0 for s in self.shape):
-            raise ShapeError(f"non-positive extent in shape {self.shape}")
-        if self.encoding not in ENCODINGS:
-            raise ValueError(f"unknown encoding {self.encoding!r}")
-        want = ENCODINGS[self.encoding]
-        if self.data.dtype != want:
-            raise TypeError(f"encoding {self.encoding} requires dtype {want}, got {self.data.dtype}")
-        if self.data.size != math.prod(self.shape):
-            raise ShapeError(f"shape {self.shape} does not match buffer of {self.data.size} elements")
-        if self.data.shape != self.shape:  # an array of the stated shape keeps its layout
-            self.data = np.ascontiguousarray(self.data).reshape(self.shape)
+        if self.data.dtype not in _ENCODING_OF:
+            raise TypeError(f"no encoding holds dtype {self.data.dtype}; the encodings are "
+                            + ", ".join(f"{e} ({np.dtype(t)})" for e, t in ENCODINGS.items()))
+        if 0 in self.data.shape:
+            raise ShapeError(f"zero extent in shape {self.data.shape}")
 
     @classmethod
     def from_array(cls, array, encoding: str = "f32") -> "Tensor":
-        arr = np.ascontiguousarray(array, dtype=ENCODINGS[encoding])
-        return cls(arr.shape, encoding, arr)
+        if encoding not in ENCODINGS:
+            raise ValueError(f"unknown encoding {encoding!r}; the encodings are "
+                             + ", ".join(ENCODINGS))
+        return cls(np.ascontiguousarray(array, dtype=ENCODINGS[encoding]))
+
+    @property
+    def shape(self) -> tuple:
+        return self.data.shape
+
+    @property
+    def encoding(self) -> str:
+        return _ENCODING_OF[self.data.dtype]
 
     @property
     def flat(self) -> np.ndarray:
@@ -125,7 +129,7 @@ class Tensor:
         return self.data.reshape(-1)
 
     def copy(self) -> "Tensor":
-        return Tensor(self.shape, self.encoding, self.data.copy())
+        return Tensor(self.data.copy())
 
     @property
     def size(self) -> int:
@@ -152,11 +156,6 @@ class BnParams:
     @property
     def channels(self) -> int:
         return len(self.gamma)
-
-
-def _activation(values: np.ndarray, encoding: str = "f32") -> Tensor:
-    """A Tensor over ``values`` in their own memory layout, without a copy."""
-    return Tensor(values.shape, encoding, values)
 
 
 def _check_f32(t: Tensor, name: str):
@@ -325,8 +324,7 @@ def conv2d_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
         raise ValueError(f"stride must be positive, got {stride}")
     if padding not in ("same", "valid"):
         raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
-    return _activation(_conv_grid(x, k, bias, stride, padding, _float_fill, _BLOCK_CELLS,
-                                  np.float32))
+    return Tensor(_conv_grid(x, k, bias, stride, padding, _float_fill, _BLOCK_CELLS, np.float32))
 
 
 def _stacked_taps(kernel: np.ndarray, bias: np.ndarray, stride: int) -> tuple:
@@ -361,7 +359,7 @@ def conv2d_transpose_forward(inp: Tensor, kernel: Tensor, bias: np.ndarray,
     x, k, bias = _checked_operands(inp, kernel, bias)
     k, bias = _stacked_taps(k, bias, stride)
     cells = _conv_grid(x, k, bias, 1, "valid", _float_fill, _BLOCK_CELLS, np.float32)
-    return _activation(_depth_to_space(cells, stride))
+    return Tensor(_depth_to_space(cells, stride))
 
 
 def batchnorm_forward(inp: Tensor, params: BnParams) -> Tensor:
@@ -386,13 +384,13 @@ def batchnorm_forward(inp: Tensor, params: BnParams) -> Tensor:
         np.multiply(gamma[:, None], rows, out=rows)
         np.divide(rows, denom[:, None], out=rows)
         np.add(rows, beta[:, None], out=rows)
-    return _activation(grid.transpose(1, 2, 3, 0))
+    return Tensor(grid.transpose(1, 2, 3, 0))
 
 
 def relu(inp: Tensor) -> Tensor:
     """max(0, x) in the input's memory layout; NaN stays NaN, -inf becomes 0."""
     _check_f32(inp, "input")
-    return _activation(np.maximum(inp.data, np.float32(0.0)))
+    return Tensor(np.maximum(inp.data, np.float32(0.0)))
 
 
 def _max2x2(x: np.ndarray) -> np.ndarray:
@@ -407,7 +405,7 @@ def _max2x2(x: np.ndarray) -> np.ndarray:
 def maxpool2d(inp: Tensor) -> Tensor:
     """2x2/2 windowed max, the only maxpool a model holds; NaN in a window poisons its output."""
     _check_f32(inp, "input")
-    return _activation(_max2x2(inp.data))
+    return Tensor(_max2x2(inp.data))
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
@@ -420,7 +418,7 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     grid = np.empty((ca + b.data.shape[3],) + a.data.shape[:3], dtype=a.data.dtype)
     grid[:ca] = a.data.transpose(3, 0, 1, 2)
     grid[ca:] = b.data.transpose(3, 0, 1, 2)
-    return _activation(grid.transpose(1, 2, 3, 0), a.encoding)
+    return Tensor(grid.transpose(1, 2, 3, 0))
 
 
 def argmax_channels(logits: Tensor) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import numpy as np
@@ -56,6 +57,14 @@ class TestSampleSize:
             sample_size(100, 0.025, t, 0.5)
         with pytest.raises(ValueError, match="confidence cut-off t must be finite"):
             plan_single_bit_sweep(tiny_graph, psets=[2], injections_per_target=1, z_value=t)
+
+    @pytest.mark.parametrize("N", [10.5, True])
+    def test_refuses_an_N_that_is_not_an_integer(self, N):
+        with pytest.raises(ValueError, match=re.escape(f"N must be an integer, got {N!r}")):
+            sample_size(N, 0.05, 1.96, 0.5)
+
+    def test_accepts_a_numpy_integer_N(self):
+        assert sample_size(np.int64(996_480_000), 0.025, 1.96, 0.5) == 1537
 
     def test_monotonicity_grid(self):
         es = np.linspace(0.005, 0.2, 100)
@@ -238,6 +247,41 @@ class TestSweep:
             plan_single_bit_sweep(tiny_graph, psets=[2], bits=(30, 31),
                                   injections_per_target=n)
 
+    @pytest.mark.parametrize("options, field, value", [
+        ({"bits": (23.5, 31)}, "bit_lo", 23.5),
+        ({"bits": (0, True)}, "bit_hi", True),
+        ({"injections_per_target": 2.5}, "injections_per_target", 2.5),
+        ({"injections_per_target": True}, "injections_per_target", True),
+        ({"seed": 1.5}, "seed", 1.5),
+    ])
+    def test_plan_refuses_a_value_that_is_not_an_integer(self, tiny_graph, options, field,
+                                                         value):
+        """Refused, not truncated or recorded for numpy to fail on later."""
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{field} must be an integer, got {value!r}")):
+            plan_single_bit_sweep(tiny_graph, psets=[2], **{"bits": (30, 31), **options})
+
+    def test_plan_accepts_numpy_integers(self, tiny_graph):
+        plan = plan_single_bit_sweep(tiny_graph, psets=[2], bits=(np.int64(30), np.int32(31)),
+                                     injections_per_target=np.int64(2), seed=np.uint8(3))
+        assert plan == plan_single_bit_sweep(tiny_graph, psets=[2], bits=(30, 31),
+                                             injections_per_target=2, seed=3)
+        assert CampaignPlan.from_json(plan.to_json()) == plan
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"injections_per_target": 2.5}, "injections_per_target must be an integer, got 2.5"),
+        ({"injections_per_target": True}, "injections_per_target must be an integer, got True"),
+        ({"bit_lo": 1.5}, "bit_lo must be an integer, got 1.5"),
+        ({"seed": None}, "seed must be an integer, got None"),
+    ])
+    def test_json_plan_refuses_a_value_that_is_not_an_integer(self, tiny_graph, tiny_inputs,
+                                                             changes, message):
+        plan = plan_single_bit_sweep(tiny_graph, psets=[2], bits=(0, 31),
+                                     injections_per_target=3, seed=1)
+        edited = CampaignPlan.from_json(json.dumps({**json.loads(plan.to_json()), **changes}))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_single_bit_sweep(tiny_graph, edited, tiny_inputs[0])
+
     def test_plan_json_roundtrip(self, tiny_graph):
         plan = plan_single_bit_sweep(tiny_graph, psets=[1, 2], bits=(30, 31), seed=5)
         back = CampaignPlan.from_json(plan.to_json())
@@ -394,6 +438,28 @@ class TestMultiBit:
         with pytest.raises(ValueError, match="repetitions must be >= 1, got 0"):
             run_multi_bit_campaign(q, [1, 2], 0, 0, tiny_inputs[0])
         assert walks == []
+
+    @pytest.mark.parametrize("counts, repetitions, seed, field, value", [
+        ([1.5], 2, 0, "flip count", 1.5),
+        ([True], 2, 0, "flip count", True),
+        ([1], 2.5, 0, "repetitions", 2.5),
+        ([1], True, 0, "repetitions", True),
+        ([1], 2, 0.5, "seed", 0.5),
+    ])
+    def test_refuses_a_value_that_is_not_an_integer(self, tiny_graph, tiny_inputs, counts,
+                                                    repetitions, seed, field, value):
+        """Refused, not truncated: a count of 1.5 once ran and reported flip count 1."""
+        q = sf.quantize_ptq(tiny_graph, tiny_inputs[0])
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{field} must be an integer, got {value!r}")):
+            run_multi_bit_campaign(q, counts, repetitions, seed, tiny_inputs[0])
+
+    def test_accepts_numpy_integers(self, tiny_graph, tiny_inputs):
+        q = sf.quantize_ptq(tiny_graph, tiny_inputs[0])
+        r1 = run_multi_bit_campaign(q, [np.int64(2)], np.int32(2), np.int64(77), tiny_inputs[0])
+        r2 = run_multi_bit_campaign(q, [2], 2, 77, tiny_inputs[0])
+        assert r1.plan.to_json() == r2.plan.to_json()
+        assert r1.per_rep_errors == r2.per_rep_errors
 
     def test_hash_preserved(self, tiny_graph, tiny_inputs):
         q = sf.quantize_ptq(tiny_graph, tiny_inputs[0])

@@ -170,6 +170,20 @@ def test_inject_one_refuses_an_element_out_of_range(model_path, capsys):
     assert "element 1000000 out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ("inject", "one", "--pset", "99", "--element", "0", "--bit", "30"),
+    ("campaign", "sweep", "--psets", "99", "--bits", "30", "31", "--n", "1")])
+def test_an_unknown_pset_is_one_unquoted_error_line(model_path, tmp_path, capsys, command):
+    """A KeyError's message is printed as it reads, not as its repr."""
+    out = tmp_path / "out"
+    extra = ("--out-dir", str(out)) if command[0] == "campaign" else ()
+    assert run_cli(*command, *extra, "--model", str(model_path), "--images", "2",
+                   "--image-size", "16") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: no parameter set p99 (model has p1..p66)\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_sweep_and_report(model_path, tmp_path, capsys):
     out = tmp_path / "sweep"
     assert run_cli("campaign", "sweep", "--model", str(model_path),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import seu_forge.tensor as tensor
-from seu_forge.tensor import (INVALID_CLASS, BnParams, ShapeError, Tensor,
+from seu_forge.tensor import (ENCODINGS, INVALID_CLASS, BnParams, ShapeError, Tensor,
                               argmax_channels, batchnorm_forward,
                               concat_channels, conv2d_forward,
                               conv2d_transpose_forward, maxpool2d, relu)
@@ -351,12 +351,44 @@ class TestConcatArgmax:
 
 class TestTensorContainer:
     def test_invariants(self):
-        with pytest.raises(ShapeError):
-            Tensor((2, 3), "f32", np.zeros(5, np.float32))
         with pytest.raises(TypeError):
-            Tensor((4,), "i8", np.zeros(4, np.float32))
+            Tensor(np.zeros(4, np.float16))
         with pytest.raises(ValueError):
-            Tensor((4,), "f16", np.zeros(4, np.float32))
+            Tensor.from_array(np.zeros(4, np.float32), "f16")
+
+    @given(st.sampled_from(sorted(ENCODINGS)), st.sampled_from(("c", "channel_major", "strided")),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_tensor_is_its_array(self, encoding, layout, data):
+        """The plain constructor wraps any array in its own layout, with no copy;
+        ``from_array`` copies it into C order, byte for byte."""
+        n, h, w, c = data.draw(hnp.array_shapes(min_dims=4, max_dims=4, max_side=4))
+        a = data.draw(hnp.arrays(ENCODINGS[encoding], (n, h, 2 * w, c)))
+        if layout == "channel_major":
+            a = np.ascontiguousarray(a.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+        elif layout == "strided":
+            a = a[:, :, ::2]
+        x = Tensor(a)
+        assert x.data is a
+        assert x.shape == a.shape and x.size == a.size
+        assert np.dtype(ENCODINGS[x.encoding]) == a.dtype
+        y = Tensor.from_array(a, encoding)
+        assert y.data.flags.c_contiguous
+        assert y.data.shape == a.shape and y.data.tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float64, np.int16, np.bool_])
+    def test_refuses_a_dtype_no_encoding_holds(self, dtype):
+        with pytest.raises(TypeError, match=f"dtype {np.dtype(dtype)}.*f32 .*i8 .*i32 "):
+            Tensor(np.zeros((1, 2, 2, 1), dtype))
+
+    def test_refuses_a_zero_extent(self):
+        with pytest.raises(ShapeError, match=r"zero extent in shape \(1, 0, 2, 1\)"):
+            Tensor(np.zeros((1, 0, 2, 1), np.float32))
+
+    def test_from_array_refuses_an_unknown_encoding(self):
+        with pytest.raises(ValueError, match="unknown encoding 'f16'; the encodings are "
+                                             "f32, i8, i32"):
+            Tensor.from_array(np.zeros(4, np.float32), "f16")
 
     def test_flat_view_writes_through(self):
         x = Tensor.from_array(np.zeros((2, 2), np.float32))
@@ -464,7 +496,7 @@ class TestChannelMajorLayout:
         row_major = np.ascontiguousarray(x)
         channel_major = np.ascontiguousarray(x.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
         for name, op in ops.items():
-            rows, channels = (op(Tensor(a.shape, "f32", a)) for a in (row_major, channel_major))
+            rows, channels = (op(Tensor(a)) for a in (row_major, channel_major))
             assert channels.data.transpose(3, 0, 1, 2).flags.c_contiguous, name
             keeps_layout = name in ("relu", "maxpool2d")
             assert (rows.data.flags.c_contiguous if keeps_layout
