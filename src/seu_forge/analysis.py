@@ -23,7 +23,7 @@ def positive_ratio_table(graph: ModelGraph, roles=POSITIVE_RATIO_ROLES) -> list:
     """Exact sign census per parameter set (zero counts as non-positive)."""
     rows = []
     for p in graph.params_of(roles=roles):
-        v = p.tensor.data
+        v = p.data
         pos = int((v > 0).sum())
         rows.append({"pset": p.index, "layer": p.layer, "role": p.role,
                      "positive": pos, "total": int(v.size),
@@ -40,15 +40,15 @@ def risky_exponent_scan(graph: ModelGraph) -> list:
     """
     rows = []
     for p in graph.params:
-        if p.tensor.encoding != "f32":
+        if p.encoding != "f32":
             continue
-        exp = bits.exponent_fields(p.tensor.flat.view(np.uint32))
+        exp = bits.exponent_fields(p.words)
         full = exp == 0x7F
         partial = bits.RISKY[exp] & ~full
         nonprot = bits.RISKY[exp] & ~bits.MAY_INCREMENT[exp] & ~bits.MAY_DECREMENT[exp]
         rows.append({
             "pset": p.index, "layer": p.layer, "role": p.role,
-            "total": int(p.tensor.size),
+            "total": int(p.data.size),
             "full_risky": int(full.sum()),
             "partial_risky": int(partial.sum()),
             "non_protectable": int(nonprot.sum()),
@@ -68,9 +68,9 @@ def bits_needed_table(graph: ModelGraph) -> list:
         raise ValueError("bits_needed_table takes a quantized graph")
     rows = []
     for p in graph.params:
-        if p.tensor.encoding not in ("i8", "i32"):
+        if p.encoding not in ("i8", "i32"):
             continue
-        v = p.tensor.flat
+        v = p.data
         pos = v[v > 0]
         neg = v[v < 0]
         rows.append({
@@ -134,12 +134,12 @@ def capture_parameter_stats(graph: ModelGraph) -> dict:
     """Exact per-ParamSet min/max/histogram and sign census."""
     stats = {}
     for p in graph.params:
-        v = p.tensor.data
+        v = p.data
         st = LayerStats.of(v)
         stats[p.index] = {
             "layer": p.layer,
             "role": p.role,
-            "encoding": p.tensor.encoding,
+            "encoding": p.encoding,
             "min": st.min,
             "max": st.max,
             "positive": int((v > 0).sum()),

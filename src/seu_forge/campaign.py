@@ -29,7 +29,7 @@ from .faults import (FaultOutcome, apply_fault, decode_fault, fault_at,  # noqa:
                      fault_space, inject_and_measure, revert, target_psets,
                      with_faults)
 from .model import ModelGraph, batch_inputs, infer_shapes
-from .tensor import INVALID_CLASS, ShapeError, Tensor
+from .tensor import INVALID_CLASS, ShapeError
 
 # ---------------------------------------------------------------------------
 # sample sizing (statistical fault injection)
@@ -273,7 +273,7 @@ def _check_sweep(graph: ModelGraph, plan: CampaignPlan) -> list:
     for p in targets:
         if hi >= p.width:
             raise ValueError(
-                f"bit range [{lo}-{hi}] exceeds p{p.index} ({p.tensor.encoding}, "
+                f"bit range [{lo}-{hi}] exceeds p{p.index} ({p.encoding}, "
                 f"{p.width} bits); restrict --bits to 0..{p.width - 1} or retarget")
     return targets
 
@@ -434,7 +434,7 @@ def _fault_plan(graph: ModelGraph, specs, layer_index: dict):
         params = [graph.param(s.pset) for s in specs]
     except KeyError:
         params = []
-    owners = [(layer_index[p.layer], s.element % p.tensor.shape[-1])  # (layer, channel)
+    owners = [(layer_index[p.layer], s.element % p.data.shape[-1])  # (layer, channel)
               for s, p in zip(specs, params)]
     start = min((i for i, _ in owners), default=0)
     chain = channel_chain(graph, start)
@@ -443,7 +443,7 @@ def _fault_plan(graph: ModelGraph, specs, layer_index: dict):
     return start, chain, np.array(channels, dtype=int), any(i >= end for i, _ in owners)
 
 
-def _fault_loop(graph: ModelGraph, batch: Tensor, fault_sets):
+def _fault_loop(graph: ModelGraph, batch: np.ndarray, fault_sets):
     """Each fault set's :class:`Exit` on a copy of ``graph``, in the order of
     ``fault_sets``, and the graph's faultless class maps.
 
@@ -504,7 +504,7 @@ def _score_chunk(args):
     return faultless, list(zip(*scored))
 
 
-def run_fault_sets(graphs, fault_sets, batch: Tensor, score, workers: int = 1):
+def run_fault_sets(graphs, fault_sets, batch: np.ndarray, score, workers: int = 1):
     """Each of ``graphs``' faultless score and, for each fault set in plan
     order, one (value, error) pair per graph (see ``_score_chunk``).
 
@@ -530,10 +530,10 @@ def run_fault_sets(graphs, fault_sets, batch: Tensor, score, workers: int = 1):
 
 def _param_table(graph: ModelGraph) -> list:
     """(index, role, shape, encoding) of each of ``graph``'s parameter sets, in order."""
-    return [(p.index, p.role, p.tensor.shape, p.tensor.encoding) for p in graph.params]
+    return [(p.index, p.role, p.data.shape, p.encoding) for p in graph.params]
 
 
-def fault_outcomes(graph: ModelGraph, specs, batch: Tensor, workers: int = 1) -> list:
+def fault_outcomes(graph: ModelGraph, specs, batch: np.ndarray, workers: int = 1) -> list:
     """The :class:`FaultOutcome` of every single fault ``specs`` names, in their order."""
     _, pairs = run_fault_sets([graph], [[s] for s in specs], batch, _errors, workers)
     outcomes = []
@@ -616,7 +616,7 @@ def _deal(items, workers: int) -> list:
 HELD_MAPS_BYTES = 16 << 20
 
 
-def _chunks(graph: ModelGraph, batch: Tensor, items, workers: int) -> list:
+def _chunks(graph: ModelGraph, batch: np.ndarray, items, workers: int) -> list:
     """``items`` dealt (``_deal``) to ``workers`` chunks, or to more where a
     chunk would otherwise hold over HELD_MAPS_BYTES of resumed class maps."""
     n, h, w, _ = infer_shapes(graph, batch.shape[1], batch.shape[2],

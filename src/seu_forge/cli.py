@@ -124,7 +124,7 @@ def cmd_model_build(args):
     _write_manifest(args, args.out, model_hash=model_hash(graph),
                     parameter_sets=len(graph.params))
     print(f"wrote {args.out}: {len(graph.params)} parameter sets, "
-          f"{sum(p.tensor.size for p in graph.params)} elements, "
+          f"{sum(p.data.size for p in graph.params)} elements, "
           f"hash {model_hash(graph)[:16]}")
 
 
@@ -142,8 +142,8 @@ def cmd_model_info(args):
         "layers": [{"name": l.name, "kind": l.kind, "inputs": l.inputs,
                     "hyperparams": l.hyperparams} for l in graph.layers],
         "param_sets": [{"pset": p.index, "layer": p.layer, "role": p.role,
-                        "encoding": p.tensor.encoding, "shape": list(p.tensor.shape),
-                        "elements": p.tensor.size} for p in graph.params],
+                        "encoding": p.encoding, "shape": list(p.data.shape),
+                        "elements": p.data.size} for p in graph.params],
         "metadata": graph.metadata,
         "model_hash": model_hash(graph),
         "fault_space_default_roles": fault_space_size(graph),
@@ -222,7 +222,7 @@ def cmd_calibrate(args):
 def cmd_inject_one(args):
     graph = _load(args.model)
     spec = FaultSpec(pset=args.pset, element=args.element, bit=args.bit,
-                     encoding=graph.param(args.pset).tensor.encoding)
+                     encoding=graph.param(args.pset).encoding)
     inputs = _images_for(graph, args)
     outcome, = campaign.fault_outcomes(graph, [spec], batch_inputs(inputs))
     if outcome.evaluation_error is not None:
@@ -289,7 +289,7 @@ def _shares_and_signs(args):
         inputs = _images_for(graph, args)
         maps = campaign._forward_maps(graph, batch_inputs(inputs))
         shares = campaign.golden_class_shares(maps, graph.class_count)
-        bias = graph.kernel_bias(graph.output_layer.name)[1].tensor.data
+        bias = graph.kernel_bias(graph.output_layer.name)[1].data
         signs = np.sign(bias.astype(np.float64))
         return signs, shares
     if shares is None or signs is None:
@@ -527,10 +527,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, IndexError, OSError) as exc:
-        # a KeyError's str() is its message's repr, quotes and all
+    except (ValueError, KeyError, IndexError, OSError, MemoryError) as exc:
+        # a KeyError's str() is its message's repr, quotes and all; where the
+        # message is empty (a bare MemoryError's) the exception's name stands
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {str(message) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from .engine import _execute
 from .model import CONV_KINDS, ModelGraph, assign_param_indices, batch_inputs, infer_shapes
-from .tensor import Tensor
 
 I32_MIN, I32_MAX = -(1 << 31), (1 << 31) - 1
 
@@ -49,11 +48,11 @@ def fold_bn(graph: ModelGraph) -> ModelGraph:
         fold_into[layer.name] = producer.name
 
         ps = src.layer_params(layer.name)
-        kernel, bias = (p.tensor.data for p in src.kernel_bias(producer.name))
-        gamma = ps["bn_gamma"].tensor.data
-        beta = ps["bn_beta"].tensor.data
-        mu = ps["bn_mu"].tensor.data
-        sigma = ps["bn_sigma"].tensor.data
+        kernel, bias = (p.data for p in src.kernel_bias(producer.name))
+        gamma = ps["bn_gamma"].data
+        beta = ps["bn_beta"].data
+        mu = ps["bn_mu"].data
+        sigma = ps["bn_sigma"].data
         denom = np.sqrt(sigma + eps)
         scale = gamma / denom
         kernel[...] = kernel * scale
@@ -113,8 +112,8 @@ def quantize_ptq(graph: ModelGraph, calibration_inputs) -> ModelGraph:
         if layer.kind not in CONV_KINDS:
             continue
         kernel_p, bias_p = src.kernel_bias(layer.name)
-        kernel = kernel_p.tensor.data
-        bias = bias_p.tensor.data
+        kernel = kernel_p.data
+        bias = bias_p.data
         max_abs = float(np.abs(kernel).max())
         s_w = max_abs / 127.0 if max_abs > 0 else 1.0  # all-zero tensor convention
         q_w = np.clip(np.rint(kernel / s_w), -127, 127).astype(np.int8)
@@ -124,8 +123,7 @@ def quantize_ptq(graph: ModelGraph, calibration_inputs) -> ModelGraph:
         param_table[str(kernel_p.index)] = {"scale": s_w, "zero_point": 0, "bits": 8,
                                             "degenerate": max_abs == 0.0}
         param_table[str(bias_p.index)] = {"scale": s_b, "zero_point": 0, "bits": 32}
-        kernel_p.tensor = Tensor.from_array(q_w, "i8")
-        bias_p.tensor = Tensor.from_array(q_b, "i32")
+        kernel_p.data, bias_p.data = q_w, q_b
 
     src.flags["quantized"] = True
     src.metadata["quantization"] = {"activations": activations, "params": param_table}
@@ -157,7 +155,7 @@ def prune_structured(graph: ModelGraph, keep_fraction: float = None,
     for layer in src.layers:
         if layer.kind not in CONV_KINDS or layer.kind == "output_conv":
             continue
-        w = src.kernel_bias(layer.name)[0].tensor.data
+        w = src.kernel_bias(layer.name)[0].data
         norms = np.abs(w).sum(axis=(0, 1, 2))
         cout = norms.size
         if keep_fraction is not None:
@@ -188,15 +186,15 @@ def prune_structured(graph: ModelGraph, keep_fraction: float = None,
             # directly into the original Cin axis (concat offsets included)
             cin_pos = np.asarray(channels[layer.inputs[0]], dtype=int)
             own = channels[layer.name]
-            kernel_p.tensor = Tensor.from_array(
-                kernel_p.tensor.data[:, :, cin_pos, :][:, :, :, own])
-            bias_p.tensor = Tensor.from_array(bias_p.tensor.data[own])
+            # fancy indexing need not give C order; faults need a flat view
+            kernel_p.data = np.ascontiguousarray(kernel_p.data[:, :, cin_pos, :][:, :, :, own])
+            bias_p.data = bias_p.data[own]
             if layer.kind != "output_conv":
                 layer.hyperparams["filters"] = int(own.size)
         elif layer.kind == "batchnorm":
             own = np.asarray(channels[layer.inputs[0]], dtype=int)
             for p in src.layer_params(layer.name).values():
-                p.tensor = Tensor.from_array(p.tensor.data[own])
+                p.data = p.data[own]
 
     src.flags["pruned"] = True
     src.with_provenance({
@@ -221,10 +219,10 @@ def sparse_zero(graph: ModelGraph, predicate):
     out = graph.copy()
     zeroed = 0
     for p in out.params_of(("conv_kernel", "conv_bias", "convtr_kernel", "convtr_bias")):
-        mask = np.asarray(predicate(p.tensor.data), dtype=bool)
-        if mask.shape != p.tensor.data.shape:
+        mask = np.asarray(predicate(p.data), dtype=bool)
+        if mask.shape != p.data.shape:
             raise ValueError("predicate mask shape does not match parameter shape")
         zeroed += int(mask.sum())
-        p.tensor.data[mask] = np.float32(0.0)
+        p.data[mask] = np.float32(0.0)
     out.with_provenance({"transform": "sparse_zero", "zeroed": zeroed})
     return out, zeroed

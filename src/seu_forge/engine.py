@@ -9,19 +9,19 @@ is observed through one hook, its ``record`` callback, as
 Both modes share the loop's input edge: before any layer runs, it refuses a
 layer kind the mode has no op for, a graph whose parameters or scale tables
 do not fit its numeric mode (``model.check_numeric_mode``), an input batch
-that is not an f32 :class:`Tensor` and one without the model's
+that is not a float32 ``np.ndarray`` and one without the model's
 ``input_channels``; the mode then only converts the batch, and no op checks
 a table entry again. Both share ``tensor``'s 2x2 max-pool and its one
 convolution core, ``tensor._conv_grid``, and run a transposed conv as the
 core's 1x1 conv of its stacked taps, then depth-to-space (see ``tensor``).
 
-Every activation the executor holds, records and yields is a plain
-``np.ndarray`` in both modes, float32 or int8, and each layer's output is an
-NHWC view of channel-major (C, N, H, W) memory, so no layer copies data
-between layouts. Tensors appear only at the executor's edges: the input
-batch, the public kernels' operands and results (the float ops wrap their
-arrays with the plain constructor, ``Tensor(values)``, which copies
-nothing, to call them) and the result's logits and collected layers.
+Every value the executor takes, holds, records and returns is a plain
+``np.ndarray``: the input batch, each activation (float32 or int8) and the
+result's logits and collected layers. Each layer's output is an NHWC view
+of channel-major (C, N, H, W) memory, so no layer copies between layouts.
+A ``tensor.Tensor`` appears only where the float ops and ``finish`` call
+the public kernels: they wrap their arrays with the plain constructor,
+``Tensor(values)``, which copies nothing, and unwrap each result.
 
 The quantized path implements the affine scheme r = S*(q - Z) with per-tensor
 symmetric 8-bit weights, 32-bit biases (scale S_w*S_x), int32 accumulators
@@ -59,9 +59,9 @@ from .tensor import (BnParams, ShapeError, Tensor, _conv_grid, _depth_to_space,
 
 @dataclass
 class InferenceResult:
-    logits: Tensor
+    logits: np.ndarray  # float32 NHWC, dequantized in quantized mode
     class_map: np.ndarray
-    collected: dict = None  # requested intermediate layer outputs
+    collected: dict = None  # requested intermediate layer outputs, by name
 
 
 def _take(values: np.ndarray, channels) -> np.ndarray:
@@ -71,7 +71,7 @@ def _take(values: np.ndarray, channels) -> np.ndarray:
 
 def _bn_params(graph: ModelGraph, name: str, channels=None) -> BnParams:
     ps = graph.layer_params(name)
-    return BnParams(*(_take(ps[role].tensor.data, channels)
+    return BnParams(*(_take(ps[role].data, channels)
                       for role in ("bn_gamma", "bn_beta", "bn_mu", "bn_sigma")),
                     graph.bn_epsilon)
 
@@ -103,9 +103,8 @@ class Frontier:
     """A forward pass paused just before layer ``start`` runs.
 
     ``live`` maps every activation still needed from ``start`` on to its
-    array, float32 or int8 (the input already quantized), in both modes;
-    Tensors appear only at the input batch, the public kernels and the
-    results. A faulted forward resumed from a frontier of the faultless pass
+    array, float32 or int8 (the input already quantized), in both modes.
+    A faulted forward resumed from a frontier of the faultless pass
     shares those arrays by reference, so no layer op may write its inputs in
     place; a caller that patches an activation resumes from a new frontier
     whose ``live`` holds the patched copy, which lives until that pass ends.
@@ -120,7 +119,7 @@ class _Mode:
     name: str  # named by the refusal of a layer kind with no op
     # layer kind -> op(graph, layer, inputs[, channels]); see run_channels
     ops: dict
-    enter: Callable[[ModelGraph, Tensor], np.ndarray]  # checked batch -> activation "input"
+    enter: Callable[[ModelGraph, np.ndarray], np.ndarray]  # checked batch -> activation "input"
 
 
 def _mode(graph: ModelGraph) -> _Mode:
@@ -135,9 +134,9 @@ def _walk(graph: ModelGraph, inp, record=None):
     Before any layer runs, the input edge refuses a layer kind the mode has
     no op for and a graph that ``model.check_numeric_mode`` refuses
     (``ValueError``), for a batch and a frontier alike, and a batch that is
-    not an f32 :class:`Tensor` (``TypeError``) or lacks the model's
-    ``input_channels`` (``ShapeError``); ``mode.enter`` converts the batch
-    to the array of the activation ``"input"``.
+    not a float32 ``np.ndarray`` (``TypeError``), has a zero extent or lacks
+    the model's ``input_channels`` (``ShapeError``); ``mode.enter`` converts
+    the batch to the array of the activation ``"input"``.
 
     Every activation the walk starts with, then each layer's output, goes to
     ``record(name, value)`` as an array. Each activation is freed after its
@@ -152,10 +151,11 @@ def _walk(graph: ModelGraph, inp, record=None):
         raise ValueError(f"layer kind {kind!r} not supported in {mode.name} mode")
     check_numeric_mode(graph)
     if not isinstance(inp, Frontier):
-        if not isinstance(inp, Tensor):
-            raise TypeError(f"the input batch must be a Tensor, got {type(inp).__name__}")
-        if inp.encoding != "f32":
-            raise TypeError(f"the input batch must be f32, got {inp.encoding}")
+        if not isinstance(inp, np.ndarray) or inp.dtype != np.float32:
+            got = type(inp).__name__ + (f" of {inp.dtype}" if hasattr(inp, "dtype") else "")
+            raise TypeError(f"the input batch must be an f32 (float32) ndarray, got {got}")
+        if 0 in inp.shape:
+            raise ShapeError(f"zero extent in input shape {inp.shape}")
         want_c = graph.metadata.get("input_channels")
         if want_c is not None and inp.shape[3:] != (want_c,):
             raise ShapeError(f"input shape {inp.shape} does not match model "
@@ -193,8 +193,7 @@ def finish(graph: ModelGraph, live: dict) -> InferenceResult:
         ent = _act_entry(graph, graph.output_layer.name)
         # channel-major, as in float mode: astype keeps the int8 logits' layout
         logits = ((logits.astype(np.float64) - ent["zero_point"]) * ent["scale"]).astype(np.float32)
-    logits = Tensor(logits)
-    return InferenceResult(logits, argmax_channels(logits))
+    return InferenceResult(logits, argmax_channels(Tensor(logits)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +274,8 @@ def reaching_output(graph: ModelGraph) -> set:
 
 
 def _float_conv(graph, layer, ins, channels=None):
-    kernel, bias = (p.tensor for p in graph.kernel_bias(layer.name))
-    if channels is not None:
-        kernel = Tensor(kernel.data[..., channels])
-    bias, x = _take(bias.data, channels), Tensor(ins[0])
+    kernel, bias = (_take(p.data, channels) for p in graph.kernel_bias(layer.name))
+    kernel, x = Tensor(kernel), Tensor(ins[0])
     if layer.kind == "conv2d_transpose":
         return conv2d_transpose_forward(x, kernel, bias, stride=layer.stride).data
     return conv2d_forward(x, kernel, bias, stride=layer.stride, padding=layer.padding).data
@@ -297,7 +294,7 @@ _FLOAT = _Mode(
          "maxpool": lambda graph, layer, ins, channels=None: maxpool2d(Tensor(ins[0])).data,
          "concat": lambda graph, layer, ins: concat_channels(
              Tensor(ins[0]), Tensor(ins[1])).data},
-    enter=lambda graph, inp: inp.data)
+    enter=lambda graph, inp: inp)
 
 
 def run_float(graph: ModelGraph, inp, collect=()) -> InferenceResult:
@@ -306,9 +303,9 @@ def run_float(graph: ModelGraph, inp, collect=()) -> InferenceResult:
     ``inp`` is the input batch, or a :class:`Frontier` of this graph's
     faultless pass to resume from; the result is bit-identical either way.
     ``collect`` names layers, run at or after the start, whose outputs
-    should be retained on the result, each as a Tensor over its array; the
-    pass records them as it goes and frees every activation after its last
-    consumer has run.
+    should be retained on the result, each as its array; the pass records
+    them as it goes and frees every activation after its last consumer has
+    run.
     """
     if graph.flags.get("quantized"):
         raise ValueError("graph is quantized; use run_quantized")
@@ -319,7 +316,7 @@ def run_float(graph: ModelGraph, inp, collect=()) -> InferenceResult:
             seen[name] = value
 
     outputs = _execute(graph, inp, record if collect else None)
-    collected = {name: Tensor(seen[name]) for name in collect} if collect else None
+    collected = {name: seen[name] for name in collect} if collect else None
     return replace(finish(graph, outputs), collected=collected)
 
 
@@ -412,9 +409,9 @@ def _requantized_fill(out: np.ndarray, rows: np.ndarray, taps: np.ndarray, bias:
     _requantize(out, acc, multiplier, zero_point)
 
 
-def _quantize_input(graph: ModelGraph, inp: Tensor) -> np.ndarray:
+def _quantize_input(graph: ModelGraph, inp: np.ndarray) -> np.ndarray:
     ent = _act_entry(graph, "input")
-    return _round_half_even_clip_i8(inp.data.astype(np.float64) / ent["scale"]
+    return _round_half_even_clip_i8(inp.astype(np.float64) / ent["scale"]
                                     + ent["zero_point"])
 
 
@@ -425,8 +422,8 @@ def _quantized_conv(graph, layer, ins, channels=None):
     w_ent = graph.metadata["quantization"]["params"][str(kernel_p.index)]
     # Sliced to ``channels``, each tap's GEMM computes only those output
     # channels; integer sums are exact in any grouping, so their bits stay.
-    kernel = _take(kernel_p.tensor.data, channels)
-    bias = _take(bias_p.tensor.data, channels)
+    kernel = _take(kernel_p.data, channels)
+    bias = _take(bias_p.data, channels)
     fill = partial(_requantized_fill,
                    multiplier=(w_ent["scale"] * in_ent["scale"]) / out_ent["scale"],
                    zero_point=out_ent["zero_point"])

@@ -168,21 +168,16 @@ class FaultToken:
 
 def _validate(graph: ModelGraph, spec: FaultSpec):
     p = graph.param(spec.pset)
-    if spec.encoding != p.tensor.encoding:
+    if spec.encoding != p.encoding:
         raise ValueError(f"fault encoding {spec.encoding} does not match "
-                         f"p{spec.pset} encoding {p.tensor.encoding}")
-    if not 0 <= spec.element < p.tensor.size:
+                         f"p{spec.pset} encoding {p.encoding}")
+    if not 0 <= spec.element < p.data.size:
         raise IndexError(f"element {spec.element} out of range for p{spec.pset} "
-                         f"({p.tensor.size} elements)")
+                         f"({p.data.size} elements)")
     if not 0 <= spec.bit < p.width:
         raise ValueError(f"bit {spec.bit} out of range for {spec.encoding} "
                          f"(valid 0..{p.width - 1})")
     return p
-
-
-def _words(p) -> np.ndarray:
-    """The elements of ``p`` as unsigned words of their width; writes go through."""
-    return p.tensor.flat.view(f"u{p.tensor.data.itemsize}")
 
 
 def _stack(graph: ModelGraph) -> list:
@@ -194,7 +189,7 @@ def _stack(graph: ModelGraph) -> list:
 def apply_fault(graph: ModelGraph, spec: FaultSpec) -> FaultToken:
     """Toggle the addressed bit in place and push a revert token (LIFO)."""
     p = _validate(graph, spec)
-    words = _words(p)
+    words = p.words
     token = FaultToken(spec, int(words[spec.element]))
     words[spec.element] = token.original_word ^ (1 << spec.bit)
     _stack(graph).append(token)
@@ -208,7 +203,7 @@ def revert(graph: ModelGraph, token: FaultToken) -> None:
     stack = _stack(graph)
     if not stack or stack[-1] is not token:
         raise ValueError("out-of-order revert: token is not the most recent fault")
-    _words(graph.param(token.spec.pset))[token.spec.element] = token.original_word
+    graph.param(token.spec.pset).words[token.spec.element] = token.original_word
     token.used = True
     stack.pop()
 
@@ -232,7 +227,7 @@ def decode_fault(graph: ModelGraph, spec: FaultSpec) -> FaultOutcome:
     of an integer element.
     """
     p = _validate(graph, spec)
-    old_word = int(_words(p)[spec.element])
+    old_word = int(p.words[spec.element])
     new_word = old_word ^ (1 << spec.bit)
     if spec.encoding == "f32":
         old_v, new_v = bits.bits_to_f32(old_word), bits.bits_to_f32(new_word)
@@ -274,7 +269,7 @@ def fault_space(psets, bits=None):
         lo, hi = bits if bits is not None else (0, p.width - 1)
         starts.append(size)
         spans.append((p, lo, hi - lo + 1))
-        size += p.tensor.size * (hi - lo + 1)
+        size += p.data.size * (hi - lo + 1)
     return (starts, spans), size
 
 
@@ -285,7 +280,7 @@ def fault_at(space, flat: int) -> FaultSpec:
     p, lo, nbits = spans[k]
     element, bit = divmod(flat - starts[k], nbits)
     return FaultSpec(pset=p.index, element=element, bit=lo + bit,
-                     encoding=p.tensor.encoding)
+                     encoding=p.encoding)
 
 
 def fault_space_size(graph: ModelGraph, roles=None, psets=None) -> int:

@@ -9,6 +9,10 @@ Model container format (little-endian throughout):
                  encodings, quantization tables, bn epsilon, provenance)
     ...          raw parameter blobs, little-endian IEEE-754 / two's complement
 
+A parameter set, ``ParamSet(index, layer, role, data)``, is one C-contiguous
+array whose dtype is its encoding; the toy images and the batch that
+``batch_inputs`` stacks from them are float32 arrays.
+
 Parameter sets are indexed p1..pN contiguously. Every model the toolkit
 builds numbers them in graph topological order, kernels before biases
 within a layer (gamma, beta, mu, sigma within a BN layer). A graph
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ENCODINGS, ShapeError, Tensor, _conv_extent
+from .tensor import _ENCODING_OF, ENCODINGS, ShapeError, _conv_extent, check_encoded
 
 MAGIC = b"SEUFORGE"
 FORMAT_VERSION = 1
@@ -78,14 +82,32 @@ class LayerSpec:
 
 @dataclass
 class ParamSet:
+    """An array whose dtype is its encoding, checked as it is made (``check_encoded``)."""
+
     index: int          # 1-based p-index
     layer: str          # owner layer name
     role: str
-    tensor: Tensor
+    data: np.ndarray
+
+    def __post_init__(self):
+        check_encoded(self.data)
+
+    @property
+    def encoding(self) -> str:
+        return _ENCODING_OF[self.data.dtype]
 
     @property
     def width(self) -> int:
-        return self.tensor.data.dtype.itemsize * 8
+        return self.data.dtype.itemsize * 8
+
+    @property
+    def words(self) -> np.ndarray:
+        """The elements as row-major unsigned words of their width; writes go through.
+        Refused where no such view exists, lest a fault land in a copy."""
+        if not self.data.flags.c_contiguous:
+            raise ValueError(f"p{self.index} of shape {self.data.shape} is not "
+                             "C-contiguous; it has no flat view")
+        return self.data.reshape(-1).view(f"u{self.data.itemsize}")
 
 
 class ModelGraph:
@@ -137,7 +159,7 @@ class ModelGraph:
                                  f"parameter sets {missing}")
         out = self.layers[-1] if self.layers else None
         if out is not None and out.kind == "output_conv":
-            filters = self.kernel_bias(out.name)[0].tensor.shape[3]
+            filters = self.kernel_bias(out.name)[0].data.shape[3]
             if filters != self.class_count:
                 raise ValueError(f"output conv has {filters} filters but "
                                  f"class_count is {self.class_count}")
@@ -211,7 +233,7 @@ class ModelGraph:
         """Deep-copies parameter buffers; layer specs are rebuilt shallowly."""
         layers = [LayerSpec(l.kind, l.name, dict(l.hyperparams), list(l.inputs))
                   for l in self.layers]
-        params = [ParamSet(p.index, p.layer, p.role, p.tensor.copy()) for p in self.params]
+        params = [ParamSet(p.index, p.layer, p.role, p.data.copy()) for p in self.params]
         return ModelGraph(layers, params, self.class_count, json.loads(json.dumps(self.metadata)))
 
     def with_provenance(self, entry: dict) -> "ModelGraph":
@@ -221,24 +243,20 @@ class ModelGraph:
 
 def assign_param_indices(params):
     """Renumber a parameter list (already in layer order) to p1..pN."""
-    return [ParamSet(i + 1, p.layer, p.role, p.tensor) for i, p in enumerate(params)]
+    return [ParamSet(i + 1, p.layer, p.role, p.data) for i, p in enumerate(params)]
 
 
 def model_hash(graph: ModelGraph) -> str:
     """sha256 over the p-index-ordered raw parameter buffers."""
     h = hashlib.sha256()
     for p in graph.params:
-        h.update(f"{p.index}:{p.role}:{p.tensor.encoding}:{p.tensor.shape}".encode())
-        h.update(np.ascontiguousarray(p.tensor.data).tobytes())
+        h.update(f"{p.index}:{p.role}:{p.encoding}:{p.data.shape}".encode())
+        h.update(np.ascontiguousarray(p.data).tobytes())
     return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
 # U-Net builder
-
-
-def _zeros(shape, encoding="f32"):
-    return Tensor(np.zeros(shape, dtype=ENCODINGS[encoding]))
 
 
 class _Namer:
@@ -268,20 +286,20 @@ def build_unet(levels: int, base_filters: int, class_count: int,
     names = _Namer()
     layers, params = [], []
 
-    def add_param(layer_name, role, tensor):
-        params.append(ParamSet(0, layer_name, role, tensor))
+    def add_param(layer_name, role, shape):
+        params.append(ParamSet(0, layer_name, role, np.zeros(shape, np.float32)))
 
     def conv_block(prev, filters, cin):
         cname = names.next("conv2D")
         layers.append(LayerSpec("conv2d", cname,
                                 {"kernel_size": 3, "stride": 1, "padding": "same",
                                  "filters": filters}, [prev]))
-        add_param(cname, "conv_kernel", _zeros((3, 3, cin, filters)))
-        add_param(cname, "conv_bias", _zeros((filters,)))
+        add_param(cname, "conv_kernel", (3, 3, cin, filters))
+        add_param(cname, "conv_bias", (filters,))
         bname = names.next("bn")
         layers.append(LayerSpec("batchnorm", bname, {}, [cname]))
         for role in ("bn_gamma", "bn_beta", "bn_mu", "bn_sigma"):
-            add_param(bname, role, _zeros((filters,)))
+            add_param(bname, role, (filters,))
         rname = names.next("relu")
         layers.append(LayerSpec("relu", rname, {}, [bname]))
         return rname
@@ -308,8 +326,8 @@ def build_unet(levels: int, base_filters: int, class_count: int,
         tname = names.next("conv2Dtr")
         layers.append(LayerSpec("conv2d_transpose", tname,
                                 {"kernel_size": 2, "stride": 2, "filters": filters}, [prev]))
-        add_param(tname, "convtr_kernel", _zeros((2, 2, channels, filters)))
-        add_param(tname, "convtr_bias", _zeros((filters,)))
+        add_param(tname, "convtr_kernel", (2, 2, channels, filters))
+        add_param(tname, "convtr_bias", (filters,))
         xname = names.next("concat")
         layers.append(LayerSpec("concat", xname, {}, [skips[level], tname]))
         channels = filters * 2
@@ -321,8 +339,8 @@ def build_unet(levels: int, base_filters: int, class_count: int,
     layers.append(LayerSpec("output_conv", oname,
                             {"kernel_size": 1, "stride": 1, "padding": "same",
                              "filters": class_count}, [prev]))
-    add_param(oname, "conv_kernel", _zeros((1, 1, channels, class_count)))
-    add_param(oname, "conv_bias", _zeros((class_count,)))
+    add_param(oname, "conv_kernel", (1, 1, channels, class_count))
+    add_param(oname, "conv_bias", (class_count,))
 
     metadata = {
         "bn_epsilon": DEFAULT_BN_EPSILON,
@@ -346,7 +364,7 @@ def infer_shapes(graph: ModelGraph, height: int, width: int, batch: int = 1) -> 
         ins = [shapes[r] for r in layer.inputs]
         if layer.kind in CONV_KINDS:
             n, h, w, c = ins[0]
-            k = graph.kernel_bias(layer.name)[0].tensor.shape
+            k = graph.kernel_bias(layer.name)[0].data.shape
             if k[2] != c:
                 raise ShapeError(f"{layer.name}: input channels {c} != kernel Cin {k[2]}")
             s = layer.stride
@@ -363,7 +381,7 @@ def infer_shapes(graph: ModelGraph, height: int, width: int, batch: int = 1) -> 
             shapes[layer.name] = (n, oh, ow, k[3])
         elif layer.kind == "batchnorm":
             n, h, w, c = ins[0]
-            g = graph.layer_params(layer.name)["bn_gamma"].tensor.shape[0]
+            g = graph.layer_params(layer.name)["bn_gamma"].data.shape[0]
             if g != c:
                 raise ShapeError(f"{layer.name}: input channels {c} != BN channels {g}")
             shapes[layer.name] = ins[0]
@@ -447,13 +465,13 @@ def generate_toy_weights(graph: ModelGraph, seed: int, *,
 
     pending = {}  # (layer, role) -> values; gamma compensation needs sigma
     for p in out.params:
-        shape = p.tensor.shape
+        shape = p.data.shape
         if p.role in ("conv_kernel", "convtr_kernel"):
             fan_in = int(np.prod(shape[:3]))
             bound = kernel_scale * np.sqrt(3.0 / fan_in)
             vals = rng.uniform(-bound, bound, size=shape).astype(np.float32)
         elif p.role in ("conv_bias", "convtr_bias", "bn_beta"):
-            vals = signed_magnitudes(p.tensor.size, frac_by_layer[p.layer]).reshape(shape)
+            vals = signed_magnitudes(p.data.size, frac_by_layer[p.layer]).reshape(shape)
         elif p.role == "bn_gamma":
             vals = rng.uniform(*gamma_range, size=shape).astype(np.float32)
             if gamma_mode == "compensated":
@@ -464,11 +482,11 @@ def generate_toy_weights(graph: ModelGraph, seed: int, *,
             vals = rng.uniform(*_SIGMA_RANGE, size=shape).astype(np.float32)
             u = pending.pop((p.layer, "bn_gamma"), None)
             if u is not None:
-                gamma = out.layer_params(p.layer)["bn_gamma"].tensor
-                gamma.data[...] = (u * np.sqrt(vals + np.float32(eps))).astype(np.float32)
+                gamma = out.layer_params(p.layer)["bn_gamma"].data
+                gamma[...] = (u * np.sqrt(vals + np.float32(eps))).astype(np.float32)
         else:
             raise ValueError(f"unhandled role {p.role}")
-        p.tensor.data[...] = vals
+        p.data[...] = vals
 
     out.metadata.update({"prng": "numpy-pcg64", "seed": int(seed)})
     out.with_provenance({"transform": "generate_toy_weights", "seed": int(seed),
@@ -511,7 +529,7 @@ def generate_calibration_set(shape, count: int = 10, seed: int = 0,
     ch, cw = max(2, height // 8), max(2, width // 8)
     coarse = rng.uniform(0.0, 1.0, size=(count, ch, cw, channels))
     fields = _bilinear_upsample(coarse, height, width).astype(np.float32)
-    inputs = [Tensor.from_array(fields[i:i + 1]) for i in range(count)]
+    inputs = [fields[i:i + 1] for i in range(count)]
 
     labels = None
     if class_count is not None:
@@ -521,15 +539,15 @@ def generate_calibration_set(shape, count: int = 10, seed: int = 0,
     return inputs, labels
 
 
-def batch_inputs(inputs) -> Tensor:
-    """Stack 4-D (n, H, W, C) tensors into one N,H,W,C batch; any other item is a
-    ``TypeError`` naming its type and shape."""
+def batch_inputs(inputs) -> np.ndarray:
+    """Stack 4-D (n, H, W, C) arrays into one C-contiguous float32 N,H,W,C batch;
+    any other item is a ``TypeError`` naming its type and shape."""
     inputs = list(inputs)
-    for t in inputs:
-        if not isinstance(t, Tensor) or len(t.shape) != 4:
-            got = type(t).__name__ + (f" of shape {tuple(t.shape)}" if hasattr(t, "shape") else "")
-            raise TypeError(f"an input batch is stacked from 4-D Tensors, got {got}")
-    return Tensor.from_array(np.concatenate([t.data for t in inputs], axis=0))
+    for a in inputs:
+        if not isinstance(a, np.ndarray) or a.ndim != 4:
+            got = type(a).__name__ + (f" of shape {tuple(a.shape)}" if hasattr(a, "shape") else "")
+            raise TypeError(f"an input batch is stacked from 4-D arrays, got {got}")
+    return np.ascontiguousarray(np.concatenate(inputs, axis=0), dtype=np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +560,9 @@ _BLOB_DTYPES = {"f32": "<f4", "i8": "<i1", "i32": "<i4"}
 def save_model(graph: ModelGraph, path) -> None:
     blobs, table, offset = [], [], 0
     for p in graph.params:
-        raw = np.ascontiguousarray(p.tensor.data).astype(
-            _BLOB_DTYPES[p.tensor.encoding]).tobytes()
+        raw = np.ascontiguousarray(p.data).astype(_BLOB_DTYPES[p.encoding]).tobytes()
         table.append({"index": p.index, "layer": p.layer, "role": p.role,
-                      "encoding": p.tensor.encoding, "shape": list(p.tensor.shape),
+                      "encoding": p.encoding, "shape": list(p.data.shape),
                       "offset": offset, "nbytes": len(raw)})
         blobs.append(raw)
         offset += len(raw)
@@ -616,9 +633,9 @@ def load_model(path) -> ModelGraph:
         if not isinstance(encoding, str) or encoding not in _BLOB_DTYPES:
             raise FormatError(f"{path}: p{index} has unknown encoding {encoding!r}")
         if not (_is_int(offset) and _is_int(nbytes) and isinstance(shape, list)
-                and all(_is_int(d) and d >= 0 for d in shape)):
+                and all(_is_int(d) and d >= 1 for d in shape)):
             raise FormatError(f"{path}: p{index} offset, nbytes or shape is not "
-                              "a non-negative int (list)")
+                              "an int (a list of positive ints)")
         dt = np.dtype(_BLOB_DTYPES[encoding])
         count = math.prod(shape)
         if nbytes != count * dt.itemsize:
@@ -627,9 +644,9 @@ def load_model(path) -> ModelGraph:
         if offset < 0 or offset + nbytes > len(blob):
             raise FormatError(f"{path}: p{index} bytes [{offset}, {offset + nbytes}) "
                               f"lie outside the {len(blob)}-byte blob")
-        arr = np.frombuffer(blob, dtype=dt, count=count, offset=offset).copy()
-        arr = arr.astype(ENCODINGS[encoding]).reshape(shape)
-        params.append(ParamSet(index, layer, role, Tensor(arr)))
+        # astype copies: the set owns a writable, native-order array
+        arr = np.frombuffer(blob, dtype=dt, count=count, offset=offset).astype(ENCODINGS[encoding])
+        params.append(ParamSet(index, layer, role, arr.reshape(shape)))
     try:
         graph = ModelGraph(layers, params, class_count, metadata)
         # the container is checked, not an image size: at this side no
@@ -654,8 +671,8 @@ def check_numeric_mode(graph: ModelGraph) -> None:
         raise ValueError("flags is not a JSON object")
     if not graph.flags.get("quantized"):
         for p in graph.params:
-            if p.tensor.encoding != "f32":
-                raise ValueError(f"float graph holds p{p.index} as {p.tensor.encoding}")
+            if p.encoding != "f32":
+                raise ValueError(f"float graph holds p{p.index} as {p.encoding}")
         return
     for layer in graph.layers:
         if layer.kind == "batchnorm":
@@ -674,9 +691,9 @@ def check_numeric_mode(graph: ModelGraph) -> None:
         if layer.kind not in CONV_KINDS:
             continue
         for p, encoding in zip(graph.kernel_bias(layer.name), ("i8", "i32")):
-            if p.tensor.encoding != encoding:
+            if p.encoding != encoding:
                 raise ValueError(f"quantized graph holds p{p.index} ({p.role}) as "
-                                 f"{p.tensor.encoding}, not {encoding}")
+                                 f"{p.encoding}, not {encoding}")
             if str(p.index) not in params:
                 raise ValueError(f"missing scale table for p{p.index}")
             check_quant_entry(params[str(p.index)], f"scale table for p{p.index}")

@@ -58,7 +58,7 @@ def danger_bit(word: int) -> int:
 def _risky_words(params):
     """(set, uint32 view of its elements, indices of its risky words) of every
     f32 set of ``params``, in order: the one gather of risky words."""
-    words = [(p, p.tensor.flat.view(np.uint32)) for p in params if p.tensor.encoding == "f32"]
+    words = [(p, p.words) for p in params if p.encoding == "f32"]
     return [(p, w, np.flatnonzero(bits.risky_mask(w))) for p, w in words]
 
 
@@ -380,10 +380,10 @@ def recondition_bn(graph: ModelGraph):
         if layer.kind != "batchnorm":
             continue
         ps = out.layer_params(layer.name)
-        gamma = ps["bn_gamma"].tensor.data
-        sigma = ps["bn_sigma"].tensor.data
-        mu = ps["bn_mu"].tensor.data
-        beta = ps["bn_beta"].tensor.data
+        gamma = ps["bn_gamma"].data
+        sigma = ps["bn_sigma"].data
+        mu = ps["bn_mu"].data
+        beta = ps["bn_beta"].data
         for ch in range(gamma.size):
             # no scale keeps W of a channel whose sigma + eps is not positive
             if not _risky(gamma[ch]) or not float(sigma[ch]) + float(eps) > 0:
@@ -468,8 +468,8 @@ def cross_layer_equalize(graph: ModelGraph, scales, layer_n: str,
         raise EqualizationError(f"scales must be strictly positive; offending channels {bad}")
 
     out = graph.copy()
-    wn, bn = (p.tensor.data for p in out.kernel_bias(layer_n))
-    wn1 = out.kernel_bias(layer_np1)[0].tensor.data
+    wn, bn = (p.data for p in out.kernel_bias(layer_n))
+    wn1 = out.kernel_bias(layer_np1)[0].data
     if s.shape != (wn.shape[3],):
         raise EqualizationError(f"need one scale per output channel of {layer_n} "
                                 f"({wn.shape[3]}), got {s.shape}")
@@ -486,8 +486,8 @@ def cross_layer_equalize(graph: ModelGraph, scales, layer_n: str,
 def suggest_cle_scales(graph: ModelGraph, layer_n: str, layer_np1: str) -> np.ndarray:
     """Range-balancing scales s_c = sqrt(r1_c / r2_c), snapped to powers of
     two (exactly representable: zero drift in W, b)."""
-    wn = graph.kernel_bias(layer_n)[0].tensor.data
-    wn1 = graph.kernel_bias(layer_np1)[0].tensor.data
+    wn = graph.kernel_bias(layer_n)[0].data
+    wn1 = graph.kernel_bias(layer_np1)[0].data
     r1 = np.abs(wn).max(axis=(0, 1, 2))
     r2 = np.abs(wn1).max(axis=(0, 1, 3))
     s = np.sqrt(np.where(r2 > 0, r1 / np.maximum(r2, 1e-30), 1.0))
@@ -512,7 +512,7 @@ def absorb_bias(graph: ModelGraph, amounts, layer_n: str, layer_np1: str,
         raise AbsorptionError("absorption applies to float graphs")
     path = _linear_path(graph, layer_n, layer_np1, AbsorptionError)
     lnp1 = graph.layer(layer_np1)
-    k = graph.kernel_bias(layer_np1)[0].tensor.shape
+    k = graph.kernel_bias(layer_np1)[0].data.shape
     if lnp1.kind == "conv2d_transpose":
         raise AbsorptionError("absorbing into a transposed convolution is not supported")
     if (k[0] > 1 or k[1] > 1) and lnp1.padding == "same":
@@ -521,7 +521,7 @@ def absorb_bias(graph: ModelGraph, amounts, layer_n: str, layer_np1: str,
             "shift W*c is wrong at borders; use a 1x1 or valid-padding consumer")
 
     c = np.asarray(amounts, dtype=np.float32)
-    bn_ = graph.kernel_bias(layer_n)[1].tensor.data
+    bn_ = graph.kernel_bias(layer_n)[1].data
     if c.shape != bn_.shape:
         raise AbsorptionError(f"need one amount per channel of {layer_n} "
                               f"({bn_.shape}), got {c.shape}")
@@ -533,7 +533,7 @@ def absorb_bias(graph: ModelGraph, amounts, layer_n: str, layer_np1: str,
                               f"offending channels {bad}")
     batch = batch_inputs(witness_inputs)
     if has_relu:
-        pre = run_float(graph, batch, collect=(layer_n,)).collected[layer_n].data
+        pre = run_float(graph, batch, collect=(layer_n,)).collected[layer_n]
         min_pre = pre.min(axis=(0, 1, 2))
         # channels with c == 0 are untouched; the ReLU identity only binds
         # where a positive shift crosses the activation
@@ -545,14 +545,14 @@ def absorb_bias(graph: ModelGraph, amounts, layer_n: str, layer_np1: str,
                 f"below the requested amounts {c[viol].tolist()}")
 
     out = graph.copy()
-    out.kernel_bias(layer_n)[1].tensor.data[...] = bn_ - c
-    w1, b1 = (p.tensor.data for p in out.kernel_bias(layer_np1))
+    out.kernel_bias(layer_n)[1].data[...] = bn_ - c
+    w1, b1 = (p.data for p in out.kernel_bias(layer_np1))
     delta = np.einsum("hwio,i->o", w1.astype(np.float64), c.astype(np.float64))
     b1[...] = (b1.astype(np.float64) + delta).astype(np.float32)
     out.with_provenance({"transform": "absorb_bias", "pair": [layer_n, layer_np1]})
 
-    ref = run_float(graph, batch).logits.data
-    new = run_float(out, batch).logits.data
+    ref = run_float(graph, batch).logits
+    new = run_float(out, batch).logits
     # logit fields cross zero, so "relative" is against the output scale
     scale = max(float(np.abs(ref).max()), 1e-30)
     rel = float(np.abs(new - ref).max()) / scale

@@ -1,4 +1,4 @@
-"""Dense tensor container and the deterministic forward kernels.
+"""The deterministic forward kernels and their operand type, :class:`Tensor`.
 
 All float kernels fix their accumulation order (row-major over Kh, Kw, Cin,
 bias added last) so that two runs — or a run and the naive quadruple-loop
@@ -12,7 +12,12 @@ op returns an NHWC view of (C, N, H, W) memory, as the integer path in
 new channel-major buffer, and ReLU and max-pool keep their input's layout,
 so no layer copies data between layouts and batch-norm's per-channel ops run
 over long contiguous rows. A :class:`Tensor` is its array, in the layout
-given: its shape and encoding are the array's shape and dtype.
+given: its shape and encoding are the array's shape and dtype. The public
+kernels (``conv2d_forward`` ... ``argmax_channels``) take and return
+Tensors; everywhere else, in the executor, the parameter sets
+(``model.ParamSet``) and the input batch, values are plain arrays. Both a
+Tensor and a parameter set refuse, as they are made, a dtype that no
+encoding in ``ENCODINGS`` holds and a zero extent (``check_encoded``).
 Parameters are C-contiguous.
 
 Every convolution of both numeric modes runs through one core,
@@ -89,25 +94,25 @@ class ShapeError(ValueError):
 _ENCODING_OF = {np.dtype(dtype): name for name, dtype in ENCODINGS.items()}
 
 
+def check_encoded(data: np.ndarray) -> None:
+    """Refuse an array whose dtype no encoding holds (``TypeError``) or with a zero
+    extent (``ShapeError``): the construction checks of a Tensor and a parameter set."""
+    if data.dtype not in _ENCODING_OF:
+        raise TypeError(f"no encoding holds dtype {data.dtype}; the encodings are "
+                        + ", ".join(f"{e} ({np.dtype(t)})" for e, t in ENCODINGS.items()))
+    if 0 in data.shape:
+        raise ShapeError(f"zero extent in shape {data.shape}")
+
+
 @dataclass
 class Tensor:
-    """An array, in any memory layout; its shape and element encoding are the array's."""
+    """A public kernel's operand or result: an array, in any memory layout, whose
+    shape and element encoding are the array's."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        if self.data.dtype not in _ENCODING_OF:
-            raise TypeError(f"no encoding holds dtype {self.data.dtype}; the encodings are "
-                            + ", ".join(f"{e} ({np.dtype(t)})" for e, t in ENCODINGS.items()))
-        if 0 in self.data.shape:
-            raise ShapeError(f"zero extent in shape {self.data.shape}")
-
-    @classmethod
-    def from_array(cls, array, encoding: str = "f32") -> "Tensor":
-        if encoding not in ENCODINGS:
-            raise ValueError(f"unknown encoding {encoding!r}; the encodings are "
-                             + ", ".join(ENCODINGS))
-        return cls(np.ascontiguousarray(array, dtype=ENCODINGS[encoding]))
+        check_encoded(self.data)
 
     @property
     def shape(self) -> tuple:
@@ -116,24 +121,6 @@ class Tensor:
     @property
     def encoding(self) -> str:
         return _ENCODING_OF[self.data.dtype]
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Flat row-major view; writes go through to the tensor.
-
-        Refused for a buffer that is not C-contiguous, such as a channel-major
-        activation, where no such view exists and a write would be lost."""
-        if not self.data.flags.c_contiguous:
-            raise ValueError(f"tensor of shape {self.shape} is not C-contiguous; "
-                             "it has no flat view")
-        return self.data.reshape(-1)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
 
 @dataclass

@@ -56,8 +56,8 @@ def single_conv_graph(kernel, bias, *, padding="same", stride=1,
                                         "padding": padding, "filters": cout},
                          ["input"])
     params = [
-        sf.ParamSet(1, "conv", "conv_kernel", sf.Tensor.from_array(kernel)),
-        sf.ParamSet(2, "conv", "conv_bias", sf.Tensor.from_array(bias)),
+        sf.ParamSet(1, "conv", "conv_kernel", kernel),
+        sf.ParamSet(2, "conv", "conv_bias", bias),
     ]
     meta = {"input_channels": input_channels or cin}
     return sf.ModelGraph([layer], params, cout, meta)
@@ -80,15 +80,14 @@ def chain_graph(dead_branch=False):
                                    [src]))
         kr, br = (("convtr_kernel", "convtr_bias") if kind == "conv2d_transpose"
                   else ("conv_kernel", "conv_bias"))
-        params.append(sf.ParamSet(0, name, kr, sf.Tensor.from_array(np.zeros((k, k, cin, cout)))))
-        params.append(sf.ParamSet(0, name, br, sf.Tensor.from_array(np.zeros(cout))))
+        params.append(sf.ParamSet(0, name, kr, np.zeros((k, k, cin, cout), np.float32)))
+        params.append(sf.ParamSet(0, name, br, np.zeros(cout, np.float32)))
 
     def block(tag, src, cin, cout):
         conv("conv2d", f"conv_{tag}", src, 3, cin, cout, stride=1, padding="same")
         layers.append(sf.LayerSpec("batchnorm", f"bn_{tag}", {}, [f"conv_{tag}"]))
         for role in ("bn_gamma", "bn_beta", "bn_mu", "bn_sigma"):
-            params.append(sf.ParamSet(0, f"bn_{tag}", role,
-                                      sf.Tensor.from_array(np.zeros(cout))))
+            params.append(sf.ParamSet(0, f"bn_{tag}", role, np.zeros(cout, np.float32)))
         layers.append(sf.LayerSpec("relu", f"relu_{tag}", {}, [f"bn_{tag}"]))
 
     def pool(name, src):

@@ -207,9 +207,9 @@ def protect_parameters_scalar(graph, pt, roles=None):
 
     params = (p for p in out.params if roleset is None or p.role in roleset)
     for p in params:
-        if p.tensor.encoding != "f32":
+        if p.encoding != "f32":
             continue
-        words = p.tensor.flat.view(np.uint32)
+        words = p.words
         records = []
         for idx in np.flatnonzero(bits.risky_mask(words)):
             idx, word = int(idx), int(words[idx])
@@ -229,7 +229,7 @@ def protect_parameters_scalar(graph, pt, roles=None):
                 rule = RULE_SKIP_OUTSIDE
             before = after = bits.bits_to_f32(word)
             if new_word != word:
-                p.tensor.flat.view(np.uint32)[idx] = new_word
+                p.words[idx] = new_word
                 after = bits.bits_to_f32(new_word)
             records.append(ProtectionRecord(
                 pset=p.index, element=idx, rule=rule,
@@ -324,9 +324,9 @@ def evaluate_protection_full_forward(original, protected, images, labels=None,
     faultless = {"original": score(original), "protected": score(protected)}
     rows = {}
     for p in original.params:
-        if p.tensor.encoding != "f32":
+        if p.encoding != "f32":
             continue
-        for element, value in enumerate(p.tensor.data.ravel()):
+        for element, value in enumerate(p.data.ravel()):
             kind = risky_class_struct(float(value))
             if kind == "none":
                 continue
@@ -392,18 +392,17 @@ SCALAR_WIDTH = {"f32": 32, "i8": 8, "i32": 32}
 
 def read_word_scalar(p, element):
     """An f32 element's word, or an integer element's signed value."""
-    flat = p.tensor.flat
-    if p.tensor.encoding == "f32":
-        return int(flat.view(np.uint32)[element])
-    return int(flat[element])
+    if p.encoding == "f32":
+        return int(p.words[element])
+    return int(p.data.flat[element])
 
 
 def flipped_scalar(p, word, bit):
-    if p.tensor.encoding == "f32":
+    if p.encoding == "f32":
         from seu_forge.bits import flip_bit_f32
         return flip_bit_f32(word, bit)
     from seu_forge.bits import flip_bit_int
-    return flip_bit_int(word, bit, SCALAR_WIDTH[p.tensor.encoding])
+    return flip_bit_int(word, bit, SCALAR_WIDTH[p.encoding])
 
 
 def decode_fault_scalar(graph, spec):
@@ -434,11 +433,11 @@ def global_fault_scalar(graph, flat):
     from seu_forge.faults import FaultSpec
 
     for p in graph.params:
-        width = SCALAR_WIDTH[p.tensor.encoding]
-        if flat < p.tensor.size * width:
+        width = SCALAR_WIDTH[p.encoding]
+        if flat < p.data.size * width:
             return FaultSpec(pset=p.index, element=flat // width, bit=flat % width,
-                             encoding=p.tensor.encoding)
-        flat -= p.tensor.size * width
+                             encoding=p.encoding)
+        flat -= p.data.size * width
     raise IndexError("address beyond the fault space")
 
 
@@ -448,4 +447,4 @@ def sweep_fault_scalar(p, bit_lo, bit_hi, flat):
 
     nbits = bit_hi - bit_lo + 1
     return FaultSpec(pset=p.index, element=flat // nbits, bit=bit_lo + flat % nbits,
-                     encoding=p.tensor.encoding)
+                     encoding=p.encoding)

@@ -136,13 +136,13 @@ def test_criterion_04_predictor_vs_oracle(model_a, images_a, batch_a, golden_a):
     start = time.time()
     shares = sf.golden_class_shares(golden_a.class_map, 4)
     bias = model_a.layer_params(model_a.output_layer.name)["conv_bias"]
-    signs = np.sign(bias.tensor.data.astype(np.float64))
+    signs = np.sign(bias.data.astype(np.float64))
     predicted = sf.predict_bit30_error(signs, shares)
     assert abs(predicted - 25.0) > 1.0  # seed chosen to exercise the mechanism
 
     work = model_a.copy()
     errors = []
-    for element in range(bias.tensor.size):  # exhaustive, not sampled
+    for element in range(bias.data.size):  # exhaustive, not sampled
         spec = sf.FaultSpec(pset=bias.index, element=element, bit=30, encoding="f32")
         outcome = sf.inject_and_measure(
             work, spec,
@@ -162,8 +162,8 @@ def test_criterion_04_predictor_vs_oracle(model_a, images_a, batch_a, golden_a):
 def test_criterion_05_bn_folding_equivalence(model_a, batch_a, golden_a):
     folded = sf.fold_bn(model_a)
     res = sf.run_float(folded, batch_a)
-    max_delta = float(np.abs(res.logits.data - golden_a.logits.data).max())
-    assert np.abs(golden_a.logits.data).max() < 1e3
+    max_delta = float(np.abs(res.logits - golden_a.logits).max())
+    assert np.abs(golden_a.logits).max() < 1e3
     assert max_delta <= 1e-4
     assert np.array_equal(res.class_map, golden_a.class_map)
     report(5, f"class maps identical on all 10 images; max |delta| {max_delta:.2e}")
@@ -224,7 +224,7 @@ def test_criterion_08_positive_bias_correlation():
 def test_criterion_09_protection_efficacy():
     g = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5)
     # plant the full spectrum of protectable states among natural candidates
-    flat = g.layer_params("conv2D")["conv_kernel"].tensor.flat
+    flat = g.layer_params("conv2D")["conv_kernel"].data.flat
     flat[0] = np.float32(1.995)
     flat[1] = np.float32(1.004)
     flat[2] = np.float32(-1.9992)
@@ -275,7 +275,7 @@ def test_criterion_10_reparameterization_equivalence():
 
     convs = [l.name for l in folded.layers if l.kind == "conv2d"]
     last, out_name = convs[-1], folded.output_layer.name
-    pre = sf.run_float(folded, batch, collect=(last,)).collected[last].data
+    pre = sf.run_float(folded, batch, collect=(last,)).collected[last]
     min_pre = pre.min(axis=(0, 1, 2))
     c = np.where(min_pre > 0,
                  2.0 ** np.floor(np.log2(np.maximum(min_pre, 1e-30))),

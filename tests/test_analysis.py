@@ -20,8 +20,7 @@ class TestPositiveRatio:
 
     def test_reference_quantized_biases(self):
         g = single_conv_graph(np.zeros((1, 1, 1, 6)), np.zeros(6), input_channels=1)
-        g.params[1].tensor = sf.Tensor.from_array(
-            np.array([-25983, 2355, -187, 300, -1494, 923], np.int32), "i32")
+        g.params[1].data = np.array([-25983, 2355, -187, 300, -1494, 923], np.int32)
         rows = positive_ratio_table(g, roles=("conv_bias",))
         assert rows[0]["positive"] == 3 and rows[0]["percent"] == pytest.approx(50.0)
 
@@ -76,9 +75,8 @@ class TestBitsNeeded:
     def _quantized_bias_graph(self, values):
         g = single_conv_graph(np.zeros((1, 1, 1, len(values))),
                               np.zeros(len(values)), input_channels=1)
-        g.params[0].tensor = sf.Tensor.from_array(
-            np.zeros((1, 1, 1, len(values)), np.int8), "i8")
-        g.params[1].tensor = sf.Tensor.from_array(np.asarray(values, np.int32), "i32")
+        g.params[0].data = np.zeros((1, 1, 1, len(values)), np.int8)
+        g.params[1].data = np.asarray(values, np.int32)
         g.metadata["flags"]["quantized"] = True
         return g
 
@@ -123,7 +121,7 @@ class TestCalibrationReport:
 
     def test_trace_counts_nan_inf(self, tiny_graph, tiny_inputs, tiny_batch):
         g = tiny_graph.copy()
-        g.layer_params("bn")["bn_gamma"].tensor.data[0] = np.nan
+        g.layer_params("bn")["bn_gamma"].data[0] = np.nan
         acts = calibration_report(g, tiny_inputs[0])["activations"]
         assert acts["bn"]["nan_count"] > 0
         assert acts[g.output_layer.name]["nan_count"] > 0
@@ -137,7 +135,7 @@ class TestCalibrationReport:
         # recorded before the pass freed it
         full = sf.run_float(tiny_graph, tiny_batch, collect=names)
         for name in names:
-            st = sf.LayerStats.of(full.collected[name].data)
+            st = sf.LayerStats.of(full.collected[name])
             assert acts[name] == st.to_dict()
 
     def test_reproducible(self, tiny_graph, tiny_inputs):
@@ -148,8 +146,8 @@ class TestCalibrationReport:
     def test_zero_input_zero_biases(self):
         g = sf.build_unet(2, 4, 3, 3)  # zero-initialized weights
         for p in g.params_of(roles=("bn_sigma",)):
-            p.tensor.data[...] = 1.0
-        x = [sf.Tensor.from_array(np.zeros((1, 8, 8, 3), np.float32))]
+            p.data[...] = 1.0
+        x = [np.zeros((1, 8, 8, 3), np.float32)]
         report = calibration_report(g, x)
         for name, st in report["activations"].items():
             assert st["min"] == 0.0 and st["max"] == 0.0
@@ -157,7 +155,7 @@ class TestCalibrationReport:
     def test_logit_extremes_contained(self, tiny_graph, tiny_inputs):
         report = calibration_report(tiny_graph, tiny_inputs[0])
         out_name = tiny_graph.output_layer.name
-        per_image = [sf.run_float(tiny_graph, x).logits.data for x in tiny_inputs[0]]
+        per_image = [sf.run_float(tiny_graph, x).logits for x in tiny_inputs[0]]
         lo = min(float(x.min()) for x in per_image)
         hi = max(float(x.max()) for x in per_image)
         assert report["activations"][out_name]["min"] == pytest.approx(lo)

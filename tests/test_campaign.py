@@ -387,7 +387,7 @@ class TestSweep:
         # NaN from a gamma flip poisons its whole channel map and from there
         # every downstream logit: 100% error on every image, every element
         g = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5)
-        gamma = g.layer_params("bn_1")["bn_gamma"].tensor
+        gamma = g.layer_params("bn_1")["bn_gamma"]
         gamma.data[...] = np.linspace(1.25, 1.75, gamma.data.size, dtype=np.float32)
         pset = g.layer_params("bn_1")["bn_gamma"].index
         plan = plan_single_bit_sweep(g, psets=[pset], bits=(30, 30),
@@ -516,12 +516,12 @@ class TestEveryFaultMeasured:
         graphs, batch = models
         graph = graphs[quantized]
         p = data.draw(st.sampled_from(graph.params_of((role,))))
-        encoding = p.tensor.encoding
+        encoding = p.encoding
         top = 7 if encoding == "i8" else 31
         # the sign bit and the top exponent bit are drawn often: they make
         # values negative or non-finite
         bit = data.draw(st.integers(0, top) | st.sampled_from([top - 1, top]))
-        spec = sf.FaultSpec(pset=p.index, element=data.draw(st.integers(0, p.tensor.size - 1)),
+        spec = sf.FaultSpec(pset=p.index, element=data.draw(st.integers(0, p.data.size - 1)),
                             bit=bit, encoding=encoding)
         outcome, = fault_outcomes(graph, [spec], batch)
         assert outcome.evaluation_error is None
@@ -559,8 +559,8 @@ class TestResumedFaultLoop:
         golden = run(graph, tiny_batch).class_map
 
         def spec(p, bit_from_top):
-            return sf.FaultSpec(pset=p.index, element=p.tensor.size // 3,
-                                bit=p.width - bit_from_top, encoding=p.tensor.encoding)
+            return sf.FaultSpec(pset=p.index, element=p.data.size // 3,
+                                bit=p.width - bit_from_top, encoding=p.encoding)
 
         biases = [p for p in graph.params if p.role in ("conv_bias", "convtr_bias")]
         first, middle, last = biases[0], biases[len(biases) // 2], biases[-1]
@@ -655,20 +655,20 @@ class TestEarlyExits:
     def graphs(self, images):
         from conftest import chain_graph
         g = chain_graph(dead_branch=True)
-        g.layer_params("bn_a")["bn_gamma"].tensor.data[1] = 1.5
-        g.layer_params("bn_b")["bn_gamma"].tensor.data[2] = 1.5
-        g.layer_params("conv_d")["conv_bias"].tensor.data[0] = 1.5
-        g.layer_params("conv_b")["conv_kernel"].tensor.data[..., 3] = 0.0
-        g.layer_params("conv_b")["conv_bias"].tensor.data[3] = -0.75
+        g.layer_params("bn_a")["bn_gamma"].data[1] = 1.5
+        g.layer_params("bn_b")["bn_gamma"].data[2] = 1.5
+        g.layer_params("conv_d")["conv_bias"].data[0] = 1.5
+        g.layer_params("conv_b")["conv_kernel"].data[..., 3] = 0.0
+        g.layer_params("conv_b")["conv_bias"].data[3] = -0.75
         for role, value in (("bn_gamma", 0.5), ("bn_beta", 0.0), ("bn_mu", 0.0)):
-            g.layer_params("bn_b")[role].tensor.data[3] = value
+            g.layer_params("bn_b")[role].data[3] = value
         return {"float": g, "quantized": sf.quantize_ptq(g, images)}
 
     @staticmethod
     def planted(graph):
         def spec(layer, role, element, bit):
             p = graph.layer_params(layer)[role]
-            return sf.FaultSpec(p.index, element, bit, p.tensor.encoding)
+            return sf.FaultSpec(p.index, element, bit, p.encoding)
         return [spec("bn_a", "bn_gamma", 1, 30), spec("bn_b", "bn_gamma", 2, 30),
                 spec("conv_b", "conv_bias", 3, 23), spec("conv_d", "conv_bias", 0, 30)]
 
@@ -678,9 +678,9 @@ class TestEarlyExits:
         specs = []
         for p in graph.params_of(roles=sf.DEFAULT_TARGET_ROLES):
             top = p.width - 1
-            for element in (p.tensor.size // 3, 2 * p.tensor.size // 3):
+            for element in (p.data.size // 3, 2 * p.data.size // 3):
                 for bit in (top, top - 1, top - 4, 1, 0):
-                    specs.append(sf.FaultSpec(p.index, element, bit, p.tensor.encoding))
+                    specs.append(sf.FaultSpec(p.index, element, bit, p.encoding))
         return specs
 
     @pytest.fixture
@@ -771,7 +771,7 @@ class TestEarlyExits:
         original = graphs["float"]
         protected, _ = protect_parameters(original, PT_LEVELS[2])
         # shift one logit, so the protected model's faultless maps differ from the original's
-        protected.layer_params("out")["conv_bias"].tensor.data[0] += np.float32(1.0)
+        protected.layer_params("out")["conv_bias"].data[0] += np.float32(1.0)
         protected_maps = sf.run_float(protected, sf.batch_inputs(images)).class_map
         scored = []     # (exit kind, the faultless maps it was scored with)
         real = campaign.Exit.class_maps
@@ -855,11 +855,11 @@ class TestDeadInputChannels:
         graph = graphs["float"].copy()
         batch = sf.batch_inputs(images)
         src = graph.layers[[l.name for l in graph.layers].index(layer)].inputs[0]
-        dead = sf.run_float(graph, batch, collect=[src]).collected[src].data
+        dead = sf.run_float(graph, batch, collect=[src]).collected[src]
         assert (dead[..., 0] == 0).all()
         kernel = graph.layer_params(layer)
         kernel = kernel.get("conv_kernel") or kernel["convtr_kernel"]
-        kernel.tensor.data[0, 0, 0, 0] = value     # reads input channel 0
+        kernel.data[0, 0, 0, 0] = value     # reads input channel 0
         spec = sf.FaultSpec(kernel.index, 0, 30, "f32")
         (faultless,), [((maps, failure),)] = run_fault_sets([graph], [[spec]], batch,
                                                             _class_maps)
@@ -894,16 +894,16 @@ class TestOneMeasuringPath:
     def graphs(self, images):
         from conftest import chain_graph
         g = chain_graph(dead_branch=True)
-        g.layer_params("bn_a")["bn_gamma"].tensor.data[1] = 1.5
-        g.layer_params("out")["conv_bias"].tensor.data[1] = 1.5
-        g.layer_params("up_2")["convtr_kernel"].tensor.data[..., 0] = 0.0
-        g.layer_params("up_2")["convtr_bias"].tensor.data[0] = 0.0
+        g.layer_params("bn_a")["bn_gamma"].data[1] = 1.5
+        g.layer_params("out")["conv_bias"].data[1] = 1.5
+        g.layer_params("up_2")["convtr_kernel"].data[..., 0] = 0.0
+        g.layer_params("up_2")["convtr_bias"].data[0] = 0.0
         return {"float": g, "quantized": sf.quantize_ptq(g, images)}
 
     @staticmethod
     def spec(graph, layer, role, element, bit):
         p = graph.layer_params(layer)[role]
-        return sf.FaultSpec(p.index, element, bit, p.tensor.encoding)
+        return sf.FaultSpec(p.index, element, bit, p.encoding)
 
     @staticmethod
     def exits(graph, images, fault_sets):
@@ -970,7 +970,7 @@ class TestOneMeasuringPath:
         from seu_forge.campaign import _errors, _score_chunk
         g = graphs["float"]
         shifted = g.copy()  # other faultless maps, the same parameter table
-        shifted.layer_params("out")["conv_bias"].tensor.data[0] += np.float32(1.0)
+        shifted.layer_params("out")["conv_bias"].data[0] += np.float32(1.0)
         top = g.layer_params("out")["conv_kernel"].width - 1
         sets = [[], [self.spec(g, "out", "conv_kernel", 0, top)],
                 [self.spec(g, "out", "conv_kernel", 2, 3)], []]

@@ -153,7 +153,7 @@ def test_inject_one_matches_full_forward_oracle(model_path, capsys, where):
     layers = [l.name for l in graph.layers if graph.layer_params(l.name)]
     layer = {"first": layers[0], "middle": layers[len(layers) // 2], "last": layers[-1]}[where]
     p = min(graph.layer_params(layer).values(), key=lambda p: p.index)
-    spec = sf.FaultSpec(p.index, p.tensor.size // 2, 30, p.tensor.encoding)
+    spec = sf.FaultSpec(p.index, p.data.size // 2, 30, p.encoding)
     assert run_cli("inject", "one", "--model", str(model_path), "--pset", str(p.index),
                    "--element", str(spec.element), "--bit", "30", "--images", "3",
                    "--image-size", "16") == 0
@@ -606,3 +606,32 @@ def test_protect_apply_refuses_a_missing_report_directory(model_path, tmp_path, 
                    "--pt", "2", "--report", str(report)) == 2
     assert capsys.readouterr().err == f"error: the directory of {str(report)!r} does not exist\n"
     assert not out.exists() and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["build", "sweep"])
+def test_out_of_memory_is_one_error_line(model_path, tmp_path, capsys, monkeypatch, command):
+    """A request too large to allocate (``model build --levels 40``, ``campaign
+    sweep --image-size 100000``) is one error line, exit 1, and writes
+    nothing. The allocation is stubbed to fail: the oversized request itself
+    is never made."""
+    from seu_forge import cli
+    out = tmp_path / "out"
+    if command == "build":
+        message = "Unable to allocate 16.0 TiB for an array with shape (3, 3, 1, 1)"
+        target = "build_unet"
+        argv = ("model", "build", "--out", str(out), "--levels", "40")
+    else:
+        message = ""  # a bare MemoryError has no message; its name is printed
+        target = "generate_calibration_set"
+        argv = ("campaign", "sweep", "--model", str(model_path), "--out-dir", str(out),
+                "--psets", "1", "--bits", "30", "30", "--n", "1", "--image-size", "100000")
+
+    def oversized(*args, **kwargs):
+        raise MemoryError(*([message] if message else []))
+
+    monkeypatch.setattr(cli, target, oversized)
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message or 'MemoryError'}\n"
+    assert not out.exists() and not tmp_path.joinpath("out.manifest.json").exists()

@@ -15,32 +15,32 @@ class TestFoldBn:
         g = sf.generate_toy_weights(g, 1)
         eps = np.float32(g.bn_epsilon)
         for p in g.params_of(roles=("bn_gamma",)):
-            p.tensor.data[...] = 1.0
+            p.data[...] = 1.0
         for p in g.params_of(roles=("bn_beta", "bn_mu")):
-            p.tensor.data[...] = 0.0
+            p.data[...] = 0.0
         for p in g.params_of(roles=("bn_sigma",)):
-            p.tensor.data[...] = np.float32(1.0) - eps
-        w_before = g.param(1).tensor.data.copy()
-        b_before = g.param(2).tensor.data.copy()
+            p.data[...] = np.float32(1.0) - eps
+        w_before = g.param(1).data.copy()
+        b_before = g.param(2).data.copy()
         folded = fold_bn(g)
-        assert np.allclose(folded.param(1).tensor.data, w_before, rtol=1e-6)
-        assert np.allclose(folded.param(2).tensor.data, b_before, atol=1e-6)
+        assert np.allclose(folded.param(1).data, w_before, rtol=1e-6)
+        assert np.allclose(folded.param(2).data, b_before, atol=1e-6)
 
     def test_hand_folded_values(self):
         # w=2, b=1, gamma=0.5, sigma=4, mu=1, beta=0.2 -> w_hat=0.5, b_hat=0.2
         g = sf.build_unet(2, 4, 3, 3)
         g.metadata["bn_epsilon"] = 1e-12
         ps = g.layer_params("conv2D")
-        ps["conv_kernel"].tensor.data[...] = 2.0
-        ps["conv_bias"].tensor.data[...] = 1.0
+        ps["conv_kernel"].data[...] = 2.0
+        ps["conv_bias"].data[...] = 1.0
         bn = g.layer_params("bn")
-        bn["bn_gamma"].tensor.data[...] = 0.5
-        bn["bn_sigma"].tensor.data[...] = 4.0
-        bn["bn_mu"].tensor.data[...] = 1.0
-        bn["bn_beta"].tensor.data[...] = 0.2
+        bn["bn_gamma"].data[...] = 0.5
+        bn["bn_sigma"].data[...] = 4.0
+        bn["bn_mu"].data[...] = 1.0
+        bn["bn_beta"].data[...] = 0.2
         folded = fold_bn(g)
-        assert folded.param(1).tensor.data.flat[0] == pytest.approx(0.5, rel=1e-6)
-        assert folded.param(2).tensor.data.flat[0] == pytest.approx(0.2, abs=1e-6)
+        assert folded.param(1).data.flat[0] == pytest.approx(0.5, rel=1e-6)
+        assert folded.param(2).data.flat[0] == pytest.approx(0.2, abs=1e-6)
 
     def test_removes_bn_and_rewires(self, tiny_graph):
         folded = fold_bn(tiny_graph)
@@ -55,7 +55,7 @@ class TestFoldBn:
             fold_bn(folded)
 
     def test_bn_without_conv_producer_rejected(self):
-        t = lambda a, enc="f32": sf.Tensor.from_array(np.asarray(a, np.float32))
+        t = lambda a: np.asarray(a, np.float32)
         layers = [
             sf.LayerSpec("conv2d", "c", {"kernel_size": 1, "stride": 1,
                                          "padding": "same", "filters": 2}, ["input"]),
@@ -78,7 +78,7 @@ class TestFoldBn:
         golden = sf.run_float(tiny_graph, tiny_batch)
         folded = fold_bn(tiny_graph)
         res = sf.run_float(folded, tiny_batch)
-        assert np.abs(res.logits.data - golden.logits.data).max() <= 1e-4
+        assert np.abs(res.logits - golden.logits).max() <= 1e-4
         assert np.array_equal(res.class_map, golden.class_map)
 
 
@@ -88,21 +88,21 @@ class TestQuantize:
         g = single_conv_graph(np.array([-1.0, 0.5, 1.0]).reshape(1, 1, 1, 3),
                               [0.0, 0.0, 0.0], input_channels=1)
         g.metadata["flags"] = {"pruned": False, "folded": True, "quantized": False}
-        inputs = [sf.Tensor.from_array(np.full((1, 2, 2, 1), v, np.float32))
+        inputs = [np.full((1, 2, 2, 1), v, np.float32)
                   for v in (0.0, 1.0)]
         q = quantize_ptq(g, inputs)
         table = q.metadata["quantization"]["params"]["1"]
         assert table["scale"] == pytest.approx(1 / 127)
-        assert q.param(1).tensor.data.reshape(-1).tolist() == [-127, 64, 127]
+        assert q.param(1).data.reshape(-1).tolist() == [-127, 64, 127]
 
     def test_zero_maps_to_zero(self):
         from conftest import single_conv_graph
         g = single_conv_graph(np.zeros((1, 1, 1, 2)), [0.0, 0.0], input_channels=1)
         g.metadata["flags"] = {"pruned": False, "folded": True, "quantized": False}
-        inputs = [sf.Tensor.from_array(np.ones((1, 2, 2, 1), np.float32))]
+        inputs = [np.ones((1, 2, 2, 1), np.float32)]
         q = quantize_ptq(g, inputs)
         assert q.metadata["quantization"]["params"]["1"]["degenerate"]
-        assert (q.param(1).tensor.data == 0).all()
+        assert (q.param(1).data == 0).all()
 
     def test_activation_range_skips_nonfinite_values(self):
         from conftest import single_conv_graph
@@ -110,7 +110,7 @@ class TestQuantize:
         g = single_conv_graph(np.array([1.0, -1.0]).reshape(1, 1, 1, 2), [0.5, 0.0],
                               input_channels=1)
         g.metadata["flags"] = {"pruned": False, "folded": True, "quantized": False}
-        inputs = [sf.Tensor.from_array(np.array(v, np.float32).reshape(1, 2, 2, 1))
+        inputs = [np.array(v, np.float32).reshape(1, 2, 2, 1)
                   for v in ([np.inf, 2.0, -3.0, np.nan], [-np.inf, 1.0, 0.0, 4.0])]
         activations = quantize_ptq(g, inputs).metadata["quantization"]["activations"]
         # the input and the conv output both hold +Inf, -Inf and NaN; the
@@ -122,9 +122,9 @@ class TestQuantize:
         q = quantize_ptq(tiny_graph, tiny_inputs[0])
         assert q.flags["quantized"] and q.flags["folded"]
         assert not any(l.kind == "batchnorm" for l in q.layers)
-        kinds = {p.tensor.encoding for p in q.params if "kernel" in p.role}
+        kinds = {p.encoding for p in q.params if "kernel" in p.role}
         assert kinds == {"i8"}
-        assert {p.tensor.encoding for p in q.params if "bias" in p.role} == {"i32"}
+        assert {p.encoding for p in q.params if "bias" in p.role} == {"i32"}
 
     def test_bias_scale_invariant(self, tiny_graph, tiny_inputs):
         q = quantize_ptq(tiny_graph, tiny_inputs[0])
@@ -154,8 +154,8 @@ class TestQuantize:
 
     def test_array_calibration_set_refused(self, tiny_graph, tiny_inputs):
         # one (N, H, W, C) array once failed on numpy's ambiguous truth value
-        stacked = sf.batch_inputs(tiny_inputs[0]).data
-        with pytest.raises(TypeError, match=r"4-D Tensors, got ndarray of shape \(16, 16, 3\)"):
+        stacked = sf.batch_inputs(tiny_inputs[0])
+        with pytest.raises(TypeError, match=r"4-D arrays, got ndarray of shape \(16, 16, 3\)"):
             quantize_ptq(tiny_graph, stacked)
 
     def test_double_quantize_rejected(self, tiny_graph, tiny_inputs):
@@ -174,24 +174,24 @@ class TestPrune:
         g = sf.build_unet(2, 4, 3, 3)
         g = sf.generate_toy_weights(g, 3)
         # make conv2D's first two filters tiny so they are pruned away
-        k = g.layer_params("conv2D")["conv_kernel"].tensor.data
+        k = g.layer_params("conv2D")["conv_kernel"].data
         k[..., 0] = 1e-6
         k[..., 1] = 1e-6
         pruned = prune_structured(g, keep_fraction=0.5)
         assert pruned.layer("conv2D").hyperparams["filters"] == 2
-        kept = pruned.layer_params("conv2D")["conv_kernel"].tensor.data
+        kept = pruned.layer_params("conv2D")["conv_kernel"].data
         assert np.array_equal(kept, k[..., 2:4])
         # downstream conv loses the matching input channels (its own filters
         # are pruned too, by original L1 rank)
-        down = pruned.layer_params("conv2D_1")["conv_kernel"].tensor
+        down = pruned.layer_params("conv2D_1")["conv_kernel"].data
         assert down.shape[2] == 2
-        orig = g.layer_params("conv2D_1")["conv_kernel"].tensor.data
+        orig = g.layer_params("conv2D_1")["conv_kernel"].data
         norms = np.abs(orig).sum(axis=(0, 1, 2))
         own_kept = np.sort(np.argsort(norms, kind="stable")[::-1][:2])
-        assert np.array_equal(down.data, orig[:, :, 2:4, :][:, :, :, own_kept])
+        assert np.array_equal(down, orig[:, :, 2:4, :][:, :, :, own_kept])
         # BN vectors sliced the same way
-        gam = pruned.layer_params("bn")["bn_gamma"].tensor.data
-        assert np.array_equal(gam, g.layer_params("bn")["bn_gamma"].tensor.data[2:4])
+        gam = pruned.layer_params("bn")["bn_gamma"].data
+        assert np.array_equal(gam, g.layer_params("bn")["bn_gamma"].data[2:4])
 
     def test_never_below_two_filters(self, tiny_graph):
         pruned = prune_structured(tiny_graph, keep_fraction=0.01)
@@ -202,7 +202,7 @@ class TestPrune:
     def test_output_conv_untouched(self, tiny_graph):
         pruned = prune_structured(tiny_graph, keep_fraction=0.5)
         out = pruned.output_layer
-        assert pruned.layer_params(out.name)["conv_bias"].tensor.size == \
+        assert pruned.layer_params(out.name)["conv_bias"].data.size == \
             tiny_graph.class_count
 
     def test_ninety_percent_removal_stays_valid(self):
@@ -210,8 +210,8 @@ class TestPrune:
         pruned = prune_structured(g, keep_fraction=0.1)
         shapes = infer_shapes(pruned, 32, 32)
         assert shapes[pruned.output_layer.name] == (1, 32, 32, 4)
-        before = sum(p.tensor.size for p in g.params)
-        after = sum(p.tensor.size for p in pruned.params)
+        before = sum(p.data.size for p in g.params)
+        after = sum(p.data.size for p in pruned.params)
         assert after < before * 0.2
 
     def test_forward_matches_when_pruned_filters_are_dead(self, tiny_batch):
@@ -219,12 +219,12 @@ class TestPrune:
         g = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 3)
         name = "conv2D_2"
         ps = g.layer_params(name)
-        k = ps["conv_kernel"].tensor.data
+        k = ps["conv_kernel"].data
         k[..., :2] = 0.0
-        ps["conv_bias"].tensor.data[:2] = -5.0  # ReLU-dead after BN? make harmless:
+        ps["conv_bias"].data[:2] = -5.0  # ReLU-dead after BN? make harmless:
         bn = g.layer_params("bn_2")
-        bn["bn_gamma"].tensor.data[:2] = 0.0
-        bn["bn_beta"].tensor.data[:2] = 0.0
+        bn["bn_gamma"].data[:2] = 0.0
+        bn["bn_beta"].data[:2] = 0.0
         golden = sf.run_float(g, tiny_batch)
         pruned = prune_structured(g, keep_fraction=0.5)
         res = sf.run_float(pruned, tiny_batch)
@@ -255,12 +255,12 @@ class TestSparseZero:
 
     def test_zeroes_nan_candidates(self, tiny_graph):
         g = tiny_graph.copy()
-        g.param(1).tensor.flat[0] = np.float32(1.5)
+        g.param(1).data.flat[0] = np.float32(1.5)
         out, count = sparse_zero(g, lambda v: (np.abs(v) >= 1.0) & (np.abs(v) < 2.0))
         assert count >= 1
         for p in out.params_of(roles=("conv_kernel", "conv_bias",
                                       "convtr_kernel", "convtr_bias")):
-            words = p.tensor.flat.view(np.uint32)
+            words = p.words
             exp = (words >> np.uint32(23)) & np.uint32(0xFF)
             assert not np.any(exp == 0x7F)  # no bit-30 NaN candidates left
 
@@ -269,10 +269,10 @@ class TestSparseZero:
         g = tiny_graph.copy()
         # a kernel weight of the first conv whose output channel is killed by
         # BN gamma=beta=0 contributes nothing; zeroing it changes no maps
-        g.layer_params("bn")["bn_gamma"].tensor.data[0] = 0.0
-        g.layer_params("bn")["bn_beta"].tensor.data[0] = 0.0
+        g.layer_params("bn")["bn_gamma"].data[0] = 0.0
+        g.layer_params("bn")["bn_beta"].data[0] = 0.0
         base = sf.run_float(g, tiny_batch)
-        target = g.layer_params("conv2D")["conv_kernel"].tensor.data[0, 0, 0, 0]
+        target = g.layer_params("conv2D")["conv_kernel"].data[0, 0, 0, 0]
         out, count = sparse_zero(g, lambda v: v == target)
         assert count >= 1
         res = sf.run_float(out, tiny_batch)
@@ -280,9 +280,9 @@ class TestSparseZero:
 
     def test_positive_zero_written(self, tiny_graph):
         g = tiny_graph.copy()
-        g.param(1).tensor.flat[0] = np.float32(-1.5)
+        g.param(1).data.flat[0] = np.float32(-1.5)
         out, _ = sparse_zero(g, lambda v: np.abs(v) == 1.5)
-        word = int(out.param(1).tensor.flat.view(np.uint32)[0])
+        word = int(out.param(1).words[0])
         assert word == 0  # +0.0, sign bit cleared
 
     def test_quantized_rejected(self, tiny_graph, tiny_inputs):
@@ -331,7 +331,7 @@ def test_transform_leaves_its_input_unchanged(name, tiny_inputs):
     out = TRANSFORMS[name](g, tiny_inputs[0])
     assert (sf.model_hash(g), json.dumps(g.metadata, sort_keys=True), g.layers) == before
     # nor can a later edit of the result reach the input
-    assert not any(np.shares_memory(p.tensor.data, q.tensor.data)
+    assert not any(np.shares_memory(p.data, q.data)
                    for p in g.params for q in out.params)
 
 
@@ -346,9 +346,9 @@ def test_transform_keeps_a_hand_built_set_order(name, tiny_inputs, tiny_batch):
         (1, "conv2D", "conv_bias"), (2, "conv2D", "conv_kernel")]
     assert [(p.index, p.role) for p in out.params[2:]] == [(p.index, p.role) for p in ref.params[2:]]
     for p in out.params:
-        assert np.array_equal(p.tensor.data, ref.layer_params(p.layer)[p.role].tensor.data)
+        assert np.array_equal(p.data, ref.layer_params(p.layer)[p.role].data)
     run = sf.run_quantized if out.flags["quantized"] else sf.run_float
-    assert np.array_equal(run(out, tiny_batch).logits.data, run(ref, tiny_batch).logits.data)
+    assert np.array_equal(run(out, tiny_batch).logits, run(ref, tiny_batch).logits)
     if name == "quantize_ptq":
         # the scale table entries follow the sets they scale
         table, ref_table = (g.metadata["quantization"]["params"] for g in (out, ref))

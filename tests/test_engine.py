@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import seu_forge as sf
 from seu_forge import engine, tensor
 from seu_forge.engine import _quantized_conv, _walk, run_float, run_quantized
-from seu_forge.tensor import BnParams, Tensor, _conv_grid, _depth_to_space, _stacked_taps
+from seu_forge.tensor import ENCODINGS, BnParams, Tensor, _conv_grid, _depth_to_space, _stacked_taps
 
 from conftest import single_conv_graph
 from oracles import (conv2d_quadruple_loop, convtr_scatter_add, eq5_scalar,
@@ -39,37 +39,37 @@ def _conv_transpose_int(x_shifted, kernel, bias, stride):
 
 
 def test_run_twice_identical_bits(tiny_graph, tiny_batch):
-    a = run_float(tiny_graph, tiny_batch).logits.data
-    b = run_float(tiny_graph, tiny_batch).logits.data
+    a = run_float(tiny_graph, tiny_batch).logits
+    b = run_float(tiny_graph, tiny_batch).logits
     assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
 def test_zeroed_model_gives_class_zero(tiny_graph, tiny_batch):
     g = tiny_graph.copy()
     for p in g.params:
-        p.tensor.data[...] = 0.0 if p.role != "bn_sigma" else 1.0
+        p.data[...] = 0.0 if p.role != "bn_sigma" else 1.0
     res = run_float(g, tiny_batch)
     assert (res.class_map == 0).all()
 
 
 def test_matches_manual_composition(tiny_graph, tiny_batch):
     """Forward pass equals composing tensor-core ops layer by layer."""
-    outputs = {"input": tiny_batch}
+    outputs = {"input": Tensor(tiny_batch)}
     eps = tiny_graph.bn_epsilon
     for layer in tiny_graph.layers:
         ins = [outputs[r] for r in layer.inputs]
         ps = tiny_graph.layer_params(layer.name)
         if layer.kind in ("conv2d", "output_conv"):
-            out = sf.conv2d_forward(ins[0], ps["conv_kernel"].tensor,
-                                    ps["conv_bias"].tensor.data,
+            out = sf.conv2d_forward(ins[0], Tensor(ps["conv_kernel"].data),
+                                    ps["conv_bias"].data,
                                     padding=layer.hyperparams["padding"])
         elif layer.kind == "conv2d_transpose":
-            out = sf.conv2d_transpose_forward(ins[0], ps["convtr_kernel"].tensor,
-                                              ps["convtr_bias"].tensor.data)
+            out = sf.conv2d_transpose_forward(ins[0], Tensor(ps["convtr_kernel"].data),
+                                              ps["convtr_bias"].data)
         elif layer.kind == "batchnorm":
             out = sf.batchnorm_forward(ins[0], BnParams(
-                ps["bn_gamma"].tensor.data, ps["bn_beta"].tensor.data,
-                ps["bn_mu"].tensor.data, ps["bn_sigma"].tensor.data, eps))
+                ps["bn_gamma"].data, ps["bn_beta"].data,
+                ps["bn_mu"].data, ps["bn_sigma"].data, eps))
         elif layer.kind == "relu":
             out = sf.relu(ins[0])
         elif layer.kind == "maxpool":
@@ -78,15 +78,15 @@ def test_matches_manual_composition(tiny_graph, tiny_batch):
             out = sf.concat_channels(ins[0], ins[1])
         outputs[layer.name] = out
     manual = outputs[tiny_graph.output_layer.name].data
-    engine = run_float(tiny_graph, tiny_batch).logits.data
+    engine = run_float(tiny_graph, tiny_batch).logits
     assert np.array_equal(manual.view(np.uint32), engine.view(np.uint32))
 
 
 def test_thread_interleaving_matches_serial(tiny_graph, tiny_inputs):
     inputs = tiny_inputs[0]
-    serial = [run_float(tiny_graph, x).logits.data for x in inputs]
+    serial = [run_float(tiny_graph, x).logits for x in inputs]
     with ThreadPoolExecutor(max_workers=4) as ex:
-        parallel = list(ex.map(lambda x: run_float(tiny_graph, x).logits.data, inputs))
+        parallel = list(ex.map(lambda x: run_float(tiny_graph, x).logits, inputs))
     for a, b in zip(serial, parallel):
         assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
@@ -95,18 +95,18 @@ def test_collect_survives_freed_activations(tiny_graph, tiny_batch):
     names = ["input"] + [layer.name for layer in tiny_graph.layers]
     full = run_float(tiny_graph, tiny_batch, collect=names)
     assert sorted(full.collected) == sorted(names)
-    assert full.collected["input"].data is tiny_batch.data
+    assert full.collected["input"] is tiny_batch
     first = tiny_graph.layers[0]
     ps = tiny_graph.layer_params(first.name)
-    direct = sf.conv2d_forward(tiny_batch, ps["conv_kernel"].tensor,
-                               ps["conv_bias"].tensor.data)
+    direct = sf.conv2d_forward(Tensor(tiny_batch), Tensor(ps["conv_kernel"].data),
+                               ps["conv_bias"].data)
     # each layer requested on its own, the rest freed along the way
     for name in (first.name, names[len(names) // 2], names[-2]):
         res = run_float(tiny_graph, tiny_batch, collect=(name,))
         assert list(res.collected) == [name]
-        got = res.collected[name].data
-        assert np.array_equal(got.view(np.uint32), full.collected[name].data.view(np.uint32))
-    got = run_float(tiny_graph, tiny_batch, collect=(first.name,)).collected[first.name].data
+        got = res.collected[name]
+        assert np.array_equal(got.view(np.uint32), full.collected[name].view(np.uint32))
+    got = run_float(tiny_graph, tiny_batch, collect=(first.name,)).collected[first.name]
     assert np.array_equal(got.view(np.uint32), direct.data.view(np.uint32))
 
 
@@ -117,15 +117,15 @@ def test_every_float_activation_is_channel_major(tiny_graph, tiny_batch):
     assert {"conv2d", "conv2d_transpose", "batchnorm", "relu", "maxpool", "concat"} <= kinds
     res = run_float(tiny_graph, tiny_batch, collect=[l.name for l in tiny_graph.layers])
     for name, value in [*res.collected.items(), ("logits", res.logits)]:
-        assert value.data.transpose(3, 0, 1, 2).flags.c_contiguous, name
+        assert value.transpose(3, 0, 1, 2).flags.c_contiguous, name
 
 
 def test_quantized_logits_are_channel_major(tiny_graph, tiny_inputs, tiny_batch):
     """The dequantized logits keep the int8 logits' channel-major layout, as
     float mode's do, and the class maps are those of a row-major copy."""
     res = run_quantized(sf.quantize_ptq(tiny_graph, tiny_inputs[0]), tiny_batch)
-    assert res.logits.data.transpose(3, 0, 1, 2).flags.c_contiguous
-    row_major = Tensor.from_array(res.logits.data)
+    assert res.logits.transpose(3, 0, 1, 2).flags.c_contiguous
+    row_major = Tensor(np.ascontiguousarray(res.logits))
     assert row_major.data.flags.c_contiguous
     assert np.array_equal(res.class_map, tensor.argmax_channels(row_major))
 
@@ -152,12 +152,12 @@ def test_conv_defaults_match_explicit_hyperparams(tiny_graph, tiny_inputs, tiny_
             assert all(dropped[l.kind] not in l.hyperparams
                        for l in other.layers if l.kind in dropped)
             assert sf.infer_shapes(other, 16, 16, 6) == sf.infer_shapes(graph, 16, 16, 6)
-            got, want = run(other, tiny_batch).logits.data, run(graph, tiny_batch).logits.data
+            got, want = run(other, tiny_batch).logits, run(graph, tiny_batch).logits
             assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 def test_rejects_wrong_input_channels(tiny_graph):
-    bad = Tensor.from_array(np.zeros((1, 16, 16, 5), np.float32))
+    bad = np.zeros((1, 16, 16, 5), np.float32)
     with pytest.raises(sf.ShapeError):
         run_float(tiny_graph, bad)
 
@@ -288,8 +288,8 @@ def quantized_conv_graph(q_w, q_b, stride, padding, s_w, s_x, z_x, s_y, z_y):
     kh, _, cin, cout = q_w.shape
     layer = sf.LayerSpec("conv2d", "conv", {"kernel_size": kh, "stride": stride,
                                             "padding": padding, "filters": cout}, ["input"])
-    params = [sf.ParamSet(1, "conv", "conv_kernel", Tensor.from_array(q_w, "i8")),
-              sf.ParamSet(2, "conv", "conv_bias", Tensor.from_array(q_b, "i32"))]
+    params = [sf.ParamSet(1, "conv", "conv_kernel", np.ascontiguousarray(q_w, np.int8)),
+              sf.ParamSet(2, "conv", "conv_bias", np.ascontiguousarray(q_b, np.int32))]
     meta = {
         "input_channels": cin,
         "flags": {"pruned": False, "folded": True, "quantized": True},
@@ -430,8 +430,8 @@ class TestSharedZeros:
         k = rng.normal(size=size + (2, 3)).astype(np.float32)
         b = rng.normal(size=3).astype(np.float32)
         batch, joined = self.batch_and_joined(
-            lambda images: sf.conv2d_forward(Tensor.from_array(images), Tensor.from_array(k),
-                                             b, stride, padding).data, x)
+            lambda images: sf.conv2d_forward(Tensor(np.ascontiguousarray(images, np.float32)),
+                                             Tensor(k), b, stride, padding).data, x)
         with np.errstate(over="ignore", invalid="ignore"):
             ref = conv2d_quadruple_loop(x, k, b, stride=stride, padding=padding)
         for want in (joined, ref):
@@ -530,7 +530,7 @@ class TestReluMaxpoolRescale:
                 entries[layer.name]["zero_point"] -= 20
         assert min(entries[l.name]["zero_point"] for l in lowered.layers) >= -128
         ours, want = run_quantized(lowered, tiny_batch), run_quantized(q, tiny_batch)
-        assert ours.logits.data.tobytes() == want.logits.data.tobytes()
+        assert ours.logits.tobytes() == want.logits.tobytes()
         assert np.array_equal(ours.class_map, want.class_map)
 
 
@@ -542,8 +542,8 @@ class TestQuantizedConvTranspose:
         kh, _, cin, cout = q_w.shape
         layer = sf.LayerSpec("conv2d_transpose", "up",
                              {"kernel_size": kh, "stride": kh, "filters": cout}, ["input"])
-        params = [sf.ParamSet(1, "up", "convtr_kernel", Tensor.from_array(q_w, "i8")),
-                  sf.ParamSet(2, "up", "convtr_bias", Tensor.from_array(q_b, "i32"))]
+        params = [sf.ParamSet(1, "up", "convtr_kernel", np.ascontiguousarray(q_w, np.int8)),
+                  sf.ParamSet(2, "up", "convtr_bias", np.ascontiguousarray(q_b, np.int32))]
         meta = {
             "input_channels": cin,
             "flags": {"pruned": False, "folded": True, "quantized": True},
@@ -611,7 +611,7 @@ class TestQuantizedConvTranspose:
         g = self.graph(q_w, np.zeros(2, np.int32), 1.0, 1.0, 0, 1.0, 0)
         g.metadata["quantization"][section][name] = entry
         with pytest.raises(ValueError, match=message):
-            run_quantized(g, Tensor.from_array(np.zeros((1, 2, 2, 3), np.float32)))
+            run_quantized(g, np.zeros((1, 2, 2, 3), np.float32))
 
 
 
@@ -625,8 +625,8 @@ class TestConvTransposeOneCore:
         kh, _, cin, cout = k.shape
         layer = sf.LayerSpec("conv2d_transpose", "up",
                              {"kernel_size": kh, "stride": kh, "filters": cout}, ["input"])
-        params = [sf.ParamSet(1, "up", "convtr_kernel", Tensor.from_array(k)),
-                  sf.ParamSet(2, "up", "convtr_bias", Tensor.from_array(b))]
+        params = [sf.ParamSet(1, "up", "convtr_kernel", np.ascontiguousarray(k, np.float32)),
+                  sf.ParamSet(2, "up", "convtr_bias", np.ascontiguousarray(b, np.float32))]
         return sf.ModelGraph([layer], params, cout, {"input_channels": cin})
 
     @staticmethod
@@ -716,9 +716,8 @@ class TestQuantizedEngine:
         g = single_conv_graph(np.zeros((1, 1, 1, 1)), [0.0])
         params = [
             sf.ParamSet(1, "conv", "conv_kernel",
-                        Tensor.from_array(np.array(q_w, np.int8).reshape(1, 1, 1, 1), "i8")),
-            sf.ParamSet(2, "conv", "conv_bias",
-                        Tensor.from_array(np.array(q_b, np.int32), "i32")),
+                        np.array(q_w, np.int8).reshape(1, 1, 1, 1)),
+            sf.ParamSet(2, "conv", "conv_bias", np.array(q_b, np.int32)),
         ]
         meta = {
             "input_channels": 1,
@@ -734,21 +733,21 @@ class TestQuantizedEngine:
 
     def test_eq5_identity_case_through_engine(self):
         g = self._mini_quantized_graph([2], [1], 1.0, 1.0, 0, 1.0, 0)
-        x = Tensor.from_array(np.full((1, 1, 1, 1), 3.0, np.float32))
+        x = np.full((1, 1, 1, 1), 3.0, np.float32)
         res = run_quantized(g, x)
-        assert res.logits.data.reshape(-1)[0] == 7.0
+        assert res.logits.reshape(-1)[0] == 7.0
 
     def test_eq5_zero_point_case_through_engine(self):
         g = self._mini_quantized_graph([2], [0], 1.0, 1.0, 1, 1.0, 0)
         # input 4.0 quantizes to q_x = 4/1 + 1 = 5; q_y = 2*5 - 1*2 = 8
-        x = Tensor.from_array(np.full((1, 1, 1, 1), 4.0, np.float32))
-        assert run_quantized(g, x).logits.data.reshape(-1)[0] == 8.0
+        x = np.full((1, 1, 1, 1), 4.0, np.float32)
+        assert run_quantized(g, x).logits.reshape(-1)[0] == 8.0
 
     def test_requantization_saturates(self):
         g = self._mini_quantized_graph([100], [0], 1.0, 1.0, 0, 1.0, 0)
-        x = Tensor.from_array(np.full((1, 1, 1, 1), 100.0, np.float32))
+        x = np.full((1, 1, 1, 1), 100.0, np.float32)
         # accumulator 100*100 = 10000 saturates to 127 at the int8 output
-        assert run_quantized(g, x).logits.data.reshape(-1)[0] == 127.0
+        assert run_quantized(g, x).logits.reshape(-1)[0] == 127.0
 
     def test_requantization_range_property(self):
         from seu_forge.engine import _round_half_even_clip_i8
@@ -808,9 +807,9 @@ class TestFrontierResume:
             return None
         p = params[0]
         # f32: scale by 2**+-16, large but finite; ints: a high magnitude bit
-        bit = 27 if p.tensor.encoding == "f32" else p.width - 2
-        return sf.FaultSpec(pset=p.index, element=p.tensor.size // 2, bit=bit,
-                            encoding=p.tensor.encoding)
+        bit = 27 if p.encoding == "f32" else p.width - 2
+        return sf.FaultSpec(pset=p.index, element=p.data.size // 2, bit=bit,
+                            encoding=p.encoding)
 
     @staticmethod
     def values(frontier):
@@ -821,7 +820,7 @@ class TestFrontierResume:
         graphs, batch = model_b
         graph = graphs[quantized].copy()
         run = run_quantized if quantized else run_float
-        golden = run(graph, batch).logits.data
+        golden = run(graph, batch).logits
         frontiers = list(islice(_walk(graph, batch), len(graph.layers)))
         assert [f.start for f in frontiers] == list(range(len(graph.layers)))
         faulted = changed = 0
@@ -835,10 +834,10 @@ class TestFrontierResume:
             finally:
                 if token is not None:
                     sf.revert(graph, token)
-            assert np.array_equal(resumed.logits.data.view(np.uint32),
-                                  full.logits.data.view(np.uint32)), layer.name
+            assert np.array_equal(resumed.logits.view(np.uint32),
+                                  full.logits.view(np.uint32)), layer.name
             assert np.array_equal(resumed.class_map, full.class_map), layer.name
-            changed += not np.array_equal(full.logits.data, golden)
+            changed += not np.array_equal(full.logits, golden)
         assert changed >= faulted // 2  # the faults reach the logits
 
     @pytest.mark.parametrize("quantized", [False, True])
@@ -872,8 +871,8 @@ class TestFrontierResume:
         graph = graphs[False]
         *_, frontier = islice(_walk(graph, batch), 5 + 1)
         late = graph.layers[5].name
-        resumed = run_float(graph, frontier, collect=(late,)).collected[late].data
-        full = run_float(graph, batch, collect=(late,)).collected[late].data
+        resumed = run_float(graph, frontier, collect=(late,)).collected[late]
+        full = run_float(graph, batch, collect=(late,)).collected[late]
         assert np.array_equal(resumed.view(np.uint32), full.view(np.uint32))
 
 
@@ -886,8 +885,8 @@ class TestChannelRestriction:
         graph = chain_graph(dead_branch=True)
         # a faulted copy: a huge kernel weight and a NaN gamma in channel 2
         faulted = graph.copy()
-        faulted.layer_params("conv_b")["conv_kernel"].tensor.data[1, 1, 0, 2] = 3.0e38
-        faulted.layer_params("bn_a")["bn_gamma"].tensor.data[2] = np.nan
+        faulted.layer_params("conv_b")["conv_kernel"].data[1, 1, 0, 2] = 3.0e38
+        faulted.layer_params("bn_a")["bn_gamma"].data[2] = np.nan
         inputs, _ = sf.generate_calibration_set((16, 16, 4), count=2, seed=7, class_count=4)
         quantized = sf.quantize_ptq(graph, inputs)
         return {"float": graph, "faulted": faulted, "quantized": quantized}, \
@@ -1003,21 +1002,28 @@ class TestInputEdge:
     def test_wrong_channel_count_refused(self, models, run, channels):
         # a quantized graph once read an 8-channel batch as if it had 4 channels
         # and returned class maps; a 2-channel one failed inside numpy
-        batch = Tensor.from_array(np.random.default_rng(channels).random(
-            (2, 16, 16, channels), dtype=np.float32))
+        batch = np.random.default_rng(channels).random((2, 16, 16, channels), dtype=np.float32)
         with pytest.raises(sf.ShapeError, match="input channels 4"):
             run(models[run], batch)
 
     @pytest.mark.parametrize("run", [run_float, run_quantized])
-    def test_array_batch_refused(self, models, run):
-        # an array batch once failed on its missing ``encoding`` (AttributeError)
-        with pytest.raises(TypeError, match="the input batch must be a Tensor, got ndarray"):
-            run(models[run], np.zeros((1, 16, 16, 4), np.float32))
+    def test_non_array_batch_refused(self, models, run):
+        # the batch is a plain array; a Tensor, or a list, is refused by its type
+        batch = np.zeros((1, 16, 16, 4), np.float32)
+        for item, got in ((Tensor(batch), "Tensor"), (batch.tolist(), "list")):
+            with pytest.raises(TypeError, match=f"the input batch must be an f32 \\(float32\\) "
+                                                f"ndarray, got {got}$"):
+                run(models[run], item)
+
+    @pytest.mark.parametrize("run", [run_float, run_quantized])
+    def test_zero_extent_batch_refused(self, models, run):
+        with pytest.raises(sf.ShapeError, match=r"zero extent in input shape \(0, 16, 16, 4\)"):
+            run(models[run], np.zeros((0, 16, 16, 4), np.float32))
 
     @pytest.mark.parametrize("run", [run_float, run_quantized])
     def test_non_f32_batch_refused(self, models, run):
         with pytest.raises(TypeError, match="f32"):
-            run(models[run], Tensor.from_array(np.zeros((1, 16, 16, 4)), "i8"))
+            run(models[run], np.zeros((1, 16, 16, 4), np.int8))
 
     @pytest.mark.parametrize("run, kind", [(run_float, "gelu"), (run_quantized, "gelu"),
                                            (run_quantized, "batchnorm")])
@@ -1028,7 +1034,7 @@ class TestInputEdge:
         graph.layers[-1] = sf.LayerSpec(kind, last.name, last.hyperparams, last.inputs)
         name = "quantized" if run is run_quantized else "float"
         calls = self.spy_ops(monkeypatch, run)
-        batch = Tensor.from_array(np.zeros((1, 16, 16, 4), np.float32))
+        batch = np.zeros((1, 16, 16, 4), np.float32)
         with pytest.raises(ValueError, match=f"layer kind '{kind}' not supported in {name} mode"):
             run(graph, batch)
         with pytest.raises(ValueError, match="not supported"):
@@ -1063,8 +1069,8 @@ class TestInputEdge:
 
     @staticmethod
     def recode(p, encoding):
-        assert (p.role, p.tensor.encoding) in {("conv_bias", "f32"), ("bn_gamma", "f32")}
-        p.tensor = Tensor.from_array(np.round(p.tensor.data), encoding)
+        assert (p.role, p.encoding) in {("conv_bias", "f32"), ("bn_gamma", "f32")}
+        p.data = np.round(p.data).astype(ENCODINGS[encoding])
 
     def unfit(self, models, case):
         run, message, edit = self.UNFIT[case]
@@ -1076,7 +1082,7 @@ class TestInputEdge:
     def test_unfit_graph_refused_before_any_op(self, models, monkeypatch, case):
         run, message, graph = self.unfit(models, case)
         calls = self.spy_ops(monkeypatch, run)
-        batch = Tensor.from_array(np.zeros((1, 16, 16, 4), np.float32))
+        batch = np.zeros((1, 16, 16, 4), np.float32)
         with pytest.raises(ValueError, match=message):
             run(graph, batch)
         assert calls == []
@@ -1096,8 +1102,8 @@ class TestInputEdge:
                             or real(g, chain, *rest))
         # faults in the first layer's kernel, whose exits come before any later layer runs
         kernel = graph.param(1)
-        sets = [[sf.FaultSpec(1, element, 1, kernel.tensor.encoding)] for element in (0, 5)]
-        batch = Tensor.from_array(np.zeros((1, 16, 16, 4), np.float32))
+        sets = [[sf.FaultSpec(1, element, 1, kernel.encoding)] for element in (0, 5)]
+        batch = np.zeros((1, 16, 16, 4), np.float32)
         with pytest.raises(ValueError, match=message):
             campaign.run_fault_sets([graph], sets, batch, campaign._errors)
         assert exits == []
@@ -1124,7 +1130,7 @@ class TestKernelLargerThanPaddedInput:
         if run is run_quantized:
             calibration, _ = sf.generate_calibration_set((8, 8, 2), count=2, seed=1)
             graph = sf.quantize_ptq(graph, calibration)
-        batch = Tensor.from_array(rng.normal(size=(images, 2, 2, 2)))
+        batch = rng.normal(size=(images, 2, 2, 2)).astype(np.float32)
         with pytest.raises(sf.ShapeError, match=rf"kernel \(3, 3, 2, 3\) larger than padded "
                                                 rf"input \({images}, 2, 2, 2\)"):
             run(graph, batch)

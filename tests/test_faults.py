@@ -26,10 +26,9 @@ def _graph_with_values(values, encoding="f32"):
     g = single_conv_graph(np.zeros((1, 1, 1, len(values))), np.zeros(len(values)),
                           input_channels=1)
     if encoding != "f32":
-        g.layer_params("conv")["conv_bias"].tensor = sf.Tensor.from_array(bias, encoding)
-        g.params[1].tensor = g.layer_params("conv")["conv_bias"].tensor
+        g.params[1].data = bias
     else:
-        g.params[1].tensor.data[...] = bias
+        g.params[1].data[...] = bias
     return g
 
 
@@ -70,15 +69,15 @@ class TestApplyRevert:
     def test_same_element_double_fault(self, tiny_graph):
         from seu_forge import bits
         work = tiny_graph.copy()
-        flat = work.param(1).tensor.flat
-        original = int(flat.view(np.uint32)[0])
+        words = work.param(1).words
+        original = int(words[0])
         t1 = apply_fault(work, FaultSpec(1, 0, 30, "f32"))
         t2 = apply_fault(work, FaultSpec(1, 0, 23, "f32"))
         expected = bits.flip_bit_f32(bits.flip_bit_f32(original, 30), 23)
-        assert int(flat.view(np.uint32)[0]) == expected
+        assert int(words[0]) == expected
         revert(work, t2)
         revert(work, t1)
-        assert int(flat.view(np.uint32)[0]) == original
+        assert int(words[0]) == original
 
     def test_validation(self, tiny_graph):
         work = tiny_graph.copy()
@@ -96,7 +95,7 @@ class TestApplyRevert:
         work = g.copy()
         before = sf.model_hash(work)
         token = apply_fault(work, FaultSpec(2, 0, 31, "i32"))
-        assert work.param(2).tensor.flat[0] == -25983 + 2**31
+        assert work.param(2).data.flat[0] == -25983 + 2**31
         revert(work, token)
         assert sf.model_hash(work) == before
 
@@ -104,10 +103,10 @@ class TestApplyRevert:
 class TestOutcomeDecoding:
     def test_nan_inf_flags(self, tiny_graph):
         work = tiny_graph.copy()
-        work.param(1).tensor.flat[0] = np.float32(1.5)
+        work.param(1).data.flat[0] = np.float32(1.5)
         out = inject_and_measure(work, FaultSpec(1, 0, 30, "f32"), lambda g: [])
         assert out.produced_nan and not out.produced_inf
-        work.param(1).tensor.flat[0] = np.float32(1.0)
+        work.param(1).data.flat[0] = np.float32(1.0)
         out = inject_and_measure(work, FaultSpec(1, 0, 30, "f32"), lambda g: [])
         assert out.produced_inf and out.magnitude_increased
 
@@ -127,17 +126,17 @@ class TestOutcomeDecoding:
         from seu_forge.campaign import fault_outcomes
         work = tiny_graph.copy()
         bias = work.param(2)
-        assert bias.role == "conv_bias" and bias.tensor.size == 4
-        bias.tensor.flat[:] = [1.0, -1.0, 1.5, 0.0]
+        assert bias.role == "conv_bias" and bias.data.size == 4
+        bias.data.flat[:] = [1.0, -1.0, 1.5, 0.0]
         plan = sf.plan_single_bit_sweep(work, psets=[2], bits=(30, 31),
                                         injections_per_target=8)
         outcomes = sf.run_single_bit_sweep(work, plan, tiny_inputs[0]).outcomes
         assert {"nan", "inf", "-inf", "-0.0"} <= {repr(o.faulty_value) for o in outcomes}
         q = sf.quantize_ptq(tiny_graph, tiny_inputs[0])
         kernel, qbias = q.param(1), q.param(2)
-        assert (kernel.tensor.encoding, qbias.tensor.encoding) == ("i8", "i32")
+        assert (kernel.encoding, qbias.encoding) == ("i8", "i32")
         outcomes += fault_outcomes(q, [FaultSpec(1, 0, 7, "i8"), FaultSpec(2, 0, 31, "i32"),
-                                       FaultSpec(1, kernel.tensor.size, 0, "i8")], tiny_batch)
+                                       FaultSpec(1, kernel.data.size, 0, "i8")], tiny_batch)
         assert outcomes[-1].evaluation_error is not None
         assert math.isnan(outcomes[-1].original_value)
         for o in outcomes:
@@ -190,14 +189,14 @@ class TestFaultSpace:
         q = sf.quantize_ptq(tiny_graph, tiny_inputs[0])
         kern = next(p for p in q.params if p.role == "conv_kernel")
         bias = q.layer_params(kern.layer)["conv_bias"]
-        expected = kern.tensor.size * 8 + bias.tensor.size * 32
+        expected = kern.data.size * 8 + bias.data.size * 32
         assert fault_space_size(q, psets=[kern.index, bias.index]) == expected
 
     def test_hand_sized_mix(self):
         # i8 kernel of 100 elements + i32 bias of 4 -> 100*8 + 4*32 = 928
         g = single_conv_graph(np.zeros((5, 5, 1, 4)), np.zeros(4), input_channels=1)
-        g.params[0].tensor = sf.Tensor.from_array(np.zeros((5, 5, 1, 4), np.int8), "i8")
-        g.params[1].tensor = sf.Tensor.from_array(np.zeros(4, np.int32), "i32")
+        g.params[0].data = np.zeros((5, 5, 1, 4), np.int8)
+        g.params[1].data = np.zeros(4, np.int32)
         assert fault_space_size(g, psets=[1, 2]) == 928
 
     def test_empty_filter(self, tiny_graph):
@@ -206,7 +205,7 @@ class TestFaultSpace:
     def test_default_roles_exclude_mu_sigma(self, tiny_graph):
         full = fault_space_size(tiny_graph, roles=sf.ROLES)
         default = fault_space_size(tiny_graph)
-        mu_sigma = sum(p.tensor.size * 32
+        mu_sigma = sum(p.data.size * 32
                        for p in tiny_graph.params_of(roles=("bn_mu", "bn_sigma")))
         assert full - default == mu_sigma
 
@@ -273,7 +272,7 @@ ELEMENTS = {
 def _one_set_graph(encoding, values):
     g = single_conv_graph(np.zeros((1, 1, 1, 1)), np.zeros(1), input_channels=1)
     dtype = {"f32": np.float32, "i8": np.int8, "i32": np.int32}[encoding]
-    g.params[0].tensor = sf.Tensor.from_array(np.array(values, dtype), encoding)
+    g.params[0].data = np.array(values, dtype)
     return g
 
 
@@ -295,7 +294,7 @@ def test_word_path_matches_the_scalar_path(data):
     bit = data.draw(st.integers(0, SCALAR_WIDTH[encoding] - 1))
     g = _one_set_graph(encoding, values)
     p, spec = g.param(1), FaultSpec(1, element, bit, encoding)
-    before = p.tensor.data.tobytes()
+    before = p.data.tobytes()
     old = read_word_scalar(p, element)
 
     assert _fields(decode_fault(g, spec)) == _fields(decode_fault_scalar(g, spec))
@@ -303,22 +302,22 @@ def test_word_path_matches_the_scalar_path(data):
     assert token.original_word == old & ((1 << SCALAR_WIDTH[encoding]) - 1)
     assert read_word_scalar(p, element) == flipped_scalar(p, old, bit)
     others = [i for i in range(3) if i != element]
-    assert p.tensor.flat[others].tobytes() == np.frombuffer(
-        before, p.tensor.data.dtype)[others].tobytes()
+    assert p.data.flat[others].tobytes() == np.frombuffer(
+        before, p.data.dtype)[others].tobytes()
     revert(g, token)
-    assert p.tensor.data.tobytes() == before
+    assert p.data.tobytes() == before
 
 
 class TestFaultAddresses:
     def test_mixed_integer_space_matches_the_scalar_decode(self, tiny_graph, tiny_inputs):
         q = sf.quantize_ptq(tiny_graph, tiny_inputs[0])
-        assert {p.tensor.encoding for p in q.params} >= {"i8", "i32"}
+        assert {p.encoding for p in q.params} >= {"i8", "i32"}
         space, size = fault_space(q.params)
         assert size == fault_space_size(q, psets=[p.index for p in q.params])
         edges, start = [], 0
         for p in q.params:
             edges += [start - 1, start, start + 1]
-            start += p.tensor.size * SCALAR_WIDTH[p.tensor.encoding]
+            start += p.data.size * SCALAR_WIDTH[p.encoding]
         assert start == size
         rng = np.random.Generator(np.random.PCG64(3))
         flats = [f for f in edges + [size - 1] if 0 <= f < size]
@@ -335,6 +334,6 @@ class TestFaultAddresses:
         p = graph.param(pset)
         assert bits[1] < p.width
         space, size = fault_space([p], bits)
-        assert size == p.tensor.size * (bits[1] - bits[0] + 1)
+        assert size == p.data.size * (bits[1] - bits[0] + 1)
         assert [fault_at(space, f) for f in range(size)] == \
             [sweep_fault_scalar(p, *bits, f) for f in range(size)]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ def test_unet_full_scale_parameter_count():
     # 5 levels, 32 base filters, 6 classes, 25 channels: the full-scale
     # configuration totals 31.13M parameters (31.1M-class model)
     g = sf.build_unet(5, 32, 6, 25)
-    count = sum(p.tensor.size for p in g.params)
+    count = sum(p.data.size for p in g.params)
     assert count == 31_125_062
     # p-index bookkeeping at full scale: 23 convs, 22 BNs, 5 transposed convs
     assert len(g.params) == 2 * 23 + 4 * 22 + 2 * 5
@@ -30,7 +31,7 @@ def test_unet_structure_and_pindex_convention():
     assert sum(1 for l in g.layers if l.kind == "maxpool") == 2
     assert sum(1 for l in g.layers if l.kind == "conv2d_transpose") == 2
     assert g.output_layer.kind == "output_conv"
-    assert g.layer_params(g.output_layer.name)["conv_bias"].tensor.size == 3
+    assert g.layer_params(g.output_layer.name)["conv_bias"].data.size == 3
 
 
 def test_pset_count_formula():
@@ -58,7 +59,7 @@ def test_shape_inference_refuses_a_valid_kernel_larger_than_its_input():
     with pytest.raises(sf.ShapeError, match="conv2D: kernel"):
         infer_shapes(g, 2, 2, 2)
     with pytest.raises(sf.ShapeError, match="kernel"):
-        sf.run_float(g, sf.Tensor.from_array(np.zeros((2, 2, 2, 3), np.float32)))
+        sf.run_float(g, np.zeros((2, 2, 2, 3), np.float32))
 
 
 def test_a_valid_conv_model_saves_and_loads(tmp_path):
@@ -68,10 +69,9 @@ def test_a_valid_conv_model_saves_and_loads(tmp_path):
     g = single_conv_graph(kernel, [0.5, -0.25], padding="valid")
     sf.save_model(g, tmp_path / "valid.sfm")
     back = sf.load_model(tmp_path / "valid.sfm")
-    batch = sf.Tensor.from_array(np.linspace(-1, 1, 5 * 5 * 2, dtype=np.float32)
-                                 .reshape(1, 5, 5, 2))
-    assert np.array_equal(sf.run_float(back, batch).logits.data,
-                          sf.run_float(g, batch).logits.data)
+    batch = np.linspace(-1, 1, 5 * 5 * 2, dtype=np.float32).reshape(1, 5, 5, 2)
+    assert np.array_equal(sf.run_float(back, batch).logits,
+                          sf.run_float(g, batch).logits)
 
 
 def test_build_validation():
@@ -124,17 +124,17 @@ class TestToyWeights:
         g = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 7)
         eps = g.bn_epsilon
         for p in g.params_of(roles=("bn_sigma",)):
-            assert (p.tensor.data > 0.01 - 1e-6).all()
-            assert (p.tensor.data < 1.0).all()
-            gamma = g.layer_params(p.layer)["bn_gamma"].tensor.data
-            u = gamma / np.sqrt(p.tensor.data + np.float32(eps))
+            assert (p.data > 0.01 - 1e-6).all()
+            assert (p.data < 1.0).all()
+            gamma = g.layer_params(p.layer)["bn_gamma"].data
+            u = gamma / np.sqrt(p.data + np.float32(eps))
             assert (u > 0.45).all() and (u < 1.55).all()
 
     def test_raw_gamma_range(self):
         g = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 7,
                                     gamma_range=(1.0, 2.0), gamma_mode="raw")
         for p in g.params_of(roles=("bn_gamma",)):
-            assert (p.tensor.data >= 1.0).all() and (p.tensor.data < 2.0).all()
+            assert (p.data >= 1.0).all() and (p.data < 2.0).all()
 
     def test_span_fractions_cover_range(self):
         g = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 7,
@@ -161,7 +161,7 @@ class TestCalibrationSet:
         a, la = sf.generate_calibration_set((16, 16, 3), count=4, seed=9, class_count=3)
         b, lb = sf.generate_calibration_set((16, 16, 3), count=4, seed=9, class_count=3)
         for x, y in zip(a, b):
-            assert np.array_equal(x.data, y.data)
+            assert np.array_equal(x, y)
         for x, y in zip(la, lb):
             assert np.array_equal(x, y)
 
@@ -181,19 +181,26 @@ class TestBatchInputs:
         inputs, _ = sf.generate_calibration_set((8, 8, 3), count=3, seed=2)
         batch = sf.batch_inputs(inputs)
         assert batch.shape == (3, 8, 8, 3)
-        assert np.array_equal(batch.data[1:2], inputs[1].data)
+        assert np.array_equal(batch[1:2], inputs[1])
+
+    def test_casts_into_one_c_contiguous_float32_array(self):
+        inputs, _ = sf.generate_calibration_set((8, 8, 3), count=2, seed=2)
+        channel_major = np.ascontiguousarray(inputs[1].transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+        batch = sf.batch_inputs([inputs[0].astype(np.float64), channel_major])
+        assert batch.dtype == np.float32 and batch.flags.c_contiguous
+        assert batch.tobytes() == np.concatenate(inputs).tobytes()
 
     @pytest.mark.parametrize("item, got", [
         # arrays were once read through ``.data``, a memoryview, and ten
         # (64, 64, 4) images became one (640, 64, 4) batch
         (np.zeros((8, 8, 3), np.float32), r"ndarray of shape \(8, 8, 3\)"),
-        (np.zeros((1, 8, 8, 3), np.float32), r"ndarray of shape \(1, 8, 8, 3\)"),
-        (sf.Tensor.from_array(np.zeros((8, 8, 3))), r"Tensor of shape \(8, 8, 3\)"),
+        (sf.Tensor(np.zeros((1, 8, 8, 3), np.float32)), r"Tensor of shape \(1, 8, 8, 3\)"),
+        (sf.Tensor(np.zeros((8, 8, 3), np.float32)), r"Tensor of shape \(8, 8, 3\)"),
         ([1.0], "list"),
-    ], ids=["hwc-array", "nhwc-array", "hwc-tensor", "list"])
+    ], ids=["hwc-array", "nhwc-tensor", "hwc-tensor", "list"])
     def test_an_item_that_is_not_a_4d_tensor_is_refused(self, item, got):
         inputs, _ = sf.generate_calibration_set((8, 8, 3), count=1, seed=2)
-        with pytest.raises(TypeError, match=f"stacked from 4-D Tensors, got {got}$"):
+        with pytest.raises(TypeError, match=f"stacked from 4-D arrays, got {got}$"):
             sf.batch_inputs([inputs[0], item])
 
     def test_empty_list_keeps_numpys_message(self):
@@ -276,9 +283,9 @@ def test_pindex_stable_across_save_load(tiny_graph, tmp_path):
     sf.save_model(tiny_graph, path)
     back = sf.load_model(path)
     for p, q in zip(tiny_graph.params, back.params):
-        assert (p.index, p.layer, p.role, p.tensor.shape) == \
-               (q.index, q.layer, q.role, q.tensor.shape)
-        assert np.array_equal(p.tensor.data, q.tensor.data)
+        assert (p.index, p.layer, p.role, p.data.shape) == \
+               (q.index, q.layer, q.role, q.data.shape)
+        assert np.array_equal(p.data, q.data)
 
 
 def test_sets_listed_out_of_order_are_held_in_index_order(tmp_path):
@@ -370,6 +377,21 @@ class TestContainerRefusals:
         with pytest.raises(FormatError, match="offset, nbytes or shape"):
             sf.load_model(path)
 
+    def test_zero_extent_param_is_a_format_error(self, tiny_graph, tmp_path, capsys):
+        """A set whose shape holds a 0 (and so 0 bytes) is refused among the
+        entry's field checks, naming the file, and ``model info`` prints one
+        error line."""
+        from seu_forge.cli import main
+        path = tmp_path / "model.sfm"
+        sf.save_model(tiny_graph, path)
+        self.rewrite(path, lambda m: m["params"][1].update(shape=[0], nbytes=0))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: p2 "):
+            sf.load_model(path)
+        assert main(["model", "info", "--model", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {path}: p2 ")
+
     @pytest.mark.parametrize("key,value", [("blob_size", "big"), ("params", {"p1": 1}),
                                            ("layers", 3)])
     def test_manifest_field_of_wrong_type(self, tiny_graph, tmp_path, key, value):
@@ -455,10 +477,10 @@ class TestContainerRefusals:
     def test_kernel_shape_disagreeing_with_graph(self, tiny_graph, tmp_path):
         # conv2D_1 reads conv2D's 4 channels; a 5-channel kernel used to load
         # and fail only in inference
-        wide = sf.Tensor.from_array(np.zeros((3, 3, 5, 4), dtype=np.float32))
+        wide = np.zeros((3, 3, 5, 4), dtype=np.float32)
         params = [sf.ParamSet(p.index, p.layer, p.role,
                               wide if (p.layer, p.role) == ("conv2D_1", "conv_kernel")
-                              else p.tensor)
+                              else p.data)
                   for p in tiny_graph.params]
         path = tmp_path / "model.sfm"
         sf.save_model(sf.ModelGraph(tiny_graph.layers, params, tiny_graph.class_count,
@@ -544,4 +566,4 @@ class TestQuantizationTables:
         sf.save_model(edited, path)
         back = sf.load_model(path)
         assert back.metadata["quantization"] == edited.metadata["quantization"]
-        assert sf.run_quantized(back, tiny_batch).logits.data.shape[:3] == (6, 16, 16)
+        assert sf.run_quantized(back, tiny_batch).logits.shape[:3] == (6, 16, 16)

@@ -104,7 +104,7 @@ class TestProtectionTarget:
 class TestProtectParameters:
     def _planted_graph(self):
         g = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5)
-        flat = g.layer_params("conv2D")["conv_kernel"].tensor.flat
+        flat = g.layer_params("conv2D")["conv_kernel"].data.flat
         flat[0] = np.float32(1.99951)    # PT1 full-mantissa case
         flat[1] = np.float32(1.0)        # PT1 empty-mantissa case
         flat[2] = np.float32(0.75)       # non-protectable
@@ -114,12 +114,12 @@ class TestProtectParameters:
     def test_spec_increment_example(self):
         g = self._planted_graph()
         prot, report = protect_parameters(g, PT_LEVELS[1])
-        assert prot.layer_params("conv2D")["conv_kernel"].tensor.flat[0] == 2.0
+        assert prot.layer_params("conv2D")["conv_kernel"].data.flat[0] == 2.0
 
     def test_spec_decrement_example(self):
         g = self._planted_graph()
         prot, report = protect_parameters(g, PT_LEVELS[1])
-        v = prot.layer_params("conv2D")["conv_kernel"].tensor.flat[1]
+        v = prot.layer_params("conv2D")["conv_kernel"].data.flat[1]
         assert v == np.float32(0.99999994)
         word = int(np.asarray(v, np.float32).view(np.uint32))
         assert bits.exponent_field(word) == 0x7E
@@ -128,7 +128,7 @@ class TestProtectParameters:
     def test_non_protectable_untouched(self):
         g = self._planted_graph()
         prot, report = protect_parameters(g, PT_LEVELS[1])
-        assert prot.layer_params("conv2D")["conv_kernel"].tensor.flat[2] == 0.75
+        assert prot.layer_params("conv2D")["conv_kernel"].data.flat[2] == 0.75
         recs = {(r.pset, r.element): r for r in report.records}
         rec = recs[(1, 2)]
         assert rec.rule == "skipped non-protectable"
@@ -136,7 +136,7 @@ class TestProtectParameters:
     def test_negative_value_sign_untouched(self):
         g = self._planted_graph()
         prot, _ = protect_parameters(g, PT_LEVELS[1])
-        assert prot.layer_params("conv2D")["conv_kernel"].tensor.flat[3] == -2.0
+        assert prot.layer_params("conv2D")["conv_kernel"].data.flat[3] == -2.0
 
     def test_risky_count_never_increases(self):
         g = self._planted_graph()
@@ -200,7 +200,7 @@ class TestEvaluateProtection:
         g = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5)
         # convtr biases are zeroed: no candidates in the targeted roles
         for p in g.params_of(roles=("convtr_bias",)):
-            p.tensor.data[...] = 0.0
+            p.data[...] = 0.0
         prot, report = protect_parameters(g, PT_LEVELS[4], roles=("convtr_bias",))
         assert not report.applied()
         ev = evaluate_protection(g, prot, tiny_inputs[0], bit_filter={30})
@@ -210,7 +210,7 @@ class TestEvaluateProtection:
 
     def test_planted_gamma_nan_eliminated(self, tiny_inputs):
         g = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5)
-        gamma = g.layer_params("bn")["bn_gamma"].tensor
+        gamma = g.layer_params("bn")["bn_gamma"]
         gamma.data[...] = np.float32(1.9995)  # all full-risky, PT2-protectable
         prot, report = protect_parameters(g, PT_LEVELS[2], roles=("bn_gamma",))
         assert len(report.applied()) >= gamma.data.size
@@ -231,14 +231,14 @@ class TestEvaluateProtection:
 class TestReconditionBn:
     def test_pow2_move_preserves_function(self, tiny_graph, tiny_batch):
         g = tiny_graph.copy()
-        g.layer_params("bn")["bn_gamma"].tensor.data[0] = np.float32(1.0005)
+        g.layer_params("bn")["bn_gamma"].data[0] = np.float32(1.0005)
         out, report = recondition_bn(g)
         assert report["channels_changed"] >= 1
         assert report["risky_after"] <= report["risky_before"]
         a = sf.run_float(g, tiny_batch)
         b = sf.run_float(out, tiny_batch)
-        scale = np.abs(a.logits.data).max()
-        assert np.abs(a.logits.data - b.logits.data).max() <= 1e-6 * scale
+        scale = np.abs(a.logits).max()
+        assert np.abs(a.logits - b.logits).max() <= 1e-6 * scale
         assert np.array_equal(a.class_map, b.class_map)
 
     def test_joint_move_algebra(self):
@@ -252,10 +252,10 @@ class TestReconditionBn:
 
     def test_risky_gamma_moved_out(self):
         g = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5)
-        gamma = g.layer_params("bn")["bn_gamma"].tensor
+        gamma = g.layer_params("bn")["bn_gamma"]
         gamma.data[0] = np.float32(1.0005)
         out, _ = recondition_bn(g)
-        new_word = int(out.layer_params("bn")["bn_gamma"].tensor.flat.view(np.uint32)[0])
+        new_word = int(out.layer_params("bn")["bn_gamma"].words[0])
         assert not classify_candidate(new_word).candidate
 
     def test_rejects_folded(self, tiny_graph):
@@ -271,10 +271,10 @@ class TestReconditionBn:
         risky gamma as it was; 3e37 still rescales by 2."""
         g = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5)
         ps = g.layer_params("bn")
-        ps["bn_gamma"].tensor.data[0] = np.float32(1.5)
-        ps["bn_sigma"].tensor.data[0] = np.float32(variance)
+        ps["bn_gamma"].data[0] = np.float32(1.5)
+        ps["bn_sigma"].data[0] = np.float32(variance)
         out, report = recondition_bn(g)
-        assert out.layer_params("bn")["bn_gamma"].tensor.data[0] == np.float32(gamma)
+        assert out.layer_params("bn")["bn_gamma"].data[0] == np.float32(gamma)
         scales = [c["scale"] for c in report["changes"]
                   if (c["layer"], c["channel"]) == ("bn", 0)]
         assert scales == ([] if gamma == 1.5 else [2.0])
@@ -285,11 +285,11 @@ class TestReconditionBn:
         its risky gamma as it was, as does a variance of -eps."""
         g = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5)
         ps = g.layer_params("bn")
-        ps["bn_gamma"].tensor.data[:2] = np.float32(1.5)
-        ps["bn_sigma"].tensor.data[:2] = [-1.0, -g.bn_epsilon]
+        ps["bn_gamma"].data[:2] = np.float32(1.5)
+        ps["bn_sigma"].data[:2] = [-1.0, -g.bn_epsilon]
         sf.save_model(g, tmp_path / "m.sfm")
         out, report = recondition_bn(sf.load_model(tmp_path / "m.sfm"))
-        assert out.layer_params("bn")["bn_gamma"].tensor.data[:2].tolist() == [1.5, 1.5]
+        assert out.layer_params("bn")["bn_gamma"].data[:2].tolist() == [1.5, 1.5]
         assert not [c for c in report["changes"] if c["layer"] == "bn" and c["channel"] < 2]
 
 
@@ -297,24 +297,24 @@ class TestCLE:
     def test_all_ones_identity(self, tiny_graph, tiny_batch):
         folded = sf.fold_bn(tiny_graph)
         out = cross_layer_equalize(folded, np.ones(4, np.float32), "conv2D", "conv2D_1")
-        a = sf.run_float(folded, tiny_batch).logits.data
-        b = sf.run_float(out, tiny_batch).logits.data
+        a = sf.run_float(folded, tiny_batch).logits
+        b = sf.run_float(out, tiny_batch).logits
         assert np.array_equal(a, b)
 
     def test_pow2_scales_bit_exact(self, tiny_graph, tiny_batch):
         folded = sf.fold_bn(tiny_graph)
         s = np.array([2.0, 0.5, 4.0, 1.0], np.float32)
         out = cross_layer_equalize(folded, s, "conv2D", "conv2D_1")
-        a = sf.run_float(folded, tiny_batch).logits.data
-        b = sf.run_float(out, tiny_batch).logits.data
+        a = sf.run_float(folded, tiny_batch).logits
+        b = sf.run_float(out, tiny_batch).logits
         assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
     def test_scalar_pair_equivalence(self, tiny_graph, tiny_batch):
         folded = sf.fold_bn(tiny_graph)
         s = np.full(4, 3.0, np.float32)  # non-pow2: fp tolerance applies
         out = cross_layer_equalize(folded, s, "conv2D", "conv2D_1")
-        a = sf.run_float(folded, tiny_batch).logits.data
-        b = sf.run_float(out, tiny_batch).logits.data
+        a = sf.run_float(folded, tiny_batch).logits
+        b = sf.run_float(out, tiny_batch).logits
         assert np.abs(a - b).max() <= 1e-6 * max(1.0, np.abs(a).max())
 
     def test_negative_scale_rejected(self, tiny_graph):
@@ -351,15 +351,15 @@ class TestAbsorbBias:
 
     def test_zero_amounts_identity(self, folded, tiny_inputs, tiny_batch):
         n, n1 = self._pair(folded)
-        cout = folded.layer_params(n)["conv_bias"].tensor.size
+        cout = folded.layer_params(n)["conv_bias"].data.size
         out = absorb_bias(folded, np.zeros(cout, np.float32), n, n1, tiny_inputs[0])
-        a = sf.run_float(folded, tiny_batch).logits.data
-        b = sf.run_float(out, tiny_batch).logits.data
+        a = sf.run_float(folded, tiny_batch).logits
+        b = sf.run_float(out, tiny_batch).logits
         assert np.array_equal(a, b)
 
     def test_valid_absorption_preserves_maps(self, folded, tiny_inputs, tiny_batch):
         n, n1 = self._pair(folded)
-        pre = sf.run_float(folded, tiny_batch, collect=(n,)).collected[n].data
+        pre = sf.run_float(folded, tiny_batch, collect=(n,)).collected[n]
         min_pre = pre.min(axis=(0, 1, 2))
         c = np.where(min_pre > 0,
                      2.0 ** np.floor(np.log2(np.maximum(min_pre, 1e-30))),
@@ -371,18 +371,18 @@ class TestAbsorbBias:
         # the bias actually moved
         if (c > 0).any():
             assert not np.array_equal(
-                folded.layer_params(n)["conv_bias"].tensor.data,
-                out.layer_params(n)["conv_bias"].tensor.data)
+                folded.layer_params(n)["conv_bias"].data,
+                out.layer_params(n)["conv_bias"].data)
 
     def test_violation_refused_with_channels(self, folded, tiny_inputs):
         n, n1 = self._pair(folded)
-        cout = folded.layer_params(n)["conv_bias"].tensor.size
+        cout = folded.layer_params(n)["conv_bias"].data.size
         with pytest.raises(AbsorptionError, match="channels"):
             absorb_bias(folded, np.full(cout, 100.0, np.float32), n, n1, tiny_inputs[0])
 
     def test_negative_amounts_refused(self, folded, tiny_inputs):
         n, n1 = self._pair(folded)
-        cout = folded.layer_params(n)["conv_bias"].tensor.size
+        cout = folded.layer_params(n)["conv_bias"].data.size
         with pytest.raises(AbsorptionError, match="negative"):
             absorb_bias(folded, np.full(cout, -0.5, np.float32), n, n1, tiny_inputs[0])
 
@@ -400,7 +400,7 @@ class TestAbsorbBias:
             sf.LayerSpec("output_conv", "o", {"kernel_size": 1, "stride": 1,
                                               "padding": "same", "filters": 2}, ["a"]),
         ]
-        t = lambda arr: sf.Tensor.from_array(np.asarray(arr, np.float32))
+        t = lambda arr: np.asarray(arr, np.float32)
         params = [
             sf.ParamSet(1, "a", "conv_kernel", t(rng.normal(size=(1, 1, 3, 3)))),
             sf.ParamSet(2, "a", "conv_bias", t(rng.normal(size=3))),
@@ -439,10 +439,10 @@ def test_protection_records_and_risky_scan_bytes_are_pinned(tmp_path):
 def test_evaluation_matches_full_forward_oracle(tiny_graph, tiny_inputs):
     from oracles import evaluate_protection_full_forward
     graph = tiny_graph.copy()
-    graph.layer_params("bn_1")["bn_gamma"].tensor.data[::2] = np.float32(1.9995)
+    graph.layer_params("bn_1")["bn_gamma"].data[::2] = np.float32(1.9995)
     # partial-risky biases: danger bit 29 (exponent 0x3F) and 28 (exponent 0x5F)
     for layer in ("conv2D_3", graph.output_layer.name):
-        bias = graph.layer_params(layer)["conv_bias"].tensor.data
+        bias = graph.layer_params(layer)["conv_bias"].data
         bias[::2] = np.float32(1.5 * 2.0 ** -64)
         bias[1::2] = np.float32(-1.9995 * 2.0 ** -32)
     prot, _ = protect_parameters(graph, PT_LEVELS[2])
@@ -457,9 +457,9 @@ def test_evaluation_matches_full_forward_oracle(tiny_graph, tiny_inputs):
 def _planted_risky(graph):
     """A copy of ``graph`` with risky values planted at danger bits 30, 29 and 28."""
     graph = graph.copy()
-    graph.layer_params("bn_1")["bn_gamma"].tensor.data[::2] = np.float32(1.9995)
+    graph.layer_params("bn_1")["bn_gamma"].data[::2] = np.float32(1.9995)
     for layer in ("conv2D_3", graph.output_layer.name):
-        bias = graph.layer_params(layer)["conv_bias"].tensor.data
+        bias = graph.layer_params(layer)["conv_bias"].data
         bias[::2] = np.float32(1.5 * 2.0 ** -64)
         bias[1::2] = np.float32(-1.9995 * 2.0 ** -32)
     return graph
@@ -648,7 +648,7 @@ def test_protection_matches_the_element_loop(target, roles, data):
     prot, report = protect_parameters(graph, target, roles=roles)
     expected, oracle = protect_parameters_scalar(graph, target, roles=roles)
     for p, q in zip(prot.params, expected.params):
-        assert p.tensor.flat.tobytes() == q.tensor.flat.tobytes()
+        assert p.data.tobytes() == q.data.tobytes()
     assert [_record_fields(r) for r in report.records] == \
         [_record_fields(r) for r in oracle.records]
     assert [r.to_json() for r in report.records] == [r.to_json() for r in oracle.records]
@@ -663,7 +663,7 @@ def test_evaluation_targets_are_the_danger_bits(bit_filter, data, tiny_inputs):
     import seu_forge.protect as protect
     graph = _word_graph(data)
     expected = [(p.index, element, bit)
-                for p in graph.params for element, value in enumerate(p.tensor.flat)
+                for p in graph.params for element, value in enumerate(p.data.flat)
                 for bit in [danger_bit_struct(value)]
                 if bit is not None and (bit_filter is None or bit in bit_filter)]
     seen = []
@@ -734,14 +734,14 @@ def _gap_graph(data):
 
     def f32(words, size, shape):
         drawn = data.draw(st.lists(words, min_size=size, max_size=size))
-        return sf.Tensor.from_array(np.array(drawn, np.uint32).view(np.float32).reshape(shape))
+        return np.array(drawn, np.uint32).view(np.float32).reshape(shape)
 
     def risky_among(size, shape):
-        tensor = f32(WORDS, size, shape)
-        tensor.flat.view(np.uint32)[data.draw(st.integers(0, size - 1))] = data.draw(
+        values = f32(WORDS, size, shape)
+        values.view(np.uint32).flat[data.draw(st.integers(0, size - 1))] = data.draw(
             st.builds(assemble_f32, SIGNS, st.sampled_from(RISKY_EXPONENTS),
                       st.integers(0, bits.F32_MANT_MASK)))
-        return tensor
+        return values
 
     layers = [sf.LayerSpec("conv2d", "a", {"kernel_size": 1, "stride": 1, "padding": "same",
                                            "filters": mid}, ["input"]),
@@ -776,7 +776,7 @@ def test_record_lines_are_the_json_of_the_records(target, build, data):
     prot, report = protect_parameters(graph, target)
     expected, _ = protect_parameters_scalar(graph, target)
     for p, q in zip(prot.params, expected.params):
-        assert p.tensor.flat.tobytes() == q.tensor.flat.tobytes()
+        assert p.data.tobytes() == q.data.tobytes()
     records = list(report.records)
     if build is _gap_graph:
         assert {1, 3} <= {r.pset for r in records} and 2 not in {r.pset for r in records}

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import seu_forge.tensor as tensor
+from seu_forge.model import ParamSet
 from seu_forge.tensor import (ENCODINGS, INVALID_CLASS, BnParams, ShapeError, Tensor,
                               argmax_channels, batchnorm_forward,
                               concat_channels, conv2d_forward,
@@ -16,7 +17,7 @@ from oracles import bn_scalar, conv2d_quadruple_loop, convtr_scatter_add
 
 
 def t(a):
-    return Tensor.from_array(np.asarray(a, dtype=np.float32))
+    return Tensor(np.ascontiguousarray(a, dtype=np.float32))
 
 
 class TestConv2d:
@@ -350,18 +351,21 @@ class TestConcatArgmax:
 
 
 class TestTensorContainer:
+    """A Tensor and a parameter set each hold one array, refused as they are made
+    if no encoding holds its dtype or it has a zero extent; a parameter set's
+    ``words`` is its write-through unsigned view."""
+
     def test_invariants(self):
         with pytest.raises(TypeError):
             Tensor(np.zeros(4, np.float16))
-        with pytest.raises(ValueError):
-            Tensor.from_array(np.zeros(4, np.float32), "f16")
+        with pytest.raises(ShapeError):
+            Tensor(np.zeros(0, np.float32))
 
     @given(st.sampled_from(sorted(ENCODINGS)), st.sampled_from(("c", "channel_major", "strided")),
            st.data())
     @settings(max_examples=60, deadline=None)
     def test_a_tensor_is_its_array(self, encoding, layout, data):
-        """The plain constructor wraps any array in its own layout, with no copy;
-        ``from_array`` copies it into C order, byte for byte."""
+        """The constructor wraps any array in its own layout, with no copy."""
         n, h, w, c = data.draw(hnp.array_shapes(min_dims=4, max_dims=4, max_side=4))
         a = data.draw(hnp.arrays(ENCODINGS[encoding], (n, h, 2 * w, c)))
         if layout == "channel_major":
@@ -370,11 +374,8 @@ class TestTensorContainer:
             a = a[:, :, ::2]
         x = Tensor(a)
         assert x.data is a
-        assert x.shape == a.shape and x.size == a.size
+        assert x.shape == a.shape
         assert np.dtype(ENCODINGS[x.encoding]) == a.dtype
-        y = Tensor.from_array(a, encoding)
-        assert y.data.flags.c_contiguous
-        assert y.data.shape == a.shape and y.data.tobytes() == a.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float64, np.int16, np.bool_])
     def test_refuses_a_dtype_no_encoding_holds(self, dtype):
@@ -385,35 +386,50 @@ class TestTensorContainer:
         with pytest.raises(ShapeError, match=r"zero extent in shape \(1, 0, 2, 1\)"):
             Tensor(np.zeros((1, 0, 2, 1), np.float32))
 
-    def test_from_array_refuses_an_unknown_encoding(self):
-        with pytest.raises(ValueError, match="unknown encoding 'f16'; the encodings are "
-                                             "f32, i8, i32"):
-            Tensor.from_array(np.zeros(4, np.float32), "f16")
+    @pytest.mark.parametrize("dtype", [np.float16, np.float64, np.int16, np.bool_])
+    def test_param_set_refuses_a_dtype_no_encoding_holds(self, dtype):
+        with pytest.raises(TypeError, match=f"dtype {np.dtype(dtype)}.*f32 .*i8 .*i32 "):
+            ParamSet(1, "conv", "conv_bias", np.zeros(2, dtype))
+
+    def test_param_set_refuses_a_zero_extent(self):
+        with pytest.raises(ShapeError, match=r"zero extent in shape \(3, 3, 0, 4\)"):
+            ParamSet(1, "conv", "conv_kernel", np.zeros((3, 3, 0, 4), np.float32))
+
+    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+    def test_param_set_encoding_and_width_are_its_dtypes(self, encoding):
+        p = ParamSet(1, "conv", "conv_bias", np.zeros(3, ENCODINGS[encoding]))
+        assert p.encoding == encoding
+        assert p.width == 8 * np.dtype(ENCODINGS[encoding]).itemsize
+        assert p.words.dtype == np.dtype(f"u{p.width // 8}")
 
     def test_flat_view_writes_through(self):
-        x = Tensor.from_array(np.zeros((2, 2), np.float32))
-        x.flat[3] = 7.0
-        assert x.data[1, 1] == 7.0
+        p = ParamSet(1, "conv", "conv_kernel", np.zeros((2, 2), np.float32))
+        p.words[3] = np.float32(7.0).view(np.uint32)
+        assert p.data[1, 1] == 7.0
 
     def test_flat_refused_where_no_flat_view_exists(self):
-        """A channel-major activation has no row-major flat view: a reshape would
-        copy it and lose writes, so ``flat`` refuses it."""
+        """A channel-major array has no row-major flat view: a reshape would copy
+        it and a fault would land in the copy, so ``words`` refuses it."""
         x = conv2d_forward(t(np.zeros((1, 2, 2, 3))), t(np.ones((1, 1, 3, 2))), [0.0, 0.0])
         assert not x.data.flags.c_contiguous
-        with pytest.raises(ValueError, match="not C-contiguous"):
-            x.flat
+        p = ParamSet(1, "conv", "conv_kernel", x.data)
+        with pytest.raises(ValueError, match="p1 of shape \\(1, 2, 2, 2\\) is not C-contiguous"):
+            p.words
 
     def test_parameters_keep_a_write_through_flat_view(self, tmp_path):
         """Parameters are C-contiguous however a graph is made, so faults and
-        protection write through ``flat``."""
+        protection write through ``words``."""
         import seu_forge as sf
         built = sf.generate_toy_weights(sf.build_unet(2, 4, 3, 3), 5)
         sf.save_model(built, str(tmp_path / "m.sfm"))
         inputs, _ = sf.generate_calibration_set((8, 8, 3), count=2, seed=1)
+        pruned = sf.prune_structured(built, keep_fraction=0.5)
         for graph in (built, built.copy(), sf.load_model(str(tmp_path / "m.sfm")),
-                      sf.fold_bn(built), sf.quantize_ptq(built, inputs)):
+                      sf.fold_bn(built), sf.quantize_ptq(built, inputs), pruned,
+                      sf.fold_bn(pruned), sf.quantize_ptq(pruned, inputs)):
             for p in graph.params:
-                assert np.shares_memory(p.tensor.flat, p.tensor.data), p.index
+                assert p.data.flags.c_contiguous, p.index
+                assert np.shares_memory(p.words, p.data), p.index
 
 
 _F32_SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-45, -1e-45, 1.1754942e-38,
@@ -455,8 +471,8 @@ class TestMax2x2:
         nan = np.isnan(want) if x.dtype == np.float32 else np.zeros(want.shape, bool)
         if x.dtype == np.float32:
             assert np.array_equal(np.isnan(got), nan)
-            assert np.array_equal(maxpool2d(Tensor.from_array(x)).data.view(np.uint32)[~nan],
-                                  want.view(np.uint32)[~nan])
+            pooled = maxpool2d(Tensor(np.ascontiguousarray(x))).data
+            assert np.array_equal(pooled.view(np.uint32)[~nan], want.view(np.uint32)[~nan])
         assert got[~nan].tobytes() == want[~nan].tobytes()
         if not x.flags.c_contiguous:
             assert got.transpose(3, 0, 1, 2).flags.c_contiguous
